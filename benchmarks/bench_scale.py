@@ -14,24 +14,15 @@ benchmark is their regression gate.  For each scale it measures
   number the bench-smoke CI gate tracks on the quick preset);
 * **sharded events/sec** (``10^5`` tier only): the same run fanned out
   over ``--shards`` worker processes via ``run_online(..., shards=N)``.
-  The scale-up family is shard-safe (reliable transport, no failures), so
-  the run takes the parallel isolated path: each worker owns a contiguous
-  block of cubes and never builds the global fleet.  Per-shard wall-clock
-  timings ride along, plus a *critical path* figure (coordinator time +
-  slowest shard) -- what the wall becomes once the host has at least as
-  many cores as shards; on fewer cores the pool serializes workers and
-  the wall number hides the speedup.
-* **lockstep events/sec** (``10^4`` tier, ``lockstep_events_per_sec``):
-  a failure-mode run (crash sweep + partition + lossy transport) with
-  escalation on, which disqualifies parallel sharding and exercises the
-  windowed single-process lockstep fallback -- the committed
-  ``lockstep_events_per_sec_1e4`` floor gates it every build.
+  The scale-up family is shard-local (reliable transport, no failures),
+  so the run takes the multi-process ``parallel-lockstep`` engine: each
+  worker owns a contiguous block of cubes and never builds the global
+  fleet.  The measured wall clock and each worker's own elapsed time are
+  reported; nothing is inferred from them.
 * **parallel lockstep** (``10^5-failure`` tier): the same demand with a
-  sparse crash sweep and an *edge-keyed* lossy transport, eligible for
-  the multi-process parallel-lockstep engine (PR 9).  ``--quick`` runs
-  the sharded side only; the full mode adds the single-process lockstep
-  reference and the critical-path speedup (acceptance bar: >= 1.5x at
-  8 shards).
+  sparse crash sweep and an *edge-keyed* lossy transport, still
+  shard-local.  ``--quick`` runs the sharded side only; the full mode
+  adds the single-process reference and the wall-clock speedup.
 
 Throughput runs skipped by ``--quick`` are recorded as ``null`` so report
 consumers can tell "not measured" from "missing key".
@@ -65,7 +56,7 @@ bootstrap_src()
 import numpy as np
 
 from repro.core.online import run_online
-from repro.distsim.failures import FailurePlan, PartitionSpec
+from repro.distsim.failures import FailurePlan
 from repro.distsim.transport import TransportSpec
 from repro.vehicles.fleet import Fleet, FleetConfig
 from repro.workloads.arrivals import random_arrivals
@@ -86,7 +77,7 @@ OMEGA = 3.0
 #: Default worker-process count for the sharded tier.  Deliberately above
 #: typical CI core counts: per-shard fleets shrink superlinearly in cost
 #: (smaller event queues, registries, and caches), so modest oversharding
-#: is cheap and keeps the critical path short on any host.
+#: is cheap on any host.
 DEFAULT_SHARDS = 8
 
 
@@ -148,21 +139,16 @@ def measure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
     }
     if shards > 1:
         entry["shards"] = shards
-        timings = dict(result.shard_timings)
-        entry["shard_seconds"] = {
-            str(shard): round(seconds, 4) for shard, seconds in sorted(timings.items())
-        }
-        # Wall-clock with the worker serialization removed: coordinator
-        # time plus the slowest shard.  On a machine with >= shards cores
-        # the measured wall approaches this; on fewer cores the pool runs
-        # workers back to back and the wall number hides the speedup.
-        worker_total = sum(timings.values())
-        critical = max(elapsed - worker_total + max(timings.values()), 0.0)
-        entry["critical_path_seconds"] = critical
-        entry["critical_path_events_per_sec"] = (
-            result.events_processed / critical if critical else 0.0
-        )
+        entry["shard_seconds"] = _shard_seconds(result)
     return entry
+
+
+def _shard_seconds(result) -> dict:
+    """Each worker's own measured elapsed time, by shard."""
+    return {
+        str(shard): round(seconds, 4)
+        for shard, seconds in sorted(result.shard_timings.items())
+    }
 
 
 def _crash_plan(demand, every: int = 997) -> FailurePlan:
@@ -173,62 +159,13 @@ def _crash_plan(demand, every: int = 997) -> FailurePlan:
     return plan
 
 
-def measure_lockstep_throughput(demand, seed: int = 0, shards: int = 4) -> dict:
-    """Events/sec of the single-process *lockstep* engine on a failure config.
-
-    Escalation plus a global-stream lossy transport disqualify the run
-    from every multi-process path, so ``shards=4`` is forced through the
-    windowed lockstep fallback -- the engine whose per-window barrier and
-    adaptive-horizon overhead this figure gates (the transport's 0.02
-    delay makes nearly every event its own conservative window, the worst
-    case).  The mode and first disqualifying reason are recorded so the
-    number can never silently become a parallel-path measurement.
-    """
-    jobs = random_arrivals(demand, np.random.default_rng(seed))
-    plan = _crash_plan(demand)
-    plan.add_partition(
-        PartitionSpec(
-            start=len(jobs) * 0.25, end=len(jobs) * 0.5, axis=0, boundary=50
-        )
-    )
-    transport = TransportSpec(
-        kind="lossy", params={"loss": 0.05, "delay": 0.02, "seed": 3}
-    )
-    start = time.perf_counter()
-    result = run_online(
-        jobs,
-        omega=OMEGA,
-        config=FleetConfig(escalation=True),
-        failure_plan=plan,
-        transport=transport,
-        shards=shards,
-    )
-    elapsed = time.perf_counter() - start
-    if result.shard_mode != "lockstep":
-        raise SystemExit(
-            f"lockstep benchmark ran in mode {result.shard_mode!r}; the "
-            "failure+lossy+escalation config should force the fallback"
-        )
-    return {
-        "lockstep_events_per_sec": (
-            result.events_processed / elapsed if elapsed else 0.0
-        ),
-        "lockstep_run_seconds": elapsed,
-        "lockstep_events_processed": result.events_processed,
-        "lockstep_window_barriers": result.window_barriers,
-        "lockstep_mode": result.shard_mode,
-        "lockstep_mode_reason": result.shard_mode_reason,
-    }
-
-
 def measure_failure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
     """Events/sec of a failure+lossy run through the parallel lockstep engine.
 
     The config (sparse crash sweep, edge-keyed lossy transport, no
-    escalation) is exactly the class PR 9 parallelizes: every shard's
-    protocol traffic is cube-local, so ``shards=N`` takes the
-    ``parallel-lockstep`` multi-process path while ``shards=1`` runs the
-    reference single-process lockstep it must beat.
+    escalation) keeps every shard's protocol traffic cube-local, so
+    ``shards=N`` takes the ``parallel-lockstep`` multi-process path while
+    ``shards=1`` runs the single-process reference.
     """
     jobs = random_arrivals(demand, np.random.default_rng(seed))
     transport = TransportSpec(
@@ -251,7 +188,6 @@ def measure_failure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
         "events_per_sec": result.events_processed / elapsed if elapsed else 0.0,
         "run_seconds": elapsed,
         "mode": result.shard_mode,
-        "window_barriers": result.window_barriers,
     }
     if shards > 1:
         if result.shard_mode != "parallel-lockstep":
@@ -259,17 +195,8 @@ def measure_failure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
                 f"failure benchmark ran in mode {result.shard_mode!r} "
                 f"({result.shard_mode_reason}); expected parallel-lockstep"
             )
-        timings = dict(result.shard_timings)
         entry["shards"] = shards
-        entry["shard_seconds"] = {
-            str(shard): round(seconds, 4) for shard, seconds in sorted(timings.items())
-        }
-        worker_total = sum(timings.values())
-        critical = max(elapsed - worker_total + max(timings.values()), 0.0)
-        entry["critical_path_seconds"] = critical
-        entry["critical_path_events_per_sec"] = (
-            result.events_processed / critical if critical else 0.0
-        )
+        entry["shard_seconds"] = _shard_seconds(result)
     return entry
 
 
@@ -301,11 +228,6 @@ def main(argv=None) -> int:
         default=None,
         help="also write the 1e5 tier's per-shard timing breakdown here",
     )
-    parser.add_argument(
-        "--lockstep-windows-out",
-        default=None,
-        help="also write per-window barrier counts for the lockstep tiers here",
-    )
     args = parser.parse_args(argv)
     repeat = args.repeat if args.repeat is not None else (3 if args.quick else 5)
 
@@ -322,9 +244,6 @@ def main(argv=None) -> int:
             # Cheap even at 10^4 vehicles (that is the point), so it runs
             # in --quick too and the CI gate tracks it every build.
             entry.update(measure_quiescent(demand))
-            # The windowed lockstep fallback engine, gated every build via
-            # the committed lockstep_events_per_sec_1e4 floor.
-            entry.update(measure_lockstep_throughput(demand))
         report["scales"][label] = entry
         throughput = entry.get("events_per_sec")
         quiescent = entry.get("quiescent_rounds_per_sec")
@@ -345,8 +264,6 @@ def main(argv=None) -> int:
         "sharded_run_seconds": sharded["run_seconds"],
         "shards": sharded["shards"],
         "shard_seconds": sharded["shard_seconds"],
-        "critical_path_seconds": sharded["critical_path_seconds"],
-        "critical_path_events_per_sec": sharded["critical_path_events_per_sec"],
         "jobs": sharded["jobs"],
         "events_processed": sharded["events_processed"],
     }
@@ -356,7 +273,6 @@ def main(argv=None) -> int:
                 "events_per_sec": None,
                 "run_seconds": None,
                 "speedup": None,
-                "critical_path_speedup": None,
             }
         )
     else:
@@ -368,30 +284,21 @@ def main(argv=None) -> int:
             if single["events_per_sec"]
             else None
         )
-        entry["critical_path_speedup"] = (
-            sharded["critical_path_events_per_sec"] / single["events_per_sec"]
-            if single["events_per_sec"]
-            else None
-        )
     report["scales"][label] = entry
     print(
         f"{label}: {entry['jobs']} jobs over {entry['shards']} shards, "
-        f"{entry['sharded_events_per_sec']:,.0f} sharded events/sec "
-        f"({entry['critical_path_events_per_sec']:,.0f} on the critical path)"
+        f"{entry['sharded_events_per_sec']:,.0f} sharded events/sec (wall)"
         + (
             f", {entry['events_per_sec']:,.0f} single-process "
-            f"(speedup {entry['speedup']:.2f}x wall, "
-            f"{entry['critical_path_speedup']:.2f}x critical path)"
+            f"(speedup {entry['speedup']:.2f}x wall)"
             if entry["events_per_sec"]
             else ""
         )
     )
 
     # The parallel-lockstep tier: the same 10^5 demand with a sparse crash
-    # sweep and an edge-keyed lossy transport -- the failure class PR 9
-    # parallelizes.  --quick runs the sharded side only; the full mode adds
-    # the single-process lockstep reference and the critical-path speedup
-    # the acceptance criterion tracks (>= 1.5x at 8 shards).
+    # sweep and an edge-keyed lossy transport.  --quick runs the sharded
+    # side only; the full mode adds the single-process reference.
     failure_label = f"{label}-failure"
     failure_sharded = measure_failure_throughput(demand, shards=args.shards)
     failure_entry = dict(failure_sharded)
@@ -401,7 +308,6 @@ def main(argv=None) -> int:
                 "single_events_per_sec": None,
                 "single_run_seconds": None,
                 "speedup": None,
-                "critical_path_speedup": None,
             }
         )
     else:
@@ -413,22 +319,14 @@ def main(argv=None) -> int:
             if single["events_per_sec"]
             else None
         )
-        failure_entry["critical_path_speedup"] = (
-            failure_sharded["critical_path_events_per_sec"]
-            / single["events_per_sec"]
-            if single["events_per_sec"]
-            else None
-        )
     report["scales"][failure_label] = failure_entry
     print(
         f"{failure_label}: {failure_entry['jobs']} jobs over "
         f"{failure_entry['shards']} shards (parallel lockstep), "
-        f"{failure_entry['events_per_sec']:,.0f} events/sec "
-        f"({failure_entry['critical_path_events_per_sec']:,.0f} on the "
-        "critical path)"
+        f"{failure_entry['events_per_sec']:,.0f} events/sec (wall)"
         + (
             f", {failure_entry['single_events_per_sec']:,.0f} single-process "
-            f"(critical-path speedup {failure_entry['critical_path_speedup']:.2f}x)"
+            f"(speedup {failure_entry['speedup']:.2f}x wall)"
             if failure_entry["single_events_per_sec"]
             else ""
         )
@@ -441,33 +339,9 @@ def main(argv=None) -> int:
                 "scale": label,
                 "shards": entry["shards"],
                 "shard_seconds": entry["shard_seconds"],
-                "critical_path_seconds": entry["critical_path_seconds"],
                 "sharded_run_seconds": entry["sharded_run_seconds"],
             },
             args.shard_timings_out,
-        )
-    if args.lockstep_windows_out:
-        # Per-window barrier counts for the conservative engines: how many
-        # synchronization points each mode actually crossed this run --
-        # the observable the adaptive (Chandy-Misra horizon) windows are
-        # meant to shrink.
-        lockstep_1e4 = report["scales"]["1e4"]
-        emit_report(
-            {
-                "lockstep_1e4": {
-                    "window_barriers": lockstep_1e4["lockstep_window_barriers"],
-                    "events_processed": lockstep_1e4["lockstep_events_processed"],
-                    "mode": lockstep_1e4["lockstep_mode"],
-                    "mode_reason": lockstep_1e4["lockstep_mode_reason"],
-                },
-                f"parallel_lockstep_{failure_label}": {
-                    "window_barriers": failure_entry["window_barriers"],
-                    "shards": failure_entry["shards"],
-                    "events_processed": failure_entry["events_processed"],
-                    "mode": failure_entry["mode"],
-                },
-            },
-            args.lockstep_windows_out,
         )
     return 0
 

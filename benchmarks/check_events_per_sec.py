@@ -34,13 +34,7 @@ ceiling (same tolerance, inverted sense -- detection regresses by getting
 ``--scale-report`` also gates the cube-sharded ``10^5``-vehicle tier: the
 report's ``sharded_events_per_sec`` (wall-clock events/sec of the
 ``run_online(..., shards=N)`` multi-process run) must clear the committed
-``sharded_events_per_sec_1e5`` floor.  It likewise gates the windowed
-*lockstep fallback* engine at the ``10^4`` scale: the report's
-``lockstep_events_per_sec`` (a failure + lossy + escalation config, which
-disqualifies parallel sharding and forces single-process lockstep) must
-clear the committed ``lockstep_events_per_sec_1e4`` floor -- this is the
-cheap every-build proxy for the parallel-lockstep critical path measured
-at ``10^5`` in the full (non-quick) bench mode.
+``sharded_events_per_sec_1e5`` floor.
 
 The committed baseline (``benchmarks/bench_baseline.json``) is calibrated
 conservatively for shared CI runners, which are typically 2-3x slower than
@@ -51,7 +45,8 @@ a deliberate performance change, refresh both numbers with::
 
     python benchmarks/check_events_per_sec.py bench-smoke.json \
         --scale-report BENCH_fleet_scale.json \
-        --stream-report BENCH_stream.json --update
+        --stream-report BENCH_stream.json \
+        --gossip-report BENCH_gossip.json --update
 
 Usage::
 
@@ -132,18 +127,6 @@ def extract_sharded_throughput(scale_report: dict) -> float:
     return float(entry["sharded_events_per_sec"])
 
 
-def extract_lockstep_throughput(scale_report: dict) -> float:
-    """The 1e4 tier's lockstep-fallback events/sec from a bench_scale.py report."""
-    entry = scale_report.get("scales", {}).get(GATED_SCALE)
-    if entry is None or "lockstep_events_per_sec" not in entry:
-        raise SystemExit(
-            f"scale report carries no lockstep_events_per_sec for scale "
-            f"{GATED_SCALE!r}; "
-            "run: python benchmarks/bench_scale.py --quick --out BENCH_fleet_scale.json"
-        )
-    return float(entry["lockstep_events_per_sec"])
-
-
 def extract_stream_metrics(stream_report: dict) -> tuple:
     """(events/sec at 1e3, memory-flat flag) from a bench_stream.py report."""
     entry = stream_report.get("scales", {}).get("1e3")
@@ -213,13 +196,11 @@ def main(argv=None) -> int:
     construction = None
     quiescent = None
     sharded = None
-    lockstep = None
     if args.scale_report is not None:
         scale_payload = json.loads(Path(args.scale_report).read_text())
         construction = extract_construction_seconds(scale_payload)
         quiescent = extract_quiescent_rounds(scale_payload)
         sharded = extract_sharded_throughput(scale_payload)
-        lockstep = extract_lockstep_throughput(scale_payload)
     stream = None
     stream_flat = True
     if args.stream_report is not None:
@@ -242,8 +223,6 @@ def main(argv=None) -> int:
             refreshed["quiescent_rounds_per_sec_1e4"] = quiescent
         if sharded is not None:
             refreshed["sharded_events_per_sec_1e5"] = sharded
-        if lockstep is not None:
-            refreshed["lockstep_events_per_sec_1e4"] = lockstep
         if stream is not None:
             refreshed["stream_events_per_sec_1e3"] = stream
         if gossip is not None:
@@ -260,8 +239,6 @@ def main(argv=None) -> int:
             print(f"baseline updated: {quiescent:.0f} quiescent rounds/sec (1e4)")
         if sharded is not None:
             print(f"baseline updated: {sharded:.0f} sharded events/sec (1e5)")
-        if lockstep is not None:
-            print(f"baseline updated: {lockstep:.0f} lockstep events/sec (1e4)")
         if stream is not None:
             print(f"baseline updated: {stream:.0f} stream events/sec (1e3)")
         if gossip is not None:
@@ -363,31 +340,6 @@ def main(argv=None) -> int:
             f"-> {shstatus}"
         )
 
-    lockstep_passed = True
-    if lockstep is not None:
-        lockstep_base = baseline_payload.get("lockstep_events_per_sec_1e4")
-        if lockstep_base is None:
-            raise SystemExit(
-                "--scale-report given but the baseline carries no "
-                "lockstep_events_per_sec_1e4; refresh it with --update"
-            )
-        lockstep_floor = float(lockstep_base) * (1.0 - args.tolerance)
-        lockstep_passed = lockstep >= lockstep_floor
-        artifact.update(
-            {
-                "lockstep_events_per_sec_1e4": lockstep,
-                "baseline_lockstep_events_per_sec_1e4": float(lockstep_base),
-                "floor_lockstep_events_per_sec_1e4": lockstep_floor,
-                "lockstep_pass": lockstep_passed,
-            }
-        )
-        lstatus = "ok" if lockstep_passed else "REGRESSION"
-        print(
-            f"lockstep fallback (1e4): {lockstep:.0f} events/sec "
-            f"(baseline {float(lockstep_base):.0f}, floor {lockstep_floor:.0f}) "
-            f"-> {lstatus}"
-        )
-
     stream_passed = True
     if stream is not None:
         stream_base = baseline_payload.get("stream_events_per_sec_1e3")
@@ -445,7 +397,6 @@ def main(argv=None) -> int:
         and construction_passed
         and quiescent_passed
         and sharded_passed
-        and lockstep_passed
         and stream_passed
         and gossip_passed
     )

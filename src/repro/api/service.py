@@ -108,10 +108,6 @@ class ServiceConfig:
     checkpoint_every: Optional[int] = None
     #: Windows retained in the live-state file.
     keep_windows: int = 8
-    #: Cube-aligned shards (see :mod:`repro.distsim.sharding`): the
-    #: streaming harness classifies protocol traffic against the shard
-    #: plan; physical results stay byte-identical to ``shards=1``.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "demand_entries", _normalize_entries(self.demand_entries))
@@ -170,12 +166,6 @@ class ServiceConfig:
             raise ConfigError("checkpoint_every must be a positive integer or None")
         if not isinstance(self.keep_windows, int) or self.keep_windows < 1:
             raise ConfigError("keep_windows must be a positive integer")
-        if (
-            not isinstance(self.shards, int)
-            or isinstance(self.shards, bool)
-            or self.shards < 1
-        ):
-            raise ConfigError(f"shards must be a positive integer, got {self.shards!r}")
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -255,14 +245,12 @@ class ServiceConfig:
                 {"start": p.start, "end": p.end, "axis": p.axis, "boundary": p.boundary}
                 for p in self.partitions
             ]
-        # Hash-preserving: the default shards=1 stays unserialized so every
-        # pre-sharding config keeps its historical content hash.
-        if self.shards != 1:
-            payload["shards"] = self.shards
         return payload
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "ServiceConfig":
+        # Keys this schema does not know are ignored: checkpoints written
+        # when service configs carried a ``shards`` setting still load.
         if payload.get("type") != "service_config":
             raise ConfigError("payload is not a serialized service config")
         return cls(
@@ -285,7 +273,6 @@ class ServiceConfig:
             window_jobs=payload.get("window_jobs", 1000),
             checkpoint_every=payload.get("checkpoint_every"),
             keep_windows=payload.get("keep_windows", 8),
-            shards=payload.get("shards", 1),
         )
 
     def canonical_json(self) -> str:
@@ -375,14 +362,6 @@ class ServiceResult:
     interrupted: bool = False
     #: Per-window rollup totals (equal to the batch counters by construction).
     rollup: Dict[str, Any] = field(default_factory=dict)
-    #: Shard bookkeeping (excluded from ``result_hash`` like the other
-    #: harness-side fields: an N-shard run must hash identically to the
-    #: single-shard run -- that equality is the determinism contract).
-    shards: int = 1
-    #: Logical sends that crossed a shard boundary.
-    cross_shard_messages: int = 0
-    #: Lockstep window barriers the run advanced through.
-    window_barriers: int = 0
     #: Failure-detection mode: ``""``, ``"ring"`` or ``"gossip"``.  New
     #: observability fields below are excluded from ``result_hash`` (the
     #: explicit ``_HASHED_FIELDS`` tuple is unchanged), so pre-gossip

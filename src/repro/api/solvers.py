@@ -242,7 +242,7 @@ def _run_online_family(config: RunConfig, *, broken: bool) -> RunResult:
         extras["detection_p99"] = result.detection_p99
     if config.shards > 1:
         # Sharded runs record which execution mode actually ran (and, on a
-        # lockstep fallback, the first disqualifying feature) so bench
+        # single-process fallback, the first disqualifying feature) so bench
         # numbers can't silently be misread as parallel.  Guarded behind
         # shards > 1: unsharded extras -- and their golden hashes -- are
         # untouched.

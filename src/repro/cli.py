@@ -276,70 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         help='per-vehicle battery: a number, "unbounded", or the default '
         "Lemma 3.3.1 theorem capacity",
     )
-    serve.add_argument(
-        "--recovery-rounds",
-        type=int,
-        default=0,
-        help="heartbeat rounds the monitoring loop may spend recovering a job",
-    )
-    serve.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="X,Y",
-        help="home vertex of a vehicle broken from the start (repeatable)",
-    )
-    serve.add_argument(
-        "--suppress",
-        action="append",
-        default=[],
-        metavar="X,Y",
-        help="home vertex of a vehicle that never initiates diffusing "
-        "computations (repeatable)",
-    )
-    serve.add_argument(
-        "--monitoring",
-        nargs="?",
-        const="ring",
-        choices=["ring", "gossip"],
-        default=None,
-        help="enable the failure-detection loop (implied by --crash, "
-        '--suppress, or --recovery-rounds): "ring" (the bare-flag '
-        'default) is the Section 3.2.5 heartbeat ring, "gossip" the '
-        "epidemic detector with quorum-attested replacement",
-    )
-    serve.add_argument(
-        "--gossip-fanout",
-        type=_positive_int,
-        default=None,
-        metavar="F",
-        help="peers each vehicle gossips its digest to per round "
-        "(gossip monitoring only; default 2)",
-    )
-    serve.add_argument(
-        "--suspicion-threshold",
-        type=_positive_int,
-        default=None,
-        metavar="S",
-        help="independent silent reports needed before a watcher opens a "
-        "suspicion (gossip monitoring only; default 2)",
-    )
-    serve.add_argument(
-        "--quorum",
-        type=_positive_int,
-        default=None,
-        metavar="Q",
-        help="co-signatures a watcher must collect before initiating "
-        "replacement (gossip monitoring only; default 2)",
-    )
-    serve.add_argument(
-        "--byzantine-watcher",
-        action="append",
-        default=[],
-        metavar="X,Y",
-        help="home vertex of a vehicle whose failure-detection role lies "
-        "(repeatable; the gossip quorum masks up to quorum-1 of these)",
-    )
+    _add_failure_arguments(serve)
+    _add_monitoring_arguments(serve)
     serve.add_argument(
         "--hand-back",
         action="store_true",
@@ -398,16 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resume demonstrations)",
     )
     serve.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="classify protocol traffic against an N-shard cube partition "
-        "(bookkeeping only; results are byte-identical to --shards 1).  "
-        "With --resume this overrides the snapshot's shard count: a "
-        "checkpoint taken under N shards resumes under M shards to the "
-        "same hashes",
-    )
-    serve.add_argument(
         "--json", dest="json_out", help="write the ServiceResult to this path"
     )
     _add_transport_arguments(serve)
@@ -460,13 +388,19 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, engine: bool = True) 
         action="store_true",
         help="print per-run progress lines to stderr",
     )
+    _add_failure_arguments(parser)
+    _add_transport_arguments(parser)
+
+
+def _add_failure_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--crash`` / ``--suppress`` / ``--recovery-rounds`` (run, compare, serve)."""
     parser.add_argument(
         "--crash",
         action="append",
         default=[],
         metavar="X,Y",
         help="home vertex of a vehicle broken from the start (repeatable; "
-        "scenario 3, for the online-broken solver)",
+        "scenario 3; run and compare apply it to the online-broken solver)",
     )
     parser.add_argument(
         "--suppress",
@@ -474,7 +408,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, engine: bool = True) 
         default=[],
         metavar="X,Y",
         help="home vertex of a vehicle that never initiates diffusing "
-        "computations (repeatable; scenario 2, for the online-broken solver)",
+        "computations (repeatable; scenario 2; run and compare apply it to "
+        "the online-broken solver)",
     )
     parser.add_argument(
         "--recovery-rounds",
@@ -482,18 +417,20 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, engine: bool = True) 
         default=0,
         help="heartbeat rounds the monitoring loop may spend recovering a job",
     )
-    _add_transport_arguments(parser)
 
 
 def _add_monitoring_arguments(parser: argparse.ArgumentParser) -> None:
+    """The failure-detector flag group (run and serve)."""
     parser.add_argument(
         "--monitoring",
+        nargs="?",
+        const="ring",
         choices=["ring", "gossip"],
         default=None,
         help="failure-detection mode for the message-passing solvers: "
-        '"ring" is the Section 3.2.5 heartbeat ring (the default when '
-        'failures are modelled), "gossip" opts into the epidemic '
-        "detector with quorum-attested replacement",
+        '"ring" (the bare-flag value, and the default when failures are '
+        'modelled) is the Section 3.2.5 heartbeat ring, "gossip" the '
+        "epidemic detector with quorum-attested replacement",
     )
     parser.add_argument(
         "--gossip-fanout",
@@ -836,13 +773,6 @@ def _service_summary(result) -> Table:
     table.add_row("protocol messages", result.messages)
     table.add_row("transport", result.transport)
     table.add_row("sim time", result.sim_time)
-    if result.shards > 1:
-        table.add_row("shards", result.shards)
-        # The streaming driver serializes execution on one clock, so a
-        # sharded service run is always observational lockstep.
-        table.add_row("shard mode", "lockstep (single clock)")
-        table.add_row("cross-shard messages", result.cross_shard_messages)
-        table.add_row("window barriers", result.window_barriers)
     table.add_row("result hash", result.result_hash()[:16])
     return table
 
@@ -885,7 +815,6 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
         partitions=failures.partitions if broken else (),
         seed=config.scenario.seed,
         window_jobs=args.window,
-        shards=config.shards,
     )
 
     def execute():
@@ -939,10 +868,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.resume:
         payload = load_checkpoint(args.resume)
         config = ServiceConfig.from_json(payload["config"])
-        if args.shards is not None:
-            # Observational sharding: resuming an N-shard checkpoint under
-            # M shards reaches the same result_hash / fleet_digest.
-            config = config.replace(shards=args.shards)
         jobs = streaming_arrivals(config.demand(), jobs=args.jobs)
         result = run_service(config, jobs, snapshot=payload, **outputs)
     else:
@@ -1006,7 +931,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             lookahead=args.lookahead,
             window_jobs=args.window,
             checkpoint_every=args.checkpoint_every,
-            shards=args.shards if args.shards is not None else 1,
         )
         jobs = streaming_arrivals(demand, jobs=args.jobs)
         result = run_service(config, jobs, **outputs)

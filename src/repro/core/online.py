@@ -45,7 +45,18 @@ import logging
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Literal,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -59,16 +70,7 @@ from repro.distsim.parallel_lockstep import (
     parallel_lockstep_eligibility,
     run_parallel_lockstep,
 )
-from repro.distsim.sharding import (
-    ShardMailbox,
-    ShardMonitor,
-    ShardPlan,
-    cross_shard_edge_latencies,
-    lockstep_window,
-    merge_shard_results,
-    run_lockstep,
-    run_parallel,
-)
+from repro.distsim.sharding import ShardPlan
 from repro.distsim.transport import Transport, TransportSpec, build_transport
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Point
@@ -76,8 +78,8 @@ from repro.vehicles.fleet import Fleet, FleetConfig
 
 __all__ = ["OnlineResult", "run_online", "provision_fleet", "ONLINE_ENGINES"]
 
-#: Sharded-run mode selection is logged here (satellite: bench numbers must
-#: be attributable to the mode that actually ran).
+#: Sharded-run mode selection is logged here (bench numbers must be
+#: attributable to the mode that actually ran).
 _LOG = logging.getLogger("repro.distsim.sharding")
 
 CapacitySpec = Union[None, float, Literal["theorem"]]
@@ -162,21 +164,17 @@ class OnlineResult:
     escalated_replacements: int = 0
     #: Far pairs adopted by active vehicles with spare battery.
     adoptions: int = 0
-    #: Shards the run was partitioned into (1 = single-process).
+    #: Shards the run was asked to partition into (1 = unsharded).
     shards: int = 1
-    #: Logical sends that crossed a shard boundary (always 0 unsharded, and
-    #: 0 in the parallel isolated mode, which requires zero boundary traffic).
-    cross_shard_messages: int = 0
-    #: Lockstep window barriers the coordinator advanced through.
-    window_barriers: int = 0
-    #: Wall-clock seconds per worker shard (multi-process modes only).
+    #: Wall-clock seconds per worker shard (multi-process runs only).
     shard_timings: Dict[int, float] = field(default_factory=dict)
-    #: Which sharded execution mode ran: ``""`` (unsharded), ``"parallel"``
-    #: (PR 8 isolated workers), ``"parallel-lockstep"`` (multi-process
-    #: failure-mode engine), or ``"lockstep"`` (single-process windows).
+    #: How a sharded run executed: ``""`` (unsharded),
+    #: ``"parallel-lockstep"`` (one worker process per shard, see
+    #: :mod:`repro.distsim.parallel_lockstep`), or ``"single-process"``
+    #: (the configuration couples shards, so one global fleet ran).
     shard_mode: str = ""
-    #: The first disqualifying feature that forced the lockstep fallback
-    #: (empty when a multi-process mode ran, or when unsharded).
+    #: The first disqualifying feature that forced a single-process run
+    #: (empty when the workers ran, or when unsharded).
     shard_mode_reason: str = ""
     #: Failure-detection mode the run used: ``""`` (monitoring off),
     #: ``"ring"`` (Section 3.2.5 single-watcher loop) or ``"gossip"``
@@ -210,28 +208,6 @@ class OnlineResult:
         if self.omega_star == 0:
             return math.inf if self.max_vehicle_energy > 0 else 1.0
         return self.max_vehicle_energy / self.omega_star
-
-
-def _empty_online_result(engine: str, transport: str = "reliable") -> OnlineResult:
-    return OnlineResult(
-        jobs_total=0,
-        jobs_served=0,
-        feasible=True,
-        max_vehicle_energy=0.0,
-        total_travel=0.0,
-        total_service=0.0,
-        omega=0.0,
-        omega_star=0.0,
-        capacity=None,
-        theorem_capacity=0.0,
-        replacements=0,
-        searches=0,
-        failed_replacements=0,
-        messages=0,
-        heartbeat_rounds=0,
-        engine=engine,
-        transport=transport,
-    )
 
 
 def _serve_with_recovery(
@@ -269,6 +245,16 @@ def _churn_hooks(fleet: Fleet):
     return leave, join
 
 
+def _resolve_capacity(
+    demand: DemandMap, omega: float, capacity: CapacitySpec
+) -> Tuple[Optional[float], float]:
+    """``(provisioned, theorem_capacity)``: the Lemma 3.3.1 budget
+    ``(4 * 3^l + l) * omega`` and what each vehicle actually gets."""
+    theorem_capacity = online_upper_bound_factor(demand.dim) * omega
+    provisioned = theorem_capacity if capacity == "theorem" else capacity
+    return provisioned, theorem_capacity
+
+
 def provision_fleet(
     demand: DemandMap,
     *,
@@ -294,13 +280,7 @@ def provision_fleet(
     building a sub-fleet over a restricted demand passes the global run's
     window so cube geometry matches the single-process run.
     """
-    theorem_capacity = online_upper_bound_factor(demand.dim) * omega
-
-    if capacity == "theorem":
-        provisioned: Optional[float] = theorem_capacity
-    else:
-        provisioned = capacity  # a float or None
-
+    provisioned, theorem_capacity = _resolve_capacity(demand, omega, capacity)
     base = config if config is not None else FleetConfig()
     overrides: Dict[str, object] = {"capacity": provisioned}
     if escalation is not None:
@@ -466,17 +446,12 @@ def _run_events(
     churn: Sequence[ChurnSpec],
     plan: FailurePlan,
     *,
-    run=None,
     foreign_times: Sequence[float] = (),
 ) -> int:
     """The event driver: arrivals and failure windows on the simulator clock.
 
-    ``run`` overrides the final drain: the sharded lockstep coordinator
-    passes a callable executing the same events through window barriers
-    (``run(simulator)`` instead of ``run_until_quiescent``).
-
     ``foreign_times`` are arrival times of jobs owned by *other* shards in
-    a parallel lockstep run: each becomes a *tick* event replaying the
+    a multi-process run: each becomes a *tick* event replaying the
     reference arrival's fleet-wide bookkeeping prefix -- advance the
     failure clock, and (when monitoring) run the global heartbeat round
     over this fleet's vehicles -- so the worker's clocks and round numbers
@@ -527,56 +502,8 @@ def _run_events(
     else:
         entries = arrival_entries
     simulator.schedule_batch(entries, kind="arrival")
-
-    if run is None:
-        simulator.run_until_quiescent()
-    else:
-        run(simulator)
+    simulator.run_until_quiescent()
     return sum(served)
-
-
-def _parallel_shardable(
-    transport: Union[Transport, TransportSpec, str, None],
-    transport_instance: Optional[Transport],
-    config: Optional[FleetConfig],
-    rng: Optional[np.random.Generator],
-    failure_plan: Optional[FailurePlan],
-    dead_vehicles: Optional[Iterable[Sequence[int]]],
-    recovery_rounds: int,
-    churn_events: Sequence[ChurnSpec],
-    escalation: Optional[bool],
-) -> bool:
-    """Whether a sharded run may use the multi-process isolated mode.
-
-    The isolated mode requires every shard to be a closed sub-simulation:
-    no shared RNG stream (jitter delays and loss draws are consumed in
-    global send order), no cross-cube protocol traffic (monitoring watch
-    rings and escalation cross cube -- and hence potentially shard --
-    boundaries), no failure injection whose clock couples shards, and a
-    transport that is both stateless per edge (``Transport.shardable``) and
-    rebuildable inside a worker process (``None``, a kind name, or a
-    :class:`TransportSpec` -- not a caller-owned instance).  Everything
-    else falls back to the lockstep mode, which is exact for every
-    configuration.
-    """
-    if rng is not None or failure_plan is not None or dead_vehicles is not None:
-        return False
-    if recovery_rounds != 0 or churn_events:
-        return False
-    monitoring = config.monitoring if config is not None else False
-    if escalation is not None:
-        escalated = bool(escalation)
-    else:
-        escalated = config.escalation if config is not None else False
-    if monitoring or escalated:
-        return False
-    if transport is None:
-        # The legacy default channel with rng=None: a fixed-delay reliable
-        # transport, rebuilt identically by each worker's Network.
-        return True
-    if not isinstance(transport, (str, TransportSpec)):
-        return False
-    return transport_instance is not None and transport_instance.shardable
 
 
 class _ShardPartition:
@@ -646,152 +573,93 @@ class _ShardPartition:
             return default
 
 
-def _run_online_parallel(
-    jobs: JobSequence,
-    demand: DemandMap,
-    omega: float,
-    omega_star: float,
-    capacity: CapacitySpec,
-    config: Optional[FleetConfig],
-    transport: Union[TransportSpec, str, None],
-    transport_instance: Optional[Transport],
-    shards: int,
-    workers: Optional[int] = None,
-) -> OnlineResult:
-    """The multi-process isolated mode: one worker sub-fleet per shard.
+def _fleet_counters(fleet: Fleet) -> Dict[str, Any]:
+    """One fleet's run counters, keyed by :class:`OnlineResult` field name.
 
-    The coordinator splits demand and jobs by owning shard
-    (:class:`_ShardPartition`) and fans the shard payloads out to worker
-    processes; :func:`merge_shard_results` reassembles the per-cube state
-    segments in global creation order so the merged result is
-    byte-identical to the unsharded run.
+    Plain picklable data: the single-process tail and every shard worker
+    call this, and :func:`merge_parallel_lockstep_results` combines the
+    worker copies key by key -- so a new counter is one new result field
+    plus one line here.
     """
-    base = config if config is not None else FleetConfig()
-    # The run-level escalation override is resolved *before* pickling: a
-    # worker provisions straight from this config, so it must already
-    # carry the setting the reference fleet would run with.
-    base = dataclasses.replace(base, escalation=False)
-    split = _ShardPartition(jobs, demand, omega, shards)
+    stats = fleet.stats
+    simulator = fleet.simulator
+    return {
+        "max_vehicle_energy": fleet.max_energy_used(),
+        "replacements": stats.replacements,
+        "searches": stats.searches_started,
+        "failed_replacements": stats.failed_replacements,
+        "messages": fleet.messages_sent(),
+        "heartbeat_rounds": stats.heartbeat_rounds,
+        "events_processed": simulator.events_processed,
+        "sim_time": simulator.now,
+        "messages_dropped": fleet.messages_dropped(),
+        "messages_corrupted": fleet.messages_corrupted(),
+        "escalations": stats.escalations_started,
+        "escalated_replacements": stats.escalated_replacements,
+        "adoptions": stats.adoptions,
+        "suspicions": stats.suspicions,
+        "attestations": stats.attestations,
+        "refused_attestations": stats.refused_attestations,
+        "false_suspicions": stats.false_suspicions,
+    }
 
-    theorem_capacity = online_upper_bound_factor(demand.dim) * omega
-    provisioned: Optional[float] = (
-        theorem_capacity if capacity == "theorem" else capacity
-    )
 
-    transport_payload: Union[Dict[str, object], str, None]
-    if isinstance(transport, TransportSpec):
-        transport_payload = transport.to_json()
-    else:
-        transport_payload = transport
+def _online_result(
+    jobs_total: int, counters: Dict[str, Any], config: FleetConfig, **run: Any
+) -> OnlineResult:
+    """The one :class:`OnlineResult` constructor.
 
-    payloads = [
-        {
-            "shard": shard,
-            "entries": split.entries_by_shard[shard],
-            "dim": demand.dim,
-            "window_lo": split.window.lo,
-            "window_hi": split.window.hi,
-            "omega": float(omega),
-            "capacity": provisioned,
-            "config": base,
-            "transport": transport_payload,
-            "jobs": split.jobs_by_shard[shard],
-        }
-        for shard in range(shards)
-        if split.entries_by_shard[shard]
-    ]
-    merged = merge_shard_results(run_parallel(payloads, workers=workers))
-
+    ``counters`` holds the measured fields (``jobs_served`` plus what
+    :func:`_fleet_counters` reports, energies and totals, and any shard
+    timings or detection digests); ``run`` holds the run-level fields
+    (omega, capacities, engine, transport, shard mode).  The resolved
+    fleet ``config`` supplies the escalation flag and monitoring mode.
+    """
+    monitoring = config.monitoring
     return OnlineResult(
-        jobs_total=len(jobs),
-        jobs_served=merged["served"],
-        feasible=merged["served"] == len(jobs),
-        max_vehicle_energy=merged["max_energy"],
-        total_travel=merged["total_travel"],
-        total_service=merged["total_service"],
-        omega=float(omega),
-        omega_star=omega_star,
-        capacity=provisioned,
-        theorem_capacity=theorem_capacity,
-        replacements=merged["replacements"],
-        searches=merged["searches"],
-        failed_replacements=merged["failed_replacements"],
-        messages=merged["messages"],
-        heartbeat_rounds=merged["heartbeat_rounds"],
-        vehicle_energies=merged["vehicle_energies"],
-        engine="events",
-        events_processed=merged["events"],
-        sim_time=merged["sim_time"],
-        transport=(
-            transport_instance.kind if transport_instance is not None else "reliable"
+        jobs_total=jobs_total,
+        feasible=counters["jobs_served"] == jobs_total,
+        escalation=config.escalation,
+        monitoring_mode=(
+            "gossip" if monitoring == "gossip" else ("ring" if monitoring else "")
         ),
-        messages_dropped=merged["messages_dropped"],
-        messages_corrupted=merged["messages_corrupted"],
-        escalation=False,
-        shards=shards,
-        window_barriers=0,
-        cross_shard_messages=0,
-        shard_timings=merged["timings"],
-        shard_mode="parallel",
+        **counters,
+        **run,
     )
 
 
-def _run_online_parallel_lockstep(
+def _shard_payloads(
     jobs: JobSequence,
     demand: DemandMap,
     omega: float,
-    omega_star: float,
-    capacity: CapacitySpec,
-    config: Optional[FleetConfig],
+    provisioned: Optional[float],
+    config: FleetConfig,
     transport: Union[TransportSpec, str, None],
-    transport_instance: Optional[Transport],
     shards: int,
-    *,
     failure_plan: Optional[FailurePlan],
     dead_vehicles: Optional[Iterable[Sequence[int]]],
     churn_events: Sequence[ChurnSpec],
-    escalation: Optional[bool],
-    workers: Optional[int] = None,
-) -> OnlineResult:
-    """The multi-process failure-mode engine: parallel lockstep workers.
+) -> List[Dict[str, Any]]:
+    """One worker payload per non-empty shard of a multi-process run.
 
-    Extends the isolated mode to monitoring, crashes, suppression,
-    partitions, and churn (see :mod:`repro.distsim.parallel_lockstep` for
-    the structural argument).  Beyond the demand/job split, each payload
-    carries the pickled failure plan, the full dead-vehicle and churn
-    lists (foreign entries no-op), and -- when the run needs fleet-wide
-    clock/round replication (monitoring or timed partitions) -- the
-    arrival times of every *other* shard's jobs, replayed as tick events.
-    Workers free-run through one conservative window (infinite Chandy-Misra
-    lookahead: the eligible class has zero outbound boundary edges) and the
-    merge corrects the replicated bookkeeping, so the result is
-    byte-identical to the single-process run at any worker count.
+    Beyond the demand/job split (:class:`_ShardPartition`), each payload
+    carries the resolved fleet config, the pickled failure plan, the full
+    dead-vehicle and churn lists (foreign entries no-op), and -- when the
+    run needs fleet-wide clock/round replication (monitoring or timed
+    partitions) -- the arrival times of every *other* shard's jobs,
+    replayed as tick events (see :mod:`repro.distsim.parallel_lockstep`).
     """
-    base = config if config is not None else FleetConfig()
-    if escalation is not None:
-        base = dataclasses.replace(base, escalation=bool(escalation))
     split = _ShardPartition(jobs, demand, omega, shards)
-
-    theorem_capacity = online_upper_bound_factor(demand.dim) * omega
-    provisioned: Optional[float] = (
-        theorem_capacity if capacity == "theorem" else capacity
+    transport_payload = (
+        transport.to_json() if isinstance(transport, TransportSpec) else transport
     )
-
-    transport_payload: Union[Dict[str, object], str, None]
-    if isinstance(transport, TransportSpec):
-        transport_payload = transport.to_json()
-    else:
-        transport_payload = transport
-
-    spawned = [
-        shard for shard in range(shards) if split.entries_by_shard[shard]
-    ]
+    spawned = [shard for shard in range(shards) if split.entries_by_shard[shard]]
     first_spawned = spawned[0] if spawned else 0
     partitions = failure_plan.partitions if failure_plan is not None else []
     # Clock/round replication is needed exactly when some fleet-wide state
     # advances inside arrival events: the heartbeat round counter
     # (monitoring) or the failure clock consulted by partition windows.
-    replicate = bool(base.monitoring) or bool(partitions)
+    replicate = bool(config.monitoring) or bool(partitions)
 
     churn_sorted = tuple(
         sorted(churn_events, key=lambda e: (e.time, e.vertex, e.action))
@@ -804,82 +672,37 @@ def _run_online_parallel_lockstep(
         if dead_vehicles is not None
         else None
     )
-
     job_times = [job.time for job in jobs]
-    payloads = []
-    for shard in spawned:
-        if replicate:
-            foreign_times = [
-                time
-                for time, owner in zip(job_times, split.job_shards)
-                if owner != shard
-            ]
-        else:
-            foreign_times = []
-        payloads.append(
-            {
-                "shard": shard,
-                "entries": split.entries_by_shard[shard],
-                "dim": demand.dim,
-                "window_lo": split.window.lo,
-                "window_hi": split.window.hi,
-                "omega": float(omega),
-                "capacity": provisioned,
-                "config": base,
-                "transport": transport_payload,
-                "jobs": split.jobs_by_shard[shard],
-                "foreign_times": foreign_times,
-                "failure_plan": failure_plan,
-                "dead": dead,
-                "churn": churn_sorted,
-                "churn_owned": sum(
-                    1 for owner in churn_owner if owner == shard
-                ),
-                "shard_lut": split.shard_lut,
-                "cube_side": split.cube_side,
-            }
-        )
-    merged = merge_parallel_lockstep_results(
-        run_parallel_lockstep(payloads, workers=workers)
-    )
-
-    return OnlineResult(
-        jobs_total=len(jobs),
-        jobs_served=merged["served"],
-        feasible=merged["served"] == len(jobs),
-        max_vehicle_energy=merged["max_energy"],
-        total_travel=merged["total_travel"],
-        total_service=merged["total_service"],
-        omega=float(omega),
-        omega_star=omega_star,
-        capacity=provisioned,
-        theorem_capacity=theorem_capacity,
-        replacements=merged["replacements"],
-        searches=merged["searches"],
-        failed_replacements=merged["failed_replacements"],
-        messages=merged["messages"],
-        heartbeat_rounds=merged["heartbeat_rounds"],
-        vehicle_energies=merged["vehicle_energies"],
-        engine="events",
-        events_processed=merged["events"],
-        sim_time=merged["sim_time"],
-        transport=(
-            transport_instance.kind if transport_instance is not None else "reliable"
-        ),
-        messages_dropped=merged["messages_dropped"],
-        messages_corrupted=merged["messages_corrupted"],
-        escalation=False,
-        shards=shards,
-        window_barriers=merged["window_barriers"],
-        cross_shard_messages=0,
-        shard_timings=merged["timings"],
-        shard_mode="parallel-lockstep",
-        # Gossip never qualifies for this mode (fleet-wide digest fanout
-        # crosses shards), so monitoring here is always off or ring.
-        # Detection-latency digests are a single-fleet measurement; the
-        # multi-process modes report zero detections by design.
-        monitoring_mode="ring" if base.monitoring else "",
-    )
+    return [
+        {
+            "shard": shard,
+            "entries": split.entries_by_shard[shard],
+            "dim": demand.dim,
+            "window_lo": split.window.lo,
+            "window_hi": split.window.hi,
+            "omega": float(omega),
+            "capacity": provisioned,
+            "config": config,
+            "transport": transport_payload,
+            "jobs": split.jobs_by_shard[shard],
+            "foreign_times": (
+                [
+                    time
+                    for time, owner in zip(job_times, split.job_shards)
+                    if owner != shard
+                ]
+                if replicate
+                else []
+            ),
+            "failure_plan": failure_plan,
+            "dead": dead,
+            "churn": churn_sorted,
+            "churn_owned": sum(1 for owner in churn_owner if owner == shard),
+            "shard_lut": split.shard_lut,
+            "cube_side": split.cube_side,
+        }
+        for shard in spawned
+    ]
 
 
 def run_online(
@@ -947,21 +770,21 @@ def run_online(
     shards:
         Partition the run into this many cube-aligned shards (see
         :mod:`repro.distsim.sharding`).  The result is byte-identical to
-        the ``shards=1`` run: shard-safe configurations fan out to one
-        worker process per shard (``"parallel"``), shard-*local* failure
-        configurations -- monitoring without escalation, crashes,
-        partitions, churn, edge-stream transports -- fan out through the
-        parallel lockstep engine (``"parallel-lockstep"``, see
-        :mod:`repro.distsim.parallel_lockstep`), and everything else runs
-        the single global fleet through lockstep window barriers, counting
-        cross-shard traffic.  The mode that ran (and, for the fallback,
-        the first disqualifying feature) is recorded on the result as
+        the ``shards=1`` run.  Configurations whose protocol traffic stays
+        inside each shard -- no escalation, gossip, recovery rounds or
+        shared random stream; crashes, partitions, churn, ring monitoring
+        and edge-stream transports are fine -- fan out to one worker
+        process per shard (``"parallel-lockstep"``, see
+        :mod:`repro.distsim.parallel_lockstep`); everything else runs the
+        one global fleet single-process (``"single-process"``).  The mode
+        that ran (and, for the single-process fallback, the first
+        disqualifying feature) is recorded on the result as
         ``shard_mode`` / ``shard_mode_reason`` and logged under
         ``repro.distsim.sharding``.  Requires ``engine="events"``.
     shard_workers:
-        Concurrency cap for the multi-process modes (default: one process
-        per non-empty shard, up to the CPU count).  Results are identical
-        at any worker count.
+        Concurrency cap for the worker processes (default: one process per
+        non-empty shard, up to the CPU count).  Results are identical at
+        any worker count.
     """
     if engine not in ONLINE_ENGINES:
         raise ValueError(f"engine must be one of {ONLINE_ENGINES}, got {engine!r}")
@@ -970,9 +793,34 @@ def run_online(
     if shards > 1 and engine != "events":
         raise ValueError("sharded runs require engine='events'")
     transport_instance = build_transport(transport)
+    # A provisioned fleet reports the channel its network actually built
+    # (the shared-rng jitter default, say); everything else reports this.
+    transport_kind = (
+        transport_instance.kind if transport_instance is not None else "reliable"
+    )
     if len(jobs) == 0:
-        kind = transport_instance.kind if transport_instance is not None else "reliable"
-        return _empty_online_result(engine, kind)
+        nothing = {
+            "jobs_served": 0,
+            "max_vehicle_energy": 0.0,
+            "total_travel": 0.0,
+            "total_service": 0.0,
+            "replacements": 0,
+            "searches": 0,
+            "failed_replacements": 0,
+            "messages": 0,
+            "heartbeat_rounds": 0,
+        }
+        return _online_result(
+            0,
+            nothing,
+            FleetConfig(),
+            omega=0.0,
+            omega_star=0.0,
+            capacity=None,
+            theorem_capacity=0.0,
+            engine=engine,
+            transport=transport_kind,
+        )
 
     memo = _omega_memo_entry(jobs)
     if "demand" not in memo:
@@ -999,185 +847,87 @@ def run_online(
     shard_mode = ""
     shard_mode_reason = ""
     if shards > 1:
-        if _parallel_shardable(
+        eligible, shard_mode_reason = parallel_lockstep_eligibility(
             transport,
             transport_instance,
             config,
             rng,
             failure_plan,
-            dead_vehicles,
             recovery_rounds,
-            churn_events,
             escalation,
-        ):
-            shard_mode = "parallel"
-        else:
-            eligible, reason = parallel_lockstep_eligibility(
-                transport,
-                transport_instance,
-                config,
-                rng,
-                failure_plan,
-                recovery_rounds,
-                escalation,
-            )
-            if eligible:
-                shard_mode = "parallel-lockstep"
-            else:
-                shard_mode, shard_mode_reason = "lockstep", reason
+        )
+        shard_mode = "parallel-lockstep" if eligible else "single-process"
         _LOG.info(
             "run_online shards=%d mode=%s%s",
             shards,
             shard_mode,
             f" ({shard_mode_reason})" if shard_mode_reason else "",
         )
-    if shard_mode == "parallel":
-        return _run_online_parallel(
-            jobs,
-            demand,
-            omega,
-            omega_star,
-            capacity,
-            config,
-            transport,
-            transport_instance,
-            shards,
-            workers=shard_workers,
-        )
+    # The run-level escalation override is resolved *before* pickling: a
+    # worker provisions straight from this config, so it must already
+    # carry the setting the reference fleet would run with.
+    base = config if config is not None else FleetConfig()
+    if escalation is not None:
+        base = dataclasses.replace(base, escalation=bool(escalation))
+    provisioned, theorem_capacity = _resolve_capacity(demand, omega, capacity)
+
     if shard_mode == "parallel-lockstep":
-        return _run_online_parallel_lockstep(
+        payloads = _shard_payloads(
             jobs,
             demand,
             omega,
-            omega_star,
-            capacity,
-            config,
+            provisioned,
+            base,
             transport,
-            transport_instance,
             shards,
-            failure_plan=failure_plan,
-            dead_vehicles=dead_vehicles,
-            churn_events=churn_events,
-            escalation=escalation,
-            workers=shard_workers,
-        )
-
-    fleet, fleet_config, provisioned, theorem_capacity = provision_fleet(
-        demand,
-        omega=omega,
-        capacity=capacity,
-        config=config,
-        rng=rng,
-        failure_plan=failure_plan,
-        dead_vehicles=dead_vehicles,
-        transport=transport_instance,
-        escalation=escalation,
-    )
-
-    monitor: Optional[ShardMonitor] = None
-    barrier_count = 0
-    if shards > 1:
-        # Lockstep mode: one global fleet, advanced through conservative
-        # time windows; cross-shard sends are ledgered and exchanged at
-        # each barrier.  The executed event order is untouched, so every
-        # physical result byte matches the unsharded run.
-        shard_plan = ShardPlan(
-            fleet.hierarchy, shards, cubes=list(fleet.flat.cube_id_of)
-        )
-        mailbox = ShardMailbox()
-        monitor = ShardMonitor(
-            shard_plan, fleet.cube_grid.cube_index, fleet.simulator, mailbox
-        )
-        fleet.network.shard_monitor = monitor
-        # The window floor comes from actual cross-shard edge latencies
-        # when the transport is a pure edge function (probing a
-        # stream-coupled transport would consume shared draws); otherwise
-        # from the transport's global min_latency / message-delay fallback.
-        # Lockstep windows are observational -- execution order never
-        # depends on them -- so the sampled floor is always safe here.
-        bound_transport = fleet.network.transport
-        probes = None
-        if bound_transport is not None and bound_transport.shardable:
-            probes = cross_shard_edge_latencies(
-                bound_transport, shard_plan, fleet._cube_members.get
-            )
-        window_length = lockstep_window(
-            bound_transport, fleet_config.message_delay, edge_latencies=probes
-        )
-
-        def _lockstep_run(simulator) -> None:
-            nonlocal barrier_count
-            # Adaptive conservative windows: each barrier sits one full
-            # lookahead past the pending frontier instead of on the fixed
-            # W-grid, so quiet stretches cross one barrier, not one per
-            # grid cell.
-            _executed, barrier_count = run_lockstep(
-                simulator, window_length, mailbox=mailbox, horizon=window_length
-            )
-
-        served_count = _run_events(
-            fleet,
-            fleet_config,
-            jobs,
-            recovery_rounds,
+            failure_plan,
+            dead_vehicles,
             churn_events,
-            fleet.failure_plan,
-            run=_lockstep_run,
+        )
+        # Detection-latency digests are a single-fleet sketch: multi-process
+        # runs report none by design.
+        counters = merge_parallel_lockstep_results(
+            run_parallel_lockstep(payloads, workers=shard_workers)
         )
     else:
+        fleet, fleet_config, _, _ = provision_fleet(
+            demand,
+            omega=omega,
+            capacity=capacity,
+            config=base,
+            rng=rng,
+            failure_plan=failure_plan,
+            dead_vehicles=dead_vehicles,
+            transport=transport_instance,
+        )
         driver = _run_events if engine == "events" else _run_rounds
-        served_count = driver(
+        served = driver(
             fleet, fleet_config, jobs, recovery_rounds, churn_events, fleet.failure_plan
         )
+        counters = _fleet_counters(fleet)
+        digest = fleet.detection_digest
+        counters.update(
+            jobs_served=served,
+            total_travel=fleet.total_travel(),
+            total_service=fleet.total_service(),
+            vehicle_energies=fleet.vehicle_energies(),
+            detections=int(digest.count),
+            detection_p50=digest.quantile(0.5) if digest.count else 0.0,
+            detection_p99=digest.quantile(0.99) if digest.count else 0.0,
+        )
+        transport_kind = fleet.transport_kind
 
-    return OnlineResult(
-        jobs_total=len(jobs),
-        jobs_served=served_count,
-        feasible=served_count == len(jobs),
-        max_vehicle_energy=fleet.max_energy_used(),
-        total_travel=fleet.total_travel(),
-        total_service=fleet.total_service(),
+    return _online_result(
+        len(jobs),
+        counters,
+        base,
         omega=float(omega),
         omega_star=omega_star,
         capacity=provisioned,
         theorem_capacity=theorem_capacity,
-        replacements=fleet.stats.replacements,
-        searches=fleet.stats.searches_started,
-        failed_replacements=fleet.stats.failed_replacements,
-        messages=fleet.messages_sent(),
-        heartbeat_rounds=fleet.stats.heartbeat_rounds,
-        vehicle_energies=fleet.vehicle_energies(),
         engine=engine,
-        events_processed=fleet.simulator.events_processed,
-        sim_time=fleet.simulator.now,
-        transport=fleet.transport_kind,
-        messages_dropped=fleet.messages_dropped(),
-        messages_corrupted=fleet.messages_corrupted(),
-        escalation=fleet_config.escalation,
-        escalations=fleet.stats.escalations_started,
-        escalated_replacements=fleet.stats.escalated_replacements,
-        adoptions=fleet.stats.adoptions,
+        transport=transport_kind,
         shards=shards,
-        cross_shard_messages=monitor.cross_shard if monitor is not None else 0,
-        window_barriers=barrier_count,
         shard_mode=shard_mode,
         shard_mode_reason=shard_mode_reason,
-        monitoring_mode=(
-            "gossip"
-            if fleet_config.monitoring == "gossip"
-            else ("ring" if fleet_config.monitoring else "")
-        ),
-        suspicions=fleet.stats.suspicions,
-        attestations=fleet.stats.attestations,
-        refused_attestations=fleet.stats.refused_attestations,
-        false_suspicions=fleet.stats.false_suspicions,
-        detections=int(fleet.detection_digest.count),
-        detection_p50=(
-            fleet.detection_digest.quantile(0.5) if fleet.detection_digest.count else 0.0
-        ),
-        detection_p99=(
-            fleet.detection_digest.quantile(0.99)
-            if fleet.detection_digest.count
-            else 0.0
-        ),
     )

@@ -153,6 +153,20 @@ class Simulator:
         Returns the number of events executed by this call.  With ``until``
         set, events strictly later than ``until`` stay queued and the clock
         is left at ``until`` when the queue drained early.
+        """
+        executed = self.run_window(until, max_events=max_events)
+        if until is not None and self.now < until and not self.queue:
+            self.clock.advance(until)
+        return executed
+
+    def run_window(
+        self, until: Optional[float], *, max_events: Optional[int] = None
+    ) -> int:
+        """Run every event with ``time <= until`` without padding the clock.
+
+        The drain loop behind :meth:`run`: when the queue drains before the
+        bound, the clock stays at the *last executed event* instead of
+        jumping to ``until`` (``None`` = no bound).
 
         Execution is *batched*: all events sharing a timestamp are drained
         from the calendar queue in one extraction, the clock advances once,
@@ -172,37 +186,6 @@ class Simulator:
             for event in batch:
                 # An earlier event of this very batch may have cancelled a
                 # later one; honor it exactly as lazy heap deletion did.
-                if event.cancelled:
-                    stats.cancelled_skipped += 1
-                    continue
-                stats.executed += 1
-                executed += 1
-                event.action()
-        if until is not None and self.now < until and not self.queue:
-            self.clock.advance(until)
-        return executed
-
-    def run_window(self, until: float, *, max_events: Optional[int] = None) -> int:
-        """Run every event with ``time <= until`` without padding the clock.
-
-        Identical to ``run(until=until)`` except that when the queue drains
-        before the bound, the clock stays at the *last executed event*
-        instead of jumping to ``until``.  This is the primitive the sharded
-        lockstep coordinator advances windows with: a barrier must not
-        disturb ``sim_time`` (the final clock reading is part of the
-        byte-identity contract), so empty tail time inside a window is
-        never consumed.
-        """
-        executed = 0
-        queue = self.queue
-        stats = queue.stats
-        while True:
-            limit = None if max_events is None else max_events - executed
-            batch = queue.pop_batch(until=until, limit=limit)
-            if not batch:
-                break
-            self.clock.advance(batch[0].time)
-            for event in batch:
                 if event.cancelled:
                     stats.cancelled_skipped += 1
                     continue

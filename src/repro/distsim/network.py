@@ -86,8 +86,8 @@ class Network:
         self.messages_dropped = 0
         #: Optional observer invoked once per logical send, *before* any
         #: drop decision: ``shard_monitor(sender, destination, message)``.
-        #: The sharded coordinator installs one to classify traffic as
-        #: intra- vs cross-shard; ``None`` (the default) costs nothing on
+        #: Each shard worker installs an isolation guard here that raises
+        #: on a cross-shard send; ``None`` (the default) costs nothing on
         #: the hot path beyond one attribute read.
         self.shard_monitor = None
 

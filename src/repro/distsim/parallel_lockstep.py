@@ -1,10 +1,9 @@
-"""Multi-process parallel lockstep: per-shard worker fleets for failure runs.
+"""The multi-process shard engine: closed per-shard sub-simulations.
 
-PR 8's parallel isolated mode only fans out *shard-safe* configurations --
-no failures, no monitoring, no stream-coupled transport -- so the paper's
-actual failure-recovery protocol (the interesting part) got zero parallel
-speedup.  This module widens the multi-process class to the failure modes
-whose protocol traffic is provably shard-local:
+The paper's Section 3.2 protocol is local to each cube, so a sharded run
+either splits into closed per-shard sub-simulations or does not split at
+all.  This module is the engine for runs that split (``shard_mode ==
+"parallel-lockstep"``):
 
 * **Monitoring without escalation.**  With ``FleetConfig.escalation`` off
   the fleet builds no hierarchical watch ring: heartbeats flow between
@@ -12,10 +11,8 @@ whose protocol traffic is provably shard-local:
   engaged-set round tick touches only local vehicles.  Every logical send
   therefore stays inside the cube that owns both endpoints -- and cubes are
   exactly what :class:`~repro.distsim.sharding.ShardPlan` assigns whole to
-  shards -- so the cross-shard mailbox is provably empty and each shard's
-  Chandy-Misra lookahead (local clock + minimum *outbound* boundary-edge
-  latency) is infinite: the conservative window is unbounded and each
-  worker free-runs to quiescence through a single window barrier.
+  shards -- so no message ever crosses a shard and each worker runs its
+  sub-fleet to quiescence on its own.
 * **Crashes, initiation suppression, partitions, churn.**  The
   :class:`~repro.distsim.failures.FailurePlan` is declarative (sets of
   identities, timed partition windows, churn specs), so it partitions by
@@ -35,40 +32,43 @@ whose protocol traffic is provably shard-local:
   ``(edge, purpose, seed, message counter)`` instead of one generator in
   global send order (see :func:`~repro.distsim.transport._edge_stream_rng`),
   which makes loss and corruption shardable; the default ``"global"``
-  stream is the compat shim reproducing every pre-split hash and falls
-  back to single-process lockstep.
+  stream reproduces every pre-split hash and runs single-process.
 
 Everything outside the class -- escalation (replacement migrates vehicles
-*between* shards: distributed state migration, not message exchange),
-``recovery_rounds`` (conditional mid-run global rounds that cannot be
-precomputed per shard), shared-RNG transports, closure drop rules -- is
+*between* shards), gossip monitoring (digest fanout targets fleet-wide
+peers), ``recovery_rounds`` (conditional mid-run global rounds that cannot
+be precomputed per shard), shared-RNG transports, closure drop rules -- is
 rejected by :func:`parallel_lockstep_eligibility` with the first
-disqualifying feature as a human-readable reason, and ``run_online`` falls
-back to the single-process lockstep mode, which is exact for every
-configuration.  The reason is recorded on the result (and logged), so
-bench numbers can't silently be misread as parallel.
+disqualifying feature as a human-readable reason; ``run_online`` then runs
+the one global fleet single-process and records that reason, so bench
+numbers can't silently be misread as parallel.
 
 Workers verify the zero-boundary-traffic claim at runtime: an
 :class:`IsolationGuard` installed as ``Network.shard_monitor`` raises on
 the first send whose endpoints map to different shards, turning any future
 eligibility bug into a loud failure instead of a silent divergence.
+:func:`merge_parallel_lockstep_results` reassembles the per-cube state in
+global lex order, so even float summation order matches the single-process
+run bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.distsim.failures import FailurePlan
-from repro.distsim.sharding import merge_shard_results
 
 __all__ = [
     "parallel_lockstep_eligibility",
-    "shard_lookahead",
     "IsolationGuard",
     "run_parallel_lockstep",
     "merge_parallel_lockstep_results",
 ]
+
+#: Worker counters merged by maximum instead of by sum: every shard runs
+#: every global heartbeat round (replicated), and clocks and the largest
+#: per-vehicle energy are maxima by nature.
+_MAX_MERGED = frozenset({"max_vehicle_energy", "heartbeat_rounds", "sim_time"})
 
 
 def parallel_lockstep_eligibility(
@@ -80,15 +80,14 @@ def parallel_lockstep_eligibility(
     recovery_rounds: int,
     escalation: Optional[bool],
 ) -> Tuple[bool, str]:
-    """Whether a sharded run may use the parallel lockstep engine.
+    """Whether a sharded run may fan out to per-shard worker processes.
 
     Returns ``(eligible, reason)`` where ``reason`` names the *first*
     disqualifying feature (empty when eligible) -- recorded on the result
-    so a fallback to single-process lockstep is always attributable.
-    The checks mirror the structural argument in the module docstring:
-    anything that would generate cross-shard traffic, couple shards
-    through a shared stream, or fail to pickle into a worker process
-    disqualifies.
+    so a single-process fallback is always attributable.  The checks
+    mirror the structural argument in the module docstring: anything that
+    would generate cross-shard traffic, couple shards through a shared
+    stream, or fail to pickle into a worker process disqualifies.
     """
     if escalation is not None:
         escalated = bool(escalation)
@@ -142,27 +141,6 @@ def parallel_lockstep_eligibility(
     return (True, "")
 
 
-def shard_lookahead(transport, boundary_out_edges: Sequence[Tuple[Hashable, Hashable]]):
-    """The Chandy-Misra lookahead of one shard.
-
-    The earliest instant a shard at local clock ``t`` can affect another
-    shard is ``t + min(latency of an outbound boundary edge)``; the
-    coordinator recomputes the bound per window from the frontier clock.
-    A shard with no outbound boundary edges can never affect another
-    shard, so its lookahead is infinite and it free-runs to quiescence --
-    the optimum, and exactly the situation the eligible configuration
-    class guarantees (all protocol traffic is cube-local).
-    """
-    if not boundary_out_edges:
-        return math.inf
-    latencies = [
-        float(transport.latency(sender, destination, None))
-        for sender, destination in boundary_out_edges
-    ]
-    positive = [value for value in latencies if value > 0.0]
-    return min(positive) if positive else 0.0
-
-
 class IsolationGuard:
     """Raises on the first send that crosses a shard boundary.
 
@@ -200,34 +178,30 @@ class IsolationGuard:
         target = self.shard_of(destination)
         if source != self.shard or target != self.shard:
             raise RuntimeError(
-                f"parallel lockstep isolation violated: shard {self.shard} "
+                f"shard isolation violated: shard {self.shard} "
                 f"observed a send {sender!r} (shard {source}) -> "
                 f"{destination!r} (shard {target}) of "
                 f"{type(message).__name__}; this configuration should have "
-                "fallen back to single-process lockstep"
+                "run single-process"
             )
 
 
 def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one shard's sub-fleet through the parallel lockstep engine.
+    """Run one shard's sub-fleet to quiescence.
 
-    The worker rebuilds its sub-fleet exactly as the PR 8 isolated worker
-    does (same provisioning order, global window geometry, trusted job
-    rebuild), then layers on the failure-mode machinery: the pickled
-    failure plan and dead-vehicle sweep, every churn spec (foreign
-    vertices no-op), and -- when the run needs clock/round replication --
-    one *tick* event per foreign arrival time replaying the reference
-    arrival's bookkeeping prefix (failure-clock advance + global heartbeat
-    round).  Execution itself goes through :func:`run_lockstep` with an
-    infinite horizon: one conservative window to quiescence, one barrier,
-    the Chandy-Misra optimum for a shard with no outbound boundary edges.
-    Harness imports stay lazy (distsim sits below the vehicle protocol).
+    Rebuilds the sub-fleet from plain picklable data (demand entries,
+    resolved omega and capacity, the fleet config, the *global* window
+    corners, the failure plan and dead-vehicle sweep, a rebuildable
+    transport description), installs the :class:`IsolationGuard`, and
+    schedules the shard's jobs, every churn spec (foreign vertices no-op)
+    and -- when the run needs clock/round replication -- one *tick* event
+    per foreign arrival time.  Harness imports stay lazy: distsim sits
+    below the vehicle protocol and must not depend on it at import time.
     """
     import time as _time
 
     from repro.core.demand import DemandMap, Job, JobSequence
-    from repro.core.online import _run_events, provision_fleet
-    from repro.distsim.sharding import ShardMailbox, lockstep_window, run_lockstep
+    from repro.core.online import _fleet_counters, _run_events, provision_fleet
     from repro.distsim.transport import TransportSpec
     from repro.grid.lattice import Box
 
@@ -252,31 +226,19 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         transport=transport,
         window=window,
     )
-    if payload.get("verify_isolation", True):
-        guard = IsolationGuard(
-            payload["shard"], payload["shard_lut"], payload["window_lo"],
-            payload["cube_side"],
-        )
-        fleet.network.shard_monitor = guard
+    fleet.network.shard_monitor = IsolationGuard(
+        payload["shard"], payload["shard_lut"], payload["window_lo"],
+        payload["cube_side"],
+    )
+    # Positions pickled straight out of valid Job objects: the trusted
+    # constructors skip the per-job validation sweep, which dominates the
+    # rebuild at 10^5 jobs.
     jobs = JobSequence.from_sorted(
         [
             Job.trusted(time, tuple(position), energy)
             for time, position, energy in payload["jobs"]
         ]
     )
-
-    barriers = 0
-    window_length = lockstep_window(
-        fleet.network.transport, fleet_config.message_delay
-    )
-    mailbox = ShardMailbox()
-
-    def _run(simulator) -> None:
-        nonlocal barriers
-        _executed, barriers = run_lockstep(
-            simulator, window_length, mailbox=mailbox, horizon=math.inf
-        )
-
     served = _run_events(
         fleet,
         fleet_config,
@@ -284,17 +246,21 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         0,
         payload["churn"],
         fleet.failure_plan,
-        run=_run,
         foreign_times=payload["foreign_times"],
     )
 
+    counters = _fleet_counters(fleet)
+    counters["jobs_served"] = served
     # Replicated bookkeeping events (foreign-arrival ticks, churn specs
     # owned by other shards) execute once per shard but once in the
     # reference run; subtract them so merged events sum to the reference.
-    replicated = len(payload["foreign_times"]) + (
+    counters["events_processed"] -= len(payload["foreign_times"]) + (
         len(payload["churn"]) - payload["churn_owned"]
     )
 
+    # Per-cube state segments in the worker's creation (= lex) order: the
+    # merge re-sorts segments globally so merged travel/service sums
+    # replay the single-process float-addition order exactly.
     flat = fleet.flat
     segments = []
     for index, cube_id in flat.cube_id_of.items():
@@ -309,22 +275,8 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         )
     return {
         "shard": payload["shard"],
-        "jobs_total": len(jobs),
-        "served": served,
+        "counters": counters,
         "segments": segments,
-        "max_energy": fleet.max_energy_used(),
-        "replacements": fleet.stats.replacements,
-        "searches": fleet.stats.searches_started,
-        "failed_replacements": fleet.stats.failed_replacements,
-        "messages": fleet.messages_sent(),
-        "heartbeat_rounds": fleet.stats.heartbeat_rounds,
-        "messages_dropped": fleet.messages_dropped(),
-        "messages_corrupted": fleet.messages_corrupted(),
-        "events": fleet.simulator.events_processed - replicated,
-        "replicated_events": replicated,
-        "barriers": barriers,
-        "sim_time": fleet.simulator.now,
-        "vehicles": len(fleet.vehicles),
         "elapsed": _time.perf_counter() - start,
     }
 
@@ -357,23 +309,35 @@ def run_parallel_lockstep(
 def merge_parallel_lockstep_results(
     results: Sequence[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """Merge parallel lockstep worker results, replication-aware.
+    """Merge worker results into single-process-equivalent run counters.
 
-    Defers to :func:`~repro.distsim.sharding.merge_shard_results` for the
-    float-exact per-cube segment merge and the summed counters, then
-    corrects the two measurements replication distorts: heartbeat rounds
-    are *replicated* (every shard runs every global round, so the merged
-    count is the per-shard maximum, not the sum), and ``events`` already
-    arrive net of each worker's replicated bookkeeping (the sum is the
-    reference count).  Barrier and replication totals ride along for the
-    bench artifacts.
+    Worker counters sum, except the replicated or extremal ones in
+    ``_MAX_MERGED``, which take the maximum.  The per-cube travel/service
+    segments are concatenated in *global* lex cube order -- the
+    single-process creation order -- before one sequential sum, so the
+    merged ``total_travel``/``total_service`` floats (and the merged
+    ``vehicle_energies`` insertion order) are bit-identical to the
+    unsharded run's.
     """
-    merged = merge_shard_results(results)
-    merged["heartbeat_rounds"] = max(
-        (result["heartbeat_rounds"] for result in results), default=0
+    merged: Dict[str, Any] = {}
+    for key in results[0]["counters"] if results else ():
+        values = [result["counters"][key] for result in results]
+        merged[key] = max(values) if key in _MAX_MERGED else sum(values)
+
+    segments = sorted(
+        (segment for result in results for segment in result["segments"]),
+        key=lambda segment: segment[0],
     )
-    merged["window_barriers"] = sum(result["barriers"] for result in results)
-    merged["replicated_events"] = sum(
-        result["replicated_events"] for result in results
-    )
+    total_travel = 0.0
+    total_service = 0.0
+    vehicle_energies: Dict[Tuple[int, ...], float] = {}
+    for _index, identities, travel, service in segments:
+        for identity, travel_energy, service_energy in zip(identities, travel, service):
+            total_travel += travel_energy
+            total_service += service_energy
+            vehicle_energies[tuple(identity)] = travel_energy + service_energy
+    merged["total_travel"] = total_travel
+    merged["total_service"] = total_service
+    merged["vehicle_energies"] = vehicle_energies
+    merged["shard_timings"] = {result["shard"]: result["elapsed"] for result in results}
     return merged

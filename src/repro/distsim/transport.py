@@ -172,21 +172,10 @@ class Transport:
         splitting the fleet across independent simulators cannot perturb
         any delivery time.  Stream-coupled models (lossy, corrupting,
         shared-RNG jitter) are not: their draws depend on the interleaved
-        global send sequence, which only the single-process (or lockstep)
-        run produces.  Conservative default: not shardable.
+        global send sequence, which only the single-process run produces.
+        Conservative default: not shardable.
         """
         return False
-
-    def min_latency(self) -> float:
-        """A lower bound on the delay of any message this transport carries.
-
-        The sharded coordinator derives its conservative window length from
-        this bound: a message sent inside a window ``[kW, (k+1)W)`` with
-        ``W <= min_latency`` cannot be delivered before the next window
-        barrier, so exchanging boundary traffic at barriers preserves the
-        global delivery order.  The base transport is instantaneous.
-        """
-        return 0.0
 
     def stream_state(self) -> Optional[Dict[str, Any]]:
         """JSON-safe state of any keyed counter streams (hook).
@@ -339,9 +328,6 @@ class ReliableTransport(Transport):
         # anything (including shared state), so it stays off the shard path.
         return type(self) is ReliableTransport and not callable(self.delay)
 
-    def min_latency(self) -> float:
-        return 0.0 if callable(self.delay) else float(self.delay)
-
 
 def _edge_unit(seed: int, sender: Hashable, destination: Hashable) -> float:
     """A deterministic uniform-ish value in ``[0, 1)`` per directed edge.
@@ -421,9 +407,6 @@ class LatencyTransport(Transport):
     def shardable(self) -> bool:
         return True  # pure edge function: no stream consumed
 
-    def min_latency(self) -> float:
-        return self.delay
-
 
 class DistanceLatencyTransport(Transport):
     """Delay growing linearly with the lattice distance between endpoints.
@@ -473,9 +456,6 @@ class DistanceLatencyTransport(Transport):
     def shardable(self) -> bool:
         return True  # pure edge function: no stream consumed
 
-    def min_latency(self) -> float:
-        return self.delay
-
 
 class LossyTransport(Transport):
     """Seeded i.i.d. message loss on top of a fixed delay.
@@ -491,7 +471,7 @@ class LossyTransport(Transport):
       (:func:`_edge_stream_rng`).  Draws depend only on per-edge send
       order, never on cross-edge interleaving, so per-shard sub-fleets
       reproduce the single-process run bit for bit -- this is the mode the
-      multi-process parallel lockstep engine requires.
+      multi-process shard engine requires.
     """
 
     kind = "lossy"
@@ -536,12 +516,6 @@ class LossyTransport(Transport):
     @property
     def shardable(self) -> bool:
         return self.stream == "edge"  # per-edge streams: no cross-edge coupling
-
-    def min_latency(self) -> float:
-        # In global mode the loss stream is consumed in global send order
-        # (not shardable), but the lockstep coordinator still windows on
-        # the delay floor either way.
-        return self.delay
 
     def stream_state(self) -> Optional[Dict[str, Any]]:
         if self.stream != "edge":
@@ -677,9 +651,6 @@ class CorruptingTransport(Transport):
     def shardable(self) -> bool:
         return self.stream == "edge"  # per-edge streams: no cross-edge coupling
 
-    def min_latency(self) -> float:
-        return self.delay
-
     def stream_state(self) -> Optional[Dict[str, Any]]:
         if self.stream != "edge":
             return None
@@ -789,9 +760,6 @@ class RetransmitTransport(Transport):
         # adds no send-order coupling of its own.
         return self.inner.shardable
 
-    def min_latency(self) -> float:
-        return self.inner.min_latency()
-
     def stream_state(self) -> Optional[Dict[str, Any]]:
         return self.inner.stream_state()
 
@@ -820,9 +788,6 @@ class RandomJitterTransport(Transport):
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return float(self._rng.uniform(self.delay / 2, 3 * self.delay / 2))
-
-    def min_latency(self) -> float:
-        return self.delay / 2  # uniform on [d/2, 3d/2]; never shardable
 
 
 # --------------------------------------------------------------------------- #

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, TextIO, Union
 
@@ -38,7 +37,6 @@ import numpy as np
 from repro.api.service import ServiceConfig, ServiceResult
 from repro.core.omega import omega_c, omega_star_cubes
 from repro.core.online import provision_fleet
-from repro.distsim.sharding import ShardMailbox, ShardMonitor, ShardPlan
 from repro.distsim.transport import build_transport
 from repro.service.checkpoint import (
     capture_checkpoint,
@@ -56,8 +54,6 @@ from repro.service.state_store import LiveStateStore, build_state
 from repro.service.stream import StreamDriver
 
 __all__ = ["run_service", "resume_service"]
-
-_LOG = logging.getLogger("repro.distsim.sharding")
 
 
 class _Interrupted(Exception):
@@ -143,11 +139,7 @@ def run_service(
     if resumed:
         snapshot = load_checkpoint(snapshot)
         snap_config = ServiceConfig.from_json(snapshot["config"])
-        # ``shards`` is an execution detail (observational on a service run):
-        # a checkpoint taken under N shards may resume under M shards and
-        # still reach the same result_hash / fleet_digest, so the identity
-        # check compares the configs with the shard count normalized away.
-        if snap_config.replace(shards=config.shards).config_hash() != config.config_hash():
+        if snap_config.config_hash() != config.config_hash():
             raise ValueError(
                 "snapshot was taken under a different service config "
                 f"({snap_config.config_hash()[:12]} != {config.config_hash()[:12]})"
@@ -157,27 +149,6 @@ def run_service(
         config, apply_dead=not resumed
     )
     plan = fleet.failure_plan
-
-    shard_monitor: Optional[ShardMonitor] = None
-    if config.shards > 1:
-        # Satellite-2 transparency: serve is always single-clock lockstep
-        # (the streaming driver serializes execution), so say so.
-        _LOG.info(
-            "run_service shards=%d mode=lockstep "
-            "(streaming driver serializes execution on one clock)",
-            config.shards,
-        )
-        # The streaming driver already serializes execution on one clock, so
-        # sharding a service run is pure observation: classify every send
-        # against the cube shard plan and ledger the boundary traffic.  The
-        # physical run -- and hence result_hash/fleet_digest -- is untouched.
-        shard_plan = ShardPlan(
-            fleet.hierarchy, config.shards, cubes=list(fleet.flat.cube_id_of)
-        )
-        shard_monitor = ShardMonitor(
-            shard_plan, fleet.cube_grid.cube_index, fleet.simulator, ShardMailbox()
-        )
-        fleet.network.shard_monitor = shard_monitor
 
     metrics_handle: Optional[TextIO] = None
     if metrics_path is not None:
@@ -229,15 +200,9 @@ def run_service(
         churn_applied = churn_applied_from_json(snapshot)
         jobs = itertools.islice(iter(jobs), start_consumed, None)
 
-    progress = {"checkpoints": 0, "checkpoint_due": False, "barriers": 0}
+    progress = {"checkpoints": 0, "checkpoint_due": False}
 
     def control(driver: StreamDriver) -> None:
-        if shard_monitor is not None:
-            # The driver pauses at an exact inter-arrival boundary here, so
-            # this is the service run's window barrier: exchange (drain) the
-            # boundary ledger, keeping its memory bounded on infinite streams.
-            if shard_monitor.mailbox.drain_until(fleet.simulator.now):
-                progress["barriers"] += 1
         closed = recorder.maybe_close_window(force=driver.finished)
         if closed is not None:
             store.log_event(
@@ -388,11 +353,6 @@ def run_service(
         resumed=resumed,
         interrupted=interrupted,
         rollup=rollup,
-        shards=config.shards,
-        cross_shard_messages=(
-            shard_monitor.cross_shard if shard_monitor is not None else 0
-        ),
-        window_barriers=progress["barriers"],
         monitoring_mode=(
             "gossip"
             if fleet.config.monitoring == "gossip"
@@ -417,22 +377,15 @@ def run_service(
 def resume_service(
     snapshot: Union[str, Path, Dict[str, Any]],
     jobs: Iterable[Any],
-    *,
-    shards: Optional[int] = None,
     **kwargs: Any,
 ) -> ServiceResult:
     """Continue a service run from a checkpoint.
 
     ``jobs`` is the *original* full stream (the harness skips the consumed
     prefix); everything else -- demand, fleet, transport, cadences -- comes
-    from the config embedded in the snapshot.  ``shards`` overrides the
-    snapshot's shard count for the continued run (sharding is observational
-    on a service run, so a checkpoint taken under N shards resumes under M
-    shards to the same hashes).  Keyword arguments are forwarded to
-    :func:`run_service` (output paths, ``duration``, ...).
+    from the config embedded in the snapshot.  Keyword arguments are
+    forwarded to :func:`run_service` (output paths, ``duration``, ...).
     """
     payload = load_checkpoint(snapshot)
     config = ServiceConfig.from_json(payload["config"])
-    if shards is not None:
-        config = config.replace(shards=shards)
     return run_service(config, jobs, snapshot=payload, **kwargs)

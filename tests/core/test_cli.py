@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -31,6 +32,55 @@ class TestParser:
         # scenario families to their preferred ordering.
         assert args.order is None
         assert args.capacity is None
+
+    #: The monitoring and failure flag group every protocol subcommand shares.
+    SHARED_FLAGS = (
+        "--monitoring",
+        "--gossip-fanout",
+        "--suspicion-threshold",
+        "--quorum",
+        "--byzantine-watcher",
+        "--crash",
+        "--suppress",
+        "--recovery-rounds",
+    )
+
+    @staticmethod
+    def _flag_group(command):
+        parser = build_parser()
+        subparsers = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = subparsers.choices[command]._option_string_actions
+        return {
+            flag: (
+                tuple(options[flag].option_strings),
+                options[flag].default,
+                options[flag].nargs,
+                options[flag].const,
+                options[flag].choices,
+                options[flag].type,
+                options[flag].metavar,
+            )
+            for flag in TestParser.SHARED_FLAGS
+        }
+
+    def test_run_and_serve_share_the_monitoring_and_failure_flags(self):
+        assert self._flag_group("run") == self._flag_group("serve")
+
+    def test_bare_monitoring_means_ring_on_run_and_serve(self):
+        parser = build_parser()
+        run = parser.parse_args(
+            ["run", "--scenario", "point", "--solver", "online", "--monitoring"]
+        )
+        serve = parser.parse_args(["serve", "--scenario", "point", "--monitoring"])
+        assert run.monitoring == serve.monitoring == "ring"
+
+    def test_serve_has_no_shards_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--scenario", "point", "--shards", "2"])
 
 
 class TestCommands:

@@ -1,32 +1,16 @@
 """Unit suite for the cube-sharding layer (:mod:`repro.distsim.sharding`).
 
-Covers the pieces the determinism property tests build on:
-
-* ``ShardPlan`` -- every occupied cube assigned to exactly one shard,
-  shard regions contiguous in ancestor order, boundary detection matching
-  a brute-force sibling-ring sweep, and the level heuristic.
-* ``ShardMailbox`` -- (timestamp, sequence) ordering and prefix drains.
-* ``ShardMonitor`` -- intra/cross classification through home cubes.
-* ``lockstep_window`` -- transport-latency-driven window selection.
-* ``run_lockstep`` -- executes exactly the events ``run_until_quiescent``
-  would, in exactly the same order, while counting window barriers.
+``ShardPlan`` is what the determinism property tests build on: every
+occupied cube is assigned to exactly one shard, shard regions are whole
+ancestor groups in lex order, the balance stays within one group of fair,
+and the plan is independent of input order.
 """
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.distsim.engine import Simulator
-from repro.distsim.sharding import (
-    ShardMailbox,
-    ShardMonitor,
-    ShardPlan,
-    lockstep_window,
-    run_lockstep,
-)
-from repro.distsim.transport import TransportSpec, build_transport
+from repro.distsim.sharding import ShardPlan
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Box
 
@@ -78,27 +62,6 @@ class TestShardPlan:
         assert plan.cubes == tuple(sorted(occupied))
         with pytest.raises(KeyError):
             plan.shard_of((3, 3))
-        assert plan.shard_of_or((3, 3), default=7) == 7
-
-    def test_boundary_cubes_match_bruteforce_sibling_rings(self):
-        hierarchy = make_hierarchy()
-        plan = ShardPlan(hierarchy, 4)
-        for level in (1, 2):
-            expected = []
-            for index in plan.cubes:
-                own = plan.shard_of(index)
-                ring = hierarchy.siblings(index, level)
-                if any(
-                    plan.shard_of_or(s, own) != own
-                    for s in ring
-                    if s in set(plan.cubes)
-                ):
-                    expected.append(index)
-            assert list(plan.boundary_cubes(level=level)) == expected
-
-    def test_boundary_is_empty_for_single_shard(self):
-        plan = ShardPlan(make_hierarchy(), 1)
-        assert plan.boundary_cubes() == ()
 
     def test_more_shards_than_cubes_leaves_empties(self):
         hierarchy = make_hierarchy()
@@ -120,130 +83,3 @@ class TestShardPlan:
         b = ShardPlan(hierarchy, 2, cubes=list(reversed(cubes)))
         assert a.cubes == b.cubes
         assert [a.cubes_of(s) for s in range(2)] == [b.cubes_of(s) for s in range(2)]
-
-
-class TestShardMailbox:
-    def test_sequence_is_the_same_time_tiebreak(self):
-        mailbox = ShardMailbox()
-        mailbox.post(2.0, 0, 1, "b")
-        mailbox.post(1.0, 1, 0, "a")
-        mailbox.post(2.0, 1, 0, "c")
-        drained = mailbox.drain_until(2.0)
-        assert [(entry[0], entry[1]) for entry in drained] == [
-            (2.0, 0),
-            (1.0, 1),
-            (2.0, 2),
-        ]
-        assert mailbox.exchanged == 3 and len(mailbox) == 0
-
-    def test_drain_is_a_prefix_cut_on_time(self):
-        mailbox = ShardMailbox()
-        for time in (0.5, 1.0, 1.5, 2.5):
-            mailbox.post(time, 0, 1)
-        drained = mailbox.drain_until(1.5)
-        assert [entry[0] for entry in drained] == [0.5, 1.0, 1.5]
-        assert len(mailbox) == 1
-        assert [entry[0] for entry in mailbox.drain_until(math.inf)] == [2.5]
-
-    def test_counters(self):
-        mailbox = ShardMailbox()
-        mailbox.post(1.0, 0, 1)
-        mailbox.post(2.0, 1, 0)
-        assert mailbox.posted == 2
-        mailbox.drain_until(1.0)
-        assert mailbox.exchanged == 1
-
-
-class TestShardMonitor:
-    def test_classifies_by_home_cube(self):
-        hierarchy = make_hierarchy()
-        plan = ShardPlan(hierarchy, 2)
-        grid = hierarchy.grid
-        simulator = Simulator()
-        mailbox = ShardMailbox()
-        monitor = ShardMonitor(plan, grid.cube_index, simulator, mailbox)
-
-        left = next(c for c in plan.cubes if plan.shard_of(c) == 0)
-        right = next(c for c in plan.cubes if plan.shard_of(c) == 1)
-        point_of = {index: box.lo for index, box in grid.cubes()}
-
-        monitor(point_of[left], point_of[left], "ping")
-        assert (monitor.intra_shard, monitor.cross_shard) == (1, 0)
-        monitor(point_of[left], point_of[right], "ping")
-        assert (monitor.intra_shard, monitor.cross_shard) == (1, 1)
-        assert mailbox.posted == 1
-        (entry,) = mailbox.drain_until(math.inf)
-        assert entry[2:] == (0, 1, "str")
-
-
-class TestLockstepWindow:
-    def test_transport_latency_wins(self):
-        transport = build_transport(TransportSpec(kind="latency", params={"delay": 2.5}))
-        assert lockstep_window(transport, fallback=1.0) == 2.5
-
-    def test_fallback_for_instant_transports(self):
-        transport = build_transport(None)  # reliable, zero fixed delay
-        assert lockstep_window(transport, fallback=0.25) == 0.25
-
-    def test_unit_floor(self):
-        transport = build_transport(None)
-        assert lockstep_window(transport, fallback=0.0) == 1.0
-
-
-class TestRunLockstep:
-    @staticmethod
-    def _chain(simulator, log, depth):
-        """Self-scheduling events: each execution schedules one more."""
-
-        def event(step=0):
-            log.append((simulator.now, step))
-            if step < depth:
-                simulator.schedule_at(simulator.now + 0.7, lambda s=step + 1: event(s))
-
-        return event
-
-    def test_same_events_same_order_as_quiescent(self):
-        reference = Simulator()
-        ref_log = []
-        reference.schedule_at(0.3, self._chain(reference, ref_log, 6))
-        reference.run_until_quiescent()
-
-        simulator = Simulator()
-        log = []
-        simulator.schedule_at(0.3, self._chain(simulator, log, 6))
-        executed, barriers = run_lockstep(simulator, 1.0)
-        assert log == ref_log
-        assert executed == reference.events_processed
-        assert barriers >= 1
-
-    def test_empty_windows_are_skipped(self):
-        simulator = Simulator()
-        hits = []
-        simulator.schedule_at(100.0, lambda: hits.append(simulator.now))
-        _, barriers = run_lockstep(simulator, 1.0)
-        assert hits == [100.0]
-        # One barrier just past t=100, not a hundred idle ones.
-        assert barriers == 1
-
-    def test_mailbox_drained_at_barriers(self):
-        simulator = Simulator()
-        mailbox = ShardMailbox()
-        simulator.schedule_at(0.5, lambda: mailbox.post(simulator.now, 0, 1))
-        simulator.schedule_at(1.5, lambda: mailbox.post(simulator.now, 1, 0))
-        run_lockstep(simulator, 1.0, mailbox=mailbox)
-        assert len(mailbox) == 0
-        assert mailbox.exchanged == 2
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_lockstep(Simulator(), 0.0)
-
-    def test_max_events_guard(self):
-        simulator = Simulator()
-
-        def forever():
-            simulator.schedule_at(simulator.now + 0.1, forever)
-
-        simulator.schedule_at(0.0, forever)
-        with pytest.raises(RuntimeError):
-            run_lockstep(simulator, 1.0, max_events=50)

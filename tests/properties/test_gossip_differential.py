@@ -141,5 +141,5 @@ class TestGossipShardDeterminism:
 
     def test_shard_mode_reason_names_gossip(self):
         sharded = self._run(4)
-        assert sharded.shard_mode == "lockstep"
+        assert sharded.shard_mode == "single-process"
         assert "gossip" in sharded.shard_mode_reason

@@ -1,58 +1,39 @@
 """Parallel lockstep suite: multi-process failure-mode runs, byte for byte.
 
-PR 9 widens the multi-process shard class from "no failures at all" to
-every failure mode whose protocol traffic is provably shard-local
-(monitoring without escalation, crashes, suppression, partitions, churn,
-edge-keyed lossy/corrupting transports).  This suite pins the contract:
+The multi-process shard engine covers every failure mode whose protocol
+traffic is provably shard-local (monitoring without escalation, crashes,
+suppression, partitions, churn, edge-keyed lossy/corrupting transports).
+This suite pins the contract:
 
 * **Byte identity** -- a full failure-mode configuration produces the same
   result at shards=1, 4, 8 and at any worker count, through the
   ``parallel-lockstep`` mode (asserted, not assumed).
 * **Eligibility** -- every disqualifying feature names itself: the
   recorded ``shard_mode_reason`` is the first structural property that
-  forced the single-process lockstep fallback, and the fallback itself
-  stays byte-identical.
-* **Window floor** (satellite 1) -- ``lockstep_window`` derives the
-  conservative window from actual probed cross-shard edge latencies;
-  sub-unit positive latencies no longer fall through to the hard 1.0
-  last resort.
-* **Mailbox prefix cuts** (satellite 3) -- many same-timestamp boundary
-  messages across >= 3 shards drain in exact ``(timestamp, sequence)``
-  order, prefix by prefix.
-* **Adaptive windows** -- ``run_lockstep`` with a horizon crosses fewer
-  barriers over quiet stretches yet executes the identical event sequence.
-* **N -> M resume** -- a service checkpoint taken under N shards resumes
-  under M shards to the same ``result_hash`` / ``fleet_digest``.
+  forced the single-process fallback, and the fallback itself stays
+  byte-identical.
+* **Isolation guard** -- a worker raises on the first cross-shard send.
+* **Resume** -- a service checkpoint whose embedded config still carries
+  the retired ``shards`` key resumes to the same ``result_hash`` /
+  ``fleet_digest``.
 """
 
 from __future__ import annotations
 
 import copy
-import math
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.demand import JobSequence
 from repro.core.online import run_online
-from repro.distsim.engine import Simulator
 from repro.distsim.failures import ChurnSpec, FailurePlan, PartitionSpec
 from repro.distsim.parallel_lockstep import (
+    IsolationGuard,
     parallel_lockstep_eligibility,
-    shard_lookahead,
 )
-from repro.distsim.sharding import (
-    ShardMailbox,
-    cross_shard_edge_latencies,
-    lockstep_window,
-    run_lockstep,
-)
-from repro.distsim.transport import (
-    CorruptingTransport,
-    DistanceLatencyTransport,
-    LossyTransport,
-    TransportSpec,
-)
+from repro.distsim.transport import LossyTransport, TransportSpec
 from repro.vehicles.fleet import FleetConfig
 
 #: Every field two runs must agree on to count as byte-identical.
@@ -152,7 +133,6 @@ class TestParallelLockstepByteIdentity:
         sharded = self._run(failure_workload, shards)
         assert sharded.shard_mode == "parallel-lockstep"
         assert sharded.shard_mode_reason == ""
-        assert sharded.cross_shard_messages == 0
         _assert_identical(baseline, sharded)
 
     def test_identical_at_any_worker_count(self, failure_workload, baseline):
@@ -161,12 +141,6 @@ class TestParallelLockstepByteIdentity:
         serial = self._run(failure_workload, 4, workers=1)
         assert serial.shard_mode == "parallel-lockstep"
         _assert_identical(baseline, serial)
-
-    def test_one_barrier_per_shard(self, failure_workload):
-        # Zero outbound boundary edges -> infinite Chandy-Misra lookahead
-        # -> each worker free-runs through exactly one window barrier.
-        sharded = self._run(failure_workload, 4)
-        assert sharded.window_barriers == 4
 
     def test_corrupting_edge_stream_identical(self, failure_workload):
         spec = TransportSpec(
@@ -181,7 +155,7 @@ class TestParallelLockstepByteIdentity:
 
 
 class TestEligibilityAndFallback:
-    """Disqualified configs fall back to lockstep -- attributably, exactly."""
+    """Disqualified configs run single-process -- attributably, exactly."""
 
     def _run(self, jobs, shards, **overrides):
         kwargs = dict(
@@ -199,9 +173,8 @@ class TestEligibilityAndFallback:
         kwargs = dict(churn=churn, dead_vehicles=dead)
         base = self._run(jobs, 1, failure_plan=copy.deepcopy(plan), **kwargs)
         sharded = self._run(jobs, 4, failure_plan=copy.deepcopy(plan), **kwargs)
-        assert sharded.shard_mode == "lockstep"
+        assert sharded.shard_mode == "single-process"
         assert "shared stream" in sharded.shard_mode_reason
-        assert sharded.window_barriers > 0
         _assert_identical(base, sharded)
 
     def test_escalation_reason(self, tiny_workload):
@@ -211,19 +184,19 @@ class TestEligibilityAndFallback:
             config=FleetConfig(monitoring=True, escalation=True),
             escalation=None,
         )
-        assert result.shard_mode == "lockstep"
+        assert result.shard_mode == "single-process"
         assert result.shard_mode_reason.startswith("escalation")
 
     def test_recovery_rounds_reason(self, tiny_workload):
         result = self._run(tiny_workload, 4, recovery_rounds=2)
-        assert result.shard_mode == "lockstep"
+        assert result.shard_mode == "single-process"
         assert result.shard_mode_reason.startswith("recovery_rounds")
 
     def test_shared_rng_jitter_reason(self, tiny_workload):
         result = self._run(
             tiny_workload, 4, transport=None, rng=np.random.default_rng(1)
         )
-        assert result.shard_mode == "lockstep"
+        assert result.shard_mode == "single-process"
         assert "shared-rng" in result.shard_mode_reason
 
     def test_single_shard_records_no_mode(self, tiny_workload):
@@ -231,12 +204,14 @@ class TestEligibilityAndFallback:
         assert result.shard_mode == ""
         assert result.shard_mode_reason == ""
 
-    def test_shard_safe_config_still_takes_parallel(self, tiny_workload):
-        # The PR 8 isolated fast path survives: no failures, pure-edge
-        # transport, no monitoring -> "parallel", not "parallel-lockstep".
+    def test_failure_free_config_takes_the_workers(self, tiny_workload):
+        # No failures, pure-edge transport, no monitoring: the simplest
+        # shard-local configuration runs on the same worker engine.
+        base = run_online(tiny_workload, omega=3.0, transport="latency")
         result = run_online(tiny_workload, omega=3.0, transport="latency", shards=4)
-        assert result.shard_mode == "parallel"
+        assert result.shard_mode == "parallel-lockstep"
         assert result.shard_mode_reason == ""
+        _assert_identical(base, result)
 
     def test_eligibility_unit_reasons(self):
         config = FleetConfig(monitoring=True)
@@ -261,149 +236,35 @@ class TestEligibilityAndFallback:
         assert ok  # fixed-delay reliable default, rebuilt per worker
 
 
-class TestLockstepWindowFloor:
-    """Satellite 1: the window derives from real edge latencies, not 1.0."""
-
-    def test_probed_latencies_beat_the_last_resort(self):
-        # A distance-proportional transport with a zero floor used to fall
-        # through min_latency (0) and fallback (0) to the hard 1.0 last
-        # resort -- wildly over-wide when actual cross-shard edges sit a
-        # few lattice steps apart.
-        transport = DistanceLatencyTransport(delay=0.0, per_step=0.002)
-        assert transport.min_latency() == 0.0
-        window = lockstep_window(transport, 0.0, edge_latencies=[0.006, 0.014])
-        assert window == 0.006
-
-    def test_non_positive_probes_are_ignored(self):
-        transport = LossyTransport(delay=0.25)
-        assert lockstep_window(transport, 0.0, edge_latencies=[0.0, -1.0]) == 0.25
-        assert lockstep_window(transport, 0.0, edge_latencies=[]) == 0.25
-
-    def test_last_resort_only_when_nothing_is_positive(self):
-        assert lockstep_window(None, 0.0) == 1.0
-        assert lockstep_window(None, 0.05) == 0.05
-
-    def test_cross_shard_probe_sampling(self):
-        # Duck-typed plan: two boundary cubes owned by different shards,
-        # whose rank-1 siblings belong to the other shard.
-        class Hierarchy:
-            def siblings(self, index, level):
-                return [(index[0] + 1, index[1])]
-
-        class Plan:
-            hierarchy = Hierarchy()
-
-            def boundary_cubes(self):
-                return [(0, 0), (1, 0)]
-
-            def shard_of(self, index):
-                return index[0]
-
-            def shard_of_or(self, index, default):
-                return index[0] if index[0] <= 2 else default
-
-        members = {(0, 0): [(1, 1)], (1, 0): [(5, 1)], (2, 0): [(9, 1)]}
-        transport = DistanceLatencyTransport(delay=0.0, per_step=0.002)
-        probes = cross_shard_edge_latencies(transport, Plan(), members.get)
-        assert probes == [0.008, 0.008]  # 4 lattice steps * 0.002, per cube
-        assert lockstep_window(transport, 0.0, edge_latencies=probes) == 0.008
-
-    def test_lookahead_infinite_without_boundary_edges(self):
-        assert shard_lookahead(LossyTransport(delay=0.5), []) == math.inf
-        assert shard_lookahead(LossyTransport(delay=0.5), [((0, 0), (3, 0))]) == 0.5
-
-
-class TestShardMailboxPrefixCut:
-    """Satellite 3: same-timestamp floods drain in exact posted order."""
-
-    def _flood(self):
-        mailbox = ShardMailbox()
-        # Three barrier epochs; inside each, nine same-timestamp messages
-        # interleaved across shards 0/1/2 in a fixed global send order.
-        for epoch in range(3):
-            time = float(epoch)
-            for burst in range(3):
-                for source in range(3):
-                    mailbox.post(time, source, (source + 1) % 3, (epoch, burst, source))
-        return mailbox
-
-    def test_drain_is_a_prefix_cut_in_sequence_order(self):
-        mailbox = self._flood()
-        assert mailbox.posted == 27
-        first = mailbox.drain_until(0.0)
-        assert len(first) == 9
-        # Same timestamp throughout: order is exactly the posting sequence.
-        assert [entry[1] for entry in first] == list(range(9))
-        assert [entry[4] for entry in first] == [
-            (0, burst, source) for burst in range(3) for source in range(3)
-        ]
-        assert len(mailbox) == 18
-        assert mailbox.exchanged == 9
-
-    def test_repeated_drains_partition_the_ledger(self):
-        mailbox = self._flood()
-        drained = []
-        for epoch in range(3):
-            batch = mailbox.drain_until(float(epoch))
-            assert all(entry[0] == float(epoch) for entry in batch)
-            drained.extend(batch)
-        assert len(drained) == 27
-        assert [entry[1] for entry in drained] == list(range(27))
-        assert len(mailbox) == 0
-        assert mailbox.drain_until(math.inf) == []
-
-    def test_mid_epoch_bound_takes_whole_timestamp_group(self):
-        mailbox = self._flood()
-        batch = mailbox.drain_until(1.5)
-        assert len(batch) == 18  # epochs 0 and 1, never a partial timestamp
-        assert {entry[0] for entry in batch} == {0.0, 1.0}
-        sources = [entry[2] for entry in batch]
-        assert sorted(set(sources)) == [0, 1, 2]
-
-
-class TestAdaptiveWindows:
-    """Horizon-bounded barriers: same events, fewer synchronization points."""
+class TestIsolationGuard:
+    """The runtime check behind the eligibility argument."""
 
     @staticmethod
-    def _sparse_simulator(log):
-        simulator = Simulator()
-        for time in (1.0, 50.0, 100.0):
-            simulator.schedule_at(time, lambda t=time: log.append(t))
-        return simulator
+    def _guard(shard):
+        # Two cubes of side 2 along x: cube (0, 0) -> shard 0, (1, 0) -> 1.
+        lut = np.array([[0], [1]])
+        return IsolationGuard(shard, lut, (0, 0), 2)
 
-    def test_grid_vs_horizon_same_events_fewer_barriers(self):
-        grid_log, horizon_log = [], []
-        grid_executed, grid_barriers = run_lockstep(
-            self._sparse_simulator(grid_log), 0.5
-        )
-        horizon_executed, horizon_barriers = run_lockstep(
-            self._sparse_simulator(horizon_log), 0.5, horizon=math.inf
-        )
-        assert grid_log == horizon_log == [1.0, 50.0, 100.0]
-        assert grid_executed == horizon_executed == 3
-        assert grid_barriers == 3  # empty windows are skipped, one per event
-        assert horizon_barriers == 1  # free-run: the Chandy-Misra optimum
+    def test_intra_shard_sends_pass(self):
+        guard = self._guard(0)
+        guard((0, 0), (1, 1), "ping")
+        assert guard.checked == 1
 
-    def test_finite_horizon_batches_nearby_events(self):
-        log = []
-        simulator = Simulator()
-        for time in (1.0, 1.2, 1.4, 80.0):
-            simulator.schedule_at(time, lambda t=time: log.append(t))
-        executed, barriers = run_lockstep(simulator, 0.5, horizon=2.0)
-        assert log == [1.0, 1.2, 1.4, 80.0]
-        assert executed == 4
-        assert barriers == 2  # [1.0, 3.0) takes the cluster, one more for 80.0
-
-    def test_horizon_below_window_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            run_lockstep(Simulator(), 0.5, horizon=0.25)
+    @pytest.mark.parametrize("sender, destination", [((0, 0), (2, 0)), ((3, 1), (1, 0))])
+    def test_cross_shard_send_raises(self, sender, destination):
+        with pytest.raises(RuntimeError, match="isolation violated"):
+            self._guard(0)(sender, destination, "ping")
 
 
 class TestServiceShardResume:
-    """A checkpoint taken under N shards resumes under M shards, same bytes."""
+    """A checkpoint written with ``"shards": N`` in its config still resumes.
 
-    @pytest.fixture(scope="class")
-    def service_runs(self, tmp_path_factory):
+    Service runs used to accept an observe-only ``shards`` setting and
+    embedded it in every checkpoint's config.  The key is ignored now, so
+    such a snapshot must resume to the uninterrupted run's exact bytes.
+    """
+
+    def test_resume_from_sharded_config_checkpoint(self, tmp_path):
         from repro.api.service import ServiceConfig
         from repro.service import resume_service, run_service
         from repro.workloads.arrivals import streaming_arrivals
@@ -411,32 +272,20 @@ class TestServiceShardResume:
 
         demand = build_family_demand("scale-up", {"side": 8, "per_point": 2.0})
         config = ServiceConfig.from_demand(
-            demand, seed=5, shards=2, checkpoint_every=1, window_jobs=20
+            demand, seed=5, checkpoint_every=1, window_jobs=20
         )
         jobs = lambda: streaming_arrivals(demand, jobs=80)
-        snap = tmp_path_factory.mktemp("snap") / "snap.json"
-        full = run_service(config.replace(shards=1), jobs())
+        snap = tmp_path / "snap.json"
+        full = run_service(config, jobs())
         interrupted = run_service(
             config, jobs(), checkpoint_path=snap, stop_after_checkpoints=1
         )
         assert interrupted.interrupted
-        return full, snap, jobs, resume_service
 
-    def test_resume_under_more_shards(self, service_runs):
-        full, snap, jobs, resume_service = service_runs
-        resumed = resume_service(snap, jobs(), shards=5)
-        assert resumed.shards == 5
+        payload = json.loads(snap.read_text())
+        payload["config"]["shards"] = 4
+        snap.write_text(json.dumps(payload))
+        resumed = resume_service(snap, jobs())
+        assert resumed.resumed
         assert resumed.result_hash() == full.result_hash()
         assert resumed.fleet_digest == full.fleet_digest
-
-    def test_resume_under_one_shard(self, service_runs):
-        full, snap, jobs, resume_service = service_runs
-        resumed = resume_service(snap, jobs(), shards=1)
-        assert resumed.shards == 1
-        assert resumed.result_hash() == full.result_hash()
-
-    def test_resume_keeps_snapshot_shards_by_default(self, service_runs):
-        full, snap, jobs, resume_service = service_runs
-        resumed = resume_service(snap, jobs())
-        assert resumed.shards == 2
-        assert resumed.result_hash() == full.result_hash()

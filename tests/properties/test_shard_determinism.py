@@ -8,14 +8,11 @@ every mechanism:
   lossy} golden config (the same 40 configs the flat-core differential
   suite pins) run with ``shards=4`` reproduces the committed golden digest
   bit for bit.  These configs carry a seeded RNG transport, so they
-  exercise the *lockstep* mode (single fleet, window barriers).
-* **Parallel isolated mode** -- a shard-safe direct ``run_online`` config
+  exercise the *single-process* fallback (one global fleet).
+* **Worker engine** -- a shard-local direct ``run_online`` config
   (reliable transport, no failures) is byte-identical across shard counts,
   including the float-sum-sensitive energy totals.  This exercises the
   multi-process worker/merge path.
-* **Service harness** -- a sharded ``run_service`` reproduces the
-  1-shard ``result_hash`` and ``fleet_digest`` (shard bookkeeping is
-  excluded from the hashed fields by design).
 * **Engine fan-out** -- ``run_service_many`` is byte-identical across
   1 thread / 4 threads / 4 processes and dedupes duplicate configs.
 
@@ -40,9 +37,8 @@ import pytest
 from repro.api import ExperimentEngine
 from repro.api.service import ServiceConfig
 from repro.core.online import run_online
-from repro.service import run_service
 from repro.vehicles.fleet import FleetConfig
-from repro.workloads.arrivals import random_arrivals, streaming_arrivals
+from repro.workloads.arrivals import random_arrivals
 from repro.workloads.library import build_family_demand, family_config
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "flat_core_goldens.json"
@@ -103,7 +99,7 @@ class TestGoldenShardInvariance:
 
 
 class TestParallelModeByteIdentity:
-    """The multi-process isolated path reproduces every observable field."""
+    """The multi-process worker path reproduces every observable field."""
 
     FIELDS = (
         "jobs_total",
@@ -150,11 +146,11 @@ class TestParallelModeByteIdentity:
             shards=shards,
         )
         assert sharded.shards == shards
-        assert sharded.cross_shard_messages == 0  # traffic is cube-local
+        assert sharded.shard_mode == "parallel-lockstep"
         for field in self.FIELDS:
             assert getattr(sharded, field) == getattr(baseline, field), field
 
-    def test_rng_coupled_run_takes_lockstep_and_matches(self, workload):
+    def test_rng_coupled_run_takes_single_process_and_matches(self, workload):
         base = run_online(
             workload,
             capacity="theorem",
@@ -170,7 +166,8 @@ class TestParallelModeByteIdentity:
             rng=np.random.default_rng(7),
             shards=SHARDS,
         )
-        assert sharded.window_barriers > 0  # proof it went through lockstep
+        assert sharded.shard_mode == "single-process"
+        assert "shared-rng" in sharded.shard_mode_reason
         for field in self.FIELDS:
             assert getattr(sharded, field) == getattr(base, field), field
 
@@ -182,32 +179,6 @@ class TestParallelModeByteIdentity:
     def test_shards_validation(self, workload, bad):
         with pytest.raises(ValueError):
             run_online(workload, engine="events", shards=bad)
-
-
-class TestServiceShardInvariance:
-    """Sharded service runs keep result_hash and fleet_digest."""
-
-    @pytest.fixture(scope="class")
-    def demand(self):
-        return build_family_demand("scale-up", {"side": 8, "per_point": 2.0})
-
-    def _run(self, demand, shards):
-        config = ServiceConfig.from_demand(demand, seed=5, shards=shards)
-        return run_service(config, streaming_arrivals(demand, jobs=60))
-
-    def test_result_hash_and_fleet_digest_invariant(self, demand):
-        base = self._run(demand, 1)
-        sharded = self._run(demand, SHARDS)
-        assert sharded.shards == SHARDS
-        assert sharded.result_hash() == base.result_hash()
-        assert sharded.fleet_digest == base.fleet_digest
-
-    def test_shard_bookkeeping_not_hashed(self, demand):
-        sharded = self._run(demand, SHARDS)
-        mutated = dataclasses.replace(
-            sharded, cross_shard_messages=sharded.cross_shard_messages + 99
-        )
-        assert mutated.result_hash() == sharded.result_hash()
 
 
 class TestEngineServiceFanout:
