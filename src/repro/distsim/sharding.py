@@ -154,7 +154,11 @@ class ShardPlan:
         return self._shard_of[tuple(index)]
 
     def cubes_of(self, shard: int) -> Tuple[CubeIndex, ...]:
-        """The cubes assigned to ``shard``, in lexicographic order."""
+        """The cubes assigned to ``shard``, group by group.
+
+        Ancestor groups come in lexicographic ancestor order, and the
+        members of each group in lexicographic order.
+        """
         return self._assignment[shard]
 
     def counts(self) -> Tuple[int, ...]:

@@ -131,3 +131,77 @@ class TestRunControls:
         for i in range(4):
             sim.schedule(float(i), lambda: None)
         assert sim.run_until_quiescent() == 4
+
+
+class TestRunWindow:
+    """``run_window`` is the drain loop behind ``run`` and every shard worker."""
+
+    @staticmethod
+    def _chain(sim, log, depth):
+        """Self-scheduling events: each execution schedules one more."""
+
+        def event(step=0):
+            log.append((sim.now, step))
+            if step < depth:
+                sim.schedule_at(sim.now + 0.7, lambda s=step + 1: event(s))
+
+        return event
+
+    def test_same_events_same_order_as_stepping(self):
+        reference = Simulator()
+        ref_log = []
+        reference.schedule_at(0.3, self._chain(reference, ref_log, 6))
+        while reference.step():
+            pass
+
+        sim = Simulator()
+        log = []
+        sim.schedule_at(0.3, self._chain(sim, log, 6))
+        assert sim.run_window(None) == reference.events_processed == 7
+        assert log == ref_log
+
+    def test_clock_stays_at_last_executed_event(self):
+        sim = Simulator()
+        sim.schedule_at(1.5, lambda: None)
+        sim.run_window(10.0)
+        assert sim.now == 1.5
+        # ``run`` with the same bound pads the clock out to it instead.
+        padded = Simulator()
+        padded.schedule_at(1.5, lambda: None)
+        padded.run(until=10.0)
+        assert padded.now == 10.0
+
+    def test_bound_is_inclusive_and_later_events_stay_queued(self):
+        sim = Simulator()
+        log = []
+        for time in (1.0, 2.0, 2.5):
+            sim.schedule_at(time, lambda t=time: log.append(t))
+        assert sim.run_window(2.0) == 2
+        assert log == [1.0, 2.0]
+        assert sim.pending == 1 and sim.now == 2.0
+
+    def test_max_events_truncation_resumes_to_the_same_history(self):
+        reference = Simulator()
+        ref_log = []
+        reference.schedule_at(0.0, self._chain(reference, ref_log, 9))
+        reference.run_window(None)
+
+        sim = Simulator()
+        log = []
+        sim.schedule_at(0.0, self._chain(sim, log, 9))
+        chunks = []
+        while sim.pending:
+            chunks.append(sim.run_window(None, max_events=3))
+        assert chunks == [3, 3, 3, 1]
+        assert log == ref_log
+
+    def test_same_time_cancellation_inside_one_batch_is_honored(self):
+        sim = Simulator()
+        log = []
+        later = []
+        sim.schedule_at(1.0, lambda: (log.append("first"), later[0].cancel()))
+        later.append(sim.schedule_at(1.0, lambda: log.append("cancelled")))
+        sim.schedule_at(1.0, lambda: log.append("third"))
+        assert sim.run_window(None) == 2
+        assert log == ["first", "third"]
+        assert sim.stats.cancelled_skipped == 1

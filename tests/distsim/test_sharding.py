@@ -83,3 +83,45 @@ class TestShardPlan:
         b = ShardPlan(hierarchy, 2, cubes=list(reversed(cubes)))
         assert a.cubes == b.cubes
         assert [a.cubes_of(s) for s in range(2)] == [b.cubes_of(s) for s in range(2)]
+
+    def test_default_cubes_cover_the_whole_grid(self):
+        hierarchy = make_hierarchy()
+        plan = ShardPlan(hierarchy, 4)
+        every = sorted(index for index, _box in hierarchy.grid.cubes())
+        assert list(plan.cubes) == every
+        assert len(every) == 8 * 8
+
+    def test_single_shard_takes_every_cube(self):
+        plan = ShardPlan(make_hierarchy(), 1)
+        assert plan.counts() == (len(plan.cubes),)
+        assert sorted(plan.cubes_of(0)) == list(plan.cubes)
+
+    def test_cubes_of_walks_groups_in_ancestor_order(self):
+        hierarchy = make_hierarchy()
+        plan = ShardPlan(hierarchy, 3)
+        for shard in range(plan.shards):
+            members = plan.cubes_of(shard)
+            keys = [(hierarchy.ancestor(index, plan.level), index) for index in members]
+            assert keys == sorted(keys)
+
+    def test_scalar_grouping_matches_the_bulk_path(self):
+        hierarchy = make_hierarchy(extent=30)
+
+        class ScalarOnly:
+            """The duck-typed minimum: no ``ancestors_array`` bulk hook."""
+
+            levels = hierarchy.levels
+            grid = hierarchy.grid
+
+            def ancestor(self, index, level):
+                return hierarchy.ancestor(index, level)
+
+        assert not hasattr(ScalarOnly(), "ancestors_array")
+        occupied = [(x, y) for x in range(10) for y in range(10) if (x * y) % 3 != 1]
+        for shards in (1, 2, 5):
+            bulk = ShardPlan(hierarchy, shards, cubes=occupied)
+            scalar = ShardPlan(ScalarOnly(), shards, cubes=occupied)
+            assert bulk.level == scalar.level
+            assert [bulk.cubes_of(s) for s in range(shards)] == [
+                scalar.cubes_of(s) for s in range(shards)
+            ]

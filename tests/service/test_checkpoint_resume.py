@@ -201,6 +201,20 @@ class TestSnapshotFormat:
                 other, list(jobs.jobs), snapshot=load_checkpoint(snapshot)
             )
 
+    def test_config_json_carries_no_shards_key(self):
+        config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
+        assert "shards" not in config.to_json()
+
+    def test_retired_shards_key_loads_to_the_same_config(self):
+        # Service configs once serialized an observe-only ``shards`` count;
+        # such payloads must load to the same config and content hash.
+        config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
+        payload = config.to_json()
+        payload["shards"] = 3
+        loaded = ServiceConfig.from_json(payload)
+        assert loaded == config
+        assert loaded.config_hash() == config.config_hash()
+
 
 class TestLiveStateStore:
     def test_state_file_and_event_log(self, tmp_path):
