@@ -126,7 +126,7 @@ def measure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
     jobs = random_arrivals(demand, np.random.default_rng(seed))
     start = time.perf_counter()
     result = run_online(
-        jobs, capacity="theorem", config=FleetConfig(), engine="events", shards=shards
+        jobs, capacity="theorem", config=FleetConfig(), shards=shards
     )
     elapsed = time.perf_counter() - start
     if not result.feasible:

@@ -10,8 +10,8 @@ goal keeps asking:
 
 Every benchmark records events/sec (where meaningful) and the workload
 shape via ``benchmark.extra_info``, and asserts the load-bearing semantic
-claims: the event driver serves exactly what the round driver serves on
-failure-free runs, and every family solves to a valid result.
+claims: the failure-free scale-up run is feasible, and every family solves
+to a valid result.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ def _scale_up_jobs(side: int = 10):
     return random_arrivals(demand, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("engine", ["rounds", "events"])
-def bench_online_driver_events_per_sec(benchmark, engine):
-    """Events/sec of the online harness on a scale-up fleet, per driver."""
+def bench_online_driver_events_per_sec(benchmark):
+    """Events/sec of the online event driver on a scale-up fleet."""
     jobs = _scale_up_jobs()
 
-    result = benchmark(
-        lambda: run_online(jobs, capacity="theorem", config=FleetConfig(), engine=engine)
-    )
+    result = benchmark(lambda: run_online(jobs, capacity="theorem", config=FleetConfig()))
 
     events_per_sec = (
         result.events_processed / benchmark.stats.stats.mean
@@ -52,7 +49,6 @@ def bench_online_driver_events_per_sec(benchmark, engine):
     )
     benchmark.extra_info.update(
         {
-            "engine": engine,
             "jobs": result.jobs_total,
             "events_processed": result.events_processed,
             "sim_time": result.sim_time,
@@ -60,26 +56,12 @@ def bench_online_driver_events_per_sec(benchmark, engine):
         }
     )
     assert result.feasible
-    # The two drivers must agree on failure-free runs.
-    other = run_online(
-        jobs,
-        capacity="theorem",
-        config=FleetConfig(),
-        engine="events" if engine == "rounds" else "rounds",
-    )
-    assert result.jobs_served == other.jobs_served
-    assert result.max_vehicle_energy == other.max_vehicle_energy
 
 
 @pytest.mark.parametrize("family", sorted(available_families()))
 def bench_family_solve_time(benchmark, family):
     """End-to-end solve time per scenario family across the core solvers."""
-    configs = [
-        family_config(family, solver, preset=_PRESET, params={"engine": "events"})
-        if solver.startswith("online")
-        else family_config(family, solver, preset=_PRESET)
-        for solver in _SOLVERS
-    ]
+    configs = [family_config(family, solver, preset=_PRESET) for solver in _SOLVERS]
 
     results = benchmark(lambda: ExperimentEngine().run_many(configs))
 

@@ -3,7 +3,7 @@
 
 Reads a ``pytest-benchmark`` JSON report (``--benchmark-json`` output of
 ``bench_scenarios.py --quick``), extracts the event-driver throughput
-number (``bench_online_driver_events_per_sec[events]`` -- the scale-up
+number (``bench_online_driver_events_per_sec`` -- the scale-up
 distsim hot path), writes it to ``BENCH_events_per_sec.json`` next to the
 committed baseline, and fails when throughput regressed more than the
 allowed fraction (default 20%) below the baseline.
@@ -69,7 +69,7 @@ from pathlib import Path
 from _common import write_summary
 
 #: The benchmark whose throughput the gate tracks.
-GATED_BENCHMARK = "bench_online_driver_events_per_sec[events]"
+GATED_BENCHMARK = "bench_online_driver_events_per_sec"
 
 #: The bench_scale.py scale whose construction time the gate tracks.
 GATED_SCALE = "1e4"

@@ -29,7 +29,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 #: throughput number -- the two lines a transport regression would move.
 _QUICK_KEEP = (
     "bench_family_solve_time[hotspot]",
-    "bench_online_driver_events_per_sec[events]",
+    "bench_online_driver_events_per_sec",
 )
 
 

@@ -33,9 +33,7 @@ def sweep_the_registry() -> None:
 
 def adversarial_run_on_the_event_engine() -> None:
     """The partition family on the event-driven driver, failures and all."""
-    config = family_config(
-        "partition", "online-broken", preset="small", params={"engine": "events"}
-    )
+    config = family_config("partition", "online-broken", preset="small")
     result = ExperimentEngine().run(config)
     failures = build_family_failures("partition", config.scenario.family_params_dict())
     window = failures.partitions[0]

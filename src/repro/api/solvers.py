@@ -134,16 +134,57 @@ def solve_offline(config: RunConfig) -> RunResult:
 # --------------------------------------------------------------------------- #
 
 
+def online_fleet_config(config: RunConfig, *, broken: bool) -> FleetConfig:
+    """The :class:`FleetConfig` an online-family run of ``config`` uses.
+
+    Shared by the solvers and ``repro run --metrics-out``, so the batch and
+    the streaming path run the same monitoring and gossip settings.
+    Monitoring defaults to the ring loop for ``online-broken`` and to off
+    for ``online``; the ``monitoring`` param overrides either.
+    """
+    # The event driver is the only driver; the param survives as a
+    # constant so existing configs (and their hashes) stay valid.
+    engine = config.param("engine", "events")
+    if engine != "events":
+        raise ConfigError(
+            f'the online solvers run only the "events" engine, got {engine!r}'
+        )
+    # "ring" is the explicit spelling of the historical monitoring loop
+    # (same booleans, same hashes), "gossip" opts into the epidemic
+    # detector -- on the failure-free solver too, so ring/gossip
+    # equivalence is testable.
+    monitoring = broken
+    monitoring_param = config.param("monitoring", None)
+    if monitoring_param is not None:
+        if monitoring_param == "ring":
+            monitoring = True
+        elif monitoring_param == "gossip":
+            monitoring = "gossip"
+        else:
+            raise ConfigError(
+                f"monitoring param must be 'ring' or 'gossip', got {monitoring_param!r}"
+            )
+    try:
+        return FleetConfig(
+            monitoring=monitoring,
+            escalation=config.escalation,
+            gossip_fanout=config.param("gossip_fanout", 2),
+            suspicion_threshold=config.param("suspicion_threshold", 2),
+            quorum=config.param("quorum", 2),
+        )
+    except ValueError as error:
+        raise ConfigError(str(error)) from None
+
+
 def _run_online_family(config: RunConfig, *, broken: bool) -> RunResult:
+    fleet_config = online_fleet_config(config, broken=broken)
     jobs = config.scenario.jobs()
     if len(jobs) == 0:
         return _empty_result(config)
-    engine = config.param("engine", "events")
     transport = config.effective_transport()
     failure_plan = None
     dead_vehicles = None
     churn = None
-    monitoring = False
     if not broken and config.failures is not None and not config.failures.is_empty():
         raise ConfigError(
             'the "online" solver ignores failure specs; use "online-broken" '
@@ -159,31 +200,6 @@ def _run_online_family(config: RunConfig, *, broken: bool) -> RunResult:
         failure_plan = config.failures.to_plan()
         dead_vehicles = config.failures.crashed
         churn = config.failures.churn_events()
-        monitoring = True
-    # The monitoring param overrides the solver default: "ring" is the
-    # explicit spelling of the historical monitoring loop (same booleans,
-    # same hashes), "gossip" opts into the epidemic detector -- on the
-    # failure-free solver too, so ring/gossip equivalence is testable.
-    monitoring_param = config.param("monitoring", None)
-    if monitoring_param is not None:
-        if monitoring_param == "ring":
-            monitoring = True
-        elif monitoring_param == "gossip":
-            monitoring = "gossip"
-        else:
-            raise ConfigError(
-                f"monitoring param must be 'ring' or 'gossip', got {monitoring_param!r}"
-            )
-    try:
-        fleet_config = FleetConfig(
-            monitoring=monitoring,
-            escalation=config.escalation,
-            gossip_fanout=config.param("gossip_fanout", 2),
-            suspicion_threshold=config.param("suspicion_threshold", 2),
-            quorum=config.param("quorum", 2),
-        )
-    except ValueError as error:
-        raise ConfigError(str(error)) from None
     result = run_online(
         jobs,
         omega=config.omega,
@@ -194,7 +210,6 @@ def _run_online_family(config: RunConfig, *, broken: bool) -> RunResult:
         dead_vehicles=dead_vehicles,
         recovery_rounds=config.recovery_rounds,
         churn=churn,
-        engine=engine,
         transport=transport,
         shards=config.shards,
         shard_workers=config.param("shard_workers", None),
@@ -208,7 +223,7 @@ def _run_online_family(config: RunConfig, *, broken: bool) -> RunResult:
         "failed_replacements": result.failed_replacements,
         "messages": result.messages,
         "heartbeat_rounds": result.heartbeat_rounds,
-        "engine": result.engine,
+        "engine": "events",
         "events_processed": result.events_processed,
         "transport": result.transport,
         "messages_dropped": result.messages_dropped,

@@ -785,16 +785,15 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
     the windowed-metrics JSONL (and still composes with ``--profile``).
     """
     from repro.api.service import ServiceConfig
+    from repro.api.solvers import online_fleet_config
     from repro.service import run_service
 
-    if config.param("engine", "events") != "events":
-        print("error: --metrics-out requires the events engine", file=sys.stderr)
-        return 2
+    broken = config.solver == "online-broken"
+    fleet_config = online_fleet_config(config, broken=broken)
     jobs = config.scenario.jobs()
     if len(jobs) == 0:
         print("error: the workload is empty; nothing to stream", file=sys.stderr)
         return 2
-    broken = config.solver == "online-broken"
     failures = config.failures
     if broken and (failures is None or failures.is_empty()):
         print(
@@ -806,12 +805,13 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
         jobs.demand_map(),
         omega=config.omega,
         capacity=config.capacity,
-        fleet={"monitoring": broken, "escalation": config.escalation},
+        fleet=fleet_config,
         recovery_rounds=config.recovery_rounds,
         transport=config.effective_transport(),
         churn=failures.churn_events() if broken else (),
         dead_vehicles=failures.crashed if broken else (),
         suppressed=failures.suppressed if broken else (),
+        byzantine_watchers=failures.byzantine_watchers if broken else (),
         partitions=failures.partitions if broken else (),
         seed=config.scenario.seed,
         window_jobs=args.window,

@@ -6,20 +6,14 @@ the active vehicle of its black/white pair, exhausted vehicles are replaced
 through Phase I/II diffusing computations, and (optionally) the monitoring
 loop of Section 3.2.5 recovers from initiation failures and dead vehicles.
 
-Both drivers now run on the same event clock:
-
-* ``engine="events"`` (the default): arrivals, heartbeat ticks, churn and
-  partition windows are all scheduled on the fleet's discrete-event
-  simulator at the jobs' arrival times; protocol messages interleave in
-  timestamp order.  This is the asynchronous system the paper actually
-  analyzes, and the only driver under which timed failures and non-trivial
-  transports (latency, loss, corruption) have a meaningful clock position.
-* ``engine="rounds"``: a thin adapter over the same clock that schedules
-  each job as a *round barrier* event and settles the network to quiescence
-  inside the barrier -- the historical lockstep "deliver, settle,
-  heartbeat" semantics, byte-identical to the pre-adapter rounds driver on
-  failure-free runs (the conformance tests assert both the adapter/event
-  equivalence and the physical fingerprint).
+There is one driver, the event driver: arrivals, heartbeat ticks, churn
+and partition windows are all scheduled on the fleet's discrete-event
+simulator at the jobs' arrival times, and protocol messages interleave in
+timestamp order.  This is the asynchronous system the paper analyzes; a
+lockstep round is only one admissible schedule of it.  The streaming
+service (:mod:`repro.service`) reuses the same per-job logic, provisioning
+and counter helpers, so a finite service run is byte-identical to the
+batch run.
 
 Message delivery itself is owned by a pluggable
 :class:`~repro.distsim.transport.Transport`; pass ``transport=`` (an
@@ -76,16 +70,19 @@ from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Point
 from repro.vehicles.fleet import Fleet, FleetConfig
 
-__all__ = ["OnlineResult", "run_online", "provision_fleet", "ONLINE_ENGINES"]
+__all__ = [
+    "OnlineResult",
+    "run_online",
+    "provision_fleet",
+    "resolve_omega",
+    "monitoring_mode",
+]
 
 #: Sharded-run mode selection is logged here (bench numbers must be
 #: attributable to the mode that actually ran).
 _LOG = logging.getLogger("repro.distsim.sharding")
 
 CapacitySpec = Union[None, float, Literal["theorem"]]
-
-#: The two harness drivers (see the module docstring); the first is the default.
-ONLINE_ENGINES = ("events", "rounds")
 
 #: Identity-keyed memo of the omega quantities per job sequence, each
 #: computed lazily (a run with an explicit ``omega=`` never needs
@@ -110,6 +107,42 @@ def _omega_memo_entry(jobs: JobSequence) -> Dict[str, float]:
         entry = {"len": len(jobs)}
         _OMEGA_MEMO[key] = entry
     return entry
+
+
+def resolve_omega(
+    demand: DemandMap,
+    omega: Optional[float] = None,
+    memo: Optional[Dict[str, Any]] = None,
+) -> Tuple[float, float]:
+    """``(omega, omega_star)`` for a demand map, from one shared sweep.
+
+    ``omega=None`` resolves to ``omega_c``, as the thesis's provisioning
+    does.  ``omega_c`` and ``omega_star`` share one sliding-window sweep
+    (:func:`~repro.core.omega.demand_cube_maxima`, the dominant
+    provisioning cost at the 10^5-vehicle scale), and an explicit omega
+    never computes ``omega_c`` at all.  ``memo`` caches the sweep and both
+    quantities across calls (``run_online`` keeps one per job sequence).
+    """
+    memo = {} if memo is None else memo
+    if (omega is None and "omega_c" not in memo) or "omega_star" not in memo:
+        if "cube_maxima" not in memo:
+            memo["cube_maxima"] = demand_cube_maxima(demand)
+    if omega is None:
+        if "omega_c" not in memo:
+            memo["omega_c"] = omega_c(demand, maxima=memo["cube_maxima"])
+        omega = memo["omega_c"]
+    if omega <= 0:
+        raise ValueError("omega must be positive for a non-empty demand")
+    if "omega_star" not in memo:
+        memo["omega_star"] = omega_star_cubes(demand, maxima=memo["cube_maxima"]).omega
+    return omega, memo["omega_star"]
+
+
+def monitoring_mode(config: FleetConfig) -> str:
+    """The failure-detection mode a fleet config runs: ``""``, ``"ring"`` or ``"gossip"``."""
+    if config.monitoring == "gossip":
+        return "gossip"
+    return "ring" if config.monitoring else ""
 
 
 @dataclass
@@ -144,8 +177,6 @@ class OnlineResult:
     heartbeat_rounds: int
     #: Per-vehicle energies at the end of the run (home vertex -> energy).
     vehicle_energies: Dict[Point, float] = field(default_factory=dict)
-    #: Which harness driver produced the result.
-    engine: str = "events"
     #: Simulator events executed during the run (messages, arrivals, ticks).
     events_processed: int = 0
     #: Final simulation-clock time.
@@ -164,6 +195,8 @@ class OnlineResult:
     escalated_replacements: int = 0
     #: Far pairs adopted by active vehicles with spare battery.
     adoptions: int = 0
+    #: Adopted pairs handed back to their revived owners.
+    hand_backs: int = 0
     #: Shards the run was asked to partition into (1 = unsharded).
     shards: int = 1
     #: Wall-clock seconds per worker shard (multi-process runs only).
@@ -208,41 +241,6 @@ class OnlineResult:
         if self.omega_star == 0:
             return math.inf if self.max_vehicle_energy > 0 else 1.0
         return self.max_vehicle_energy / self.omega_star
-
-
-def _serve_with_recovery(
-    fleet: Fleet,
-    config: FleetConfig,
-    job,
-    recovery_rounds: int,
-) -> bool:
-    """Round-mode service: deliver, recover via heartbeat rounds, then tick."""
-    served = fleet.deliver_job(job.position, job.energy)
-    if not served and recovery_rounds > 0 and config.monitoring:
-        for _ in range(recovery_rounds):
-            fleet.run_heartbeat_round()
-        served = fleet.retry_job(job.position, job.energy)
-    if config.monitoring:
-        fleet.run_heartbeat_round()
-    return served
-
-
-def _churn_hooks(fleet: Fleet):
-    """The leave/join callbacks both drivers feed to :func:`apply_churn`.
-
-    Vertices that host no vehicle in this run are ignored, mirroring the
-    ``dead_vehicles`` contract.
-    """
-
-    def leave(vertex: Point) -> None:
-        if vertex in fleet.vehicles:
-            fleet.crash_vehicle(vertex)
-
-    def join(vertex: Point) -> None:
-        if vertex in fleet.vehicles:
-            fleet.revive_vehicle(vertex)
-
-    return leave, join
 
 
 def _resolve_capacity(
@@ -318,10 +316,20 @@ def _schedule_churn(
     Specs already in ``churn_applied`` are skipped (a resumed run re-schedules
     only its remaining churn); the rest are pushed in the canonical
     ``(time, vertex, action)`` order so same-time events keep their relative
-    sequence across batch, streaming, and resumed runs.
+    sequence across batch, streaming, and resumed runs.  Vertices that host
+    no vehicle in this run are ignored, mirroring the ``dead_vehicles``
+    contract.
     """
     simulator = fleet.simulator
-    leave, join = _churn_hooks(fleet)
+
+    def leave(vertex: Point) -> None:
+        if vertex in fleet.vehicles:
+            fleet.crash_vehicle(vertex)
+
+    def join(vertex: Point) -> None:
+        if vertex in fleet.vehicles:
+            fleet.revive_vehicle(vertex)
+
     for spec in sorted(churn, key=lambda e: (e.time, e.vertex, e.action)):
         if spec in churn_applied:
             continue
@@ -340,7 +348,7 @@ def _arrival_logic(
     recovery_rounds: int,
     record,
 ):
-    """The event-mode per-job service logic, shared by batch and streaming.
+    """The per-job service logic, shared by batch and streaming.
 
     Returns ``make_handler(index, job)`` producing the zero-argument arrival
     action the calendar queue executes.  ``record(index, job, latency)`` is
@@ -392,50 +400,6 @@ def _arrival_logic(
         return _handler
 
     return make_handler
-
-
-def _run_rounds(
-    fleet: Fleet,
-    fleet_config: FleetConfig,
-    jobs: JobSequence,
-    recovery_rounds: int,
-    churn: Sequence[ChurnSpec],
-    plan: FailurePlan,
-) -> int:
-    """The lockstep driver as a thin adapter over the event clock.
-
-    Each job becomes one *round barrier* event scheduled at the job's
-    arrival time; the barrier delivers the job, runs the recovery heartbeat
-    rounds, and settles the network to quiescence before the next barrier
-    is scheduled -- exactly the historical "deliver, settle, heartbeat"
-    sequence, so the physical outcome (energies, messages, counters) is
-    byte-identical to the pre-adapter rounds driver on failure-free runs.
-    The only difference is that the barriers now *live on the clock*: the
-    simulation time of a round-mode run advances through the jobs' arrival
-    times instead of idling near zero.
-    """
-    simulator = fleet.simulator
-    served_count = 0
-    churn_applied: Set[ChurnSpec] = set()
-    leave, join = _churn_hooks(fleet)
-
-    for job in jobs:
-        served = False
-
-        def _barrier(job=job) -> None:
-            nonlocal served
-            plan.set_time(job.time)
-            apply_churn(churn, job.time, churn_applied, leave=leave, join=join)
-            served = _serve_with_recovery(fleet, fleet_config, job, recovery_rounds)
-
-        # A message storm may already have pushed the clock past this job's
-        # arrival time; the barrier then fires immediately (the failure
-        # clock still uses job.time, as the lockstep driver always did).
-        simulator.schedule_at(max(job.time, simulator.now), _barrier, kind="round-barrier")
-        simulator.run_until_quiescent()
-        if served:
-            served_count += 1
-    return served_count
 
 
 def _run_events(
@@ -576,10 +540,11 @@ class _ShardPartition:
 def _fleet_counters(fleet: Fleet) -> Dict[str, Any]:
     """One fleet's run counters, keyed by :class:`OnlineResult` field name.
 
-    Plain picklable data: the single-process tail and every shard worker
-    call this, and :func:`merge_parallel_lockstep_results` combines the
-    worker copies key by key -- so a new counter is one new result field
-    plus one line here.
+    Plain picklable data: the single-process tail, every shard worker and
+    the service harness call this (every key is also a
+    :class:`~repro.api.service.ServiceResult` field), and
+    :func:`merge_parallel_lockstep_results` combines the worker copies key
+    by key -- so a new counter is one new result field plus one line here.
     """
     stats = fleet.stats
     simulator = fleet.simulator
@@ -601,6 +566,20 @@ def _fleet_counters(fleet: Fleet) -> Dict[str, Any]:
         "attestations": stats.attestations,
         "refused_attestations": stats.refused_attestations,
         "false_suspicions": stats.false_suspicions,
+        "hand_backs": stats.hand_backs,
+    }
+
+
+def _detection_counters(fleet: Fleet) -> Dict[str, Any]:
+    """The fleet's detection-latency digest: count, p50 and p99 (0.0 when empty).
+
+    A single-fleet sketch: multi-process runs report none by design.
+    """
+    digest = fleet.detection_digest
+    return {
+        "detections": int(digest.count),
+        "detection_p50": digest.quantile(0.5) if digest.count else 0.0,
+        "detection_p99": digest.quantile(0.99) if digest.count else 0.0,
     }
 
 
@@ -612,17 +591,14 @@ def _online_result(
     ``counters`` holds the measured fields (``jobs_served`` plus what
     :func:`_fleet_counters` reports, energies and totals, and any shard
     timings or detection digests); ``run`` holds the run-level fields
-    (omega, capacities, engine, transport, shard mode).  The resolved
-    fleet ``config`` supplies the escalation flag and monitoring mode.
+    (omega, capacities, transport, shard mode).  The resolved fleet
+    ``config`` supplies the escalation flag and monitoring mode.
     """
-    monitoring = config.monitoring
     return OnlineResult(
         jobs_total=jobs_total,
         feasible=counters["jobs_served"] == jobs_total,
         escalation=config.escalation,
-        monitoring_mode=(
-            "gossip" if monitoring == "gossip" else ("ring" if monitoring else "")
-        ),
+        monitoring_mode=monitoring_mode(config),
         **counters,
         **run,
     )
@@ -716,7 +692,6 @@ def run_online(
     dead_vehicles: Optional[Iterable[Sequence[int]]] = None,
     recovery_rounds: int = 0,
     churn: Optional[Iterable[ChurnSpec]] = None,
-    engine: str = "events",
     transport: Union[Transport, TransportSpec, str, None] = None,
     escalation: Optional[bool] = None,
     shards: int = 1,
@@ -753,9 +728,6 @@ def run_online(
         Timed :class:`~repro.distsim.failures.ChurnSpec` events (vehicles
         leaving and rejoining), expressed on the job clock.  Vertices that
         host no vehicle in this run are ignored.
-    engine:
-        ``"events"`` (the event-driven driver, the default) or ``"rounds"``
-        (the lockstep compatibility adapter; see the module docstring).
     transport:
         The message delivery model: a
         :class:`~repro.distsim.transport.Transport` instance (single-use),
@@ -780,24 +752,26 @@ def run_online(
         that ran (and, for the single-process fallback, the first
         disqualifying feature) is recorded on the result as
         ``shard_mode`` / ``shard_mode_reason`` and logged under
-        ``repro.distsim.sharding``.  Requires ``engine="events"``.
+        ``repro.distsim.sharding``.
     shard_workers:
         Concurrency cap for the worker processes (default: one process per
         non-empty shard, up to the CPU count).  Results are identical at
         any worker count.
     """
-    if engine not in ONLINE_ENGINES:
-        raise ValueError(f"engine must be one of {ONLINE_ENGINES}, got {engine!r}")
     if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
         raise ValueError(f"shards must be a positive integer, got {shards!r}")
-    if shards > 1 and engine != "events":
-        raise ValueError("sharded runs require engine='events'")
     transport_instance = build_transport(transport)
     # A provisioned fleet reports the channel its network actually built
     # (the shared-rng jitter default, say); everything else reports this.
     transport_kind = (
         transport_instance.kind if transport_instance is not None else "reliable"
     )
+    # The run-level escalation override is resolved up front: the result
+    # reports it, and a shard worker provisions straight from this config,
+    # so it must already carry the setting the reference fleet runs with.
+    base = config if config is not None else FleetConfig()
+    if escalation is not None:
+        base = dataclasses.replace(base, escalation=bool(escalation))
     if len(jobs) == 0:
         nothing = {
             "jobs_served": 0,
@@ -813,12 +787,11 @@ def run_online(
         return _online_result(
             0,
             nothing,
-            FleetConfig(),
+            base,
             omega=0.0,
             omega_star=0.0,
             capacity=None,
             theorem_capacity=0.0,
-            engine=engine,
             transport=transport_kind,
         )
 
@@ -826,22 +799,7 @@ def run_online(
     if "demand" not in memo:
         memo["demand"] = jobs.demand_map()
     demand = memo["demand"]
-    # omega_c and omega_star share one sliding-window sweep (the dominant
-    # provisioning cost at the 10^5-vehicle scale), memoized per sequence.
-    if (omega is None and "omega_c" not in memo) or "omega_star" not in memo:
-        if "cube_maxima" not in memo:
-            memo["cube_maxima"] = demand_cube_maxima(demand)
-    if omega is None:
-        if "omega_c" not in memo:
-            memo["omega_c"] = omega_c(demand, maxima=memo["cube_maxima"])
-        omega = memo["omega_c"]
-    if omega <= 0:
-        raise ValueError("omega must be positive for a non-empty job sequence")
-    if "omega_star" not in memo:
-        memo["omega_star"] = omega_star_cubes(
-            demand, maxima=memo["cube_maxima"]
-        ).omega
-    omega_star = memo["omega_star"]
+    omega, omega_star = resolve_omega(demand, omega, memo)
 
     churn_events = tuple(churn) if churn is not None else ()
     shard_mode = ""
@@ -863,12 +821,6 @@ def run_online(
             shard_mode,
             f" ({shard_mode_reason})" if shard_mode_reason else "",
         )
-    # The run-level escalation override is resolved *before* pickling: a
-    # worker provisions straight from this config, so it must already
-    # carry the setting the reference fleet would run with.
-    base = config if config is not None else FleetConfig()
-    if escalation is not None:
-        base = dataclasses.replace(base, escalation=bool(escalation))
     provisioned, theorem_capacity = _resolve_capacity(demand, omega, capacity)
 
     if shard_mode == "parallel-lockstep":
@@ -900,20 +852,16 @@ def run_online(
             dead_vehicles=dead_vehicles,
             transport=transport_instance,
         )
-        driver = _run_events if engine == "events" else _run_rounds
-        served = driver(
+        served = _run_events(
             fleet, fleet_config, jobs, recovery_rounds, churn_events, fleet.failure_plan
         )
         counters = _fleet_counters(fleet)
-        digest = fleet.detection_digest
         counters.update(
+            _detection_counters(fleet),
             jobs_served=served,
             total_travel=fleet.total_travel(),
             total_service=fleet.total_service(),
             vehicle_energies=fleet.vehicle_energies(),
-            detections=int(digest.count),
-            detection_p50=digest.quantile(0.5) if digest.count else 0.0,
-            detection_p99=digest.quantile(0.99) if digest.count else 0.0,
         )
         transport_kind = fleet.transport_kind
 
@@ -925,7 +873,6 @@ def run_online(
         omega_star=omega_star,
         capacity=provisioned,
         theorem_capacity=theorem_capacity,
-        engine=engine,
         transport=transport_kind,
         shards=shards,
         shard_mode=shard_mode,

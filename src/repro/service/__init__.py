@@ -24,6 +24,7 @@ from repro.service.checkpoint import (
     capture_checkpoint,
     fleet_digest,
     load_checkpoint,
+    restore_checkpoint,
     rotated_checkpoint_path,
     save_checkpoint,
     save_rotated_checkpoint,
@@ -46,6 +47,7 @@ __all__ = [
     "capture_checkpoint",
     "fleet_digest",
     "load_checkpoint",
+    "restore_checkpoint",
     "resume_service",
     "run_service",
     "save_checkpoint",

@@ -47,6 +47,7 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_VERSION",
     "capture_checkpoint",
+    "restore_checkpoint",
     "save_checkpoint",
     "save_rotated_checkpoint",
     "rotated_checkpoint_path",
@@ -482,6 +483,38 @@ def capture_checkpoint(
     if recorder is not None:
         payload["metrics"] = recorder.state_to_json()
     return payload
+
+
+def restore_checkpoint(
+    fleet: Fleet, snapshot: Dict[str, Any], rng: Optional[np.random.Generator] = None
+) -> None:
+    """Overlay a snapshot's simulation state onto a freshly provisioned fleet.
+
+    The inverse of :func:`capture_checkpoint` for everything the fleet
+    owns: the clock, the fleet and transport state, the network counters,
+    the run RNG and the failure plan's mutable sets and counters.  Driver
+    state (pending arrivals, applied churn, event statistics) and metrics
+    state stay with the caller.
+    """
+    fleet.simulator.clock.advance(snapshot["clock"])
+    restore_fleet_state(fleet, snapshot["fleet"])
+    restore_transport_state(fleet.network.transport, snapshot["transport"])
+    network = snapshot["network"]
+    fleet.network.messages_sent = network["messages_sent"]
+    fleet.network.messages_delivered = network["messages_delivered"]
+    fleet.network.messages_dropped = network["messages_dropped"]
+    if rng is not None and snapshot["rng"] is not None:
+        rng.bit_generator.state = snapshot["rng"]
+    plan = fleet.failure_plan
+    plan_state = snapshot["failure_plan"]
+    plan.crashed = {tuple(p) for p in plan_state["crashed"]}
+    plan.initiation_suppressed = {tuple(p) for p in plan_state["initiation_suppressed"]}
+    plan.dropped_count = plan_state["dropped_count"]
+    plan.partition_dropped_count = plan_state["partition_dropped_count"]
+    plan.clock = plan_state["clock"]
+    plan.byzantine_watchers = {
+        tuple(p) for p in plan_state.get("byzantine_watchers", ())
+    }
 
 
 def save_checkpoint(payload: Dict[str, Any], path) -> None:

@@ -35,8 +35,13 @@ from typing import Any, Dict, Iterable, Optional, TextIO, Union
 import numpy as np
 
 from repro.api.service import ServiceConfig, ServiceResult
-from repro.core.omega import omega_c, omega_star_cubes
-from repro.core.online import provision_fleet
+from repro.core.online import (
+    _detection_counters,
+    _fleet_counters,
+    monitoring_mode,
+    provision_fleet,
+    resolve_omega,
+)
 from repro.distsim.transport import build_transport
 from repro.service.checkpoint import (
     capture_checkpoint,
@@ -45,8 +50,7 @@ from repro.service.checkpoint import (
     load_checkpoint,
     save_rotated_checkpoint,
     pending_jobs_from_json,
-    restore_fleet_state,
-    restore_transport_state,
+    restore_checkpoint,
     save_checkpoint,
 )
 from repro.service.metrics import MetricsRecorder
@@ -62,10 +66,7 @@ class _Interrupted(Exception):
 
 def _provision(config: ServiceConfig, *, apply_dead: bool):
     demand = config.demand()
-    omega = config.omega if config.omega is not None else omega_c(demand)
-    if omega <= 0:
-        raise ValueError("omega must be positive for a service run")
-    omega_star = omega_star_cubes(demand).omega
+    omega, omega_star = resolve_omega(demand, config.omega)
     rng = np.random.default_rng(config.seed) if config.seed is not None else None
     fleet, fleet_config, provisioned, theorem_capacity = provision_fleet(
         demand,
@@ -172,26 +173,7 @@ def run_service(
     churn_applied = None
     served_before = 0
     if resumed:
-        fleet.simulator.clock.advance(snapshot["clock"])
-        restore_fleet_state(fleet, snapshot["fleet"])
-        restore_transport_state(fleet.network.transport, snapshot["transport"])
-        network = snapshot["network"]
-        fleet.network.messages_sent = network["messages_sent"]
-        fleet.network.messages_delivered = network["messages_delivered"]
-        fleet.network.messages_dropped = network["messages_dropped"]
-        if rng is not None and snapshot["rng"] is not None:
-            rng.bit_generator.state = snapshot["rng"]
-        plan_state = snapshot["failure_plan"]
-        plan.crashed = {tuple(p) for p in plan_state["crashed"]}
-        plan.initiation_suppressed = {
-            tuple(p) for p in plan_state["initiation_suppressed"]
-        }
-        plan.dropped_count = plan_state["dropped_count"]
-        plan.partition_dropped_count = plan_state["partition_dropped_count"]
-        plan.clock = plan_state["clock"]
-        plan.byzantine_watchers = {
-            tuple(p) for p in plan_state.get("byzantine_watchers", ())
-        }
+        restore_checkpoint(fleet, snapshot, rng)
         if "metrics" in snapshot:
             recorder.restore_state(snapshot["metrics"])
         start_consumed = snapshot["jobs"]["consumed"]
@@ -326,26 +308,12 @@ def run_service(
         jobs_total=driver.dispatched,
         jobs_served=driver.served,
         feasible=driver.served == driver.dispatched,
-        max_vehicle_energy=fleet.max_energy_used(),
         total_travel=fleet.total_travel(),
         total_service=fleet.total_service(),
         omega=omega,
         omega_star=omega_star,
         capacity=provisioned,
         theorem_capacity=theorem_capacity,
-        replacements=fleet.stats.replacements,
-        searches=fleet.stats.searches_started,
-        failed_replacements=fleet.stats.failed_replacements,
-        messages=fleet.messages_sent(),
-        messages_dropped=fleet.messages_dropped(),
-        messages_corrupted=fleet.messages_corrupted(),
-        heartbeat_rounds=fleet.stats.heartbeat_rounds,
-        escalations=fleet.stats.escalations_started,
-        escalated_replacements=fleet.stats.escalated_replacements,
-        adoptions=fleet.stats.adoptions,
-        hand_backs=fleet.stats.hand_backs,
-        events_processed=fleet.simulator.events_processed,
-        sim_time=fleet.simulator.now,
         transport=fleet.transport_kind,
         fleet_digest=fleet_digest(fleet),
         windows=recorder.window_index,
@@ -353,24 +321,9 @@ def run_service(
         resumed=resumed,
         interrupted=interrupted,
         rollup=rollup,
-        monitoring_mode=(
-            "gossip"
-            if fleet.config.monitoring == "gossip"
-            else ("ring" if fleet.config.monitoring else "")
-        ),
-        suspicions=fleet.stats.suspicions,
-        attestations=fleet.stats.attestations,
-        refused_attestations=fleet.stats.refused_attestations,
-        false_suspicions=fleet.stats.false_suspicions,
-        detections=int(fleet.detection_digest.count),
-        detection_p50=(
-            fleet.detection_digest.quantile(0.5) if fleet.detection_digest.count else 0.0
-        ),
-        detection_p99=(
-            fleet.detection_digest.quantile(0.99)
-            if fleet.detection_digest.count
-            else 0.0
-        ),
+        monitoring_mode=monitoring_mode(fleet_config),
+        **_fleet_counters(fleet),
+        **_detection_counters(fleet),
     )
 
 

@@ -77,6 +77,46 @@ def test_online_broken_records_failure_counts(tiny_scenario):
     assert result.feasible
 
 
+_BROKEN_FAILURES = FailureSpec(crashed=((5, 5),))
+
+
+@pytest.mark.parametrize("solver", ["online", "online-broken"])
+@pytest.mark.parametrize("engine", ["rounds", "warp"])
+def test_online_solvers_reject_any_engine_but_events(solver, engine, tiny_scenario):
+    failures = _BROKEN_FAILURES if solver == "online-broken" else None
+    config = RunConfig(
+        solver=solver, scenario=tiny_scenario, failures=failures, params={"engine": engine}
+    )
+    with pytest.raises(ConfigError, match="events"):
+        get_solver(solver)(config)
+
+
+def test_events_engine_param_is_the_plain_run(tiny_scenario):
+    plain = _run("online", tiny_scenario)
+    explicit = _run("online", tiny_scenario, params={"engine": "events"})
+    assert explicit.extra("engine") == plain.extra("engine") == "events"
+    assert explicit.extras_dict() == plain.extras_dict()
+
+
+@pytest.mark.parametrize(
+    "params,broken,expected",
+    [
+        ({}, False, False),
+        ({}, True, True),
+        ({"monitoring": "ring"}, False, True),
+        ({"monitoring": "gossip", "quorum": 3, "suspicion_threshold": 3}, True, "gossip"),
+    ],
+)
+def test_online_fleet_config_resolves_monitoring(params, broken, expected, tiny_scenario):
+    from repro.api.solvers import online_fleet_config
+
+    config = RunConfig(solver="online", scenario=tiny_scenario, params=params)
+    fleet = online_fleet_config(config, broken=broken)
+    assert fleet.monitoring == expected
+    assert fleet.quorum == params.get("quorum", 2)
+    assert fleet.suspicion_threshold == params.get("suspicion_threshold", 2)
+
+
 def test_transfer_line_mode_matches_closed_form():
     demand = DemandMap({(x, 0): 2.0 for x in range(6)})
     scenario = ScenarioSpec.from_demand(demand, name="line6")

@@ -133,7 +133,7 @@ class TestParallelModeByteIdentity:
     @pytest.fixture(scope="class")
     def baseline(self, workload):
         return run_online(
-            workload, capacity="theorem", config=FleetConfig(), engine="events"
+            workload, capacity="theorem", config=FleetConfig()
         )
 
     @pytest.mark.parametrize("shards", [2, 4, 7])
@@ -142,7 +142,6 @@ class TestParallelModeByteIdentity:
             workload,
             capacity="theorem",
             config=FleetConfig(),
-            engine="events",
             shards=shards,
         )
         assert sharded.shards == shards
@@ -155,14 +154,12 @@ class TestParallelModeByteIdentity:
             workload,
             capacity="theorem",
             config=FleetConfig(),
-            engine="events",
             rng=np.random.default_rng(7),
         )
         sharded = run_online(
             workload,
             capacity="theorem",
             config=FleetConfig(),
-            engine="events",
             rng=np.random.default_rng(7),
             shards=SHARDS,
         )
@@ -171,14 +168,10 @@ class TestParallelModeByteIdentity:
         for field in self.FIELDS:
             assert getattr(sharded, field) == getattr(base, field), field
 
-    def test_sharded_rounds_engine_rejected(self, workload):
-        with pytest.raises(ValueError, match="engine"):
-            run_online(workload, engine="rounds", shards=2)
-
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_shards_validation(self, workload, bad):
         with pytest.raises(ValueError):
-            run_online(workload, engine="events", shards=bad)
+            run_online(workload, shards=bad)
 
 
 class TestEngineServiceFanout:

@@ -2,10 +2,9 @@
 
 Three relations pin the transport layer, with no golden values:
 
-* **adapter/event equivalence** -- under a reliable transport the
-  ``engine="rounds"`` adapter and the native event driver produce the same
-  physical outcome (served jobs, energies, messages, counters) on every
-  failure-free family workload;
+* **the default channel is the reliable transport** -- on every family
+  workload, a run with no transport equals, field for field, a run over
+  an explicit ``reliable`` spec at the fleet's ``message_delay``;
 * **invariants under adversarial channels** -- for every family x online
   solver, seeded loss and Byzantine corruption may degrade service but
   never break the model: all solvers still agree on ``omega*``, any
@@ -17,6 +16,8 @@ Three relations pin the transport layer, with no golden values:
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -48,39 +49,21 @@ ADVERSARIAL_TRANSPORTS = (
 RELATIVE_TOLERANCE = 1e-6
 
 
-def _fingerprint(result):
-    return (
-        result.jobs_served,
-        result.feasible,
-        result.max_vehicle_energy,
-        result.total_travel,
-        result.total_service,
-        result.replacements,
-        result.searches,
-        result.messages,
-        tuple(sorted(result.vehicle_energies.items())),
-    )
-
-
 @pytest.mark.parametrize("family", FAMILIES)
-class TestRoundAdapterMatchesEventDriver:
-    """engine="rounds" is an adapter over the event clock; under a reliable
-    transport it must reproduce the native event driver's physics exactly
-    on failure-free runs."""
-
-    def test_equivalent_under_reliable_transport(self, family):
+class TestDefaultChannelIsReliable:
+    def test_every_field_matches_an_explicit_reliable_spec(self, family):
         jobs = family_spec(family, seed=SEED, preset="small").jobs()
-        results = {}
-        for engine in ("rounds", "events"):
-            results[engine] = run_online(
-                jobs,
-                capacity="theorem",
-                config=FleetConfig(),
-                transport=TransportSpec("reliable"),
-                engine=engine,
-            )
-        assert _fingerprint(results["rounds"]) == _fingerprint(results["events"])
-        assert results["events"].transport == "reliable"
+        config = FleetConfig(monitoring=True)
+        default = run_online(jobs, capacity="theorem", config=config)
+        explicit = run_online(
+            jobs,
+            capacity="theorem",
+            config=config,
+            transport=TransportSpec("reliable", {"delay": config.message_delay}),
+        )
+        assert default.heartbeat_rounds > 0
+        assert default.transport == explicit.transport == "reliable"
+        assert dataclasses.asdict(default) == dataclasses.asdict(explicit)
 
 
 def _adversarial_config(family: str, solver: str, transport: TransportSpec):

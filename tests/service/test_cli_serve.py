@@ -19,6 +19,15 @@ def demand_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def grid_path(tmp_path):
+    """A 4x4 grid that one omega=4 cube covers, so heartbeats have peers."""
+    demand = DemandMap({(x, y): 2.0 for x in range(4) for y in range(4)})
+    path = tmp_path / "grid.json"
+    save_json(demand_to_json(demand), path)
+    return str(path)
+
+
 class TestServe:
     def test_serve_writes_every_output(self, tmp_path, demand_path, capsys):
         out = {name: str(tmp_path / name) for name in
@@ -153,6 +162,52 @@ class TestRunMetricsOut:
         assert stream["messages"] == plain["extras"]["messages"]
         assert stream["events_processed"] == plain["extras"]["events_processed"]
         assert (tmp_path / "metrics.jsonl").read_text().strip()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--solver", "online", "--monitoring", "ring"],
+            ["--solver", "online", "--monitoring", "gossip", "--quorum", "1"],
+            ["--solver", "online-broken", "--monitoring", "gossip",
+             "--crash", "0,0", "--byzantine-watcher", "1,1",
+             "--recovery-rounds", "6"],
+        ],
+        ids=["ring", "gossip", "gossip-byzantine"],
+    )
+    def test_monitoring_flags_reach_the_stream(self, tmp_path, grid_path, flags):
+        base = ["run", "--demand-json", grid_path, "--order", "alternating",
+                "--omega", "4", "--capacity", "64", *flags]
+        plain_code = main(base + ["--json", str(tmp_path / "plain.json")])
+        stream_code = main(
+            base
+            + [
+                "--metrics-out", str(tmp_path / "metrics.jsonl"),
+                "--json", str(tmp_path / "stream.json"),
+            ]
+        )
+        assert stream_code == plain_code
+        plain = json.loads((tmp_path / "plain.json").read_text())
+        stream = json.loads((tmp_path / "stream.json").read_text())
+        extras = plain["extras"]
+        assert stream["messages"] == extras["messages"] > 0
+        assert stream["heartbeat_rounds"] == extras["heartbeat_rounds"] > 0
+        for name in ("replacements", "searches", "events_processed"):
+            assert stream[name] == extras[name], name
+        assert stream["jobs_served"] == plain["jobs_served"]
+        assert stream["max_vehicle_energy"] == plain["max_vehicle_energy"]
+        assert stream["monitoring_mode"] == flags[flags.index("--monitoring") + 1]
+        if "gossip" in flags:
+            for name in ("suspicions", "attestations", "refused_attestations"):
+                assert stream[name] == extras[name], name
+
+    def test_rejects_a_non_events_engine(self, tmp_path, demand_path, capsys):
+        code = main(
+            ["run", "--demand-json", demand_path, "--solver", "online",
+             "--param", "engine=rounds",
+             "--metrics-out", str(tmp_path / "metrics.jsonl")]
+        )
+        assert code == 2
+        assert "events" in capsys.readouterr().err
 
     def test_rejected_for_non_messaging_solvers(self, demand_path, capsys):
         code = main(
