@@ -30,10 +30,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.api.config import (
     CapacitySpec,
     ConfigError,
-    _normalize_churn,
+    FailureSpec,
     _normalize_entries,
-    _normalize_partition,
-    _normalize_point,
     _normalize_transport,
 )
 from repro.core.demand import DemandMap
@@ -130,30 +128,13 @@ class ServiceConfig:
         if not isinstance(self.recovery_rounds, int) or self.recovery_rounds < 0:
             raise ConfigError("recovery_rounds must be a non-negative integer")
         object.__setattr__(self, "transport", _normalize_transport(self.transport))
-        try:
-            churn = tuple(_normalize_churn(c) for c in self.churn)
-            partitions = tuple(_normalize_partition(p) for p in self.partitions)
-        except ValueError as error:
-            raise ConfigError(str(error)) from None
-        object.__setattr__(
-            self, "churn", tuple(sorted(churn, key=lambda c: (c.time, c.vertex, c.action)))
-        )
-        object.__setattr__(
-            self,
-            "partitions",
-            tuple(sorted(partitions, key=lambda p: (p.start, p.end, p.axis, p.boundary))),
-        )
-        object.__setattr__(
-            self, "dead_vehicles", tuple(sorted(_normalize_point(p) for p in self.dead_vehicles))
-        )
-        object.__setattr__(
-            self, "suppressed", tuple(sorted(_normalize_point(p) for p in self.suppressed))
-        )
-        object.__setattr__(
-            self,
-            "byzantine_watchers",
-            tuple(sorted(_normalize_point(p) for p in self.byzantine_watchers)),
-        )
+        # The failure fields normalize exactly as a FailureSpec's do.
+        failures = self._failure_spec()
+        object.__setattr__(self, "churn", failures.churn)
+        object.__setattr__(self, "partitions", failures.partitions)
+        object.__setattr__(self, "dead_vehicles", failures.crashed)
+        object.__setattr__(self, "suppressed", failures.suppressed)
+        object.__setattr__(self, "byzantine_watchers", failures.byzantine_watchers)
         if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("lookahead", "window_jobs"):
@@ -194,16 +175,19 @@ class ServiceConfig:
         """The :class:`FleetConfig` with this config's overrides applied."""
         return FleetConfig(**dict(self.fleet))
 
+    def _failure_spec(self) -> FailureSpec:
+        """The config's failure injection as a :class:`~repro.api.config.FailureSpec`."""
+        return FailureSpec(
+            crashed=self.dead_vehicles,
+            suppressed=self.suppressed,
+            partitions=self.partitions,
+            churn=self.churn,
+            byzantine_watchers=self.byzantine_watchers,
+        )
+
     def failure_plan(self) -> FailurePlan:
         """A fresh network-level failure plan (suppression + partitions)."""
-        plan = FailurePlan()
-        for point in self.suppressed:
-            plan.suppress_initiation(point)
-        for window in self.partitions:
-            plan.add_partition(window)
-        for point in self.byzantine_watchers:
-            plan.mark_byzantine_watcher(point)
-        return plan
+        return self._failure_spec().to_plan()
 
     # ------------------------------------------------------------------ #
     # serialization and hashing

@@ -45,7 +45,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import Table
 from repro.api import (
@@ -640,56 +640,65 @@ def _command_solvers() -> int:
 _TRANSPORT_SOLVERS = ("online", "online-broken")
 
 
+#: The gossip-detector knobs, as ``argparse`` destinations.
+_GOSSIP_KNOBS = ("gossip_fanout", "suspicion_threshold", "quorum")
+
+
+def _gossip_knobs_misused(args: argparse.Namespace, monitoring: Optional[str]) -> bool:
+    """Report gossip knobs given without gossip monitoring (then ``True``)."""
+    given = [
+        "--" + name.replace("_", "-")
+        for name in _GOSSIP_KNOBS
+        if getattr(args, name) is not None
+    ]
+    if given and monitoring != "gossip":
+        print(f"error: {', '.join(given)} need --monitoring gossip", file=sys.stderr)
+        return True
+    return False
+
+
+def _profiled(args: argparse.Namespace, execute: Callable[[], Any]) -> Any:
+    """``execute()``, under cProfile (top 20 to stderr) when ``--profile`` is set."""
+    if not getattr(args, "profile", False):
+        return execute()
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        return execute()
+    finally:
+        profiler.disable()
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats("cumulative").print_stats(20)
+
+
 def _command_run(args: argparse.Namespace) -> int:
     scenario = _scenario_spec(args)
     transport = _parse_transport(args)
-    if transport is not None and args.solver not in _TRANSPORT_SOLVERS:
-        print(
-            f"error: --transport only applies to the message-passing solvers "
-            f"({', '.join(_TRANSPORT_SOLVERS)}), not {args.solver!r}",
-            file=sys.stderr,
+    if args.solver not in _TRANSPORT_SOLVERS:
+        # Flags that only mean something to a protocol simulation.
+        protocol_flags = (
+            ("--transport only applies", transport is not None),
+            ("--escalation only applies", args.escalation),
+            ("--shards only applies", args.shards > 1),
+            (
+                "--monitoring and the gossip flags only apply",
+                args.monitoring is not None
+                or any(getattr(args, name) is not None for name in _GOSSIP_KNOBS)
+                or bool(args.byzantine_watcher),
+            ),
         )
+        for flags, given in protocol_flags:
+            if given:
+                print(
+                    f"error: {flags} to the message-passing solvers "
+                    f"({', '.join(_TRANSPORT_SOLVERS)}), not {args.solver!r}",
+                    file=sys.stderr,
+                )
+                return 2
+    if _gossip_knobs_misused(args, args.monitoring):
         return 2
-    if args.escalation and args.solver not in _TRANSPORT_SOLVERS:
-        print(
-            f"error: --escalation only applies to the message-passing solvers "
-            f"({', '.join(_TRANSPORT_SOLVERS)}), not {args.solver!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shards > 1 and args.solver not in _TRANSPORT_SOLVERS:
-        print(
-            f"error: --shards only applies to the message-passing solvers "
-            f"({', '.join(_TRANSPORT_SOLVERS)}), not {args.solver!r}",
-            file=sys.stderr,
-        )
-        return 2
-    gossip_knobs = {
-        "--gossip-fanout": args.gossip_fanout,
-        "--suspicion-threshold": args.suspicion_threshold,
-        "--quorum": args.quorum,
-    }
-    monitoring_flags = (
-        args.monitoring is not None
-        or any(value is not None for value in gossip_knobs.values())
-        or bool(args.byzantine_watcher)
-    )
-    if monitoring_flags and args.solver not in _TRANSPORT_SOLVERS:
-        print(
-            f"error: --monitoring and the gossip flags only apply to the "
-            f"message-passing solvers ({', '.join(_TRANSPORT_SOLVERS)}), "
-            f"not {args.solver!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.monitoring != "gossip":
-        given = [flag for flag, value in gossip_knobs.items() if value is not None]
-        if given:
-            print(
-                f"error: {', '.join(given)} need --monitoring gossip",
-                file=sys.stderr,
-            )
-            return 2
     failures = _parse_failures(
         args, scenario if args.solver == "online-broken" else None
     )
@@ -701,14 +710,9 @@ def _command_run(args: argparse.Namespace) -> int:
         params["shard_workers"] = args.shard_workers
     # Monitoring flags ride the params channel: absent flags leave the
     # params dict (and hence every existing config hash) untouched.
-    if args.monitoring is not None:
-        params["monitoring"] = args.monitoring
-    if args.gossip_fanout is not None:
-        params["gossip_fanout"] = args.gossip_fanout
-    if args.suspicion_threshold is not None:
-        params["suspicion_threshold"] = args.suspicion_threshold
-    if args.quorum is not None:
-        params["quorum"] = args.quorum
+    for name in ("monitoring",) + _GOSSIP_KNOBS:
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
     config = RunConfig(
         solver=args.solver,
         scenario=scenario,
@@ -734,21 +738,7 @@ def _command_run(args: argparse.Namespace) -> int:
             return 2
         return _command_run_streaming(args, config)
     engine = _engine(args)
-    if getattr(args, "profile", False):
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            result = engine.run(config)
-        finally:
-            profiler.disable()
-            pstats.Stats(profiler, stream=sys.stderr).sort_stats(
-                "cumulative"
-            ).print_stats(20)
-    else:
-        result = engine.run(config)
+    result = _profiled(args, lambda: engine.run(config))
     print(ExperimentEngine.summary([result], title=f"Run {config.label()}").render())
     extras = result.extras_dict()
     if extras:
@@ -817,24 +807,10 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
         window_jobs=args.window,
     )
 
-    def execute():
-        return run_service(service_config, jobs.jobs, metrics_path=args.metrics_out)
-
-    if getattr(args, "profile", False):
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            result = execute()
-        finally:
-            profiler.disable()
-            pstats.Stats(profiler, stream=sys.stderr).sort_stats(
-                "cumulative"
-            ).print_stats(20)
-    else:
-        result = execute()
+    result = _profiled(
+        args,
+        lambda: run_service(service_config, jobs.jobs, metrics_path=args.metrics_out),
+    )
     print(_service_summary(result).render())
     print(f"\nwrote {result.windows} metrics windows to {args.metrics_out}", file=sys.stderr)
     if args.json_out:
@@ -881,28 +857,13 @@ def _command_serve(args: argparse.Namespace) -> int:
         crashed = tuple(_parse_point(p) for p in args.crash)
         suppressed = tuple(_parse_point(p) for p in args.suppress)
         byzantine = tuple(_parse_point(p) for p in args.byzantine_watcher)
-        gossip_knobs = {
-            "gossip_fanout": args.gossip_fanout,
-            "suspicion_threshold": args.suspicion_threshold,
-            "quorum": args.quorum,
-        }
         monitoring = args.monitoring
         if monitoring is None and (
             crashed or suppressed or byzantine or args.recovery_rounds > 0
         ):
             monitoring = "ring"
-        if monitoring != "gossip":
-            given = [
-                "--" + name.replace("_", "-")
-                for name, value in gossip_knobs.items()
-                if value is not None
-            ]
-            if given:
-                print(
-                    f"error: {', '.join(given)} need --monitoring gossip",
-                    file=sys.stderr,
-                )
-                return 2
+        if _gossip_knobs_misused(args, monitoring):
+            return 2
         fleet: Dict[str, Any] = {}
         if monitoring == "ring":
             # The historical boolean spelling: checkpoints and config
@@ -910,9 +871,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             fleet["monitoring"] = True
         elif monitoring == "gossip":
             fleet["monitoring"] = "gossip"
-            for name, value in gossip_knobs.items():
-                if value is not None:
-                    fleet[name] = value
+            for name in _GOSSIP_KNOBS:
+                if getattr(args, name) is not None:
+                    fleet[name] = getattr(args, name)
         if args.escalation:
             fleet["escalation"] = True
         if args.hand_back:

@@ -279,18 +279,6 @@ class JobSequence:
             [Job(time=float(i + 1), position=tuple(p)) for i, p in enumerate(positions)]
         )
 
-    @staticmethod
-    def from_sorted(jobs: List[Job]) -> "JobSequence":
-        """Wrap an already strictly-increasing job list without re-sorting.
-
-        The monotonicity check in ``__post_init__`` is skipped too -- for
-        callers holding a subsequence of an existing (validated) sequence,
-        such as sharded workers receiving their per-shard job slice.
-        """
-        sequence = JobSequence.__new__(JobSequence)
-        sequence.jobs = jobs
-        return sequence
-
     def __len__(self) -> int:
         return len(self.jobs)
 

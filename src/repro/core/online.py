@@ -6,14 +6,15 @@ the active vehicle of its black/white pair, exhausted vehicles are replaced
 through Phase I/II diffusing computations, and (optionally) the monitoring
 loop of Section 3.2.5 recovers from initiation failures and dead vehicles.
 
-There is one driver, the event driver: arrivals, heartbeat ticks, churn
-and partition windows are all scheduled on the fleet's discrete-event
-simulator at the jobs' arrival times, and protocol messages interleave in
-timestamp order.  This is the asynchronous system the paper analyzes; a
-lockstep round is only one admissible schedule of it.  The streaming
-service (:mod:`repro.service`) reuses the same per-job logic, provisioning
-and counter helpers, so a finite service run is byte-identical to the
-batch run.
+There is one arrival driver, :class:`~repro.core.stream.StreamDriver`:
+arrivals, heartbeat ticks, churn and partition windows are all scheduled
+on the fleet's discrete-event simulator at the jobs' arrival times, and
+protocol messages interleave in timestamp order.  This is the
+asynchronous system the paper analyzes; a lockstep round is only one
+admissible schedule of it.  ``run_online``, every parallel-lockstep shard
+worker and the streaming service (:mod:`repro.service`) drive their fleet
+through that one driver and share the provisioning and counter helpers
+below, so a finite service run equals the batch run by construction.
 
 Message delivery itself is owned by a pluggable
 :class:`~repro.distsim.transport.Transport`; pass ``transport=`` (an
@@ -34,7 +35,6 @@ be compared against.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import logging
 import math
 import weakref
@@ -47,7 +47,6 @@ from typing import (
     Literal,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -58,7 +57,8 @@ from repro.core.demand import DemandMap, JobSequence
 from repro.core.offline import online_upper_bound_factor
 from repro.core.omega import demand_cube_maxima, omega_c, omega_star_cubes
 from repro.core.plan import plan_window
-from repro.distsim.failures import ChurnSpec, FailurePlan, apply_churn
+from repro.core.stream import StreamDriver
+from repro.distsim.failures import ChurnSpec, FailurePlan
 from repro.distsim.parallel_lockstep import (
     merge_parallel_lockstep_results,
     parallel_lockstep_eligibility,
@@ -303,171 +303,6 @@ def provision_fleet(
             if identity in fleet.vehicles:
                 fleet.crash_vehicle(identity)
     return fleet, fleet_config, provisioned, theorem_capacity
-
-
-def _schedule_churn(
-    fleet: Fleet,
-    churn: Sequence[ChurnSpec],
-    plan: FailurePlan,
-    churn_applied: Set[ChurnSpec],
-) -> None:
-    """Schedule every not-yet-applied churn event on the fleet's clock.
-
-    Specs already in ``churn_applied`` are skipped (a resumed run re-schedules
-    only its remaining churn); the rest are pushed in the canonical
-    ``(time, vertex, action)`` order so same-time events keep their relative
-    sequence across batch, streaming, and resumed runs.  Vertices that host
-    no vehicle in this run are ignored, mirroring the ``dead_vehicles``
-    contract.
-    """
-    simulator = fleet.simulator
-
-    def leave(vertex: Point) -> None:
-        if vertex in fleet.vehicles:
-            fleet.crash_vehicle(vertex)
-
-    def join(vertex: Point) -> None:
-        if vertex in fleet.vehicles:
-            fleet.revive_vehicle(vertex)
-
-    for spec in sorted(churn, key=lambda e: (e.time, e.vertex, e.action)):
-        if spec in churn_applied:
-            continue
-
-        def _churn_event(spec: ChurnSpec = spec) -> None:
-            plan.set_time(simulator.now)
-            apply_churn([spec], simulator.now, churn_applied, leave=leave, join=join)
-
-        simulator.schedule_at(spec.time, _churn_event, kind="churn")
-
-
-def _arrival_logic(
-    fleet: Fleet,
-    fleet_config: FleetConfig,
-    plan: FailurePlan,
-    recovery_rounds: int,
-    record,
-):
-    """The per-job service logic, shared by batch and streaming.
-
-    Returns ``make_handler(index, job)`` producing the zero-argument arrival
-    action the calendar queue executes.  ``record(index, job, latency)`` is
-    called once per *successfully served* job -- immediately on delivery
-    (latency 0) or from the recovery retry (latency = retry delay); a job
-    whose retry also fails is never recorded.
-    """
-    simulator = fleet.simulator
-
-    def _heartbeat() -> None:
-        fleet.run_heartbeat_round(settle=False)
-
-    def _arrival(index: int, job, pair_key) -> None:
-        plan.set_time(simulator.now)
-        if fleet.deliver_job(job.position, job.energy, settle=False, pair_key=pair_key):
-            record(index, job, simulator.now - job.time)
-            if fleet_config.monitoring:
-                _heartbeat()
-            return
-        if recovery_rounds > 0 and fleet_config.monitoring:
-            # Recovery must happen *on the clock*: each heartbeat round is a
-            # scheduled event so its protocol messages (watch initiations,
-            # Phase I/II replacements) are delivered before the retry fires
-            # -- all strictly before the next arrival at +1.  The whole
-            # recovery window goes to the calendar queue as one batch.
-            spacing = 0.5 / recovery_rounds
-            now = simulator.now
-            simulator.schedule_batch(
-                (
-                    (now + spacing * round_index, _heartbeat)
-                    for round_index in range(1, recovery_rounds + 1)
-                ),
-                kind="heartbeat",
-            )
-
-            def _retry(index: int = index, job=job) -> None:
-                if fleet.retry_job(job.position, job.energy, settle=False):
-                    record(index, job, simulator.now - job.time)
-
-            simulator.schedule(0.7, _retry, kind="retry")
-            simulator.schedule(0.8, _heartbeat, kind="heartbeat")
-        elif fleet_config.monitoring:
-            _heartbeat()
-
-    def make_handler(index: int, job, pair_key=None):
-        def _handler() -> None:
-            _arrival(index, job, pair_key)
-
-        return _handler
-
-    return make_handler
-
-
-def _run_events(
-    fleet: Fleet,
-    fleet_config: FleetConfig,
-    jobs: JobSequence,
-    recovery_rounds: int,
-    churn: Sequence[ChurnSpec],
-    plan: FailurePlan,
-    *,
-    foreign_times: Sequence[float] = (),
-) -> int:
-    """The event driver: arrivals and failure windows on the simulator clock.
-
-    ``foreign_times`` are arrival times of jobs owned by *other* shards in
-    a multi-process run: each becomes a *tick* event replaying the
-    reference arrival's fleet-wide bookkeeping prefix -- advance the
-    failure clock, and (when monitoring) run the global heartbeat round
-    over this fleet's vehicles -- so the worker's clocks and round numbers
-    match the single-process run event for event.  Ticks join the arrival
-    batch in one merged time-sorted schedule, putting them first in their
-    time bucket exactly as the arrivals they mirror are in the reference.
-
-    Each job becomes an arrival event at its ``job.time``; churn events are
-    scheduled at their own times; the failure clock tracks the simulation
-    clock, so partition windows activate exactly when the clock enters
-    them.  Protocol messages drain between arrivals in timestamp order
-    (message delays are assumed small against the inter-arrival gap, which
-    is the thesis's standing assumption).
-    """
-    simulator = fleet.simulator
-    served: List[bool] = [False] * len(jobs)
-    churn_applied: Set[ChurnSpec] = set()
-    _schedule_churn(fleet, churn, plan, churn_applied)
-
-    def record(index: int, job, latency: float) -> None:
-        served[index] = True
-
-    make_handler = _arrival_logic(fleet, fleet_config, plan, recovery_rounds, record)
-
-    # The whole arrival sequence goes to the calendar queue in one call,
-    # pre-routed with a single vectorized position->pair lookup.
-    routed = fleet.route_positions([job.position for job in jobs])
-    arrival_entries = (
-        (job.time, make_handler(index, job, routed[index]))
-        for index, job in enumerate(jobs)
-    )
-    if foreign_times:
-
-        def _tick() -> None:
-            # The bookkeeping prefix/suffix of a foreign shard's arrival
-            # (mirrors ``_arrival_logic``): failure clock, then the global
-            # heartbeat round -- recovery_rounds == 0 is an eligibility
-            # precondition, so the round runs unconditionally.
-            plan.set_time(simulator.now)
-            if fleet_config.monitoring:
-                fleet.run_heartbeat_round(settle=False)
-
-        entries = heapq.merge(
-            arrival_entries,
-            ((time, _tick) for time in foreign_times),
-            key=lambda entry: entry[0],
-        )
-    else:
-        entries = arrival_entries
-    simulator.schedule_batch(entries, kind="arrival")
-    simulator.run_until_quiescent()
-    return sum(served)
 
 
 class _ShardPartition:
@@ -852,9 +687,14 @@ def run_online(
             dead_vehicles=dead_vehicles,
             transport=transport_instance,
         )
-        served = _run_events(
-            fleet, fleet_config, jobs, recovery_rounds, churn_events, fleet.failure_plan
-        )
+        served = StreamDriver(
+            fleet,
+            fleet_config,
+            fleet.failure_plan,
+            jobs,
+            recovery_rounds=recovery_rounds,
+            churn=churn_events,
+        ).run()
         counters = _fleet_counters(fleet)
         counters.update(
             _detection_counters(fleet),

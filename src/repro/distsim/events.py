@@ -23,9 +23,14 @@ timestamp, and the heap pays ``O(log n)`` comparisons for every one of
 them.  The calendar-queue layout exploits exactly that clustering: events
 live in per-timestamp FIFO buckets (a dict keyed by the exact float time),
 and only the *distinct* timestamps go through a small heap.  Pushing into
-an existing bucket is O(1); within a bucket, FIFO order *is* sequence
-order, so the pop order -- ``(time, sequence)`` -- is bit-for-bit the
-order the old heap produced and every run replays byte-identically.
+an existing bucket is O(1); within a bucket, events pop in push order,
+so a run is fully determined by its sequence of pushes and replays
+byte-identically.  The one exception is the run's *input schedule*: an
+``"arrival"`` or ``"churn"`` event that joins a bucket goes ahead of the
+bucket's runtime events (messages, heartbeats, retries), after any input
+events already there.  That is where it would sit had the whole schedule
+been pushed before the run started, so how far ahead a driver queues its
+arrivals never changes the run.
 
 :meth:`EventQueue.pop_batch` additionally drains one whole timestamp
 bucket in a single call, which is what lets the
@@ -44,9 +49,22 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["SimClock", "ScheduledEvent", "EventQueue", "EventStats"]
+__all__ = ["SimClock", "ScheduledEvent", "EventQueue", "EventStats", "SCHEDULE_KINDS"]
 
 Action = Callable[[], None]
+
+#: Event kinds of a run's input schedule (job arrivals, foreign-shard
+#: ticks, churn): within a timestamp bucket they run before every runtime
+#: event, whenever they were pushed.
+SCHEDULE_KINDS = frozenset({"arrival", "churn"})
+
+
+def _schedule_prefix(bucket: List["ScheduledEvent"]) -> int:
+    """Length of the bucket's leading run of input-schedule events."""
+    for position, event in enumerate(bucket):
+        if event.kind not in SCHEDULE_KINDS:
+            return position
+    return len(bucket)
 
 
 class SimClock:
@@ -81,8 +99,9 @@ class ScheduledEvent:
     """A scheduled callback, ordered by ``(time, sequence number)``.
 
     The sequence number is assigned by the queue at push time, so ties are
-    broken by scheduling order and a run is fully determined by the
-    sequence of ``push`` calls.
+    broken by scheduling order (input-schedule events first, see
+    :class:`EventQueue`) and a run is fully determined by the sequence of
+    ``push`` calls.
     """
 
     time: float
@@ -110,10 +129,10 @@ class EventQueue:
     """A deterministic calendar queue of :class:`ScheduledEvent` objects.
 
     Events are stored in per-timestamp FIFO buckets; a heap orders only the
-    distinct timestamps.  Each bucket's append order equals its events'
-    sequence order, so pops come out in exactly the ``(time, sequence)``
-    order the historical binary heap produced.  Cancelled events stay in
-    their bucket and are discarded lazily when they reach the front.
+    distinct timestamps.  Within a bucket, input-schedule events
+    (``"arrival"``/``"churn"``) come first and runtime events after them,
+    each group in push (= sequence) order.  Cancelled events stay in their
+    bucket and are discarded lazily when they reach the front.
     """
 
     __slots__ = ("_buckets", "_times", "_counter", "stats")
@@ -154,13 +173,19 @@ class EventQueue:
         )
 
     def push(self, time: float, action: Action, *, kind: str = "event") -> ScheduledEvent:
-        """Queue ``action`` at absolute time ``time``."""
+        """Queue ``action`` at absolute time ``time``.
+
+        An input-schedule event (``"arrival"``/``"churn"``) joining an
+        existing bucket goes ahead of that bucket's runtime events.
+        """
         time = float(time)
         event = ScheduledEvent(time, next(self._counter), action, kind=kind)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
             heapq.heappush(self._times, time)
+        elif kind in SCHEDULE_KINDS:
+            bucket.insert(_schedule_prefix(bucket), event)
         else:
             bucket.append(event)
         self.stats.scheduled += 1
@@ -173,12 +198,13 @@ class EventQueue:
 
         Byte-identical to pushing the entries one by one (same sequence
         numbers, same pop order); the loop is inlined so a whole arrival
-        sequence or a round of heartbeat ticks pays one method call and
+        window or a round of heartbeat ticks pays one method call and
         one stats update instead of one per event.
         """
         buckets = self._buckets
         times = self._times
         counter = self._counter
+        schedule = kind in SCHEDULE_KINDS
         events = []
         for time, action in entries:
             time = float(time)
@@ -187,6 +213,8 @@ class EventQueue:
             if bucket is None:
                 buckets[time] = [event]
                 heapq.heappush(times, time)
+            elif schedule:
+                bucket.insert(_schedule_prefix(bucket), event)
             else:
                 bucket.append(event)
             events.append(event)
@@ -276,12 +304,11 @@ class EventQueue:
     ) -> List[ScheduledEvent]:
         """Drain every event at the next timestamp into one batch.
 
-        Returns the (sequence-ordered) events sharing the earliest queued
-        timestamp -- the *batched delivery* unit: the simulator advances
-        the clock once and dispatches the whole batch.  Events the batch's
-        own actions schedule back at the same timestamp form a new bucket
-        and come out in a later batch, still in global ``(time, sequence)``
-        order.
+        Returns the events sharing the earliest queued timestamp, in bucket
+        order -- the *batched delivery* unit: the simulator advances the
+        clock once and dispatches the whole batch.  Events the batch's own
+        actions schedule back at the same timestamp form a new bucket and
+        come out in a later batch.
 
         ``until`` leaves batches strictly later than that time queued (an
         empty list is returned); ``limit`` truncates the batch, leaving the

@@ -200,8 +200,9 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """
     import time as _time
 
-    from repro.core.demand import DemandMap, Job, JobSequence
-    from repro.core.online import _fleet_counters, _run_events, provision_fleet
+    from repro.core.demand import DemandMap, Job
+    from repro.core.online import _fleet_counters, provision_fleet
+    from repro.core.stream import StreamDriver
     from repro.distsim.transport import TransportSpec
     from repro.grid.lattice import Box
 
@@ -231,23 +232,20 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         payload["cube_side"],
     )
     # Positions pickled straight out of valid Job objects: the trusted
-    # constructors skip the per-job validation sweep, which dominates the
-    # rebuild at 10^5 jobs.
-    jobs = JobSequence.from_sorted(
-        [
-            Job.trusted(time, tuple(position), energy)
-            for time, position, energy in payload["jobs"]
-        ]
+    # constructor skips the per-job validation, which dominates the
+    # rebuild at 10^5 jobs; the driver pulls them lazily.
+    jobs = (
+        Job.trusted(time, tuple(position), energy)
+        for time, position, energy in payload["jobs"]
     )
-    served = _run_events(
+    served = StreamDriver(
         fleet,
         fleet_config,
-        jobs,
-        0,
-        payload["churn"],
         fleet.failure_plan,
-        foreign_times=payload["foreign_times"],
-    )
+        jobs,
+        churn=payload["churn"],
+        ticks=payload["foreign_times"],
+    ).run()
 
     counters = _fleet_counters(fleet)
     counters["jobs_served"] = served

@@ -457,61 +457,54 @@ class DistanceLatencyTransport(Transport):
         return True  # pure edge function: no stream consumed
 
 
-class LossyTransport(Transport):
-    """Seeded i.i.d. message loss on top of a fixed delay.
+class _SeededTransport(Transport):
+    """A fixed-delay channel with one seeded random stream, global or edge-keyed.
 
-    ``stream`` selects how loss draws are derived:
+    The shared half of :class:`LossyTransport` and
+    :class:`CorruptingTransport`.  ``stream`` selects how draws are derived:
 
-    * ``"global"`` (the default, and the compat shim): each send consumes
-      one draw from the transport's own generator, in global send order --
-      deterministic per run, reproducing every pre-split hash, but *not*
-      shardable (the stream couples all edges together).
-    * ``"edge"``: each draw is derived per ``(edge, purpose, seed, message
-      counter)`` through a keyed counter stream
+    * ``"global"`` (the default, and the compat shim): draws come from the
+      transport's own generator in global send order -- deterministic per
+      run, reproducing every pre-split hash, but *not* shardable (the
+      stream couples all edges together).
+    * ``"edge"``: each message gets a fresh generator derived per
+      ``(edge, purpose salt, seed, per-edge message counter)``
       (:func:`_edge_stream_rng`).  Draws depend only on per-edge send
       order, never on cross-edge interleaving, so per-shard sub-fleets
       reproduce the single-process run bit for bit -- this is the mode the
       multi-process shard engine requires.
     """
 
-    kind = "lossy"
+    #: Seed salt of the subclass's stream (loss vs corruption).
+    salt = 0
 
-    def __init__(
-        self,
-        loss: float = 0.05,
-        delay: float = 0.0,
-        seed: int = 0,
-        stream: str = "global",
-    ) -> None:
+    def __init__(self, delay: float, seed: int, stream: str) -> None:
         super().__init__()
-        loss, delay = float(loss), float(delay)
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError(f"loss probability must lie in [0, 1], got {loss}")
+        delay = float(delay)
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         if stream not in ("global", "edge"):
             raise ValueError(f'stream must be "global" or "edge", got {stream!r}')
-        self.loss = loss
         self.delay = delay
         self.seed = int(seed)
         self.stream = stream
         self._reset_streams()
 
     def _reset_streams(self) -> None:
-        self._rng = np.random.default_rng((self.seed, _LOSS_SALT))
+        self._rng = np.random.default_rng((self.seed, self.salt))
         self._edge_counts: Dict[Tuple[Hashable, Hashable], int] = {}
+
+    def _draws(self, sender: Hashable, destination: Hashable) -> np.random.Generator:
+        """The generator this message's draws come from."""
+        if self.stream != "edge":
+            return self._rng
+        edge = (sender, destination)
+        counter = self._edge_counts.get(edge, 0)
+        self._edge_counts[edge] = counter + 1
+        return _edge_stream_rng(self.seed, self.salt, sender, destination, counter)
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return self.delay
-
-    def drops(self, sender: Hashable, destination: Hashable, message: Any) -> bool:
-        if self.stream == "edge":
-            edge = (sender, destination)
-            counter = self._edge_counts.get(edge, 0)
-            self._edge_counts[edge] = counter + 1
-            rng = _edge_stream_rng(self.seed, _LOSS_SALT, sender, destination, counter)
-            return bool(rng.random() < self.loss)
-        return bool(self._rng.random() < self.loss)
 
     @property
     def shardable(self) -> bool:
@@ -538,7 +531,34 @@ class LossyTransport(Transport):
         }
 
 
-class CorruptingTransport(Transport):
+class LossyTransport(_SeededTransport):
+    """Seeded i.i.d. message loss on top of a fixed delay.
+
+    Each send draws once from the ``stream`` (see :class:`_SeededTransport`)
+    and is lost with probability ``loss``.
+    """
+
+    kind = "lossy"
+    salt = _LOSS_SALT
+
+    def __init__(
+        self,
+        loss: float = 0.05,
+        delay: float = 0.0,
+        seed: int = 0,
+        stream: str = "global",
+    ) -> None:
+        loss = float(loss)
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError(f"loss probability must lie in [0, 1], got {loss}")
+        self.loss = loss
+        super().__init__(delay, seed, stream)
+
+    def drops(self, sender: Hashable, destination: Hashable, message: Any) -> bool:
+        return bool(self._draws(sender, destination).random() < self.loss)
+
+
+class CorruptingTransport(_SeededTransport):
     """Seeded Byzantine corruption of the Phase I/II protocol messages.
 
     With probability ``rate`` per message, one of three well-typed
@@ -561,14 +581,12 @@ class CorruptingTransport(Transport):
     damage is semantic, never structural: the state machine has to survive
     it through its own legal transitions.
 
-    ``stream`` mirrors :class:`LossyTransport`: ``"global"`` (default)
-    consumes the transport's own generator in global send order --
-    hash-compatible with every pre-split run; ``"edge"`` derives one fresh
-    generator per ``(edge, seed, protocol-message counter)`` so corruption
-    depends only on per-edge order and per-shard replay is exact.
+    Draws come from the ``stream`` (see :class:`_SeededTransport`); in the
+    ``"edge"`` mode only protocol messages advance an edge's counter.
     """
 
     kind = "corrupting"
+    salt = _CORRUPT_SALT
 
     def __init__(
         self,
@@ -577,26 +595,11 @@ class CorruptingTransport(Transport):
         seed: int = 0,
         stream: str = "global",
     ) -> None:
-        super().__init__()
-        rate, delay = float(rate), float(delay)
+        rate = float(rate)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"corruption rate must lie in [0, 1], got {rate}")
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        if stream not in ("global", "edge"):
-            raise ValueError(f'stream must be "global" or "edge", got {stream!r}')
         self.rate = rate
-        self.delay = delay
-        self.seed = int(seed)
-        self.stream = stream
-        self._reset_streams()
-
-    def _reset_streams(self) -> None:
-        self._rng = np.random.default_rng((self.seed, _CORRUPT_SALT))
-        self._edge_counts: Dict[Tuple[Hashable, Hashable], int] = {}
-
-    def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
-        return self.delay
+        super().__init__(delay, seed, stream)
 
     def _drift_point(
         self, rng: np.random.Generator, point: Tuple[int, ...]
@@ -618,18 +621,9 @@ class CorruptingTransport(Transport):
 
         if not isinstance(message, (QueryMessage, ReplyMessage, MoveMessage)):
             return message
-        if self.stream == "edge":
-            # One derived generator serves every draw this message needs:
-            # the rate check and any mutation arms come from the same
-            # per-(edge, counter) stream, untouched by other edges.
-            edge = (sender, destination)
-            counter = self._edge_counts.get(edge, 0)
-            self._edge_counts[edge] = counter + 1
-            rng = _edge_stream_rng(
-                self.seed, _CORRUPT_SALT, sender, destination, counter
-            )
-        else:
-            rng = self._rng
+        # One generator serves every draw this message needs: the rate check
+        # and any mutation arms.
+        rng = self._draws(sender, destination)
         if rng.random() >= self.rate:
             return message
         arm = int(rng.integers(0, 3))
@@ -646,30 +640,6 @@ class CorruptingTransport(Transport):
         return dataclass_replace(
             message, pair_key=self._drift_point(rng, message.pair_key)
         )
-
-    @property
-    def shardable(self) -> bool:
-        return self.stream == "edge"  # per-edge streams: no cross-edge coupling
-
-    def stream_state(self) -> Optional[Dict[str, Any]]:
-        if self.stream != "edge":
-            return None
-        return {
-            "edge_counts": [
-                [_encode_edge_key(edge), count]
-                for edge, count in sorted(
-                    self._edge_counts.items(), key=lambda item: repr(item[0])
-                )
-            ]
-        }
-
-    def restore_stream_state(self, state: Optional[Dict[str, Any]]) -> None:
-        if not state:
-            return
-        self._edge_counts = {
-            _decode_edge_key(edge): int(count)
-            for edge, count in state.get("edge_counts", [])
-        }
 
 
 class RetransmitTransport(Transport):

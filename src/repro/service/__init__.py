@@ -3,9 +3,9 @@
 This package turns the batch online harness into a service that can run a
 million-job stream in constant memory:
 
-* :class:`~repro.service.stream.StreamDriver` -- bounded look-ahead
-  scheduling over a lazy job iterator (the batch per-job service logic is
-  shared, so finite streams are byte-identical to ``run_online``).
+* Arrivals are scheduled by :class:`~repro.core.stream.StreamDriver`,
+  the same bounded look-ahead driver ``run_online`` uses, so finite
+  streams are byte-identical to the batch run.
 * :class:`~repro.service.metrics.MetricsRecorder` -- per-window records
   plus a whole-run rollup equal to the batch totals by construction.
 * :mod:`~repro.service.checkpoint` -- versioned snapshots at clean event
@@ -32,7 +32,6 @@ from repro.service.checkpoint import (
 from repro.service.harness import resume_service, run_service
 from repro.service.metrics import LatencyDigest, MetricsRecorder
 from repro.service.state_store import LiveStateStore, build_state
-from repro.service.stream import StreamDriver
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -42,7 +41,6 @@ __all__ = [
     "MetricsRecorder",
     "ServiceConfig",
     "ServiceResult",
-    "StreamDriver",
     "build_state",
     "capture_checkpoint",
     "fleet_digest",

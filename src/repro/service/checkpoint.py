@@ -2,7 +2,7 @@
 
 A checkpoint is taken only at a *clean boundary* (all events strictly
 before the next arrival executed, nothing transient pending -- see
-:meth:`repro.service.stream.StreamDriver.at_clean_point`), which is what
+:meth:`repro.core.stream.StreamDriver.at_clean_point`), which is what
 keeps the format small and exact:
 
 * The calendar queue holds only arrival and churn events, both of which

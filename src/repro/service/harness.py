@@ -1,11 +1,14 @@
 """``run_service`` / ``resume_service``: the long-lived service harness.
 
-Composes the streaming driver, the windowed metrics recorder, the
-checkpoint writer and the live-state store around one fleet:
+Composes the arrival driver every online run uses
+(:class:`~repro.core.stream.StreamDriver`), the windowed metrics recorder,
+the checkpoint writer and the live-state store around one fleet:
 
 * Jobs come from any iterable (possibly infinite); only a bounded
   look-ahead is ever scheduled, and per-process message logs are disabled,
-  so memory is independent of stream length.
+  so memory is independent of stream length.  The look-ahead bounds
+  memory only: every value gives the same run, and a finite stream gives
+  the ``run_online`` result, because both are the same driver.
 * The metrics recorder closes a window every ``config.window_jobs``
   arrivals at the driver's inter-arrival control points; each closed
   window optionally appends to a JSONL file, refreshes the atomically
@@ -42,6 +45,7 @@ from repro.core.online import (
     provision_fleet,
     resolve_omega,
 )
+from repro.core.stream import StreamDriver
 from repro.distsim.transport import build_transport
 from repro.service.checkpoint import (
     capture_checkpoint,
@@ -55,7 +59,6 @@ from repro.service.checkpoint import (
 )
 from repro.service.metrics import MetricsRecorder
 from repro.service.state_store import LiveStateStore, build_state
-from repro.service.stream import StreamDriver
 
 __all__ = ["run_service", "resume_service"]
 

@@ -250,6 +250,30 @@ class TestCalendarQueueBatching:
         order = [queue.pop().sequence for _ in range(3)]
         assert order == [1, 0, 2]  # (time, sequence) order, exactly as push()
 
+    def test_input_schedule_events_go_ahead_of_runtime_events(self):
+        """A late-pushed arrival or churn event still runs before messages."""
+        queue = EventQueue()
+        queue.push(3.0, lambda: None, kind="churn")
+        queue.push(3.0, lambda: None, kind="message")
+        queue.push(3.0, lambda: None, kind="arrival")
+        queue.push_many([(3.0, lambda: None)], kind="churn")
+        queue.push(3.0, lambda: None, kind="retry")
+        assert [event.kind for event in queue.pop_batch()] == [
+            "churn",
+            "arrival",
+            "churn",
+            "message",
+            "retry",
+        ]
+
+    def test_input_schedule_events_keep_push_order_among_themselves(self):
+        queue = EventQueue()
+        first = queue.push(1.0, lambda: None, kind="arrival")
+        second, third = queue.push_many(
+            [(1.0, lambda: None), (1.0, lambda: None)], kind="arrival"
+        )
+        assert queue.pop_batch() == [first, second, third]
+
     def test_same_time_events_scheduled_mid_batch_run_after_it(self):
         sim = Simulator()
         log = []

@@ -80,6 +80,34 @@ class TestResumeExactness:
         assert resumed.fleet_digest == full.fleet_digest
         assert full.messages_dropped > 0  # losses actually happened across the cut
 
+    def test_resumed_leg_writes_the_uninterrupted_snapshots(self, tmp_path):
+        """A small look-ahead refills mid-run; a resumed leg refills at the
+        same arrivals, so its later snapshots (consumed count, pending
+        window, event statistics) equal the uninterrupted run's."""
+        config = ServiceConfig.from_demand(
+            HARD_DEMAND, lookahead=5, window_jobs=4, checkpoint_every=1, **HARD_KWARGS
+        )
+        jobs = list(alternating_arrivals(HARD_DEMAND).jobs)
+        full_dir, leg_dir = tmp_path / "full", tmp_path / "leg"
+        full_dir.mkdir()
+        leg_dir.mkdir()
+        run_service(
+            config, jobs, checkpoint_path=str(full_dir / "s.json"), keep_checkpoints=99
+        )
+        run_service(
+            config, jobs, checkpoint_path=str(leg_dir / "s.json"), stop_after_checkpoints=2
+        )
+        resume_service(
+            str(leg_dir / "s.json"),
+            jobs,
+            checkpoint_path=str(leg_dir / "s.json"),
+            keep_checkpoints=99,
+        )
+        resumed_slots = sorted(leg_dir.glob("s.w*.json"))
+        assert len(resumed_slots) >= 2
+        for slot in resumed_slots:
+            assert load_json(slot) == load_json(full_dir / slot.name)
+
     def test_resume_continues_metrics_rollup(self, tmp_path):
         config = ServiceConfig.from_demand(
             QUIET_DEMAND, window_jobs=4, checkpoint_every=1

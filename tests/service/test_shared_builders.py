@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +20,8 @@ import repro.core.online as online
 from repro.api.service import ServiceConfig, ServiceResult
 from repro.core.demand import DemandMap, JobSequence
 from repro.core.omega import omega_c, omega_star_cubes
-from repro.core.online import (
-    OnlineResult,
-    _run_events,
-    monitoring_mode,
-    resolve_omega,
-    run_online,
-)
+from repro.core.online import OnlineResult, monitoring_mode, resolve_omega, run_online
+from repro.core.stream import StreamDriver
 from repro.distsim.failures import ChurnSpec
 from repro.distsim.transport import TransportSpec
 from repro.service import run_service
@@ -231,19 +225,15 @@ def _network_state(fleet):
 def test_restore_checkpoint_rebuilds_the_captured_fleet(name):
     config = RESTORE_CONFIGS[name]
     source, source_config, source_rng, *_ = _provision(config, apply_dead=True)
-    jobs = alternating_arrivals(GRID)
-    _run_events(
-        source, source_config, jobs, config.recovery_rounds, (), source.failure_plan
+    driver = StreamDriver(
+        source,
+        source_config,
+        source.failure_plan,
+        alternating_arrivals(GRID),
+        recovery_rounds=config.recovery_rounds,
     )
+    driver.run()
     assert source.messages_sent() > 0
-    driver = SimpleNamespace(
-        fleet=source,
-        consumed=len(jobs),
-        dispatched=len(jobs),
-        served=len(jobs),
-        pending_arrivals=lambda: [],
-        churn_applied=set(),
-    )
     snapshot = json.loads(
         json.dumps(capture_checkpoint(config, driver, rng=source_rng))
     )

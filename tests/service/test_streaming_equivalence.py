@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.api.service import ServiceConfig
-from repro.core.demand import DemandMap
+from repro.core.demand import DemandMap, JobSequence
 from repro.core.online import run_online
 from repro.distsim.failures import ChurnSpec
 from repro.distsim.transport import TransportSpec
 from repro.service import run_service
 from repro.vehicles.fleet import FleetConfig
 from repro.workloads.arrivals import alternating_arrivals, streaming_arrivals
+from repro.workloads.generators import grid_demand
 from repro.workloads.library import family_config
 
 #: Every OnlineResult field the two drivers share, physical and protocol.
@@ -82,6 +83,56 @@ class TestQuietRun:
             for lookahead in (1, 3, 64)
         }
         assert len(hashes) == 1
+
+
+def _retransmit_over_loss(timeout: float, delay: float = 0.0) -> TransportSpec:
+    inner = {"kind": "lossy", "params": {"loss": 0.5, "seed": 1, "delay": delay}}
+    return TransportSpec(
+        "retransmit", {"inner": inner, "retries": 4, "timeout": timeout}
+    )
+
+
+class TestLookaheadNeverPicksTheSchedule:
+    """Retransmit waits span several arrival gaps and land on later arrivals.
+
+    A delivery queued before a later arrival was pulled into the look-ahead
+    window must still run *after* that arrival, as it does when the whole
+    sequence is queued up front; otherwise the look-ahead picks a different
+    schedule of the same asynchronous system.
+    """
+
+    DEMAND = grid_demand(6, 1.0)
+    JOBS = JobSequence.from_positions(sorted(DEMAND.support()))
+    FLEET = FleetConfig(monitoring=True)
+    RUN = dict(omega=3.0, recovery_rounds=2, dead_vehicles=((0, 0), (0, 1), (3, 3)))
+
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            _retransmit_over_loss(0.5),
+            _retransmit_over_loss(1.0),
+            _retransmit_over_loss(0.5, delay=0.25),
+        ],
+        ids=["timeout-0.5", "timeout-1.0", "inner-delay-0.25"],
+    )
+    def test_every_lookahead_gives_the_batch_run(self, transport):
+        batch = run_online(self.JOBS, config=self.FLEET, transport=transport, **self.RUN)
+        services = [
+            run_service(
+                ServiceConfig.from_demand(
+                    self.DEMAND,
+                    fleet=self.FLEET,
+                    transport=transport,
+                    lookahead=lookahead,
+                    **self.RUN,
+                ),
+                list(self.JOBS.jobs),
+            )
+            for lookahead in (1, 2, 8, 64)
+        ]
+        assert len({service.result_hash() for service in services}) == 1
+        assert_equivalent(batch, services[0])
+        assert batch.replacements > 0 and batch.messages_dropped > 0
 
 
 class TestFailureModesMatchBatch:

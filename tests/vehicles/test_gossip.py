@@ -16,7 +16,8 @@ import pytest
 
 from repro.api import ConfigError, ExperimentEngine, FailureSpec, RunConfig, ScenarioSpec
 from repro.core.demand import DemandMap, JobSequence
-from repro.core.online import _run_events, provision_fleet, run_online
+from repro.core.online import provision_fleet, run_online
+from repro.core.stream import StreamDriver
 from repro.distsim.failures import FailurePlan
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.vehicles.fleet import FleetConfig
@@ -45,7 +46,9 @@ def _gossip_fleet(dead=((0, 0),), *, transport=None, **knobs):
 
 
 def _run(fleet, fleet_config, recovery_rounds=12):
-    return _run_events(fleet, fleet_config, JOBS, recovery_rounds, (), fleet.failure_plan)
+    return StreamDriver(
+        fleet, fleet_config, fleet.failure_plan, JOBS, recovery_rounds=recovery_rounds
+    ).run()
 
 
 def _pair_holders(fleet):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from repro.core.demand import DemandMap, JobSequence
 from repro.core.omega import omega_c
-from repro.core.online import _run_events, provision_fleet, run_online
+from repro.core.online import provision_fleet, run_online
+from repro.core.stream import StreamDriver
 from repro.distsim.failures import ChurnSpec
 from repro.vehicles.fleet import FleetConfig
 
@@ -27,7 +28,9 @@ def _fleet_after_run(hand_back: bool):
     fleet, fleet_config, _, _ = provision_fleet(
         DEMAND, omega=1.0, capacity=24.0, config=config, dead_vehicles=[(0, 0)]
     )
-    served = _run_events(fleet, fleet_config, JOBS, 6, CHURN, fleet.failure_plan)
+    served = StreamDriver(
+        fleet, fleet_config, fleet.failure_plan, JOBS, recovery_rounds=6, churn=CHURN
+    ).run()
     return fleet, served
 
 
