@@ -1,10 +1,13 @@
 """E15 -- the scenario family library on the event-driven engine.
 
-Two throughput questions the ROADMAP's "as fast as the hardware allows"
+Three throughput questions the ROADMAP's "as fast as the hardware allows"
 goal keeps asking:
 
 * how many simulator events per second does the event-driven online driver
-  sustain on a large fleet (the distsim hot path), and
+  sustain on a large fleet (the distsim hot path),
+* how many jobs per second does a run sustain when ring monitoring floods
+  every cube with heartbeats (the message path: transport, event queue and
+  protocol handler), and
 * how long does each scenario family take to solve end-to-end through the
   experiment engine (the sweep hot path)?
 
@@ -31,8 +34,8 @@ _PRESET = "small"
 _SOLVERS = ("offline", "greedy", "online")
 
 
-def _scale_up_jobs(side: int = 10):
-    demand = build_family_demand("scale-up", {"side": side, "per_point": 2.0})
+def _scale_up_jobs(side: int = 10, per_point: float = 2.0):
+    demand = build_family_demand("scale-up", {"side": side, "per_point": per_point})
     return random_arrivals(demand, np.random.default_rng(0))
 
 
@@ -56,6 +59,39 @@ def bench_online_driver_events_per_sec(benchmark):
         }
     )
     assert result.feasible
+
+
+def bench_ring_monitoring_jobs_per_sec(benchmark):
+    """Jobs/sec of a failure-free run with ring monitoring on.
+
+    Every active vehicle broadcasts a heartbeat to its cube each round, so
+    the cube broadcasts through the transport, the calendar queue and the
+    ``Existing`` handler are nearly all of the work -- unlike the
+    arrival-only events/sec benchmark above, which sends no message.
+    """
+    jobs = _scale_up_jobs(side=14, per_point=1.0)
+
+    result = benchmark(
+        lambda: run_online(
+            jobs,
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="ring"),
+        )
+    )
+
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info.update(
+        {
+            "jobs": result.jobs_total,
+            "messages": result.messages,
+            "messages_per_job": result.messages / result.jobs_total,
+            "events_processed": result.events_processed,
+            "jobs_per_sec": result.jobs_total / mean if mean else 0.0,
+        }
+    )
+    assert result.feasible
+    assert result.messages > 0
 
 
 @pytest.mark.parametrize("family", sorted(available_families()))

@@ -8,6 +8,13 @@ distsim hot path), writes it to ``BENCH_events_per_sec.json`` next to the
 committed baseline, and fails when throughput regressed more than the
 allowed fraction (default 20%) below the baseline.
 
+From the same report it gates the ring-monitoring throughput
+(``bench_ring_monitoring_jobs_per_sec``: jobs/sec of a failure-free
+196-vehicle run whose work is nearly all cube heartbeat broadcasts) against
+the committed ``ring_monitoring_jobs_per_sec`` floor -- the gate that
+carries protocol traffic through the transport, the event queue and the
+message handler.  It also fails when that run sent no message at all.
+
 With ``--scale-report`` it additionally gates the ``10^4``-vehicle fleet
 *construction time* measured by ``bench_scale.py`` (the
 ``BENCH_fleet_scale.json`` artifact) against the committed
@@ -71,6 +78,9 @@ from _common import write_summary
 #: The benchmark whose throughput the gate tracks.
 GATED_BENCHMARK = "bench_online_driver_events_per_sec"
 
+#: The benchmark whose jobs/sec gates the message path (it must send).
+RING_BENCHMARK = "bench_ring_monitoring_jobs_per_sec"
+
 #: The bench_scale.py scale whose construction time the gate tracks.
 GATED_SCALE = "1e4"
 
@@ -88,6 +98,24 @@ def extract_events_per_sec(report: dict) -> float:
             return float(value)
     raise SystemExit(
         f"benchmark {GATED_BENCHMARK!r} not found in the report; "
+        "run: pytest benchmarks/bench_scenarios.py -o python_functions='bench_*' "
+        "--quick --benchmark-json=REPORT.json"
+    )
+
+
+def extract_ring_monitoring(report: dict) -> tuple:
+    """(jobs/sec, messages sent) of the ring-monitoring benchmark."""
+    for bench in report.get("benchmarks", []):
+        if bench.get("name") == RING_BENCHMARK:
+            info = bench.get("extra_info", {})
+            if "jobs_per_sec" not in info or "messages" not in info:
+                raise SystemExit(
+                    f"benchmark {RING_BENCHMARK!r} carries no jobs_per_sec / "
+                    "messages extra_info; did bench_scenarios.py change?"
+                )
+            return float(info["jobs_per_sec"]), int(info["messages"])
+    raise SystemExit(
+        f"benchmark {RING_BENCHMARK!r} not found in the report; "
         "run: pytest benchmarks/bench_scenarios.py -o python_functions='bench_*' "
         "--quick --benchmark-json=REPORT.json"
     )
@@ -193,6 +221,7 @@ def main(argv=None) -> int:
 
     report = json.loads(Path(args.report).read_text())
     measured = extract_events_per_sec(report)
+    ring, ring_messages = extract_ring_monitoring(report)
     construction = None
     quiescent = None
     sharded = None
@@ -216,7 +245,11 @@ def main(argv=None) -> int:
 
     baseline_path = Path(args.baseline)
     if args.update:
-        refreshed = {"benchmark": GATED_BENCHMARK, "events_per_sec": measured}
+        refreshed = {
+            "benchmark": GATED_BENCHMARK,
+            "events_per_sec": measured,
+            "ring_monitoring_jobs_per_sec": ring,
+        }
         if construction is not None:
             refreshed["construction_seconds_1e4"] = construction
         if quiescent is not None:
@@ -233,6 +266,7 @@ def main(argv=None) -> int:
             refreshed = {**previous, **refreshed}
         baseline_path.write_text(json.dumps(refreshed, indent=2) + "\n")
         print(f"baseline updated: {measured:.0f} events/sec -> {baseline_path}")
+        print(f"baseline updated: {ring:.1f} ring-monitoring jobs/sec")
         if construction is not None:
             print(f"baseline updated: {construction:.4f}s construction (1e4)")
         if quiescent is not None:
@@ -265,6 +299,31 @@ def main(argv=None) -> int:
         f"{GATED_BENCHMARK}: {measured:.0f} events/sec "
         f"(baseline {baseline:.0f}, floor {floor:.0f}) -> {status}"
     )
+
+    ring_base = baseline_payload.get("ring_monitoring_jobs_per_sec")
+    if ring_base is None:
+        raise SystemExit(
+            "the baseline carries no ring_monitoring_jobs_per_sec; "
+            "refresh it with --update"
+        )
+    ring_floor = float(ring_base) * (1.0 - args.tolerance)
+    ring_passed = ring >= ring_floor and ring_messages > 0
+    artifact.update(
+        {
+            "ring_monitoring_jobs_per_sec": ring,
+            "ring_monitoring_messages": ring_messages,
+            "baseline_ring_monitoring_jobs_per_sec": float(ring_base),
+            "floor_ring_monitoring_jobs_per_sec": ring_floor,
+            "ring_monitoring_pass": ring_passed,
+        }
+    )
+    rstatus = "ok" if ring_passed else "REGRESSION"
+    print(
+        f"{RING_BENCHMARK}: {ring:.1f} jobs/sec, {ring_messages} messages "
+        f"(baseline {float(ring_base):.1f}, floor {ring_floor:.1f}) -> {rstatus}"
+    )
+    if not ring_messages:
+        print(f"{RING_BENCHMARK}: the run sent no message -> FAIL")
 
     construction_passed = True
     if construction is not None:
@@ -394,6 +453,7 @@ def main(argv=None) -> int:
 
     overall = (
         passed
+        and ring_passed
         and construction_passed
         and quiescent_passed
         and sharded_passed

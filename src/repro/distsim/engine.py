@@ -107,32 +107,15 @@ class Simulator:
 
         return self.queue.push_many(_validated(), kind=kind)
 
-    def schedule_batch_at(
-        self,
-        time: float,
-        actions: Iterable[Callable[[], None]],
-        *,
-        kind: str = "event",
-    ) -> list:
-        """Schedule many actions at one absolute time in a single call.
-
-        Byte-identical to calling :meth:`schedule_at` per action (same
-        sequence numbers, same execution order); the shared timestamp is
-        validated once and the whole batch lands in one calendar-queue
-        bucket (see :meth:`~repro.distsim.events.EventQueue.push_many_at`).
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule into the past (time={time} < now={self.now})"
-            )
-        return self.queue.push_many_at(time, actions, kind=kind)
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
 
     def step(self) -> bool:
-        """Execute the next event.  Returns ``False`` when the queue is empty."""
+        """Execute the next entry.  Returns ``False`` when the queue is empty.
+
+        A weighted entry (one broadcast) runs whole and counts its weight.
+        """
         event = self.queue.pop()  # pop counts the execution in queue.stats
         if event is None:
             return False
@@ -145,7 +128,8 @@ class Simulator:
 
         Returns the number of events executed by this call.  With ``until``
         set, events strictly later than ``until`` stay queued and the clock
-        is left at ``until`` when the queue drained early.
+        is left at ``until`` when the queue drained early.  ``max_events``
+        is a budget in logical events (see :meth:`run_window`).
         """
         executed = self.run_window(until, max_events=max_events)
         if until is not None and self.now < until and not self.queue:
@@ -166,6 +150,13 @@ class Simulator:
         and the actions run in sequence order -- the same order (and hence
         byte-identical histories) as popping them one at a time, minus the
         per-event peek/advance overhead.
+
+        Events are counted by weight: an entry that delivers one broadcast
+        to ``n`` recipients counts ``n``, both in the return value and in
+        ``stats.executed``.  ``max_events`` is a budget in those logical
+        events.  An entry is never split, and each batch takes at least
+        its first entry, so the budget can be overrun by less than one
+        broadcast's fan-out; the next call resumes the same history.
         """
         executed = 0
         queue = self.queue
@@ -180,15 +171,21 @@ class Simulator:
                 # An earlier event of this very batch may have cancelled a
                 # later one; honor it exactly as lazy heap deletion did.
                 if event.cancelled:
-                    stats.cancelled_skipped += 1
+                    stats.cancelled_skipped += event.weight
                     continue
-                stats.executed += 1
-                executed += 1
+                weight = event.weight
+                stats.executed += weight
+                executed += weight
                 event.action()
         return executed
 
     def run_until_quiescent(self, *, max_events: int = 10_000_000) -> int:
-        """Run until no events remain; guards against runaway protocols."""
+        """Run until no events remain; guards against runaway protocols.
+
+        ``max_events`` counts logical events, as in :meth:`run_window`: a
+        broadcast entry is never split, so a run may end up to one
+        broadcast's fan-out past the budget before the guard raises.
+        """
         executed = self.run(max_events=max_events)
         if self.pending:
             raise RuntimeError(

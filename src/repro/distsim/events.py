@@ -8,7 +8,9 @@ partition windows, churn) need those pieces as first-class objects:
   backwards is a hard error, which turns subtle scheduling bugs into
   immediate failures instead of silently reordered histories.
 * :class:`ScheduledEvent` -- a timestamped callback with a deterministic
-  ``(time, sequence)`` order and an optional ``kind`` tag for tracing.
+  ``(time, sequence)`` order, an optional ``kind`` tag for tracing and a
+  ``weight``: the number of logical events it stands for (a broadcast
+  delivered by one entry counts once per recipient).
 * :class:`EventQueue` -- a bucketed *calendar queue* with lazy deletion of
   cancelled events and counters for the benchmark harness.
 * :class:`EventStats` -- scheduled/executed/cancelled counters; the
@@ -47,6 +49,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["SimClock", "ScheduledEvent", "EventQueue", "EventStats", "SCHEDULE_KINDS"]
@@ -57,6 +60,9 @@ Action = Callable[[], None]
 #: ticks, churn): within a timestamp bucket they run before every runtime
 #: event, whenever they were pushed.
 SCHEDULE_KINDS = frozenset({"arrival", "churn"})
+
+
+_weight = attrgetter("weight")
 
 
 def _schedule_prefix(bucket: List["ScheduledEvent"]) -> int:
@@ -110,6 +116,9 @@ class ScheduledEvent:
     #: Free-form tag ("message", "arrival", "heartbeat", ...) for traces.
     kind: str = field(default="event", compare=False)
     cancelled: bool = field(default=False, compare=False)
+    #: How many logical events the entry stands for: a broadcast delivered
+    #: by one entry counts once per recipient in :class:`EventStats`.
+    weight: int = field(default=1, compare=False)
 
     def cancel(self) -> None:
         """Mark the event so that it is skipped when its time comes."""
@@ -118,7 +127,10 @@ class ScheduledEvent:
 
 @dataclass
 class EventStats:
-    """Counters accumulated over the lifetime of a queue/simulator."""
+    """Counters accumulated over the lifetime of a queue/simulator.
+
+    Every counter is in logical events: an entry counts its ``weight``.
+    """
 
     scheduled: int = 0
     executed: int = 0
@@ -148,9 +160,9 @@ class EventQueue:
         self.stats = EventStats()
 
     def __len__(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
+        """Number of live (non-cancelled) logical events still queued."""
         return sum(
-            1
+            event.weight
             for bucket in self._buckets.values()
             for event in bucket
             if not event.cancelled
@@ -172,14 +184,22 @@ class EventQueue:
             if not event.cancelled
         )
 
-    def push(self, time: float, action: Action, *, kind: str = "event") -> ScheduledEvent:
+    def push(
+        self, time: float, action: Action, *, kind: str = "event", weight: int = 1
+    ) -> ScheduledEvent:
         """Queue ``action`` at absolute time ``time``.
 
         An input-schedule event (``"arrival"``/``"churn"``) joining an
         existing bucket goes ahead of that bucket's runtime events.
+
+        ``weight`` is the number of logical events the entry stands for:
+        one entry that delivers a broadcast to ``n`` recipients is pushed
+        with ``weight=n`` and is charged ``n`` to ``stats.scheduled`` here
+        and to ``stats.executed`` when it runs, exactly as ``n`` separate
+        entries would be.  Its action still runs as one unit.
         """
         time = float(time)
-        event = ScheduledEvent(time, next(self._counter), action, kind=kind)
+        event = ScheduledEvent(time, next(self._counter), action, kind, False, weight)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
@@ -188,7 +208,7 @@ class EventQueue:
             bucket.insert(_schedule_prefix(bucket), event)
         else:
             bucket.append(event)
-        self.stats.scheduled += 1
+        self.stats.scheduled += weight
         return event
 
     def push_many(
@@ -221,33 +241,6 @@ class EventQueue:
         self.stats.scheduled += len(events)
         return events
 
-    def push_many_at(
-        self, time: float, actions: Iterable[Action], *, kind: str = "event"
-    ) -> List[ScheduledEvent]:
-        """Batch-queue many actions at one shared timestamp.
-
-        The single-bucket fast path of the batched dispatch pipeline: one
-        bucket lookup and one extend for the whole batch (a heartbeat
-        round's broadcast, a Phase I flood over a reliable fixed-delay
-        channel) instead of one per event.  Sequence numbers are assigned
-        in iteration order, so the pop order is byte-identical to pushing
-        the actions one by one.
-        """
-        time = float(time)
-        counter = self._counter
-        events = [
-            ScheduledEvent(time, next(counter), action, kind=kind)
-            for action in actions
-        ]
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = list(events)
-            heapq.heappush(self._times, time)
-        else:
-            bucket.extend(events)
-        self.stats.scheduled += len(events)
-        return events
-
     # ------------------------------------------------------------------ #
     # front-of-queue access
     # ------------------------------------------------------------------ #
@@ -262,8 +255,8 @@ class EventQueue:
             time = self._times[0]
             bucket = self._buckets[time]
             while bucket and bucket[0].cancelled:
+                self.stats.cancelled_skipped += bucket[0].weight
                 del bucket[0]
-                self.stats.cancelled_skipped += 1
             if bucket:
                 return bucket
             del self._buckets[time]
@@ -283,9 +276,10 @@ class EventQueue:
     def pop(self) -> Optional[ScheduledEvent]:
         """Remove and return the next live event (``None`` when empty).
 
-        Popping counts as execution in :attr:`stats` -- the queue hands the
-        event to exactly one consumer, so the counter stays correct for
-        direct users as well as for the :class:`~repro.distsim.engine.Simulator`.
+        Popping counts as execution in :attr:`stats` (by the event's
+        ``weight``) -- the queue hands the event to exactly one consumer, so
+        the counter stays correct for direct users as well as for the
+        :class:`~repro.distsim.engine.Simulator`.
         """
         bucket = self._front_bucket()
         if bucket is None:
@@ -296,7 +290,7 @@ class EventQueue:
             heapq.heappop(self._times)
         else:
             del bucket[0]
-        self.stats.executed += 1
+        self.stats.executed += event.weight
         return event
 
     def pop_batch(
@@ -312,9 +306,13 @@ class EventQueue:
 
         ``until`` leaves batches strictly later than that time queued (an
         empty list is returned); ``limit`` truncates the batch, leaving the
-        remainder of the bucket in place.  Executions are *not* counted
-        here: the consumer skips events cancelled mid-batch, so it owns
-        the executed/cancelled accounting (see ``Simulator.run``).
+        remainder of the bucket in place.  The limit counts logical events
+        (entry weights), not entries.  An entry is never split and the
+        first one is always taken, so a positive limit always makes
+        progress and is overrun by less than the weight of the batch's
+        last entry.  Executions are *not* counted here: the consumer skips
+        events cancelled mid-batch, so it owns the executed/cancelled
+        accounting (see ``Simulator.run_window``).
         """
         bucket = self._front_bucket()
         if bucket is None:
@@ -322,13 +320,20 @@ class EventQueue:
         time = bucket[0].time
         if until is not None and time > until:
             return []
-        if limit is None or limit >= len(bucket):
+        if limit is None or (
+            limit >= len(bucket) and limit >= sum(map(_weight, bucket))
+        ):
             batch = bucket
             del self._buckets[time]
             heapq.heappop(self._times)
-        else:
-            if limit <= 0:
-                return []
-            batch = bucket[:limit]
-            del bucket[:limit]
+            return batch
+        if limit <= 0:
+            return []
+        taken = 0
+        for cut, event in enumerate(bucket, 1):
+            taken += event.weight
+            if taken >= limit:
+                break
+        batch = bucket[:cut]
+        del bucket[:cut]
         return batch

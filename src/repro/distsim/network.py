@@ -163,12 +163,24 @@ class Network:
         The common case of the protocol's traffic is a *broadcast*: the
         same heartbeat, query, or notice to every peer of a cube.  When
         the transport reports a shared batch delay (the reliable
-        fixed-delay channel), the whole broadcast pays one failure-plan
-        pass, one transport call and one calendar-queue batch push instead
-        of a per-message ``send`` stack.  Otherwise -- lossy, corrupting,
-        per-edge-latency and jitter transports, whose streams must be
-        consumed in per-message send order -- it falls back to
-        :meth:`send`, byte-identically.
+        fixed-delay channel), the whole broadcast is one transport call
+        and one calendar-queue entry that counts one event per recipient
+        (see :meth:`~repro.distsim.transport.Transport.send_batch`).
+        Otherwise -- lossy, corrupting, per-edge-latency and jitter
+        transports, whose streams must be consumed in per-message send
+        order -- it falls back to :meth:`send`, byte-identically.
+
+        On the batched path the failure plan is asked per destination
+        (``should_drop``, then ``is_crashed``) only when this broadcast
+        could be dropped: a ``shard_monitor`` is installed, drop
+        predicates exist, the sender is crashed, or a partition window is
+        active at ``plan.clock``.  Otherwise a destination costs one
+        crashed-set membership test.  Either way the counters --
+        ``messages_sent``/``messages_dropped`` here, ``dropped_count`` and
+        ``partition_dropped_count`` on the plan -- are those of the
+        per-message loop.  At delivery, each recipient crashed since the
+        send is dropped; the rest get :meth:`Process.deliver` in
+        destination order.
         """
         transport = self.transport
         delay = transport.batch_latency(sender, destinations, message)
@@ -180,38 +192,53 @@ class Network:
         processes = self._processes
         monitor = self.shard_monitor
 
-        def make_deliver(destination: Hashable) -> Any:
-            def _deliver() -> None:
-                if plan.is_crashed(destination):
+        def deliver(targets: List[Hashable]) -> None:
+            # Read crash state through the plan: a checkpoint restore
+            # rebinds ``plan.crashed``.
+            for destination in targets:
+                if destination in plan.crashed:
                     self.messages_dropped += 1
-                    return
+                    continue
                 self.messages_delivered += 1
                 processes[destination].deliver(sender, message)
 
-            return _deliver
-
+        crashed = plan.crashed
+        checked = (
+            monitor is not None
+            or bool(plan.drop_predicates)
+            or sender in crashed
+            or any(spec.active_at(plan.clock) for spec in plan.partitions)
+        )
         survivors = []
+        sent = dropped = 0
         try:
             for destination in destinations:
                 if destination not in processes:
                     raise KeyError(f"unknown destination {destination!r}")
-                self.messages_sent += 1
-                if monitor is not None:
-                    monitor(sender, destination, message)
-                if plan.should_drop(sender, destination, message) or plan.is_crashed(
-                    destination
-                ):
-                    # Dropped by the plan, or addressed to a crashed process
-                    # (the sender is not told) -- exactly `send`'s two cases.
-                    self.messages_dropped += 1
+                sent += 1
+                if checked:
+                    if monitor is not None:
+                        monitor(sender, destination, message)
+                    if plan.should_drop(sender, destination, message) or plan.is_crashed(
+                        destination
+                    ):
+                        # Dropped by the plan, or addressed to a crashed
+                        # process (the sender is not told) -- exactly
+                        # `send`'s two cases.
+                        dropped += 1
+                        continue
+                elif destination in crashed:
+                    dropped += 1
                     continue
                 survivors.append(destination)
         finally:
+            self.messages_sent += sent
+            self.messages_dropped += dropped
             # On an unknown destination mid-broadcast the messages accepted
             # so far are still scheduled -- the same state a sequential
             # `send` loop leaves behind when it raises.
             if survivors:
-                transport.send_batch(sender, survivors, message, make_deliver, delay)
+                transport.send_batch(sender, survivors, message, deliver, delay)
 
     # ------------------------------------------------------------------ #
     # execution helpers

@@ -27,10 +27,11 @@ class Process:
     """
 
     #: Whether :meth:`deliver` appends to :attr:`message_log`.  On by
-    #: default (tests and debugging rely on the log); a long-lived service
-    #: run sets it ``False`` per process so memory stays constant over an
-    #: unbounded message stream.  The flag only gates the *recording* --
-    #: dispatch to :meth:`on_message` is unchanged.
+    #: default (tests and debugging rely on the log).  Protocol processes
+    #: that receive unbounded traffic turn it off for the whole class
+    #: (:class:`~repro.vehicles.vehicle.VehicleProcess` does), so memory
+    #: stays constant over a long message stream.  The flag only gates
+    #: the *recording* -- dispatch to :meth:`on_message` is unchanged.
     log_messages: bool = True
 
     def __init__(self, identity: Hashable) -> None:

@@ -52,7 +52,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace as dataclass_replace
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,47 +246,56 @@ class Transport:
     def send_batch(
         self,
         sender: Hashable,
-        destinations: Any,
+        destinations: Sequence[Hashable],
         message: Any,
-        make_deliver: Callable[[Hashable], Callable[[], None]],
+        deliver: Callable[[Sequence[Hashable]], None],
         delay: float,
     ) -> None:
-        """Schedule one message to many destinations in a single batch.
+        """Schedule one message to many destinations as one queue entry.
 
         Only valid after :meth:`batch_latency` returned ``delay`` for this
-        broadcast (no drops, no mutation, uniform delay).  FIFO clamping
-        per directed link is applied exactly as :meth:`send` does; when no
-        link needs clamping -- the overwhelmingly common case -- the whole
-        batch lands in one calendar-queue bucket via ``push_many_at``.
-        Sequence numbers are assigned in destination order, so event
-        execution is byte-identical to per-message sends.
+        broadcast (no drops, no mutation, uniform delay).  ``deliver`` is
+        called at delivery time with the destinations that entry serves,
+        in destination order; ``destinations`` must be a sequence, and the
+        transport may keep it.
+
+        When no link needs FIFO clamping -- the overwhelmingly common case
+        -- the whole broadcast is a single ``"message"`` entry at ``now +
+        delay`` whose weight is the number of destinations, so the event
+        counters see one event per message.  Running the recipients in one
+        loop is byte-identical to the per-message entries it replaces:
+        those sat next to each other in one bucket, nothing pushed later
+        can land between them, and message entries are never cancelled.
+        A link whose previous delivery lands later than ``now + delay``
+        keeps its own per-message entry at that later time, exactly as
+        :meth:`send` clamps it.
         """
         simulator = self.simulator
         base = simulator.now + delay
         last = self._last_delivery
-        queue = simulator.queue
-        actions = []
-        clamped = None
+        late = None
         for destination in destinations:
             link = (sender, destination)
             previous = last.get(link)
             if previous is not None and previous > base:
-                last[link] = previous
-                if clamped is None:
-                    clamped = []
-                clamped.append((previous, len(actions)))
+                if late is None:
+                    late = {}
+                late[destination] = previous
             else:
                 last[link] = base
-            actions.append(make_deliver(destination))
-        self.messages_scheduled += len(actions)
-        if clamped is None:
-            queue.push_many_at(base, actions, kind="message")
-            return
-        # Rare: some link's previous delivery lands later than this batch.
-        entries = [(base, action) for action in actions]
-        for time, position in clamped:
-            entries[position] = (time, entries[position][1])
-        queue.push_many(entries, kind="message")
+        self.messages_scheduled += len(destinations)
+        queue = simulator.queue
+        on_time = destinations
+        if late is not None:
+            on_time = [d for d in destinations if d not in late]
+        if on_time:
+            queue.push(base, partial(deliver, on_time), kind="message", weight=len(on_time))
+        if late is not None:
+            # Rare: some link's previous delivery lands later than this batch.
+            queue.push_many(
+                [(late[d], partial(deliver, (d,))) for d in destinations if d in late],
+                kind="message",
+            )
 
 
 class ReliableTransport(Transport):

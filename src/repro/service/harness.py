@@ -81,10 +81,6 @@ def _provision(config: ServiceConfig, *, apply_dead: bool):
         dead_vehicles=config.dead_vehicles if apply_dead and config.dead_vehicles else None,
         transport=build_transport(config.transport),
     )
-    # A service run is unbounded in job count; per-process message logs
-    # grow with traffic, so they are the one diagnostic we turn off.
-    for vehicle in fleet.vehicles.values():
-        vehicle.log_messages = False
     return fleet, fleet_config, rng, float(omega), omega_star, provisioned, theorem_capacity
 
 

@@ -105,6 +105,10 @@ class VehicleProcess(Process):
         Remaining energy below which an active vehicle declares itself done.
     """
 
+    #: Vehicles keep no :attr:`message_log`: nothing reads it, and under
+    #: monitoring it would grow by one entry per heartbeat received.
+    log_messages = False
+
     def __init__(
         self,
         home: Point,
@@ -468,7 +472,10 @@ class VehicleProcess(Process):
     # ------------------------------------------------------------------ #
 
     def on_message(self, sender: Hashable, message: Any) -> None:
-        if isinstance(message, QueryMessage):
+        if type(message) is ExistingMessage:
+            # The heartbeat: nearly all of a monitored run's traffic.
+            self._on_existing(message)
+        elif isinstance(message, QueryMessage):
             self._on_query(sender, message)
         elif isinstance(message, ReplyMessage):
             self._on_reply(sender, message)
@@ -872,7 +879,7 @@ class VehicleProcess(Process):
             self._gossip_note_heard(message.pair_key, message.round_id)
             return
         previous = self.last_heard.get(message.pair_key, -1)
-        heard = max(previous, message.round_id)
+        heard = message.round_id if message.round_id > previous else previous
         self.last_heard[message.pair_key] = heard
         if message.pair_key == self._monitored_pair:
             self._registry.watch_heard[self._index] = heard

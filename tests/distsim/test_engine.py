@@ -195,6 +195,46 @@ class TestRunWindow:
         assert chunks == [3, 3, 3, 1]
         assert log == ref_log
 
+    @staticmethod
+    def _broadcasts(sim, log):
+        """Weighted entries (one per broadcast) mixed with plain events."""
+        def broadcast(label, fanout):
+            return lambda: log.extend((sim.now, label, i) for i in range(fanout))
+
+        sim.queue.push(1.0, broadcast("a", 4), kind="message", weight=4)
+        sim.queue.push(1.0, lambda: log.append((sim.now, "b", 0)))
+        sim.queue.push(1.0, broadcast("c", 2), kind="message", weight=2)
+        sim.queue.push(2.0, lambda: log.append((sim.now, "d", 0)))
+        sim.queue.push(2.0, broadcast("e", 3), kind="message", weight=3)
+
+    def test_max_events_truncation_with_broadcasts_resumes_to_the_same_history(self):
+        reference = Simulator()
+        ref_log = []
+        self._broadcasts(reference, ref_log)
+        assert reference.pending == 11
+        assert reference.run_window(None) == reference.events_processed == 11
+
+        sim = Simulator()
+        log = []
+        self._broadcasts(sim, log)
+        chunks = []
+        while sim.pending:
+            chunks.append(sim.run_window(None, max_events=3))
+        # A budget counts logical events and never splits an entry: the
+        # first entry of a call is always taken, so "a" (4) overruns 3,
+        # and "d" (1) + "e" (3) overrun it by less than e's fan-out.
+        assert chunks == [4, 3, 4]
+        assert sum(chunks) == sim.events_processed == sim.stats.scheduled == 11
+        assert log == ref_log
+
+    def test_step_runs_a_broadcast_whole(self):
+        sim = Simulator()
+        log = []
+        self._broadcasts(sim, log)
+        assert sim.step()
+        assert sim.events_processed == 4 and len(log) == 4
+        assert sim.pending == 7
+
     def test_same_time_cancellation_inside_one_batch_is_honored(self):
         sim = Simulator()
         log = []

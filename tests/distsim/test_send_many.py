@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.distsim.engine import Simulator
-from repro.distsim.failures import FailurePlan
+from repro.distsim.failures import FailurePlan, PartitionSpec
 from repro.distsim.network import Network
 from repro.distsim.process import Process
 from repro.distsim.transport import (
@@ -96,7 +96,7 @@ class TestReliableFastPath:
             "a",
             ["b", "c"],
             "fast",
-            lambda dest: (lambda: log.append((dest, "fast"))),
+            lambda targets: log.extend((dest, "fast") for dest in targets),
             0.2,
         )
         sim.run()
@@ -117,6 +117,232 @@ class TestReliableFastPath:
         net, _ = _network(ReliableTransport(0.1))
         with pytest.raises(KeyError):
             net.send_many("p0", ["p1", "nope"], "m")
+
+
+def _lattice_network(*, failure_plan=None, delay=0.25):
+    """Five recorders on a line of lattice points (partitions need coordinates)."""
+    net = Network(Simulator(), failure_plan=failure_plan, transport=ReliableTransport(delay))
+    procs = [Recorder((i, 0)) for i in range(5)]
+    net.register_all(procs)
+    return net, procs
+
+
+def _broadcast_and_loop(setup, sender, targets, message="m"):
+    """Run the same broadcast as ``send_many`` and as a ``send`` loop.
+
+    ``setup()`` returns a fresh ``(network, processes)``.  Returns both
+    networks with their processes, after draining.
+    """
+    batched = setup()
+    batched[0].send_many(sender, targets, message)
+    looped = setup()
+    for target in targets:
+        looped[0].send(sender, target, message)
+    for net, _ in (batched, looped):
+        net.run_until_quiescent()
+    return batched, looped
+
+
+def _counters(net):
+    plan = net.failure_plan
+    return (
+        net.messages_sent,
+        net.messages_delivered,
+        net.messages_dropped,
+        plan.dropped_count,
+        plan.partition_dropped_count,
+        net.simulator.events_processed,
+        net.simulator.stats.scheduled,
+    )
+
+
+def _received(procs):
+    return [(p.identity, p.received) for p in procs]
+
+
+class TestOneEntryBroadcast:
+    """A reliable fixed-delay broadcast is one queue entry worth n events."""
+
+    def test_one_entry_counts_one_event_per_recipient(self):
+        net, _ = _network(ReliableTransport(0.25))
+        net.send_many("p0", ["p1", "p2", "p3", "p4"], "m")
+        queue = net.simulator.queue
+        assert [len(bucket) for bucket in queue._buckets.values()] == [1]
+        assert len(queue) == net.simulator.pending == 4
+        assert queue.stats.scheduled == 4
+
+    def test_same_event_counters_as_the_send_loop(self):
+        (a, procs_a), (b, procs_b) = _broadcast_and_loop(
+            lambda: _network(ReliableTransport(0.25)), "p0", ["p1", "p2", "p3", "p4"]
+        )
+        assert a.simulator.events_processed == b.simulator.events_processed == 4
+        assert a.simulator.stats.scheduled == b.simulator.stats.scheduled == 4
+        assert _counters(a) == _counters(b)
+        assert _received(procs_a) == _received(procs_b)
+
+    @pytest.mark.parametrize("how", ["crash", "rebind"])
+    def test_recipient_crashed_in_flight_is_the_only_drop(self, how):
+        # "rebind" replaces the crashed set the way a checkpoint restore does.
+        def crash(plan):
+            if how == "crash":
+                plan.crash("p2")
+            else:
+                plan.crashed = {"p2"}
+
+        def setup():
+            return _network(ReliableTransport(1.0), failure_plan=FailurePlan())
+
+        runs = []
+        for batched in (True, False):
+            net, procs = setup()
+            if batched:
+                net.send_many("p0", ["p1", "p2", "p3"], "m")
+            else:
+                for target in ("p1", "p2", "p3"):
+                    net.send("p0", target, "m")
+            net.simulator.schedule_at(0.5, lambda plan=net.failure_plan: crash(plan))
+            net.run_until_quiescent()
+            runs.append((_counters(net), _received(procs)))
+        assert runs[0] == runs[1]
+        counters, received = runs[0]
+        assert counters[:3] == (3, 2, 1)
+        assert dict(received)["p2"] == []
+        assert [m for _, _, m in dict(received)["p1"]] == ["m"]
+        assert [m for _, _, m in dict(received)["p3"]] == ["m"]
+
+    def test_crashed_sender(self):
+        def setup():
+            plan = FailurePlan()
+            plan.crash("p0")
+            return _network(ReliableTransport(0.25), failure_plan=plan)
+
+        (a, procs_a), (b, procs_b) = _broadcast_and_loop(setup, "p0", ["p1", "p2", "p3"])
+        assert _counters(a) == _counters(b)
+        assert _counters(a)[:4] == (3, 0, 3, 3)
+        assert _received(procs_a) == _received(procs_b)
+
+    def test_partition_window_and_drop_predicate_match_the_send_loop(self):
+        calls = {True: [], False: []}
+
+        def setup(batched):
+            def predicate(sender, destination, message):
+                calls[batched].append(destination)
+                return destination == (4, 0)
+
+            plan = FailurePlan()
+            plan.add_partition(PartitionSpec(start=0.0, end=10.0, axis=0, boundary=1.5))
+            plan.add_drop_rule(predicate)
+            plan.crash((3, 0))
+            return _lattice_network(failure_plan=plan)
+
+        targets = [(1, 0), (2, 0), (3, 0), (4, 0)]
+        batched = setup(True)
+        batched[0].send_many((0, 0), targets, "m")
+        looped = setup(False)
+        for target in targets:
+            looped[0].send((0, 0), target, "m")
+        for net, _ in (batched, looped):
+            net.run_until_quiescent()
+        assert _counters(batched[0]) == _counters(looped[0])
+        # (1,0) delivered; (2,0),(3,0),(4,0) partitioned away from (0,0).
+        assert _counters(batched[0])[:5] == (4, 1, 3, 3, 3)
+        assert _received(batched[1]) == _received(looped[1])
+        # The predicate runs only for destinations the partition spared,
+        # once each, in destination order.
+        assert calls[True] == calls[False] == [(1, 0)]
+
+    def test_drop_predicate_is_called_once_per_destination_in_order(self):
+        calls = {True: [], False: []}
+
+        def setup(batched):
+            def predicate(sender, destination, message):
+                calls[batched].append(destination)
+                return destination == "p3"
+
+            plan = FailurePlan()
+            plan.add_drop_rule(predicate)
+            plan.crash("p2")
+            return _network(ReliableTransport(0.25), failure_plan=plan)
+
+        targets = ["p4", "p1", "p2", "p3"]
+        batched = setup(True)
+        batched[0].send_many("p0", targets, "m")
+        looped = setup(False)
+        for target in targets:
+            looped[0].send("p0", target, "m")
+        for net, _ in (batched, looped):
+            net.run_until_quiescent()
+        assert calls[True] == calls[False] == targets
+        assert _counters(batched[0]) == _counters(looped[0])
+        assert _counters(batched[0])[:4] == (4, 2, 2, 1)
+        assert _received(batched[1]) == _received(looped[1])
+
+    @pytest.mark.parametrize(
+        "start, expected", [(0.0, (2, 1, 1, 1, 1)), (5.0, (2, 2, 0, 0, 0))]
+    )
+    def test_partition_window_alone(self, start, expected):
+        # Only the window can drop here; it counts only while active at
+        # the plan's clock (0.0).
+        def setup():
+            plan = FailurePlan()
+            plan.add_partition(PartitionSpec(start=start, end=10.0, axis=0, boundary=1.5))
+            return _lattice_network(failure_plan=plan)
+
+        (a, procs_a), (b, procs_b) = _broadcast_and_loop(setup, (0, 0), [(1, 0), (2, 0)])
+        assert _counters(a) == _counters(b)
+        assert _counters(a)[:5] == expected
+        assert _received(procs_a) == _received(procs_b)
+
+    def test_shard_monitor_sees_every_destination(self):
+        seen = {True: [], False: []}
+
+        def run(batched):
+            plan = FailurePlan()
+            plan.crash("p2")
+            net, procs = _network(ReliableTransport(0.25), failure_plan=plan)
+            net.shard_monitor = lambda s, d, m: seen[batched].append((s, d, m))
+            if batched:
+                net.send_many("p0", ["p1", "p2", "p3"], "m")
+            else:
+                for target in ("p1", "p2", "p3"):
+                    net.send("p0", target, "m")
+            net.run_until_quiescent()
+            return _counters(net)
+
+        assert run(True) == run(False)
+        assert seen[True] == seen[False] == [("p0", d, "m") for d in ("p1", "p2", "p3")]
+
+    def test_same_time_send_from_a_handler_runs_after_the_whole_broadcast(self):
+        class Relay(Process):
+            def __init__(self, identity, log):
+                super().__init__(identity)
+                self.log = log
+
+            def on_message(self, sender, message):
+                self.log.append((self.identity, message))
+                if message == "ping":
+                    self.send("p0", "pong")
+
+        def run(batched):
+            log = []
+            net = Network(Simulator(), transport=ReliableTransport(0.0))
+            net.register_all(Relay(f"p{i}", log) for i in range(4))
+            targets = ["p1", "p2", "p3"]
+            if batched:
+                net.send_many("p0", targets, "ping")
+            else:
+                for target in targets:
+                    net.send("p0", target, "ping")
+            net.run_until_quiescent()
+            return log, net.simulator.events_processed
+
+        assert run(True) == run(False)
+        log, events = run(True)
+        assert log == [
+            ("p1", "ping"), ("p2", "ping"), ("p3", "ping"),
+            ("p0", "pong"), ("p0", "pong"), ("p0", "pong"),
+        ]
+        assert events == 6
 
 
 class TestFallbackPaths:
@@ -144,29 +370,16 @@ class TestFallbackPaths:
 
 
 class TestQueueBatchPush:
-    def test_push_many_at_matches_sequential_pushes(self):
-        a, b = Simulator(), Simulator()
-        log_a, log_b = [], []
-        a.queue.push_many_at(1.5, [lambda i=i: log_a.append(i) for i in range(4)])
-        for i in range(4):
-            b.queue.push(1.5, lambda i=i: log_b.append(i))
-        a.run()
-        b.run()
-        assert log_a == log_b == [0, 1, 2, 3]
-        assert a.now == b.now == 1.5
-
-    def test_schedule_batch_at_rejects_past(self):
-        sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.schedule_batch_at(0.5, [lambda: None])
-
     def test_interleaves_with_existing_bucket(self):
+        # A weighted entry takes its push-order slot in the bucket and runs
+        # whole; the counters see its weight.
         sim = Simulator()
         log = []
         sim.queue.push(1.0, lambda: log.append("first"))
-        sim.queue.push_many_at(1.0, [lambda: log.append("second"), lambda: log.append("third")])
+        sim.queue.push(
+            1.0, lambda: log.extend(["second", "third"]), kind="message", weight=2
+        )
         sim.queue.push(1.0, lambda: log.append("fourth"))
-        sim.run()
+        assert sim.run() == 4
         assert log == ["first", "second", "third", "fourth"]
+        assert sim.stats.scheduled == sim.stats.executed == 4
