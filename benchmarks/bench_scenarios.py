@@ -7,7 +7,8 @@ goal keeps asking:
   sustain on a large fleet (the distsim hot path),
 * how many jobs per second does a run sustain when ring monitoring floods
   every cube with heartbeats (the message path: transport, event queue and
-  protocol handler), and
+  protocol handler) -- over a reliable channel, and over a lossy one with
+  crashed vehicles to detect and replace, and
 * how long does each scenario family take to solve end-to-end through the
   experiment engine (the sweep hot path)?
 
@@ -24,6 +25,7 @@ import pytest
 
 from repro.api import ExperimentEngine
 from repro.core.online import run_online
+from repro.distsim.transport import TransportSpec
 from repro.vehicles.fleet import FleetConfig
 from repro.workloads.library import available_families, build_family_demand, family_config
 from repro.workloads.arrivals import random_arrivals
@@ -92,6 +94,66 @@ def bench_ring_monitoring_jobs_per_sec(benchmark):
     )
     assert result.feasible
     assert result.messages > 0
+
+
+def _crash_pattern(side: int):
+    """Ten dead vehicles on a side-``side`` grid of 3x3 cubes.
+
+    Six of the first cube's nine (it keeps a pair that can never get a
+    spare), two in the middle cube and two in the last -- the crash
+    pattern of the ``perfbench`` crash workloads.
+    """
+    cubes = -(-side // 3)
+
+    def cube(cx: int, cy: int):
+        return [
+            (x, y)
+            for x in range(3 * cx, min(3 * cx + 3, side))
+            for y in range(3 * cy, min(3 * cy + 3, side))
+        ]
+
+    return cube(0, 0)[:6] + cube(cubes // 2, cubes // 2)[:2] + cube(cubes - 1, cubes - 1)[:2]
+
+
+def bench_lossy_crash_jobs_per_sec(benchmark):
+    """Jobs/sec of ring monitoring with ten crashed vehicles over 5% edge loss.
+
+    The lossy path end to end: every heartbeat round's sends go through
+    the edge-keyed loss draw, and the crashed pairs are detected and
+    replaced (Phase I/II) on the clock -- so the run carries both lossy
+    traffic and crash recovery.
+    """
+    side = 12
+    jobs = _scale_up_jobs(side=side, per_point=1.0)
+    dead = _crash_pattern(side)
+
+    result = benchmark(
+        lambda: run_online(
+            jobs,
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="ring"),
+            recovery_rounds=2,
+            dead_vehicles=dead,
+            transport=TransportSpec(
+                "lossy", {"loss": 0.05, "delay": 0.02, "seed": 3, "stream": "edge"}
+            ),
+        )
+    )
+
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info.update(
+        {
+            "jobs": result.jobs_total,
+            "messages": result.messages,
+            "messages_dropped": result.messages_dropped,
+            "replacements": result.replacements,
+            "events_processed": result.events_processed,
+            "jobs_per_sec": result.jobs_total / mean if mean else 0.0,
+        }
+    )
+    assert result.messages_dropped > 0
+    assert result.replacements > 0
 
 
 @pytest.mark.parametrize("family", sorted(available_families()))

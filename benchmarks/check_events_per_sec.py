@@ -14,6 +14,11 @@ From the same report it gates the ring-monitoring throughput
 the committed ``ring_monitoring_jobs_per_sec`` floor -- the gate that
 carries protocol traffic through the transport, the event queue and the
 message handler.  It also fails when that run sent no message at all.
+Likewise it gates the lossy crash-recovery throughput
+(``bench_lossy_crash_jobs_per_sec``: ring monitoring over 5% edge-keyed
+loss with ten crashed vehicles) against ``lossy_crash_jobs_per_sec``, and
+fails when that run sent no message or replaced no vehicle -- so the lossy
+send path and crash recovery are gated too.
 
 With ``--scale-report`` it additionally gates the ``10^4``-vehicle fleet
 *construction time* measured by ``bench_scale.py`` (the
@@ -81,6 +86,10 @@ GATED_BENCHMARK = "bench_online_driver_events_per_sec"
 #: The benchmark whose jobs/sec gates the message path (it must send).
 RING_BENCHMARK = "bench_ring_monitoring_jobs_per_sec"
 
+#: The benchmark whose jobs/sec gates the lossy path with crash recovery
+#: (it must send and replace).
+LOSSY_BENCHMARK = "bench_lossy_crash_jobs_per_sec"
+
 #: The bench_scale.py scale whose construction time the gate tracks.
 GATED_SCALE = "1e4"
 
@@ -103,22 +112,36 @@ def extract_events_per_sec(report: dict) -> float:
     )
 
 
-def extract_ring_monitoring(report: dict) -> tuple:
-    """(jobs/sec, messages sent) of the ring-monitoring benchmark."""
+def _extra_info(report: dict, name: str, keys: tuple) -> tuple:
+    """The ``keys`` of benchmark ``name``'s extra_info in a pytest-benchmark report."""
     for bench in report.get("benchmarks", []):
-        if bench.get("name") == RING_BENCHMARK:
+        if bench.get("name") == name:
             info = bench.get("extra_info", {})
-            if "jobs_per_sec" not in info or "messages" not in info:
+            if any(key not in info for key in keys):
                 raise SystemExit(
-                    f"benchmark {RING_BENCHMARK!r} carries no jobs_per_sec / "
-                    "messages extra_info; did bench_scenarios.py change?"
+                    f"benchmark {name!r} carries no {' / '.join(keys)} "
+                    "extra_info; did bench_scenarios.py change?"
                 )
-            return float(info["jobs_per_sec"]), int(info["messages"])
+            return tuple(info[key] for key in keys)
     raise SystemExit(
-        f"benchmark {RING_BENCHMARK!r} not found in the report; "
+        f"benchmark {name!r} not found in the report; "
         "run: pytest benchmarks/bench_scenarios.py -o python_functions='bench_*' "
         "--quick --benchmark-json=REPORT.json"
     )
+
+
+def extract_ring_monitoring(report: dict) -> tuple:
+    """(jobs/sec, messages sent) of the ring-monitoring benchmark."""
+    jobs_per_sec, messages = _extra_info(report, RING_BENCHMARK, ("jobs_per_sec", "messages"))
+    return float(jobs_per_sec), int(messages)
+
+
+def extract_lossy_crash(report: dict) -> tuple:
+    """(jobs/sec, messages sent, replacements) of the lossy crash benchmark."""
+    jobs_per_sec, messages, replacements = _extra_info(
+        report, LOSSY_BENCHMARK, ("jobs_per_sec", "messages", "replacements")
+    )
+    return float(jobs_per_sec), int(messages), int(replacements)
 
 
 def extract_construction_seconds(scale_report: dict) -> float:
@@ -222,6 +245,7 @@ def main(argv=None) -> int:
     report = json.loads(Path(args.report).read_text())
     measured = extract_events_per_sec(report)
     ring, ring_messages = extract_ring_monitoring(report)
+    lossy, lossy_messages, lossy_replacements = extract_lossy_crash(report)
     construction = None
     quiescent = None
     sharded = None
@@ -249,6 +273,7 @@ def main(argv=None) -> int:
             "benchmark": GATED_BENCHMARK,
             "events_per_sec": measured,
             "ring_monitoring_jobs_per_sec": ring,
+            "lossy_crash_jobs_per_sec": lossy,
         }
         if construction is not None:
             refreshed["construction_seconds_1e4"] = construction
@@ -267,6 +292,7 @@ def main(argv=None) -> int:
         baseline_path.write_text(json.dumps(refreshed, indent=2) + "\n")
         print(f"baseline updated: {measured:.0f} events/sec -> {baseline_path}")
         print(f"baseline updated: {ring:.1f} ring-monitoring jobs/sec")
+        print(f"baseline updated: {lossy:.1f} lossy crash-recovery jobs/sec")
         if construction is not None:
             print(f"baseline updated: {construction:.4f}s construction (1e4)")
         if quiescent is not None:
@@ -324,6 +350,34 @@ def main(argv=None) -> int:
     )
     if not ring_messages:
         print(f"{RING_BENCHMARK}: the run sent no message -> FAIL")
+
+    lossy_base = baseline_payload.get("lossy_crash_jobs_per_sec")
+    if lossy_base is None:
+        raise SystemExit(
+            "the baseline carries no lossy_crash_jobs_per_sec; refresh it with --update"
+        )
+    lossy_floor = float(lossy_base) * (1.0 - args.tolerance)
+    lossy_passed = lossy >= lossy_floor and lossy_messages > 0 and lossy_replacements > 0
+    artifact.update(
+        {
+            "lossy_crash_jobs_per_sec": lossy,
+            "lossy_crash_messages": lossy_messages,
+            "lossy_crash_replacements": lossy_replacements,
+            "baseline_lossy_crash_jobs_per_sec": float(lossy_base),
+            "floor_lossy_crash_jobs_per_sec": lossy_floor,
+            "lossy_crash_pass": lossy_passed,
+        }
+    )
+    lstatus = "ok" if lossy_passed else "REGRESSION"
+    print(
+        f"{LOSSY_BENCHMARK}: {lossy:.1f} jobs/sec, {lossy_messages} messages, "
+        f"{lossy_replacements} replacements "
+        f"(baseline {float(lossy_base):.1f}, floor {lossy_floor:.1f}) -> {lstatus}"
+    )
+    if not lossy_messages:
+        print(f"{LOSSY_BENCHMARK}: the run sent no message -> FAIL")
+    if not lossy_replacements:
+        print(f"{LOSSY_BENCHMARK}: the run replaced no crashed vehicle -> FAIL")
 
     construction_passed = True
     if construction is not None:
@@ -454,6 +508,7 @@ def main(argv=None) -> int:
     overall = (
         passed
         and ring_passed
+        and lossy_passed
         and construction_passed
         and quiescent_passed
         and sharded_passed

@@ -41,6 +41,11 @@ class Simulator:
     def __init__(self) -> None:
         self.clock = SimClock()
         self.queue = EventQueue()
+        #: Called before every ``schedule``/``schedule_at``/``schedule_batch``
+        #: push while a network defers its sends (see
+        #: :meth:`~repro.distsim.network.Network.deferred_sends`), so the
+        #: recorded sends reach the queue first and push order is kept.
+        self.before_push: Optional[Callable[[], None]] = None
 
     @property
     def now(self) -> float:
@@ -72,6 +77,8 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if self.before_push is not None:
+            self.before_push()
         return self.queue.push(self.now + delay, action, kind=kind)
 
     def schedule_at(
@@ -80,6 +87,8 @@ class Simulator:
         """Schedule ``action`` at an absolute simulation time."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past (time={time} < now={self.now})")
+        if self.before_push is not None:
+            self.before_push()
         return self.queue.push(time, action, kind=kind)
 
     def schedule_batch(
@@ -96,6 +105,8 @@ class Simulator:
         :meth:`~repro.distsim.events.EventQueue.push_many`).
         """
         now = self.now
+        if self.before_push is not None:
+            self.before_push()
 
         def _validated():
             for time, action in entries:

@@ -22,7 +22,9 @@ clock -- lives in a pluggable :class:`~repro.distsim.transport.Transport`:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional
+from contextlib import contextmanager
+from functools import partial
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,6 +92,9 @@ class Network:
         #: on a cross-shard send; ``None`` (the default) costs nothing on
         #: the hot path beyond one attribute read.
         self.shard_monitor = None
+        #: Sends recorded inside a :meth:`deferred_sends` scope, as
+        #: ``(sender, destinations, message)``; ``None`` outside one.
+        self._deferred: Optional[List[Tuple[Hashable, List[Hashable], Any]]] = None
 
     # ------------------------------------------------------------------ #
     # registration
@@ -146,6 +151,9 @@ class Network:
             # Messages to crashed processes vanish; the sender is not told.
             self.messages_dropped += 1
             return
+        if self._deferred is not None:
+            self._deferred.append((sender, [destination], message))
+            return
 
         def _deliver(delivered: Any) -> None:
             if self.failure_plan.is_crashed(destination):
@@ -166,13 +174,16 @@ class Network:
         fixed-delay channel), the whole broadcast is one transport call
         and one calendar-queue entry that counts one event per recipient
         (see :meth:`~repro.distsim.transport.Transport.send_batch`).
-        Otherwise -- lossy, corrupting, per-edge-latency and jitter
-        transports, whose streams must be consumed in per-message send
-        order -- it falls back to :meth:`send`, byte-identically.
+        Inside a :meth:`deferred_sends` scope the broadcast is recorded
+        instead, and its survivors of the channel's loss draw become one
+        such entry when the scope flushes.  Otherwise -- corrupting,
+        retransmit, per-edge-latency and jitter transports, and lossy ones
+        outside a scope, whose streams must be consumed in per-message
+        send order -- it falls back to :meth:`send`, byte-identically.
 
-        On the batched path the failure plan is asked per destination
-        (``should_drop``, then ``is_crashed``) only when this broadcast
-        could be dropped: a ``shard_monitor`` is installed, drop
+        On the batched and deferred paths the failure plan is asked per
+        destination (``should_drop``, then ``is_crashed``) only when this
+        broadcast could be dropped: a ``shard_monitor`` is installed, drop
         predicates exist, the sender is crashed, or a partition window is
         active at ``plan.clock``.  Otherwise a destination costs one
         crashed-set membership test.  Either way the counters --
@@ -183,25 +194,17 @@ class Network:
         destination order.
         """
         transport = self.transport
-        delay = transport.batch_latency(sender, destinations, message)
-        if delay is None:
-            for destination in destinations:
-                self.send(sender, destination, message)
-            return
+        deferred = self._deferred
+        delay = None
+        if deferred is None:
+            delay = transport.batch_latency(sender, destinations, message)
+            if delay is None:
+                for destination in destinations:
+                    self.send(sender, destination, message)
+                return
         plan = self.failure_plan
         processes = self._processes
         monitor = self.shard_monitor
-
-        def deliver(targets: List[Hashable]) -> None:
-            # Read crash state through the plan: a checkpoint restore
-            # rebinds ``plan.crashed``.
-            for destination in targets:
-                if destination in plan.crashed:
-                    self.messages_dropped += 1
-                    continue
-                self.messages_delivered += 1
-                processes[destination].deliver(sender, message)
-
         crashed = plan.crashed
         checked = (
             monitor is not None
@@ -235,10 +238,104 @@ class Network:
             self.messages_sent += sent
             self.messages_dropped += dropped
             # On an unknown destination mid-broadcast the messages accepted
-            # so far are still scheduled -- the same state a sequential
-            # `send` loop leaves behind when it raises.
+            # so far are still scheduled (or recorded) -- the same state a
+            # sequential `send` loop leaves behind when it raises.
             if survivors:
-                transport.send_batch(sender, survivors, message, deliver, delay)
+                if deferred is not None:
+                    deferred.append((sender, survivors, message))
+                else:
+                    deliver = partial(self._deliver_batch, sender, message)
+                    transport.send_batch(sender, survivors, message, deliver, delay)
+
+    def _deliver_batch(self, sender: Hashable, message: Any, targets: List[Hashable]) -> None:
+        """Deliver one broadcast entry: recipients crashed since the send drop."""
+        # Read crash state through the plan: a checkpoint restore rebinds
+        # ``plan.crashed``.
+        crashed = self.failure_plan.crashed
+        processes = self._processes
+        for destination in targets:
+            if destination in crashed:
+                self.messages_dropped += 1
+                continue
+            self.messages_delivered += 1
+            processes[destination].deliver(sender, message)
+
+    # ------------------------------------------------------------------ #
+    # deferred loss resolution
+    # ------------------------------------------------------------------ #
+
+    @contextmanager
+    def deferred_sends(self) -> Iterator[None]:
+        """Resolve the channel's loss draws of this block's sends together.
+
+        Inside the scope, on a transport that opts in
+        (:meth:`~repro.distsim.transport.Transport.deferred_latency`), every
+        :meth:`send` and :meth:`send_many` still runs its failure-plan
+        checks and ``messages_sent`` accounting at once, but records its
+        surviving destinations instead of handing them to the transport.
+        The records are flushed -- one
+        :meth:`~repro.distsim.transport.Transport.drops_many` call over all
+        of them in record order, then one
+        :meth:`~repro.distsim.transport.Transport.send_batch` entry per
+        record's survivors -- when the scope exits (also on an exception),
+        and before any other ``Simulator.schedule``/``schedule_at``/
+        ``schedule_batch`` push.  Every push therefore lands in the queue
+        in the order the per-message path would have made it, and the
+        loss draws consume the stream in the same per-edge (or global)
+        order: the run is byte-identical, only cheaper.  Nothing recorded
+        outlives the scope, so checkpoints never see it.
+
+        On any other transport, or when a scope is already open, this is a
+        no-op.
+        """
+        if self.transport.deferred_latency() is None or self._deferred is not None:
+            yield
+            return
+        simulator = self.simulator
+        previous = simulator.before_push
+        self._deferred = []
+        simulator.before_push = self._flush_deferred
+        try:
+            yield
+        finally:
+            simulator.before_push = previous
+            try:
+                self._flush_deferred()
+            finally:
+                self._deferred = None
+
+    def _flush_deferred(self) -> None:
+        """Resolve and schedule every recorded send, in record order."""
+        pending = self._deferred
+        if not pending:
+            return
+        self._deferred = []
+        transport = self.transport
+        lost = transport.drops_many(
+            [
+                (sender, target, message)
+                for sender, targets, message in pending
+                for target in targets
+            ]
+        )
+        delay = transport.deferred_latency()
+        deliver = self._deliver_batch
+        position = dropped = 0
+        for sender, targets, message in pending:
+            end = position + len(targets)
+            flags = lost[position:end]
+            position = end
+            if any(flags):
+                kept = [target for target, gone in zip(targets, flags) if not gone]
+                dropped += len(targets) - len(kept)
+                if not kept:
+                    continue
+                targets = kept
+            transport.send_batch(
+                sender, targets, message, partial(deliver, sender, message), delay
+            )
+        transport.messages_dropped += dropped
+        self.messages_dropped += dropped
 
     # ------------------------------------------------------------------ #
     # execution helpers

@@ -53,11 +53,12 @@ import hashlib
 import json
 from dataclasses import dataclass, replace as dataclass_replace
 from functools import partial
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.distsim.engine import Simulator
+from repro.distsim.seeding import first_uniforms
 
 __all__ = [
     "Transport",
@@ -81,6 +82,11 @@ Deliver = Callable[[Any], None]
 #: collide with the demand/failure/arrival streams of the same scenario seed.
 _LOSS_SALT = 0x10E55
 _CORRUPT_SALT = 0xBADB17
+
+#: Fewest edge-stream draws worth one vectorized seeding call.  The call
+#: has a fixed cost of ~0.2 ms and one per-message generator costs ~25 µs;
+#: on a 2-vCPU x86 VM the two cross between 8 and 12 draws.
+_VECTOR_MIN_DRAWS = 10
 
 
 class Transport:
@@ -240,6 +246,23 @@ class Transport:
         destination.  The default ``None`` keeps the per-message path;
         only :class:`ReliableTransport` (the differential suites' common
         case) opts in.
+        """
+        return None
+
+    def deferred_latency(self) -> Optional[float]:
+        """The fixed delay of a channel whose loss draws may be deferred.
+
+        A transport may return its delay when every message (i) costs that
+        same delay, (ii) is never mutated, and (iii) is lost or kept by
+        :meth:`drops_many` alone.  Inside a
+        :meth:`~repro.distsim.network.Network.deferred_sends` scope the
+        network then records its sends and resolves them in one
+        ``drops_many(sends)`` call -- which a transport that opts in must
+        provide: :meth:`drops` for each ``(sender, destination, message)``
+        in order, with the same decisions and stream consumption -- and
+        schedules each broadcast's survivors through :meth:`send_batch`.
+        The default ``None`` keeps the per-message :meth:`send`; only
+        :class:`LossyTransport` opts in.
         """
         return None
 
@@ -503,6 +526,12 @@ class _SeededTransport(Transport):
     def _reset_streams(self) -> None:
         self._rng = np.random.default_rng((self.seed, self.salt))
         self._edge_counts: Dict[Tuple[Hashable, Hashable], int] = {}
+        #: Per-edge ``repr`` prefix of the stream key -- a memo of a pure
+        #: function of the edge, never state (checkpoints skip it).
+        self._edge_prefixes: Dict[Tuple[Hashable, Hashable], bytes] = {}
+        self._keyed = hashlib.blake2b(
+            key=(self.seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=16
+        )
 
     def _draws(self, sender: Hashable, destination: Hashable) -> np.random.Generator:
         """The generator this message's draws come from."""
@@ -512,6 +541,41 @@ class _SeededTransport(Transport):
         counter = self._edge_counts.get(edge, 0)
         self._edge_counts[edge] = counter + 1
         return _edge_stream_rng(self.seed, self.salt, sender, destination, counter)
+
+    def _first_draws(self, sends: Sequence[Tuple[Hashable, Hashable, Any]]) -> np.ndarray:
+        """``_draws(sender, destination).random()`` for each send, in order.
+
+        The global stream draws ``n`` values in one call (the same sequence
+        as ``n`` scalar calls).  The edge stream hashes each message's key
+        exactly as :func:`_edge_stream_rng` does -- from a cached per-edge
+        prefix and a copy of the keyed hasher -- and turns the digests into
+        uniforms with one vectorized port of numpy's seeding
+        (:func:`~repro.distsim.seeding.first_uniforms`).  Below
+        ``_VECTOR_MIN_DRAWS`` sends the per-message generator is cheaper.
+        """
+        if self.stream != "edge":
+            return self._rng.random(len(sends))
+        if len(sends) < _VECTOR_MIN_DRAWS:
+            return np.array([self._draws(s, d).random() for s, d, _ in sends], dtype=float)
+        counts = self._edge_counts
+        prefixes = self._edge_prefixes
+        keyed = self._keyed
+        digests = []
+        for sender, destination, _ in sends:
+            edge = (sender, destination)
+            counter = counts.get(edge, 0)
+            counts[edge] = counter + 1
+            prefix = prefixes.get(edge)
+            if prefix is None:
+                # repr((salt, sender, destination, counter)) up to the counter
+                prefix = prefixes[edge] = (
+                    repr((self.salt, sender, destination))[:-1] + ", "
+                ).encode("utf-8")
+            hasher = keyed.copy()
+            hasher.update(prefix + b"%d)" % counter)
+            digests.append(hasher.digest())
+        words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4)
+        return first_uniforms(words)
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return self.delay
@@ -566,6 +630,15 @@ class LossyTransport(_SeededTransport):
 
     def drops(self, sender: Hashable, destination: Hashable, message: Any) -> bool:
         return bool(self._draws(sender, destination).random() < self.loss)
+
+    def drops_many(self, sends: Sequence[Tuple[Hashable, Hashable, Any]]) -> List[bool]:
+        """:meth:`drops` for each ``(sender, destination, message)``, in order."""
+        return (self._first_draws(sends) < self.loss).tolist()
+
+    def deferred_latency(self) -> Optional[float]:
+        # Fixed delay, no mutation, loss from ``drops`` alone.  The ``type``
+        # check keeps subclasses that override a hook off the deferred path.
+        return self.delay if type(self) is LossyTransport else None
 
 
 class CorruptingTransport(_SeededTransport):

@@ -783,10 +783,22 @@ class Fleet:
         iterations run in ascending dense-index order -- the historical
         dict order -- so message sequence numbers (and with them every
         golden hash) are unchanged.
+
+        The send phase runs in a
+        :meth:`~repro.distsim.network.Network.deferred_sends` scope: on a
+        lossy channel the round's loss draws are resolved together when it
+        ends, and each broadcast's survivors become one queue entry --
+        the same deliveries, counters and hashes as per-message sends.
         """
         self._heartbeat_round += 1
         self.stats.heartbeat_rounds += 1
-        round_id = self._heartbeat_round
+        with self.network.deferred_sends():
+            self._heartbeat_sends(self._heartbeat_round)
+        if settle:
+            self.settle()
+
+    def _heartbeat_sends(self, round_id: int) -> None:
+        """The send phase of :meth:`run_heartbeat_round`."""
         timeout = self.config.search_timeout_rounds
         miss = self.config.heartbeat_miss_threshold
         flat = self.flat
@@ -817,8 +829,6 @@ class Fleet:
                     vehicle.gossip_tick(round_id, miss)
         else:
             self._plain_heartbeats(senders, round_id, miss, by_index)
-        if settle:
-            self.settle()
 
     def _plain_heartbeats(
         self,
