@@ -63,7 +63,7 @@ def write_summary(directory) -> dict:
     flat mapping.
     """
     bootstrap_src()
-    from repro.io.atomic import atomic_write_json
+    from repro.io.serialize import save_json
 
     directory = Path(directory)
     summary: dict = {}
@@ -79,16 +79,16 @@ def write_summary(directory) -> dict:
         stem = artifact.stem
         prefix = stem[len("BENCH_") :] if stem.startswith("BENCH_") else stem
         _flatten(payload, prefix, summary)
-    atomic_write_json(summary, directory / SUMMARY_NAME)
+    save_json(summary, directory / SUMMARY_NAME)
     return summary
 
 
 def emit_report(report, path) -> None:
     """Atomically write a benchmark report and announce the artifact path."""
     bootstrap_src()
-    from repro.io.atomic import atomic_write_json
+    from repro.io.serialize import save_json
 
-    atomic_write_json(report, path)
+    save_json(report, path)
     print(f"wrote {path}")
     path = Path(path)
     if path.name.startswith("BENCH_") and path.name != SUMMARY_NAME:

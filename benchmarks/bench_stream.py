@@ -8,7 +8,10 @@ regression gate.  It measures
 
 * **throughput**: events/sec and jobs/sec of a full ``run_service`` over a
   ``10^5``-job cycling stream at the ``10^3``-vehicle scale (and, outside
-  ``--quick``, at ``10^4`` vehicles);
+  ``--quick``, at ``10^4`` vehicles).  The run writes what a deployed
+  service writes -- the live-state file and event log every window and a
+  checkpoint every ``CHECKPOINT_EVERY`` windows, into a temporary
+  directory -- so the gate covers the checkpoint and live-state layer;
 * **memory flatness**: tracemalloc peak of a ``10^4``-job vs a
   ``10^5``-job run at ``10^3`` vehicles.  With constant-memory streaming
   the two peaks are equal up to noise (the fleet arrays dominate); a peak
@@ -35,8 +38,10 @@ from __future__ import annotations
 import argparse
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 from _common import bootstrap_src, emit_report
 
@@ -61,24 +66,42 @@ WINDOW_JOBS = 5000
 #: multiple, not a few percent.
 FLAT_RATIO = 1.25
 
+#: Windows between checkpoints in the throughput run.
+CHECKPOINT_EVERY = 2
+
 
 def _service_config(demand) -> ServiceConfig:
     # Unbounded batteries: the benchmark measures harness throughput, not
     # replacement churn, and a 10^5-job stream would exhaust any fixed
     # provisioning many times over.
     return ServiceConfig.from_demand(
-        demand, capacity=None, omega=OMEGA, window_jobs=WINDOW_JOBS
+        demand,
+        capacity=None,
+        omega=OMEGA,
+        window_jobs=WINDOW_JOBS,
+        checkpoint_every=CHECKPOINT_EVERY,
     )
 
 
 def measure_stream(demand, jobs: int) -> dict:
-    """Throughput of one full service run over a ``jobs``-long stream."""
+    """Throughput of one full service run over a ``jobs``-long stream,
+    writing live state, the event log and checkpoints as it goes."""
     config = _service_config(demand)
-    start = time.perf_counter()
-    result = run_service(config, streaming_arrivals(demand, jobs=jobs))
-    elapsed = time.perf_counter() - start
+    with tempfile.TemporaryDirectory(prefix="bench-stream-") as scratch:
+        out = Path(scratch)
+        start = time.perf_counter()
+        result = run_service(
+            config,
+            streaming_arrivals(demand, jobs=jobs),
+            state_path=out / "state.json",
+            log_path=out / "events.jsonl",
+            checkpoint_path=out / "checkpoint.json",
+        )
+        elapsed = time.perf_counter() - start
     if not result.feasible:
         raise SystemExit("stream benchmark run was infeasible; workload broken?")
+    if result.checkpoints_written == 0:
+        raise SystemExit("stream benchmark run wrote no checkpoint; workload broken?")
     return {
         "jobs": result.jobs_total,
         "events_processed": result.events_processed,
@@ -86,6 +109,7 @@ def measure_stream(demand, jobs: int) -> dict:
         "jobs_per_sec": result.jobs_total / elapsed if elapsed else 0.0,
         "run_seconds": elapsed,
         "windows": result.windows,
+        "checkpoints": result.checkpoints_written,
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
 

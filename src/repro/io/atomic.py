@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Union
 
-__all__ = ["atomic_write_text", "atomic_write_json"]
+__all__ = ["atomic_write_text", "atomic_write_json", "compact_json"]
 
 PathLike = Union[str, Path]
 
@@ -50,10 +50,23 @@ def atomic_write_text(text: str, path: PathLike) -> None:
         raise
 
 
-def atomic_write_json(payload: Any, path: PathLike, *, indent: int = 2) -> None:
-    """Serialize ``payload`` as JSON and write it atomically.
+def compact_json(payload: Any) -> str:
+    """``payload`` as compact, sorted-key JSON text.
 
-    Keys are sorted so repeated writes of equal payloads are byte-identical
-    (the artifacts stay diff-able, matching :func:`repro.io.serialize.save_json`).
+    Sorted keys make repeated writes of equal payloads byte-identical, and
+    leaving out ``indent`` keeps :func:`json.dumps` on its C encoder (an
+    indented dump falls back to the pure-Python one, several times slower
+    on fleet-sized payloads).  ``python -m json.tool`` pretty-prints the
+    result for reading.
     """
-    atomic_write_text(json.dumps(payload, indent=indent, sort_keys=True), path)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def atomic_write_json(payload: Any, path: PathLike) -> None:
+    """Write ``payload`` atomically as :func:`compact_json` text.
+
+    This is the writer for machine-read artifacts -- service checkpoints
+    and live state.  Human-facing reports go through
+    :func:`repro.io.serialize.save_json`, which pretty-prints.
+    """
+    atomic_write_text(compact_json(payload), path)

@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Union
 
 from repro.core.demand import DemandMap, Job, JobSequence
 from repro.core.plan import ServicePlan, VehicleRoute
-from repro.io.atomic import atomic_write_json
+from repro.io.atomic import atomic_write_text
 
 __all__ = [
     "demand_to_json",
@@ -134,12 +134,15 @@ def run_result_from_json(payload: Dict[str, Any]) -> "Any":
 
 
 def save_json(payload: Dict[str, Any], path: PathLike) -> None:
-    """Write a JSON payload to disk (pretty-printed, stable key order).
+    """Write a human-facing JSON payload to disk (pretty-printed, sorted keys).
 
-    The write is atomic (temp-file-then-rename via :mod:`repro.io.atomic`),
-    so a concurrent reader or a crash mid-write never leaves a torn file.
+    For reports such as ``--json-out``.  The write is atomic
+    (temp-file-then-rename via :mod:`repro.io.atomic`), so a concurrent
+    reader or a crash mid-write never leaves a torn file.  Large
+    machine-read artifacts (checkpoints, live state) use the compact
+    :func:`repro.io.atomic.atomic_write_json` instead.
     """
-    atomic_write_json(payload, path)
+    atomic_write_text(json.dumps(payload, indent=2, sort_keys=True), path)
 
 
 def load_json(path: PathLike) -> Dict[str, Any]:

@@ -23,7 +23,9 @@ keeps the format small and exact:
   uninterrupted).
 
 JSON keeps every float exact (``repr`` round-trip), so "byte-identical"
-means exactly that, not "close".
+means exactly that, not "close".  Snapshots are written compact with
+sorted keys (:func:`repro.io.atomic.compact_json`); the reader ignores
+whitespace, so indented snapshots from earlier builds still resume.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ import numpy as np
 
 from repro.core.demand import Job
 from repro.distsim.failures import ChurnSpec
-from repro.io.serialize import load_json, save_json
+from repro.io.atomic import atomic_write_json, atomic_write_text, compact_json
+from repro.io.serialize import load_json
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.vehicles.state import TransferState, WorkingState
@@ -172,20 +175,21 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
         entry = _vehicle_entry(fleet, index, vehicle)
         if entry:
             vehicles[str(index)] = entry
+    # Tuples encode exactly like lists, so points and pairs go out as they
+    # are stored: copying ~10^5 of them into fresh lists changes no byte
+    # and only feeds the garbage collector.  The two shallow copies keep
+    # the snapshot apart from lists the fleet mutates in place.
     return {
-        "travel": list(flat.travel),
-        "service": list(flat.service),
-        "state": list(flat.state),
-        "broken": list(flat.broken),
-        "watch": list(flat.watch),
-        "positions": [list(p) for p in flat.positions],
+        "travel": flat.travel.tolist(),
+        "service": flat.service.tolist(),
+        "state": flat.state.tolist(),
+        "broken": flat.broken.tolist(),
+        "watch": flat.watch.tolist(),
+        "positions": list(flat.positions),
         "pair_live": pair_live,
-        "registry": [
-            [list(pair), list(identity)] for pair, identity in sorted(fleet.registry.items())
-        ],
+        "registry": sorted(fleet.registry.items()),
         "cube_members": [
-            [list(index), [list(m) for m in members]]
-            for index, members in sorted(fleet._cube_members.items())
+            (index, list(members)) for index, members in sorted(fleet._cube_members.items())
         ],
         "stats": dataclasses.asdict(fleet.stats),
         "computation_round": fleet._computation_round,
@@ -518,8 +522,9 @@ def restore_checkpoint(
 
 
 def save_checkpoint(payload: Dict[str, Any], path) -> None:
-    """Write a snapshot atomically (:func:`repro.io.serialize.save_json`)."""
-    save_json(payload, path)
+    """Write a snapshot atomically as compact, sorted-key JSON
+    (:func:`repro.io.atomic.atomic_write_json`)."""
+    atomic_write_json(payload, path)
 
 
 def rotated_checkpoint_path(path, ordinal: int) -> Path:
@@ -548,8 +553,9 @@ def save_rotated_checkpoint(payload: Dict[str, Any], path, *, ordinal: int, keep
         raise ValueError(f"keep must be at least 1, got {keep}")
     path = Path(path)
     slot = rotated_checkpoint_path(path, ordinal)
-    save_json(payload, slot)
-    save_json(payload, path)
+    text = compact_json(payload)
+    atomic_write_text(text, slot)
+    atomic_write_text(text, path)
     pattern = f"{path.stem}.w????????{path.suffix}"
     slots = sorted(path.parent.glob(pattern))
     for stale in slots[: max(0, len(slots) - keep)]:

@@ -136,13 +136,15 @@ def run_service(
     if keep_checkpoints is not None and keep_checkpoints < 1:
         raise ValueError(f"keep_checkpoints must be at least 1, got {keep_checkpoints}")
     resumed = snapshot is not None
+    # Hashing serializes every demand entry, so it is done once per run.
+    config_hash = config.config_hash()
     if resumed:
         snapshot = load_checkpoint(snapshot)
-        snap_config = ServiceConfig.from_json(snapshot["config"])
-        if snap_config.config_hash() != config.config_hash():
+        snap_hash = ServiceConfig.from_json(snapshot["config"]).config_hash()
+        if snap_hash != config_hash:
             raise ValueError(
                 "snapshot was taken under a different service config "
-                f"({snap_config.config_hash()[:12]} != {config.config_hash()[:12]})"
+                f"({snap_hash[:12]} != {config_hash[:12]})"
             )
 
     fleet, fleet_config, rng, omega, omega_star, provisioned, theorem_capacity = _provision(
@@ -234,7 +236,7 @@ def run_service(
                     driver,
                     recorder,
                     checkpoints_written=progress["checkpoints"],
-                    config_hash=config.config_hash(),
+                    config_hash=config_hash,
                 )
             )
 
@@ -296,7 +298,7 @@ def run_service(
                     driver,
                     recorder,
                     checkpoints_written=progress["checkpoints"],
-                    config_hash=config.config_hash(),
+                    config_hash=config_hash,
                 )
             )
     finally:

@@ -2,10 +2,11 @@
 
 Two artifacts, both cheap enough to refresh every metrics window:
 
-* **State file** -- a single JSON document, atomically rewritten
-  (temp-file + rename, :func:`repro.io.atomic.atomic_write_json`) so an
-  external poller never observes a torn read: it always sees either the
-  previous complete state or the new complete state.  Contents: run
+* **State file** -- a single compact, sorted-key JSON document, atomically
+  rewritten (temp-file + rename, :func:`repro.io.atomic.atomic_write_json`)
+  so an external poller never observes a torn read: it always sees either
+  the previous complete state or the new complete state (``python -m
+  json.tool`` pretty-prints it).  Contents: run
   progress, a fleet summary, the active pair registry (bounded by fleet
   size, never by stream length), and the last ``keep_windows`` metrics
   windows.
@@ -62,10 +63,7 @@ def build_state(
             "adoptions": fleet.stats.adoptions,
             "hand_backs": fleet.stats.hand_backs,
         },
-        "active_pairs": [
-            [list(pair), list(identity)]
-            for pair, identity in sorted(fleet.registry.items())
-        ],
+        "active_pairs": sorted(fleet.registry.items()),
         "windows": list(recorder.recent),
         "checkpoints_written": checkpoints_written,
     }

@@ -31,6 +31,14 @@ def test_json_sorted_and_stable(tmp_path):
     assert json.loads(first) == {"a": 1, "b": 2}
 
 
+def test_json_is_compact(tmp_path):
+    # Compact output keeps json.dumps on its C encoder; tuples encode as
+    # lists, so callers may pass stored tuples without copying them.
+    target = tmp_path / "out.json"
+    atomic_write_json({"b": [(1, 2), (3, 4)], "a": {"c": 1.5}}, target)
+    assert target.read_text() == '{"a":{"c":1.5},"b":[[1,2],[3,4]]}'
+
+
 def test_no_temp_file_left_behind(tmp_path):
     target = tmp_path / "out.json"
     atomic_write_json({"k": "v"}, target)

@@ -68,3 +68,8 @@ class TestFileIO:
         path = tmp_path / "demand.json"
         save_json(demand_to_json(demand), path)
         assert demand_from_json(load_json(path)) == demand
+
+    def test_save_json_pretty_prints(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_json({"b": 1, "a": [2]}, path)
+        assert path.read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}'

@@ -140,6 +140,7 @@ class TestRotatingCheckpoints:
         assert len(slots) == 2
         # the plain path tracks the latest slot exactly
         assert json.loads(snapshot.read_text()) == json.loads(slots[-1].read_text())
+        assert snapshot.read_bytes() == slots[-1].read_bytes()
 
     def test_pruning_is_deterministic_and_ordered(self, tmp_path):
         _, _, _, _ = self._run_with_rotation(tmp_path, keep=1)
@@ -259,7 +260,9 @@ class TestLiveStateStore:
             log_path=str(log_path),
             checkpoint_path=str(tmp_path / "snap.json"),
         )
-        state = json.loads(state_path.read_text())
+        text = state_path.read_text()
+        assert "\n" not in text  # compact: the C encoder's output
+        state = json.loads(text)
         assert state["finished"] is True
         assert state["jobs"]["served"] == result.jobs_served
         assert state["checkpoints_written"] == result.checkpoints_written
