@@ -27,7 +27,18 @@ import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.report import Table
 from repro.api.config import CapacitySpec, RunConfig, ScenarioSpec
@@ -38,6 +49,13 @@ from repro.api.service import ServiceConfig, ServiceResult
 __all__ = ["EngineStats", "ExperimentEngine", "config_matrix"]
 
 PathLike = Union[str, Path]
+
+#: Generation of the on-disk cache format, stored in every cache file.  An
+#: entry of another generation is a miss (the run executes again and
+#: overwrites it).  Bumped when results change for configs whose hash did
+#: not -- 2: lossy and corrupting transports draw only from the edge-keyed
+#: loss stream, so entries written with the removed global stream are stale.
+CACHE_GENERATION = 2
 ProgressCallback = Callable[[int, int, RunResult], None]
 
 SUMMARY_HEADERS = (
@@ -92,6 +110,28 @@ class EngineStats:
         return self.memory_cache_hits + self.disk_cache_hits
 
 
+def _solve(config: RunConfig) -> RunResult:
+    """Run one config through its registered solver."""
+    return replace(get_solver(config.solver)(config), config_hash=config.config_hash())
+
+
+def _serve(item: Tuple[ServiceConfig, int]) -> ServiceResult:
+    """Run one service config over its pinned stream of ``jobs`` arrivals.
+
+    A service config deliberately owns no arrival ordering, so the engine
+    pins the stream to the deterministic ``streaming_arrivals`` expansion of
+    the config's demand -- making the run, like a ``RunConfig`` run, a pure
+    function of ``(config, jobs)``.
+    """
+    # Imported lazily: the api package must stay importable without the
+    # service package (the dependency arrow points service -> api).
+    from repro.service import run_service
+    from repro.workloads.arrivals import streaming_arrivals
+
+    config, jobs = item
+    return run_service(config, streaming_arrivals(config.demand(), jobs=jobs))
+
+
 def _solve_payload(payload: str) -> str:
     """Process-pool entrypoint: JSON config in, canonical JSON result out.
 
@@ -101,29 +141,43 @@ def _solve_payload(payload: str) -> str:
     import repro.api  # noqa: F401 - registers the built-in solvers
 
     config = RunConfig.from_json(json.loads(payload))
-    result = get_solver(config.solver)(config)
-    result = replace(result, config_hash=config.config_hash())
-    return result.canonical_json()
+    return _solve(config).canonical_json()
 
 
 def _solve_service_payload(payload: str) -> str:
-    """Process-pool entrypoint for service runs, mirroring :func:`_solve_payload`.
-
-    The payload carries the serialized :class:`ServiceConfig` plus the job
-    count: a service config deliberately owns no arrival ordering, so the
-    engine pins the stream to the deterministic ``streaming_arrivals``
-    expansion of the config's demand -- making the run, like a ``RunConfig``
-    run, a pure function of the payload.
-    """
+    """Process-pool entrypoint for service runs, mirroring :func:`_solve_payload`."""
     import repro.api  # noqa: F401 - registers the built-in solvers
 
-    from repro.service import run_service
-    from repro.workloads.arrivals import streaming_arrivals
-
     spec = json.loads(payload)
-    config = ServiceConfig.from_json(spec["config"])
-    jobs = streaming_arrivals(config.demand(), jobs=spec["jobs"])
-    return run_service(config, jobs).canonical_json()
+    item = (ServiceConfig.from_json(spec["config"]), spec["jobs"])
+    return _serve(item).canonical_json()
+
+
+class _JobKind(NamedTuple):
+    """How the engine runs, ships and decodes one kind of keyed job."""
+
+    #: ``item -> result`` in this process.
+    execute: Callable[[Any], Any]
+    #: Process-pool entrypoint: JSON payload in, canonical JSON result out.
+    pool_entry: Callable[[str], str]
+    #: ``item -> JSON payload`` for :attr:`pool_entry`.
+    encode: Callable[[Any], str]
+    #: A result's JSON form (cache files, pool output) back to the result.
+    decode: Callable[[Any], Any]
+
+
+_RUNS = _JobKind(
+    _solve,
+    _solve_payload,
+    lambda config: json.dumps(config.to_json(), sort_keys=True),
+    RunResult.from_json,
+)
+_SERVICE_RUNS = _JobKind(
+    _serve,
+    _solve_service_payload,
+    lambda item: json.dumps({"config": item[0].to_json(), "jobs": item[1]}, sort_keys=True),
+    ServiceResult.from_json,
+)
 
 
 class ExperimentEngine:
@@ -145,8 +199,8 @@ class ExperimentEngine:
         self.progress = progress
         self.stats = EngineStats()
         self._stats_lock = threading.Lock()
-        self._memory_cache: Dict[str, RunResult] = {}
-        self._service_cache: Dict[str, ServiceResult] = {}
+        #: Results of both job kinds; service keys carry a ``service-`` prefix.
+        self._memory_cache: Dict[str, Any] = {}
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
@@ -159,29 +213,32 @@ class ExperimentEngine:
             return None
         return self.cache_dir / f"{key}.json"
 
-    def _cached(self, key: str) -> Optional[RunResult]:
+    def _cached(self, key: str, decode: Callable[[Any], Any]) -> Any:
         hit = self._memory_cache.get(key)
         if hit is not None:
             self.stats.memory_cache_hits += 1
             return hit
         path = self._cache_path(key)
         if path is not None and path.exists():
-            result = RunResult.from_json(json.loads(path.read_text()))
+            payload = json.loads(path.read_text())
+            if payload.get("cache_generation") != CACHE_GENERATION:
+                return None
+            result = decode(payload)
             self._memory_cache[key] = result
             self.stats.disk_cache_hits += 1
             return result
         return None
 
-    def _store(self, key: str, result: RunResult) -> None:
+    def _store(self, key: str, result: Any) -> None:
         self._memory_cache[key] = result
         path = self._cache_path(key)
         if path is not None:
-            path.write_text(result.canonical_json())
+            payload = dict(result.to_json(), cache_generation=CACHE_GENERATION)
+            path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
     def clear_cache(self) -> None:
         """Drop the in-memory cache and delete on-disk cache entries."""
         self._memory_cache.clear()
-        self._service_cache.clear()
         if self.cache_dir is not None:
             for path in self.cache_dir.glob("*.json"):
                 path.unlink()
@@ -199,25 +256,6 @@ class ExperimentEngine:
         )
         return "service-" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def _cached_service(self, key: str) -> Optional[ServiceResult]:
-        hit = self._service_cache.get(key)
-        if hit is not None:
-            self.stats.memory_cache_hits += 1
-            return hit
-        path = self._cache_path(key)
-        if path is not None and path.exists():
-            result = ServiceResult.from_json(json.loads(path.read_text()))
-            self._service_cache[key] = result
-            self.stats.disk_cache_hits += 1
-            return result
-        return None
-
-    def _store_service(self, key: str, result: ServiceResult) -> None:
-        self._service_cache[key] = result
-        path = self._cache_path(key)
-        if path is not None:
-            path.write_text(result.canonical_json())
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -225,20 +263,7 @@ class ExperimentEngine:
     def run(self, config: RunConfig) -> RunResult:
         """Execute one config (cache-aware)."""
         config.validate()
-        key = config.config_hash()
-        cached = self._cached(key)
-        if cached is not None:
-            return cached
-        result = self._execute(config, key)
-        self._store(key, result)
-        return result
-
-    def _execute(self, config: RunConfig, key: str) -> RunResult:
-        solver = get_solver(config.solver)
-        result = replace(solver(config), config_hash=key)
-        with self._stats_lock:
-            self.stats.executed += 1
-        return result
+        return self._fan_out([(config.config_hash(), config)], _RUNS, inline=True)[0]
 
     def run_many(self, configs: Sequence[RunConfig]) -> List[RunResult]:
         """Execute a batch, preserving input order in the returned list.
@@ -250,71 +275,8 @@ class ExperimentEngine:
         configs = list(configs)
         for config in configs:
             config.validate()
-        keys = [config.config_hash() for config in configs]
-        total = len(configs)
-        results: List[Optional[RunResult]] = [None] * total
-        done = 0
-
-        def report(index: int, result: RunResult) -> None:
-            nonlocal done
-            done += 1
-            if self.progress is not None:
-                self.progress(done, total, result)
-
-        # Duplicate configs in one batch are solved once: pending indices
-        # are grouped by cache key, and every index of a group receives the
-        # single result (the within-batch face of the caching promise).
-        pending: Dict[str, List[int]] = {}
-        for index, key in enumerate(keys):
-            cached = self._cached(key)
-            if cached is not None:
-                results[index] = cached
-                report(index, cached)
-            else:
-                pending.setdefault(key, []).append(index)
-
-        def deliver(key: str, result: RunResult) -> None:
-            self._store(key, result)
-            for index in pending[key]:
-                results[index] = result
-                report(index, result)
-
-        if not pending:
-            return [result for result in results if result is not None]
-
-        unique = [(key, configs[indices[0]]) for key, indices in pending.items()]
-        if self.workers == 1:
-            for key, config in unique:
-                deliver(key, self._execute(config, key))
-        else:
-            with self._executor() as pool:
-                if self.use_processes:
-                    payloads = [
-                        json.dumps(config.to_json(), sort_keys=True)
-                        for _, config in unique
-                    ]
-                    for (key, _), text in zip(unique, pool.map(_solve_payload, payloads)):
-                        with self._stats_lock:
-                            self.stats.executed += 1
-                        deliver(key, RunResult.from_json(json.loads(text)))
-                else:
-                    futures = [
-                        (key, pool.submit(self._execute, config, key))
-                        for key, config in unique
-                    ]
-                    for key, future in futures:
-                        deliver(key, future.result())
-
-        return [result for result in results if result is not None]
-
-    def _executor(self) -> Executor:
-        if self.use_processes:
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    # ------------------------------------------------------------------ #
-    # service runs
-    # ------------------------------------------------------------------ #
+        keyed = [(config.config_hash(), config) for config in configs]
+        return self._fan_out(keyed, _RUNS, progress=self.progress)
 
     def run_service(self, config: ServiceConfig, jobs: int) -> ServiceResult:
         """Execute one service config over ``jobs`` streamed arrivals (cache-aware).
@@ -323,24 +285,8 @@ class ExperimentEngine:
         the config's demand, so -- exactly like :meth:`run` -- the result is
         a pure function of ``(config, jobs)`` and caches under their key.
         """
-        key = self._service_key(config, jobs)
-        cached = self._cached_service(key)
-        if cached is not None:
-            return cached
-        result = self._execute_service(config, jobs)
-        self._store_service(key, result)
-        return result
-
-    def _execute_service(self, config: ServiceConfig, jobs: int) -> ServiceResult:
-        # Imported lazily: the api package must stay importable without the
-        # service package (the dependency arrow points service -> api).
-        from repro.service import run_service
-        from repro.workloads.arrivals import streaming_arrivals
-
-        result = run_service(config, streaming_arrivals(config.demand(), jobs=jobs))
-        with self._stats_lock:
-            self.stats.executed += 1
-        return result
+        keyed = [(self._service_key(config, jobs), (config, jobs))]
+        return self._fan_out(keyed, _SERVICE_RUNS, inline=True)[0]
 
     def run_service_many(
         self, items: Sequence[Tuple[ServiceConfig, int]]
@@ -351,54 +297,10 @@ class ExperimentEngine:
         batch is byte-identical regardless of worker count or pool type --
         the same determinism contract ``RunConfig`` sweeps have.
         """
-        items = list(items)
-        keys = [self._service_key(config, jobs) for config, jobs in items]
-        results: List[Optional[ServiceResult]] = [None] * len(items)
-
-        pending: Dict[str, List[int]] = {}
-        for index, key in enumerate(keys):
-            cached = self._cached_service(key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.setdefault(key, []).append(index)
-
-        def deliver(key: str, result: ServiceResult) -> None:
-            self._store_service(key, result)
-            for index in pending[key]:
-                results[index] = result
-
-        if not pending:
-            return [result for result in results if result is not None]
-
-        unique = [(key, items[indices[0]]) for key, indices in pending.items()]
-        if self.workers == 1:
-            for key, (config, jobs) in unique:
-                deliver(key, self._execute_service(config, jobs))
-        else:
-            with self._executor() as pool:
-                if self.use_processes:
-                    payloads = [
-                        json.dumps(
-                            {"config": config.to_json(), "jobs": jobs}, sort_keys=True
-                        )
-                        for _, (config, jobs) in unique
-                    ]
-                    for (key, _), text in zip(
-                        unique, pool.map(_solve_service_payload, payloads)
-                    ):
-                        with self._stats_lock:
-                            self.stats.executed += 1
-                        deliver(key, ServiceResult.from_json(json.loads(text)))
-                else:
-                    futures = [
-                        (key, pool.submit(self._execute_service, config, jobs))
-                        for key, (config, jobs) in unique
-                    ]
-                    for key, future in futures:
-                        deliver(key, future.result())
-
-        return [result for result in results if result is not None]
+        keyed = [
+            (self._service_key(config, jobs), (config, jobs)) for config, jobs in items
+        ]
+        return self._fan_out(keyed, _SERVICE_RUNS)
 
     @staticmethod
     def service_results_payload(results: Iterable[ServiceResult]) -> str:
@@ -408,6 +310,79 @@ class ExperimentEngine:
             sort_keys=True,
             indent=2,
         )
+
+    def _execute(self, kind: _JobKind, item: Any) -> Any:
+        result = kind.execute(item)
+        with self._stats_lock:
+            self.stats.executed += 1
+        return result
+
+    def _fan_out(
+        self,
+        keyed: Sequence[Tuple[str, Any]],
+        kind: _JobKind,
+        *,
+        progress: Optional[Callable[[int, int, Any], None]] = None,
+        inline: bool = False,
+    ) -> List[Any]:
+        """Results of ``(key, item)`` jobs in input order, each key run once.
+
+        Cached keys are served from the memory or disk cache.  Duplicate
+        keys in one batch are solved once: pending indices are grouped by
+        key, and every index of a group receives the single result (the
+        within-batch face of the caching promise).  Pending jobs run in this
+        thread when ``inline`` is set (single runs) or ``workers == 1``.
+        """
+        total = len(keyed)
+        results: List[Any] = [None] * total
+        done = 0
+
+        def report(result: Any) -> None:
+            nonlocal done
+            done += 1
+            if progress is not None:
+                progress(done, total, result)
+
+        pending: Dict[str, List[int]] = {}
+        for index, (key, _) in enumerate(keyed):
+            cached = self._cached(key, kind.decode)
+            if cached is not None:
+                results[index] = cached
+                report(cached)
+            else:
+                pending.setdefault(key, []).append(index)
+
+        def deliver(key: str, result: Any) -> None:
+            self._store(key, result)
+            for index in pending[key]:
+                results[index] = result
+                report(result)
+
+        unique = [(key, keyed[indices[0]][1]) for key, indices in pending.items()]
+        if inline or self.workers == 1:
+            for key, item in unique:
+                deliver(key, self._execute(kind, item))
+        else:
+            with self._executor() as pool:
+                if self.use_processes:
+                    payloads = [kind.encode(item) for _, item in unique]
+                    for (key, _), text in zip(unique, pool.map(kind.pool_entry, payloads)):
+                        with self._stats_lock:
+                            self.stats.executed += 1
+                        deliver(key, kind.decode(json.loads(text)))
+                else:
+                    futures = [
+                        (key, pool.submit(self._execute, kind, item))
+                        for key, item in unique
+                    ]
+                    for key, future in futures:
+                        deliver(key, future.result())
+        return results
+
+    def _executor(self) -> Executor:
+        if self.use_processes:
+            return ProcessPoolExecutor(max_workers=self.workers)
+        return ThreadPoolExecutor(max_workers=self.workers)
 
     # ------------------------------------------------------------------ #
     # reporting

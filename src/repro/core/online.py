@@ -578,11 +578,11 @@ def run_online(
         Partition the run into this many cube-aligned shards (see
         :mod:`repro.distsim.sharding`).  The result is byte-identical to
         the ``shards=1`` run.  Configurations whose protocol traffic stays
-        inside each shard -- no escalation, gossip, recovery rounds or
-        shared random stream; crashes, partitions, churn, ring monitoring
-        and edge-stream transports are fine -- fan out to one worker
-        process per shard (``"parallel-lockstep"``, see
-        :mod:`repro.distsim.parallel_lockstep`); everything else runs the
+        inside each shard -- no escalation, gossip, recovery rounds, shared
+        run RNG or caller-owned transport instance; crashes, partitions,
+        churn, ring monitoring and every spec-built transport are fine --
+        fan out to one worker process per shard (``"parallel-lockstep"``,
+        see :mod:`repro.distsim.parallel_lockstep`); everything else runs the
         one global fleet single-process (``"single-process"``).  The mode
         that ran (and, for the single-process fallback, the first
         disqualifying feature) is recorded on the result as
@@ -642,7 +642,6 @@ def run_online(
     if shards > 1:
         eligible, shard_mode_reason = parallel_lockstep_eligibility(
             transport,
-            transport_instance,
             config,
             rng,
             failure_plan,

@@ -22,9 +22,8 @@ This module provides the scheme in a protocol-agnostic form:
   and the child-pointer chain (if any) is the discovered path.
 
 The vehicle protocol of Chapter 3 embeds the same logic with extra
-vehicle-state bookkeeping; this standalone version is exercised directly in
-tests and examples, and serves as the reference implementation the vehicle
-version is checked against.
+vehicle-state bookkeeping; this standalone version is exercised directly by
+``tests/distsim/test_diffusing.py``.
 """
 
 from __future__ import annotations

@@ -27,21 +27,22 @@ all.  This module is the engine for runs that split (``shard_mode ==
   its own vehicles, with identical clocks and round numbers -- byte
   identity follows, and the replicated bookkeeping events are subtracted
   from the merged ``events_processed``.
-* **Edge-keyed transport streams.**  ``LossyTransport`` /
-  ``CorruptingTransport`` with ``stream="edge"`` derive their draws per
-  ``(edge, purpose, seed, message counter)`` instead of one generator in
-  global send order (see :func:`~repro.distsim.transport._edge_stream_rng`),
-  which makes loss and corruption shardable; the default ``"global"``
-  stream reproduces every pre-split hash and runs single-process.
+* **Spec-built transports.**  Every transport a spec or kind name builds
+  is a function of the edge: latencies are fixed or keyed per edge, and
+  ``LossyTransport`` / ``CorruptingTransport`` derive their draws per
+  ``(edge, purpose, seed, message counter)``
+  (see :func:`~repro.distsim.transport._edge_stream_rng`), so each worker
+  rebuilds the spec and reproduces the single-process draws of its edges.
 
 Everything outside the class -- escalation (replacement migrates vehicles
 *between* shards), gossip monitoring (digest fanout targets fleet-wide
 peers), ``recovery_rounds`` (conditional mid-run global rounds that cannot
-be precomputed per shard), shared-RNG transports, closure drop rules -- is
-rejected by :func:`parallel_lockstep_eligibility` with the first
-disqualifying feature as a human-readable reason; ``run_online`` then runs
-the one global fleet single-process and records that reason, so bench
-numbers can't silently be misread as parallel.
+be precomputed per shard), the shared-RNG jitter channel, caller-owned
+transport instances, closure drop rules -- is rejected by
+:func:`parallel_lockstep_eligibility` with the first disqualifying feature
+as a human-readable reason; ``run_online`` then runs the one global fleet
+single-process and records that reason, so bench numbers can't silently
+be misread as parallel.
 
 Workers verify the zero-boundary-traffic claim at runtime: an
 :class:`IsolationGuard` installed as ``Network.shard_monitor`` raises on
@@ -73,7 +74,6 @@ _MAX_MERGED = frozenset({"max_vehicle_energy", "heartbeat_rounds", "sim_time"})
 
 def parallel_lockstep_eligibility(
     transport,
-    transport_instance,
     config,
     rng,
     failure_plan: Optional[FailurePlan],
@@ -86,8 +86,8 @@ def parallel_lockstep_eligibility(
     disqualifying feature (empty when eligible) -- recorded on the result
     so a single-process fallback is always attributable.  The checks
     mirror the structural argument in the module docstring: anything that
-    would generate cross-shard traffic, couple shards through a shared
-    stream, or fail to pickle into a worker process disqualifies.
+    would generate cross-shard traffic, draw from the shared run RNG, or
+    fail to pickle into a worker process disqualifies.
     """
     if escalation is not None:
         escalated = bool(escalation)
@@ -131,12 +131,6 @@ def parallel_lockstep_eligibility(
             False,
             "caller-owned transport instance: workers need a rebuildable "
             "spec or kind name",
-        )
-    if not transport_instance.shardable:
-        return (
-            False,
-            f"transport {transport_instance.kind!r} couples shards through a "
-            'shared stream (lossy/corrupting need stream="edge")',
         )
     return (True, "")
 

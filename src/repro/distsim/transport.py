@@ -27,15 +27,19 @@ swappable object:
   around any inner transport: up to ``retries`` re-sends, each lost
   attempt paying one ``timeout`` of extra delay, so an inner loss rate
   ``p`` becomes ``p^(retries + 1)`` end to end.
-* :class:`LossyTransport` -- seeded i.i.d. message loss.  The drop stream is
-  drawn from the transport's own ``numpy`` generator in send order, which is
-  deterministic because every run constructs its own transport from a spec.
+* :class:`LossyTransport` -- seeded i.i.d. message loss.  Every draw is
+  keyed per directed edge: it comes from ``(edge, purpose salt, seed,
+  per-edge message counter)`` (:func:`_edge_stream_rng`), never from one
+  generator consumed in global send order, so the decisions depend only on
+  each edge's own message order -- the property that lets a sharded run
+  reproduce the single-process draws (the counter-based model of Salmon et
+  al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 * :class:`CorruptingTransport` -- seeded Byzantine corruption of the Phase
   I/II protocol messages (query/reply/move): reply flags flip, destination
   and pair coordinates drift, computation tags are scrambled into phantom
   rounds.  The vehicle state machine must survive every such mutation
   legally -- the transport only ever emits well-typed messages, never
-  exceptions-in-waiting.
+  exceptions-in-waiting.  Its draws are edge-keyed like the loss draws.
 * :class:`RandomJitterTransport` -- the historical randomized-delay model
   (uniform on ``[d/2, 3d/2]`` from a shared generator); kept for
   byte-compatibility with pre-transport runs, not spec-constructible.
@@ -167,31 +171,15 @@ class Transport:
         return message
 
     # ------------------------------------------------------------------ #
-    # sharding contract
+    # stream state
     # ------------------------------------------------------------------ #
-
-    @property
-    def shardable(self) -> bool:
-        """Whether per-shard instances reproduce the single-process run.
-
-        A transport is shardable when its latency is a *pure function of
-        the edge* -- no stream state consumed in global send order -- so
-        splitting the fleet across independent simulators cannot perturb
-        any delivery time.  Stream-coupled models (lossy, corrupting,
-        shared-RNG jitter) are not: their draws depend on the interleaved
-        global send sequence, which only the single-process run produces.
-        Conservative default: not shardable.
-        """
-        return False
 
     def stream_state(self) -> Optional[Dict[str, Any]]:
         """JSON-safe state of any keyed counter streams (hook).
 
-        Checkpoints capture numpy generator state separately (it predates
-        this hook); transports that keep *additional* stream state -- the
-        per-edge message counters of the ``stream="edge"`` modes -- export
-        it here so a resumed run continues every edge stream exactly where
-        it stopped.  ``None`` means nothing beyond the generator state.
+        Transports with edge-keyed streams export their per-edge message
+        counters here, so a resumed run continues every edge stream exactly
+        where it stopped.  ``None`` means the transport keeps no stream.
         """
         return None
 
@@ -355,12 +343,6 @@ class ReliableTransport(Transport):
             return self.delay
         return None
 
-    @property
-    def shardable(self) -> bool:
-        # A fixed delay is a pure edge function; a callable may close over
-        # anything (including shared state), so it stays off the shard path.
-        return type(self) is ReliableTransport and not callable(self.delay)
-
 
 def _edge_unit(seed: int, sender: Hashable, destination: Hashable) -> float:
     """A deterministic uniform-ish value in ``[0, 1)`` per directed edge.
@@ -381,7 +363,7 @@ def _edge_stream_rng(
 ) -> np.random.Generator:
     """The per-message generator of a per-edge keyed counter stream.
 
-    The stream split that makes loss/corruption shardable: randomness is
+    What lets a sharded run reproduce loss/corruption: randomness is
     derived per ``(edge, purpose salt, seed, message counter)`` instead of
     one generator consumed in global send order.  Every directed edge lives
     inside exactly one shard (both endpoints answer at their home cubes),
@@ -436,10 +418,6 @@ class LatencyTransport(Transport):
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return self.delay + self.jitter * _edge_unit(self.seed, sender, destination)
 
-    @property
-    def shardable(self) -> bool:
-        return True  # pure edge function: no stream consumed
-
 
 class DistanceLatencyTransport(Transport):
     """Delay growing linearly with the lattice distance between endpoints.
@@ -485,27 +463,19 @@ class DistanceLatencyTransport(Transport):
             return self.delay
         return self.delay + self.per_step * distance
 
-    @property
-    def shardable(self) -> bool:
-        return True  # pure edge function: no stream consumed
-
 
 class _SeededTransport(Transport):
-    """A fixed-delay channel with one seeded random stream, global or edge-keyed.
+    """A fixed-delay channel with one seeded, edge-keyed random stream.
 
     The shared half of :class:`LossyTransport` and
-    :class:`CorruptingTransport`.  ``stream`` selects how draws are derived:
+    :class:`CorruptingTransport`.  Each message gets a fresh generator
+    derived per ``(edge, purpose salt, seed, per-edge message counter)``
+    (:func:`_edge_stream_rng`).  Draws depend only on per-edge send order,
+    never on cross-edge interleaving, so per-shard sub-fleets reproduce the
+    single-process run bit for bit.
 
-    * ``"global"`` (the default, and the compat shim): draws come from the
-      transport's own generator in global send order -- deterministic per
-      run, reproducing every pre-split hash, but *not* shardable (the
-      stream couples all edges together).
-    * ``"edge"``: each message gets a fresh generator derived per
-      ``(edge, purpose salt, seed, per-edge message counter)``
-      (:func:`_edge_stream_rng`).  Draws depend only on per-edge send
-      order, never on cross-edge interleaving, so per-shard sub-fleets
-      reproduce the single-process run bit for bit -- this is the mode the
-      multi-process shard engine requires.
+    ``stream`` accepts only ``"edge"``, the name saved configs use for this
+    stream; any other value (the removed global stream) is rejected.
     """
 
     #: Seed salt of the subclass's stream (loss vs corruption).
@@ -516,15 +486,17 @@ class _SeededTransport(Transport):
         delay = float(delay)
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        if stream not in ("global", "edge"):
-            raise ValueError(f'stream must be "global" or "edge", got {stream!r}')
+        if stream != "edge":
+            raise ValueError(
+                f"stream {stream!r} is not available: the global stream was "
+                "removed, and every seeded transport draws from per-edge keyed "
+                'streams (stream="edge")'
+            )
         self.delay = delay
         self.seed = int(seed)
-        self.stream = stream
         self._reset_streams()
 
     def _reset_streams(self) -> None:
-        self._rng = np.random.default_rng((self.seed, self.salt))
         self._edge_counts: Dict[Tuple[Hashable, Hashable], int] = {}
         #: Per-edge ``repr`` prefix of the stream key -- a memo of a pure
         #: function of the edge, never state (checkpoints skip it).
@@ -535,8 +507,6 @@ class _SeededTransport(Transport):
 
     def _draws(self, sender: Hashable, destination: Hashable) -> np.random.Generator:
         """The generator this message's draws come from."""
-        if self.stream != "edge":
-            return self._rng
         edge = (sender, destination)
         counter = self._edge_counts.get(edge, 0)
         self._edge_counts[edge] = counter + 1
@@ -545,16 +515,13 @@ class _SeededTransport(Transport):
     def _first_draws(self, sends: Sequence[Tuple[Hashable, Hashable, Any]]) -> np.ndarray:
         """``_draws(sender, destination).random()`` for each send, in order.
 
-        The global stream draws ``n`` values in one call (the same sequence
-        as ``n`` scalar calls).  The edge stream hashes each message's key
-        exactly as :func:`_edge_stream_rng` does -- from a cached per-edge
-        prefix and a copy of the keyed hasher -- and turns the digests into
-        uniforms with one vectorized port of numpy's seeding
-        (:func:`~repro.distsim.seeding.first_uniforms`).  Below
-        ``_VECTOR_MIN_DRAWS`` sends the per-message generator is cheaper.
+        Hashes each message's key exactly as :func:`_edge_stream_rng` does
+        -- from a cached per-edge prefix and a copy of the keyed hasher --
+        and turns the digests into uniforms with one vectorized port of
+        numpy's seeding (:func:`~repro.distsim.seeding.first_uniforms`).
+        Below ``_VECTOR_MIN_DRAWS`` sends the per-message generator is
+        cheaper.
         """
-        if self.stream != "edge":
-            return self._rng.random(len(sends))
         if len(sends) < _VECTOR_MIN_DRAWS:
             return np.array([self._draws(s, d).random() for s, d, _ in sends], dtype=float)
         counts = self._edge_counts
@@ -580,13 +547,7 @@ class _SeededTransport(Transport):
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return self.delay
 
-    @property
-    def shardable(self) -> bool:
-        return self.stream == "edge"  # per-edge streams: no cross-edge coupling
-
     def stream_state(self) -> Optional[Dict[str, Any]]:
-        if self.stream != "edge":
-            return None
         return {
             "edge_counts": [
                 [_encode_edge_key(edge), count]
@@ -608,8 +569,8 @@ class _SeededTransport(Transport):
 class LossyTransport(_SeededTransport):
     """Seeded i.i.d. message loss on top of a fixed delay.
 
-    Each send draws once from the ``stream`` (see :class:`_SeededTransport`)
-    and is lost with probability ``loss``.
+    Each send draws once from its edge's stream (see
+    :class:`_SeededTransport`) and is lost with probability ``loss``.
     """
 
     kind = "lossy"
@@ -620,7 +581,7 @@ class LossyTransport(_SeededTransport):
         loss: float = 0.05,
         delay: float = 0.0,
         seed: int = 0,
-        stream: str = "global",
+        stream: str = "edge",
     ) -> None:
         loss = float(loss)
         if not 0.0 <= loss <= 1.0:
@@ -664,8 +625,8 @@ class CorruptingTransport(_SeededTransport):
     damage is semantic, never structural: the state machine has to survive
     it through its own legal transitions.
 
-    Draws come from the ``stream`` (see :class:`_SeededTransport`); in the
-    ``"edge"`` mode only protocol messages advance an edge's counter.
+    Draws come from the edge's stream (see :class:`_SeededTransport`); only
+    protocol messages advance an edge's counter.
     """
 
     kind = "corrupting"
@@ -676,7 +637,7 @@ class CorruptingTransport(_SeededTransport):
         rate: float = 0.05,
         delay: float = 0.0,
         seed: int = 0,
-        stream: str = "global",
+        stream: str = "edge",
     ) -> None:
         rate = float(rate)
         if not 0.0 <= rate <= 1.0:
@@ -805,13 +766,6 @@ class RetransmitTransport(Transport):
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         wait, self._pending_wait = self._pending_wait, 0.0
         return wait + float(self.inner.latency(sender, destination, message))
-
-    @property
-    def shardable(self) -> bool:
-        # Shardable exactly when the inner channel is: a lossless shardable
-        # inner never consumes a stream through ``drops``, so the wrapper
-        # adds no send-order coupling of its own.
-        return self.inner.shardable
 
     def stream_state(self) -> Optional[Dict[str, Any]]:
         return self.inner.stream_state()

@@ -368,7 +368,7 @@ def fleet_digest(fleet: Fleet) -> str:
 
 
 # --------------------------------------------------------------------- #
-# transport / rng state
+# transport state
 # --------------------------------------------------------------------- #
 
 
@@ -381,13 +381,10 @@ def _transport_state(transport) -> Optional[Dict[str, Any]]:
         "messages_dropped": transport.messages_dropped,
         "messages_corrupted": transport.messages_corrupted,
     }
-    rng = getattr(transport, "_rng", None)
-    if isinstance(rng, np.random.Generator):
-        payload["rng"] = rng.bit_generator.state
     for name in ("retransmissions", "attempts_lost"):
         if hasattr(transport, name):
             payload[name] = getattr(transport, name)
-    streams = transport.stream_state() if hasattr(transport, "stream_state") else None
+    streams = transport.stream_state()
     if streams is not None:
         payload["streams"] = streams
     inner = getattr(transport, "inner", None)
@@ -397,7 +394,11 @@ def _transport_state(transport) -> Optional[Dict[str, Any]]:
 
 
 def restore_transport_state(transport, payload: Optional[Dict[str, Any]]) -> None:
-    """Overlay captured transport counters/streams onto a fresh transport."""
+    """Overlay captured transport counters/streams onto a fresh transport.
+
+    A seeded transport's state without ``streams`` was written by the
+    removed global loss stream, whose draws no build can replay.
+    """
     if transport is None or payload is None:
         return
     if payload["kind"] != transport.kind:
@@ -405,16 +406,19 @@ def restore_transport_state(transport, payload: Optional[Dict[str, Any]]) -> Non
             f"snapshot transport kind {payload['kind']!r} does not match "
             f"the rebuilt {transport.kind!r}"
         )
+    if "streams" not in payload and transport.stream_state() is not None:
+        raise ValueError(
+            f"snapshot {payload['kind']!r} transport was written by the removed "
+            "global stream, which this build cannot resume (checkpoint version "
+            f"{CHECKPOINT_VERSION}); rerun it from the start"
+        )
     transport.messages_scheduled = payload["messages_scheduled"]
     transport.messages_dropped = payload["messages_dropped"]
     transport.messages_corrupted = payload["messages_corrupted"]
-    rng = getattr(transport, "_rng", None)
-    if isinstance(rng, np.random.Generator) and "rng" in payload:
-        rng.bit_generator.state = payload["rng"]
     for name in ("retransmissions", "attempts_lost"):
         if name in payload and hasattr(transport, name):
             setattr(transport, name, payload[name])
-    if "streams" in payload and hasattr(transport, "restore_stream_state"):
+    if "streams" in payload:
         transport.restore_stream_state(payload["streams"])
     inner = getattr(transport, "inner", None)
     if inner is not None:

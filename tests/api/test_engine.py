@@ -12,6 +12,7 @@ from repro.api import (
     ScenarioSpec,
     config_matrix,
 )
+from repro.api.engine import CACHE_GENERATION
 from repro.core.demand import DemandMap
 
 
@@ -77,6 +78,20 @@ class TestCaching:
         payload = json.loads(path.read_text())
         assert payload["type"] == "run_result"
         assert payload["config_hash"] == config.config_hash()
+
+    def test_entry_of_another_cache_generation_is_a_miss(self, tiny_scenario, tmp_path):
+        config = RunConfig(solver="offline", scenario=tiny_scenario)
+        expected = ExperimentEngine(cache_dir=tmp_path).run(config)
+        path = tmp_path / f"{config.config_hash()}.json"
+        stale = json.loads(path.read_text())
+        del stale["cache_generation"]
+        stale["max_vehicle_energy"] = -1.0
+        path.write_text(json.dumps(stale))
+        engine = ExperimentEngine(cache_dir=tmp_path)
+        assert engine.run(config) == expected
+        assert engine.stats.executed == 1
+        assert engine.stats.disk_cache_hits == 0
+        assert json.loads(path.read_text())["cache_generation"] == CACHE_GENERATION
 
     def test_duplicate_configs_in_one_batch_solved_once(self, tiny_scenario):
         engine = ExperimentEngine()

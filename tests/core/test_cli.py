@@ -238,6 +238,26 @@ class TestTransportFlags:
         assert "lossy" in output
         assert "messages_dropped" in output
 
+    def test_lossy_ring_run_shards_across_workers(self, tmp_path):
+        # Every spec-built lossy channel draws edge-keyed losses, so a ring
+        # run without escalation fans out to one worker per shard.
+        extras = {}
+        for shards in (1, 2):
+            out = tmp_path / f"shards{shards}.json"
+            code = main(
+                [
+                    "run", "--scenario", "scale-up", "--param", "side=6",
+                    "--omega", "3", "--solver", "online", "--monitoring",
+                    "--transport", "lossy", "--transport-param", "loss=0.05",
+                    "--shards", str(shards), "--json", str(out),
+                ]
+            )
+            assert code == 0
+            extras[shards] = json.loads(out.read_text())["extras"]
+        assert extras[2].pop("shard_mode") == "parallel-lockstep"
+        assert extras[2]["messages_dropped"] > 0
+        assert extras[2] == extras[1]
+
     def test_transport_param_without_transport_errors(self):
         with pytest.raises(SystemExit):
             main(

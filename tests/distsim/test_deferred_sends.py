@@ -4,8 +4,7 @@ Inside the scope, a lossy transport's sends are recorded and resolved in
 one ``drops_many`` call when the scope flushes; each broadcast's survivors
 become one queue entry.  The contract is byte-identity with the
 per-message path: the same deliveries in the same order, the same
-counters, and the same stream state (per-edge counters, or the global
-generator's position).
+counters, and the same stream state (the per-edge counters).
 """
 
 from __future__ import annotations
@@ -87,12 +86,11 @@ def _state(net, log):
         "plan": (plan.dropped_count, plan.partition_dropped_count),
         "events": (net.simulator.events_processed, net.simulator.stats.scheduled),
         "edge_counts": dict(transport._edge_counts),
-        "rng": transport._rng.bit_generator.state,
     }
 
 
-def _run(ops, *, deferred, stream, plan_factory=None, loss=0.3):
-    transport = LossyTransport(loss=loss, delay=0.1, seed=11, stream=stream)
+def _run(ops, *, deferred, plan_factory=None, loss=0.3):
+    transport = LossyTransport(loss=loss, delay=0.1, seed=11)
     plan = plan_factory() if plan_factory is not None else None
     net, _, log = _network(transport, plan=plan)
     if deferred:
@@ -106,24 +104,22 @@ def _run(ops, *, deferred, stream, plan_factory=None, loss=0.3):
 
 
 class TestDrawsMatchTheScalarStream:
-    @pytest.mark.parametrize("stream", ["edge", "global"])
     @pytest.mark.parametrize("width", [1, _VECTOR_MIN_DRAWS - 1, _VECTOR_MIN_DRAWS, 300])
-    def test_drops_many_equals_drops(self, stream, width):
+    def test_drops_many_equals_drops(self, width):
         rng = np.random.default_rng(width)
         sends = [
             (IDS[int(a)], IDS[int(b)], None) for a, b in rng.integers(0, len(IDS), (width, 2))
         ]
-        bulk = LossyTransport(loss=0.4, seed=9, stream=stream)
-        scalar = LossyTransport(loss=0.4, seed=9, stream=stream)
+        bulk = LossyTransport(loss=0.4, seed=9)
+        scalar = LossyTransport(loss=0.4, seed=9)
         bulk.drops_many(sends[:3])  # the stream continues across calls
         for sender, destination, message in sends[:3]:
             scalar.drops(sender, destination, message)
         assert bulk.drops_many(sends) == [scalar.drops(*send) for send in sends]
         assert bulk._edge_counts == scalar._edge_counts
-        assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state
 
     def test_vector_draws_are_the_edge_stream_generators(self):
-        transport = LossyTransport(loss=0.5, seed=2**70 + 3, stream="edge")
+        transport = LossyTransport(loss=0.5, seed=2**70 + 3)
         sends = [(("a", i % 3), ("b", i % 5), None) for i in range(64)]
         draws = transport._first_draws(sends)
         counts = {}
@@ -135,17 +131,15 @@ class TestDrawsMatchTheScalarStream:
 
 
 class TestDeferredEqualsPerMessage:
-    @pytest.mark.parametrize("stream", ["edge", "global"])
     @pytest.mark.parametrize("broadcasts", [3, 80])
-    def test_recorded_schedule(self, stream, broadcasts):
+    def test_recorded_schedule(self, broadcasts):
         ops = _schedule(broadcasts)
-        deferred = _run(ops, deferred=True, stream=stream)
-        per_message = _run(ops, deferred=False, stream=stream)
+        deferred = _run(ops, deferred=True)
+        per_message = _run(ops, deferred=False)
         assert deferred == per_message
         assert deferred["network"][2] > 0 or broadcasts < 10  # losses happened
 
-    @pytest.mark.parametrize("stream", ["edge", "global"])
-    def test_crashes_and_drop_rules(self, stream):
+    def test_crashes_and_drop_rules(self):
         def plan():
             plan = FailurePlan()
             plan.crash((1, 1))
@@ -153,8 +147,8 @@ class TestDeferredEqualsPerMessage:
             return plan
 
         ops = _schedule(60, seed=8)
-        assert _run(ops, deferred=True, stream=stream, plan_factory=plan) == _run(
-            ops, deferred=False, stream=stream, plan_factory=plan
+        assert _run(ops, deferred=True, plan_factory=plan) == _run(
+            ops, deferred=False, plan_factory=plan
         )
 
     def test_crashed_sender_checks_every_destination(self):
@@ -164,13 +158,13 @@ class TestDeferredEqualsPerMessage:
             return plan
 
         ops = [("many", (0, 0), [(0, 1), (0, 2)], 0), ("many", (1, 0), [(0, 0), (2, 0)], 1)]
-        deferred = _run(ops, deferred=True, stream="edge", plan_factory=plan)
-        assert deferred == _run(ops, deferred=False, stream="edge", plan_factory=plan)
+        deferred = _run(ops, deferred=True, plan_factory=plan)
+        assert deferred == _run(ops, deferred=False, plan_factory=plan)
         assert deferred["plan"] == (2, 0)  # the crashed sender's two sends
         assert deferred["network"][0] == 4
 
     def test_each_broadcast_is_one_queue_entry(self):
-        net, _, _ = _network(LossyTransport(loss=0.0, delay=0.1, seed=1, stream="edge"))
+        net, _, _ = _network(LossyTransport(loss=0.0, delay=0.1, seed=1))
         with net.deferred_sends():
             net.send_many((0, 0), IDS[1:], "a")
             net.send_many((1, 1), IDS[:4], "b")
@@ -187,7 +181,7 @@ class TestDeferredEqualsPerMessage:
             return original(self, *args)
 
         monkeypatch.setattr(FailurePlan, "should_drop", counting)
-        net, _, _ = _network(LossyTransport(loss=0.2, delay=0.1, seed=1, stream="edge"))
+        net, _, _ = _network(LossyTransport(loss=0.2, delay=0.1, seed=1))
         with net.deferred_sends():
             net.send_many((0, 0), IDS[1:], "a")
         assert calls == []
@@ -197,7 +191,7 @@ class TestDeferredEqualsPerMessage:
 
 class TestFlushOrder:
     def _timeline(self, deferred):
-        transport = LossyTransport(loss=0.25, delay=0.5, seed=4, stream="edge")
+        transport = LossyTransport(loss=0.25, delay=0.5, seed=4)
         net, procs, log = _network(transport)
 
         def pending():
@@ -237,7 +231,7 @@ class TestFlushOrder:
 
 class TestScopeLifecycle:
     def test_nothing_pending_after_exit(self):
-        net, _, _ = _network(LossyTransport(loss=0.3, delay=0.1, seed=1, stream="edge"))
+        net, _, _ = _network(LossyTransport(loss=0.3, delay=0.1, seed=1))
         with net.deferred_sends():
             net.send_many((0, 0), IDS[1:], "a")
             assert net.simulator.before_push is not None
@@ -247,7 +241,7 @@ class TestScopeLifecycle:
 
     def test_exception_flushes_and_closes_the_scope(self):
         ops = _schedule(40)
-        transport = LossyTransport(loss=0.3, delay=0.1, seed=11, stream="edge")
+        transport = LossyTransport(loss=0.3, delay=0.1, seed=11)
         net, _, log = _network(transport)
         with pytest.raises(RuntimeError, match="boom"):
             with net.deferred_sends():
@@ -256,12 +250,12 @@ class TestScopeLifecycle:
         assert net._deferred is None
         assert net.simulator.before_push is None
         net.run_until_quiescent()
-        assert _state(net, log) == _run(ops, deferred=False, stream="edge")
+        assert _state(net, log) == _run(ops, deferred=False)
 
     def test_unknown_destination_keeps_the_accepted_sends(self):
         states = []
         for deferred in (True, False):
-            net, _, log = _network(LossyTransport(loss=0.3, delay=0.1, seed=1, stream="edge"))
+            net, _, log = _network(LossyTransport(loss=0.3, delay=0.1, seed=1))
             with pytest.raises(KeyError):
                 if deferred:
                     with net.deferred_sends():
@@ -273,7 +267,7 @@ class TestScopeLifecycle:
         assert states[0] == states[1]
 
     def test_nested_scope_is_one_scope(self):
-        net, _, _ = _network(LossyTransport(loss=0.3, delay=0.1, seed=1, stream="edge"))
+        net, _, _ = _network(LossyTransport(loss=0.3, delay=0.1, seed=1))
         with net.deferred_sends():
             outer = net._deferred
             with net.deferred_sends():
@@ -285,7 +279,7 @@ class TestScopeLifecycle:
         "transport",
         [
             ReliableTransport(0.1),
-            CorruptingTransport(rate=0.5, delay=0.1, stream="edge"),
+            CorruptingTransport(rate=0.5, delay=0.1),
             RetransmitTransport(inner={"kind": "lossy", "params": {"loss": 0.3}}),
             type("Subclassed", (LossyTransport,), {})(loss=0.3),
         ],

@@ -23,7 +23,7 @@ from repro.distsim.parallel_lockstep import (
     parallel_lockstep_eligibility,
     run_parallel_lockstep,
 )
-from repro.distsim.transport import LossyTransport, TransportSpec
+from repro.distsim.transport import TransportSpec
 from repro.vehicles.fleet import FleetConfig
 
 
@@ -145,11 +145,9 @@ class TestIsolationGuard:
 
 
 class TestEligibility:
-    EDGE = LossyTransport(stream="edge")
-
-    def _check(self, config, *, transport="lossy", instance=EDGE, escalation=False):
+    def _check(self, config, *, transport="lossy", escalation=False):
         return parallel_lockstep_eligibility(
-            transport, instance, config, None, None, 0, escalation
+            transport, config, None, None, 0, escalation
         )
 
     def test_run_level_escalation_override_wins_over_the_config(self):
@@ -166,13 +164,13 @@ class TestEligibility:
         ok, reason = self._check(FleetConfig(monitoring="gossip"))
         assert not ok and reason.startswith("gossip monitoring")
 
-    def test_global_stream_transport_reason_names_the_kind(self):
-        spec = TransportSpec(kind="lossy", params={"loss": 0.1})
-        ok, reason = self._check(
-            FleetConfig(monitoring=True), transport=spec, instance=spec.build()
-        )
-        assert not ok
-        assert "'lossy'" in reason and 'stream="edge"' in reason
+    @pytest.mark.parametrize("kind", ["lossy", "corrupting"])
+    def test_seeded_spec_is_eligible_and_its_instance_is_not(self, kind):
+        spec = TransportSpec(kind=kind)
+        ok, reason = self._check(FleetConfig(monitoring=True), transport=spec)
+        assert ok and reason == ""
+        ok, reason = self._check(FleetConfig(monitoring=True), transport=spec.build())
+        assert not ok and reason.startswith("caller-owned transport instance")
 
     def test_missing_config_counts_as_the_default_fleet(self):
         ok, reason = self._check(None, escalation=None)

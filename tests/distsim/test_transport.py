@@ -11,6 +11,7 @@ from repro.distsim.engine import Simulator
 from repro.distsim.network import Network
 from repro.distsim.process import Process
 from repro.distsim.transport import (
+    TRANSPORT_KINDS,
     CorruptingTransport,
     LatencyTransport,
     LossyTransport,
@@ -405,23 +406,21 @@ class TestRetransmitTransport:
 
 
 class TestEdgeKeyedStreams:
-    """``stream="edge"``: draws keyed per edge, independent of interleaving.
+    """Seeded draws are keyed per edge, independent of interleaving.
 
-    The global stream (the default, and the pre-split behavior byte for
-    byte) consumes one generator in global send order, which couples every
-    edge together; the edge stream derives each draw from ``(edge, purpose,
-    seed, per-edge counter)`` so per-shard sub-fleets reproduce the
-    single-process decisions exactly -- the property the multi-process
-    parallel lockstep engine is built on.
+    Each draw derives from ``(edge, purpose, seed, per-edge counter)``, so
+    per-shard sub-fleets reproduce the single-process decisions exactly --
+    the property the multi-process parallel lockstep engine is built on.
     """
 
     EDGES = [("a", "b"), ("c", "d"), ((0, 0), (3, 1))]
 
-    def test_shardable_flags(self):
-        assert not LossyTransport().shardable
-        assert LossyTransport(stream="edge").shardable
-        assert not CorruptingTransport().shardable
-        assert CorruptingTransport(stream="edge").shardable
+    @pytest.mark.parametrize("kind", ["lossy", "corrupting"])
+    def test_global_stream_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="global stream was removed"):
+            TransportSpec(kind, {"stream": "global"})
+        with pytest.raises(ValueError, match="global stream was removed"):
+            TRANSPORT_KINDS[kind][0](stream="global")
 
     def test_invalid_stream_rejected(self):
         with pytest.raises(ValueError, match="stream"):
@@ -440,47 +439,44 @@ class TestEdgeKeyedStreams:
     def test_edge_stream_is_interleaving_independent(self):
         round_robin = [(edge, 1) for _ in range(10) for edge in self.EDGES]
         batched = [(edge, 10) for edge in self.EDGES]
-        first = self._decisions(LossyTransport(loss=0.4, seed=9, stream="edge"), round_robin)
-        second = self._decisions(LossyTransport(loss=0.4, seed=9, stream="edge"), batched)
+        first = self._decisions(LossyTransport(loss=0.4, seed=9), round_robin)
+        second = self._decisions(LossyTransport(loss=0.4, seed=9), batched)
         assert first == second
         assert any(any(seq) for seq in first.values())  # some drops happened
 
-    def test_global_stream_couples_edges(self):
-        round_robin = [(edge, 1) for _ in range(10) for edge in self.EDGES]
-        batched = [(edge, 10) for edge in self.EDGES]
-        first = self._decisions(LossyTransport(loss=0.4, seed=9), round_robin)
-        second = self._decisions(LossyTransport(loss=0.4, seed=9), batched)
-        assert first != second  # draws depend on the global send order
-
-    def test_spec_round_trip_preserves_stream(self):
+    def test_spec_naming_the_edge_stream_still_builds(self):
+        # Saved configs name the stream explicitly; they draw exactly what
+        # a spec without the key draws.
         spec = TransportSpec("lossy", {"loss": 0.2, "seed": 7, "stream": "edge"})
         restored = TransportSpec.from_json(json.loads(json.dumps(spec.to_json())))
         assert restored == spec
-        assert restored.build().stream == "edge"
-        assert restored.build().shardable
-        corrupting = TransportSpec("corrupting", {"rate": 0.5, "stream": "edge"})
-        assert corrupting.build().shardable
+        schedule = [(edge, 6) for edge in self.EDGES]
+        plain = TransportSpec("lossy", {"loss": 0.2, "seed": 7})
+        assert self._decisions(restored.build(), schedule) == self._decisions(
+            plain.build(), schedule
+        )
+        TransportSpec("corrupting", {"rate": 0.5, "stream": "edge"}).build()
 
     def test_stream_state_round_trip(self):
-        transport = LossyTransport(loss=0.4, seed=9, stream="edge")
+        transport = LossyTransport(loss=0.4, seed=9)
         prefix = [(edge, 5) for edge in self.EDGES]
         self._decisions(transport, prefix)
         state = json.loads(json.dumps(transport.stream_state()))
 
-        resumed = LossyTransport(loss=0.4, seed=9, stream="edge")
+        resumed = LossyTransport(loss=0.4, seed=9)
         resumed.restore_stream_state(state)
         tail = [(edge, 5) for edge in self.EDGES]
         assert self._decisions(resumed, tail) == self._decisions(transport, tail)
 
-    def test_global_stream_state_is_none(self):
-        assert LossyTransport().stream_state() is None
-        assert CorruptingTransport().stream_state() is None
+    def test_fresh_stream_state_is_empty(self):
+        assert LossyTransport().stream_state() == {"edge_counts": []}
+        assert CorruptingTransport().stream_state() == {"edge_counts": []}
 
     def test_corrupting_edge_stream_interleaving_independent(self):
         tag = ((0, 0), 1)
 
         def mutations(order):
-            transport = CorruptingTransport(rate=1.0, seed=4, stream="edge")
+            transport = CorruptingTransport(rate=1.0, seed=4)
             transport.bind(Simulator())
             out = {}
             for edge in order:
@@ -495,7 +491,7 @@ class TestEdgeKeyedStreams:
         assert forward == reversed_
 
     def test_corrupting_counter_skips_non_protocol_messages(self):
-        transport = CorruptingTransport(rate=1.0, seed=4, stream="edge")
+        transport = CorruptingTransport(rate=1.0, seed=4)
         transport.bind(Simulator())
         transport.mutate("a", "b", "heartbeat")
         assert transport.stream_state() == {"edge_counts": []}

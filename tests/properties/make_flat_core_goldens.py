@@ -3,12 +3,12 @@
 
 The goldens pin the *observable protocol behavior* of the online strategy
 -- one blake2b hash of each run's canonical ``RunResult`` JSON -- across
-every scenario family x {plain, monitoring, escalation, lossy transport}.
-They were captured on the loop-based fleet core immediately before the
-flat-array refactor, so ``tests/properties/test_flat_core_differential.py``
-is a machine-checkable statement that the vectorized construction, the
-indexed registry, and the batched dispatch fast path changed *nothing* the
-protocol can observe.
+every scenario family x {plain, monitoring, escalation, lossy transport,
+gossip over the lossy transport}.  The first four were captured on the
+loop-based fleet core immediately before the flat-array refactor, so
+``tests/properties/test_flat_core_differential.py`` is a machine-checkable
+statement that the vectorized construction, the indexed registry, and the
+batched dispatch fast path changed *nothing* the protocol can observe.
 
 Regenerate (only after a deliberate, understood behavior change)::
 
@@ -32,12 +32,22 @@ PRESET = "small"
 #: (label, solver, family_config keyword overrides) -- the protocol modes the
 #: goldens cover.  ``online-broken`` runs the monitoring loop against the
 #: family's own failure plan; ``escalation`` widens searches through the cube
-#: hierarchy; ``lossy`` runs the seeded-loss transport.
+#: hierarchy; ``lossy`` runs the seeded-loss transport, which sends nothing
+#: without monitoring; ``gossip-lossy`` runs the gossip detector over it, so
+#: its hashes pin the edge-keyed loss draws.
 MODES = (
     ("plain", "online", {}),
     ("monitoring", "online-broken", {}),
     ("escalation", "online", {"escalation": True}),
     ("lossy", "online", {"transport": {"kind": "lossy", "params": {"loss": 0.05, "seed": 3}}}),
+    (
+        "gossip-lossy",
+        "online-broken",
+        {
+            "params": {"monitoring": "gossip"},
+            "transport": {"kind": "lossy", "params": {"loss": 0.05, "seed": 3}},
+        },
+    ),
 )
 
 

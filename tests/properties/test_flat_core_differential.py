@@ -41,6 +41,13 @@ MODES = {
         "online",
         {"transport": {"kind": "lossy", "params": {"loss": 0.05, "seed": 3}}},
     ),
+    "gossip-lossy": (
+        "online-broken",
+        {
+            "params": {"monitoring": "gossip"},
+            "transport": {"kind": "lossy", "params": {"loss": 0.05, "seed": 3}},
+        },
+    ),
 }
 
 

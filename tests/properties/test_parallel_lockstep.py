@@ -2,12 +2,13 @@
 
 The multi-process shard engine covers every failure mode whose protocol
 traffic is provably shard-local (monitoring without escalation, crashes,
-suppression, partitions, churn, edge-keyed lossy/corrupting transports).
-This suite pins the contract:
+suppression, partitions, churn, every spec-built transport).  This suite
+pins the contract:
 
 * **Byte identity** -- a full failure-mode configuration produces the same
-  result at shards=1, 4, 8 and at any worker count, through the
-  ``parallel-lockstep`` mode (asserted, not assumed).
+  result at shards=1, 4, 8 and at any worker count, and under every
+  transport kind, through the ``parallel-lockstep`` mode (asserted, not
+  assumed).
 * **Eligibility** -- every disqualifying feature names itself: the
   recorded ``shard_mode_reason`` is the first structural property that
   forced the single-process fallback, and the fallback itself stays
@@ -33,7 +34,7 @@ from repro.distsim.parallel_lockstep import (
     IsolationGuard,
     parallel_lockstep_eligibility,
 )
-from repro.distsim.transport import LossyTransport, TransportSpec
+from repro.distsim.transport import TRANSPORT_KINDS, LossyTransport, TransportSpec
 from repro.vehicles.fleet import FleetConfig
 
 #: Every field two runs must agree on to count as byte-identical.
@@ -97,18 +98,31 @@ def tiny_workload():
     return JobSequence.from_positions(positions)
 
 
-EDGE_LOSSY = TransportSpec(
-    kind="lossy", params={"loss": 0.08, "delay": 0.02, "seed": 3, "stream": "edge"}
-)
-GLOBAL_LOSSY = TransportSpec(
-    kind="lossy", params={"loss": 0.08, "delay": 0.02, "seed": 3}
-)
+LOSSY = TransportSpec(kind="lossy", params={"loss": 0.08, "delay": 0.02, "seed": 3})
+
+#: One spec per transport kind, plus retransmit over a lossy inner channel.
+TRANSPORTS = {
+    "reliable": TransportSpec("reliable", {"delay": 0.02}),
+    "latency": TransportSpec("latency", {"delay": 0.01, "jitter": 0.02, "seed": 4}),
+    "distance-latency": TransportSpec("distance-latency"),
+    "lossy": TransportSpec("lossy", {"loss": 0.05, "seed": 3}),
+    "corrupting": TransportSpec("corrupting", {"rate": 0.1, "delay": 0.02, "seed": 5}),
+    "retransmit": TransportSpec("retransmit", {"timeout": 0.1}),
+    "retransmit-over-lossy": TransportSpec(
+        "retransmit",
+        {
+            "inner": {"kind": "lossy", "params": {"loss": 0.2, "delay": 0.02, "seed": 3}},
+            "retries": 2,
+            "timeout": 0.1,
+        },
+    ),
+}
 
 
 class TestParallelLockstepByteIdentity:
     """Failure-mode runs: multi-process == single-process, bit for bit."""
 
-    def _run(self, workload, shards, workers=None, transport=EDGE_LOSSY):
+    def _run(self, workload, shards, workers=None, transport=LOSSY):
         jobs, plan, churn, dead = workload
         return run_online(
             jobs,
@@ -142,16 +156,21 @@ class TestParallelLockstepByteIdentity:
         assert serial.shard_mode == "parallel-lockstep"
         _assert_identical(baseline, serial)
 
-    def test_corrupting_edge_stream_identical(self, failure_workload):
-        spec = TransportSpec(
-            kind="corrupting",
-            params={"rate": 0.1, "delay": 0.02, "seed": 5, "stream": "edge"},
-        )
+    def test_every_transport_kind_is_covered(self):
+        assert {spec.kind for spec in TRANSPORTS.values()} == set(TRANSPORT_KINDS)
+
+    @pytest.mark.parametrize("name", sorted(TRANSPORTS))
+    def test_identical_under_every_transport(self, failure_workload, name):
+        spec = TRANSPORTS[name]
         base = self._run(failure_workload, 1, transport=spec)
         sharded = self._run(failure_workload, 4, transport=spec)
         assert sharded.shard_mode == "parallel-lockstep"
-        assert sharded.messages_corrupted == base.messages_corrupted
+        assert sharded.shard_mode_reason == ""
         _assert_identical(base, sharded)
+        if name == "corrupting":
+            assert base.messages_corrupted > 0
+        if name.endswith("lossy"):
+            assert base.messages_dropped > 0
 
 
 class TestEligibilityAndFallback:
@@ -161,20 +180,22 @@ class TestEligibilityAndFallback:
         kwargs = dict(
             omega=3.0,
             config=FleetConfig(monitoring=True),
-            transport=GLOBAL_LOSSY,
+            transport=LOSSY,
             escalation=False,
             shards=shards,
         )
         kwargs.update(overrides)
         return run_online(jobs, **kwargs)
 
-    def test_global_stream_falls_back_identically(self, failure_workload):
+    def test_caller_owned_instance_falls_back_identically(self, failure_workload):
         jobs, plan, churn, dead = failure_workload
         kwargs = dict(churn=churn, dead_vehicles=dead)
         base = self._run(jobs, 1, failure_plan=copy.deepcopy(plan), **kwargs)
-        sharded = self._run(jobs, 4, failure_plan=copy.deepcopy(plan), **kwargs)
+        sharded = self._run(
+            jobs, 4, failure_plan=copy.deepcopy(plan), transport=LOSSY.build(), **kwargs
+        )
         assert sharded.shard_mode == "single-process"
-        assert "shared stream" in sharded.shard_mode_reason
+        assert sharded.shard_mode_reason.startswith("caller-owned transport instance")
         _assert_identical(base, sharded)
 
     def test_escalation_reason(self, tiny_workload):
@@ -215,24 +236,17 @@ class TestEligibilityAndFallback:
 
     def test_eligibility_unit_reasons(self):
         config = FleetConfig(monitoring=True)
-        ok, reason = parallel_lockstep_eligibility(
-            "lossy", LossyTransport(stream="edge"), config, None, None, 0, False
-        )
+        ok, reason = parallel_lockstep_eligibility("lossy", config, None, None, 0, False)
         assert ok and reason == ""
         plan = FailurePlan()
         plan.drop_predicates.append(lambda *a: False)
-        ok, reason = parallel_lockstep_eligibility(
-            "lossy", LossyTransport(stream="edge"), config, None, plan, 0, False
-        )
+        ok, reason = parallel_lockstep_eligibility("lossy", config, None, plan, 0, False)
         assert not ok and "drop predicates" in reason
-        instance = LossyTransport(stream="edge")
         ok, reason = parallel_lockstep_eligibility(
-            instance, instance, config, None, None, 0, False
+            LossyTransport(), config, None, None, 0, False
         )
         assert not ok and "caller-owned" in reason
-        ok, reason = parallel_lockstep_eligibility(
-            None, None, config, None, None, 0, False
-        )
+        ok, reason = parallel_lockstep_eligibility(None, config, None, None, 0, False)
         assert ok  # fixed-delay reliable default, rebuilt per worker
 
 

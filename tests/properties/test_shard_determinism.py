@@ -5,10 +5,11 @@ execution detail, never a behavior knob.  This suite asserts it across
 every mechanism:
 
 * **Goldens** -- every scenario family x {plain, monitoring, escalation,
-  lossy} golden config (the same 40 configs the flat-core differential
-  suite pins) run with ``shards=4`` reproduces the committed golden digest
-  bit for bit.  These configs carry a seeded RNG transport, so they
-  exercise the *single-process* fallback (one global fleet).
+  lossy, gossip-lossy} golden config (the same 50 configs the flat-core
+  differential suite pins) run with ``shards=4`` reproduces the committed
+  golden digest bit for bit.  The lossy configs take the worker path; the
+  others exercise the *single-process* fallback (one global fleet) through
+  the shared-RNG jitter channel, recovery rounds, escalation or gossip.
 * **Worker engine** -- a shard-local direct ``run_online`` config
   (reliable transport, no failures) is byte-identical across shard counts,
   including the float-sum-sensitive energy totals.  This exercises the
@@ -56,6 +57,13 @@ MODES = {
     "lossy": (
         "online",
         {"transport": {"kind": "lossy", "params": {"loss": 0.05, "seed": 3}}},
+    ),
+    "gossip-lossy": (
+        "online-broken",
+        {
+            "params": {"monitoring": "gossip"},
+            "transport": {"kind": "lossy", "params": {"loss": 0.05, "seed": 3}},
+        },
     ),
 }
 

@@ -15,7 +15,7 @@ import pytest
 from repro.api.service import ServiceConfig
 from repro.core.demand import DemandMap
 from repro.distsim.failures import ChurnSpec
-from repro.distsim.transport import TransportSpec
+from repro.distsim.transport import LossyTransport, RetransmitTransport, TransportSpec
 from repro.io.serialize import load_json, save_json
 from repro.service import (
     CHECKPOINT_SCHEMA,
@@ -24,6 +24,7 @@ from repro.service import (
     resume_service,
     run_service,
 )
+from repro.service.checkpoint import restore_transport_state
 from repro.vehicles.fleet import FleetConfig
 from repro.workloads.arrivals import alternating_arrivals
 
@@ -229,6 +230,46 @@ class TestSnapshotFormat:
             run_service(
                 other, list(jobs.jobs), snapshot=load_checkpoint(snapshot)
             )
+
+    #: The transport entry a lossy service checkpoint held before every
+    #: seeded transport became edge-keyed: counters and the global
+    #: generator's state, no per-edge ``streams``.
+    GLOBAL_STREAM_STATE = {
+        "kind": "lossy",
+        "messages_scheduled": 41,
+        "messages_dropped": 3,
+        "messages_corrupted": 0,
+        "rng": {
+            "bit_generator": "PCG64",
+            "state": {"state": 1, "inc": 3},
+            "has_uint32": 0,
+            "uinteger": 0,
+        },
+    }
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_global_stream_transport_state_is_refused(self, wrapped):
+        state = self.GLOBAL_STREAM_STATE
+        transport = LossyTransport(loss=0.15, seed=3)
+        if wrapped:
+            state = dict(state, kind="retransmit", inner=state)
+            transport = RetransmitTransport(inner=TransportSpec("lossy", {"loss": 0.15}))
+        message = f"global stream.*checkpoint version {CHECKPOINT_VERSION}"
+        with pytest.raises(ValueError, match=message):
+            restore_transport_state(transport, state)
+
+    def test_resuming_a_global_stream_checkpoint_fails(self, tmp_path):
+        config = ServiceConfig.from_demand(
+            HARD_DEMAND, window_jobs=5, checkpoint_every=1, **HARD_KWARGS
+        )
+        jobs = list(alternating_arrivals(HARD_DEMAND).jobs)
+        snapshot = tmp_path / "snap.json"
+        run_service(config, jobs, checkpoint_path=str(snapshot), stop_after_checkpoints=1)
+        payload = load_json(snapshot)
+        assert payload["transport"]["streams"]["edge_counts"]  # edge draws were made
+        payload["transport"] = self.GLOBAL_STREAM_STATE
+        with pytest.raises(ValueError, match="global stream"):
+            resume_service(payload, jobs)
 
     def test_config_json_carries_no_shards_key(self):
         config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
