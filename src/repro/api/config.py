@@ -203,8 +203,8 @@ class FailureSpec:
         )
 
     def without_transport(self) -> "FailureSpec":
-        """A copy with the transport channel cleared (an explicit transport
-        elsewhere -- RunConfig, a CLI flag -- overrides the bundled one)."""
+        """A copy with the transport channel cleared (an explicit
+        :attr:`RunConfig.transport` overrides the bundled one)."""
         return dataclasses.replace(self, transport=None)
 
     def to_plan(self) -> FailurePlan:
@@ -492,7 +492,8 @@ class RunConfig:
     #: Failure injection (online-broken).
     failures: Optional[FailureSpec] = None
     #: Message transport for the online family (``None`` = the historical
-    #: channel).  Mutually exclusive with ``failures.transport``.
+    #: channel).  When set, it overrides a transport bundled in
+    #: ``failures``, which is dropped on construction.
     transport: Optional[TransportSpec] = None
     #: Whether an exhausted Phase I replacement search may escalate through
     #: the cube hierarchy (cross-cube replacement; online family only).
@@ -545,15 +546,9 @@ class RunConfig:
         if self.failures is not None and not isinstance(self.failures, FailureSpec):
             raise ConfigError(f"failures must be a FailureSpec, got {self.failures!r}")
         object.__setattr__(self, "transport", _normalize_transport(self.transport))
-        if (
-            self.transport is not None
-            and self.failures is not None
-            and self.failures.transport is not None
-        ):
-            raise ConfigError(
-                "transport is set both on the config and inside its failure "
-                "spec; pick one place"
-            )
+        if self.transport is not None and self.failures is not None:
+            # An explicit transport overrides the failure plan's bundled one.
+            object.__setattr__(self, "failures", self.failures.without_transport())
         object.__setattr__(self, "params", _normalize_params(self.params))
 
     # ------------------------------------------------------------------ #

@@ -25,7 +25,7 @@ full catalogue.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -134,13 +134,38 @@ def solve_offline(config: RunConfig) -> RunResult:
 # --------------------------------------------------------------------------- #
 
 
+#: The gossip-detector knobs: :class:`FleetConfig` fields, run params and
+#: (dashed) CLI flags of the same names.
+GOSSIP_KNOBS = ("gossip_fanout", "suspicion_threshold", "quorum")
+
+
+def monitoring_settings(mode: Optional[str], knobs: Mapping[str, Any]) -> Dict[str, Any]:
+    """:class:`FleetConfig` overrides for a monitoring mode plus gossip knobs.
+
+    ``"ring"`` is written as the historical boolean ``True``, so configs,
+    checkpoints and hashes of ring runs stay byte-identical; ``"gossip"``
+    opts into the epidemic detector; ``None`` sets no mode and leaves the
+    caller's default.  The knobs pass through as given.  Shared by
+    :func:`online_fleet_config` and ``repro serve``.
+    """
+    settings = dict(knobs)
+    if mode == "ring":
+        settings["monitoring"] = True
+    elif mode == "gossip":
+        settings["monitoring"] = "gossip"
+    elif mode is not None:
+        raise ConfigError(f"monitoring must be 'ring' or 'gossip', got {mode!r}")
+    return settings
+
+
 def online_fleet_config(config: RunConfig, *, broken: bool) -> FleetConfig:
     """The :class:`FleetConfig` an online-family run of ``config`` uses.
 
     Shared by the solvers and ``repro run --metrics-out``, so the batch and
     the streaming path run the same monitoring and gossip settings.
     Monitoring defaults to the ring loop for ``online-broken`` and to off
-    for ``online``; the ``monitoring`` param overrides either.
+    for ``online``; the ``monitoring`` param overrides either (on the
+    failure-free solver too, so ring/gossip equivalence is testable).
     """
     # The event driver is the only driver; the param survives as a
     # constant so existing configs (and their hashes) stay valid.
@@ -149,28 +174,14 @@ def online_fleet_config(config: RunConfig, *, broken: bool) -> FleetConfig:
         raise ConfigError(
             f'the online solvers run only the "events" engine, got {engine!r}'
         )
-    # "ring" is the explicit spelling of the historical monitoring loop
-    # (same booleans, same hashes), "gossip" opts into the epidemic
-    # detector -- on the failure-free solver too, so ring/gossip
-    # equivalence is testable.
-    monitoring = broken
-    monitoring_param = config.param("monitoring", None)
-    if monitoring_param is not None:
-        if monitoring_param == "ring":
-            monitoring = True
-        elif monitoring_param == "gossip":
-            monitoring = "gossip"
-        else:
-            raise ConfigError(
-                f"monitoring param must be 'ring' or 'gossip', got {monitoring_param!r}"
-            )
+    params = config.params_dict()
+    settings = monitoring_settings(
+        params.get("monitoring"),
+        {name: params[name] for name in GOSSIP_KNOBS if name in params},
+    )
     try:
         return FleetConfig(
-            monitoring=monitoring,
-            escalation=config.escalation,
-            gossip_fanout=config.param("gossip_fanout", 2),
-            suspicion_threshold=config.param("suspicion_threshold", 2),
-            quorum=config.param("quorum", 2),
+            **{"monitoring": broken, "escalation": config.escalation, **settings}
         )
     except ValueError as error:
         raise ConfigError(str(error)) from None

@@ -15,10 +15,13 @@ and rendered with :mod:`repro.analysis.report`.
     Execute one solver on one workload and print the unified result
     record.  ``--param key=value`` passes solver-specific parameters
     (e.g. ``--param heuristic=sweep`` for ``cvrp``), ``--crash x,y`` /
-    ``--suppress x,y`` / ``--recovery-rounds n`` inject Section 3.2.5
-    failures for the ``online-broken`` solver, ``--json path`` archives
-    the :class:`~repro.api.result.RunResult`, and the exit code reflects
-    feasibility.
+    ``--suppress x,y`` inject Section 3.2.5 failures for the
+    ``online-broken`` solver, ``--json path`` archives the
+    :class:`~repro.api.result.RunResult`, and the exit code reflects
+    feasibility.  Protocol flags (transport, escalation, monitoring,
+    failures, shards) apply only to the solvers that take them; one that
+    no selected solver takes is an error (exit 2), here and in
+    ``compare``/``sweep``.
 
 ``python -m repro sweep --scenarios square,line --solvers offline,greedy
 --seeds 0,1,2 --workers 4 --out results.json``
@@ -35,8 +38,9 @@ and rendered with :mod:`repro.analysis.report`.
 ``python -m repro bounds --scenario square`` and ``python -m repro online
 --scenario point --seed 7``
     The original detail views (Theorem 1.4.1 quantities, Theorem 1.4.2
-    quantities), kept for scripts that rely on them; both now execute
-    through the engine's ``offline``/``online`` solvers.
+    quantities), kept for scripts that rely on them.  They call
+    :func:`~repro.core.offline.offline_bounds` and
+    :func:`~repro.core.online.run_online` directly, not through the engine.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
 from repro.api import (
@@ -63,17 +67,13 @@ from repro.api import (
     config_matrix,
     solver_descriptions,
 )
-from repro.core.demand import DemandMap
+from repro.api.solvers import GOSSIP_KNOBS, monitoring_settings
 from repro.core.offline import offline_bounds
 from repro.core.online import run_online
 from repro.io.serialize import demand_from_json, load_json, save_json
-from repro.workloads.arrivals import (
-    alternating_arrivals,
-    random_arrivals,
-    sequential_arrivals,
-)
 from repro.workloads.library import (
     available_families,
+    family_broken_failures,
     family_descriptions,
     family_matrix,
     get_family,
@@ -501,9 +501,8 @@ def _parse_point(raw: str) -> tuple:
         ) from None
 
 
-def _parse_failures(
-    args: argparse.Namespace, scenario: Optional[ScenarioSpec] = None
-) -> Optional[FailureSpec]:
+def _parse_failures(args: argparse.Namespace) -> Optional[FailureSpec]:
+    """``--crash`` / ``--suppress`` / ``--byzantine-watcher`` as one spec."""
     crashed = tuple(_parse_point(p) for p in getattr(args, "crash", []))
     suppressed = tuple(_parse_point(p) for p in getattr(args, "suppress", []))
     byzantine = tuple(
@@ -512,16 +511,6 @@ def _parse_failures(
     if crashed or suppressed or byzantine:
         return FailureSpec(
             crashed=crashed, suppressed=suppressed, byzantine_watchers=byzantine
-        )
-    if scenario is not None and scenario.family is not None:
-        # No explicit failure flags: fall back to the scenario family's own
-        # failure plan (outage regions, churn schedules, partition windows),
-        # synthesized for failure-free families -- exactly what `sweep` uses,
-        # so every subcommand agrees on family x online-broken.
-        from repro.workloads.library import family_broken_failures
-
-        return family_broken_failures(
-            scenario.family, scenario.family_params_dict(), seed=scenario.seed
         )
     return None
 
@@ -565,8 +554,15 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, Any]:
     return params
 
 
-def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
-    order = getattr(args, "order", None)
+def _scenario_spec(
+    args: argparse.Namespace, default_order: Optional[str] = None
+) -> ScenarioSpec:
+    """The ``--scenario``/``--demand-json`` workload.
+
+    Without ``--order`` (or ``default_order``), families use their
+    preferred ordering and everything else the random one.
+    """
+    order = getattr(args, "order", None) or default_order
     seed = getattr(args, "seed", 0)
     if getattr(args, "demand_json", None):
         demand = demand_from_json(load_json(args.demand_json))
@@ -637,24 +633,128 @@ def _command_solvers() -> int:
 
 
 #: Solvers that simulate the message-passing protocol (and hence a transport).
-_TRANSPORT_SOLVERS = ("online", "online-broken")
+_MESSAGING_SOLVERS = ("online", "online-broken")
+#: The solver that models crashed, suppressed and lying vehicles.
+_FAILURE_SOLVERS = ("online-broken",)
+
+#: A protocol flag as given: its option string, the solvers that take it,
+#: and the :class:`RunConfig` changes it makes (a ``params`` change merges
+#: into the config's params instead of replacing them).
+_ProtocolFlag = Tuple[str, Tuple[str, ...], Dict[str, Any]]
 
 
-#: The gossip-detector knobs, as ``argparse`` destinations.
-_GOSSIP_KNOBS = ("gossip_fanout", "suspicion_threshold", "quorum")
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _gossip_knobs_misused(args: argparse.Namespace, monitoring: Optional[str]) -> bool:
-    """Report gossip knobs given without gossip monitoring (then ``True``)."""
-    given = [
-        "--" + name.replace("_", "-")
-        for name in _GOSSIP_KNOBS
-        if getattr(args, name) is not None
+def _gossip_knobs(args: argparse.Namespace, monitoring: Optional[str]) -> Dict[str, int]:
+    """The gossip-detector knobs given, which need gossip ``monitoring``."""
+    knobs = {
+        name: getattr(args, name)
+        for name in GOSSIP_KNOBS
+        if getattr(args, name, None) is not None
+    }
+    if knobs and monitoring != "gossip":
+        given = ", ".join(_option(name) for name in knobs)
+        raise ConfigError(f"{given} need --monitoring gossip")
+    return knobs
+
+
+def _protocol_flags(args: argparse.Namespace) -> List[_ProtocolFlag]:
+    """Every protocol flag on the command line, parsed once.
+
+    A subcommand that lacks a flag never yields it.  The monitoring flags
+    and ``--shard-workers`` ride the params channel, so absent flags leave
+    every config hash untouched.
+    """
+    options = vars(args)
+    flags: List[_ProtocolFlag] = []
+
+    def take(dest: str, solvers: Tuple[str, ...], **changes: Any) -> None:
+        flags.append((_option(dest), solvers, changes))
+
+    transport = _parse_transport(args)
+    if transport is not None:
+        take("transport", _MESSAGING_SOLVERS, transport=transport)
+    if options.get("escalation"):
+        take("escalation", _MESSAGING_SOLVERS, escalation=True)
+    if options.get("recovery_rounds", 0) > 0:
+        take("recovery_rounds", _MESSAGING_SOLVERS, recovery_rounds=args.recovery_rounds)
+    if options.get("shards", 1) > 1:
+        take("shards", _MESSAGING_SOLVERS, shards=args.shards)
+    if options.get("metrics_out"):
+        # Streams through the service harness, which runs only the protocol.
+        take("metrics_out", _MESSAGING_SOLVERS)
+    for name in ("monitoring", "shard_workers") + GOSSIP_KNOBS:
+        if options.get(name) is not None:
+            take(name, _MESSAGING_SOLVERS, params={name: options[name]})
+    failures = _parse_failures(args)
+    for name in ("crash", "suppress", "byzantine_watcher"):
+        if options.get(name):
+            take(name, _FAILURE_SOLVERS, failures=failures)
+    return flags
+
+
+def _apply_protocol_flags(
+    args: argparse.Namespace, configs: Sequence[RunConfig]
+) -> List[RunConfig]:
+    """Apply each protocol flag to the configs whose solver takes it.
+
+    The rule ``run``, ``compare`` and ``sweep`` share: a flag that no
+    selected solver takes is a :class:`ConfigError` naming it (exit 2).
+    """
+    flags = _protocol_flags(args)
+    selected = {config.solver for config in configs}
+    unused: Dict[Tuple[str, ...], List[str]] = {}
+    for flag, solvers, _ in flags:
+        if selected.isdisjoint(solvers):
+            unused.setdefault(solvers, []).append(flag)
+    if unused:
+        rules = "; ".join(
+            f"{', '.join(names)} need one of the solvers {', '.join(solvers)}"
+            for solvers, names in unused.items()
+        )
+        raise ConfigError(f"{rules} (selected: {', '.join(sorted(selected)) or 'none'})")
+    _gossip_knobs(args, getattr(args, "monitoring", None))  # raises on misuse
+
+    def apply(config: RunConfig) -> RunConfig:
+        changes: Dict[str, Any] = {}
+        params = config.params_dict()
+        for _, solvers, change in flags:
+            if config.solver in solvers:
+                change = dict(change)
+                params.update(change.pop("params", {}))
+                changes.update(change)
+        return config.replace(params=params, **changes)
+
+    return [apply(config) for config in configs]
+
+
+def _workload_configs(
+    args: argparse.Namespace, scenario: ScenarioSpec, solvers: Sequence[str]
+) -> List[RunConfig]:
+    """``run``/``compare``: one config per solver, protocol flags applied.
+
+    Without failure flags, ``online-broken`` on a scenario family runs the
+    family's own failure plan, as in ``sweep``.
+    """
+    fallback = None
+    if scenario.family is not None and not set(solvers).isdisjoint(_FAILURE_SOLVERS):
+        fallback = family_broken_failures(
+            scenario.family, scenario.family_params_dict(), seed=scenario.seed
+        )
+    configs = [
+        RunConfig(
+            solver=solver,
+            scenario=scenario,
+            capacity=_parse_capacity(args.capacity),
+            omega=args.omega,
+            failures=fallback if solver in _FAILURE_SOLVERS else None,
+            params=_parse_params(args.param),
+        )
+        for solver in solvers
     ]
-    if given and monitoring != "gossip":
-        print(f"error: {', '.join(given)} need --monitoring gossip", file=sys.stderr)
-        return True
-    return False
+    return _apply_protocol_flags(args, configs)
 
 
 def _profiled(args: argparse.Namespace, execute: Callable[[], Any]) -> Any:
@@ -674,68 +774,13 @@ def _profiled(args: argparse.Namespace, execute: Callable[[], Any]) -> Any:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    scenario = _scenario_spec(args)
-    transport = _parse_transport(args)
-    if args.solver not in _TRANSPORT_SOLVERS:
-        # Flags that only mean something to a protocol simulation.
-        protocol_flags = (
-            ("--transport only applies", transport is not None),
-            ("--escalation only applies", args.escalation),
-            ("--shards only applies", args.shards > 1),
-            (
-                "--monitoring and the gossip flags only apply",
-                args.monitoring is not None
-                or any(getattr(args, name) is not None for name in _GOSSIP_KNOBS)
-                or bool(args.byzantine_watcher),
-            ),
-        )
-        for flags, given in protocol_flags:
-            if given:
-                print(
-                    f"error: {flags} to the message-passing solvers "
-                    f"({', '.join(_TRANSPORT_SOLVERS)}), not {args.solver!r}",
-                    file=sys.stderr,
-                )
-                return 2
-    if _gossip_knobs_misused(args, args.monitoring):
-        return 2
-    failures = _parse_failures(
-        args, scenario if args.solver == "online-broken" else None
-    )
-    if transport is not None and failures is not None and failures.transport is not None:
-        # An explicit --transport overrides the family failure plan's own.
-        failures = failures.without_transport()
-    params = _parse_params(args.param)
-    if args.shard_workers is not None:
-        params["shard_workers"] = args.shard_workers
-    # Monitoring flags ride the params channel: absent flags leave the
-    # params dict (and hence every existing config hash) untouched.
-    for name in ("monitoring",) + _GOSSIP_KNOBS:
-        if getattr(args, name) is not None:
-            params[name] = getattr(args, name)
-    config = RunConfig(
-        solver=args.solver,
-        scenario=scenario,
-        capacity=_parse_capacity(args.capacity),
-        omega=args.omega,
-        # The family-failure fallback only applies to the solver that
-        # models failures; other solvers see the bare workload.
-        failures=failures,
-        transport=transport,
-        escalation=args.escalation,
-        recovery_rounds=args.recovery_rounds,
-        shards=args.shards,
-        params=params,
-    )
+    [config] = _workload_configs(args, _scenario_spec(args), [args.solver])
     if args.metrics_out:
-        if args.solver not in _TRANSPORT_SOLVERS:
-            print(
-                f"error: --metrics-out streams through the service harness and "
-                f"only applies to {', '.join(_TRANSPORT_SOLVERS)}, "
-                f"not {args.solver!r}",
-                file=sys.stderr,
+        if config.shards > 1:
+            raise ConfigError(
+                "--metrics-out streams through the service harness, which does "
+                "not shard; drop --shards or --metrics-out"
             )
-            return 2
         return _command_run_streaming(args, config)
     engine = _engine(args)
     result = _profiled(args, lambda: engine.run(config))
@@ -853,27 +898,12 @@ def _command_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        demand = _legacy_demand(args)
-        crashed = tuple(_parse_point(p) for p in args.crash)
-        suppressed = tuple(_parse_point(p) for p in args.suppress)
-        byzantine = tuple(_parse_point(p) for p in args.byzantine_watcher)
+        demand = _scenario_spec(args).demand()
+        failures = _parse_failures(args) or FailureSpec()
         monitoring = args.monitoring
-        if monitoring is None and (
-            crashed or suppressed or byzantine or args.recovery_rounds > 0
-        ):
+        if monitoring is None and (not failures.is_empty() or args.recovery_rounds > 0):
             monitoring = "ring"
-        if _gossip_knobs_misused(args, monitoring):
-            return 2
-        fleet: Dict[str, Any] = {}
-        if monitoring == "ring":
-            # The historical boolean spelling: checkpoints and config
-            # hashes of pre-gossip ring runs stay byte-identical.
-            fleet["monitoring"] = True
-        elif monitoring == "gossip":
-            fleet["monitoring"] = "gossip"
-            for name in _GOSSIP_KNOBS:
-                if getattr(args, name) is not None:
-                    fleet[name] = getattr(args, name)
+        fleet = monitoring_settings(monitoring, _gossip_knobs(args, monitoring))
         if args.escalation:
             fleet["escalation"] = True
         if args.hand_back:
@@ -885,9 +915,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             fleet=fleet,
             recovery_rounds=args.recovery_rounds,
             transport=_parse_transport(args),
-            dead_vehicles=crashed,
-            suppressed=suppressed,
-            byzantine_watchers=byzantine,
+            dead_vehicles=failures.crashed,
+            suppressed=failures.suppressed,
+            byzantine_watchers=failures.byzantine_watchers,
             seed=args.seed,
             lookahead=args.lookahead,
             window_jobs=args.window,
@@ -930,40 +960,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if not configs:
         print("error: nothing to sweep (no scenarios and no families)", file=sys.stderr)
         return 2
-    transport = _parse_transport(args)
-    if transport is not None:
-        if not any(config.solver in _TRANSPORT_SOLVERS for config in configs):
-            print(
-                f"error: --transport needs at least one message-passing solver "
-                f"({', '.join(_TRANSPORT_SOLVERS)}) in --solvers",
-                file=sys.stderr,
-            )
-            return 2
-        # The transport rides only on the solvers that simulate messaging;
-        # when a family's failure plan already bundles one, the explicit
-        # flag wins (mirroring `run`).
-        configs = [
-            config.replace(
-                transport=transport,
-                failures=(
-                    config.failures.without_transport()
-                    if config.failures is not None and config.failures.transport is not None
-                    else config.failures
-                ),
-            )
-            if config.solver in _TRANSPORT_SOLVERS
-            else config
-            for config in configs
-        ]
-    if args.escalation:
-        # Like the transport, escalation rides only on the solvers that
-        # simulate the message-passing protocol.
-        configs = [
-            config.replace(escalation=True)
-            if config.solver in _TRANSPORT_SOLVERS
-            else config
-            for config in configs
-        ]
+    configs = _apply_protocol_flags(args, configs)
     engine = _engine(args, workers=args.workers)
     results = engine.run_many(configs)
     print(
@@ -979,26 +976,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 def _command_compare(args: argparse.Namespace) -> int:
     scenario = _scenario_spec(args)
-    failures = _parse_failures(args, scenario)
-    transport = _parse_transport(args)
-    if transport is not None and failures is not None and failures.transport is not None:
-        failures = failures.without_transport()
-    configs = [
-        RunConfig(
-            solver=solver,
-            scenario=scenario,
-            capacity=_parse_capacity(args.capacity),
-            omega=args.omega,
-            # Failure flags only apply to the solver that models them; the
-            # transport rides on every solver that simulates messaging.
-            failures=failures if solver == "online-broken" else None,
-            transport=transport if solver in _TRANSPORT_SOLVERS else None,
-            escalation=args.escalation and solver in _TRANSPORT_SOLVERS,
-            recovery_rounds=args.recovery_rounds if solver == "online-broken" else 0,
-            params=_parse_params(args.param),
-        )
-        for solver in _split_csv(args.solvers)
-    ]
+    configs = _workload_configs(args, scenario, _split_csv(args.solvers))
     engine = _engine(args, workers=args.workers)
     results = engine.run_many(configs)
     print(
@@ -1009,19 +987,8 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0 if all(result.feasible for result in results) else 1
 
 
-def _legacy_demand(args: argparse.Namespace) -> DemandMap:
-    if args.demand_json:
-        return demand_from_json(load_json(args.demand_json))
-    for scenario in paper_scenarios():
-        if scenario.name == args.scenario:
-            return scenario.demand
-    from repro.workloads.library import build_family_demand
-
-    return build_family_demand(args.scenario, seed=getattr(args, "seed", 0))
-
-
 def _command_bounds(args: argparse.Namespace) -> int:
-    demand = _legacy_demand(args)
+    demand = _scenario_spec(args).demand()
     bounds = offline_bounds(demand)
     table = Table("Offline characterization (Theorem 1.4.1)", ["quantity", "value"])
     table.add_row("support size", len(demand))
@@ -1036,19 +1003,8 @@ def _command_bounds(args: argparse.Namespace) -> int:
 
 
 def _command_online(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    demand = _legacy_demand(args)
-    if args.order == "sequential":
-        jobs = sequential_arrivals(demand)
-    elif args.order == "alternating":
-        jobs = alternating_arrivals(demand)
-    elif args.order == "bursty":
-        from repro.workloads.arrivals import bursty_arrivals
-
-        jobs = bursty_arrivals(demand, np.random.default_rng(args.seed))
-    else:
-        jobs = random_arrivals(demand, np.random.default_rng(args.seed))
+    # Unlike run/compare/sweep, a family without --order stays random here.
+    jobs = _scenario_spec(args, default_order="random").jobs()
     capacity = _parse_capacity(args.capacity)
     result = run_online(jobs, omega=args.omega, capacity=capacity)
     table = Table("Online strategy (Theorem 1.4.2)", ["quantity", "value"])

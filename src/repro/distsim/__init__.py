@@ -17,8 +17,8 @@ computation.  This subpackage provides the substrate that protocol runs on:
   message handlers, unbounded input buffer).
 * :mod:`repro.distsim.diffusing` -- a standalone, reusable implementation of
   the Dijkstra--Scholten termination-detection scheme reviewed in
-  Section 3.1, used both directly (tests, examples) and as the template for
-  the vehicles' Phase I computation.
+  Section 3.1.  Only its own tests use it; the vehicles' Phase I
+  computation follows the same scheme in its own code.
 * :mod:`repro.distsim.events` -- the event core: a monotonic simulation
   clock, the deterministic event queue, and the counters the scenario
   benchmarks report events/sec from.

@@ -270,7 +270,8 @@ def family_config(
     ``online-broken`` the spec comes from :func:`family_broken_failures`.
     ``transport`` (a :class:`~repro.distsim.transport.TransportSpec`, kind
     name, or JSON mapping) rides on the config; when the family's own
-    failure plan already carries one, the explicit argument wins.
+    failure plan already carries one, the explicit argument wins (see
+    :attr:`~repro.api.config.RunConfig.transport`).
     """
     from repro.api.config import RunConfig
 
@@ -284,8 +285,6 @@ def family_config(
             if recovery_rounds is not None
             else get_family(name).defaults.get("recovery_rounds", 2)
         )
-        if transport is not None and failures is not None and failures.transport is not None:
-            failures = failures.without_transport()
     return RunConfig(
         solver=solver,
         scenario=spec,

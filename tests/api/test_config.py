@@ -124,6 +124,22 @@ class TestRunConfigValidation:
                 params={"bad": object()},
             )
 
+    def test_explicit_transport_drops_the_bundled_one(self):
+        bundled = FailureSpec(crashed=((0, 0),), transport="latency")
+        config = RunConfig(
+            solver="online-broken",
+            scenario=ScenarioSpec(name="point"),
+            failures=bundled,
+            transport="lossy",
+        )
+        assert config.failures == FailureSpec(crashed=((0, 0),))
+        assert config.effective_transport().kind == "lossy"
+        # Same config, hence same hash, as stripping the bundled one by hand.
+        stripped = config.replace(failures=bundled.without_transport())
+        assert config.config_hash() == stripped.config_hash()
+        # Without an explicit transport the bundled one is kept.
+        assert config.replace(transport=None, failures=bundled).failures == bundled
+
     def test_validate_rejects_unknown_scenario(self):
         config = RunConfig(solver="offline", scenario=ScenarioSpec(name="nonsense"))
         with pytest.raises(ConfigError, match="unknown paper scenario"):

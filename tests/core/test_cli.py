@@ -82,6 +82,88 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--scenario", "point", "--shards", "2"])
 
+    #: Every option string of every subcommand; a new option is a deliberate
+    #: interface change and must show up here.
+    WORKLOAD = {"--scenario", "--demand-json"}
+    RUN = {"--seed", "--order", "--capacity", "--omega"}
+    ENGINE = {"--param", "--verbose", "--cache-dir"}
+    FAILURES = {"--crash", "--suppress", "--recovery-rounds"}
+    MONITORING = {
+        "--monitoring",
+        "--gossip-fanout",
+        "--suspicion-threshold",
+        "--quorum",
+        "--byzantine-watcher",
+    }
+    TRANSPORT = {"--transport", "--transport-param", "--escalation"}
+    OPTIONS = {
+        "scenarios": set(),
+        "families": set(),
+        "solvers": set(),
+        "run": WORKLOAD | RUN | ENGINE | FAILURES | MONITORING | TRANSPORT
+        | {
+            "--solver",
+            "--json",
+            "--profile",
+            "--metrics-out",
+            "--window",
+            "--shards",
+            "--shard-workers",
+        },
+        "sweep": TRANSPORT
+        | {
+            "--scenarios",
+            "--families",
+            "--preset",
+            "--solvers",
+            "--seeds",
+            "--order",
+            "--capacity",
+            "--workers",
+            "--verbose",
+            "--processes",
+            "--cache-dir",
+            "--out",
+        },
+        "compare": WORKLOAD | RUN | ENGINE | FAILURES | TRANSPORT
+        | {"--solvers", "--workers"},
+        "bounds": WORKLOAD,
+        "online": WORKLOAD | RUN,
+        "serve": WORKLOAD | FAILURES | MONITORING | TRANSPORT
+        | {
+            "--jobs",
+            "--duration",
+            "--seed",
+            "--omega",
+            "--capacity",
+            "--hand-back",
+            "--window",
+            "--lookahead",
+            "--checkpoint-every",
+            "--checkpoint",
+            "--keep-checkpoints",
+            "--resume",
+            "--state-out",
+            "--log-out",
+            "--metrics-out",
+            "--stop-after-checkpoints",
+            "--json",
+        },
+    }
+
+    def test_option_strings_of_every_subcommand(self):
+        parser = build_parser()
+        subparsers = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = {
+            name: set(sub._option_string_actions) - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert options == self.OPTIONS
+
 
 class TestCommands:
     def test_scenarios_lists_all(self, capsys):
@@ -149,6 +231,110 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "replacements" in output
+
+
+class TestPinnedOutputs:
+    """Byte-level pins of what the flags produce.
+
+    ``serve`` checkpoints embed their :class:`ServiceConfig`, so its hash
+    must not move; ``online`` and ``bounds`` are kept for scripts that read
+    their tables.
+    """
+
+    SERVE_CONFIG_HASHES = {
+        "default": (
+            [],
+            "999cf914b3b758f5fb2c69dc930fdc2164f971ed05c8f8cc7f11257b700d1583",
+        ),
+        "crash-implies-ring": (
+            ["--crash", "0,0"],
+            "cf6ad94e6748dbf54ebfabf57d642d57f22e2b0d1a063366652c6dbf69b35fd2",
+        ),
+        "gossip": (
+            ["--monitoring", "gossip", "--gossip-fanout", "3", "--quorum", "2"],
+            "4c5191b8878f7ff37ad1363127e81bb45588460e8fc44e705c3f0beff72902b7",
+        ),
+        "escalation-hand-back": (
+            ["--escalation", "--hand-back"],
+            "14d5e3f35f52d164211e94eb9ae402754e2c8310a4f9c3a1cbf8343cc7c3fa3d",
+        ),
+        "lossy": (
+            ["--transport", "lossy", "--transport-param", "loss=0.1"],
+            "838221bf1ccc7462508f61a7c0d6381bf5c2f9a0ea5f1dc95eb8ad5f5f03f375",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SERVE_CONFIG_HASHES))
+    def test_serve_config_hash(self, case, monkeypatch):
+        import repro.service
+
+        class Captured(Exception):
+            pass
+
+        def capture(config, jobs, **outputs):
+            raise Captured(config)
+
+        monkeypatch.setattr(repro.service, "run_service", capture)
+        flags, expected = self.SERVE_CONFIG_HASHES[case]
+        with pytest.raises(Captured) as captured:
+            main(["serve", "--scenario", "square", "--jobs", "8", *flags])
+        assert captured.value.args[0].config_hash() == expected
+
+    STDOUT_SHA256 = {
+        "bounds point": "228f5584bacd5a0455c00afe7dac6aa8d230df3cf198e7d9dcf728460c2f3474",
+        "bounds square": "825787c506b23bb310e5267d02c33e76992b0f17408a23b22cc9a525bb165bc3",
+        "bounds hotspot": "2016e80d4a0c3732f434c3d9beed210406dc9434e47e43732bf5a03b8da628d3",
+        "online point": "d5a39e0cba629a9e901786037c3a044dcce55bd1d640e74443837107b2d824d5",
+        "online point --order sequential": (
+            "d5a39e0cba629a9e901786037c3a044dcce55bd1d640e74443837107b2d824d5"
+        ),
+        "online square": "1bc42616b9705fe19e990614888ea93f585d20d4c7f44c4d08649d7ac9af3cc4",
+        "online square --order sequential": (
+            "ee5839d744d8457ad2219eef9df915c388a7668365495bbd4a56f9cd0a48dd09"
+        ),
+        "online square --order bursty --seed 3": (
+            "b519bf519243bf8c12101428104e50e4296fb0caaa4641af0be9f76e9e56e23b"
+        ),
+        "online hotspot": "2894acb6bf4bc4cd9c24faca0b76e5fa077723a67301b3e2d6bc89934efd0634",
+        "online hotspot --order sequential": (
+            "38f5500624cf009ec4649fbf1e6943b167074d54aa01b2c45f63c96ed3f608ab"
+        ),
+        "online hotspot --order bursty --seed 3": (
+            "a9f134606cb5519b7f05a47d294df5c8572c23b60b32bec5946d727ce1c1b358"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+    def test_detail_view_stdout(self, command, capsys):
+        import hashlib
+
+        name, scenario, *flags = command.split()
+        assert main([name, "--scenario", scenario, *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[command]
+
+    def test_online_on_a_family_defaults_to_random_order(self, monkeypatch):
+        # A family's preferred ordering (diurnal: sequential) applies to
+        # run/compare/sweep, but `online` without --order stays random.
+        import numpy as np
+
+        import repro.cli
+        from repro.workloads.arrivals import random_arrivals
+        from repro.workloads.library import build_family_demand
+
+        seen = []
+
+        def capture(jobs, **kwargs):
+            seen.append(jobs)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(repro.cli, "run_online", capture)
+        with pytest.raises(SystemExit):
+            main(["online", "--scenario", "diurnal", "--seed", "4"])
+        expected = random_arrivals(
+            build_family_demand("diurnal", seed=4), np.random.default_rng(4)
+        )
+        assert list(seen[0]) == list(expected)
 
 
 class TestFamilyCommands:
@@ -272,20 +458,33 @@ class TestTransportFlags:
                 ]
             )
 
-    def test_transport_rejected_for_non_messaging_solver(self, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--transport", "latency"],
+            ["--crash", "0,0", "--recovery-rounds", "3"],
+        ],
+        ids=["transport", "failures"],
+    )
+    def test_transport_rejected_for_non_messaging_solver(self, flags, capsys):
+        code = main(["run", "--scenario", "point", "--solver", "offline", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        for flag in flags:
+            if flag.startswith("--"):
+                assert flag in err
+
+    def test_metrics_out_rejects_shards(self, tmp_path, capsys):
         code = main(
             [
-                "run",
-                "--scenario",
-                "point",
-                "--solver",
-                "offline",
-                "--transport",
-                "latency",
+                "run", "--scenario", "point", "--solver", "online",
+                "--metrics-out", str(tmp_path / "m.jsonl"), "--shards", "2",
             ]
         )
         assert code == 2
-        assert "--transport" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--metrics-out" in err and "--shards" in err
+        assert not (tmp_path / "m.jsonl").exists()
 
     def test_sweep_attaches_transport_to_online_solvers_only(self, tmp_path):
         import json
@@ -316,18 +515,26 @@ class TestTransportFlags:
         assert by_solver["online"]["extras"]["transport"] == "latency"
         assert "transport" not in by_solver["offline"].get("extras", {})
 
-    def test_sweep_transport_without_messaging_solver_errors(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--scenarios",
-                "none",
-                "--families",
-                "hotspot",
-                "--solvers",
-                "offline",
-                "--transport",
-                "lossy",
-            ]
-        )
+    @pytest.mark.parametrize(
+        "flags", [["--transport", "lossy"], ["--escalation"], ["--crash", "0,0"]],
+        ids=["transport", "escalation", "crash"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--scenarios", "none", "--families", "hotspot", "--solvers",
+             "offline"],
+            ["compare", "--scenario", "point", "--solvers", "offline,greedy"],
+        ],
+        ids=["sweep", "compare"],
+    )
+    def test_sweep_transport_without_messaging_solver_errors(
+        self, command, flags, capsys
+    ):
+        # sweep has no --crash at all; argparse rejects it, also with exit 2.
+        try:
+            code = main(command + flags)
+        except SystemExit as error:
+            code = error.code
         assert code == 2
+        assert flags[0] in capsys.readouterr().err
