@@ -19,8 +19,10 @@ things worth gating:
   same lossy channel; the factor is the digest + beacon traffic).
 
 Results go to ``BENCH_gossip.json`` (folded into ``BENCH_summary.json``)
-and are gated against the committed ``gossip_detection_rounds_1e3``
-ceiling by ``check_events_per_sec.py --gossip-report``.
+and are gated by ``check_events_per_sec.py --gossip-report``: the p99
+against the committed ``gossip_detection_rounds_1e3`` ceiling, and the
+gossip round rate (``gossip.rounds_per_sec``, which must carry traffic)
+against the committed ``gossip_rounds_per_sec_1e3`` floor.
 
 Usage::
 

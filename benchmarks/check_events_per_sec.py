@@ -41,7 +41,11 @@ detection latency in heartbeat rounds at the ``10^3``-vehicle scale under
 10% loss must stay below the committed ``gossip_detection_rounds_1e3``
 ceiling (same tolerance, inverted sense -- detection regresses by getting
 *slower*), and the report's own ``within_bound`` flag (p99 against the
-``2 * log2(n) * miss`` epidemic-spread bound) must be true.
+``2 * log2(n) * miss`` epidemic-spread bound) must be true.  The same
+report's failure-free gossip round rate (``gossip.rounds_per_sec``: digest
+peer draws, freshness ranking and digest merges at ~10^3 vehicles) must
+clear the committed ``gossip_rounds_per_sec_1e3`` floor, and the gate
+fails when that run sent no message (``gossip.messages_sent == 0``).
 
 ``--scale-report`` also gates the cube-sharded ``10^5``-vehicle tier: the
 report's ``sharded_events_per_sec`` (wall-clock events/sec of the
@@ -191,14 +195,27 @@ def extract_stream_metrics(stream_report: dict) -> tuple:
 
 
 def extract_gossip_metrics(gossip_report: dict) -> tuple:
-    """(p99 detection rounds, within-bound flag) from a bench_gossip.py report."""
+    """(p99 detection rounds, within-bound flag, gossip rounds/sec, gossip
+    round messages sent) from a bench_gossip.py report."""
     p99 = gossip_report.get("gossip_detection_rounds_p99")
-    if p99 is None or "within_bound" not in gossip_report:
+    rounds = gossip_report.get("gossip", {})
+    if (
+        p99 is None
+        or "within_bound" not in gossip_report
+        or "rounds_per_sec" not in rounds
+        or "messages_sent" not in rounds
+    ):
         raise SystemExit(
-            "gossip report carries no gossip_detection_rounds_p99 / within_bound; "
+            "gossip report carries no gossip_detection_rounds_p99 / within_bound / "
+            "gossip.rounds_per_sec / gossip.messages_sent; "
             "run: python benchmarks/bench_gossip.py --quick --out BENCH_gossip.json"
         )
-    return float(p99), bool(gossip_report["within_bound"])
+    return (
+        float(p99),
+        bool(gossip_report["within_bound"]),
+        float(rounds["rounds_per_sec"]),
+        int(rounds["messages_sent"]),
+    )
 
 
 def main(argv=None) -> int:
@@ -217,7 +234,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--gossip-report",
         default=None,
-        help="bench_gossip.py JSON artifact; enables the detection-latency gate",
+        help=(
+            "bench_gossip.py JSON artifact; enables the detection-latency "
+            "and gossip-round gates"
+        ),
     )
     parser.add_argument(
         "--baseline",
@@ -262,9 +282,10 @@ def main(argv=None) -> int:
         )
     gossip = None
     gossip_within_bound = True
+    gossip_rounds = None
     if args.gossip_report is not None:
-        gossip, gossip_within_bound = extract_gossip_metrics(
-            json.loads(Path(args.gossip_report).read_text())
+        gossip, gossip_within_bound, gossip_rounds, gossip_messages = (
+            extract_gossip_metrics(json.loads(Path(args.gossip_report).read_text()))
         )
 
     baseline_path = Path(args.baseline)
@@ -285,6 +306,7 @@ def main(argv=None) -> int:
             refreshed["stream_events_per_sec_1e3"] = stream
         if gossip is not None:
             refreshed["gossip_detection_rounds_1e3"] = gossip
+            refreshed["gossip_rounds_per_sec_1e3"] = gossip_rounds
         if baseline_path.exists():
             # Preserve calibration notes and any other extra keys.
             previous = json.loads(baseline_path.read_text())
@@ -303,6 +325,7 @@ def main(argv=None) -> int:
             print(f"baseline updated: {stream:.0f} stream events/sec (1e3)")
         if gossip is not None:
             print(f"baseline updated: {gossip:.1f} gossip detection rounds p99 (1e3)")
+            print(f"baseline updated: {gossip_rounds:.2f} gossip rounds/sec (1e3)")
         return 0
 
     baseline_payload = json.loads(baseline_path.read_text())
@@ -505,6 +528,34 @@ def main(argv=None) -> int:
             f"bound {'ok' if gossip_within_bound else 'EXCEEDED'} -> {gstatus}"
         )
 
+    gossip_rounds_passed = True
+    if gossip_rounds is not None:
+        rounds_base = baseline_payload.get("gossip_rounds_per_sec_1e3")
+        if rounds_base is None:
+            raise SystemExit(
+                "--gossip-report given but the baseline carries no "
+                "gossip_rounds_per_sec_1e3; refresh it with --update"
+            )
+        rounds_floor = float(rounds_base) * (1.0 - args.tolerance)
+        gossip_rounds_passed = gossip_rounds >= rounds_floor and gossip_messages > 0
+        artifact.update(
+            {
+                "gossip_rounds_per_sec_1e3": gossip_rounds,
+                "gossip_round_messages": gossip_messages,
+                "baseline_gossip_rounds_per_sec_1e3": float(rounds_base),
+                "floor_gossip_rounds_per_sec_1e3": rounds_floor,
+                "gossip_rounds_pass": gossip_rounds_passed,
+            }
+        )
+        grstatus = "ok" if gossip_rounds_passed else "REGRESSION"
+        print(
+            f"gossip rounds (1e3): {gossip_rounds:.2f} rounds/sec, "
+            f"{gossip_messages} messages "
+            f"(baseline {float(rounds_base):.2f}, floor {rounds_floor:.2f}) -> {grstatus}"
+        )
+        if not gossip_messages:
+            print("gossip rounds (1e3): the run sent no message -> FAIL")
+
     overall = (
         passed
         and ring_passed
@@ -514,6 +565,7 @@ def main(argv=None) -> int:
         and sharded_passed
         and stream_passed
         and gossip_passed
+        and gossip_rounds_passed
     )
     artifact["pass"] = overall
     out_path = Path(args.out)

@@ -22,12 +22,20 @@ Peer selection must be byte-identical at any worker, process, or shard
 count, so it never consults a shared RNG: each draw is keyed blake2b
 over ``(identity, per-vehicle counter, slot)``, a pure function of state
 that checkpoints and restores exactly.
+
+Both helpers run once per vehicle per round, so neither pays O(fleet) in
+Python: :func:`select_peers` maps each draw onto the shared sorted
+candidate list by index arithmetic (O(fanout²) per call, no pool copy),
+and :func:`freshest_entries` finds its round cut-off with a C sort of the
+round values and ranks only the entries at or above it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Hashable, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right, insort
+from functools import lru_cache
+from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 from repro.grid.lattice import Point
 
@@ -43,11 +51,28 @@ GOSSIP_KEY = b"repro-gossip"
 GOSSIP_ENTRY_CAP = 8
 
 
-def _draw(identity: Hashable, counter: int, slot: int, modulus: int) -> int:
-    """One deterministic draw in ``[0, modulus)`` keyed by vehicle state."""
-    payload = repr((identity, counter, slot)).encode("utf-8")
-    digest = hashlib.blake2b(payload, key=GOSSIP_KEY, digest_size=8).digest()
-    return int.from_bytes(digest, "big") % modulus
+# Bounded: a hasher state is ~0.5 KiB, so 2**14 identities stay under
+# ~8 MiB; a larger fleet only re-derives evicted prefixes.
+@lru_cache(maxsize=1 << 14)
+def _keyed_prefix(identity_repr: str) -> Any:
+    """Keyed blake2b state that has absorbed ``"(<identity repr>, "``.
+
+    Keyed on the repr, not the identity, so two equal identities with
+    different reprs (``(1, 2)`` and ``(1.0, 2.0)``) never share a prefix.
+    The memoized state is shared: callers ``copy()`` it, never update it.
+    """
+    hasher = hashlib.blake2b(key=GOSSIP_KEY, digest_size=8)
+    hasher.update(f"({identity_repr}, ".encode("utf-8"))
+    return hasher
+
+
+def _draw(prefix: Any, counter: int, slot: int, modulus: int) -> int:
+    """One deterministic draw in ``[0, modulus)``: the keyed blake2b of
+    ``repr((identity, counter, slot))``, resumed from the identity's
+    memoized :func:`_keyed_prefix`."""
+    hasher = prefix.copy()
+    hasher.update(f"{counter!r}, {slot!r})".encode("utf-8"))
+    return int.from_bytes(hasher.digest(), "big") % modulus
 
 
 def select_peers(
@@ -59,16 +84,29 @@ def select_peers(
     """Pick ``fanout`` gossip peers without replacement, deterministically.
 
     ``candidates`` must be in a canonical (sorted) order shared by every
-    worker; the sender itself is excluded.  Sampling pops from a shrinking
-    pool so the same vehicle is never drawn twice in one round, and the
-    per-vehicle ``counter`` advances the stream between rounds -- two
-    vehicles (or two rounds) never share a draw sequence.
+    worker; the sender itself is excluded.  Slot ``s`` draws an index
+    ``i`` into the pool of candidates not yet taken (the sender counts as
+    taken), and the ``i``-th untaken candidate is found by walking the
+    sorted taken indices -- the same peers a copied pool with ``pop(i)``
+    would yield, without copying the candidate list: O(log n) to locate
+    the sender plus O(fanout²) per call.  The per-vehicle ``counter``
+    advances the stream between rounds -- two vehicles (or two rounds)
+    never share a draw sequence.
     """
-    pool = [peer for peer in candidates if peer != identity]
+    low = bisect_left(candidates, identity)
+    high = bisect_right(candidates, identity, low)
+    taken = list(range(low, high))
+    remaining = len(candidates) - len(taken)
+    prefix = _keyed_prefix(repr(identity))
     chosen: List[Hashable] = []
-    for slot in range(min(fanout, len(pool))):
-        index = _draw(identity, counter, slot, len(pool))
-        chosen.append(pool.pop(index))
+    for slot in range(min(fanout, remaining)):
+        index = _draw(prefix, counter, slot, remaining - slot)
+        for position in taken:
+            if position > index:
+                break
+            index += 1
+        insort(taken, index)
+        chosen.append(candidates[index])
     return chosen
 
 
@@ -79,7 +117,16 @@ def freshest_entries(
 
     Most recent round first, ties broken by pair key so the digest is a
     pure function of the ``last_heard`` mapping (byte-identical across
-    dict insertion orders).
+    dict insertion orders).  When the map holds more than ``cap`` entries,
+    the cap-th largest round is read off a C sort of the round values and
+    only the entries at or above it are ranked in Python.
     """
-    ranked = sorted(last_heard.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(ranked[:cap])
+    cut = sorted(last_heard.values())[-cap] if len(last_heard) > cap > 0 else None
+    ranked = sorted(
+        [
+            (-heard, pair_key)
+            for pair_key, heard in last_heard.items()
+            if cut is None or heard >= cut
+        ]
+    )
+    return tuple([(pair_key, -heard) for heard, pair_key in ranked[:cap]])

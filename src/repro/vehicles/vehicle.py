@@ -46,7 +46,7 @@ the per-vehicle maxima the experiments report.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.distsim.process import Process
 from repro.grid.coloring import Coloring
@@ -876,7 +876,7 @@ class VehicleProcess(Process):
         if self.fleet.config.monitoring == "gossip":
             # Gossip mode routes freshness through the helper that also
             # retires silence reports and pending suspicions.
-            self._gossip_note_heard(message.pair_key, message.round_id)
+            self._gossip_note_heard(((message.pair_key, message.round_id),))
             return
         previous = self.last_heard.get(message.pair_key, -1)
         heard = message.round_id if message.round_id > previous else previous
@@ -928,28 +928,30 @@ class VehicleProcess(Process):
         if active:
             self._gossip_check_suspicion(round_id, miss_threshold, byzantine)
 
-    def _gossip_note_heard(self, pair_key: Point, heard: int) -> None:
-        """Fresh liveness information for a pair: update ``last_heard``
-        (mirroring the registry's watch-heard array), retire silence
-        reports the freshness supersedes, and drop any open suspicion --
-        a pair that spoke is not dead."""
-        previous = self.last_heard.get(pair_key, -1)
-        if heard <= previous:
-            return
-        self.last_heard[pair_key] = heard
-        if pair_key == self._monitored_pair:
-            self._registry.watch_heard[self._index] = heard
-        reporters = self.gossip_reports.get(pair_key)
-        if reporters:
-            for reporter in [r for r, rnd in reporters.items() if rnd <= heard]:
-                del reporters[reporter]
-            if not reporters:
-                del self.gossip_reports[pair_key]
-        self.pending_suspicions.pop(pair_key, None)
-
-    def _cube_pair_keys(self) -> List[Point]:
-        """Black vertices of every pair of this vehicle's cube."""
-        return [pair.black for pair in self.coloring.pairs]
+    def _gossip_note_heard(self, entries: Iterable[Tuple[Point, int]]) -> None:
+        """Fresh liveness information, one ``(pair_key, heard)`` entry at a
+        time: update ``last_heard`` (mirroring the registry's watch-heard
+        array), retire silence reports the freshness supersedes, and drop
+        any open suspicion -- a pair that spoke is not dead.  Entries no
+        fresher than what this vehicle already heard cost one lookup."""
+        last_heard = self.last_heard
+        previous_of = last_heard.get
+        reports = self.gossip_reports
+        monitored = self._monitored_pair
+        drop_suspicion = self.pending_suspicions.pop
+        for pair_key, heard in entries:
+            if heard <= previous_of(pair_key, -1):
+                continue
+            last_heard[pair_key] = heard
+            if pair_key == monitored:
+                self._registry.watch_heard[self._index] = heard
+            reporters = reports.get(pair_key)
+            if reporters:
+                for reporter in [r for r, rnd in reporters.items() if rnd <= heard]:
+                    del reporters[reporter]
+                if not reporters:
+                    del reports[pair_key]
+            drop_suspicion(pair_key, None)
 
     def _gossip_report_silence(
         self, round_id: int, miss_threshold: int, byzantine: bool
@@ -958,17 +960,16 @@ class VehicleProcess(Process):
         threshold (a Byzantine watcher reports *every* pair silent -- the
         false-suspicion injection the quorum must mask)."""
         baseline = self.fleet.monitoring_baseline
-        for pair_key in self._cube_pair_keys():
-            if pair_key == self.pair_key:
+        own = self.pair_key
+        identity = self.identity
+        last_of = self.last_heard.get
+        reporters_of = self.gossip_reports.setdefault
+        for pair in self.coloring.pairs:
+            pair_key = pair.black
+            if pair_key == own:
                 continue
-            last = self.last_heard.get(pair_key, baseline)
-            stale = round_id - last >= miss_threshold
-            if byzantine:
-                stale = True
-            if not stale:
-                continue
-            reporters = self.gossip_reports.setdefault(pair_key, {})
-            reporters[self.identity] = round_id
+            if byzantine or round_id - last_of(pair_key, baseline) >= miss_threshold:
+                reporters_of(pair_key, {})[identity] = round_id
 
     def _gossip_send_digest(self, round_id: int) -> None:
         """Piggyback freshness entries and silence reports to ``fanout``
@@ -982,13 +983,17 @@ class VehicleProcess(Process):
         )
         if not peers:
             return
-        silent = tuple(
-            (pair_key, reporter, reported)
-            for pair_key in sorted(self.gossip_reports)
-            for reporter, reported in sorted(self.gossip_reports[pair_key].items())
+        # One sort of the flat reports: (pair_key, reporter) is unique, so
+        # this is the pair-major, reporter-minor order of the digest.
+        silent = sorted(
+            [
+                (pair_key, reporter, reported)
+                for pair_key, reporters in self.gossip_reports.items()
+                for reporter, reported in reporters.items()
+            ]
         )
         digest = GossipDigest(
-            self.identity, round_id, freshest_entries(self.last_heard), silent
+            self.identity, round_id, freshest_entries(self.last_heard), tuple(silent)
         )
         self.send_many(peers, digest)
 
@@ -1032,15 +1037,17 @@ class VehicleProcess(Process):
     def _on_gossip_digest(self, message: GossipDigest) -> None:
         if self.broken:
             return
-        for pair_key, heard in message.heard:
-            self._gossip_note_heard(pair_key, heard)
+        self._gossip_note_heard(message.heard)
         baseline = self.fleet.monitoring_baseline
+        own = self.pair_key
+        last_of = self.last_heard.get
+        reporters_of = self.gossip_reports.setdefault
         for pair_key, reporter, reported in message.silent:
-            if pair_key == self.pair_key:
+            if pair_key == own:
                 continue  # this vehicle *is* the pair: obviously alive
-            if reported <= self.last_heard.get(pair_key, baseline):
+            if reported <= last_of(pair_key, baseline):
                 continue  # superseded: the pair has spoken since
-            reporters = self.gossip_reports.setdefault(pair_key, {})
+            reporters = reporters_of(pair_key, {})
             if reported > reporters.get(reporter, -1):
                 reporters[reporter] = reported
 
@@ -1093,7 +1100,7 @@ class VehicleProcess(Process):
         del self.pending_suspicions[pair_key]
         self.gossip_reports.pop(pair_key, None)
         fleet.record_watch_initiation(self.identity, pair_key)
-        self._gossip_note_heard(pair_key, round_id)  # debounce
+        self._gossip_note_heard(((pair_key, round_id),))  # debounce
         self.start_replacement_search(destination=pair_key, pair_key=pair_key)
 
     def offer_hand_back(self, pair_key: Point, owner: Point) -> None:

@@ -12,7 +12,11 @@ suspicions, but honest peers refuse to co-sign for pairs they still hear.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ConfigError, ExperimentEngine, FailureSpec, RunConfig, ScenarioSpec
 from repro.core.demand import DemandMap, JobSequence
@@ -21,7 +25,14 @@ from repro.core.stream import StreamDriver
 from repro.distsim.failures import FailurePlan
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.vehicles.fleet import FleetConfig
-from repro.vehicles.gossip import GOSSIP_ENTRY_CAP, freshest_entries, select_peers
+from repro.vehicles.gossip import (
+    GOSSIP_ENTRY_CAP,
+    GOSSIP_KEY,
+    freshest_entries,
+    select_peers,
+)
+from repro.vehicles.messages import GossipDigest
+from repro.vehicles.vehicle import VehicleProcess
 
 #: One 4-cube under omega=4: eight pairs, so every cube has enough honest
 #: watchers for any reasonable suspicion threshold and quorum.
@@ -113,6 +124,145 @@ class TestFreshestEntries:
         heard = {(1, 0): 5, (0, 1): 5, (0, 0): 5}
         entries = freshest_entries(heard)
         assert entries == (((0, 0), 5), ((0, 1), 5), ((1, 0), 5))
+
+
+# Reference definitions: the straightforward pool-copy and full-sort forms
+# the optimized helpers must reproduce exactly.
+
+
+def _reference_draw(identity, counter, slot, modulus):
+    payload = repr((identity, counter, slot)).encode("utf-8")
+    digest = hashlib.blake2b(payload, key=GOSSIP_KEY, digest_size=8).digest()
+    return int.from_bytes(digest, "big") % modulus
+
+
+def _reference_select_peers(identity, counter, candidates, fanout):
+    pool = [peer for peer in candidates if peer != identity]
+    chosen = []
+    for slot in range(min(fanout, len(pool))):
+        index = _reference_draw(identity, counter, slot, len(pool))
+        chosen.append(pool.pop(index))
+    return chosen
+
+
+def _reference_freshest_entries(last_heard, cap=GOSSIP_ENTRY_CAP):
+    ranked = sorted(last_heard.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(ranked[:cap])
+
+
+_points = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+class TestHelpersMatchReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        candidates=st.lists(_points, max_size=40, unique=True).map(sorted),
+        identity=_points,
+        use_member=st.booleans(),
+        counter=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    def test_select_peers(self, candidates, identity, use_member, counter, data):
+        if use_member and candidates:
+            identity = data.draw(st.sampled_from(candidates))
+        fanout = data.draw(st.integers(0, len(candidates) + 2))
+        assert select_peers(identity, counter, candidates, fanout) == (
+            _reference_select_peers(identity, counter, candidates, fanout)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(_points, st.integers(-1, 4)),
+            max_size=3 * GOSSIP_ENTRY_CAP,
+            unique_by=lambda entry: entry[0],
+        ),
+        cap=st.sampled_from([GOSSIP_ENTRY_CAP, 1, 3]),
+        data=st.data(),
+    )
+    def test_freshest_entries(self, entries, cap, data):
+        # Few distinct rounds: heavy ties at the cut-off, map sizes below,
+        # at and above the cap.
+        reference = _reference_freshest_entries(dict(entries), cap)
+        shuffled = dict(data.draw(st.permutations(entries)))
+        assert freshest_entries(shuffled, cap) == reference
+        assert freshest_entries(dict(entries), cap) == reference
+
+
+class TestDigestStreamPin:
+    """Every digest a lossy gossip run sends, and the detector state it
+    ends in, hashed and pinned: a change that reorders or alters the
+    digest stream fails here even when the run's end results hold."""
+
+    SIDE = 9
+    DIGEST_STREAM = "0d011da1c5dbbcb507608c4cc39493fb95b4d0c22c2a5764bf32164cf96a7d4f"
+    FINAL_STATE = "685384976d8aa936f653d24507298437e8cc0f8a18a5299dd3657eaa527a426b"
+
+    @staticmethod
+    def _cube(cx, cy):
+        xs, ys = range(3 * cx, 3 * cx + 3), range(3 * cy, 3 * cy + 3)
+        return [(x, y) for x in xs for y in ys]
+
+    def test_digest_stream_and_final_state(self, monkeypatch):
+        side = range(self.SIDE)
+        demand = DemandMap({(x, y): 1.0 for x in side for y in side})
+        jobs = JobSequence.from_positions(sorted(demand.support()) * 2)
+        # Six dead in the first cube (it keeps a pair with no spare), two
+        # in the middle cube and two in the last; one lying watcher.
+        dead = self._cube(0, 0)[:6] + self._cube(1, 1)[:2] + self._cube(2, 2)[:2]
+        plan = FailurePlan()
+        plan.mark_byzantine_watcher(self._cube(1, 1)[-1])
+        lossy = TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3})
+        fleet, fleet_config, _, _ = provision_fleet(
+            demand,
+            omega=3.0,
+            config=FleetConfig(monitoring="gossip"),
+            dead_vehicles=dead,
+            failure_plan=plan,
+            transport=build_transport(lossy),
+        )
+
+        stream = hashlib.sha256()
+        sent = []
+        send_many = VehicleProcess.send_many
+
+        def recording_send_many(vehicle, destinations, message):
+            if isinstance(message, GossipDigest):
+                record = (
+                    message.sender,
+                    message.round_id,
+                    message.heard,
+                    message.silent,
+                    list(destinations),
+                )
+                stream.update(repr(record).encode("utf-8"))
+                sent.append(message)
+            send_many(vehicle, destinations, message)
+
+        monkeypatch.setattr(VehicleProcess, "send_many", recording_send_many)
+        StreamDriver(fleet, fleet_config, plan, jobs, recovery_rounds=2).run()
+
+        state = hashlib.sha256()
+        for identity in sorted(fleet.vehicles):
+            vehicle = fleet.vehicles[identity]
+            record = (
+                identity,
+                sorted(vehicle.last_heard.items()),
+                sorted(
+                    (pair_key, sorted(reporters.items()))
+                    for pair_key, reporters in vehicle.gossip_reports.items()
+                ),
+                sorted(
+                    (pair_key, pending["round"], sorted(pending["granted"]))
+                    for pair_key, pending in vehicle.pending_suspicions.items()
+                ),
+            )
+            state.update(repr(record).encode("utf-8"))
+
+        assert len(sent) == 12922
+        assert fleet.stats.suspicions > 0 and fleet.network.messages_dropped > 0
+        assert stream.hexdigest() == self.DIGEST_STREAM
+        assert state.hexdigest() == self.FINAL_STATE
 
 
 class TestFleetConfigValidation:
