@@ -7,8 +7,9 @@ goal keeps asking:
   sustain on a large fleet (the distsim hot path),
 * how many jobs per second does a run sustain when ring monitoring floods
   every cube with heartbeats (the message path: transport, event queue and
-  protocol handler) -- over a reliable channel, and over a lossy one with
-  crashed vehicles to detect and replace, and
+  protocol handler) -- over a reliable channel, over a lossy one with
+  crashed vehicles to detect and replace, and with that lossy crash run
+  split across two parallel-lockstep worker processes, and
 * how long does each scenario family take to solve end-to-end through the
   experiment engine (the sweep hot path)?
 
@@ -154,6 +155,46 @@ def bench_lossy_crash_jobs_per_sec(benchmark):
     )
     assert result.messages_dropped > 0
     assert result.replacements > 0
+
+
+def bench_sharded_crash_jobs_per_sec(benchmark):
+    """Jobs/sec of a crash-recovery run split across two worker processes.
+
+    The ``ring-crash-sharded`` shape: ring monitoring over 5% edge-keyed
+    loss with ten crashed vehicles, in two parallel-lockstep workers -- so
+    the shard path (partition, payload pickle, worker pool, merge) carries
+    protocol traffic, unlike the message-free sharded 10^5 tier.
+    """
+    side = 14
+    jobs = _scale_up_jobs(side=side, per_point=1.0)
+    dead = _crash_pattern(side)
+
+    result = benchmark(
+        lambda: run_online(
+            jobs,
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="ring"),
+            dead_vehicles=dead,
+            transport=TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3}),
+            shards=2,
+            shard_workers=2,
+        )
+    )
+
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info.update(
+        {
+            "jobs": result.jobs_total,
+            "messages": result.messages,
+            "messages_dropped": result.messages_dropped,
+            "replacements": result.replacements,
+            "shard_mode": result.shard_mode,
+            "jobs_per_sec": result.jobs_total / mean if mean else 0.0,
+        }
+    )
+    assert result.shard_mode == "parallel-lockstep", result.shard_mode_reason
+    assert result.messages > 0
 
 
 @pytest.mark.parametrize("family", sorted(available_families()))

@@ -18,7 +18,11 @@ Likewise it gates the lossy crash-recovery throughput
 (``bench_lossy_crash_jobs_per_sec``: ring monitoring over 5% edge-keyed
 loss with ten crashed vehicles) against ``lossy_crash_jobs_per_sec``, and
 fails when that run sent no message or replaced no vehicle -- so the lossy
-send path and crash recovery are gated too.
+send path and crash recovery are gated too.  The same crash run split
+across two worker processes (``bench_sharded_crash_jobs_per_sec``) gates
+the shard path with traffic against ``sharded_crash_jobs_per_sec``; it
+fails when that run sent no message or did not run as
+``parallel-lockstep``.
 
 With ``--scale-report`` it additionally gates the ``10^4``-vehicle fleet
 *construction time* measured by ``bench_scale.py`` (the
@@ -94,6 +98,10 @@ RING_BENCHMARK = "bench_ring_monitoring_jobs_per_sec"
 #: (it must send and replace).
 LOSSY_BENCHMARK = "bench_lossy_crash_jobs_per_sec"
 
+#: The benchmark whose jobs/sec gates the shard path with traffic (it must
+#: send, and run in parallel-lockstep workers).
+SHARDED_CRASH_BENCHMARK = "bench_sharded_crash_jobs_per_sec"
+
 #: The bench_scale.py scale whose construction time the gate tracks.
 GATED_SCALE = "1e4"
 
@@ -146,6 +154,14 @@ def extract_lossy_crash(report: dict) -> tuple:
         report, LOSSY_BENCHMARK, ("jobs_per_sec", "messages", "replacements")
     )
     return float(jobs_per_sec), int(messages), int(replacements)
+
+
+def extract_sharded_crash(report: dict) -> tuple:
+    """(jobs/sec, messages sent, shard mode) of the sharded crash benchmark."""
+    jobs_per_sec, messages, shard_mode = _extra_info(
+        report, SHARDED_CRASH_BENCHMARK, ("jobs_per_sec", "messages", "shard_mode")
+    )
+    return float(jobs_per_sec), int(messages), str(shard_mode)
 
 
 def extract_construction_seconds(scale_report: dict) -> float:
@@ -266,6 +282,9 @@ def main(argv=None) -> int:
     measured = extract_events_per_sec(report)
     ring, ring_messages = extract_ring_monitoring(report)
     lossy, lossy_messages, lossy_replacements = extract_lossy_crash(report)
+    sharded_crash, sharded_crash_messages, sharded_crash_mode = extract_sharded_crash(
+        report
+    )
     construction = None
     quiescent = None
     sharded = None
@@ -295,6 +314,7 @@ def main(argv=None) -> int:
             "events_per_sec": measured,
             "ring_monitoring_jobs_per_sec": ring,
             "lossy_crash_jobs_per_sec": lossy,
+            "sharded_crash_jobs_per_sec": sharded_crash,
         }
         if construction is not None:
             refreshed["construction_seconds_1e4"] = construction
@@ -315,6 +335,7 @@ def main(argv=None) -> int:
         print(f"baseline updated: {measured:.0f} events/sec -> {baseline_path}")
         print(f"baseline updated: {ring:.1f} ring-monitoring jobs/sec")
         print(f"baseline updated: {lossy:.1f} lossy crash-recovery jobs/sec")
+        print(f"baseline updated: {sharded_crash:.1f} sharded crash-recovery jobs/sec")
         if construction is not None:
             print(f"baseline updated: {construction:.4f}s construction (1e4)")
         if quiescent is not None:
@@ -401,6 +422,39 @@ def main(argv=None) -> int:
         print(f"{LOSSY_BENCHMARK}: the run sent no message -> FAIL")
     if not lossy_replacements:
         print(f"{LOSSY_BENCHMARK}: the run replaced no crashed vehicle -> FAIL")
+
+    sharded_crash_base = baseline_payload.get("sharded_crash_jobs_per_sec")
+    if sharded_crash_base is None:
+        raise SystemExit(
+            "the baseline carries no sharded_crash_jobs_per_sec; refresh it with --update"
+        )
+    sharded_crash_floor = float(sharded_crash_base) * (1.0 - args.tolerance)
+    sharded_crash_passed = (
+        sharded_crash >= sharded_crash_floor
+        and sharded_crash_messages > 0
+        and sharded_crash_mode == "parallel-lockstep"
+    )
+    artifact.update(
+        {
+            "sharded_crash_jobs_per_sec": sharded_crash,
+            "sharded_crash_messages": sharded_crash_messages,
+            "sharded_crash_shard_mode": sharded_crash_mode,
+            "baseline_sharded_crash_jobs_per_sec": float(sharded_crash_base),
+            "floor_sharded_crash_jobs_per_sec": sharded_crash_floor,
+            "sharded_crash_pass": sharded_crash_passed,
+        }
+    )
+    scstatus = "ok" if sharded_crash_passed else "REGRESSION"
+    print(
+        f"{SHARDED_CRASH_BENCHMARK}: {sharded_crash:.1f} jobs/sec, "
+        f"{sharded_crash_messages} messages, mode {sharded_crash_mode} "
+        f"(baseline {float(sharded_crash_base):.1f}, "
+        f"floor {sharded_crash_floor:.1f}) -> {scstatus}"
+    )
+    if not sharded_crash_messages:
+        print(f"{SHARDED_CRASH_BENCHMARK}: the run sent no message -> FAIL")
+    if sharded_crash_mode != "parallel-lockstep":
+        print(f"{SHARDED_CRASH_BENCHMARK}: ran as {sharded_crash_mode!r} -> FAIL")
 
     construction_passed = True
     if construction is not None:
@@ -560,6 +614,7 @@ def main(argv=None) -> int:
         passed
         and ring_passed
         and lossy_passed
+        and sharded_crash_passed
         and construction_passed
         and quiescent_passed
         and sharded_passed

@@ -61,6 +61,7 @@ from repro.core.stream import StreamDriver
 from repro.distsim.failures import ChurnSpec, FailurePlan
 from repro.distsim.parallel_lockstep import (
     merge_parallel_lockstep_results,
+    owning_shard,
     parallel_lockstep_eligibility,
     run_parallel_lockstep,
 )
@@ -360,16 +361,8 @@ class _ShardPartition:
 
     def shard_of_vertex(self, vertex: Sequence[int], default: int) -> int:
         """The shard owning a lattice vertex's cube (``default`` off-grid)."""
-        try:
-            cube = tuple(
-                (int(c) - int(low)) // self.cube_side
-                for c, low in zip(vertex, self.window.lo)
-            )
-            if any(c < 0 for c in cube):
-                return default
-            return int(self.shard_lut[cube])
-        except (IndexError, TypeError, ValueError):
-            return default
+        owner = owning_shard(self.shard_lut, self.window.lo, self.cube_side, vertex)
+        return default if owner is None else owner
 
 
 def _fleet_counters(fleet: Fleet) -> Dict[str, Any]:

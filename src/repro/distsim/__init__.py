@@ -15,10 +15,6 @@ computation.  This subpackage provides the substrate that protocol runs on:
   and the CLI use to select one.
 * :mod:`repro.distsim.process` -- the process abstraction (local state,
   message handlers, unbounded input buffer).
-* :mod:`repro.distsim.diffusing` -- a standalone, reusable implementation of
-  the Dijkstra--Scholten termination-detection scheme reviewed in
-  Section 3.1.  Only its own tests use it; the vehicles' Phase I
-  computation follows the same scheme in its own code.
 * :mod:`repro.distsim.events` -- the event core: a monotonic simulation
   clock, the deterministic event queue, and the counters the scenario
   benchmarks report events/sec from.
@@ -31,11 +27,6 @@ from repro.distsim.engine import Event, Simulator
 from repro.distsim.events import EventQueue, EventStats, ScheduledEvent, SimClock
 from repro.distsim.network import Network
 from repro.distsim.process import Process
-from repro.distsim.diffusing import (
-    DiffusingComputation,
-    DiffusingNode,
-    HierarchicalSearch,
-)
 from repro.distsim.failures import ChurnSpec, FailurePlan, PartitionSpec
 from repro.distsim.transport import (
     CorruptingTransport,
@@ -60,9 +51,6 @@ __all__ = [
     "SimClock",
     "Network",
     "Process",
-    "DiffusingNode",
-    "DiffusingComputation",
-    "HierarchicalSearch",
     "ChurnSpec",
     "FailurePlan",
     "PartitionSpec",

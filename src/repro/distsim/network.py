@@ -38,7 +38,15 @@ from repro.distsim.transport import (
     Transport,
 )
 
-__all__ = ["Network"]
+__all__ = ["Network", "UnknownDestination"]
+
+
+class UnknownDestination(KeyError):
+    """A send addressed to an identity this network never registered."""
+
+    def __init__(self, destination: Hashable) -> None:
+        super().__init__(f"unknown destination {destination!r}")
+        self.destination = destination
 
 
 class Network:
@@ -82,16 +90,13 @@ class Network:
                 transport = ReliableTransport(delay)
         self.transport = transport.bind(self.simulator)
         self.failure_plan = failure_plan if failure_plan is not None else FailurePlan()
+        #: Registered processes by identity.  A shard worker registers only
+        #: its own shard's vehicles, so a send that would cross shards
+        #: raises :class:`UnknownDestination` -- no per-send check needed.
         self._processes: Dict[Hashable, Process] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: Optional observer invoked once per logical send, *before* any
-        #: drop decision: ``shard_monitor(sender, destination, message)``.
-        #: Each shard worker installs an isolation guard here that raises
-        #: on a cross-shard send; ``None`` (the default) costs nothing on
-        #: the hot path beyond one attribute read.
-        self.shard_monitor = None
         #: Sends recorded inside a :meth:`deferred_sends` scope, as
         #: ``(sender, destinations, message)``; ``None`` outside one.
         self._deferred: Optional[List[Tuple[Hashable, List[Hashable], Any]]] = None
@@ -140,10 +145,8 @@ class Network:
     def send(self, sender: Hashable, destination: Hashable, message: Any) -> None:
         """Send a message; the transport schedules its delivery event."""
         if destination not in self._processes:
-            raise KeyError(f"unknown destination {destination!r}")
+            raise UnknownDestination(destination)
         self.messages_sent += 1
-        if self.shard_monitor is not None:
-            self.shard_monitor(sender, destination, message)
         if self.failure_plan.should_drop(sender, destination, message):
             self.messages_dropped += 1
             return
@@ -183,10 +186,12 @@ class Network:
 
         On the batched and deferred paths the failure plan is asked per
         destination (``should_drop``, then ``is_crashed``) only when this
-        broadcast could be dropped: a ``shard_monitor`` is installed, drop
-        predicates exist, the sender is crashed, or a partition window is
-        active at ``plan.clock``.  Otherwise a destination costs one
-        crashed-set membership test.  Either way the counters --
+        broadcast could be dropped: drop predicates exist, the sender is
+        crashed, or a partition window is active at ``plan.clock``.
+        Otherwise a destination costs one crashed-set membership test,
+        inside a shard worker too: a destination another shard owns was
+        never registered there, so it raises :class:`UnknownDestination`
+        like any other.  Either way the counters --
         ``messages_sent``/``messages_dropped`` here, ``dropped_count`` and
         ``partition_dropped_count`` on the plan -- are those of the
         per-message loop.  At delivery, each recipient crashed since the
@@ -204,11 +209,9 @@ class Network:
                 return
         plan = self.failure_plan
         processes = self._processes
-        monitor = self.shard_monitor
         crashed = plan.crashed
         checked = (
-            monitor is not None
-            or bool(plan.drop_predicates)
+            bool(plan.drop_predicates)
             or sender in crashed
             or any(spec.active_at(plan.clock) for spec in plan.partitions)
         )
@@ -217,11 +220,9 @@ class Network:
         try:
             for destination in destinations:
                 if destination not in processes:
-                    raise KeyError(f"unknown destination {destination!r}")
+                    raise UnknownDestination(destination)
                 sent += 1
                 if checked:
-                    if monitor is not None:
-                        monitor(sender, destination, message)
                     if plan.should_drop(sender, destination, message) or plan.is_crashed(
                         destination
                     ):

@@ -44,10 +44,11 @@ as a human-readable reason; ``run_online`` then runs the one global fleet
 single-process and records that reason, so bench numbers can't silently
 be misread as parallel.
 
-Workers verify the zero-boundary-traffic claim at runtime: an
-:class:`IsolationGuard` installed as ``Network.shard_monitor`` raises on
-the first send whose endpoints map to different shards, turning any future
-eligibility bug into a loud failure instead of a silent divergence.
+Workers enforce the zero-boundary-traffic claim through their registry at
+no per-send cost: a worker registers only its own shard's vehicles, so a
+send to a vehicle another shard owns is an unknown destination, which the
+worker re-raises as an error naming both shards -- any future eligibility
+bug fails loudly instead of silently diverging.
 :func:`merge_parallel_lockstep_results` reassembles the per-cube state in
 global lex order, so even float summation order matches the single-process
 run bit for bit.
@@ -55,13 +56,13 @@ run bit for bit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.distsim.failures import FailurePlan
 
 __all__ = [
     "parallel_lockstep_eligibility",
-    "IsolationGuard",
+    "owning_shard",
     "run_parallel_lockstep",
     "merge_parallel_lockstep_results",
 ]
@@ -135,49 +136,19 @@ def parallel_lockstep_eligibility(
     return (True, "")
 
 
-class IsolationGuard:
-    """Raises on the first send that crosses a shard boundary.
+def owning_shard(lut, lo: Sequence[int], side: int, vertex: Any) -> Optional[int]:
+    """The shard owning ``vertex``'s cube, or ``None`` off the lookup table.
 
-    Installed as ``Network.shard_monitor`` inside each worker.  Identities
-    map to shards through their home cube (the dense cube->shard lookup
-    table the coordinator built), cached per identity.  The eligible
-    configuration class guarantees this never fires; the guard converts a
-    violated guarantee into an immediate, attributable error rather than a
-    silently diverged merge.
+    ``lut`` is the dense cube -> shard table of a run whose cube lattice of
+    side ``side`` is anchored at window corner ``lo``.
     """
-
-    __slots__ = ("shard", "lut", "lo", "side", "_cache", "checked")
-
-    def __init__(self, shard: int, lut, lo: Sequence[int], side: int) -> None:
-        self.shard = int(shard)
-        self.lut = lut
-        self.lo = tuple(int(c) for c in lo)
-        self.side = int(side)
-        self._cache: Dict[Hashable, int] = {}
-        self.checked = 0
-
-    def shard_of(self, identity: Hashable) -> int:
-        shard = self._cache.get(identity)
-        if shard is None:
-            cube = tuple(
-                (int(c) - low) // self.side for c, low in zip(identity, self.lo)
-            )
-            shard = int(self.lut[cube])
-            self._cache[identity] = shard
-        return shard
-
-    def __call__(self, sender: Hashable, destination: Hashable, message: Any) -> None:
-        self.checked += 1
-        source = self.shard_of(sender)
-        target = self.shard_of(destination)
-        if source != self.shard or target != self.shard:
-            raise RuntimeError(
-                f"shard isolation violated: shard {self.shard} "
-                f"observed a send {sender!r} (shard {source}) -> "
-                f"{destination!r} (shard {target}) of "
-                f"{type(message).__name__}; this configuration should have "
-                "run single-process"
-            )
+    try:
+        cube = tuple((int(c) - int(low)) // side for c, low in zip(vertex, lo))
+    except (TypeError, ValueError):
+        return None
+    if len(cube) != lut.ndim or any(not 0 <= c < n for c, n in zip(cube, lut.shape)):
+        return None
+    return int(lut[cube])
 
 
 def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -186,10 +157,13 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     Rebuilds the sub-fleet from plain picklable data (demand entries,
     resolved omega and capacity, the fleet config, the *global* window
     corners, the failure plan and dead-vehicle sweep, a rebuildable
-    transport description), installs the :class:`IsolationGuard`, and
-    schedules the shard's jobs, every churn spec (foreign vertices no-op)
-    and -- when the run needs clock/round replication -- one *tick* event
-    per foreign arrival time.  Harness imports stay lazy: distsim sits
+    transport description) and schedules the shard's jobs, every churn
+    spec (foreign vertices no-op) and -- when the run needs clock/round
+    replication -- one *tick* event per foreign arrival time.  Only the
+    shard's own vehicles are registered, so a cross-shard send raises
+    :class:`~repro.distsim.network.UnknownDestination`; the worker
+    re-raises it as a ``RuntimeError`` naming its shard, the destination
+    and the shard that owns it.  Harness imports stay lazy: distsim sits
     below the vehicle protocol and must not depend on it at import time.
     """
     import time as _time
@@ -197,6 +171,7 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.demand import DemandMap, Job
     from repro.core.online import _fleet_counters, provision_fleet
     from repro.core.stream import StreamDriver
+    from repro.distsim.network import UnknownDestination
     from repro.distsim.transport import TransportSpec
     from repro.grid.lattice import Box
 
@@ -221,10 +196,6 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         transport=transport,
         window=window,
     )
-    fleet.network.shard_monitor = IsolationGuard(
-        payload["shard"], payload["shard_lut"], payload["window_lo"],
-        payload["cube_side"],
-    )
     # Positions pickled straight out of valid Job objects: the trusted
     # constructor skips the per-job validation, which dominates the
     # rebuild at 10^5 jobs; the driver pulls them lazily.
@@ -232,14 +203,25 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         Job.trusted(time, tuple(position), energy)
         for time, position, energy in payload["jobs"]
     )
-    served = StreamDriver(
-        fleet,
-        fleet_config,
-        fleet.failure_plan,
-        jobs,
-        churn=payload["churn"],
-        ticks=payload["foreign_times"],
-    ).run()
+    try:
+        served = StreamDriver(
+            fleet,
+            fleet_config,
+            fleet.failure_plan,
+            jobs,
+            churn=payload["churn"],
+            ticks=payload["foreign_times"],
+        ).run()
+    except UnknownDestination as error:
+        destination = error.destination
+        owner = owning_shard(
+            payload["shard_lut"], payload["window_lo"], payload["cube_side"], destination
+        )
+        raise RuntimeError(
+            f"shard isolation violated: shard {payload['shard']} sent to "
+            f"{destination!r}, owned by shard {owner}; this configuration "
+            "should have run single-process"
+        ) from error
 
     counters = _fleet_counters(fleet)
     counters["jobs_served"] = served

@@ -13,7 +13,7 @@ import pytest
 
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import FailurePlan, PartitionSpec
-from repro.distsim.network import Network
+from repro.distsim.network import Network, UnknownDestination
 from repro.distsim.process import Process
 from repro.distsim.transport import (
     LossyTransport,
@@ -293,25 +293,6 @@ class TestOneEntryBroadcast:
         assert _counters(a)[:5] == expected
         assert _received(procs_a) == _received(procs_b)
 
-    def test_shard_monitor_sees_every_destination(self):
-        seen = {True: [], False: []}
-
-        def run(batched):
-            plan = FailurePlan()
-            plan.crash("p2")
-            net, procs = _network(ReliableTransport(0.25), failure_plan=plan)
-            net.shard_monitor = lambda s, d, m: seen[batched].append((s, d, m))
-            if batched:
-                net.send_many("p0", ["p1", "p2", "p3"], "m")
-            else:
-                for target in ("p1", "p2", "p3"):
-                    net.send("p0", target, "m")
-            net.run_until_quiescent()
-            return _counters(net)
-
-        assert run(True) == run(False)
-        assert seen[True] == seen[False] == [("p0", d, "m") for d in ("p1", "p2", "p3")]
-
     def test_same_time_send_from_a_handler_runs_after_the_whole_broadcast(self):
         class Relay(Process):
             def __init__(self, identity, log):
@@ -343,6 +324,91 @@ class TestOneEntryBroadcast:
             ("p0", "pong"), ("p0", "pong"), ("p0", "pong"),
         ]
         assert events == 6
+
+
+def _plan_with(feature):
+    """A plan over ``_lattice_network`` ids with one drop-capable feature."""
+    plan = FailurePlan()
+    if feature == "drop predicate":
+        plan.add_drop_rule(lambda sender, destination, message: destination == (3, 0))
+    elif feature == "crashed sender":
+        plan.crash((0, 0))
+    elif feature == "crashed destination":
+        plan.crash((2, 0))
+    elif feature == "active partition":
+        plan.add_partition(PartitionSpec(start=0.0, end=10.0, axis=0, boundary=1.5))
+    elif feature == "later partition":
+        plan.add_partition(PartitionSpec(start=5.0, end=10.0, axis=0, boundary=1.5))
+    return plan
+
+
+class TestCheckedBroadcasts:
+    """Only a broadcast that could be dropped asks the plan per destination."""
+
+    @pytest.mark.parametrize(
+        "feature, checked",
+        [
+            ("nothing", False),
+            ("crashed destination", False),
+            ("later partition", False),
+            ("drop predicate", True),
+            ("crashed sender", True),
+            ("active partition", True),
+        ],
+    )
+    def test_should_drop_runs_only_when_a_drop_is_possible(
+        self, monkeypatch, feature, checked
+    ):
+        calls = []
+        should_drop = FailurePlan.should_drop
+
+        def counted(plan, *args):
+            calls.append(args)
+            return should_drop(plan, *args)
+
+        monkeypatch.setattr(FailurePlan, "should_drop", counted)
+        targets = [(1, 0), (2, 0), (3, 0)]
+        batched, procs_a = _lattice_network(failure_plan=_plan_with(feature))
+        batched.send_many((0, 0), targets, "m")
+        assert calls == ([((0, 0), t, "m") for t in targets] if checked else [])
+        # Skipping the checks never changes the outcome.
+        looped, procs_b = _lattice_network(failure_plan=_plan_with(feature))
+        for target in targets:
+            looped.send((0, 0), target, "m")
+        for net in (batched, looped):
+            net.run_until_quiescent()
+        assert _counters(batched) == _counters(looped)
+        assert _received(procs_a) == _received(procs_b)
+
+
+class TestUnknownDestination:
+    @pytest.mark.parametrize(
+        "path", ["send", "send_many", "send_many checked", "send_many deferred"]
+    )
+    def test_names_the_destination_and_keeps_earlier_sends(self, path):
+        plan = FailurePlan()
+        if path == "send_many checked":
+            plan.add_drop_rule(lambda sender, destination, message: False)
+        if path == "send_many deferred":
+            transport = LossyTransport(loss=0.0, delay=0.25)
+        else:
+            transport = ReliableTransport(0.25)
+        net, procs = _network(transport, failure_plan=plan)
+        with pytest.raises(UnknownDestination) as raised:
+            if path == "send":
+                net.send("p0", "p1", "m")
+                net.send("p0", "nope", "m")
+            elif path == "send_many deferred":
+                with net.deferred_sends():
+                    net.send_many("p0", ["p1", "nope"], "m")
+            else:
+                net.send_many("p0", ["p1", "nope"], "m")
+        assert isinstance(raised.value, KeyError)
+        assert raised.value.destination == "nope"
+        assert "unknown destination 'nope'" in str(raised.value)
+        trace, counters = _trace(net, procs)
+        assert counters == (1, 1, 0)
+        assert dict(trace)["p1"] == [(0.25, "p0", "m")]
 
 
 class TestFallbackPaths:

@@ -1,13 +1,16 @@
-"""Unit suite for the multi-process shard engine's pure pieces.
+"""Unit suite for the multi-process shard engine.
 
-:mod:`repro.distsim.parallel_lockstep` reduces to three functions the
-byte-identity property suite only exercises end to end:
+:mod:`repro.distsim.parallel_lockstep` reduces to pieces the byte-identity
+property suite only exercises end to end:
 
 * ``merge_parallel_lockstep_results`` -- counters sum except the
   replicated/extremal ones, and per-cube energy segments replay in global
   lex cube order whatever order the workers returned them in.
-* ``IsolationGuard`` -- a worker accepts only sends whose both endpoints
-  live in its own shard.
+* ``owning_shard`` -- a vertex maps to its cube's shard through the
+  dense lookup table, and to ``None`` off it.
+* the worker's isolation -- a cross-shard send raises an error naming
+  both shards, while shard-local broadcasts skip the failure plan's
+  per-destination checks.
 * ``parallel_lockstep_eligibility`` -- which configurations may fan out,
   and the first disqualifying feature otherwise.
 """
@@ -17,9 +20,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.demand import JobSequence
+from repro.core.online import _ShardPartition, _shard_payloads
+from repro.core.stream import StreamDriver
+from repro.distsim.failures import FailurePlan
 from repro.distsim.parallel_lockstep import (
-    IsolationGuard,
     merge_parallel_lockstep_results,
+    owning_shard,
     parallel_lockstep_eligibility,
     run_parallel_lockstep,
 )
@@ -110,38 +117,105 @@ class TestMerge:
         assert run_parallel_lockstep([], workers=4) == []
 
 
-class TestIsolationGuard:
-    @staticmethod
-    def _guard(shard):
-        # Cubes of side 2 along x: cube (0, 0) -> shard 0, (1, 0) -> 1.
-        return IsolationGuard(shard, np.array([[0], [1]]), (0, 0), 2)
+def _two_shard_jobs():
+    return JobSequence.from_positions([(x, y) for x in range(9) for y in range(9)])
 
-    def test_another_shards_local_traffic_is_rejected(self):
-        # Both endpoints share a shard -- just not the worker's own.
-        with pytest.raises(RuntimeError, match="isolation violated"):
-            self._guard(1)((0, 0), (1, 1), "ping")
 
-    def test_error_names_both_endpoints_and_the_message_type(self):
-        with pytest.raises(RuntimeError) as raised:
-            self._guard(0)((1, 0), (2, 1), 3.5)
-        message = str(raised.value)
-        assert "(1, 0) (shard 0)" in message
-        assert "(2, 1) (shard 1)" in message
-        assert "float" in message
+def _two_shard_payloads(config):
+    """Worker payloads of a 2-shard run over a side-9 grid of 3x3 cubes."""
+    jobs = _two_shard_jobs()
+    payloads = _shard_payloads(
+        jobs, jobs.demand_map(), 3.0, None, config, None, 2, None, None, ()
+    )
+    assert [payload["shard"] for payload in payloads] == [0, 1]
+    return payloads
+
+
+class TestOwningShard:
+    # Cubes of side 2 anchored at window corner (10, -4): cube (i, j) is
+    # owned by shard LUT[i, j].
+    LUT = np.array([[0, 1], [2, 3]])
+
+    @pytest.mark.parametrize(
+        "vertex, shard",
+        [((10, -4), 0), ((11, -3), 0), ((10, -2), 1), ((12, -4), 2), ((13, -1), 3)],
+    )
+    def test_vertex_maps_through_its_cube(self, vertex, shard):
+        owner = owning_shard(self.LUT, (10, -4), 2, vertex)
+        assert owner == shard and type(owner) is int
+
+    @pytest.mark.parametrize(
+        "vertex", [(9, -4), (10, -5), (14, -4), (10, 0), (10,), "p0", None]
+    )
+    def test_off_the_table_is_none(self, vertex):
+        assert owning_shard(self.LUT, (10, -4), 2, vertex) is None
 
     def test_window_offset_shifts_cube_lookup(self):
-        guard = IsolationGuard(1, np.array([[0], [1]]), (10, -4), 2)
-        assert guard.shard_of((10, -4)) == 0
-        assert guard.shard_of((12, -3)) == 1
-        guard((12, -4), (13, -3), "ping")
-        assert guard.checked == 1
+        lut = np.array([[0], [1]])
+        assert owning_shard(lut, (0, 0), 2, (2, 0)) == 1
+        assert owning_shard(lut, (2, 0), 2, (2, 0)) == 0
+        assert owning_shard(lut, (2, 0), 2, (0, 0)) is None
 
-    def test_lookup_is_cached_per_identity(self):
-        guard = self._guard(0)
-        assert guard.shard_of((1, 1)) == 0
-        guard.lut = np.array([[1], [1]])  # a cached identity never re-reads
-        assert guard.shard_of((1, 1)) == 0
-        assert guard.shard_of((0, 0)) == 1
+    def test_agrees_with_the_payload_split(self):
+        payloads = _two_shard_payloads(FleetConfig())
+        for payload in payloads:
+            assert payload["entries"]
+            for point, _ in payload["entries"]:
+                owner = owning_shard(
+                    payload["shard_lut"], payload["window_lo"],
+                    payload["cube_side"], point,
+                )
+                assert owner == payload["shard"]
+
+    def test_shard_partition_falls_back_off_the_grid(self):
+        jobs = _two_shard_jobs()
+        partition = _ShardPartition(jobs, jobs.demand_map(), 3.0, 2)
+        lo = partition.window.lo
+        below = tuple(c - 1 for c in lo)
+        assert partition.shard_of_vertex(below, -1) == -1
+        assert partition.shard_of_vertex("p0", 7) == 7
+        assert partition.shard_of_vertex(tuple(lo), -1) in (0, 1)
+
+
+class TestWorkerIsolation:
+    @pytest.mark.parametrize("via", ["send", "send_many"])
+    @pytest.mark.parametrize("home, other", [(0, 1), (1, 0)])
+    def test_cross_shard_send_names_both_shards(self, monkeypatch, home, other, via):
+        payloads = _two_shard_payloads(FleetConfig())
+        foreign = payloads[other]["entries"][0][0]
+        run = StreamDriver.run
+
+        def run_after_a_stray_send(driver):
+            vehicle = next(iter(driver.fleet.vehicles.values()))
+            if via == "send":
+                vehicle.send(foreign, "stray")
+            else:
+                vehicle.send_many([foreign], "stray")
+            return run(driver)
+
+        monkeypatch.setattr(StreamDriver, "run", run_after_a_stray_send)
+        with pytest.raises(RuntimeError) as raised:
+            run_parallel_lockstep(payloads[home : home + 1])
+        message = str(raised.value)
+        assert f"shard {home} sent to {foreign!r}, owned by shard {other}" in message
+        assert "should have run single-process" in message
+        assert isinstance(raised.value.__cause__, KeyError)
+
+    def test_shard_local_broadcasts_skip_the_failure_checks(self, monkeypatch):
+        # Crash-free and partition-free: every heartbeat broadcast must take
+        # the unchecked path, so the plan is never asked to drop a message.
+        calls = []
+        should_drop = FailurePlan.should_drop
+
+        def counted(plan, *args):
+            calls.append(args)
+            return should_drop(plan, *args)
+
+        monkeypatch.setattr(FailurePlan, "should_drop", counted)
+        payloads = _two_shard_payloads(FleetConfig(monitoring="ring"))
+        [result] = run_parallel_lockstep(payloads[:1])
+        assert result["counters"]["messages"] > 0
+        assert calls == []
 
 
 class TestEligibility:

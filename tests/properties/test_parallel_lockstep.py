@@ -13,7 +13,6 @@ pins the contract:
   recorded ``shard_mode_reason`` is the first structural property that
   forced the single-process fallback, and the fallback itself stays
   byte-identical.
-* **Isolation guard** -- a worker raises on the first cross-shard send.
 * **Resume** -- a service checkpoint whose embedded config still carries
   the retired ``shards`` key resumes to the same ``result_hash`` /
   ``fleet_digest``.
@@ -30,10 +29,7 @@ import pytest
 from repro.core.demand import JobSequence
 from repro.core.online import run_online
 from repro.distsim.failures import ChurnSpec, FailurePlan, PartitionSpec
-from repro.distsim.parallel_lockstep import (
-    IsolationGuard,
-    parallel_lockstep_eligibility,
-)
+from repro.distsim.parallel_lockstep import parallel_lockstep_eligibility
 from repro.distsim.transport import TRANSPORT_KINDS, LossyTransport, TransportSpec
 from repro.vehicles.fleet import FleetConfig
 
@@ -248,26 +244,6 @@ class TestEligibilityAndFallback:
         assert not ok and "caller-owned" in reason
         ok, reason = parallel_lockstep_eligibility(None, config, None, None, 0, False)
         assert ok  # fixed-delay reliable default, rebuilt per worker
-
-
-class TestIsolationGuard:
-    """The runtime check behind the eligibility argument."""
-
-    @staticmethod
-    def _guard(shard):
-        # Two cubes of side 2 along x: cube (0, 0) -> shard 0, (1, 0) -> 1.
-        lut = np.array([[0], [1]])
-        return IsolationGuard(shard, lut, (0, 0), 2)
-
-    def test_intra_shard_sends_pass(self):
-        guard = self._guard(0)
-        guard((0, 0), (1, 1), "ping")
-        assert guard.checked == 1
-
-    @pytest.mark.parametrize("sender, destination", [((0, 0), (2, 0)), ((3, 1), (1, 0))])
-    def test_cross_shard_send_raises(self, sender, destination):
-        with pytest.raises(RuntimeError, match="isolation violated"):
-            self._guard(0)(sender, destination, "ping")
 
 
 class TestServiceShardResume:
