@@ -8,8 +8,9 @@ goal keeps asking:
 * how many jobs per second does a run sustain when ring monitoring floods
   every cube with heartbeats (the message path: transport, event queue and
   protocol handler) -- over a reliable channel, over a lossy one with
-  crashed vehicles to detect and replace, and with that lossy crash run
-  split across two parallel-lockstep worker processes, and
+  crashed vehicles to detect and replace, with that lossy crash run split
+  across two parallel-lockstep worker processes, and with escalation's
+  fleet-wide watch ring replacing crashed pairs across cube boundaries, and
 * how long does each scenario family take to solve end-to-end through the
   experiment engine (the sweep hot path)?
 
@@ -155,6 +156,53 @@ def bench_lossy_crash_jobs_per_sec(benchmark):
     )
     assert result.messages_dropped > 0
     assert result.replacements > 0
+
+
+def _spares_and_second_pair(cx: int, cy: int):
+    """The four idle vehicles of 3x3 cube ``(cx, cy)`` and the active one of
+    its second pair (in ring order), whose watcher -- the cube's first
+    pair -- is alive: the watcher's intra-cube search finds no spare, so
+    the replacement must escalate across the cube boundary."""
+    x, y = 3 * cx, 3 * cy
+    return [(x, y + 2), (x, y + 1), (x + 1, y), (x + 1, y + 2), (x + 2, y + 1)]
+
+
+def bench_escalation_crash_jobs_per_sec(benchmark):
+    """Jobs/sec of ring monitoring with escalation over crashed vehicles.
+
+    Every live active vehicle runs the full per-object heartbeat (the
+    escalation-mode audience spans the pair's cube and its ring watcher's
+    cube, so nothing vectorizes), and two cubes lose every spare plus one
+    pair: both replacements escalate through the cube hierarchy and are
+    taken over from a neighboring cube.
+    """
+    side = 14
+    jobs = _scale_up_jobs(side=side, per_point=1.0)
+    dead = _spares_and_second_pair(1, 1) + _spares_and_second_pair(3, 3)
+
+    result = benchmark(
+        lambda: run_online(
+            jobs,
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="ring", escalation=True),
+            recovery_rounds=2,
+            dead_vehicles=dead,
+        )
+    )
+
+    mean = benchmark.stats.stats.mean
+    benchmark.extra_info.update(
+        {
+            "jobs": result.jobs_total,
+            "messages": result.messages,
+            "replacements": result.replacements,
+            "escalated_replacements": result.escalated_replacements,
+            "jobs_per_sec": result.jobs_total / mean if mean else 0.0,
+        }
+    )
+    assert result.messages > 0
+    assert result.escalated_replacements > 0
 
 
 def bench_sharded_crash_jobs_per_sec(benchmark):

@@ -22,7 +22,11 @@ send path and crash recovery are gated too.  The same crash run split
 across two worker processes (``bench_sharded_crash_jobs_per_sec``) gates
 the shard path with traffic against ``sharded_crash_jobs_per_sec``; it
 fails when that run sent no message or did not run as
-``parallel-lockstep``.
+``parallel-lockstep``.  The escalation crash-recovery run
+(``bench_escalation_crash_jobs_per_sec``: ring monitoring with escalation,
+whose per-object heartbeat carries the fleet-wide watch ring) gates
+against ``escalation_crash_jobs_per_sec``; it fails when that run sent no
+message or made no escalated replacement.
 
 With ``--scale-report`` it additionally gates the ``10^4``-vehicle fleet
 *construction time* measured by ``bench_scale.py`` (the
@@ -102,6 +106,10 @@ LOSSY_BENCHMARK = "bench_lossy_crash_jobs_per_sec"
 #: send, and run in parallel-lockstep workers).
 SHARDED_CRASH_BENCHMARK = "bench_sharded_crash_jobs_per_sec"
 
+#: The benchmark whose jobs/sec gates the escalation-mode heartbeat (it
+#: must send, and replace a pair across a cube boundary).
+ESCALATION_CRASH_BENCHMARK = "bench_escalation_crash_jobs_per_sec"
+
 #: The bench_scale.py scale whose construction time the gate tracks.
 GATED_SCALE = "1e4"
 
@@ -162,6 +170,17 @@ def extract_sharded_crash(report: dict) -> tuple:
         report, SHARDED_CRASH_BENCHMARK, ("jobs_per_sec", "messages", "shard_mode")
     )
     return float(jobs_per_sec), int(messages), str(shard_mode)
+
+
+def extract_escalation_crash(report: dict) -> tuple:
+    """(jobs/sec, messages sent, escalated replacements) of the escalation
+    crash benchmark."""
+    jobs_per_sec, messages, escalated = _extra_info(
+        report,
+        ESCALATION_CRASH_BENCHMARK,
+        ("jobs_per_sec", "messages", "escalated_replacements"),
+    )
+    return float(jobs_per_sec), int(messages), int(escalated)
 
 
 def extract_construction_seconds(scale_report: dict) -> float:
@@ -285,6 +304,9 @@ def main(argv=None) -> int:
     sharded_crash, sharded_crash_messages, sharded_crash_mode = extract_sharded_crash(
         report
     )
+    escalation, escalation_messages, escalation_replacements = extract_escalation_crash(
+        report
+    )
     construction = None
     quiescent = None
     sharded = None
@@ -315,6 +337,7 @@ def main(argv=None) -> int:
             "ring_monitoring_jobs_per_sec": ring,
             "lossy_crash_jobs_per_sec": lossy,
             "sharded_crash_jobs_per_sec": sharded_crash,
+            "escalation_crash_jobs_per_sec": escalation,
         }
         if construction is not None:
             refreshed["construction_seconds_1e4"] = construction
@@ -336,6 +359,7 @@ def main(argv=None) -> int:
         print(f"baseline updated: {ring:.1f} ring-monitoring jobs/sec")
         print(f"baseline updated: {lossy:.1f} lossy crash-recovery jobs/sec")
         print(f"baseline updated: {sharded_crash:.1f} sharded crash-recovery jobs/sec")
+        print(f"baseline updated: {escalation:.1f} escalation crash-recovery jobs/sec")
         if construction is not None:
             print(f"baseline updated: {construction:.4f}s construction (1e4)")
         if quiescent is not None:
@@ -455,6 +479,40 @@ def main(argv=None) -> int:
         print(f"{SHARDED_CRASH_BENCHMARK}: the run sent no message -> FAIL")
     if sharded_crash_mode != "parallel-lockstep":
         print(f"{SHARDED_CRASH_BENCHMARK}: ran as {sharded_crash_mode!r} -> FAIL")
+
+    escalation_base = baseline_payload.get("escalation_crash_jobs_per_sec")
+    if escalation_base is None:
+        raise SystemExit(
+            "the baseline carries no escalation_crash_jobs_per_sec; refresh it with --update"
+        )
+    escalation_floor = float(escalation_base) * (1.0 - args.tolerance)
+    escalation_passed = (
+        escalation >= escalation_floor
+        and escalation_messages > 0
+        and escalation_replacements > 0
+    )
+    artifact.update(
+        {
+            "escalation_crash_jobs_per_sec": escalation,
+            "escalation_crash_messages": escalation_messages,
+            "escalation_crash_escalated_replacements": escalation_replacements,
+            "baseline_escalation_crash_jobs_per_sec": float(escalation_base),
+            "floor_escalation_crash_jobs_per_sec": escalation_floor,
+            "escalation_crash_pass": escalation_passed,
+        }
+    )
+    estatus = "ok" if escalation_passed else "REGRESSION"
+    print(
+        f"{ESCALATION_CRASH_BENCHMARK}: {escalation:.1f} jobs/sec, "
+        f"{escalation_messages} messages, "
+        f"{escalation_replacements} escalated replacements "
+        f"(baseline {float(escalation_base):.1f}, "
+        f"floor {escalation_floor:.1f}) -> {estatus}"
+    )
+    if not escalation_messages:
+        print(f"{ESCALATION_CRASH_BENCHMARK}: the run sent no message -> FAIL")
+    if not escalation_replacements:
+        print(f"{ESCALATION_CRASH_BENCHMARK}: the run made no escalated replacement -> FAIL")
 
     construction_passed = True
     if construction is not None:
@@ -615,6 +673,7 @@ def main(argv=None) -> int:
         and ring_passed
         and lossy_passed
         and sharded_crash_passed
+        and escalation_passed
         and construction_passed
         and quiescent_passed
         and sharded_passed

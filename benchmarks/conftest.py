@@ -20,22 +20,25 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         action="store_true",
         default=False,
         help="benchmark smoke mode: keep one family solve plus the "
-        "event-driver events/sec, ring-monitoring, lossy crash-recovery and "
-        "sharded crash-recovery jobs/sec benchmarks, deselect the rest (the "
-        "CI smoke job runs bench_scenarios.py this way)",
+        "event-driver events/sec, ring-monitoring, lossy crash-recovery, "
+        "sharded crash-recovery and escalation crash-recovery jobs/sec "
+        "benchmarks, deselect the rest (the CI smoke job runs "
+        "bench_scenarios.py this way)",
     )
 
 
 #: The --quick selection: one end-to-end family solve, the event-driver
-#: throughput number, the ring-monitoring jobs/sec and the lossy
-#: crash-recovery jobs/sec, single-process and sharded -- the lines a
-#: transport, event-queue, handler or shard-path regression would move.
+#: throughput number, the ring-monitoring jobs/sec, the lossy
+#: crash-recovery jobs/sec, single-process and sharded, and the escalation
+#: crash-recovery jobs/sec -- the lines a transport, event-queue, handler,
+#: shard-path or escalation-heartbeat regression would move.
 _QUICK_KEEP = (
     "bench_family_solve_time[hotspot]",
     "bench_online_driver_events_per_sec",
     "bench_ring_monitoring_jobs_per_sec",
     "bench_lossy_crash_jobs_per_sec",
     "bench_sharded_crash_jobs_per_sec",
+    "bench_escalation_crash_jobs_per_sec",
 )
 
 

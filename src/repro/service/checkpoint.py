@@ -43,6 +43,7 @@ from repro.distsim.failures import ChurnSpec
 from repro.io.atomic import atomic_write_json, atomic_write_text, compact_json
 from repro.io.serialize import load_json
 from repro.vehicles.fleet import Fleet
+from repro.vehicles.monitoring import HEARD_AT_START
 from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.vehicles.state import TransferState, WorkingState
 
@@ -194,7 +195,9 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
         "stats": dataclasses.asdict(fleet.stats),
         "computation_round": fleet._computation_round,
         "heartbeat_round": fleet._heartbeat_round,
-        "monitoring_baseline": fleet.monitoring_baseline,
+        # The round never-heard pairs count as heard at; kept in the format
+        # so a checkpoint written by a build with another rule is refused.
+        "monitoring_baseline": HEARD_AT_START,
         "crash_rounds": [
             [list(pair), round_id] for pair, round_id in sorted(fleet._crash_rounds.items())
         ],
@@ -204,8 +207,19 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
 
 
 def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
-    """Overlay a captured fleet state onto a freshly constructed fleet."""
+    """Overlay a captured fleet state onto a freshly constructed fleet.
+
+    Raises ``ValueError`` -- before touching the fleet -- when the state
+    counts never-heard pairs from a round other than ``HEARD_AT_START``.
+    """
     from array import array
+
+    if payload["monitoring_baseline"] != HEARD_AT_START:
+        raise ValueError(
+            f"checkpoint monitoring_baseline {payload['monitoring_baseline']!r} is "
+            f"not {HEARD_AT_START}: never-heard pairs count as heard at round "
+            f"{HEARD_AT_START}"
+        )
 
     flat = fleet.flat
     flat.travel[:] = array("d", payload["travel"])
@@ -347,7 +361,6 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
         setattr(fleet.stats, name, value)
     fleet._computation_round = payload["computation_round"]
     fleet._heartbeat_round = payload["heartbeat_round"]
-    fleet.monitoring_baseline = payload["monitoring_baseline"]
     fleet._crash_rounds = {
         tuple(pair): round_id for pair, round_id in payload.get("crash_rounds", ())
     }

@@ -35,7 +35,12 @@ from repro.grid.coloring import Coloring
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Box, Point, manhattan
 from repro.vehicles.messages import ExistingMessage
-from repro.vehicles.monitoring import hierarchical_watch_ring, watch_ring_inverse
+from repro.vehicles.monitoring import (
+    HEARD_AT_START,
+    hierarchical_watch_ring,
+    is_stale,
+    watch_ring_inverse,
+)
 from repro.vehicles.registry import (
     FleetRegistry,
     STATE_ACTIVE,
@@ -255,12 +260,8 @@ class Fleet:
         #: (lazy; rebuilt if vehicles are added after construction).
         self._gossip_candidates: Optional[List[Point]] = None
         #: Dense-index -> vehicle list backing the registry-native round
-        #: path (lazy; rebuilt if vehicles are added after construction).
-        self._by_index_cache: Optional[List[Optional[VehicleProcess]]] = None
-        self._by_index_count = -1
-        #: Heartbeat round at which monitoring started (watchers treat pairs
-        #: never heard from as having spoken at this round).
-        self.monitoring_baseline = 0
+        #: path (built on first use).
+        self._by_index_cache: Optional[List[VehicleProcess]] = None
 
         self._build_vehicles()
 
@@ -748,23 +749,14 @@ class Fleet:
     # monitoring
     # ------------------------------------------------------------------ #
 
-    def _vehicles_by_index(self) -> List[Optional[VehicleProcess]]:
-        """Dense-index -> vehicle lookup (``None`` for registry slots whose
-        vehicle was never registered with the fleet, e.g. stand-alone test
-        vehicles -- the historical dict loops never visited those either)."""
-        cached = self._by_index_cache
-        if (
-            cached is not None
-            and len(cached) == len(self.flat.positions)
-            and self._by_index_count == len(self.vehicles)
-        ):
-            return cached
-        by_index: List[Optional[VehicleProcess]] = [None] * len(self.flat.positions)
-        for vehicle in self.vehicles.values():
-            by_index[vehicle._index] = vehicle
-        self._by_index_cache = by_index
-        self._by_index_count = len(self.vehicles)
-        return by_index
+    def _vehicles_by_index(self) -> List[VehicleProcess]:
+        """Dense-index -> vehicle lookup, in registry slot order (the
+        historical dict order): every slot holds a vehicle the batch
+        constructor built."""
+        if self._by_index_cache is None:
+            vehicles = self.vehicles
+            self._by_index_cache = [vehicles[identity] for identity in self.flat.identities]
+        return self._by_index_cache
 
     def run_heartbeat_round(self, *, settle: bool = True) -> None:
         """One monitoring round: every live active vehicle heartbeats.
@@ -804,29 +796,23 @@ class Fleet:
         flat = self.flat
         by_index = self._vehicles_by_index()
         for index in sorted(flat.engaged):
-            vehicle = by_index[index]
-            if vehicle is not None:
-                vehicle.tick_search_timeout(timeout)
+            by_index[index].tick_search_timeout(timeout)
         senders = np.nonzero(
             (flat.state_view() == STATE_ACTIVE) & (flat.broken_view() == 0)
         )[0]
         if self.config.escalation:
-            # Hierarchical heartbeats carry adopted pairs and ring watch
+            # Escalation-mode heartbeats carry adopted pairs and ring watch
             # duties; their per-vehicle state does not vectorize, so every
             # live active vehicle goes through the full object path.
             for index in senders.tolist():
-                vehicle = by_index[index]
-                if vehicle is not None:
-                    vehicle.heartbeat(round_id, miss)
+                by_index[index].heartbeat(round_id, miss)
         elif self.config.monitoring == "gossip":
             # The epidemic detector ticks every live vehicle, idle ones
             # included: silence reporting and digest relaying need no pair
             # of their own, and a cube whose crash left few active members
             # still musters enough independent reporters and co-signers.
             for index in np.nonzero(flat.broken_view() == 0)[0].tolist():
-                vehicle = by_index[index]
-                if vehicle is not None:
-                    vehicle.gossip_tick(round_id, miss)
+                by_index[index].gossip_tick(round_id, miss)
         else:
             self._plain_heartbeats(senders, round_id, miss, by_index)
 
@@ -835,7 +821,7 @@ class Fleet:
         senders: np.ndarray,
         round_id: int,
         miss: int,
-        by_index: List[Optional[VehicleProcess]],
+        by_index: List[VehicleProcess],
     ) -> None:
         """Cube-local heartbeats with the miss check precomputed in bulk.
 
@@ -849,8 +835,8 @@ class Fleet:
         """
         flat = self.flat
         heard = flat.watch_heard_view()[senders]
-        last = np.where(heard == WATCH_NEVER, self.monitoring_baseline, heard)
-        flagged = (round_id - last) >= miss
+        last = np.where(heard == WATCH_NEVER, HEARD_AT_START, heard)
+        flagged = is_stale(round_id, last, miss)
         # An unflagged sender with no cube peers does nothing at all in the
         # loop below; dropping those up front makes a fully quiescent round
         # (singleton cubes, nothing watched) two vectorized reads instead
@@ -861,8 +847,6 @@ class Fleet:
             flagged = flagged[live]
         for position, index in enumerate(senders.tolist()):
             vehicle = by_index[index]
-            if vehicle is None:
-                continue
             if flagged[position]:
                 vehicle.heartbeat(round_id, miss)
             elif vehicle.cube_peers:

@@ -15,21 +15,38 @@ the cube's deterministic pair order).  This keeps the pointer loop intact
 across replacements without any hand-off message: whoever takes over a pair
 also takes over that pair's watch duty, and can recompute the watched pair
 locally from the cube's coloring.
+
+The module also holds the detector's *rules*: every decision the ring
+heartbeat and the gossip detector take about silence, as plain functions
+of plain values (the vehicle process does the sends and state writes).
+:func:`is_stale` is the one staleness rule -- a pair last heard at round
+``last`` is silent at ``round_id`` once ``round_id - last >= miss``, a
+never-heard pair counting as heard at :data:`HEARD_AT_START` -- so an
+adaptive timeout changes that function alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.grid.coloring import Coloring
 from repro.grid.lattice import Point
 
 __all__ = [
+    "HEARD_AT_START",
     "watched_pair_key",
-    "build_watch_assignment",
     "hierarchical_watch_ring",
     "watch_ring_inverse",
+    "is_stale",
+    "is_silent",
+    "silent_pairs",
+    "enough_reporters",
+    "grant_attestation",
+    "quorum_reached",
 ]
+
+#: The round a pair never heard from counts as last heard at.
+HEARD_AT_START = 0
 
 
 def watched_pair_key(coloring: Coloring, pair_key: Point) -> Optional[Point]:
@@ -44,11 +61,6 @@ def watched_pair_key(coloring: Coloring, pair_key: Point) -> Optional[Point]:
         return None
     index = keys.index(pair_key)
     return keys[(index + 1) % len(keys)]
-
-
-def build_watch_assignment(coloring: Coloring) -> Dict[Point, Optional[Point]]:
-    """The full pair -> watched-pair map for one cube."""
-    return {pair.black: watched_pair_key(coloring, pair.black) for pair in coloring.pairs}
 
 
 def hierarchical_watch_ring(
@@ -88,3 +100,65 @@ def watch_ring_inverse(ring: Mapping[Point, Point]) -> Dict[Point, Point]:
     when its watcher lives across a cube boundary.
     """
     return {watched: watcher for watcher, watched in ring.items()}
+
+
+def is_stale(round_id, last, miss: int):
+    """The staleness rule: whether a pair last heard at round ``last`` is
+    silent at ``round_id``.  Plain arithmetic, so it also applies
+    element-wise to numpy arrays of last-heard rounds."""
+    return round_id - last >= miss
+
+
+def is_silent(
+    last_heard: Mapping[Point, int], pair_key: Point, round_id: int, miss: int
+) -> bool:
+    """:func:`is_stale` for ``pair_key`` under a ``last_heard`` map."""
+    return is_stale(round_id, last_heard.get(pair_key, HEARD_AT_START), miss)
+
+
+def silent_pairs(
+    pair_keys: Iterable[Point],
+    own: Optional[Point],
+    last_heard: Mapping[Point, int],
+    round_id: int,
+    miss: int,
+    byzantine: bool,
+) -> List[Point]:
+    """The pairs a gossip vehicle reports silent, in ``pair_keys`` order:
+    every one but its ``own`` that is stale -- or every one, from a
+    Byzantine watcher (the false-suspicion injection the quorum masks)."""
+    last_of = last_heard.get
+    return [
+        pair_key
+        for pair_key in pair_keys
+        if pair_key != own
+        and (byzantine or is_stale(round_id, last_of(pair_key, HEARD_AT_START), miss))
+    ]
+
+
+def enough_reporters(reporters: Collection[Point], watcher: Point, threshold: int) -> bool:
+    """Whether a pair's distinct silence ``reporters``, counting the
+    ``watcher`` itself, reach the suspicion ``threshold``."""
+    return len(reporters) + (watcher not in reporters) >= threshold
+
+
+def grant_attestation(
+    last_heard: Mapping[Point, int],
+    pair_key: Point,
+    round_id: int,
+    miss: int,
+    *,
+    own_pair: bool,
+    byzantine: bool,
+) -> bool:
+    """Whether an attester co-signs a suspicion of ``pair_key`` raised at
+    ``round_id``: only when its own view is silent and the pair is not its
+    own.  A Byzantine attester inverts the answer -- forging grants for
+    healthy pairs, withholding them for dead ones."""
+    grant = not own_pair and is_silent(last_heard, pair_key, round_id, miss)
+    return not grant if byzantine else grant
+
+
+def quorum_reached(signers: Iterable[Point], quorum: int) -> bool:
+    """Whether at least ``quorum`` *distinct* co-signers granted."""
+    return len(set(signers)) >= quorum

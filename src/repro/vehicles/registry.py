@@ -457,23 +457,6 @@ class FleetRegistry:
         else:
             self._pos_pair = None
 
-    def allocate_live_state(self, home: Point, active: bool) -> int:
-        """Install the live-state slots for one stand-alone vehicle.
-
-        The batch constructor pre-fills whole cubes in :meth:`add_cube`;
-        this append path serves vehicles created outside it.
-        """
-        index = len(self.positions)
-        self.travel.append(0.0)
-        self.service.append(0.0)
-        self.state.append(STATE_ACTIVE if active else STATE_IDLE)
-        self.broken.append(0)
-        self.watch.append(-1)
-        self.watch_heard.append(WATCH_NONE)
-        self.peers.append(0)
-        self.positions.append(home)
-        return index
-
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #

@@ -17,25 +17,25 @@ receive jobs.  The process implements, faithfully to Algorithm 2:
   active for the pair, and broadcasts an activation notice.
 * **Monitoring (Section 3.2.5).**  Active vehicles heartbeat every round;
   the watcher of a silent pair starts a replacement computation on its
-  behalf.  This covers scenario 2 (initiation failure) and scenario 3
-  (dead vehicles).
+  behalf (scenario 2, initiation failure, and scenario 3, dead vehicles).
+  The gossip detector replaces the single watcher with silence reports
+  and quorum-attested takeovers.  The process only does the message I/O
+  and state writes: every detection decision -- the one staleness rule
+  and the gossip report/suspect/attest/quorum rules -- is a plain
+  function in :mod:`repro.vehicles.monitoring`.
 * **Cross-cube escalation (extension).**  The thesis keeps every search
   inside one cube, which leaves ``omega_c < 1`` workloads -- singleton
   cubes with no idle vehicles at all -- without any replacement path.
-  When the fleet runs with ``FleetConfig.escalation`` enabled, an
-  initiator whose intra-cube flood terminates empty widens the diffusing
-  computation through the dyadic cube hierarchy
-  (:class:`~repro.grid.cubes.CubeHierarchy`): level by level it sends
-  ``EscalateQuery`` boundary messages to every vehicle of the newly
-  covered base cubes and aggregates ``EscalateReply`` answers with a
-  deficit counter at the initiator, so the termination-detection tree of
-  the escalated round is a star rooted where Phase I's tree was rooted.
-  An *idle* responder migrates exactly as in Phase II; an *active*
-  responder with surplus battery may instead **adopt** the far pair in
-  addition to its own -- the move that makes all-active fleets
-  recoverable.  Escalation adds two arrows' worth of behavior but no new
-  states: initiating, relaying and taking over all reuse the Figure 3.1
-  state machine unchanged.
+  With ``FleetConfig.escalation`` an initiator whose intra-cube flood
+  terminates empty widens the search through the dyadic cube hierarchy
+  (:class:`~repro.grid.cubes.CubeHierarchy`), sending ``EscalateQuery``
+  boundary messages ring by ring and counting ``EscalateReply`` answers
+  with a deficit counter at the initiator (the escalated round's
+  termination-detection tree is a star).  An *idle* responder migrates
+  as in Phase II; an *active* one with surplus battery may **adopt** the
+  far pair in addition to its own -- the move that makes all-active
+  fleets recoverable.  No new states: initiating, relaying and taking
+  over all reuse the Figure 3.1 state machine.
 
 Energy accounting is the whole point of the thesis, so it is explicit:
 travel and service energies are tracked separately, a finite capacity is
@@ -65,7 +65,16 @@ from repro.vehicles.messages import (
     ReplyMessage,
     SuspectMessage,
 )
-from repro.vehicles.monitoring import watched_pair_key
+from repro.vehicles.monitoring import (
+    HEARD_AT_START,
+    enough_reporters,
+    grant_attestation,
+    is_silent,
+    is_stale,
+    quorum_reached,
+    silent_pairs,
+    watched_pair_key,
+)
 from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.vehicles.state import TransferState, VehicleStatus, WorkingState
 
@@ -75,10 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["VehicleProcess"]
 
 ENERGY_EPS = 1e-9
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` for the
-#: template-precomputed constructor arguments.
-_UNSET = object()
 
 
 class VehicleProcess(Process):
@@ -101,6 +106,10 @@ class VehicleProcess(Process):
         within the constant communication radius).
     fleet:
         Back-reference used for registry callbacks and statistics.
+    cube_peers, index, pair_key, monitored_pair:
+        Structure the fleet's batch constructor precomputes per cube
+        template: the cube's other vehicles, the slot in the fleet's flat
+        state arrays, the pair answered for and the pair watched.
     done_threshold:
         Remaining energy below which an active vehicle declares itself done.
     """
@@ -119,25 +128,18 @@ class VehicleProcess(Process):
         capacity: Optional[float],
         neighbors: List[Point],
         fleet: "Fleet",
+        cube_peers: List[Point],
+        index: int,
+        pair_key: Optional[Point],
+        monitored_pair: Optional[Point],
         done_threshold: float = 2.0,
-        cube_peers: Optional[List[Point]] = None,
-        index: Optional[int] = None,
-        pair_key: Optional[Point] = _UNSET,
-        monitored_pair: Optional[Point] = _UNSET,
     ) -> None:
         super().__init__(home)
-        if type(home) is tuple and all(type(c) is int for c in home):
-            self.home: Point = home
-        else:
-            self.home = tuple(int(c) for c in home)
+        self.home: Point = home
         #: Dense index into the fleet's flat state arrays (see
-        #: :class:`~repro.vehicles.registry.FleetRegistry`).  The batch
-        #: constructor supplies it with the slot pre-filled
-        #: (``add_cube``); stand-alone construction allocates one here.
-        #: Current position starts at the home slot either way.
+        #: :class:`~repro.vehicles.registry.FleetRegistry`), whose slots
+        #: ``add_cubes`` pre-filled; current position starts at home.
         registry = fleet.flat
-        if index is None:
-            index = registry.allocate_live_state(self.home, initially_active)
         self._index = index
         self._registry = registry
 
@@ -153,8 +155,6 @@ class VehicleProcess(Process):
         #: thesis's model and a cube has constant diameter in omega), while
         #: the Phase I diffusing computation only uses the constant-radius
         #: ``neighbors`` graph, as in Algorithm 2.
-        if cube_peers is None:
-            cube_peers = list(self.neighbors)
         self.cube_peers = cube_peers if type(cube_peers) is list else list(cube_peers)
         # (The assignment above runs the ``cube_peers`` property setter,
         # which mirrors the has-peers flag into the registry.)
@@ -171,32 +171,16 @@ class VehicleProcess(Process):
             observer=self._on_working_change,
         )
         #: The black vertex of the pair this vehicle is responsible for
-        #: (``None`` while idle).  The batch constructor passes the
-        #: template-computed values; the fallback derives them from the
-        #: coloring exactly as the loop constructor always did.
-        if pair_key is _UNSET:
-            pair = coloring.pair_of(self.home)
-            pair_key = pair.black if initially_active else None
+        #: (``None`` while idle).
         self.pair_key = pair_key
         # Monitoring bookkeeping: last heartbeat round heard per pair.
-        # (Created before the watch target below -- the ``monitored_pair``
-        # setter mirrors its entry into the registry's watch-heard array.)
+        # (Created first: the ``monitored_pair`` setter below reads it.)
         self.last_heard: Dict[Point, int] = {}
-        #: The pair this vehicle watches for heartbeats (monitoring scheme).
-        if monitored_pair is _UNSET:
-            self.monitored_pair = (
-                watched_pair_key(coloring, coloring.pair_of(self.home).black)
-                if initially_active
-                else None
-            )
-        else:
-            # Batch path: the watch slot is pre-initialized to -1, so only
-            # a real target needs the registry write (skips the property
-            # setter's dict lookup for the idle majority).
-            self._monitored_pair = monitored_pair
-            if monitored_pair is not None:
-                registry.watch[index] = registry.pair_id_of[monitored_pair]
-                registry.watch_heard[index] = WATCH_NEVER
+        #: The pair this vehicle watches for heartbeats (monitoring scheme);
+        #: the registry's watch slots start out as "watching nothing".
+        self._monitored_pair = None
+        if monitored_pair is not None:
+            self.monitored_pair = monitored_pair
 
         # Energy ledger (lives in the registry's contiguous arrays; the
         # attribute API below is a view).
@@ -481,8 +465,6 @@ class VehicleProcess(Process):
             self._on_reply(sender, message)
         elif isinstance(message, MoveMessage):
             self._on_move(sender, message)
-        elif isinstance(message, ExistingMessage):
-            self._on_existing(message)
         elif isinstance(message, ActivationNotice):
             self._on_activation_notice(message)
         elif isinstance(message, EscalateQuery):
@@ -764,10 +746,7 @@ class VehicleProcess(Process):
             # refuses must not inflate the escalation success counters.
             self.fleet.record_escalated_replacement(spare=False)
         self.fleet.on_activation(self.identity, message.pair_key)
-        self.send_many(
-            self._activation_audience(message.pair_key),
-            ActivationNotice(self.identity, message.pair_key, self.position),
-        )
+        self._announce_activation(message.pair_key)
 
     def _adopt_pair(self, message: MoveMessage) -> None:
         """Spare-battery adoption: an active vehicle takes a far pair *too*.
@@ -794,10 +773,7 @@ class VehicleProcess(Process):
                 # active); re-register and announce, which releases the
                 # adoption at the adopter (see ``_on_activation_notice``).
                 self.fleet.on_hand_back(self.identity, message.pair_key)
-                self.send_many(
-                    self._activation_audience(message.pair_key),
-                    ActivationNotice(self.identity, message.pair_key, self.position),
-                )
+                self._announce_activation(message.pair_key)
                 return
             return  # duplicate move order for a pair it already answers for
         walk = manhattan(self.position, message.destination)
@@ -824,41 +800,36 @@ class VehicleProcess(Process):
             self.fleet.record_escalated_replacement(spare=True)
         self.fleet.on_adoption(self.identity, message.pair_key)
         self.fleet.on_activation(self.identity, message.pair_key)
-        self.send_many(
-            self._activation_audience(message.pair_key),
-            ActivationNotice(self.identity, message.pair_key, self.position),
-        )
+        self._announce_activation(message.pair_key)
 
     def _grace_new_watch(self, watched: Optional[Point]) -> None:
         """Reset the silence clock of a freshly acquired watch target.
 
         A replacement or adopter inherits the watch duty of its new pair,
-        but it has never been in that target's heartbeat audience: without
-        a grace period the stale (or absent) ``last_heard`` entry reads as
-        ``miss_threshold`` rounds of silence and fires a *spurious*
-        replacement for a perfectly healthy pair -- each adoption would
-        spawn the next one, a fleet-wide replacement storm.  Treating the
-        target as heard at the acquisition round gives its real heartbeats
-        time to start arriving.
+        but it was never in that target's heartbeat audience: its stale or
+        absent ``last_heard`` entry would read as silence and fire a
+        *spurious* replacement of a healthy pair -- each adoption spawning
+        the next, a replacement storm.  Counting the target as heard at the
+        acquisition round gives its heartbeats time to arrive.
         """
-        if watched is None:
-            return
         current = self.fleet.heartbeat_round
-        if self.last_heard.get(watched, -1) < current:
-            self.last_heard[watched] = current
-            if watched == self._monitored_pair:
-                self._registry.watch_heard[self._index] = current
+        if watched is not None and self.last_heard.get(watched, -1) < current:
+            self._set_heard(watched, current)
 
-    def _activation_audience(self, pair_key: Point) -> List[Point]:
-        """Who hears the activation notice for ``pair_key``.
+    def _announce_activation(self, pair_key: Point) -> None:
+        """Broadcast that this vehicle now answers for ``pair_key``.
 
-        Intra-cube (the historical behavior): the vehicle's own cube peers.
-        In escalation mode the notice goes to the members of the *pair's*
-        cube -- the watchers whose timers it must reset may live there.
+        Intra-cube (the historical behavior) the vehicle's own cube peers
+        hear it; in escalation mode the members of the *pair's* cube do --
+        the watchers whose timers it must reset may live there.
         """
-        if not self.fleet.config.escalation:
-            return self.cube_peers
-        return self.fleet.activation_audience(pair_key, exclude=self.identity)
+        fleet = self.fleet
+        self.send_many(
+            fleet.activation_audience(pair_key, exclude=self.identity)
+            if fleet.config.escalation
+            else self.cube_peers,
+            ActivationNotice(self.identity, pair_key, self.position),
+        )
 
     def _is_local_pair_key(self, pair_key: Point) -> bool:
         """Whether ``pair_key`` is the black vertex of a pair of this cube."""
@@ -872,24 +843,31 @@ class VehicleProcess(Process):
     # Monitoring handlers (Section 3.2.5)
     # ------------------------------------------------------------------ #
 
+    def _set_heard(self, pair_key: Point, heard: int) -> None:
+        """Record ``pair_key`` as last heard at round ``heard``, mirrored
+        into the registry's watch-heard array when it is the watch target."""
+        self.last_heard[pair_key] = heard
+        if pair_key == self._monitored_pair:
+            self._registry.watch_heard[self._index] = heard
+
+    def _take_over(self, pair_key: Point, round_id: int) -> None:
+        """Start a replacement search on behalf of the silent ``pair_key``,
+        debounced: the pair counts as heard at ``round_id`` from here on."""
+        self.fleet.record_watch_initiation(self.identity, pair_key)
+        self._set_heard(pair_key, round_id)
+        self.start_replacement_search(destination=pair_key, pair_key=pair_key)
+
     def _on_existing(self, message: ExistingMessage) -> None:
         if self.fleet.config.monitoring == "gossip":
             # Gossip mode routes freshness through the helper that also
             # retires silence reports and pending suspicions.
             self._gossip_note_heard(((message.pair_key, message.round_id),))
-            return
-        previous = self.last_heard.get(message.pair_key, -1)
-        heard = message.round_id if message.round_id > previous else previous
-        self.last_heard[message.pair_key] = heard
-        if message.pair_key == self._monitored_pair:
-            self._registry.watch_heard[self._index] = heard
+        elif message.round_id > self.last_heard.get(message.pair_key, -1):
+            self._set_heard(message.pair_key, message.round_id)
 
     def _on_activation_notice(self, message: ActivationNotice) -> None:
         # A fresh activation counts as having just heard from that pair.
-        heard = self.fleet.heartbeat_round
-        self.last_heard[message.pair_key] = heard
-        if message.pair_key == self._monitored_pair:
-            self._registry.watch_heard[self._index] = heard
+        self._set_heard(message.pair_key, self.fleet.heartbeat_round)
         if (
             self.fleet.config.hand_back
             and message.pair_key in self.adopted_pairs
@@ -914,37 +892,33 @@ class VehicleProcess(Process):
         """
         if self.broken:
             return
-        fleet = self.fleet
         active = self.status.working == WorkingState.ACTIVE
-        byzantine = fleet.failure_plan.is_byzantine_watcher(self.identity)
+        byzantine = self.fleet.failure_plan.is_byzantine_watcher(self.identity)
         if active:
             assert self.pair_key is not None
-            self.send_many(
-                self.cube_peers,
-                ExistingMessage(self.identity, self.pair_key, round_id),
-            )
-        self._gossip_report_silence(round_id, miss_threshold, byzantine)
+            self.send_many(self.cube_peers, ExistingMessage(self.identity, self.pair_key, round_id))
+        pair_keys = (pair.black for pair in self.coloring.pairs)
+        reporters_of = self.gossip_reports.setdefault
+        for pair_key in silent_pairs(
+            pair_keys, self.pair_key, self.last_heard, round_id, miss_threshold, byzantine
+        ):
+            reporters_of(pair_key, {})[self.identity] = round_id
         self._gossip_send_digest(round_id)
         if active:
             self._gossip_check_suspicion(round_id, miss_threshold, byzantine)
 
     def _gossip_note_heard(self, entries: Iterable[Tuple[Point, int]]) -> None:
         """Fresh liveness information, one ``(pair_key, heard)`` entry at a
-        time: update ``last_heard`` (mirroring the registry's watch-heard
-        array), retire silence reports the freshness supersedes, and drop
-        any open suspicion -- a pair that spoke is not dead.  Entries no
-        fresher than what this vehicle already heard cost one lookup."""
-        last_heard = self.last_heard
-        previous_of = last_heard.get
+        time: update ``last_heard``, retire silence reports the freshness
+        supersedes and drop any open suspicion -- a pair that spoke is not
+        dead.  An entry no fresher than what was heard costs one lookup."""
+        previous_of = self.last_heard.get
         reports = self.gossip_reports
-        monitored = self._monitored_pair
         drop_suspicion = self.pending_suspicions.pop
         for pair_key, heard in entries:
             if heard <= previous_of(pair_key, -1):
                 continue
-            last_heard[pair_key] = heard
-            if pair_key == monitored:
-                self._registry.watch_heard[self._index] = heard
+            self._set_heard(pair_key, heard)
             reporters = reports.get(pair_key)
             if reporters:
                 for reporter in [r for r, rnd in reporters.items() if rnd <= heard]:
@@ -952,24 +926,6 @@ class VehicleProcess(Process):
                 if not reporters:
                     del reports[pair_key]
             drop_suspicion(pair_key, None)
-
-    def _gossip_report_silence(
-        self, round_id: int, miss_threshold: int, byzantine: bool
-    ) -> None:
-        """Record a silence report for every cube pair quiet past the miss
-        threshold (a Byzantine watcher reports *every* pair silent -- the
-        false-suspicion injection the quorum must mask)."""
-        baseline = self.fleet.monitoring_baseline
-        own = self.pair_key
-        identity = self.identity
-        last_of = self.last_heard.get
-        reporters_of = self.gossip_reports.setdefault
-        for pair in self.coloring.pairs:
-            pair_key = pair.black
-            if pair_key == own:
-                continue
-            if byzantine or round_id - last_of(pair_key, baseline) >= miss_threshold:
-                reporters_of(pair_key, {})[identity] = round_id
 
     def _gossip_send_digest(self, round_id: int) -> None:
         """Piggyback freshness entries and silence reports to ``fanout``
@@ -1004,31 +960,24 @@ class VehicleProcess(Process):
         reporters agree the watched pair is silent, open (or refresh) a
         quorum collection by broadcasting a ``SuspectMessage``."""
         fleet = self.fleet
-        watched = self.monitored_pair
-        if watched is None or watched == self.pair_key:
+        watched = self._monitored_pair
+        if watched is None or watched == self.pair_key or self.engaged_tag is not None:
             return
-        if self.engaged_tag is not None:
-            return
-        last = self.last_heard.get(watched, fleet.monitoring_baseline)
-        stale = round_id - last >= miss_threshold
-        if byzantine:
-            stale = True
-        if not stale:
-            return
-        reporters = set(self.gossip_reports.get(watched, ()))
-        reporters.add(self.identity)
-        if not byzantine and len(reporters) < fleet.config.suspicion_threshold:
+        if not byzantine and not (
+            is_silent(self.last_heard, watched, round_id, miss_threshold)
+            and enough_reporters(
+                self.gossip_reports.get(watched, ()),
+                self.identity,
+                fleet.config.suspicion_threshold,
+            )
+        ):
             return
         pending = self.pending_suspicions.get(watched)
-        if pending is not None and round_id - pending["round"] < miss_threshold:
+        if pending is not None and not is_stale(round_id, pending["round"], miss_threshold):
             return  # collection in flight; give the co-signatures time
-        if pending is None:
-            # Granted signatures accumulate across re-sends: under a lossy
-            # channel each retry only needs to recover the missing ones.
-            pending = {"granted": set(), "round": round_id}
-            self.pending_suspicions[watched] = pending
-        else:
-            pending["round"] = round_id
+        # Granted signatures accumulate across re-sends: under a lossy
+        # channel each retry only needs to recover the missing ones.
+        self.pending_suspicions.setdefault(watched, {"granted": set()})["round"] = round_id
         fleet.record_suspicion(self.identity, watched)
         self.send_many(
             self.cube_peers, SuspectMessage(self.identity, watched, round_id)
@@ -1038,14 +987,13 @@ class VehicleProcess(Process):
         if self.broken:
             return
         self._gossip_note_heard(message.heard)
-        baseline = self.fleet.monitoring_baseline
         own = self.pair_key
         last_of = self.last_heard.get
         reporters_of = self.gossip_reports.setdefault
         for pair_key, reporter, reported in message.silent:
             if pair_key == own:
                 continue  # this vehicle *is* the pair: obviously alive
-            if reported <= last_of(pair_key, baseline):
+            if reported <= last_of(pair_key, HEARD_AT_START):
                 continue  # superseded: the pair has spoken since
             reporters = reporters_of(pair_key, {})
             if reported > reporters.get(reporter, -1):
@@ -1059,20 +1007,17 @@ class VehicleProcess(Process):
             return
         fleet = self.fleet
         pair_key = message.pair_key
-        last = self.last_heard.get(pair_key, fleet.monitoring_baseline)
-        grant = message.round_id - last >= fleet.config.heartbeat_miss_threshold
-        if pair_key == self.pair_key:
-            grant = False  # asked to co-sign this vehicle's own death
-        if fleet.failure_plan.is_byzantine_watcher(self.identity):
-            grant = not grant
+        grant = grant_attestation(
+            self.last_heard,
+            pair_key,
+            message.round_id,
+            fleet.config.heartbeat_miss_threshold,
+            own_pair=pair_key == self.pair_key,
+            byzantine=fleet.failure_plan.is_byzantine_watcher(self.identity),
+        )
         fleet.record_attestation(self.identity, pair_key, grant)
-        if grant:
-            self.send(
-                message.sender,
-                AttestMessage(self.identity, pair_key, message.round_id, True),
-            )
-        # A refusal is silence: signatures cannot be forged on another's
-        # behalf, so not sending *is* the refusal.
+        if grant:  # a refusal is silence: nobody can sign on another's behalf
+            self.send(message.sender, AttestMessage(self.identity, pair_key, message.round_id, True))
 
     def _on_attest(self, message: AttestMessage) -> None:
         """Collect a co-signature; with ``quorum`` distinct granters (and
@@ -1086,22 +1031,20 @@ class VehicleProcess(Process):
             return  # resolved meanwhile (heartbeat arrived or takeover ran)
         pending["granted"].add(message.sender)
         fleet = self.fleet
-        if len(pending["granted"]) < fleet.config.quorum:
+        if not quorum_reached(pending["granted"], fleet.config.quorum):
             return
         round_id = fleet.heartbeat_round
-        byzantine = fleet.failure_plan.is_byzantine_watcher(self.identity)
-        last = self.last_heard.get(pair_key, fleet.monitoring_baseline)
-        if not byzantine and round_id - last < fleet.config.heartbeat_miss_threshold:
-            # The pair spoke while signatures were in flight.
-            del self.pending_suspicions[pair_key]
+        if not (
+            fleet.failure_plan.is_byzantine_watcher(self.identity)
+            or is_silent(self.last_heard, pair_key, round_id, fleet.config.heartbeat_miss_threshold)
+        ):
+            del self.pending_suspicions[pair_key]  # it spoke while signatures flew
             return
         if self.engaged_tag is not None:
             return  # busy with another computation; the case stays open
         del self.pending_suspicions[pair_key]
         self.gossip_reports.pop(pair_key, None)
-        fleet.record_watch_initiation(self.identity, pair_key)
-        self._gossip_note_heard(((pair_key, round_id),))  # debounce
-        self.start_replacement_search(destination=pair_key, pair_key=pair_key)
+        self._take_over(pair_key, round_id)
 
     def offer_hand_back(self, pair_key: Point, owner: Point) -> None:
         """Offer an adopted pair back to its revived original owner.
@@ -1180,70 +1123,38 @@ class VehicleProcess(Process):
                 self._conclude_escalation_level(tag)
 
     def heartbeat(self, round_id: int, miss_threshold: int) -> None:
-        """One heartbeat round: announce existence and check the watched pair."""
+        """One ring heartbeat round: announce existence, check the watch.
+
+        The vehicle announces its own pair and every pair it adopted to its
+        cube peers -- in escalation mode to the pair's cube plus the cube of
+        the pair's ring watcher, as pointers may cross cube boundaries.  It
+        watches for each pair it answers for (``monitored_pair`` for its
+        own, the fleet-wide ring's target for an adopted one, so the ring
+        stays closed across adoptions) and takes over the first silent
+        target: its vehicle is done (and failed to initiate) or dead.
+        """
         if self.broken or self.status.working != WorkingState.ACTIVE:
             return
         assert self.pair_key is not None
-        if self.fleet.config.escalation:
-            self._heartbeat_hierarchical(round_id, miss_threshold)
-            return
-        # The dominant message volume under monitoring: one cube-wide
-        # heartbeat broadcast per active vehicle per round, emitted as a
-        # single batch through the transport's fast path.
-        self.send_many(
-            self.cube_peers, ExistingMessage(self.identity, self.pair_key, round_id)
-        )
-        if self.monitored_pair is None or self.monitored_pair == self.pair_key:
-            return
-        if self.engaged_tag is not None:
-            # Busy with another computation; re-check on the next round.
-            return
-        last = self.last_heard.get(self.monitored_pair, self.fleet.monitoring_baseline)
-        if round_id - last < miss_threshold:
-            return
-        # The watched pair has been silent too long: its vehicle is done (and
-        # failed to initiate) or dead.  Start a replacement on its behalf.
-        self.fleet.record_watch_initiation(self.identity, self.monitored_pair)
-        self.last_heard[self.monitored_pair] = round_id  # debounce
-        self._registry.watch_heard[self._index] = round_id
-        self.start_replacement_search(
-            destination=self.monitored_pair, pair_key=self.monitored_pair
-        )
-
-    def _heartbeat_hierarchical(self, round_id: int, miss_threshold: int) -> None:
-        """The escalation-mode heartbeat: fleet-wide watch ring, adopted pairs.
-
-        The vehicle announces existence for its own pair *and* every pair
-        it adopted; each announcement reaches the pair's cube and the cube
-        of the pair's ring watcher (the monitoring pointer may now cross a
-        cube boundary).  Watch duty likewise follows the fleet-wide ring,
-        and an adopter watches on behalf of its adopted pairs too, so the
-        ring stays closed across adoptions.
-        """
-        answered = [self.pair_key] + self.adopted_pairs
+        fleet = self.fleet
+        answered = [self.pair_key, *self.adopted_pairs]
         for pair_key in answered:
+            # The dominant message volume under monitoring: one broadcast
+            # per pair per round, emitted as a single batch.
             self.send_many(
-                self.fleet.heartbeat_audience(pair_key, exclude=self.identity),
+                fleet.heartbeat_audience(pair_key, exclude=self.identity)
+                if fleet.config.escalation
+                else self.cube_peers,
                 ExistingMessage(self.identity, pair_key, round_id),
             )
         if self.engaged_tag is not None or self.escalations:
-            # Busy with another computation; re-check on the next round.
-            return
-        seen = set(answered)
-        for pair_key in answered:
-            watched = self.fleet.watched_pair(pair_key)
-            if watched is None or watched in seen:
-                continue
-            seen.add(watched)
-            last = self.last_heard.get(watched, self.fleet.monitoring_baseline)
-            if round_id - last < miss_threshold:
-                continue
-            self.fleet.record_watch_initiation(self.identity, watched)
-            self.last_heard[watched] = round_id  # debounce
-            if watched == self._monitored_pair:
-                self._registry.watch_heard[self._index] = round_id
-            self.start_replacement_search(destination=watched, pair_key=watched)
-            return  # one diffusing computation at a time
+            return  # busy with another computation; re-check next round
+        for watched in [self._monitored_pair, *map(fleet.watched_pair, self.adopted_pairs)]:
+            if watched is None or watched in answered:
+                continue  # nothing to watch, or a pair it answers for itself
+            if is_silent(self.last_heard, watched, round_id, miss_threshold):
+                self._take_over(watched, round_id)
+                return  # one diffusing computation at a time
 
     # ------------------------------------------------------------------ #
     # failures (scenario 3)

@@ -271,6 +271,18 @@ class TestSnapshotFormat:
         with pytest.raises(ValueError, match="global stream"):
             resume_service(payload, jobs)
 
+    def test_other_monitoring_baseline_is_refused(self, tmp_path):
+        # Every build counts never-heard pairs as heard at round 0 and
+        # writes that round into the snapshot; a state counting from any
+        # other round would resume onto a different detector.
+        snapshot, _, _ = self._write_snapshot(tmp_path)
+        payload = load_json(snapshot)
+        assert payload["fleet"]["monitoring_baseline"] == 0
+        payload["fleet"]["monitoring_baseline"] = 2
+        jobs = list(alternating_arrivals(QUIET_DEMAND).jobs)
+        with pytest.raises(ValueError, match="monitoring_baseline 2"):
+            resume_service(payload, jobs)
+
     def test_config_json_carries_no_shards_key(self):
         config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
         assert "shards" not in config.to_json()

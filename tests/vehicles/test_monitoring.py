@@ -2,9 +2,38 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.demand import DemandMap, JobSequence
+from repro.core.online import provision_fleet
+from repro.core.stream import StreamDriver
+from repro.distsim.transport import TransportSpec, build_transport
 from repro.grid.coloring import Coloring
 from repro.grid.lattice import Box
-from repro.vehicles.monitoring import build_watch_assignment, watched_pair_key
+from repro.vehicles.fleet import Fleet, FleetConfig
+from repro.vehicles.monitoring import (
+    HEARD_AT_START,
+    enough_reporters,
+    grant_attestation,
+    is_silent,
+    is_stale,
+    quorum_reached,
+    silent_pairs,
+    watched_pair_key,
+)
+from repro.vehicles.registry import STATE_ACTIVE, WATCH_NEVER
+from repro.workloads.arrivals import random_arrivals
+from repro.workloads.library import build_family_demand
+
+
+def _assignment(coloring):
+    """The full pair -> watched-pair map of one cube."""
+    return {pair.black: watched_pair_key(coloring, pair.black) for pair in coloring.pairs}
 
 
 class TestWatchedPairKey:
@@ -22,7 +51,7 @@ class TestWatchedPairKey:
     def test_watch_relation_is_a_cycle(self):
         coloring = Coloring(Box.cube((0, 0), 4))
         keys = [pair.black for pair in coloring.pairs]
-        assignment = build_watch_assignment(coloring)
+        assignment = _assignment(coloring)
         # Following the pointers visits every pair exactly once before
         # returning to the start (a single cycle over all pairs).
         start = keys[0]
@@ -36,12 +65,216 @@ class TestWatchedPairKey:
 
     def test_every_pair_watched_exactly_once(self):
         coloring = Coloring(Box.cube((0, 0), 3))
-        assignment = build_watch_assignment(coloring)
+        assignment = _assignment(coloring)
         watched = [target for target in assignment.values() if target is not None]
         assert len(watched) == len(set(watched))
         assert len(watched) == len(coloring.pairs)
 
     def test_no_pair_watches_itself(self):
         coloring = Coloring(Box.cube((0, 0), 5))
-        for pair_key, watched in build_watch_assignment(coloring).items():
+        for pair_key, watched in _assignment(coloring).items():
             assert watched != pair_key
+
+
+A, B, C = (0, 0), (0, 2), (2, 0)
+
+
+class TestStalenessRule:
+    @pytest.mark.parametrize("miss", [1, 3, 7])
+    def test_stale_exactly_at_the_miss_threshold(self, miss):
+        assert is_stale(10 + miss, 10, miss)
+        assert not is_stale(10 + miss - 1, 10, miss)
+
+    def test_never_heard_pair_counts_as_heard_at_round_zero(self):
+        assert HEARD_AT_START == 0
+        assert is_silent({}, A, 3, 3)
+        assert not is_silent({}, A, 2, 3)
+        assert not is_silent({A: 5}, A, 7, 3)
+        assert is_silent({A: 5}, A, 8, 3)
+
+    def test_rule_is_elementwise_on_arrays(self):
+        last = np.array([0, 4, 5, 9])
+        assert is_stale(8, last, 4).tolist() == [True, True, False, False]
+
+
+class TestGossipRules:
+    def test_silent_pairs_skip_the_own_pair_and_fresh_ones(self):
+        heard = {A: 1, B: 6, C: 2}
+        assert silent_pairs([A, B, C], A, heard, 5, 3, False) == [C]
+        assert silent_pairs([A, B, C], None, heard, 5, 3, False) == [A, C]
+        # Never heard: silent from round miss on.
+        assert silent_pairs([A, B], None, {}, 2, 3, False) == []
+        assert silent_pairs([A, B], None, {}, 3, 3, False) == [A, B]
+
+    def test_byzantine_reporter_reports_every_other_pair(self):
+        heard = {A: 5, B: 5, C: 5}
+        assert silent_pairs([A, B, C], B, heard, 5, 3, True) == [A, C]
+
+    def test_enough_reporters_counts_the_watcher_once(self):
+        assert enough_reporters({B: 4}, A, 2)
+        assert not enough_reporters({B: 4}, A, 3)
+        assert not enough_reporters({A: 4}, A, 2)  # the watcher's own report
+        assert enough_reporters((), A, 1)
+        assert not enough_reporters((), A, 2)
+
+    def test_grant_needs_a_silent_view_of_another_pair(self):
+        assert grant_attestation({A: 2}, A, 5, 3, own_pair=False, byzantine=False)
+        assert not grant_attestation({A: 2}, A, 4, 3, own_pair=False, byzantine=False)
+        assert grant_attestation({}, A, 3, 3, own_pair=False, byzantine=False)
+        assert not grant_attestation({A: 2}, A, 5, 3, own_pair=True, byzantine=False)
+
+    def test_byzantine_attester_inverts_its_grant(self):
+        assert not grant_attestation({A: 2}, A, 5, 3, own_pair=False, byzantine=True)
+        assert grant_attestation({A: 2}, A, 4, 3, own_pair=False, byzantine=True)
+        assert grant_attestation({A: 2}, A, 5, 3, own_pair=True, byzantine=True)
+
+    def test_quorum_counts_distinct_signers(self):
+        assert not quorum_reached([B, B], 2)
+        assert quorum_reached([B, C], 2)
+        assert quorum_reached({B, C, A}, 3)
+        assert not quorum_reached(set(), 1)
+
+
+class TestVectorizedStaleFlag:
+    """``Fleet._plain_heartbeats`` flags watchers with one array read of
+    the watch-heard mirror; it must flag exactly the vehicles the scalar
+    rule calls silent."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(miss=st.integers(1, 6), lag=st.integers(-1, 3), data=st.data())
+    def test_flag_matches_the_scalar_rule(self, miss, lag, data):
+        # Rounds near the threshold, where a never-heard pair's reading
+        # as "heard at round 0" decides the flag.
+        round_id = max(1, miss + lag)
+        demand = DemandMap({(x, y): 1.0 for x in range(6) for y in range(6)})
+        fleet = Fleet(demand, 3.0, FleetConfig(monitoring="ring"))
+        # Per watcher: never heard (WATCH_NEVER in the mirror), heard at a
+        # round around the threshold, or watching nothing (WATCH_NONE).
+        heard = st.one_of(
+            st.none(),
+            st.just(WATCH_NEVER),
+            st.integers(max(0, round_id - miss - 1), round_id),
+        )
+        for vehicle in fleet.vehicles.values():
+            if vehicle.monitored_pair is None:
+                continue
+            value = data.draw(heard)
+            if value is None:
+                vehicle.monitored_pair = None
+            elif value == WATCH_NEVER:
+                vehicle.last_heard.pop(vehicle.monitored_pair, None)
+            else:
+                vehicle.last_heard[vehicle.monitored_pair] = value
+            vehicle.monitored_pair = vehicle.monitored_pair  # refresh the mirror
+
+        flagged = []
+        for vehicle in fleet.vehicles.values():
+            vehicle.heartbeat = lambda r, m, vehicle=vehicle: flagged.append(vehicle.identity)
+        senders = np.nonzero(fleet.flat.state_view() == STATE_ACTIVE)[0]
+        fleet._plain_heartbeats(senders, round_id, miss, fleet._vehicles_by_index())
+
+        expected = [
+            vehicle.identity
+            for vehicle in sorted(fleet.vehicles.values(), key=lambda v: v.index)
+            if vehicle.monitored_pair is not None
+            and is_silent(vehicle.last_heard, vehicle.monitored_pair, round_id, miss)
+        ]
+        assert flagged == expected
+
+
+class TestRingDetectorPin:
+    """Every ring watch initiation a run makes, and the freshness state it
+    ends in, hashed and pinned: a change to the ring heartbeat that moves
+    a takeover by one round, or leaves a different ``last_heard`` or
+    watch-heard mirror behind, fails here even when the run's end results
+    hold."""
+
+    @staticmethod
+    def _run(
+        demand, jobs, *, omega, capacity, config, dead, transport, recovery_rounds, monkeypatch
+    ):
+        fleet, fleet_config, _, _ = provision_fleet(
+            demand,
+            omega=omega,
+            capacity=capacity,
+            config=config,
+            dead_vehicles=dead,
+            transport=build_transport(transport),
+        )
+        initiations = []
+        record = Fleet.record_watch_initiation
+
+        def recording(fleet, identity, pair_key):
+            initiations.append((fleet.heartbeat_round, identity, pair_key))
+            record(fleet, identity, pair_key)
+
+        monkeypatch.setattr(Fleet, "record_watch_initiation", recording)
+        StreamDriver(
+            fleet, fleet_config, fleet.failure_plan, jobs, recovery_rounds=recovery_rounds
+        ).run()
+        monkeypatch.undo()
+
+        state = hashlib.sha256()
+        for identity in sorted(fleet.vehicles):
+            vehicle = fleet.vehicles[identity]
+            heard = fleet.flat.watch_heard[vehicle.index]
+            state.update(repr((identity, sorted(vehicle.last_heard.items()), heard)).encode())
+        return fleet, initiations, state.hexdigest()
+
+    @staticmethod
+    def _digest(initiations):
+        return hashlib.sha256(repr(initiations).encode()).hexdigest()
+
+    def test_lossy_crash_run(self, monkeypatch):
+        # The ``lossy_crash_jobs_per_sec`` gate's shape: side-12 scale-up,
+        # ten dead vehicles, 5% edge-keyed loss, two recovery rounds.
+        side = 12
+
+        def cube(cx, cy):
+            return [(x, y) for x in range(3 * cx, 3 * cx + 3) for y in range(3 * cy, 3 * cy + 3)]
+
+        demand = build_family_demand("scale-up", {"side": side, "per_point": 1.0})
+        jobs = random_arrivals(demand, np.random.default_rng(0))
+        fleet, initiations, state = self._run(
+            demand,
+            jobs,
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="ring"),
+            dead=cube(0, 0)[:6] + cube(2, 2)[:2] + cube(3, 3)[:2],
+            transport=TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3}),
+            recovery_rounds=2,
+            monkeypatch=monkeypatch,
+        )
+        assert len(initiations) == 53
+        assert fleet.stats.replacements == 22
+        assert self._digest(initiations) == (
+            "52b42a01cf3e599986e255d9ea710b04965a3328f65f44b07d7e15605dc69475"
+        )
+        assert state == "041bc227c6a86617faa82d8f18e2bba0facff959fa9e38aa97305b6ee9d306bd"
+
+    def test_lossy_escalation_run_with_adoptions(self, monkeypatch):
+        # Sixteen singleton cubes on the fleet-wide watch ring.  (0, 0)
+        # and (0, 3) are consecutive on the ring, so the adopter of (0, 0)
+        # watches the dead (0, 3) for its adopted pair -- a watch duty only
+        # an adopter's heartbeat carries.
+        demand = DemandMap({(3 * x, 3 * y): 2.0 for x in range(4) for y in range(4)})
+        jobs = JobSequence.from_positions(sorted(demand.support()) * 2)
+        fleet, initiations, state = self._run(
+            demand,
+            jobs,
+            omega=1.0,
+            capacity=24.0,
+            config=FleetConfig(monitoring="ring", escalation=True),
+            dead=[(0, 0), (0, 3), (6, 6)],
+            transport=TransportSpec("lossy", {"loss": 0.1, "delay": 0.02, "seed": 11}),
+            recovery_rounds=6,
+            monkeypatch=monkeypatch,
+        )
+        assert fleet.stats.adoptions == 4
+        assert (7, (3, 0), (0, 3)) in initiations  # an adopted pair's watch fired
+        assert len(initiations) == 8
+        assert self._digest(initiations) == (
+            "06ca7761381cfce75db439dc2a454d1c9cfed04c5eef935d8cb8839c6434769b"
+        )
+        assert state == "df4913539d9415fd9165f1ed92fa00453e439abecd982b2e3730098e361f6f93"
