@@ -125,6 +125,10 @@ class ServiceConfig:
                 raise ConfigError(f"capacity must be positive and finite, got {value}")
             object.__setattr__(self, "capacity", value)
         object.__setattr__(self, "fleet", _normalize_fleet(self.fleet))
+        try:
+            self.fleet_config()
+        except ValueError as error:
+            raise ConfigError(str(error)) from None
         if not isinstance(self.recovery_rounds, int) or self.recovery_rounds < 0:
             raise ConfigError("recovery_rounds must be a non-negative integer")
         object.__setattr__(self, "transport", _normalize_transport(self.transport))

@@ -33,12 +33,14 @@ all.  This module is the engine for runs that split (``shard_mode ==
   ``(edge, purpose, seed, message counter)``
   (see :func:`~repro.distsim.transport._edge_stream_rng`), so each worker
   rebuilds the spec and reproduces the single-process draws of its edges.
+* **Gossip monitoring.**  Digests, suspicions and attestations all go to
+  members of the sender's own cube, and peer draws are keyed per vehicle,
+  so a gossip round stays inside each shard exactly as a ring round does.
 
 Everything outside the class -- escalation (replacement migrates vehicles
-*between* shards), gossip monitoring (digest fanout targets fleet-wide
-peers), ``recovery_rounds`` (conditional mid-run global rounds that cannot
-be precomputed per shard), the shared-RNG jitter channel, caller-owned
-transport instances, closure drop rules -- is rejected by
+*between* shards), ``recovery_rounds`` (conditional mid-run global rounds
+that cannot be precomputed per shard), the shared-RNG jitter channel,
+caller-owned transport instances, closure drop rules -- is rejected by
 :func:`parallel_lockstep_eligibility` with the first disqualifying feature
 as a human-readable reason; ``run_online`` then runs the one global fleet
 single-process and records that reason, so bench numbers can't silently
@@ -98,12 +100,6 @@ def parallel_lockstep_eligibility(
         return (
             False,
             "escalation: cross-cube replacement migrates vehicles between shards",
-        )
-    if (config.monitoring if config is not None else False) == "gossip":
-        return (
-            False,
-            "gossip monitoring: digest fanout targets fleet-wide peers, so "
-            "every round generates cross-cube (hence cross-shard) traffic",
         )
     if recovery_rounds != 0:
         return (

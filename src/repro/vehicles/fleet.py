@@ -80,7 +80,7 @@ class FleetConfig:
     #: ``if config.monitoring`` site keeps its historical meaning.
     monitoring: object = False
     #: Heartbeat rounds a watcher waits before initiating a replacement on
-    #: behalf of a silent pair.
+    #: behalf of a silent pair (at least 2; see ``__post_init__``).
     heartbeat_miss_threshold: int = 3
     #: Consecutive heartbeat rounds a vehicle may stay engaged in one
     #: diffusing computation before the monitoring loop abandons it as
@@ -106,8 +106,10 @@ class FleetConfig:
     #: pairs) that one revival can now retire.  Off by default: every
     #: existing run keeps its golden hashes.
     hand_back: bool = False
-    #: Gossip mode: digest recipients per vehicle per round (epidemic
-    #: fanout; O(log n) spread at any constant >= 1).
+    #: Gossip mode: digest recipients per vehicle per round, drawn from
+    #: the sender's own cube (every reporter, watcher and attester of a
+    #: pair lives there), so news spreads within a cube of ``k`` vehicles
+    #: in O(log k) rounds at any constant >= 1.
     gossip_fanout: int = 2
     #: Gossip mode: distinct silence reporters required before a watcher
     #: even *suspects* a pair (1 restores single-observer sensitivity).
@@ -127,6 +129,14 @@ class FleetConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        miss = self.heartbeat_miss_threshold
+        if not isinstance(miss, int) or miss < 2:
+            # A round's heartbeats are checked before they are delivered,
+            # so a live pair always reads one round old: below 2 every
+            # healthy pair looks silent every round.
+            raise ValueError(
+                f"heartbeat_miss_threshold must be an integer >= 2, got {miss!r}"
+            )
         if self.quorum > self.suspicion_threshold:
             raise ValueError(
                 f"quorum ({self.quorum}) must not exceed suspicion_threshold "
@@ -256,9 +266,6 @@ class Fleet:
         from repro.service.metrics import LatencyDigest
 
         self.detection_digest = LatencyDigest()
-        #: Sorted fleet-wide identities: the gossip peer-selection pool
-        #: (lazy; rebuilt if vehicles are added after construction).
-        self._gossip_candidates: Optional[List[Point]] = None
         #: Dense-index -> vehicle list backing the registry-native round
         #: path (built on first use).
         self._by_index_cache: Optional[List[VehicleProcess]] = None
@@ -479,19 +486,18 @@ class Fleet:
         else:
             self.stats.refused_attestations += 1
 
-    def gossip_candidates(self) -> List[Point]:
-        """Sorted fleet-wide identities: the deterministic gossip peer pool.
+    def cube_members(self, index: Tuple[int, ...]) -> List[Point]:
+        """Sorted identities resident in cube ``index``: the gossip peer
+        pool of every vehicle living there.
 
-        Broken vehicles stay in the pool (their radios still receive;
-        handlers guard), keeping peer selection a pure function of the
-        construction-time fleet -- identical at any worker or shard count
-        and across checkpoint restores.
+        One shared list per cube, not a copy -- rehoming and adoption keep
+        it current in place, so callers must not mutate it.  Broken
+        vehicles stay in it (their radios still receive; handlers guard),
+        so peer selection is a pure function of residency: identical at
+        any worker or shard count (shards own whole cubes) and across
+        checkpoint restores.
         """
-        cached = self._gossip_candidates
-        if cached is None or len(cached) != len(self.vehicles):
-            cached = sorted(self.vehicles)
-            self._gossip_candidates = cached
-        return cached
+        return self._cube_members.get(index, [])
 
     def record_escalation_started(self, tag) -> None:
         self.stats.escalations_started += 1

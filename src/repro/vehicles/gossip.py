@@ -7,9 +7,13 @@ De Florio & Blondia and pod-style quorum attestation:
 
 1. **Epidemic freshness.** Every round each vehicle piggybacks a digest
    of its most recently heard ``(pair_key, round)`` entries to ``fanout``
-   peers, so liveness information spreads in O(log n) rounds and survives
-   the lossy/corrupting transports (which only mutate protocol messages,
-   never digests).
+   peers drawn from its own cube, so liveness information spreads through
+   a cube of ``k`` vehicles in O(log k) rounds and survives the
+   lossy/corrupting transports (which only mutate protocol messages,
+   never digests).  Digests never leave the cube: every reporter, watcher
+   and attester of a pair lives in the pair's cube (Section 3.2.5), and
+   quorum intersection is per cube, so fleet-wide relaying would add no
+   detection power -- only O(fleet) state per vehicle.
 2. **Multi-reporter suspicion.** A pair is suspected only once
    ``suspicion_threshold`` *distinct* vehicles have reported it silent --
    reports travel inside the digests, deduplicated by reporter identity.
@@ -21,13 +25,15 @@ De Florio & Blondia and pod-style quorum attestation:
 Peer selection must be byte-identical at any worker, process, or shard
 count, so it never consults a shared RNG: each draw is keyed blake2b
 over ``(identity, per-vehicle counter, slot)``, a pure function of state
-that checkpoints and restores exactly.
+that checkpoints and restores exactly.  The candidates are the cube's
+shared sorted member list (:meth:`~repro.vehicles.fleet.Fleet.cube_members`),
+and shards own whole cubes, so gossip runs shard like ring runs.
 
-Both helpers run once per vehicle per round, so neither pays O(fleet) in
-Python: :func:`select_peers` maps each draw onto the shared sorted
-candidate list by index arithmetic (O(fanout²) per call, no pool copy),
-and :func:`freshest_entries` finds its round cut-off with a C sort of the
-round values and ranks only the entries at or above it.
+Both helpers run once per vehicle per round, so neither pays more than
+O(cube) in Python: :func:`select_peers` maps each draw onto the shared
+sorted candidate list by index arithmetic (O(fanout²) per call, no pool
+copy), and :func:`freshest_entries` finds its round cut-off with a C sort
+of the round values and ranks only the entries at or above it.
 """
 
 from __future__ import annotations

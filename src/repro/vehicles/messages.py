@@ -149,16 +149,18 @@ class EscalateReply:
 
 @dataclass(frozen=True)
 class GossipDigest:
-    """Epidemic digest piggybacked to ``fanout`` deterministic peers per round.
+    """Epidemic digest piggybacked to ``fanout`` deterministic peers of the
+    sender's own cube per round.
 
     ``heard`` carries the sender's freshest ``(pair_key, round)`` entries
-    (capped, most recent first) so liveness information spreads in
-    O(log n) rounds even when direct heartbeats are lost.  ``silent``
-    carries silence reports ``(pair_key, reporter, report_round)``:
-    independent observations that a pair has been quiet past the miss
-    threshold.  Receivers max-merge ``heard`` and union ``silent``, so a
-    single report replicates without ever being double-counted -- the
-    reporter identity, not the carrying digest, is what suspicion tallies.
+    (capped, most recent first) so liveness information spreads through a
+    cube of ``k`` vehicles in O(log k) rounds even when direct heartbeats
+    are lost.  ``silent`` carries silence reports ``(pair_key, reporter,
+    report_round)``: independent observations that a pair has been quiet
+    past the miss threshold.  Receivers max-merge ``heard`` and union
+    ``silent``, so a single report replicates without ever being
+    double-counted -- the reporter identity, not the carrying digest, is
+    what suspicion tallies.
     """
 
     sender: Hashable

@@ -929,13 +929,17 @@ class VehicleProcess(Process):
 
     def _gossip_send_digest(self, round_id: int) -> None:
         """Piggyback freshness entries and silence reports to ``fanout``
-        deterministically drawn peers (keyed blake2b over the per-vehicle
-        counter -- byte-identical at any worker or shard count)."""
+        peers drawn from this vehicle's own cube (keyed blake2b over the
+        per-vehicle counter -- byte-identical at any worker or shard
+        count).  A vehicle alone in its cube sends nothing."""
         fleet = self.fleet
         counter = self._gossip_counter
         self._gossip_counter = counter + 1
         peers = select_peers(
-            self.identity, counter, fleet.gossip_candidates(), fleet.config.gossip_fanout
+            self.identity,
+            counter,
+            fleet.cube_members(self.cube_index),
+            fleet.config.gossip_fanout,
         )
         if not peers:
             return

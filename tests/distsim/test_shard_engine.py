@@ -234,9 +234,10 @@ class TestEligibility:
         ok, reason = self._check(FleetConfig(escalation=True), escalation=None)
         assert not ok and reason.startswith("escalation")
 
-    def test_gossip_monitoring_reason(self):
+    def test_gossip_monitoring_is_eligible(self):
+        # Digests go only to the sender's own cube, and shards own whole cubes.
         ok, reason = self._check(FleetConfig(monitoring="gossip"))
-        assert not ok and reason.startswith("gossip monitoring")
+        assert ok and reason == ""
 
     @pytest.mark.parametrize("kind", ["lossy", "corrupting"])
     def test_seeded_spec_is_eligible_and_its_instance_is_not(self, kind):

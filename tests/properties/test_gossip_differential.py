@@ -9,20 +9,26 @@ Three relations pin the epidemic detector without any goldens:
 * **worker-count determinism** -- gossip failure-mode runs are
   byte-identical across 1 thread, 4 threads, and 4 processes (peer
   selection is keyed-hash, never a shared RNG);
-* **shard determinism** -- a sharded gossip run falls back to the
-  single-process lockstep engine (digest fanout is fleet-wide, so every
-  round crosses cube -- hence shard -- boundaries), recording a
-  ``shard_mode_reason`` that names gossip, with byte-identical physics.
+* **shard determinism** -- digests stay inside the sender's cube and
+  shards own whole cubes, so a sharded gossip run without recovery rounds
+  runs in ``parallel-lockstep`` worker processes, byte-identical to the
+  unsharded run at 4 and 8 shards; with recovery rounds it falls back to
+  one process for that reason alone, with byte-identical physics.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import ExperimentEngine, FailureSpec, RunConfig, ScenarioSpec
 from repro.core.demand import DemandMap, JobSequence
 from repro.core.online import run_online
+from repro.distsim.failures import FailurePlan
+from repro.distsim.transport import TransportSpec
 from repro.vehicles.fleet import FleetConfig
+from repro.workloads.arrivals import random_arrivals
+from repro.workloads.library import build_family_demand
 
 GRID_4 = DemandMap({(x, y): 2.0 for x in range(4) for y in range(4)})
 GRID_3 = DemandMap({(x, y): 3.0 for x in range(3) for y in range(3)})
@@ -139,7 +145,61 @@ class TestGossipShardDeterminism:
         assert sharded.suspicions == unsharded.suspicions
         assert sharded.detection_p50 == unsharded.detection_p50
 
-    def test_shard_mode_reason_names_gossip(self):
+    def test_recovery_rounds_keep_the_run_single_process(self):
         sharded = self._run(4)
         assert sharded.shard_mode == "single-process"
-        assert "gossip" in sharded.shard_mode_reason
+        assert sharded.shard_mode_reason.startswith("recovery_rounds")
+
+
+def _cube(cx, cy):
+    return [(x, y) for x in range(3 * cx, 3 * cx + 3) for y in range(3 * cy, 3 * cy + 3)]
+
+
+class TestGossipParallelLockstep:
+    """A side-12 lossy gossip crash run without recovery rounds shards."""
+
+    SHARDS = (1, 4, 8)
+
+    @staticmethod
+    def _run(shards):
+        demand = build_family_demand("scale-up", {"side": 12, "per_point": 1.0})
+        plan = FailurePlan()
+        plan.mark_byzantine_watcher(_cube(2, 2)[-1])
+        return run_online(
+            random_arrivals(demand, np.random.default_rng(0)),
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="gossip"),
+            # Six dead in the first cube, two in a middle and two in the last.
+            dead_vehicles=_cube(0, 0)[:6] + _cube(2, 2)[:2] + _cube(3, 3)[:2],
+            failure_plan=plan,
+            transport=TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3}),
+            recovery_rounds=0,
+            shards=shards,
+            shard_workers=2,
+        )
+
+    @staticmethod
+    def _fingerprint(result):
+        return _physical_fingerprint(result) + (
+            result.failed_replacements,
+            result.messages,
+            result.messages_dropped,
+            result.suspicions,
+            result.heartbeat_rounds,
+            result.events_processed,
+            result.sim_time,
+        )
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {shards: self._run(shards) for shards in self.SHARDS}
+
+    def test_unsharded_run_detects_and_replaces(self, runs):
+        assert runs[1].suspicions > 0 and runs[1].replacements > 0
+        assert runs[1].messages_dropped > 0
+
+    @pytest.mark.parametrize("shards", SHARDS[1:])
+    def test_sharded_run_is_parallel_and_byte_identical(self, runs, shards):
+        assert runs[shards].shard_mode == "parallel-lockstep"
+        assert self._fingerprint(runs[shards]) == self._fingerprint(runs[1])

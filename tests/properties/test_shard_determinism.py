@@ -9,7 +9,7 @@ every mechanism:
   differential suite pins) run with ``shards=4`` reproduces the committed
   golden digest bit for bit.  The lossy configs take the worker path; the
   others exercise the *single-process* fallback (one global fleet) through
-  the shared-RNG jitter channel, recovery rounds, escalation or gossip.
+  the shared-RNG jitter channel, recovery rounds or escalation.
 * **Worker engine** -- a shard-local direct ``run_online`` config
   (reliable transport, no failures) is byte-identical across shard counts,
   including the float-sum-sensitive energy totals.  This exercises the

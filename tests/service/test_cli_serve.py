@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.api.service import ServiceConfig
 from repro.cli import main
 from repro.core.demand import DemandMap
 from repro.io.serialize import demand_to_json, save_json
@@ -138,6 +139,43 @@ class TestServe:
         )
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
+
+
+class TestMissThresholdValidation:
+    @pytest.mark.parametrize("miss", [1, 0, -1])
+    def test_service_config_rejects_it(self, miss):
+        demand = DemandMap({(0, 0): 4.0, (2, 1): 3.0})
+        with pytest.raises(ValueError, match="heartbeat_miss_threshold"):
+            ServiceConfig.from_demand(
+                demand, fleet={"monitoring": True, "heartbeat_miss_threshold": miss}
+            )
+
+    def test_resume_from_a_checkpoint_carrying_it_exits_2(
+        self, tmp_path, demand_path, capsys
+    ):
+        snapshot = tmp_path / "snap.json"
+        assert main(
+            [
+                "serve",
+                "--demand-json", demand_path,
+                "--jobs", "12",
+                "--window", "4",
+                "--checkpoint", str(snapshot),
+                "--checkpoint-every", "1",
+                "--stop-after-checkpoints", "1",
+            ]
+        ) == 0
+        payload = json.loads(snapshot.read_text())
+        payload["config"]["fleet"] = {"monitoring": True, "heartbeat_miss_threshold": 1}
+        snapshot.write_text(json.dumps(payload))
+        capsys.readouterr()
+        resumed_out = tmp_path / "resumed.json"
+        code = main(
+            ["serve", "--resume", str(snapshot), "--jobs", "12", "--json", str(resumed_out)]
+        )
+        assert code == 2
+        assert "heartbeat_miss_threshold" in capsys.readouterr().err
+        assert not resumed_out.exists()
 
 
 class TestRunMetricsOut:

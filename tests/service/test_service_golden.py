@@ -35,8 +35,8 @@ CONFIG = ServiceConfig.from_demand(
     checkpoint_every=2,
 )
 
-GOLDEN_RESULT_HASH = "c0390d69a8a4f23e77e07443a4874cd7a70d0f87a7763447b9a886f7ee25965c"
-GOLDEN_FLEET_DIGEST = "1a7398788756afa47060b17519cbb31acba89e49041d93f03d00e26f3194fc3c"
+GOLDEN_RESULT_HASH = "102349a2009295ab714a22de9059c47bfc66cd6541cfdbcad8cd6625b76767e7"
+GOLDEN_FLEET_DIGEST = "492343ec23e824b6d01b02509642db9da165d2edd2db5ea00f227fd2bd9e0d28"
 
 INDENTED_CHECKPOINT = Path(__file__).parent / "data" / "gossip_side9_checkpoint_indented.json"
 

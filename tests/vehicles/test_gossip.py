@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,8 @@ from repro.vehicles.gossip import (
 )
 from repro.vehicles.messages import GossipDigest
 from repro.vehicles.vehicle import VehicleProcess
+from repro.workloads.arrivals import random_arrivals
+from repro.workloads.library import build_family_demand
 
 #: One 4-cube under omega=4: eight pairs, so every cube has enough honest
 #: watchers for any reasonable suspicion threshold and quorum.
@@ -60,6 +63,12 @@ def _run(fleet, fleet_config, recovery_rounds=12):
     return StreamDriver(
         fleet, fleet_config, fleet.failure_plan, JOBS, recovery_rounds=recovery_rounds
     ).run()
+
+
+def _cube(cx, cy):
+    """The vertices of cube ``(cx, cy)`` of a grid cut into 3x3 cubes."""
+    xs, ys = range(3 * cx, 3 * cx + 3), range(3 * cy, 3 * cy + 3)
+    return [(x, y) for x in xs for y in ys]
 
 
 def _pair_holders(fleet):
@@ -195,13 +204,8 @@ class TestDigestStreamPin:
     digest stream fails here even when the run's end results hold."""
 
     SIDE = 9
-    DIGEST_STREAM = "0d011da1c5dbbcb507608c4cc39493fb95b4d0c22c2a5764bf32164cf96a7d4f"
-    FINAL_STATE = "685384976d8aa936f653d24507298437e8cc0f8a18a5299dd3657eaa527a426b"
-
-    @staticmethod
-    def _cube(cx, cy):
-        xs, ys = range(3 * cx, 3 * cx + 3), range(3 * cy, 3 * cy + 3)
-        return [(x, y) for x in xs for y in ys]
+    DIGEST_STREAM = "88120314ba81178d48d54ffd7677ce35f8d7ac73ec698d2f9e2a342490d0fc09"
+    FINAL_STATE = "2988a08c07be9ccecad390b3f77e037bec9d7837e2a0e6132d8c9dd042491872"
 
     def test_digest_stream_and_final_state(self, monkeypatch):
         side = range(self.SIDE)
@@ -209,9 +213,9 @@ class TestDigestStreamPin:
         jobs = JobSequence.from_positions(sorted(demand.support()) * 2)
         # Six dead in the first cube (it keeps a pair with no spare), two
         # in the middle cube and two in the last; one lying watcher.
-        dead = self._cube(0, 0)[:6] + self._cube(1, 1)[:2] + self._cube(2, 2)[:2]
+        dead = _cube(0, 0)[:6] + _cube(1, 1)[:2] + _cube(2, 2)[:2]
         plan = FailurePlan()
-        plan.mark_byzantine_watcher(self._cube(1, 1)[-1])
+        plan.mark_byzantine_watcher(_cube(1, 1)[-1])
         lossy = TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3})
         fleet, fleet_config, _, _ = provision_fleet(
             demand,
@@ -263,6 +267,102 @@ class TestDigestStreamPin:
         assert fleet.stats.suspicions > 0 and fleet.network.messages_dropped > 0
         assert stream.hexdigest() == self.DIGEST_STREAM
         assert state.hexdigest() == self.FINAL_STATE
+
+
+class TestCubeScope:
+    """Digests never leave the sender's cube, so a vehicle's detector state
+    covers its own cube's pairs and nothing else."""
+
+    @staticmethod
+    def _grid(side):
+        return DemandMap({(x, y): 1.0 for x in range(side) for y in range(side)})
+
+    def test_digests_stay_in_the_sender_cube_including_after_a_rehome(
+        self, monkeypatch
+    ):
+        fleet, _, _, _ = provision_fleet(
+            self._grid(9), omega=3.0, config=FleetConfig(monitoring="gossip")
+        )
+        migrant = next(
+            v for v in fleet.vehicles.values()
+            if v.pair_key is None and v.cube_index != (2, 2)
+        )
+        home = migrant.cube_index
+        fleet.rehome_vehicle(migrant, fleet.colorings[(2, 2)].pairs[0].black)
+        assert migrant.cube_index == (2, 2)
+        assert migrant.identity in fleet.cube_members((2, 2))
+        assert migrant.identity not in fleet.cube_members(home)
+
+        digests = []
+        send_many = VehicleProcess.send_many
+
+        def recording_send_many(vehicle, destinations, message):
+            if isinstance(message, GossipDigest):
+                digests.append((vehicle, list(destinations)))
+            send_many(vehicle, destinations, message)
+
+        monkeypatch.setattr(VehicleProcess, "send_many", recording_send_many)
+        for _ in range(4):
+            fleet.run_heartbeat_round()
+        assert len(digests) == 4 * len(fleet.vehicles)
+        for sender, destinations in digests:
+            assert destinations and sender.identity not in destinations
+            assert all(
+                fleet.vehicles[d].cube_index == sender.cube_index for d in destinations
+            )
+        migrant_sent = [d for sender, d in digests if sender is migrant]
+        assert len(migrant_sent) == 4
+        assert all(set(d) <= set(_cube(2, 2)) for d in migrant_sent)
+
+    def test_a_vehicle_alone_in_its_cube_sends_no_digest(self):
+        # Under omega=1 every cube is one vertex: nobody to gossip with.
+        fleet, _, _, _ = provision_fleet(
+            DemandMap({(x, 0): 1.0 for x in range(3)}),
+            omega=1.0,
+            config=FleetConfig(monitoring="gossip"),
+        )
+        assert all(not v.cube_peers for v in fleet.vehicles.values())
+        for _ in range(3):
+            fleet.run_heartbeat_round()
+        assert fleet.network.messages_sent == 0
+
+    def test_detector_state_covers_only_the_cube_pairs(self):
+        # The perfbench crash shape at side 12: ten dead, one lying watcher,
+        # 5% loss.
+        plan = FailurePlan()
+        plan.mark_byzantine_watcher(_cube(2, 2)[-1])
+        demand = self._grid(12)
+        fleet, fleet_config, _, _ = provision_fleet(
+            demand,
+            omega=3.0,
+            config=FleetConfig(monitoring="gossip"),
+            dead_vehicles=_cube(0, 0)[:6] + _cube(2, 2)[:2] + _cube(3, 3)[:2],
+            failure_plan=plan,
+            transport=build_transport(
+                TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3})
+            ),
+        )
+        jobs = JobSequence.from_positions(sorted(demand.support()))
+        StreamDriver(fleet, fleet_config, plan, jobs, recovery_rounds=2).run()
+        assert fleet.stats.suspicions > 0 and fleet.network.messages_dropped > 0
+        for vehicle in fleet.vehicles.values():
+            pairs = {pair.black for pair in vehicle.coloring.pairs}
+            assert vehicle.last_heard.keys() <= pairs
+            assert vehicle.gossip_reports.keys() <= pairs
+        assert any(len(v.last_heard) > 1 for v in fleet.vehicles.values())
+
+    def test_crash_free_side16_lossy_run_makes_no_replacement(self):
+        demand = build_family_demand("scale-up", {"side": 16, "per_point": 1.0})
+        result = run_online(
+            random_arrivals(demand, np.random.default_rng(0)),
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="gossip"),
+            transport=TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3}),
+        )
+        assert result.messages_dropped > 0
+        assert result.replacements == 0 and result.searches == 0
+        assert result.jobs_served == result.jobs_total
 
 
 class TestFleetConfigValidation:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.demand import DemandMap, JobSequence
-from repro.core.online import provision_fleet
+from repro.core.online import provision_fleet, run_online
 from repro.core.stream import StreamDriver
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.grid.coloring import Coloring
@@ -95,6 +95,34 @@ class TestStalenessRule:
     def test_rule_is_elementwise_on_arrays(self):
         last = np.array([0, 4, 5, 9])
         assert is_stale(8, last, 4).tolist() == [True, True, False, False]
+
+
+class TestMissThresholdValidation:
+    """Below 2 every healthy pair reads stale every round: a round's
+    heartbeats are checked before they are delivered."""
+
+    @pytest.mark.parametrize("miss", [1, 0, -1])
+    def test_rejects_thresholds_below_two(self, miss):
+        with pytest.raises(ValueError, match="heartbeat_miss_threshold"):
+            FleetConfig(monitoring=True, heartbeat_miss_threshold=miss)
+
+    @pytest.mark.parametrize("miss", [2.0, 3.5, "3", None])
+    def test_rejects_non_integers(self, miss):
+        with pytest.raises(ValueError, match="heartbeat_miss_threshold"):
+            FleetConfig(heartbeat_miss_threshold=miss)
+
+    def test_two_is_accepted_and_searches_only_for_the_dead_pair(self):
+        demand = DemandMap({(x, y): 2.0 for x in range(4) for y in range(4)})
+        result = run_online(
+            JobSequence.from_positions(sorted(demand.support()) * 2),
+            omega=2.0,
+            capacity=64.0,
+            config=FleetConfig(monitoring=True, heartbeat_miss_threshold=2),
+            dead_vehicles=[(0, 0)],
+            recovery_rounds=2,
+        )
+        assert result.searches == 1 and result.replacements == 1
+        assert result.failed_replacements == 0
 
 
 class TestGossipRules:
