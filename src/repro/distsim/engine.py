@@ -162,12 +162,15 @@ class Simulator:
         byte-identical histories) as popping them one at a time, minus the
         per-event peek/advance overhead.
 
-        Events are counted by weight: an entry that delivers one broadcast
-        to ``n`` recipients counts ``n``, both in the return value and in
-        ``stats.executed``.  ``max_events`` is a budget in those logical
-        events.  An entry is never split, and each batch takes at least
-        its first entry, so the budget can be overrun by less than one
-        broadcast's fan-out; the next call resumes the same history.
+        Events are counted by weight: an entry that delivers ``n``
+        messages (one broadcast, or a whole flushed
+        :meth:`~repro.distsim.network.Network.deferred_sends` scope such
+        as a heartbeat round) counts ``n``, both in the return value and
+        in ``stats.executed``.  ``max_events`` is a budget in those
+        logical events.  An entry is never split, and each batch takes at
+        least its first entry, so the budget can be overrun by less than
+        one flushed entry's weight; the next call resumes the same
+        history.
         """
         executed = 0
         queue = self.queue
@@ -193,9 +196,10 @@ class Simulator:
     def run_until_quiescent(self, *, max_events: int = 10_000_000) -> int:
         """Run until no events remain; guards against runaway protocols.
 
-        ``max_events`` counts logical events, as in :meth:`run_window`: a
-        broadcast entry is never split, so a run may end up to one
-        broadcast's fan-out past the budget before the guard raises.
+        ``max_events`` counts logical events, as in :meth:`run_window`: an
+        entry is never split, so a run may end less than one flushed
+        entry's weight (a broadcast, or a whole heartbeat round) past the
+        budget before the guard raises.
         """
         executed = self.run(max_events=max_events)
         if self.pending:

@@ -116,8 +116,11 @@ class ScheduledEvent:
     #: Free-form tag ("message", "arrival", "heartbeat", ...) for traces.
     kind: str = field(default="event", compare=False)
     cancelled: bool = field(default=False, compare=False)
-    #: How many logical events the entry stands for: a broadcast delivered
-    #: by one entry counts once per recipient in :class:`EventStats`.
+    #: How many logical events the entry stands for: a broadcast, or a
+    #: flushed deferred-send scope (a whole heartbeat round), delivered by
+    #: one entry counts once per message in :class:`EventStats`.  An event
+    #: budget never splits an entry, so it may overrun by less than one
+    #: flushed entry's weight.
     weight: int = field(default=1, compare=False)
 
     def cancel(self) -> None:
@@ -310,9 +313,11 @@ class EventQueue:
         (entry weights), not entries.  An entry is never split and the
         first one is always taken, so a positive limit always makes
         progress and is overrun by less than the weight of the batch's
-        last entry.  Executions are *not* counted here: the consumer skips
-        events cancelled mid-batch, so it owns the executed/cancelled
-        accounting (see ``Simulator.run_window``).
+        last entry -- at most one flushed entry's weight, a whole
+        heartbeat round on a fixed-delay channel.  Executions are *not*
+        counted here: the consumer skips events cancelled mid-batch, so it
+        owns the executed/cancelled accounting (see
+        ``Simulator.run_window``).
         """
         bucket = self._front_bucket()
         if bucket is None:

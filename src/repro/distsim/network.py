@@ -12,9 +12,10 @@ clock -- lives in a pluggable :class:`~repro.distsim.transport.Transport`:
 * each ``send`` first consults the failure plan (crashed endpoints,
   partitions, drop rules), then hands the message to the transport, which
   schedules the delivery event;
-* deliveries on the same directed link never overtake one another
-  (FIFO clamping is a :class:`~repro.distsim.transport.Transport`
-  invariant, shared by every delivery model);
+* deliveries on the same directed link never overtake one another (a
+  :class:`~repro.distsim.transport.Transport` invariant: variable-delay
+  channels clamp per link, and on a fixed-delay channel ``now + delay``
+  never decreases, so it needs no clamp);
 * when no transport is given, the historical behavior is reproduced
   exactly: a fixed (or callable) delay, or -- when an RNG is supplied --
   the randomized uniform ``[d/2, 3d/2]`` delays of the original model.
@@ -178,11 +179,12 @@ class Network:
         and one calendar-queue entry that counts one event per recipient
         (see :meth:`~repro.distsim.transport.Transport.send_batch`).
         Inside a :meth:`deferred_sends` scope the broadcast is recorded
-        instead, and its survivors of the channel's loss draw become one
-        such entry when the scope flushes.  Otherwise -- corrupting,
-        retransmit, per-edge-latency and jitter transports, and lossy ones
-        outside a scope, whose streams must be consumed in per-message
-        send order -- it falls back to :meth:`send`, byte-identically.
+        instead, and its survivors of the channel's loss draw (all of
+        them on the reliable channel) join the scope's next flushed
+        entry.  Otherwise -- corrupting, retransmit, per-edge-latency and
+        jitter transports, and lossy ones outside a scope, whose streams
+        must be consumed in per-message send order -- it falls back to
+        :meth:`send`, byte-identically.
 
         On the batched and deferred paths the failure plan is asked per
         destination (``should_drop``, then ``is_crashed``) only when this
@@ -213,7 +215,10 @@ class Network:
         checked = (
             bool(plan.drop_predicates)
             or sender in crashed
-            or any(spec.active_at(plan.clock) for spec in plan.partitions)
+            or (
+                bool(plan.partitions)
+                and any(spec.active_at(plan.clock) for spec in plan.partitions)
+            )
         )
         survivors = []
         sent = dropped = 0
@@ -245,46 +250,63 @@ class Network:
                 if deferred is not None:
                     deferred.append((sender, survivors, message))
                 else:
-                    deliver = partial(self._deliver_batch, sender, message)
+                    deliver = partial(self._deliver, ((sender, survivors, message),))
                     transport.send_batch(sender, survivors, message, deliver, delay)
 
-    def _deliver_batch(self, sender: Hashable, message: Any, targets: List[Hashable]) -> None:
-        """Deliver one broadcast entry: recipients crashed since the send drop."""
+    def _deliver(self, records: Iterable[Tuple[Hashable, List[Hashable], Any]]) -> None:
+        """Deliver one queue entry's ``(sender, targets, message)`` records.
+
+        Records run in order, each record's targets in order; a recipient
+        crashed since the send is dropped.  Every other one gets
+        :meth:`Process.deliver`, so message logs and handler dispatch are
+        those of the per-message path.
+        """
         # Read crash state through the plan: a checkpoint restore rebinds
         # ``plan.crashed``.
         crashed = self.failure_plan.crashed
         processes = self._processes
-        for destination in targets:
-            if destination in crashed:
-                self.messages_dropped += 1
-                continue
-            self.messages_delivered += 1
-            processes[destination].deliver(sender, message)
+        for sender, targets, message in records:
+            for destination in targets:
+                if destination in crashed:
+                    self.messages_dropped += 1
+                    continue
+                self.messages_delivered += 1
+                processes[destination].deliver(sender, message)
 
     # ------------------------------------------------------------------ #
-    # deferred loss resolution
+    # deferred sends
     # ------------------------------------------------------------------ #
 
     @contextmanager
     def deferred_sends(self) -> Iterator[None]:
-        """Resolve the channel's loss draws of this block's sends together.
+        """Schedule this block's sends as few queue entries as possible.
 
         Inside the scope, on a transport that opts in
-        (:meth:`~repro.distsim.transport.Transport.deferred_latency`), every
-        :meth:`send` and :meth:`send_many` still runs its failure-plan
-        checks and ``messages_sent`` accounting at once, but records its
-        surviving destinations instead of handing them to the transport.
-        The records are flushed -- one
-        :meth:`~repro.distsim.transport.Transport.drops_many` call over all
-        of them in record order, then one
-        :meth:`~repro.distsim.transport.Transport.send_batch` entry per
-        record's survivors -- when the scope exits (also on an exception),
+        (:meth:`~repro.distsim.transport.Transport.deferred_latency`: the
+        reliable and the lossy fixed-delay channels), every :meth:`send`
+        and :meth:`send_many` still runs its failure-plan checks and
+        ``messages_sent`` accounting at once, but records its surviving
+        destinations instead of handing them to the transport.  The
+        records are flushed when the scope exits (also on an exception)
         and before any other ``Simulator.schedule``/``schedule_at``/
-        ``schedule_batch`` push.  Every push therefore lands in the queue
-        in the order the per-message path would have made it, and the
-        loss draws consume the stream in the same per-edge (or global)
-        order: the run is byte-identical, only cheaper.  Nothing recorded
-        outlives the scope, so checkpoints never see it.
+        ``schedule_batch`` push: a lossy channel first resolves all of
+        their loss draws in one
+        :attr:`~repro.distsim.transport.Transport.drops_many` call, in
+        record order; then all the survivors become *one* ``"message"``
+        entry at ``now + delay`` whose weight is their number and whose
+        action delivers the records in record order.  A heartbeat round
+        is thus one queue entry.
+
+        Every push therefore lands in the queue in the order the
+        per-message path would have made it, the per-message entries the
+        flush replaces would have sat next to each other in one bucket
+        with nothing between them, and the loss draws consume the stream
+        in the same per-edge order: the run is byte-identical, only
+        cheaper.  Only an event budget
+        (``Simulator.run_window(max_events=)``) sees the difference: it
+        never splits an entry, so it may now overrun by up to a flushed
+        entry's weight.  Nothing recorded outlives the scope, so
+        checkpoints never see it.
 
         On any other transport, or when a scope is already open, this is a
         no-op.
@@ -306,37 +328,49 @@ class Network:
                 self._deferred = None
 
     def _flush_deferred(self) -> None:
-        """Resolve and schedule every recorded send, in record order."""
-        pending = self._deferred
-        if not pending:
+        """Schedule every recorded send's survivors as one queue entry."""
+        records = self._deferred
+        if not records:
             return
         self._deferred = []
         transport = self.transport
-        lost = transport.drops_many(
-            [
-                (sender, target, message)
-                for sender, targets, message in pending
-                for target in targets
-            ]
-        )
-        delay = transport.deferred_latency()
-        deliver = self._deliver_batch
-        position = dropped = 0
-        for sender, targets, message in pending:
-            end = position + len(targets)
-            flags = lost[position:end]
-            position = end
-            if any(flags):
-                kept = [target for target, gone in zip(targets, flags) if not gone]
-                dropped += len(targets) - len(kept)
-                if not kept:
-                    continue
-                targets = kept
-            transport.send_batch(
-                sender, targets, message, partial(deliver, sender, message), delay
+        drops_many = transport.drops_many
+        if drops_many is None:
+            weight = sum([len(targets) for _, targets, _ in records])
+        else:
+            lost = drops_many(
+                [
+                    (sender, target, message)
+                    for sender, targets, message in records
+                    for target in targets
+                ]
             )
-        transport.messages_dropped += dropped
-        self.messages_dropped += dropped
+            kept_records = []
+            position = weight = 0
+            for sender, targets, message in records:
+                end = position + len(targets)
+                flags = lost[position:end]
+                position = end
+                if any(flags):
+                    targets = [target for target, gone in zip(targets, flags) if not gone]
+                    if not targets:
+                        continue
+                kept_records.append((sender, targets, message))
+                weight += len(targets)
+            dropped = position - weight
+            transport.messages_dropped += dropped
+            self.messages_dropped += dropped
+            if not weight:
+                return
+            records = kept_records
+        transport.messages_scheduled += weight
+        simulator = self.simulator
+        simulator.queue.push(
+            simulator.now + transport.deferred_latency(),
+            partial(self._deliver, records),
+            kind="message",
+            weight=weight,
+        )
 
     # ------------------------------------------------------------------ #
     # execution helpers

@@ -9,10 +9,10 @@ lockstep harness.  This module makes the delivery model a first-class,
 swappable object:
 
 * :class:`Transport` -- the base class.  It owns delivery scheduling on the
-  simulation clock (FIFO clamping per directed link, the delivery event
-  itself) and exposes three hooks -- :meth:`~Transport.latency`,
-  :meth:`~Transport.drops`, :meth:`~Transport.mutate` -- that concrete
-  transports override.
+  simulation clock (FIFO clamping per directed link on variable-delay
+  channels, the delivery event itself) and exposes three hooks --
+  :meth:`~Transport.latency`, :meth:`~Transport.drops`,
+  :meth:`~Transport.mutate` -- that concrete transports override.
 * :class:`ReliableTransport` -- delay zero or fixed (or a callable, the
   historical ``DelayFunction`` escape hatch).  The paper's error-free model.
 * :class:`LatencyTransport` -- per-edge deterministic jitter: every directed
@@ -56,7 +56,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace as dataclass_replace
-from functools import partial
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -228,85 +227,65 @@ class Transport:
 
         A transport may return a single non-negative delay when delivering
         ``message`` from ``sender`` to every destination (i) cannot drop,
-        (ii) cannot mutate, and (iii) costs the same delay on every link --
-        the network then routes the whole broadcast through one
-        :meth:`send_batch` call instead of one :meth:`send` per
-        destination.  The default ``None`` keeps the per-message path;
-        only :class:`ReliableTransport` (the differential suites' common
-        case) opts in.
+        (ii) cannot mutate, and (iii) costs the same delay on every link,
+        a delay that is constant for the whole run -- the network then
+        routes the whole broadcast through one :meth:`send_batch` call
+        instead of one :meth:`send` per destination.  The default ``None``
+        keeps the per-message path; only :class:`ReliableTransport` (the
+        differential suites' common case) opts in.
         """
         return None
 
     def deferred_latency(self) -> Optional[float]:
-        """The fixed delay of a channel whose loss draws may be deferred.
+        """The fixed delay of a channel whose sends may be deferred.
 
         A transport may return its delay when every message (i) costs that
-        same delay, (ii) is never mutated, and (iii) is lost or kept by
-        :meth:`drops_many` alone.  Inside a
+        same delay, constant for the whole run, (ii) is never mutated, and
+        (iii) is lost or kept by :attr:`drops_many` alone.  Inside a
         :meth:`~repro.distsim.network.Network.deferred_sends` scope the
-        network then records its sends and resolves them in one
-        ``drops_many(sends)`` call -- which a transport that opts in must
-        provide: :meth:`drops` for each ``(sender, destination, message)``
-        in order, with the same decisions and stream consumption -- and
-        schedules each broadcast's survivors through :meth:`send_batch`.
-        The default ``None`` keeps the per-message :meth:`send`; only
-        :class:`LossyTransport` opts in.
+        network then records its sends and schedules all of a flush's
+        survivors as one queue entry.  The default ``None`` keeps the
+        per-message :meth:`send`; :class:`ReliableTransport` and
+        :class:`LossyTransport` opt in.
         """
         return None
+
+    #: Bulk loss draws of a channel that opts into :meth:`deferred_latency`:
+    #: ``drops_many(sends)`` returns :meth:`drops` for each ``(sender,
+    #: destination, message)`` in order, with the same decisions and stream
+    #: consumption.  ``None`` on a channel that never loses a message, whose
+    #: flush then does no loss work at all.
+    drops_many: Optional[Callable[[Sequence[Tuple[Hashable, Hashable, Any]]], List[bool]]] = None
 
     def send_batch(
         self,
         sender: Hashable,
         destinations: Sequence[Hashable],
         message: Any,
-        deliver: Callable[[Sequence[Hashable]], None],
+        deliver: Callable[[], None],
         delay: float,
     ) -> None:
         """Schedule one message to many destinations as one queue entry.
 
         Only valid after :meth:`batch_latency` returned ``delay`` for this
-        broadcast (no drops, no mutation, uniform delay).  ``deliver`` is
-        called at delivery time with the destinations that entry serves,
-        in destination order; ``destinations`` must be a sequence, and the
-        transport may keep it.
+        broadcast (no drops, no mutation, a delay constant for the whole
+        run).  ``deliver`` is the entry's action: called once at delivery
+        time, it delivers to every destination in destination order.
 
-        When no link needs FIFO clamping -- the overwhelmingly common case
-        -- the whole broadcast is a single ``"message"`` entry at ``now +
-        delay`` whose weight is the number of destinations, so the event
-        counters see one event per message.  Running the recipients in one
-        loop is byte-identical to the per-message entries it replaces:
-        those sat next to each other in one bucket, nothing pushed later
-        can land between them, and message entries are never cancelled.
-        A link whose previous delivery lands later than ``now + delay``
-        keeps its own per-message entry at that later time, exactly as
-        :meth:`send` clamps it.
+        The broadcast is a single ``"message"`` entry at ``now + delay``
+        whose weight is the number of destinations, so the event counters
+        see one event per message.  Running the recipients in one loop is
+        byte-identical to the per-message entries it replaces: those sat
+        next to each other in one bucket, nothing pushed later can land
+        between them, and message entries are never cancelled.  No link
+        needs FIFO clamping: the clock never runs backwards, so on a
+        constant-delay channel ``now + delay`` never decreases and no
+        earlier delivery on any link lands later than this one.
         """
         simulator = self.simulator
-        base = simulator.now + delay
-        last = self._last_delivery
-        late = None
-        for destination in destinations:
-            link = (sender, destination)
-            previous = last.get(link)
-            if previous is not None and previous > base:
-                if late is None:
-                    late = {}
-                late[destination] = previous
-            else:
-                last[link] = base
-        self.messages_scheduled += len(destinations)
-        queue = simulator.queue
-        on_time = destinations
-        if late is not None:
-            on_time = [d for d in destinations if d not in late]
-        if on_time:
-            queue.push(base, partial(deliver, on_time), kind="message", weight=len(on_time))
-        if late is not None:
-            # Rare: some link's previous delivery lands later than this batch.
-            queue.push_many(
-                [(late[d], partial(deliver, (d,))) for d in destinations if d in late],
-                kind="message",
-            )
+        count = len(destinations)
+        self.messages_scheduled += count
+        simulator.queue.push(simulator.now + delay, deliver, kind="message", weight=count)
 
 
 class ReliableTransport(Transport):
@@ -335,10 +314,14 @@ class ReliableTransport(Transport):
     def batch_latency(
         self, sender: Hashable, destinations: Any, message: Any
     ) -> Optional[float]:
-        # The fixed-delay reliable channel satisfies the batch contract
-        # (never drops, never mutates, uniform delay).  The ``type`` check
-        # keeps subclasses that override any hook off the fast path unless
-        # they opt in themselves; a callable delay may vary per link.
+        return self.deferred_latency()
+
+    def deferred_latency(self) -> Optional[float]:
+        # The fixed-delay reliable channel satisfies both contracts: it
+        # never drops (so it has no ``drops_many``), never mutates, and has
+        # one constant delay.  The ``type`` check keeps subclasses that
+        # override any hook off the fast paths unless they opt in
+        # themselves; a callable delay may vary per link.
         if type(self) is ReliableTransport and not callable(self.delay):
             return self.delay
         return None

@@ -784,9 +784,10 @@ class Fleet:
 
         The send phase runs in a
         :meth:`~repro.distsim.network.Network.deferred_sends` scope: on a
-        lossy channel the round's loss draws are resolved together when it
-        ends, and each broadcast's survivors become one queue entry --
-        the same deliveries, counters and hashes as per-message sends.
+        fixed-delay channel (reliable or lossy) the round's surviving
+        sends become one queue entry when it ends, a lossy channel
+        resolving their loss draws together first -- the same deliveries,
+        counters and hashes as per-message sends.
         """
         self._heartbeat_round += 1
         self.stats.heartbeat_rounds += 1

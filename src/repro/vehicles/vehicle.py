@@ -215,6 +215,8 @@ class VehicleProcess(Process):
 
         # Gossip failure detection (``monitoring == "gossip"`` only; see
         # :mod:`repro.vehicles.gossip`).
+        #: Whether the fleet monitors by gossip (fixed for the fleet's life).
+        self._gossip = fleet.config.monitoring == "gossip"
         #: Per-vehicle draw counter keying deterministic peer selection.
         self._gossip_counter = 0
         #: Silence reports by pair: ``{pair_key: {reporter: report_round}}``.
@@ -457,8 +459,14 @@ class VehicleProcess(Process):
 
     def on_message(self, sender: Hashable, message: Any) -> None:
         if type(message) is ExistingMessage:
-            # The heartbeat: nearly all of a monitored run's traffic.
-            self._on_existing(message)
+            # The heartbeat: nearly all of a monitored run's traffic, so it
+            # is handled here, in the one call every delivery makes.
+            if self._gossip:
+                # Gossip mode routes freshness through the helper that also
+                # retires silence reports and pending suspicions.
+                self._gossip_note_heard(((message.pair_key, message.round_id),))
+            elif message.round_id > self.last_heard.get(message.pair_key, -1):
+                self._set_heard(message.pair_key, message.round_id)
         elif isinstance(message, QueryMessage):
             self._on_query(sender, message)
         elif isinstance(message, ReplyMessage):
@@ -856,14 +864,6 @@ class VehicleProcess(Process):
         self.fleet.record_watch_initiation(self.identity, pair_key)
         self._set_heard(pair_key, round_id)
         self.start_replacement_search(destination=pair_key, pair_key=pair_key)
-
-    def _on_existing(self, message: ExistingMessage) -> None:
-        if self.fleet.config.monitoring == "gossip":
-            # Gossip mode routes freshness through the helper that also
-            # retires silence reports and pending suspicions.
-            self._gossip_note_heard(((message.pair_key, message.round_id),))
-        elif message.round_id > self.last_heard.get(message.pair_key, -1):
-            self._set_heard(message.pair_key, message.round_id)
 
     def _on_activation_notice(self, message: ActivationNotice) -> None:
         # A fresh activation counts as having just heard from that pair.

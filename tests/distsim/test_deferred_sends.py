@@ -1,16 +1,19 @@
-"""Deferred loss resolution: ``Network.deferred_sends`` on a lossy channel.
+"""Deferred sends: ``Network.deferred_sends`` on a fixed-delay channel.
 
-Inside the scope, a lossy transport's sends are recorded and resolved in
-one ``drops_many`` call when the scope flushes; each broadcast's survivors
-become one queue entry.  The contract is byte-identity with the
-per-message path: the same deliveries in the same order, the same
-counters, and the same stream state (the per-edge counters).
+Inside the scope, the sends of a reliable or lossy fixed-delay transport
+are recorded; when the scope flushes, a lossy channel resolves them in
+one ``drops_many`` call, and all the survivors become one weighted queue
+entry.  The contract is byte-identity with the per-message path: the same
+deliveries in the same order, the same counters, and the same stream state
+(the per-edge counters).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.distsim.transport as transport_module
 from repro.api.service import ServiceConfig
@@ -163,14 +166,54 @@ class TestDeferredEqualsPerMessage:
         assert deferred["plan"] == (2, 0)  # the crashed sender's two sends
         assert deferred["network"][0] == 4
 
-    def test_each_broadcast_is_one_queue_entry(self):
-        net, _, _ = _network(LossyTransport(loss=0.0, delay=0.1, seed=1))
+    @pytest.mark.parametrize(
+        "transport",
+        [ReliableTransport(0.1), LossyTransport(loss=0.0, delay=0.1, seed=1)],
+        ids=["reliable", "lossless-lossy"],
+    )
+    def test_each_flush_is_one_queue_entry(self, transport):
+        net, _, _ = _network(transport)
         with net.deferred_sends():
             net.send_many((0, 0), IDS[1:], "a")
             net.send_many((1, 1), IDS[:4], "b")
+            net.send((2, 2), (0, 0), "c")
         queue = net.simulator.queue
-        assert [len(bucket) for bucket in queue._buckets.values()] == [2]
-        assert len(queue) == 8 + 4
+        assert [len(bucket) for bucket in queue._buckets.values()] == [1]
+        (entry,) = queue._buckets[0.1]
+        assert entry.kind == "message"
+        assert entry.weight == len(queue) == 8 + 4 + 1
+        assert net.transport.messages_scheduled == 13
+
+    def test_flushed_entry_weighs_the_survivors(self):
+        net, _, log = _network(LossyTransport(loss=0.5, delay=0.1, seed=1))
+        with net.deferred_sends():
+            net.send_many((0, 0), IDS[1:], "a")
+            net.send_many((1, 1), IDS[:4], "b")
+        (entry,) = net.simulator.queue._buckets[0.1]
+        lost = net.transport.messages_dropped
+        assert 0 < lost < 12
+        assert entry.weight == 12 - lost == net.transport.messages_scheduled
+        assert net.run_until_quiescent() == entry.weight == len(log)
+
+    def test_a_fully_lost_flush_pushes_nothing(self):
+        net, _, _ = _network(LossyTransport(loss=1.0, delay=0.1, seed=1))
+        with net.deferred_sends():
+            net.send_many((0, 0), IDS[1:], "a")
+        assert not net.simulator.queue._buckets
+        assert net.messages_dropped == net.transport.messages_dropped == 8
+        assert net.simulator.stats.scheduled == 0
+
+    def test_a_reliable_flush_does_no_loss_work(self, monkeypatch):
+        def no_loss_work(*args):
+            raise AssertionError("loss work on a lossless channel")
+
+        monkeypatch.setattr(ReliableTransport, "drops", no_loss_work)
+        net, _, log = _network(ReliableTransport(0.1))
+        assert net.transport.drops_many is None
+        with net.deferred_sends():
+            net.send_many((0, 0), IDS[1:], "a")
+            net.send((1, 1), (0, 0), "b")
+        assert net.run_until_quiescent() == len(log) == 9
 
     def test_failure_plan_is_not_asked_per_destination(self, monkeypatch):
         calls = []
@@ -277,13 +320,32 @@ class TestScopeLifecycle:
 
     @pytest.mark.parametrize(
         "transport",
+        [ReliableTransport(0.1), ReliableTransport(0.0), LossyTransport(loss=0.3)],
+        ids=["reliable", "reliable-zero-delay", "lossy"],
+    )
+    def test_fixed_delay_transports_open_the_scope(self, transport):
+        net, _, _ = _network(transport)
+        with net.deferred_sends():
+            assert net._deferred == []
+            assert net.simulator.before_push is not None
+        assert net._deferred is None
+
+    @pytest.mark.parametrize(
+        "transport",
         [
-            ReliableTransport(0.1),
+            ReliableTransport(lambda s, d, m: 0.1),
+            type("SubclassedReliable", (ReliableTransport,), {})(0.1),
             CorruptingTransport(rate=0.5, delay=0.1),
             RetransmitTransport(inner={"kind": "lossy", "params": {"loss": 0.3}}),
             type("Subclassed", (LossyTransport,), {})(loss=0.3),
         ],
-        ids=["reliable", "corrupting", "retransmit", "lossy-subclass"],
+        ids=[
+            "reliable-callable",
+            "reliable-subclass",
+            "corrupting",
+            "retransmit",
+            "lossy-subclass",
+        ],
     )
     def test_other_transports_keep_the_per_message_path(self, transport):
         net, _, _ = _network(transport)
@@ -292,7 +354,190 @@ class TestScopeLifecycle:
             assert net.simulator.before_push is None
 
 
+def _channel(kind, delay, *, per_message):
+    """A fixed-delay channel, or its per-message twin.
+
+    The twin is an unmodified subclass: it draws, delays and delivers
+    exactly as the channel does, but the exact-type checks of
+    ``batch_latency``/``deferred_latency`` keep it on per-message ``send``.
+    """
+    cls = ReliableTransport if kind == "reliable" else LossyTransport
+    if per_message:
+        cls = type("PerMessage" + cls.__name__, (cls,), {})
+    if kind == "reliable":
+        return cls(delay)
+    return cls(loss=0.3, delay=delay, seed=7)
+
+
+_NODE = st.integers(0, len(IDS) - 1)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("one"), _NODE, _NODE),
+        st.tuples(st.just("many"), _NODE, st.lists(_NODE, max_size=6)),
+        st.tuples(st.just("timer"), _NODE, st.sampled_from([0.0, 0.05, 0.1, 0.2])),
+        st.tuples(st.just("crash"), _NODE),
+    ),
+    max_size=8,
+)
+#: Segments of operations, each run inside or outside a deferred-send
+#: scope and followed by an optional partial drain of the queue.
+_SEGMENTS = st.lists(
+    st.tuples(st.booleans(), _OPS, st.sampled_from([None, 0.0, 0.05, 0.1, 0.3])),
+    max_size=6,
+)
+
+
+def _interleaving(transport, segments):
+    """Run ``segments`` over ``transport``; returns the observable state."""
+    net, procs, log = _network(transport)
+    tags = iter(range(10**6))
+    sent = []  # (sender, destination, tag) in send order
+
+    def fire(proc):
+        def callback():
+            log.append(("timer", net.simulator.now, proc.identity))
+            tag = next(tags)
+            destination = IDS[(IDS.index(proc.identity) + 1) % len(IDS)]
+            sent.append((proc.identity, destination, tag))
+            proc.send(destination, tag)
+
+        return callback
+
+    def apply(ops):
+        for op in ops:
+            if op[0] == "one":
+                tag = next(tags)
+                sent.append((IDS[op[1]], IDS[op[2]], tag))
+                net.send(IDS[op[1]], IDS[op[2]], tag)
+            elif op[0] == "many":
+                tag = next(tags)
+                sent.extend((IDS[op[1]], IDS[d], tag) for d in op[2])
+                net.send_many(IDS[op[1]], [IDS[d] for d in op[2]], tag)
+            elif op[0] == "timer":
+                procs[op[1]].set_timer(op[2], fire(procs[op[1]]))
+            else:
+                net.failure_plan.crash(IDS[op[1]])
+
+    for inside, ops, drain in segments:
+        if inside:
+            with net.deferred_sends():
+                apply(ops)
+        else:
+            apply(ops)
+        if drain is not None:
+            net.simulator.run(until=net.simulator.now + drain)
+    net.run_until_quiescent()
+    state = _state_of(net, log)
+    state["sent"] = sent
+    return state
+
+
+def _state_of(net, log):
+    state = {
+        "log": list(log),
+        "network": (net.messages_sent, net.messages_delivered, net.messages_dropped),
+        "transport": (net.transport.messages_scheduled, net.transport.messages_dropped),
+        "events": (net.simulator.stats.executed, net.simulator.stats.scheduled),
+    }
+    if isinstance(net.transport, LossyTransport):
+        state["edge_counts"] = dict(net.transport._edge_counts)
+    return state
+
+
+class TestDeferredEqualsPerMessageProperty:
+    @pytest.mark.parametrize("delay", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["reliable", "lossy"])
+    @settings(max_examples=60, deadline=None)
+    @given(segments=_SEGMENTS)
+    def test_any_interleaving(self, kind, delay, segments):
+        deferred = _interleaving(_channel(kind, delay, per_message=False), segments)
+        per_message = _interleaving(_channel(kind, delay, per_message=True), segments)
+        assert deferred == per_message
+        # Per-link FIFO: each link delivers its messages in send order.
+        order = {(s, d, tag): n for n, (s, d, tag) in enumerate(deferred["sent"])}
+        by_link = {}
+        for entry in deferred["log"]:
+            if entry[0] != "timer":
+                _, sender, destination, tag = entry
+                by_link.setdefault((sender, destination), []).append(
+                    order[(sender, destination, tag)]
+                )
+        assert all(seen == sorted(seen) for seen in by_link.values())
+
+
+def _rounds(transport, *, budget=None, rounds=4):
+    """Heartbeat-like rounds: every node broadcasts to the rest, deferred.
+
+    Each round is drained before the next; with a ``budget``, each drain
+    first stops at that many events and then finishes.
+    """
+    net, procs, log = _network(transport)
+    for round_id in range(rounds):
+        with net.deferred_sends():
+            for sender in IDS:
+                net.send_many(sender, [p for p in IDS if p != sender], (round_id, sender))
+            procs[round_id].set_timer(0.05, lambda: log.append(("timer",)))
+        until = net.simulator.now + 0.3
+        if budget is not None:
+            net.simulator.run(until=until, max_events=budget)
+        net.simulator.run(until=until)
+    return net, log
+
+
+def _queued_rounds(transport, rounds=3):
+    """Three rounds queued back to back at one time, a tick after each."""
+    net, _, log = _network(transport)
+    for round_id in range(rounds):
+        with net.deferred_sends():
+            for sender in IDS:
+                net.send_many(sender, [p for p in IDS if p != sender], (round_id, sender))
+        net.simulator.schedule(0.1, lambda: log.append(("tick",)))
+    return net, log
+
+
+class TestEventBudget:
+    """``run(max_events=k)`` never splits a flushed entry; resuming is exact."""
+
+    @pytest.mark.parametrize("kind", ["reliable", "lossy"])
+    @pytest.mark.parametrize("budget", [0, 1, 7, 30, 71, 72, 73, 150, 10**6])
+    def test_run_then_run_gives_the_same_log(self, kind, budget):
+        whole, whole_log = _queued_rounds(_channel(kind, 0.1, per_message=False))
+        total = whole.simulator.run()
+        split, split_log = _queued_rounds(_channel(kind, 0.1, per_message=False))
+        weights = [e.weight for e in split.simulator.queue if e.kind == "message"]
+        assert len(weights) == 3 and sum(weights) + 3 == total
+        first = split.simulator.run(max_events=budget)
+        # A round's entry runs whole or not at all: the budget is met
+        # (or the queue drained) and overrun by less than one entry.
+        assert min(budget, total) <= first < budget + max(weights)
+        assert split.simulator.run() == total - first
+        assert split_log == whole_log
+        assert split.simulator.stats.executed == whole.simulator.stats.executed
+
+    @pytest.mark.parametrize("kind", ["reliable", "lossy"])
+    @pytest.mark.parametrize("budget", [0, 1, 13, 72, 100])
+    def test_budgeted_drains_give_the_same_log(self, kind, budget):
+        whole, whole_log = _rounds(_channel(kind, 0.1, per_message=False))
+        split, split_log = _rounds(_channel(kind, 0.1, per_message=False), budget=budget)
+        assert split_log == whole_log
+        assert _state_of(split, split_log) == _state_of(whole, whole_log)
+
+
 LOSSY_EDGE = TransportSpec("lossy", {"loss": 0.1, "delay": 0.02, "seed": 3, "stream": "edge"})
+RELIABLE = TransportSpec("reliable", {"delay": 0.02})
+
+_RUN_FIELDS = (
+    "jobs_served",
+    "max_vehicle_energy",
+    "vehicle_energies",
+    "replacements",
+    "searches",
+    "messages",
+    "messages_dropped",
+    "heartbeat_rounds",
+    "events_processed",
+    "sim_time",
+)
 
 
 def _count_vector_draws(monkeypatch):
@@ -307,68 +552,106 @@ def _count_vector_draws(monkeypatch):
     return calls
 
 
+def _count_flushed_records(monkeypatch):
+    """Record how many sends each non-empty deferred-scope flush carries."""
+    flushed = []
+    original = Network._flush_deferred
+
+    def counting(self):
+        if self._deferred:
+            flushed.append(len(self._deferred))
+        original(self)
+
+    monkeypatch.setattr(Network, "_flush_deferred", counting)
+    return flushed
+
+
+def _online_run_with_crashes(monitoring, transport):
+    demand = build_family_demand("scale-up", {"side": 9, "per_point": 1})
+    jobs = random_arrivals(demand, np.random.default_rng(0))
+    return run_online(
+        jobs,
+        omega=3.0,
+        capacity="theorem",
+        config=FleetConfig(monitoring=monitoring),
+        recovery_rounds=2,
+        dead_vehicles=[(0, 0), (0, 1), (4, 4)],
+        transport=transport,
+    )
+
+
+def _service_config(transport):
+    demand = build_family_demand("scale-up", {"side": 9, "per_point": 1})
+    jobs = list(random_arrivals(demand, np.random.default_rng(1)).jobs)
+    config = ServiceConfig.from_demand(
+        demand,
+        omega=3.0,
+        fleet=FleetConfig(monitoring="ring"),
+        recovery_rounds=2,
+        churn=(ChurnSpec(time=10.5, vertex=(4, 4), action="leave"),),
+        transport=transport,
+        window_jobs=20,
+        checkpoint_every=1,
+    )
+    return config, jobs
+
+
+def _resumed_from_mid_run(config, jobs, tmp_path):
+    snapshot = tmp_path / "snap.json"
+    partial = run_service(config, jobs, checkpoint_path=str(snapshot), stop_after_checkpoints=2)
+    resumed = resume_service(str(snapshot), jobs)
+    return partial, resumed
+
+
 class TestRunsAreUnchanged:
     """Whole runs with the deferral equal runs forced onto the per-message path."""
 
     @pytest.mark.parametrize("monitoring", ["ring", "gossip"])
     def test_online_run_with_crashes(self, monitoring, monkeypatch):
-        demand = build_family_demand("scale-up", {"side": 9, "per_point": 1})
-        jobs = random_arrivals(demand, np.random.default_rng(0))
-
-        def run():
-            return run_online(
-                jobs,
-                omega=3.0,
-                capacity="theorem",
-                config=FleetConfig(monitoring=monitoring),
-                recovery_rounds=2,
-                dead_vehicles=[(0, 0), (0, 1), (4, 4)],
-                transport=LOSSY_EDGE,
-            )
-
         calls = _count_vector_draws(monkeypatch)
-        deferred = run()
+        deferred = _online_run_with_crashes(monitoring, LOSSY_EDGE)
         assert calls and max(calls) >= _VECTOR_MIN_DRAWS  # the vectorized path ran
         monkeypatch.setattr(LossyTransport, "deferred_latency", lambda self: None)
-        per_message = run()
+        per_message = _online_run_with_crashes(monitoring, LOSSY_EDGE)
         assert deferred.messages_dropped > 0
         assert deferred.replacements > 0
-        for name in (
-            "jobs_served",
-            "max_vehicle_energy",
-            "vehicle_energies",
-            "replacements",
-            "searches",
-            "messages",
-            "messages_dropped",
-            "heartbeat_rounds",
-            "events_processed",
-            "sim_time",
-        ):
+        for name in _RUN_FIELDS:
+            assert getattr(deferred, name) == getattr(per_message, name), name
+
+    @pytest.mark.parametrize("monitoring", ["ring", "gossip"])
+    def test_reliable_online_run_with_crashes(self, monitoring, monkeypatch):
+        flushed = _count_flushed_records(monkeypatch)
+        deferred = _online_run_with_crashes(monitoring, RELIABLE)
+        assert flushed and max(flushed) > 1  # whole rounds became one entry
+        # Off the deferred path, and off the batched one too: every
+        # message is its own ``Transport.send``.
+        monkeypatch.setattr(ReliableTransport, "deferred_latency", lambda self: None)
+        per_message = _online_run_with_crashes(monitoring, RELIABLE)
+        assert deferred.replacements > 0
+        for name in _RUN_FIELDS:
             assert getattr(deferred, name) == getattr(per_message, name), name
 
     def test_checkpoint_mid_run_resumes_to_the_same_hash(self, tmp_path, monkeypatch):
-        demand = build_family_demand("scale-up", {"side": 9, "per_point": 1})
-        jobs = list(random_arrivals(demand, np.random.default_rng(1)).jobs)
-        config = ServiceConfig.from_demand(
-            demand,
-            omega=3.0,
-            fleet=FleetConfig(monitoring="ring"),
-            recovery_rounds=2,
-            churn=(ChurnSpec(time=10.5, vertex=(4, 4), action="leave"),),
-            transport=LOSSY_EDGE,
-            window_jobs=20,
-            checkpoint_every=1,
-        )
+        config, jobs = _service_config(LOSSY_EDGE)
         calls = _count_vector_draws(monkeypatch)
         full = run_service(config, jobs)
         assert calls
-        snapshot = tmp_path / "snap.json"
-        partial = run_service(
-            config, jobs, checkpoint_path=str(snapshot), stop_after_checkpoints=2
-        )
+        partial, resumed = _resumed_from_mid_run(config, jobs, tmp_path)
         assert partial.interrupted and partial.jobs_total < full.jobs_total
-        resumed = resume_service(str(snapshot), jobs)
         assert resumed.result_hash() == full.result_hash()
         assert resumed.fleet_digest == full.fleet_digest
         assert full.messages_dropped > 0
+
+    def test_reliable_checkpoint_mid_run_resumes_to_the_same_hash(self, tmp_path, monkeypatch):
+        config, jobs = _service_config(RELIABLE)
+        flushed = _count_flushed_records(monkeypatch)
+        full = run_service(config, jobs)
+        assert flushed and max(flushed) > 1
+        partial, resumed = _resumed_from_mid_run(config, jobs, tmp_path)
+        assert partial.interrupted and partial.jobs_total < full.jobs_total
+        assert resumed.result_hash() == full.result_hash()
+        assert resumed.fleet_digest == full.fleet_digest
+        monkeypatch.setattr(ReliableTransport, "deferred_latency", lambda self: None)
+        per_message = run_service(config, jobs)
+        assert per_message.result_hash() == full.result_hash()
+        assert per_message.fleet_digest == full.fleet_digest

@@ -16,6 +16,7 @@ from repro.distsim.failures import FailurePlan, PartitionSpec
 from repro.distsim.network import Network, UnknownDestination
 from repro.distsim.process import Process
 from repro.distsim.transport import (
+    LatencyTransport,
     LossyTransport,
     RandomJitterTransport,
     ReliableTransport,
@@ -82,27 +83,44 @@ class TestReliableFastPath:
         transport = ReliableTransport(lambda s, d, m: 0.5)
         assert transport.batch_latency("a", ["b"], "m") is None
 
-    def test_send_batch_clamps_late_links(self):
-        # A link whose previous delivery lands *later* than the batch's
-        # nominal time must keep per-link FIFO order: the batch's message
-        # on that link is pushed out to the previous delivery time while
-        # the other links keep the nominal time.
+    def test_send_clamps_late_links(self):
+        # The FIFO clamp lives in ``Transport.send``, for variable-delay
+        # channels: a link whose previous delivery lands *later* than a
+        # new message's nominal time pushes that message out to the
+        # previous delivery time, while the other links keep theirs.
         sim = Simulator()
-        transport = ReliableTransport(0.2).bind(sim)
+        transport = LatencyTransport(delay=0.2, jitter=0.0).bind(sim)
         log = []
         transport.send("a", "b", "slow", lambda m: log.append(("b", m)))
         transport._last_delivery[("a", "b")] = 1.0  # as if a 1.0-delay send
-        transport.send_batch(
-            "a",
-            ["b", "c"],
-            "fast",
-            lambda targets: log.extend((dest, "fast") for dest in targets),
-            0.2,
-        )
+        for destination in ("b", "c"):
+            transport.send("a", destination, "fast", lambda m, d=destination: log.append((d, m)))
         sim.run()
         assert log == [("b", "slow"), ("c", "fast"), ("b", "fast")]
         assert transport._last_delivery[("a", "b")] == 1.0
         assert transport._last_delivery[("a", "c")] == 0.2
+
+    def test_send_batch_is_one_entry_without_link_state(self):
+        # ``send_batch`` runs only on constant-delay channels, where
+        # ``now + delay`` never decreases: no link needs a clamp, so the
+        # broadcast is one weighted entry and no per-link state is kept.
+        sim = Simulator()
+        transport = ReliableTransport(0.2).bind(sim)
+        log = []
+        transport.send("a", "b", "first", lambda m: log.append(("b", m)))
+        transport.send_batch(
+            "a",
+            ["b", "c"],
+            "second",
+            lambda: log.extend([("b", "second"), ("c", "second")]),
+            0.2,
+        )
+        assert [len(bucket) for bucket in sim.queue._buckets.values()] == [2]
+        assert sim.queue._buckets[0.2][1].weight == 2
+        assert transport._last_delivery == {("a", "b"): 0.2}
+        assert sim.run() == 3
+        assert log == [("b", "first"), ("b", "second"), ("c", "second")]
+        assert transport.messages_scheduled == 3
 
     def test_crashed_destination_dropped(self):
         plan = FailurePlan()
