@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,11 +160,7 @@ class Network:
             return
 
         def _deliver(delivered: Any) -> None:
-            if self.failure_plan.is_crashed(destination):
-                self.messages_dropped += 1
-                return
-            self.messages_delivered += 1
-            self._processes[destination].deliver(sender, delivered)
+            self._deliver(((sender, (destination,), delivered),))
 
         if not self.transport.send(sender, destination, message, _deliver):
             self.messages_dropped += 1
@@ -186,19 +182,23 @@ class Network:
         must be consumed in per-message send order -- it falls back to
         :meth:`send`, byte-identically.
 
-        On the batched and deferred paths the failure plan is asked per
-        destination (``should_drop``, then ``is_crashed``) only when this
-        broadcast could be dropped: drop predicates exist, the sender is
-        crashed, or a partition window is active at ``plan.clock``.
-        Otherwise a destination costs one crashed-set membership test,
-        inside a shard worker too: a destination another shard owns was
-        never registered there, so it raises :class:`UnknownDestination`
-        like any other.  Either way the counters --
+        On the batched and deferred paths ``destinations`` is read once,
+        into a list.  A broadcast nothing can drop -- no drop predicates,
+        a live sender, no partition window active at ``plan.clock``, no
+        crashed destination (one ``isdisjoint`` with the crashed set) --
+        is accepted whole by set operations: one registration test per
+        destination in C, no Python loop.  Inside a shard worker that
+        includes a destination another shard owns: it was never
+        registered there, so it raises :class:`UnknownDestination` like
+        any other.  Any other broadcast walks its destinations, asking the
+        failure plan about each (``should_drop``, then ``is_crashed``)
+        only when the broadcast could be dropped, and otherwise dropping
+        just the crashed ones.  Either way the counters --
         ``messages_sent``/``messages_dropped`` here, ``dropped_count`` and
         ``partition_dropped_count`` on the plan -- are those of the
-        per-message loop.  At delivery, each recipient crashed since the
-        send is dropped; the rest get :meth:`Process.deliver` in
-        destination order.
+        per-message loop, and an unknown destination leaves the accepted
+        prefix scheduled (or recorded) before it raises, as that loop
+        does.  Delivery is :meth:`_deliver`.
         """
         transport = self.transport
         deferred = self._deferred
@@ -212,6 +212,9 @@ class Network:
         plan = self.failure_plan
         processes = self._processes
         crashed = plan.crashed
+        # A private copy: the record outlives this call, and the caller
+        # may reuse its list.
+        targets = list(destinations)
         checked = (
             bool(plan.drop_predicates)
             or sender in crashed
@@ -223,23 +226,31 @@ class Network:
         survivors = []
         sent = dropped = 0
         try:
-            for destination in destinations:
-                if destination not in processes:
-                    raise UnknownDestination(destination)
-                sent += 1
-                if checked:
-                    if plan.should_drop(sender, destination, message) or plan.is_crashed(
-                        destination
-                    ):
-                        # Dropped by the plan, or addressed to a crashed
-                        # process (the sender is not told) -- exactly
-                        # `send`'s two cases.
+            if (
+                not checked
+                and (not crashed or crashed.isdisjoint(targets))
+                and all(map(processes.__contains__, targets))
+            ):
+                survivors = targets
+                sent = len(targets)
+            else:
+                for destination in targets:
+                    if destination not in processes:
+                        raise UnknownDestination(destination)
+                    sent += 1
+                    if checked:
+                        if plan.should_drop(sender, destination, message) or plan.is_crashed(
+                            destination
+                        ):
+                            # Dropped by the plan, or addressed to a crashed
+                            # process (the sender is not told) -- exactly
+                            # `send`'s two cases.
+                            dropped += 1
+                            continue
+                    elif destination in crashed:
                         dropped += 1
                         continue
-                elif destination in crashed:
-                    dropped += 1
-                    continue
-                survivors.append(destination)
+                    survivors.append(destination)
         finally:
             self.messages_sent += sent
             self.messages_dropped += dropped
@@ -253,25 +264,82 @@ class Network:
                     deliver = partial(self._deliver, ((sender, survivors, message),))
                     transport.send_batch(sender, survivors, message, deliver, delay)
 
-    def _deliver(self, records: Iterable[Tuple[Hashable, List[Hashable], Any]]) -> None:
+    def _deliver(self, records: Iterable[Tuple[Hashable, Sequence[Hashable], Any]]) -> None:
         """Deliver one queue entry's ``(sender, targets, message)`` records.
 
-        Records run in order, each record's targets in order; a recipient
-        crashed since the send is dropped.  Every other one gets
-        :meth:`Process.deliver`, so message logs and handler dispatch are
-        those of the per-message path.
+        The one delivery loop: a flushed :meth:`deferred_sends` entry, a
+        batched broadcast and a single :meth:`send` (a one-record,
+        one-target batch) all run here.  Records run in order, each
+        record's targets in order.  A target crashed since the send is
+        dropped; the crashed set is read once per record (crashes happen
+        between queue entries, never inside a handler), and filtered only
+        when it meets the targets.  ``messages_delivered`` and
+        ``messages_dropped`` move once per record.  Every other target's
+        process gets ``on_message(sender, message)``, looked up on the
+        instance at call time (so a method patched onto the class sees
+        every delivery), after the message is appended to its
+        ``message_log`` when its ``log_messages`` is set.
+
+        A raising handler ends the entry there, as it ends a per-message
+        run: the deliveries it left unreached are taken back out of the
+        counters and of ``stats.executed`` (which counted the entry's
+        whole weight before it ran), so both read as the per-message
+        path's at the raise.
         """
         # Read crash state through the plan: a checkpoint restore rebinds
         # ``plan.crashed``.
         crashed = self.failure_plan.crashed
         processes = self._processes
-        for sender, targets, message in records:
-            for destination in targets:
-                if destination in crashed:
-                    self.messages_dropped += 1
-                    continue
-                self.messages_delivered += 1
-                processes[destination].deliver(sender, message)
+        records = iter(records)
+        targets: Sequence[Hashable] = ()
+        live: Sequence[Hashable] = ()
+        pending: Iterator[Hashable] = iter(())
+        try:
+            for sender, targets, message in records:
+                live = targets
+                if crashed and not crashed.isdisjoint(targets):
+                    live = [target for target in targets if target not in crashed]
+                    self.messages_dropped += len(targets) - len(live)
+                self.messages_delivered += len(live)
+                pending = iter(live)
+                for destination in pending:
+                    process = processes[destination]
+                    if process.log_messages:
+                        process.message_log.append((sender, message))
+                    process.on_message(sender, message)
+        except BaseException:
+            self._unreach(targets, live, len(list(pending)), records)
+            raise
+
+    def _unreach(
+        self,
+        targets: Sequence[Hashable],
+        live: Sequence[Hashable],
+        rest: int,
+        records: Iterator[Tuple[Hashable, Sequence[Hashable], Any]],
+    ) -> None:
+        """Take back the accounting of the deliveries a raise left unreached.
+
+        ``live`` are the record's uncrashed ``targets`` in order, ``rest``
+        of them after the raising one; ``records`` are the entry's later
+        records.
+        """
+        reached = len(live) - rest
+        position = reached - 1  # of the raising delivery, within ``targets``
+        if live is not targets and reached:
+            # ``live`` is the subsequence of uncrashed targets; equal
+            # identities share a crash state, so a greedy match finds it.
+            seen = 0
+            for position, target in enumerate(targets):
+                if target == live[seen]:
+                    seen += 1
+                    if seen == reached:
+                        break
+        self.messages_delivered -= rest
+        self.messages_dropped -= (len(targets) - len(live)) - (position + 1 - reached)
+        self.simulator.stats.executed -= (len(targets) - position - 1) + sum(
+            [len(later) for _, later, _ in records]
+        )
 
     # ------------------------------------------------------------------ #
     # deferred sends

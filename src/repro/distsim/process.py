@@ -1,7 +1,7 @@
 """The process abstraction for message-passing protocols.
 
 A :class:`Process` has an identity, an unbounded input buffer (the thesis
-assumes unbounded buffers for ease of exposition), and a ``on_message``
+assumes unbounded buffers for ease of exposition), and an ``on_message``
 handler invoked by the network when a buffered message is consumed.
 Processes send messages through the network they are registered with; they
 never share memory.
@@ -23,10 +23,14 @@ class Process:
 
     Subclasses override :meth:`on_message` (required) and optionally
     :meth:`on_start`, which the network calls once when the simulation is
-    kicked off.
+    kicked off.  The network delivers every message with one call,
+    ``process.on_message(sender, message)``, looked up on the instance at
+    delivery time (see :meth:`~repro.distsim.network.Network._deliver`);
+    there is no intermediate per-process hook.
     """
 
-    #: Whether :meth:`deliver` appends to :attr:`message_log`.  On by
+    #: Whether the network appends each delivery's ``(sender, message)``
+    #: to :attr:`message_log` before calling :meth:`on_message`.  On by
     #: default (tests and debugging rely on the log).  Protocol processes
     #: that receive unbounded traffic turn it off for the whole class
     #: (:class:`~repro.vehicles.vehicle.VehicleProcess` does), so memory
@@ -77,12 +81,6 @@ class Process:
         :meth:`~repro.distsim.network.Network.send_many`).
         """
         self.network.send_many(self.identity, destinations, message)
-
-    def deliver(self, sender: Hashable, message: Any) -> None:
-        """Entry point used by the network; records and dispatches the message."""
-        if self.log_messages:
-            self.message_log.append((sender, message))
-        self.on_message(sender, message)
 
     # ------------------------------------------------------------------ #
     # timers

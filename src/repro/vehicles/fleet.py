@@ -838,7 +838,9 @@ class Fleet:
         pair) take the full per-object ``heartbeat`` path, which re-checks
         everything against authoritative state.  The rest emit exactly the
         broadcast the full path would have sent -- same message, same
-        sequence position -- and nothing else.
+        sequence position -- and nothing else, handed straight to
+        :meth:`~repro.distsim.network.Network.send_many` (one network
+        call per broadcast).
         """
         flat = self.flat
         heard = flat.watch_heard_view()[senders]
@@ -852,15 +854,16 @@ class Fleet:
         if not live.all():
             senders = senders[live]
             flagged = flagged[live]
-        for position, index in enumerate(senders.tolist()):
+        send_many = self.network.send_many
+        for index, flag in zip(senders.tolist(), flagged.tolist()):
             vehicle = by_index[index]
-            if flagged[position]:
+            if flag:
                 vehicle.heartbeat(round_id, miss)
-            elif vehicle.cube_peers:
-                vehicle.send_many(
-                    vehicle.cube_peers,
-                    ExistingMessage(vehicle.identity, vehicle.pair_key, round_id),
-                )
+                continue
+            peers = vehicle.cube_peers
+            if peers:
+                identity = vehicle.identity
+                send_many(identity, peers, ExistingMessage(identity, vehicle.pair_key, round_id))
 
     def crash_vehicle(self, identity: Point) -> None:
         """Scenario 3: the vehicle breaks down and becomes dead.

@@ -20,7 +20,7 @@ from repro.api.service import ServiceConfig
 from repro.core.online import run_online
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import ChurnSpec, FailurePlan
-from repro.distsim.network import Network
+from repro.distsim.network import Network, UnknownDestination
 from repro.distsim.process import Process
 from repro.distsim.transport import (
     CorruptingTransport,
@@ -463,6 +463,123 @@ class TestDeferredEqualsPerMessageProperty:
                     order[(sender, destination, tag)]
                 )
         assert all(seen == sorted(seen) for seen in by_link.values())
+
+
+class Boom(Exception):
+    """Raised by a poisoned handler."""
+
+
+class Poisoned(Recorder):
+    """Logs like :class:`Recorder`, and raises on a message poisoned for it."""
+
+    def on_message(self, sender, message):
+        super().on_message(sender, message)
+        if message[1] == self.identity:
+            raise Boom(message)
+
+
+_BROADCAST = st.tuples(
+    st.just("many"),
+    _NODE,  # sender
+    st.lists(_NODE, max_size=6),  # destinations, repeats and the sender allowed
+    st.booleans(),  # passed as a generator
+    st.none() | st.integers(0, 6),  # an unknown destination inserted here
+    st.none() | st.integers(0, 5),  # the destination whose handler raises
+)
+_SEND_OPS = st.lists(
+    st.one_of(
+        _BROADCAST,
+        st.tuples(st.just("crash"), _NODE),
+        st.tuples(st.just("recover"), _NODE),
+        st.tuples(st.just("rule"), _NODE),
+    ),
+    max_size=8,
+)
+_SEND_SEGMENTS = st.lists(
+    st.tuples(st.booleans(), _SEND_OPS, st.sampled_from([None, 0.0, 0.1, 0.3])),
+    max_size=5,
+)
+
+
+def _broadcasts(transport, segments):
+    """Run broadcast ``segments`` until they end or a handler raises."""
+    log = []
+    net = Network(Simulator(), transport=transport, failure_plan=FailurePlan())
+    net.register_all([Poisoned(identity, log) for identity in IDS])
+    plan = net.failure_plan
+
+    serials = iter(range(10**6))
+
+    def apply(ops):
+        for op in ops:
+            if op[0] == "crash":
+                plan.crash(IDS[op[1]])
+            elif op[0] == "recover":
+                plan.recover(IDS[op[1]])
+            elif op[0] == "rule":
+                target = IDS[op[1]]
+                plan.add_drop_rule(lambda s, d, m, target=target: d == target)
+            else:
+                _, sender, nodes, lazy, unknown, poison = op
+                targets = [IDS[n] for n in nodes]
+                poisoned = targets[poison] if poison is not None and poison < len(targets) else None
+                if unknown is not None:
+                    targets.insert(min(unknown, len(targets)), "nope")
+                destinations = (t for t in targets) if lazy else targets
+                serial = next(serials)
+                try:
+                    net.send_many(IDS[sender], destinations, (serial, poisoned))
+                except UnknownDestination:
+                    log.append(("unknown", serial))
+
+    raised = False
+    try:
+        for inside, ops, drain in segments:
+            if inside:
+                with net.deferred_sends():
+                    apply(ops)
+            else:
+                apply(ops)
+            if drain is not None:
+                net.simulator.run(until=net.simulator.now + drain)
+        net.run_until_quiescent()
+    except Boom:
+        raised = True
+    state = _state_of(net, log)
+    state["plan"] = (plan.dropped_count, plan.partition_dropped_count)
+    state["raised"] = raised
+    return state
+
+
+class TestSendManyEqualsSendLoopProperty:
+    """``send_many``'s accept-whole branch and the crash-filtered delivery
+    equal a per-message ``send`` loop, up to a raising handler."""
+
+    @pytest.mark.parametrize("delay", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["reliable", "lossy"])
+    @settings(max_examples=80, deadline=None)
+    @given(segments=_SEND_SEGMENTS)
+    def test_any_broadcast_schedule(self, kind, delay, segments):
+        batched = _broadcasts(_channel(kind, delay, per_message=False), segments)
+        per_message = _broadcasts(_channel(kind, delay, per_message=True), segments)
+        assert batched == per_message
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["batched", "deferred"])
+    def test_a_raise_mid_record_counts_only_the_deliveries_made(self, inside):
+        ops = [
+            # (0, 0) -> (0, 1) (0, 2) (1, 1) (0, 1) (1, 2) (1, 0); (1, 1) raises.
+            ("many", 0, [1, 2, 4, 1, 5, 3], False, None, 2),
+            ("crash", 1),  # (0, 1) and (1, 2) crash between send and delivery
+            ("crash", 5),
+        ]
+        segments = [(inside, ops, None)]
+        state = _broadcasts(_channel("reliable", 0.1, per_message=False), segments)
+        assert state == _broadcasts(_channel("reliable", 0.1, per_message=True), segments)
+        assert state["raised"]
+        # The first (0, 1) was dropped, (0, 2) and (1, 1) delivered; the
+        # second (0, 1), (1, 2) and (1, 0) were never reached.
+        assert state["network"] == (6, 2, 1)
+        assert state["events"][0] == 3
 
 
 def _rounds(transport, *, budget=None, rounds=4):

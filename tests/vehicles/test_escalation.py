@@ -303,3 +303,46 @@ class TestRehomingRewiresTheGraph:
         assert set(vehicle.neighbors) <= new_cube_points
         assert set(vehicle.cube_peers) <= new_cube_points
         assert (0, 0) not in vehicle.neighbors
+
+
+#: Six of the nine vehicles of the first cube, two of the middle cube and
+#: two of the last cube of a side-9 grid (ω=3 cubes of side 3) die at the
+#: start.  Every dead pair is watched across a cube boundary (the
+#: fleet-wide ring wraps between cubes) or by a dead vehicle.
+_CROSS_CUBE_DEAD = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (3, 3), (3, 4), (6, 6), (6, 7)]
+
+
+def _cross_cube_crash_run(escalation):
+    from repro.distsim.transport import TransportSpec
+    from repro.workloads.arrivals import random_arrivals
+    from repro.workloads.library import build_family_demand
+
+    demand = build_family_demand("scale-up", {"side": 9, "per_point": 1})
+    return run_online(
+        random_arrivals(demand, np.random.default_rng(0)),
+        omega=3.0,
+        capacity="theorem",
+        config=FleetConfig(monitoring="ring", escalation=escalation),
+        recovery_rounds=2,
+        dead_vehicles=_CROSS_CUBE_DEAD,
+        transport=TransportSpec("reliable", {"delay": 0.02}),
+    )
+
+
+class TestCrossCubeTakeover:
+    """A watcher in another cube must be able to replace a dead pair."""
+
+    def test_plain_ring_replaces_some_dead_pairs(self):
+        result = _cross_cube_crash_run(escalation=False)
+        assert result.replacements >= 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect: an escalation-mode takeover floods the watcher's "
+            "own cube, and the pair's cube refuses the plain move order"
+        ),
+    )
+    def test_escalation_replaces_some_dead_pairs(self):
+        result = _cross_cube_crash_run(escalation=True)
+        assert result.replacements >= 1
