@@ -474,7 +474,8 @@ def _add_transport_arguments(parser: argparse.ArgumentParser) -> None:
         choices=list(available_transports()),
         default=None,
         help="message-delivery model for the online solvers (default: the "
-        "historical reliable channel)",
+        "'random-jitter' channel, a uniform delay on [d/2, 3d/2] per message "
+        "drawn from the run's seeded RNG; it cannot shard)",
     )
     parser.add_argument(
         "--transport-param",

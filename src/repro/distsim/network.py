@@ -23,8 +23,10 @@ clock -- lives in a pluggable :class:`~repro.distsim.transport.Transport`:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from functools import partial
+from itertools import accumulate
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -403,34 +405,31 @@ class Network:
         self._deferred = []
         transport = self.transport
         drops_many = transport.drops_many
-        if drops_many is None:
-            weight = sum([len(targets) for _, targets, _ in records])
-        else:
-            lost = drops_many(
-                [
-                    (sender, target, message)
-                    for sender, targets, message in records
-                    for target in targets
-                ]
-            )
-            kept_records = []
-            position = weight = 0
-            for sender, targets, message in records:
-                end = position + len(targets)
-                flags = lost[position:end]
-                position = end
-                if any(flags):
-                    targets = [target for target, gone in zip(targets, flags) if not gone]
-                    if not targets:
-                        continue
-                kept_records.append((sender, targets, message))
-                weight += len(targets)
-            dropped = position - weight
-            transport.messages_dropped += dropped
-            self.messages_dropped += dropped
-            if not weight:
-                return
-            records = kept_records
+        ends = list(accumulate([len(targets) for _, targets, _ in records]))
+        weight = ends[-1]
+        if drops_many is not None:
+            lost = np.flatnonzero(drops_many(records)).tolist()
+            if lost:
+                # Rebuild only the records a loss hit; one left without
+                # targets delivers nothing.
+                hit: Dict[int, List[int]] = {}
+                for position in lost:
+                    hit.setdefault(bisect_right(ends, position), []).append(position)
+                for index, positions in hit.items():
+                    sender, targets, message = records[index]
+                    start = ends[index] - len(targets)
+                    gone = {position - start for position in positions}
+                    records[index] = (
+                        sender,
+                        [target for offset, target in enumerate(targets) if offset not in gone],
+                        message,
+                    )
+                dropped = len(lost)
+                transport.messages_dropped += dropped
+                self.messages_dropped += dropped
+                weight -= dropped
+                if not weight:
+                    return
         transport.messages_scheduled += weight
         simulator = self.simulator
         simulator.queue.push(

@@ -29,10 +29,12 @@ all.  This module is the engine for runs that split (``shard_mode ==
   from the merged ``events_processed``.
 * **Spec-built transports.**  Every transport a spec or kind name builds
   is a function of the edge: latencies are fixed or keyed per edge, and
-  ``LossyTransport`` / ``CorruptingTransport`` derive their draws per
-  ``(edge, purpose, seed, message counter)``
-  (see :func:`~repro.distsim.transport._edge_stream_rng`), so each worker
-  rebuilds the spec and reproduces the single-process draws of its edges.
+  ``LossyTransport`` / ``CorruptingTransport`` derive their draws from
+  ``(seed, purpose, sender, destination, message counter)`` through the
+  counter-based mix of :mod:`repro.distsim.keyed`, keyed on identities
+  rather than dense registry indices (which differ between sub-fleets),
+  so each worker rebuilds the spec and reproduces the single-process
+  draws of its edges.
 * **Gossip monitoring.**  Digests, suspicions and attestations all go to
   members of the sender's own cube, and peer draws are keyed per vehicle,
   so a gossip round stays inside each shard exactly as a ring round does.

@@ -16,10 +16,11 @@ swappable object:
 * :class:`ReliableTransport` -- delay zero or fixed (or a callable, the
   historical ``DelayFunction`` escape hatch).  The paper's error-free model.
 * :class:`LatencyTransport` -- per-edge deterministic jitter: every directed
-  link gets its own fixed latency derived from a keyed hash of
+  link gets its own fixed latency derived from a keyed draw of
   ``(seed, sender, destination)``.  No RNG state is consumed, so delays are
   independent of send order *and* stable across processes (Python's
-  ``hash()`` is salted per process; the keyed blake2b digest is not).
+  ``hash()`` is salted per process; the keyed mix of
+  :mod:`repro.distsim.keyed` is not).
 * :class:`DistanceLatencyTransport` -- delay growing linearly with the
   Manhattan distance between the endpoints' lattice identities: the
   physical radio model the mobility scenarios run over.
@@ -28,12 +29,14 @@ swappable object:
   attempt paying one ``timeout`` of extra delay, so an inner loss rate
   ``p`` becomes ``p^(retries + 1)`` end to end.
 * :class:`LossyTransport` -- seeded i.i.d. message loss.  Every draw is
-  keyed per directed edge: it comes from ``(edge, purpose salt, seed,
-  per-edge message counter)`` (:func:`_edge_stream_rng`), never from one
-  generator consumed in global send order, so the decisions depend only on
-  each edge's own message order -- the property that lets a sharded run
-  reproduce the single-process draws (the counter-based model of Salmon et
-  al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+  keyed per directed edge: it is the counter-based mix of ``(seed, purpose
+  salt, sender, destination, per-edge message counter)``
+  (:mod:`repro.distsim.keyed`), never a generator consumed in global send
+  order, so the decisions depend only on each edge's own message order --
+  the property that lets a sharded run reproduce the single-process draws
+  (the counter-based model of Salmon et al., "Parallel random numbers: as
+  easy as 1, 2, 3", SC 2011).  A heartbeat round's draws are one array
+  expression (:meth:`LossyTransport.drops_many`).
 * :class:`CorruptingTransport` -- seeded Byzantine corruption of the Phase
   I/II protocol messages (query/reply/move): reply flags flip, destination
   and pair coordinates drift, computation tags are scrambled into phantom
@@ -53,7 +56,6 @@ cacheable and byte-identical across worker pools.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
@@ -61,7 +63,7 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.distsim.engine import Simulator
-from repro.distsim.seeding import first_uniforms
+from repro.distsim.keyed import IdentityKeys, mix, stream_root, unit
 
 __all__ = [
     "Transport",
@@ -81,15 +83,11 @@ __all__ = [
 DelayFunction = Callable[[Hashable, Hashable, Any], float]
 Deliver = Callable[[Any], None]
 
-#: Seed salts so a transport's loss stream and corruption stream never
-#: collide with the demand/failure/arrival streams of the same scenario seed.
+#: Seed salts so a transport's loss, corruption and jitter streams never
+#: collide with one another under the same seed.
 _LOSS_SALT = 0x10E55
 _CORRUPT_SALT = 0xBADB17
-
-#: Fewest edge-stream draws worth one vectorized seeding call.  The call
-#: has a fixed cost of ~0.2 ms and one per-message generator costs ~25 µs;
-#: on a 2-vCPU x86 VM the two cross between 8 and 12 draws.
-_VECTOR_MIN_DRAWS = 10
+_LATENCY_SALT = 0x1A7E
 
 
 class Transport:
@@ -251,11 +249,14 @@ class Transport:
         return None
 
     #: Bulk loss draws of a channel that opts into :meth:`deferred_latency`:
-    #: ``drops_many(sends)`` returns :meth:`drops` for each ``(sender,
-    #: destination, message)`` in order, with the same decisions and stream
-    #: consumption.  ``None`` on a channel that never loses a message, whose
-    #: flush then does no loss work at all.
-    drops_many: Optional[Callable[[Sequence[Tuple[Hashable, Hashable, Any]]], List[bool]]] = None
+    #: ``drops_many(records)`` takes ``(sender, destinations, message)``
+    #: records and returns a boolean array holding :meth:`drops` of every
+    #: ``(sender, destination)`` in record order, with the same decisions
+    #: and stream consumption.  ``None`` on a channel that never loses a
+    #: message, whose flush then does no loss work at all.
+    drops_many: Optional[
+        Callable[[Sequence[Tuple[Hashable, Sequence[Hashable], Any]]], np.ndarray]
+    ] = None
 
     def send_batch(
         self,
@@ -327,42 +328,6 @@ class ReliableTransport(Transport):
         return None
 
 
-def _edge_unit(seed: int, sender: Hashable, destination: Hashable) -> float:
-    """A deterministic uniform-ish value in ``[0, 1)`` per directed edge.
-
-    Keyed blake2b over the canonical edge encoding: stable across runs,
-    processes, and interpreter hash randomization (``hash()`` is not).
-    The seed is folded into 64 bits, so any Python int is a valid seed.
-    """
-    key = (int(seed) & (2**64 - 1)).to_bytes(8, "little")
-    digest = hashlib.blake2b(
-        repr((sender, destination)).encode("utf-8"), key=key, digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little") / 2**64
-
-
-def _edge_stream_rng(
-    seed: int, salt: int, sender: Hashable, destination: Hashable, counter: int
-) -> np.random.Generator:
-    """The per-message generator of a per-edge keyed counter stream.
-
-    What lets a sharded run reproduce loss/corruption: randomness is
-    derived per ``(edge, purpose salt, seed, message counter)`` instead of
-    one generator consumed in global send order.  Every directed edge lives
-    inside exactly one shard (both endpoints answer at their home cubes),
-    and per-edge message order is deterministic, so per-shard replay
-    reproduces the single-process draws regardless of how sends from
-    different edges interleave.  Keyed blake2b keeps it process-stable.
-    """
-    key = (int(seed) & (2**64 - 1)).to_bytes(8, "little")
-    digest = hashlib.blake2b(
-        repr((salt, sender, destination, counter)).encode("utf-8"),
-        key=key,
-        digest_size=16,
-    ).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
-
-
 def _encode_edge_key(value: Any) -> Any:
     """Tuples (arbitrarily nested) -> lists, for JSON-safe stream state."""
     if isinstance(value, tuple):
@@ -397,9 +362,13 @@ class LatencyTransport(Transport):
         self.delay = delay
         self.jitter = jitter
         self.seed = int(seed)
+        self._root = stream_root(self.seed, _LATENCY_SALT)
+        self._keys = IdentityKeys()
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
-        return self.delay + self.jitter * _edge_unit(self.seed, sender, destination)
+        # The edge's draw is the loss draw's shape with counter 0.
+        keys = self._keys
+        return self.delay + self.jitter * unit(mix(self._root, keys[sender], keys[destination], 0))
 
 
 class DistanceLatencyTransport(Transport):
@@ -451,10 +420,11 @@ class _SeededTransport(Transport):
     """A fixed-delay channel with one seeded, edge-keyed random stream.
 
     The shared half of :class:`LossyTransport` and
-    :class:`CorruptingTransport`.  Each message gets a fresh generator
-    derived per ``(edge, purpose salt, seed, per-edge message counter)``
-    (:func:`_edge_stream_rng`).  Draws depend only on per-edge send order,
-    never on cross-edge interleaving, so per-shard sub-fleets reproduce the
+    :class:`CorruptingTransport`.  A message's draws are the keyed mix
+    (:mod:`repro.distsim.keyed`) of ``(seed, purpose salt, sender,
+    destination, per-edge message counter)``.  The per-edge counters are
+    the only state: draws depend only on per-edge send order, never on
+    cross-edge interleaving, so per-shard sub-fleets reproduce the
     single-process run bit for bit.
 
     ``stream`` accepts only ``"edge"``, the name saved configs use for this
@@ -477,55 +447,21 @@ class _SeededTransport(Transport):
             )
         self.delay = delay
         self.seed = int(seed)
+        self._root = stream_root(self.seed, self.salt)
+        self._keys = IdentityKeys()
         self._reset_streams()
 
     def _reset_streams(self) -> None:
         self._edge_counts: Dict[Tuple[Hashable, Hashable], int] = {}
-        #: Per-edge ``repr`` prefix of the stream key -- a memo of a pure
-        #: function of the edge, never state (checkpoints skip it).
-        self._edge_prefixes: Dict[Tuple[Hashable, Hashable], bytes] = {}
-        self._keyed = hashlib.blake2b(
-            key=(self.seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=16
-        )
 
-    def _draws(self, sender: Hashable, destination: Hashable) -> np.random.Generator:
-        """The generator this message's draws come from."""
+    def _draw_state(self, sender: Hashable, destination: Hashable) -> int:
+        """The keyed state this message's draws come from; advances the
+        edge's counter."""
         edge = (sender, destination)
         counter = self._edge_counts.get(edge, 0)
         self._edge_counts[edge] = counter + 1
-        return _edge_stream_rng(self.seed, self.salt, sender, destination, counter)
-
-    def _first_draws(self, sends: Sequence[Tuple[Hashable, Hashable, Any]]) -> np.ndarray:
-        """``_draws(sender, destination).random()`` for each send, in order.
-
-        Hashes each message's key exactly as :func:`_edge_stream_rng` does
-        -- from a cached per-edge prefix and a copy of the keyed hasher --
-        and turns the digests into uniforms with one vectorized port of
-        numpy's seeding (:func:`~repro.distsim.seeding.first_uniforms`).
-        Below ``_VECTOR_MIN_DRAWS`` sends the per-message generator is
-        cheaper.
-        """
-        if len(sends) < _VECTOR_MIN_DRAWS:
-            return np.array([self._draws(s, d).random() for s, d, _ in sends], dtype=float)
-        counts = self._edge_counts
-        prefixes = self._edge_prefixes
-        keyed = self._keyed
-        digests = []
-        for sender, destination, _ in sends:
-            edge = (sender, destination)
-            counter = counts.get(edge, 0)
-            counts[edge] = counter + 1
-            prefix = prefixes.get(edge)
-            if prefix is None:
-                # repr((salt, sender, destination, counter)) up to the counter
-                prefix = prefixes[edge] = (
-                    repr((self.salt, sender, destination))[:-1] + ", "
-                ).encode("utf-8")
-            hasher = keyed.copy()
-            hasher.update(prefix + b"%d)" % counter)
-            digests.append(hasher.digest())
-        words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4)
-        return first_uniforms(words)
+        keys = self._keys
+        return mix(self._root, keys[sender], keys[destination], counter)
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return self.delay
@@ -573,11 +509,42 @@ class LossyTransport(_SeededTransport):
         super().__init__(delay, seed, stream)
 
     def drops(self, sender: Hashable, destination: Hashable, message: Any) -> bool:
-        return bool(self._draws(sender, destination).random() < self.loss)
+        return unit(self._draw_state(sender, destination)) < self.loss
 
-    def drops_many(self, sends: Sequence[Tuple[Hashable, Hashable, Any]]) -> List[bool]:
-        """:meth:`drops` for each ``(sender, destination, message)``, in order."""
-        return (self._first_draws(sends) < self.loss).tolist()
+    def drops_many(
+        self, records: Sequence[Tuple[Hashable, Sequence[Hashable], Any]]
+    ) -> np.ndarray:
+        """:meth:`drops` of every ``(sender, destination)`` of the
+        ``(sender, destinations, message)`` records, in order.
+
+        One Python pass reads and advances each edge's counter and collects
+        the identity keys; the draws are then one mix over whole arrays --
+        the same function :meth:`drops` evaluates on Python ints.
+        """
+        counts = self._edge_counts
+        count_of = counts.get
+        keys = self._keys
+        sender_keys: List[int] = []
+        lengths: List[int] = []
+        destinations: List[Hashable] = []
+        counters: List[int] = []
+        append = counters.append
+        for sender, targets, _ in records:
+            sender_keys.append(keys[sender])
+            lengths.append(len(targets))
+            destinations.extend(targets)
+            for target in targets:
+                edge = (sender, target)
+                counter = count_of(edge, 0)
+                counts[edge] = counter + 1
+                append(counter)
+        state = mix(
+            self._root,
+            np.repeat(np.array(sender_keys, dtype=np.uint64), lengths),
+            np.fromiter(map(keys.__getitem__, destinations), np.uint64, len(destinations)),
+            np.array(counters, dtype=np.uint64),
+        )
+        return unit(state) < self.loss
 
     def deferred_latency(self) -> Optional[float]:
         # Fixed delay, no mutation, loss from ``drops`` alone.  The ``type``
@@ -628,11 +595,10 @@ class CorruptingTransport(_SeededTransport):
         self.rate = rate
         super().__init__(delay, seed, stream)
 
-    def _drift_point(
-        self, rng: np.random.Generator, point: Tuple[int, ...]
-    ) -> Tuple[int, ...]:
-        axis = int(rng.integers(0, len(point)))
-        step = 1 if rng.random() < 0.5 else -1
+    @staticmethod
+    def _drift_point(state: int, point: Tuple[int, ...]) -> Tuple[int, ...]:
+        axis = int(unit(mix(state, 2)) * len(point))
+        step = 1 if unit(mix(state, 3)) < 0.5 else -1
         return tuple(
             int(c) + (step if index == axis else 0) for index, c in enumerate(point)
         )
@@ -648,12 +614,12 @@ class CorruptingTransport(_SeededTransport):
 
         if not isinstance(message, (QueryMessage, ReplyMessage, MoveMessage)):
             return message
-        # One generator serves every draw this message needs: the rate check
-        # and any mutation arms.
-        rng = self._draws(sender, destination)
-        if rng.random() >= self.rate:
+        # Draw ``k`` of this message is its keyed state mixed with ``k``:
+        # 0 the rate check, 1 the mutation arm, 2 and 3 a drift.
+        state = self._draw_state(sender, destination)
+        if unit(mix(state, 0)) >= self.rate:
             return message
-        arm = int(rng.integers(0, 3))
+        arm = int(unit(mix(state, 1)) * 3)
         if isinstance(message, ReplyMessage):
             if arm == 0:
                 return dataclass_replace(message, tag=self._phantom_tag(message.tag))
@@ -662,10 +628,10 @@ class CorruptingTransport(_SeededTransport):
             return dataclass_replace(message, tag=self._phantom_tag(message.tag))
         if arm == 1:
             return dataclass_replace(
-                message, destination=self._drift_point(rng, message.destination)
+                message, destination=self._drift_point(state, message.destination)
             )
         return dataclass_replace(
-            message, pair_key=self._drift_point(rng, message.pair_key)
+            message, pair_key=self._drift_point(state, message.pair_key)
         )
 
 

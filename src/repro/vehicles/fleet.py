@@ -29,11 +29,13 @@ from repro.core.demand import DemandMap
 from repro.core.plan import plan_window
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import FailurePlan
+from repro.distsim.keyed import coordinate_keys
 from repro.distsim.network import Network
 from repro.distsim.transport import Transport
 from repro.grid.coloring import Coloring
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Box, Point, manhattan
+from repro.vehicles.gossip import peer_draws
 from repro.vehicles.messages import ExistingMessage
 from repro.vehicles.monitoring import (
     HEARD_AT_START,
@@ -269,6 +271,9 @@ class Fleet:
         #: Dense-index -> vehicle list backing the registry-native round
         #: path (built on first use).
         self._by_index_cache: Optional[List[VehicleProcess]] = None
+        #: Dense-index -> identity key of the gossip peer draws, computed
+        #: from the home coordinates (built on first use).
+        self._identity_keys: Optional[np.ndarray] = None
 
         self._build_vehicles()
 
@@ -818,8 +823,18 @@ class Fleet:
             # included: silence reporting and digest relaying need no pair
             # of their own, and a cube whose crash left few active members
             # still musters enough independent reporters and co-signers.
-            for index in np.nonzero(flat.broken_view() == 0)[0].tolist():
-                by_index[index].gossip_tick(round_id, miss)
+            # Every ticking vehicle's peer draws are one array call.
+            ticking = np.nonzero(flat.broken_view() == 0)[0]
+            if self._identity_keys is None:
+                self._identity_keys = coordinate_keys(flat.homes)
+            vehicles = [by_index[index] for index in ticking.tolist()]
+            draws = peer_draws(
+                self._identity_keys[ticking],
+                [vehicle._gossip_counter for vehicle in vehicles],
+                self.config.gossip_fanout,
+            )
+            for vehicle, row in zip(vehicles, draws.tolist()):
+                vehicle.gossip_tick(round_id, miss, row)
         else:
             self._plain_heartbeats(senders, round_id, miss, by_index)
 

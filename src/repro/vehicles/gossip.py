@@ -23,33 +23,37 @@ De Florio & Blondia and pod-style quorum attestation:
    watchers.
 
 Peer selection must be byte-identical at any worker, process, or shard
-count, so it never consults a shared RNG: each draw is keyed blake2b
-over ``(identity, per-vehicle counter, slot)``, a pure function of state
-that checkpoints and restores exactly.  The candidates are the cube's
-shared sorted member list (:meth:`~repro.vehicles.fleet.Fleet.cube_members`),
-and shards own whole cubes, so gossip runs shard like ring runs.
+count, so it never consults a shared RNG: each draw is the counter-based
+keyed mix (:mod:`repro.distsim.keyed`) of ``(identity, per-vehicle
+counter, slot)``, a pure function of state that checkpoints and restores
+exactly.  :func:`peer_draws` computes a whole round's draws -- every
+ticking vehicle, every slot -- as one array expression.  The candidates
+are the cube's shared sorted member list
+(:meth:`~repro.vehicles.fleet.Fleet.cube_members`), and shards own whole
+cubes, so gossip runs shard like ring runs.
 
-Both helpers run once per vehicle per round, so neither pays more than
-O(cube) in Python: :func:`select_peers` maps each draw onto the shared
-sorted candidate list by index arithmetic (O(fanout²) per call, no pool
-copy), and :func:`freshest_entries` finds its round cut-off with a C sort
-of the round values and ranks only the entries at or above it.
+The per-vehicle helpers run once per vehicle per round, so neither pays
+more than O(cube) in Python: :func:`select_peers` maps each draw onto the
+shared sorted candidate list by index arithmetic (O(fanout²) per call, no
+pool copy), and :func:`freshest_entries` finds its round cut-off with a C
+sort of the round values and ranks only the entries at or above it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right, insort
-from functools import lru_cache
-from typing import Any, Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.distsim.keyed import mix, stream_root, unit
 from repro.grid.lattice import Point
 
-__all__ = ["GOSSIP_KEY", "GOSSIP_ENTRY_CAP", "select_peers", "freshest_entries"]
+__all__ = ["GOSSIP_ENTRY_CAP", "peer_draws", "select_peers", "freshest_entries"]
 
-#: Domain-separation key for the peer-selection hash.  Fixed forever:
-#: changing it would silently re-route every gossip run.
-GOSSIP_KEY = b"repro-gossip"
+#: The chain state of every peer draw.  Fixed forever: changing it would
+#: silently re-route every gossip run.
+_PEER_ROOT = stream_root(0, 0x60551B)
 
 #: Maximum number of ``(pair_key, round)`` freshness entries per digest.
 #: Caps digest size at O(1) per message regardless of fleet size; the
@@ -57,56 +61,46 @@ GOSSIP_KEY = b"repro-gossip"
 GOSSIP_ENTRY_CAP = 8
 
 
-# Bounded: a hasher state is ~0.5 KiB, so 2**14 identities stay under
-# ~8 MiB; a larger fleet only re-derives evicted prefixes.
-@lru_cache(maxsize=1 << 14)
-def _keyed_prefix(identity_repr: str) -> Any:
-    """Keyed blake2b state that has absorbed ``"(<identity repr>, "``.
+def peer_draws(keys: np.ndarray, counters: Sequence[int], fanout: int) -> np.ndarray:
+    """The ``(n, fanout)`` peer draws in ``[0, 1)`` of ``n`` vehicles.
 
-    Keyed on the repr, not the identity, so two equal identities with
-    different reprs (``(1, 2)`` and ``(1.0, 2.0)``) never share a prefix.
-    The memoized state is shared: callers ``copy()`` it, never update it.
+    Row ``v``, column ``s`` is the keyed mix of ``(keys[v], counters[v],
+    s)``: vehicle ``v``'s identity key
+    (:func:`~repro.distsim.keyed.identity_key`), its gossip counter this
+    round, and the slot.
     """
-    hasher = hashlib.blake2b(key=GOSSIP_KEY, digest_size=8)
-    hasher.update(f"({identity_repr}, ".encode("utf-8"))
-    return hasher
-
-
-def _draw(prefix: Any, counter: int, slot: int, modulus: int) -> int:
-    """One deterministic draw in ``[0, modulus)``: the keyed blake2b of
-    ``repr((identity, counter, slot))``, resumed from the identity's
-    memoized :func:`_keyed_prefix`."""
-    hasher = prefix.copy()
-    hasher.update(f"{counter!r}, {slot!r})".encode("utf-8"))
-    return int.from_bytes(hasher.digest(), "big") % modulus
+    state = mix(
+        _PEER_ROOT,
+        np.asarray(keys, dtype=np.uint64)[:, None],
+        np.array(counters, dtype=np.uint64)[:, None],
+        np.arange(fanout, dtype=np.uint64)[None, :],
+    )
+    return unit(state)
 
 
 def select_peers(
     identity: Hashable,
-    counter: int,
+    draws: Sequence[float],
     candidates: Sequence[Hashable],
-    fanout: int,
 ) -> List[Hashable]:
-    """Pick ``fanout`` gossip peers without replacement, deterministically.
+    """Pick up to ``len(draws)`` gossip peers without replacement.
 
     ``candidates`` must be in a canonical (sorted) order shared by every
-    worker; the sender itself is excluded.  Slot ``s`` draws an index
-    ``i`` into the pool of candidates not yet taken (the sender counts as
-    taken), and the ``i``-th untaken candidate is found by walking the
-    sorted taken indices -- the same peers a copied pool with ``pop(i)``
-    would yield, without copying the candidate list: O(log n) to locate
-    the sender plus O(fanout²) per call.  The per-vehicle ``counter``
-    advances the stream between rounds -- two vehicles (or two rounds)
-    never share a draw sequence.
+    worker; the sender itself is excluded.  Slot ``s`` turns its draw
+    ``u`` into an index ``floor(u * r)`` into the ``r`` candidates not yet
+    taken (the sender counts as taken), and the index-th untaken candidate
+    is found by walking the sorted taken indices -- the same peers a
+    copied pool with ``pop(index)`` would yield, without copying the
+    candidate list: O(log n) to locate the sender plus O(fanout²) per
+    call.
     """
     low = bisect_left(candidates, identity)
     high = bisect_right(candidates, identity, low)
     taken = list(range(low, high))
     remaining = len(candidates) - len(taken)
-    prefix = _keyed_prefix(repr(identity))
     chosen: List[Hashable] = []
-    for slot in range(min(fanout, remaining)):
-        index = _draw(prefix, counter, slot, remaining - slot)
+    for slot, draw in enumerate(draws[:remaining]):
+        index = int(draw * (remaining - slot))
         for position in taken:
             if position > index:
                 break

@@ -46,7 +46,7 @@ the per-vehicle maxima the experiments report.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.distsim.process import Process
 from repro.grid.coloring import Coloring
@@ -882,13 +882,15 @@ class VehicleProcess(Process):
     # Gossip failure detection (monitoring == "gossip")
     # ------------------------------------------------------------------ #
 
-    def gossip_tick(self, round_id: int, miss_threshold: int) -> None:
+    def gossip_tick(self, round_id: int, miss_threshold: int, draws: Sequence[float]) -> None:
         """One gossip round: heartbeat, report silence, spread digests,
         and (for the ring watcher) escalate accumulated suspicion.
 
         Runs for every live vehicle -- idle ones report and relay too --
         so the detector keeps enough independent observers even in cubes
-        thinned out by crashes.
+        thinned out by crashes.  ``draws`` are this vehicle's peer draws
+        for the round (its row of :func:`~repro.vehicles.gossip.peer_draws`
+        at its current gossip counter).
         """
         if self.broken:
             return
@@ -903,7 +905,7 @@ class VehicleProcess(Process):
             pair_keys, self.pair_key, self.last_heard, round_id, miss_threshold, byzantine
         ):
             reporters_of(pair_key, {})[self.identity] = round_id
-        self._gossip_send_digest(round_id)
+        self._gossip_send_digest(round_id, draws)
         if active:
             self._gossip_check_suspicion(round_id, miss_threshold, byzantine)
 
@@ -927,20 +929,14 @@ class VehicleProcess(Process):
                     del reports[pair_key]
             drop_suspicion(pair_key, None)
 
-    def _gossip_send_digest(self, round_id: int) -> None:
+    def _gossip_send_digest(self, round_id: int, draws: Sequence[float]) -> None:
         """Piggyback freshness entries and silence reports to ``fanout``
-        peers drawn from this vehicle's own cube (keyed blake2b over the
-        per-vehicle counter -- byte-identical at any worker or shard
-        count).  A vehicle alone in its cube sends nothing."""
-        fleet = self.fleet
-        counter = self._gossip_counter
-        self._gossip_counter = counter + 1
-        peers = select_peers(
-            self.identity,
-            counter,
-            fleet.cube_members(self.cube_index),
-            fleet.config.gossip_fanout,
-        )
+        peers drawn from this vehicle's own cube (``draws`` are keyed on
+        the per-vehicle counter, which advances here -- byte-identical at
+        any worker or shard count).  A vehicle alone in its cube sends
+        nothing."""
+        self._gossip_counter += 1
+        peers = select_peers(self.identity, draws, self.fleet.cube_members(self.cube_index))
         if not peers:
             return
         # One sort of the flat reports: (pair_key, reporter) is unique, so

@@ -444,6 +444,26 @@ class TestTransportFlags:
         assert extras[2]["messages_dropped"] > 0
         assert extras[2] == extras[1]
 
+    def test_help_names_the_channel_a_default_run_uses(self, tmp_path, capsys):
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        help_text = subparsers.choices["run"]._option_string_actions["--transport"].help
+        out = tmp_path / "default.json"
+        code = main(
+            [
+                "run", "--scenario", "scale-up", "--param", "side=6", "--omega", "3",
+                "--solver", "online", "--monitoring", "--json", str(out),
+            ]
+        )
+        assert code == 0
+        transport = json.loads(out.read_text())["extras"]["transport"]
+        assert transport == "random-jitter"
+        assert f"'{transport}' channel" in help_text
+        assert "reliable" not in help_text
+
     def test_transport_param_without_transport_errors(self):
         with pytest.raises(SystemExit):
             main(

@@ -138,7 +138,7 @@ class TestParallelLockstepByteIdentity:
     def baseline(self, failure_workload):
         return self._run(failure_workload, 1)
 
-    @pytest.mark.parametrize("shards", [4, 8])
+    @pytest.mark.parametrize("shards", [2, 4, 8])
     def test_identical_across_shard_counts(self, failure_workload, baseline, shards):
         sharded = self._run(failure_workload, shards)
         assert sharded.shard_mode == "parallel-lockstep"
@@ -167,6 +167,46 @@ class TestParallelLockstepByteIdentity:
             assert base.messages_corrupted > 0
         if name.endswith("lossy"):
             assert base.messages_dropped > 0
+
+
+class TestKeyedDrawsAtEveryShardCount:
+    """Every keyed draw -- loss, corruption, gossip peers -- depends only
+    on its edge or vehicle, never on which sub-fleet makes it: shards=2,
+    4 and 8 reproduce the single-process run bit for bit.  (The lossy
+    ring run is :class:`TestParallelLockstepByteIdentity`'s.)"""
+
+    RUNS = {
+        "gossip-lossy": ("gossip", LOSSY),
+        "ring-corrupting": ("ring", TRANSPORTS["corrupting"]),
+    }
+
+    def _run(self, workload, name, shards):
+        monitoring, transport = self.RUNS[name]
+        jobs, plan, churn, dead = workload
+        return run_online(
+            jobs,
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring=monitoring),
+            failure_plan=copy.deepcopy(plan),
+            dead_vehicles=dead,
+            churn=churn,
+            transport=transport,
+            shards=shards,
+            shard_workers=2,
+        )
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_identical_at_shards_1_2_4_8(self, failure_workload, name):
+        base = self._run(failure_workload, name, 1)
+        if name.endswith("lossy"):
+            assert base.messages_dropped > 0
+        else:
+            assert base.messages_corrupted > 0
+        for shards in (2, 4, 8):
+            sharded = self._run(failure_workload, name, shards)
+            assert sharded.shard_mode == "parallel-lockstep", shards
+            _assert_identical(base, sharded)
 
 
 class TestEligibilityAndFallback:

@@ -35,8 +35,8 @@ CONFIG = ServiceConfig.from_demand(
     checkpoint_every=2,
 )
 
-GOLDEN_RESULT_HASH = "102349a2009295ab714a22de9059c47bfc66cd6541cfdbcad8cd6625b76767e7"
-GOLDEN_FLEET_DIGEST = "492343ec23e824b6d01b02509642db9da165d2edd2db5ea00f227fd2bd9e0d28"
+GOLDEN_RESULT_HASH = "fff9584122961a17dbb5a7cb65c62c48a4791ebb964e2405459f1560a578ddaf"
+GOLDEN_FLEET_DIGEST = "2aa0eabb81b6f87971a53929e7bb101504c2dc63331782da9813f36a157d4c98"
 
 INDENTED_CHECKPOINT = Path(__file__).parent / "data" / "gossip_side9_checkpoint_indented.json"
 

@@ -24,12 +24,13 @@ from repro.core.demand import DemandMap, JobSequence
 from repro.core.online import provision_fleet, run_online
 from repro.core.stream import StreamDriver
 from repro.distsim.failures import FailurePlan
+from repro.distsim.keyed import identity_key
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.vehicles.fleet import FleetConfig
 from repro.vehicles.gossip import (
     GOSSIP_ENTRY_CAP,
-    GOSSIP_KEY,
     freshest_entries,
+    peer_draws,
     select_peers,
 )
 from repro.vehicles.messages import GossipDigest
@@ -88,37 +89,54 @@ def _live_watchers(fleet, *, excluding=()):
     )
 
 
+def _peers(identity, counter, candidates, fanout):
+    """The peers ``identity`` gossips to at ``counter``: its row of a
+    one-vehicle :func:`peer_draws` call, mapped by :func:`select_peers`."""
+    draws = peer_draws([identity_key(identity)], [counter], fanout)[0].tolist()
+    return select_peers(identity, draws, candidates)
+
+
 class TestPeerSelection:
     CANDIDATES = [(x, y) for x in range(5) for y in range(5)]
 
     def test_deterministic(self):
-        a = select_peers((1, 2), 7, self.CANDIDATES, 3)
-        b = select_peers((1, 2), 7, self.CANDIDATES, 3)
+        a = _peers((1, 2), 7, self.CANDIDATES, 3)
+        b = _peers((1, 2), 7, self.CANDIDATES, 3)
         assert a == b
 
     def test_never_selects_self_and_never_repeats(self):
         for counter in range(40):
-            peers = select_peers((2, 2), counter, self.CANDIDATES, 4)
+            peers = _peers((2, 2), counter, self.CANDIDATES, 4)
             assert (2, 2) not in peers
             assert len(peers) == len(set(peers)) == 4
 
     def test_counter_varies_the_selection(self):
         draws = {
-            tuple(select_peers((0, 0), c, self.CANDIDATES, 2)) for c in range(20)
+            tuple(_peers((0, 0), c, self.CANDIDATES, 2)) for c in range(20)
         }
         assert len(draws) > 1
 
     def test_fanout_larger_than_pool_takes_everyone_else(self):
         pool = [(0, 0), (0, 1), (1, 0)]
-        peers = select_peers((0, 0), 0, pool, 10)
+        peers = _peers((0, 0), 0, pool, 10)
         assert sorted(peers) == [(0, 1), (1, 0)]
 
     def test_identity_varies_the_selection(self):
         draws = {
-            tuple(select_peers(identity, 0, self.CANDIDATES, 2))
+            tuple(_peers(identity, 0, self.CANDIDATES, 2))
             for identity in self.CANDIDATES[:10]
         }
         assert len(draws) > 1
+
+    def test_a_round_of_draws_is_the_rows_of_one_vehicle_calls(self):
+        identities = self.CANDIDATES[:7]
+        counters = [0, 3, 3, 9, 1, 2**40, 5]
+        keys = np.array([identity_key(i) for i in identities], dtype=np.uint64)
+        round_draws = peer_draws(keys, counters, 3)
+        assert round_draws.shape == (7, 3)
+        assert ((0.0 <= round_draws) & (round_draws < 1.0)).all()
+        for row, identity, counter in zip(round_draws, identities, counters):
+            assert (row == peer_draws([identity_key(identity)], [counter], 3)[0]).all()
 
 
 class TestFreshestEntries:
@@ -139,18 +157,11 @@ class TestFreshestEntries:
 # the optimized helpers must reproduce exactly.
 
 
-def _reference_draw(identity, counter, slot, modulus):
-    payload = repr((identity, counter, slot)).encode("utf-8")
-    digest = hashlib.blake2b(payload, key=GOSSIP_KEY, digest_size=8).digest()
-    return int.from_bytes(digest, "big") % modulus
-
-
-def _reference_select_peers(identity, counter, candidates, fanout):
+def _reference_select_peers(identity, draws, candidates):
     pool = [peer for peer in candidates if peer != identity]
     chosen = []
-    for slot in range(min(fanout, len(pool))):
-        index = _reference_draw(identity, counter, slot, len(pool))
-        chosen.append(pool.pop(index))
+    for draw in draws[: len(pool)]:
+        chosen.append(pool.pop(int(draw * len(pool))))
     return chosen
 
 
@@ -175,8 +186,11 @@ class TestHelpersMatchReferences:
         if use_member and candidates:
             identity = data.draw(st.sampled_from(candidates))
         fanout = data.draw(st.integers(0, len(candidates) + 2))
-        assert select_peers(identity, counter, candidates, fanout) == (
-            _reference_select_peers(identity, counter, candidates, fanout)
+        draws = peer_draws([identity_key(identity)], [counter], fanout)[0].tolist()
+        # The extremes of [0, 1) too: the first and the last candidate.
+        draws = data.draw(st.permutations(draws + [0.0, 1.0 - 2.0**-53]))[:fanout]
+        assert select_peers(identity, draws, candidates) == (
+            _reference_select_peers(identity, draws, candidates)
         )
 
     @settings(max_examples=300, deadline=None)
@@ -204,8 +218,8 @@ class TestDigestStreamPin:
     digest stream fails here even when the run's end results hold."""
 
     SIDE = 9
-    DIGEST_STREAM = "88120314ba81178d48d54ffd7677ce35f8d7ac73ec698d2f9e2a342490d0fc09"
-    FINAL_STATE = "2988a08c07be9ccecad390b3f77e037bec9d7837e2a0e6132d8c9dd042491872"
+    DIGEST_STREAM = "8e690bb20812771e3522f9b2eb2dcfa7b44def377178803f4c058060a2e5df08"
+    FINAL_STATE = "922ec3ba64ddea5113105ea5c2c327b8139e00fdba1d3d47ff6eac562675b67a"
 
     def test_digest_stream_and_final_state(self, monkeypatch):
         side = range(self.SIDE)

@@ -274,12 +274,12 @@ class TestRingDetectorPin:
             recovery_rounds=2,
             monkeypatch=monkeypatch,
         )
-        assert len(initiations) == 53
-        assert fleet.stats.replacements == 22
+        assert len(initiations) == 63
+        assert fleet.stats.replacements == 29
         assert self._digest(initiations) == (
-            "52b42a01cf3e599986e255d9ea710b04965a3328f65f44b07d7e15605dc69475"
+            "70cc9bb1b67d0e3c30e40ee0556713b66fc50facfc6fb60cdd1d08c7f452e26f"
         )
-        assert state == "041bc227c6a86617faa82d8f18e2bba0facff959fa9e38aa97305b6ee9d306bd"
+        assert state == "201a0006dd033c07b1b0dcfe05cc8b2864c1a9a8beb58eafb6921d5e8abee10b"
 
     def test_lossy_escalation_run_with_adoptions(self, monkeypatch):
         # Sixteen singleton cubes on the fleet-wide watch ring.  (0, 0)
@@ -299,10 +299,10 @@ class TestRingDetectorPin:
             recovery_rounds=6,
             monkeypatch=monkeypatch,
         )
-        assert fleet.stats.adoptions == 4
+        assert fleet.stats.adoptions == 3
         assert (7, (3, 0), (0, 3)) in initiations  # an adopted pair's watch fired
-        assert len(initiations) == 8
+        assert len(initiations) == 11
         assert self._digest(initiations) == (
-            "06ca7761381cfce75db439dc2a454d1c9cfed04c5eef935d8cb8839c6434769b"
+            "93aa201fb13e9dca94da0074175d79496a92e472e51a271f17235fec763be561"
         )
-        assert state == "df4913539d9415fd9165f1ed92fa00453e439abecd982b2e3730098e361f6f93"
+        assert state == "963c70e1e30fcdba30b34db95a6d22a7e25f5e665c67a5e4e4385554e21e9abb"
