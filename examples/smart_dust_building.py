@@ -51,7 +51,7 @@ def main() -> None:
     omega = max(omega_c(demand), 2.0)
     capacity = (4 * 3**2 + 2) * omega
     config = FleetConfig(capacity=capacity, monitoring=True)
-    fleet = Fleet(demand, omega, config, rng=rng)
+    fleet = Fleet(demand, omega, config)
 
     jobs = random_arrivals(demand, rng)
     crash_at = {len(jobs) // 4, len(jobs) // 2}

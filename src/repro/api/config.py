@@ -491,8 +491,8 @@ class RunConfig:
     omega: Optional[float] = None
     #: Failure injection (online-broken).
     failures: Optional[FailureSpec] = None
-    #: Message transport for the online family (``None`` = the historical
-    #: channel).  When set, it overrides a transport bundled in
+    #: Message transport for the online family (``None`` = the reliable
+    #: fixed-delay channel).  When set, it overrides a transport bundled in
     #: ``failures``, which is dropped on construction.
     transport: Optional[TransportSpec] = None
     #: Whether an exhausted Phase I replacement search may escalate through

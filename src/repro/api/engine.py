@@ -54,8 +54,10 @@ PathLike = Union[str, Path]
 #: entry of another generation is a miss (the run executes again and
 #: overwrites it).  Bumped when results change for configs whose hash did
 #: not -- 2: lossy and corrupting transports draw only from the edge-keyed
-#: loss stream, so entries written with the removed global stream are stale.
-CACHE_GENERATION = 2
+#: loss stream, so entries written with the removed global stream are stale;
+#: 3: a run with no transport takes the reliable channel instead of the
+#: removed shared-RNG jitter channel.
+CACHE_GENERATION = 3
 ProgressCallback = Callable[[int, int, RunResult], None]
 
 SUMMARY_HEADERS = (

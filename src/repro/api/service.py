@@ -82,8 +82,8 @@ class ServiceConfig:
     fleet: Tuple[Tuple[str, Any], ...] = ()
     #: Heartbeat rounds the monitoring loop may spend recovering a job.
     recovery_rounds: int = 0
-    #: Message transport (``None`` = the historical channel; randomized when
-    #: ``seed`` is set, exactly as ``run_online(rng=...)``).
+    #: Message transport (``None`` = the paper's reliable channel with the
+    #: fleet's fixed ``message_delay``).
     transport: Optional[TransportSpec] = None
     #: Timed leave/join schedule, on the job clock.
     churn: Tuple[ChurnSpec, ...] = ()
@@ -96,8 +96,6 @@ class ServiceConfig:
     byzantine_watchers: Tuple[Point, ...] = ()
     #: Timed network partitions.
     partitions: Tuple[PartitionSpec, ...] = ()
-    #: Seed of the run RNG (jitter transport); ``None`` = deterministic delay.
-    seed: Optional[int] = None
     #: Arrivals scheduled ahead of the clock (the streaming look-ahead).
     lookahead: int = 64
     #: Jobs per metrics window.
@@ -139,8 +137,6 @@ class ServiceConfig:
         object.__setattr__(self, "dead_vehicles", failures.crashed)
         object.__setattr__(self, "suppressed", failures.suppressed)
         object.__setattr__(self, "byzantine_watchers", failures.byzantine_watchers)
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("lookahead", "window_jobs"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
@@ -205,7 +201,6 @@ class ServiceConfig:
             "capacity": self.capacity,
             "omega": self.omega,
             "recovery_rounds": self.recovery_rounds,
-            "seed": self.seed,
             "lookahead": self.lookahead,
             "window_jobs": self.window_jobs,
             "checkpoint_every": self.checkpoint_every,
@@ -238,7 +233,8 @@ class ServiceConfig:
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "ServiceConfig":
         # Keys this schema does not know are ignored: checkpoints written
-        # when service configs carried a ``shards`` setting still load.
+        # when service configs carried a ``shards`` setting or a run-RNG
+        # ``seed`` still load.
         if payload.get("type") != "service_config":
             raise ConfigError("payload is not a serialized service config")
         return cls(
@@ -256,7 +252,6 @@ class ServiceConfig:
                 tuple(p) for p in payload.get("byzantine_watchers", ())
             ),
             partitions=tuple(payload.get("partitions", ())),
-            seed=payload.get("seed"),
             lookahead=payload.get("lookahead", 64),
             window_jobs=payload.get("window_jobs", 1000),
             checkpoint_every=payload.get("checkpoint_every"),

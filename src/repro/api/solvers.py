@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.api.config import ConfigError, RunConfig
 from repro.api.registry import register_solver
 from repro.api.result import RunResult
@@ -216,7 +214,6 @@ def _run_online_family(config: RunConfig, *, broken: bool) -> RunResult:
         omega=config.omega,
         capacity=config.capacity,
         config=fleet_config,
-        rng=np.random.default_rng(config.scenario.seed),
         failure_plan=failure_plan,
         dead_vehicles=dead_vehicles,
         recovery_rounds=config.recovery_rounds,

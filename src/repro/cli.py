@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stop dispatching after this simulation time",
     )
-    serve.add_argument("--seed", type=int, default=0, help="run-RNG seed")
+    serve.add_argument(
+        "--seed", type=int, default=0, help="seed of the scenario's demand draw"
+    )
     serve.add_argument(
         "--omega", type=float, default=None, help="cube parameter (default: omega_c)"
     )
@@ -474,8 +476,7 @@ def _add_transport_arguments(parser: argparse.ArgumentParser) -> None:
         choices=list(available_transports()),
         default=None,
         help="message-delivery model for the online solvers (default: the "
-        "'random-jitter' channel, a uniform delay on [d/2, 3d/2] per message "
-        "drawn from the run's seeded RNG; it cannot shard)",
+        "'reliable' channel with the fleet's fixed message delay; it shards)",
     )
     parser.add_argument(
         "--transport-param",
@@ -849,7 +850,6 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
         suppressed=failures.suppressed if broken else (),
         byzantine_watchers=failures.byzantine_watchers if broken else (),
         partitions=failures.partitions if broken else (),
-        seed=config.scenario.seed,
         window_jobs=args.window,
     )
 
@@ -919,7 +919,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             dead_vehicles=failures.crashed,
             suppressed=failures.suppressed,
             byzantine_watchers=failures.byzantine_watchers,
-            seed=args.seed,
             lookahead=args.lookahead,
             window_jobs=args.window,
             checkpoint_every=args.checkpoint_every,

@@ -260,7 +260,6 @@ def provision_fleet(
     omega: float,
     capacity: CapacitySpec = "theorem",
     config: Optional[FleetConfig] = None,
-    rng: Optional[np.random.Generator] = None,
     failure_plan: Optional[FailurePlan] = None,
     dead_vehicles: Optional[Iterable[Sequence[int]]] = None,
     transport: Optional[Transport] = None,
@@ -289,7 +288,6 @@ def provision_fleet(
         demand,
         omega,
         fleet_config,
-        rng=rng,
         failure_plan=failure_plan,
         transport=transport,
         window=window,
@@ -515,7 +513,6 @@ def run_online(
     omega: Optional[float] = None,
     capacity: CapacitySpec = "theorem",
     config: Optional[FleetConfig] = None,
-    rng: Optional[np.random.Generator] = None,
     failure_plan: Optional[FailurePlan] = None,
     dead_vehicles: Optional[Iterable[Sequence[int]]] = None,
     recovery_rounds: int = 0,
@@ -560,8 +557,8 @@ def run_online(
         The message delivery model: a
         :class:`~repro.distsim.transport.Transport` instance (single-use),
         a :class:`~repro.distsim.transport.TransportSpec`, or a bare kind
-        name such as ``"lossy"``.  Defaults to the historical channel
-        (fixed ``config.message_delay``, randomized when ``rng`` is given).
+        name such as ``"lossy"``.  Defaults to the paper's reliable channel
+        with the fixed ``config.message_delay``.
     escalation:
         Whether an exhausted Phase I search may escalate through the cube
         hierarchy (cross-cube replacement; see
@@ -571,11 +568,12 @@ def run_online(
         Partition the run into this many cube-aligned shards (see
         :mod:`repro.distsim.sharding`).  The result is byte-identical to
         the ``shards=1`` run.  Configurations whose protocol traffic stays
-        inside each shard -- no escalation, gossip, recovery rounds, shared
-        run RNG or caller-owned transport instance; crashes, partitions,
-        churn, ring monitoring and every spec-built transport are fine --
-        fan out to one worker process per shard (``"parallel-lockstep"``,
-        see :mod:`repro.distsim.parallel_lockstep`); everything else runs the
+        inside each shard -- no escalation, recovery rounds or caller-owned
+        transport instance; crashes, partitions, churn, ring and gossip
+        monitoring, the default channel and every spec-built transport are
+        fine -- fan out to one worker process per shard
+        (``"parallel-lockstep"``, see
+        :mod:`repro.distsim.parallel_lockstep`); everything else runs the
         one global fleet single-process (``"single-process"``).  The mode
         that ran (and, for the single-process fallback, the first
         disqualifying feature) is recorded on the result as
@@ -589,8 +587,6 @@ def run_online(
     if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
         raise ValueError(f"shards must be a positive integer, got {shards!r}")
     transport_instance = build_transport(transport)
-    # A provisioned fleet reports the channel its network actually built
-    # (the shared-rng jitter default, say); everything else reports this.
     transport_kind = (
         transport_instance.kind if transport_instance is not None else "reliable"
     )
@@ -636,7 +632,6 @@ def run_online(
         eligible, shard_mode_reason = parallel_lockstep_eligibility(
             transport,
             config,
-            rng,
             failure_plan,
             recovery_rounds,
             escalation,
@@ -674,7 +669,6 @@ def run_online(
             omega=omega,
             capacity=capacity,
             config=base,
-            rng=rng,
             failure_plan=failure_plan,
             dead_vehicles=dead_vehicles,
             transport=transport_instance,
@@ -695,7 +689,6 @@ def run_online(
             total_service=fleet.total_service(),
             vehicle_energies=fleet.vehicle_energies(),
         )
-        transport_kind = fleet.transport_kind
 
     return _online_result(
         len(jobs),

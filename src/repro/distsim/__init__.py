@@ -33,7 +33,6 @@ from repro.distsim.transport import (
     DistanceLatencyTransport,
     LatencyTransport,
     LossyTransport,
-    RandomJitterTransport,
     ReliableTransport,
     RetransmitTransport,
     Transport,
@@ -62,7 +61,6 @@ __all__ = [
     "CorruptingTransport",
     "DistanceLatencyTransport",
     "RetransmitTransport",
-    "RandomJitterTransport",
     "available_transports",
     "build_transport",
 ]

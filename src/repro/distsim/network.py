@@ -16,9 +16,9 @@ clock -- lives in a pluggable :class:`~repro.distsim.transport.Transport`:
   :class:`~repro.distsim.transport.Transport` invariant: variable-delay
   channels clamp per link, and on a fixed-delay channel ``now + delay``
   never decreases, so it needs no clamp);
-* when no transport is given, the historical behavior is reproduced
-  exactly: a fixed (or callable) delay, or -- when an RNG is supplied --
-  the randomized uniform ``[d/2, 3d/2]`` delays of the original model.
+* when no transport is given, the channel is the paper's: a
+  :class:`~repro.distsim.transport.ReliableTransport` with a fixed (or
+  callable) delay.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ import numpy as np
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import FailurePlan
 from repro.distsim.process import Process
-from repro.distsim.transport import (
-    DelayFunction,
-    RandomJitterTransport,
-    ReliableTransport,
-    Transport,
-)
+from repro.distsim.transport import DelayFunction, ReliableTransport, Transport
 
 __all__ = ["Network", "UnknownDestination"]
 
@@ -61,19 +56,14 @@ class Network:
         The discrete-event engine driving the run.  A fresh one is created
         when omitted.
     delay:
-        Legacy channel description, used only when no ``transport`` is
+        The reliable channel's delay, used only when no ``transport`` is
         given: a fixed non-negative delay applied to every message, or a
-        callable ``(sender, destination, message) -> delay``.  When ``rng``
-        is supplied and ``delay`` is a number, delays are drawn uniformly
-        from ``[delay/2, 3*delay/2]`` to exercise asynchrony.
-    rng:
-        Optional ``numpy`` random generator for the legacy randomized
-        delays.
+        callable ``(sender, destination, message) -> delay``.
     failure_plan:
         Optional failure injection (crashed processes, dropped messages).
     transport:
         The delivery model (see :mod:`repro.distsim.transport`).  Overrides
-        ``delay``/``rng`` when given; the network binds it to its simulator.
+        ``delay`` when given; the network binds it to its simulator.
     """
 
     def __init__(
@@ -81,16 +71,12 @@ class Network:
         simulator: Optional[Simulator] = None,
         *,
         delay: float | DelayFunction = 1.0,
-        rng: Optional[np.random.Generator] = None,
         failure_plan: Optional[FailurePlan] = None,
         transport: Optional[Transport] = None,
     ) -> None:
         self.simulator = simulator if simulator is not None else Simulator()
         if transport is None:
-            if not callable(delay) and rng is not None:
-                transport = RandomJitterTransport(float(delay), rng)
-            else:
-                transport = ReliableTransport(delay)
+            transport = ReliableTransport(delay)
         self.transport = transport.bind(self.simulator)
         self.failure_plan = failure_plan if failure_plan is not None else FailurePlan()
         #: Registered processes by identity.  A shard worker registers only
@@ -179,8 +165,8 @@ class Network:
         Inside a :meth:`deferred_sends` scope the broadcast is recorded
         instead, and its survivors of the channel's loss draw (all of
         them on the reliable channel) join the scope's next flushed
-        entry.  Otherwise -- corrupting, retransmit, per-edge-latency and
-        jitter transports, and lossy ones outside a scope, whose streams
+        entry.  Otherwise -- corrupting, retransmit and per-edge-latency
+        transports, and lossy ones outside a scope, whose streams
         must be consumed in per-message send order -- it falls back to
         :meth:`send`, byte-identically.
 

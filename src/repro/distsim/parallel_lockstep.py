@@ -41,12 +41,11 @@ all.  This module is the engine for runs that split (``shard_mode ==
 
 Everything outside the class -- escalation (replacement migrates vehicles
 *between* shards), ``recovery_rounds`` (conditional mid-run global rounds
-that cannot be precomputed per shard), the shared-RNG jitter channel,
-caller-owned transport instances, closure drop rules -- is rejected by
-:func:`parallel_lockstep_eligibility` with the first disqualifying feature
-as a human-readable reason; ``run_online`` then runs the one global fleet
-single-process and records that reason, so bench numbers can't silently
-be misread as parallel.
+that cannot be precomputed per shard), caller-owned transport instances,
+closure drop rules -- is rejected by :func:`parallel_lockstep_eligibility`
+with the first disqualifying feature as a human-readable reason;
+``run_online`` then runs the one global fleet single-process and records
+that reason, so bench numbers can't silently be misread as parallel.
 
 Workers enforce the zero-boundary-traffic claim through their registry at
 no per-send cost: a worker registers only its own shard's vehicles, so a
@@ -80,7 +79,6 @@ _MAX_MERGED = frozenset({"max_vehicle_energy", "heartbeat_rounds", "sim_time"})
 def parallel_lockstep_eligibility(
     transport,
     config,
-    rng,
     failure_plan: Optional[FailurePlan],
     recovery_rounds: int,
     escalation: Optional[bool],
@@ -91,8 +89,8 @@ def parallel_lockstep_eligibility(
     disqualifying feature (empty when eligible) -- recorded on the result
     so a single-process fallback is always attributable.  The checks
     mirror the structural argument in the module docstring: anything that
-    would generate cross-shard traffic, draw from the shared run RNG, or
-    fail to pickle into a worker process disqualifies.
+    would generate cross-shard traffic or fail to pickle into a worker
+    process disqualifies.
     """
     if escalation is not None:
         escalated = bool(escalation)
@@ -116,12 +114,6 @@ def parallel_lockstep_eligibility(
             "into worker processes",
         )
     if transport is None:
-        if rng is not None:
-            return (
-                False,
-                "shared-rng jitter transport: latency draws are consumed in "
-                "global send order",
-            )
         return (True, "")  # the fixed-delay reliable default, rebuilt per worker
     from repro.distsim.transport import TransportSpec
 

@@ -43,9 +43,6 @@ swappable object:
   rounds.  The vehicle state machine must survive every such mutation
   legally -- the transport only ever emits well-typed messages, never
   exceptions-in-waiting.  Its draws are edge-keyed like the loss draws.
-* :class:`RandomJitterTransport` -- the historical randomized-delay model
-  (uniform on ``[d/2, 3d/2]`` from a shared generator); kept for
-  byte-compatibility with pre-transport runs, not spec-constructible.
 
 :class:`TransportSpec` is the frozen, JSON-round-trippable description used
 by run configs (:mod:`repro.api.config`), the workload library, and the CLI
@@ -73,7 +70,6 @@ __all__ = [
     "LossyTransport",
     "CorruptingTransport",
     "RetransmitTransport",
-    "RandomJitterTransport",
     "TransportSpec",
     "TRANSPORT_KINDS",
     "available_transports",
@@ -130,9 +126,7 @@ class Transport:
 
         Binding resets everything a previous run may have left behind --
         FIFO state, counters, and seeded streams -- so reusing an instance
-        across runs still reproduces a fresh run bit for bit.  (The
-        exception is :class:`RandomJitterTransport`, whose stream belongs
-        to the caller.)
+        across runs still reproduces a fresh run bit for bit.
         """
         self._simulator = simulator
         self._last_delivery.clear()
@@ -721,29 +715,6 @@ class RetransmitTransport(Transport):
 
     def restore_stream_state(self, state: Optional[Dict[str, Any]]) -> None:
         self.inner.restore_stream_state(state)
-
-
-class RandomJitterTransport(Transport):
-    """The historical randomized-delay model: uniform on ``[d/2, 3d/2]``.
-
-    Draws come from a *shared* generator (the fleet's run RNG), exactly as
-    the pre-transport network did, so existing seeded runs keep their
-    byte-identical histories.  Because the generator is shared it cannot be
-    described by a :class:`TransportSpec`; new experiments should prefer
-    :class:`LatencyTransport`.
-    """
-
-    kind = "random-jitter"
-
-    def __init__(self, delay: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self.delay = float(delay)
-        self._rng = rng
-
-    def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
-        return float(self._rng.uniform(self.delay / 2, 3 * self.delay / 2))
 
 
 # --------------------------------------------------------------------------- #

@@ -36,8 +36,6 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.demand import Job
 from repro.distsim.failures import ChurnSpec
 from repro.io.atomic import atomic_write_json, atomic_write_text, compact_json
@@ -443,13 +441,7 @@ def restore_transport_state(transport, payload: Optional[Dict[str, Any]]) -> Non
 # --------------------------------------------------------------------- #
 
 
-def capture_checkpoint(
-    config,
-    driver,
-    *,
-    rng: Optional[np.random.Generator] = None,
-    recorder=None,
-) -> Dict[str, Any]:
+def capture_checkpoint(config, driver, *, recorder=None) -> Dict[str, Any]:
     """Snapshot a service run at a clean boundary (see module docstring)."""
     fleet = driver.fleet
     simulator = fleet.simulator
@@ -486,7 +478,6 @@ def capture_checkpoint(
             "messages_dropped": fleet.network.messages_dropped,
         },
         "transport": _transport_state(fleet.network.transport),
-        "rng": rng.bit_generator.state if rng is not None else None,
         "failure_plan": {
             "crashed": sorted([list(p) for p in plan.crashed]),
             "initiation_suppressed": sorted(
@@ -506,16 +497,16 @@ def capture_checkpoint(
     return payload
 
 
-def restore_checkpoint(
-    fleet: Fleet, snapshot: Dict[str, Any], rng: Optional[np.random.Generator] = None
-) -> None:
+def restore_checkpoint(fleet: Fleet, snapshot: Dict[str, Any]) -> None:
     """Overlay a snapshot's simulation state onto a freshly provisioned fleet.
 
     The inverse of :func:`capture_checkpoint` for everything the fleet
-    owns: the clock, the fleet and transport state, the network counters,
-    the run RNG and the failure plan's mutable sets and counters.  Driver
-    state (pending arrivals, applied churn, event statistics) and metrics
-    state stay with the caller.
+    owns: the clock, the fleet and transport state, the network counters
+    and the failure plan's mutable sets and counters.  Driver state
+    (pending arrivals, applied churn, event statistics) and metrics state
+    stay with the caller.  The ``"rng"`` entry of older snapshots is
+    ignored: no channel a snapshot can be resumed on draws from a run RNG
+    (a jitter-era snapshot is refused by its transport kind).
     """
     fleet.simulator.clock.advance(snapshot["clock"])
     restore_fleet_state(fleet, snapshot["fleet"])
@@ -524,8 +515,6 @@ def restore_checkpoint(
     fleet.network.messages_sent = network["messages_sent"]
     fleet.network.messages_delivered = network["messages_delivered"]
     fleet.network.messages_dropped = network["messages_dropped"]
-    if rng is not None and snapshot["rng"] is not None:
-        rng.bit_generator.state = snapshot["rng"]
     plan = fleet.failure_plan
     plan_state = snapshot["failure_plan"]
     plan.crashed = {tuple(p) for p in plan_state["crashed"]}

@@ -35,8 +35,6 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, TextIO, Union
 
-import numpy as np
-
 from repro.api.service import ServiceConfig, ServiceResult
 from repro.core.online import (
     _detection_counters,
@@ -70,18 +68,16 @@ class _Interrupted(Exception):
 def _provision(config: ServiceConfig, *, apply_dead: bool):
     demand = config.demand()
     omega, omega_star = resolve_omega(demand, config.omega)
-    rng = np.random.default_rng(config.seed) if config.seed is not None else None
     fleet, fleet_config, provisioned, theorem_capacity = provision_fleet(
         demand,
         omega=omega,
         capacity=config.capacity,
         config=config.fleet_config(),
-        rng=rng,
         failure_plan=config.failure_plan(),
         dead_vehicles=config.dead_vehicles if apply_dead and config.dead_vehicles else None,
         transport=build_transport(config.transport),
     )
-    return fleet, fleet_config, rng, float(omega), omega_star, provisioned, theorem_capacity
+    return fleet, fleet_config, float(omega), omega_star, provisioned, theorem_capacity
 
 
 def run_service(
@@ -147,7 +143,7 @@ def run_service(
                 f"({snap_hash[:12]} != {config_hash[:12]})"
             )
 
-    fleet, fleet_config, rng, omega, omega_star, provisioned, theorem_capacity = _provision(
+    fleet, fleet_config, omega, omega_star, provisioned, theorem_capacity = _provision(
         config, apply_dead=not resumed
     )
     plan = fleet.failure_plan
@@ -174,7 +170,7 @@ def run_service(
     churn_applied = None
     served_before = 0
     if resumed:
-        restore_checkpoint(fleet, snapshot, rng)
+        restore_checkpoint(fleet, snapshot)
         if "metrics" in snapshot:
             recorder.restore_state(snapshot["metrics"])
         start_consumed = snapshot["jobs"]["consumed"]
@@ -206,7 +202,7 @@ def run_service(
             and not driver.finished
             and driver.at_clean_point()
         ):
-            payload = capture_checkpoint(config, driver, rng=rng, recorder=recorder)
+            payload = capture_checkpoint(config, driver, recorder=recorder)
             if keep_checkpoints is not None:
                 save_rotated_checkpoint(
                     payload,

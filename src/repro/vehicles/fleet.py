@@ -188,7 +188,6 @@ class Fleet:
         omega: float,
         config: Optional[FleetConfig] = None,
         *,
-        rng: Optional[np.random.Generator] = None,
         failure_plan: Optional[FailurePlan] = None,
         transport: Optional[Transport] = None,
         window: Optional[Box] = None,
@@ -214,7 +213,6 @@ class Fleet:
         self.network = Network(
             self.simulator,
             delay=config.message_delay,
-            rng=rng,
             failure_plan=self.failure_plan,
             transport=transport,
         )

@@ -244,23 +244,23 @@ class TestPinnedOutputs:
     SERVE_CONFIG_HASHES = {
         "default": (
             [],
-            "999cf914b3b758f5fb2c69dc930fdc2164f971ed05c8f8cc7f11257b700d1583",
+            "4402c74182587295a2c0b16437106cc12e1e65dd4cc87d6da0236bae6086cf3d",
         ),
         "crash-implies-ring": (
             ["--crash", "0,0"],
-            "cf6ad94e6748dbf54ebfabf57d642d57f22e2b0d1a063366652c6dbf69b35fd2",
+            "5b4e0571b763f796ecbf9c606e739fc247a4962d793e7c7b85c5e0fe478fcfa9",
         ),
         "gossip": (
             ["--monitoring", "gossip", "--gossip-fanout", "3", "--quorum", "2"],
-            "4c5191b8878f7ff37ad1363127e81bb45588460e8fc44e705c3f0beff72902b7",
+            "5fa5dc2be2b025380b6760b5fe15224b31f48bfe54b926f093d305fa3b63f3b3",
         ),
         "escalation-hand-back": (
             ["--escalation", "--hand-back"],
-            "14d5e3f35f52d164211e94eb9ae402754e2c8310a4f9c3a1cbf8343cc7c3fa3d",
+            "03e5f022fed60d1e6b36f75ced79fa7fc5148c7f56f57be5d743d1e4d545e72e",
         ),
         "lossy": (
             ["--transport", "lossy", "--transport-param", "loss=0.1"],
-            "838221bf1ccc7462508f61a7c0d6381bf5c2f9a0ea5f1dc95eb8ad5f5f03f375",
+            "4c2d302dc629eb39ce832d211c028c3b3fee9e8b7df9f179d80bebd316aeead8",
         ),
     }
 
@@ -460,9 +460,9 @@ class TestTransportFlags:
         )
         assert code == 0
         transport = json.loads(out.read_text())["extras"]["transport"]
-        assert transport == "random-jitter"
+        assert transport == "reliable"
         assert f"'{transport}' channel" in help_text
-        assert "reliable" not in help_text
+        assert "jitter" not in help_text
 
     def test_transport_param_without_transport_errors(self):
         with pytest.raises(SystemExit):

@@ -196,8 +196,8 @@ class TestFailuresThroughHarness:
     def test_deterministic_given_seed(self):
         demand = square_demand(4, 5.0)
         jobs = random_arrivals(demand, np.random.default_rng(1))
-        first = run_online(jobs, omega=2.0, rng=np.random.default_rng(2))
-        second = run_online(jobs, omega=2.0, rng=np.random.default_rng(2))
+        first = run_online(jobs, omega=2.0)
+        second = run_online(jobs, omega=2.0)
         assert first.max_vehicle_energy == second.max_vehicle_energy
         assert first.messages == second.messages
         assert first.vehicle_energies == second.vehicle_energies

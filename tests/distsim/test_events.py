@@ -141,8 +141,8 @@ class TestEventDriver:
 
     def test_is_deterministic(self):
         jobs = random_arrivals(square_demand(4, 2.0), np.random.default_rng(3))
-        first = run_online(jobs, rng=np.random.default_rng(11))
-        second = run_online(jobs, rng=np.random.default_rng(11))
+        first = run_online(jobs)
+        second = run_online(jobs)
         assert _result_fingerprint(first) == _result_fingerprint(second)
 
 

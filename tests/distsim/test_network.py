@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Hashable, List
 
-import numpy as np
 import pytest
 
 from repro.distsim.engine import Simulator
@@ -80,17 +79,6 @@ class TestDelivery:
         assert b.received == [("a", "hello")]
         assert net.messages_sent == 1
         assert net.messages_delivered == 1
-
-    def test_fifo_per_link_with_random_delays(self):
-        rng = np.random.default_rng(7)
-        net = Network(delay=1.0, rng=rng)
-        a, b = Recorder("a"), Recorder("b")
-        net.register_all([a, b])
-        for i in range(50):
-            net.send("a", "b", i)
-        net.run_until_quiescent()
-        payloads = [message for _, message in b.received]
-        assert payloads == list(range(50))
 
     def test_custom_delay_function(self):
         # Delay by payload value: FIFO must still hold per link.

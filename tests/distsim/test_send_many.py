@@ -18,7 +18,6 @@ from repro.distsim.process import Process
 from repro.distsim.transport import (
     LatencyTransport,
     LossyTransport,
-    RandomJitterTransport,
     ReliableTransport,
     TransportSpec,
 )
@@ -444,13 +443,6 @@ class TestFallbackPaths:
 
     def test_lossy_batch_latency_is_none(self):
         assert LossyTransport(0.1).batch_latency("a", ["b"], "m") is None
-
-    def test_random_jitter_falls_back(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        transport = RandomJitterTransport(0.1, rng)
-        assert transport.batch_latency("a", ["b"], "m") is None
 
 
 class TestQueueBatchPush:

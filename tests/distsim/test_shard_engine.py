@@ -220,9 +220,7 @@ class TestWorkerIsolation:
 
 class TestEligibility:
     def _check(self, config, *, transport="lossy", escalation=False):
-        return parallel_lockstep_eligibility(
-            transport, config, None, None, 0, escalation
-        )
+        return parallel_lockstep_eligibility(transport, config, None, 0, escalation)
 
     def test_run_level_escalation_override_wins_over_the_config(self):
         ok, reason = self._check(FleetConfig(escalation=True), escalation=False)

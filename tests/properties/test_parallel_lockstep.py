@@ -249,13 +249,6 @@ class TestEligibilityAndFallback:
         assert result.shard_mode == "single-process"
         assert result.shard_mode_reason.startswith("recovery_rounds")
 
-    def test_shared_rng_jitter_reason(self, tiny_workload):
-        result = self._run(
-            tiny_workload, 4, transport=None, rng=np.random.default_rng(1)
-        )
-        assert result.shard_mode == "single-process"
-        assert "shared-rng" in result.shard_mode_reason
-
     def test_single_shard_records_no_mode(self, tiny_workload):
         result = self._run(tiny_workload, 1)
         assert result.shard_mode == ""
@@ -272,17 +265,17 @@ class TestEligibilityAndFallback:
 
     def test_eligibility_unit_reasons(self):
         config = FleetConfig(monitoring=True)
-        ok, reason = parallel_lockstep_eligibility("lossy", config, None, None, 0, False)
+        ok, reason = parallel_lockstep_eligibility("lossy", config, None, 0, False)
         assert ok and reason == ""
         plan = FailurePlan()
         plan.drop_predicates.append(lambda *a: False)
-        ok, reason = parallel_lockstep_eligibility("lossy", config, None, plan, 0, False)
+        ok, reason = parallel_lockstep_eligibility("lossy", config, plan, 0, False)
         assert not ok and "drop predicates" in reason
         ok, reason = parallel_lockstep_eligibility(
-            LossyTransport(), config, None, None, 0, False
+            LossyTransport(), config, None, 0, False
         )
         assert not ok and "caller-owned" in reason
-        ok, reason = parallel_lockstep_eligibility(None, config, None, None, 0, False)
+        ok, reason = parallel_lockstep_eligibility(None, config, None, 0, False)
         assert ok  # fixed-delay reliable default, rebuilt per worker
 
 
@@ -301,9 +294,7 @@ class TestServiceShardResume:
         from repro.workloads.library import build_family_demand
 
         demand = build_family_demand("scale-up", {"side": 8, "per_point": 2.0})
-        config = ServiceConfig.from_demand(
-            demand, seed=5, checkpoint_every=1, window_jobs=20
-        )
+        config = ServiceConfig.from_demand(demand, checkpoint_every=1, window_jobs=20)
         jobs = lambda: streaming_arrivals(demand, jobs=80)
         snap = tmp_path / "snap.json"
         full = run_service(config, jobs())

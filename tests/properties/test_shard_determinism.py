@@ -7,9 +7,12 @@ every mechanism:
 * **Goldens** -- every scenario family x {plain, monitoring, escalation,
   lossy, gossip-lossy} golden config (the same 50 configs the flat-core
   differential suite pins) run with ``shards=4`` reproduces the committed
-  golden digest bit for bit.  The lossy configs take the worker path; the
-  others exercise the *single-process* fallback (one global fleet) through
-  the shared-RNG jitter channel, recovery rounds or escalation.
+  golden digest bit for bit.  Configs without escalation or recovery
+  rounds take the worker path; the others exercise the *single-process*
+  fallback (one global fleet).
+* **Default channel** -- a ring-monitoring run with no transport, through
+  :class:`~repro.api.ExperimentEngine`, fans out to workers and matches
+  its 1-shard run.
 * **Worker engine** -- a shard-local direct ``run_online`` config
   (reliable transport, no failures) is byte-identical across shard counts,
   including the float-sum-sensitive energy totals.  This exercises the
@@ -74,6 +77,16 @@ def _digest(result) -> str:
     ).hexdigest()
 
 
+def _without_shard_bookkeeping(result, base_hash):
+    """``result`` with the 1-shard config hash and no ``shard_mode*`` extras."""
+    extras = {
+        key: value
+        for key, value in result.extras_dict().items()
+        if not key.startswith("shard_mode")
+    }
+    return dataclasses.replace(result, config_hash=base_hash, extras=extras)
+
+
 @pytest.fixture(scope="module")
 def engine():
     return ExperimentEngine()
@@ -90,20 +103,37 @@ class TestGoldenShardInvariance:
             family, solver, seed=SEED, preset=PRESET, **overrides
         ).replace(shards=SHARDS)
         result = engine.run(config)
-        base_hash = config.replace(shards=1).config_hash()
         # Shard bookkeeping (mode + fallback reason) is recorded in extras
         # only when shards > 1; like config_hash it is normalized out --
         # golden identity covers the physical result, not the execution
         # mode that produced it.
-        extras = {
-            key: value
-            for key, value in result.extras_dict().items()
-            if not key.startswith("shard_mode")
-        }
-        normalized = dataclasses.replace(result, config_hash=base_hash, extras=extras)
+        normalized = _without_shard_bookkeeping(
+            result, config.replace(shards=1).config_hash()
+        )
         assert _digest(normalized) == GOLDENS[key], (
             f"{key}: a {SHARDS}-shard run diverged from the 1-shard golden"
         )
+
+
+class TestDefaultChannelShards:
+    """A run with no transport takes the reliable channel, which shards."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return family_config(
+            "scale-up", "online", seed=0, side=12, per_point=1.0,
+            params={"monitoring": "ring"},
+        ).replace(omega=3.0)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_engine_run_fans_out_and_matches_one_shard(self, config, shards, engine):
+        assert config.transport is None
+        base = engine.run(config)
+        assert base.extras_dict()["transport"] == "reliable"
+        sharded = engine.run(config.replace(shards=shards))
+        assert sharded.extras_dict()["shard_mode"] == "parallel-lockstep"
+        normalized = _without_shard_bookkeeping(sharded, base.config_hash)
+        assert normalized.canonical_json() == base.canonical_json()
 
 
 class TestParallelModeByteIdentity:
@@ -157,25 +187,6 @@ class TestParallelModeByteIdentity:
         for field in self.FIELDS:
             assert getattr(sharded, field) == getattr(baseline, field), field
 
-    def test_rng_coupled_run_takes_single_process_and_matches(self, workload):
-        base = run_online(
-            workload,
-            capacity="theorem",
-            config=FleetConfig(),
-            rng=np.random.default_rng(7),
-        )
-        sharded = run_online(
-            workload,
-            capacity="theorem",
-            config=FleetConfig(),
-            rng=np.random.default_rng(7),
-            shards=SHARDS,
-        )
-        assert sharded.shard_mode == "single-process"
-        assert "shared-rng" in sharded.shard_mode_reason
-        for field in self.FIELDS:
-            assert getattr(sharded, field) == getattr(base, field), field
-
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_shards_validation(self, workload, bad):
         with pytest.raises(ValueError):
@@ -189,8 +200,8 @@ class TestEngineServiceFanout:
     def _items():
         demand_a = build_family_demand("scale-up", {"side": 8, "per_point": 2.0})
         demand_b = build_family_demand("scale-up", {"side": 10, "per_point": 2.0})
-        a = ServiceConfig.from_demand(demand_a, seed=3)
-        b = ServiceConfig.from_demand(demand_b, seed=4)
+        a = ServiceConfig.from_demand(demand_a)
+        b = ServiceConfig.from_demand(demand_b)
         return [(a, 30), (b, 30), (a, 30)]
 
     @pytest.fixture(scope="class")

@@ -206,8 +206,26 @@ class TestSnapshotFormat:
     def test_snapshot_is_plain_json(self, tmp_path):
         snapshot, _, _ = self._write_snapshot(tmp_path)
         payload = json.loads(snapshot.read_text())
-        for key in ("schema", "version", "config", "clock", "fleet", "jobs", "rng"):
+        for key in ("schema", "version", "config", "clock", "fleet", "jobs"):
             assert key in payload
+        assert "rng" not in payload
+
+    def test_jitter_era_snapshot_is_refused(self, tmp_path):
+        # A seeded service without a transport once ran on a shared-RNG
+        # uniform-jitter channel; no build can replay its draws, so its
+        # snapshot must fail on the channel, not resume onto another one.
+        snapshot, _, jobs = self._write_snapshot(tmp_path)
+        payload = load_json(snapshot)
+        payload["config"]["seed"] = 5
+        payload["transport"]["kind"] = "random-jitter"
+        payload["rng"] = {
+            "bit_generator": "PCG64",
+            "state": {"state": 1, "inc": 3},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        with pytest.raises(ValueError, match="'random-jitter' does not match"):
+            resume_service(payload, list(jobs.jobs))
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         snapshot, _, _ = self._write_snapshot(tmp_path)
@@ -283,16 +301,22 @@ class TestSnapshotFormat:
         with pytest.raises(ValueError, match="monitoring_baseline 2"):
             resume_service(payload, jobs)
 
-    def test_config_json_carries_no_shards_key(self):
-        config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
-        assert "shards" not in config.to_json()
+    #: Keys service configs once serialized: an observe-only ``shards``
+    #: count, and the seed of the run RNG only the removed jitter channel
+    #: drew from.
+    RETIRED_KEYS = {"shards": 3, "seed": 5}
 
-    def test_retired_shards_key_loads_to_the_same_config(self):
-        # Service configs once serialized an observe-only ``shards`` count;
-        # such payloads must load to the same config and content hash.
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_config_json_carries_no_retired_key(self, key):
+        config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
+        assert key not in config.to_json()
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_retired_key_loads_to_the_same_config(self, key):
+        # Such payloads must load to the same config and content hash.
         config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
         payload = config.to_json()
-        payload["shards"] = 3
+        payload[key] = self.RETIRED_KEYS[key]
         loaded = ServiceConfig.from_json(payload)
         assert loaded == config
         assert loaded.config_hash() == config.config_hash()

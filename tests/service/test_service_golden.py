@@ -69,4 +69,9 @@ def test_compact_checkpoint_carries_the_same_snapshot(tmp_path):
     assert partial.interrupted
     text = snapshot.read_text()
     assert "\n" not in text and ", " not in text
-    assert json.loads(text) == json.loads(INDENTED_CHECKPOINT.read_text())
+    legacy = json.loads(INDENTED_CHECKPOINT.read_text())
+    # The committed file predates the removal of the run RNG: it also
+    # carries ``"rng": null`` and a ``seed: null`` config key.
+    del legacy["rng"]
+    del legacy["config"]["seed"]
+    assert json.loads(text) == legacy

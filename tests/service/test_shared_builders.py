@@ -170,18 +170,18 @@ class TestSharedProvisioning:
             resolve_omega(GRID, 0.0)
 
 
-#: Configs whose restore touches every part of the snapshot: a shared-rng
-#: jitter channel (rng state), and a lossy channel with a Byzantine
-#: watcher under gossip (transport streams, plan sets and counters).
+#: Configs whose restore touches every part of the snapshot: ring
+#: monitoring over the reliable channel, and a lossy channel with a
+#: Byzantine watcher under gossip (transport streams, plan sets and
+#: counters).
 RESTORE_CONFIGS = {
-    "ring-jitter": ServiceConfig.from_demand(
+    "ring-reliable": ServiceConfig.from_demand(
         GRID,
         omega=4.0,
         capacity=64.0,
         fleet=FleetConfig(monitoring=True),
         dead_vehicles=((0, 0),),
         recovery_rounds=12,
-        seed=5,
     ),
     "gossip-lossy-byzantine": ServiceConfig.from_demand(
         GRID,
@@ -224,7 +224,7 @@ def _network_state(fleet):
 @pytest.mark.parametrize("name", sorted(RESTORE_CONFIGS))
 def test_restore_checkpoint_rebuilds_the_captured_fleet(name):
     config = RESTORE_CONFIGS[name]
-    source, source_config, source_rng, *_ = _provision(config, apply_dead=True)
+    source, source_config, *_ = _provision(config, apply_dead=True)
     driver = StreamDriver(
         source,
         source_config,
@@ -234,18 +234,13 @@ def test_restore_checkpoint_rebuilds_the_captured_fleet(name):
     )
     driver.run()
     assert source.messages_sent() > 0
-    snapshot = json.loads(
-        json.dumps(capture_checkpoint(config, driver, rng=source_rng))
-    )
+    snapshot = json.loads(json.dumps(capture_checkpoint(config, driver)))
 
-    fresh, _, fresh_rng, *_ = _provision(config, apply_dead=False)
+    fresh, *_ = _provision(config, apply_dead=False)
     assert fleet_digest(fresh) != fleet_digest(source)
-    restore_checkpoint(fresh, snapshot, fresh_rng)
+    restore_checkpoint(fresh, snapshot)
 
     assert fleet_digest(fresh) == fleet_digest(source)
     assert fresh.simulator.now == source.simulator.now
     assert _plan_state(fresh.failure_plan) == _plan_state(source.failure_plan)
     assert _network_state(fresh) == _network_state(source)
-    if source_rng is not None:
-        assert fresh_rng.bit_generator.state == source_rng.bit_generator.state
-        assert np.array_equal(fresh_rng.random(4), source_rng.random(4))

@@ -9,7 +9,6 @@ events processed, final clock -- not just on aggregate feasibility.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api.service import ServiceConfig
@@ -181,7 +180,6 @@ class TestFamilySolverEquivalence:
             omega=config.omega,
             capacity=config.capacity,
             config=FleetConfig(monitoring=broken, escalation=config.escalation),
-            rng=np.random.default_rng(config.scenario.seed),
             failure_plan=failures.to_plan() if broken else None,
             dead_vehicles=failures.crashed if broken else None,
             recovery_rounds=config.recovery_rounds,
@@ -200,7 +198,6 @@ class TestFamilySolverEquivalence:
                 dead_vehicles=failures.crashed if broken else (),
                 suppressed=failures.suppressed if broken else (),
                 partitions=failures.partitions if broken else (),
-                seed=config.scenario.seed,
             ),
             jobs.jobs,
         )
