@@ -89,6 +89,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from _common import write_summary
 
@@ -109,6 +110,71 @@ SHARDED_CRASH_BENCHMARK = "bench_sharded_crash_jobs_per_sec"
 #: The benchmark whose jobs/sec gates the escalation-mode heartbeat (it
 #: must send, and replace a pair across a cube boundary).
 ESCALATION_CRASH_BENCHMARK = "bench_escalation_crash_jobs_per_sec"
+
+class Work(NamedTuple):
+    """One piece of work a jobs/sec gate's run must show."""
+
+    #: The benchmark's extra_info key, and the suffix of its artifact key.
+    key: str
+    #: Its type in the artifact.
+    cast: Callable[[Any], Any]
+    #: Its text on the summary line.
+    summary: str
+    #: Whether the value shows the work.
+    done: Callable[[Any], bool]
+    #: The FAIL line when it does not.
+    failure: str
+
+
+def _positive(count: int) -> bool:
+    return count > 0
+
+
+#: Every gated run must send messages.
+SENT = Work("messages", int, "{} messages", _positive, "the run sent no message")
+
+#: The jobs/sec gates, in order: the benchmark, the stem of its baseline
+#: and artifact keys, its name on ``--update``, and the work its run must
+#: show.
+JOBS_PER_SEC_GATES = (
+    (RING_BENCHMARK, "ring_monitoring", "ring-monitoring", (SENT,)),
+    (
+        LOSSY_BENCHMARK,
+        "lossy_crash",
+        "lossy crash-recovery",
+        (
+            SENT,
+            Work(
+                "replacements",
+                int,
+                "{} replacements",
+                _positive,
+                "the run replaced no crashed vehicle",
+            ),
+        ),
+    ),
+    (
+        SHARDED_CRASH_BENCHMARK,
+        "sharded_crash",
+        "sharded crash-recovery",
+        (SENT, Work("shard_mode", str, "mode {}", "parallel-lockstep".__eq__, "ran as {!r}")),
+    ),
+    (
+        ESCALATION_CRASH_BENCHMARK,
+        "escalation_crash",
+        "escalation crash-recovery",
+        (
+            SENT,
+            Work(
+                "escalated_replacements",
+                int,
+                "{} escalated replacements",
+                _positive,
+                "the run made no escalated replacement",
+            ),
+        ),
+    ),
+)
 
 #: The bench_scale.py scale whose construction time the gate tracks.
 GATED_SCALE = "1e4"
@@ -150,37 +216,12 @@ def _extra_info(report: dict, name: str, keys: tuple) -> tuple:
     )
 
 
-def extract_ring_monitoring(report: dict) -> tuple:
-    """(jobs/sec, messages sent) of the ring-monitoring benchmark."""
-    jobs_per_sec, messages = _extra_info(report, RING_BENCHMARK, ("jobs_per_sec", "messages"))
-    return float(jobs_per_sec), int(messages)
-
-
-def extract_lossy_crash(report: dict) -> tuple:
-    """(jobs/sec, messages sent, replacements) of the lossy crash benchmark."""
-    jobs_per_sec, messages, replacements = _extra_info(
-        report, LOSSY_BENCHMARK, ("jobs_per_sec", "messages", "replacements")
-    )
-    return float(jobs_per_sec), int(messages), int(replacements)
-
-
-def extract_sharded_crash(report: dict) -> tuple:
-    """(jobs/sec, messages sent, shard mode) of the sharded crash benchmark."""
-    jobs_per_sec, messages, shard_mode = _extra_info(
-        report, SHARDED_CRASH_BENCHMARK, ("jobs_per_sec", "messages", "shard_mode")
-    )
-    return float(jobs_per_sec), int(messages), str(shard_mode)
-
-
-def extract_escalation_crash(report: dict) -> tuple:
-    """(jobs/sec, messages sent, escalated replacements) of the escalation
-    crash benchmark."""
-    jobs_per_sec, messages, escalated = _extra_info(
-        report,
-        ESCALATION_CRASH_BENCHMARK,
-        ("jobs_per_sec", "messages", "escalated_replacements"),
-    )
-    return float(jobs_per_sec), int(messages), int(escalated)
+def extract_jobs_per_sec(report: dict, gate: tuple) -> tuple:
+    """(jobs/sec, the value of each of its :class:`Work`) of one jobs/sec
+    gate's benchmark."""
+    name, _, _, work = gate
+    values = _extra_info(report, name, ("jobs_per_sec",) + tuple(w.key for w in work))
+    return float(values[0]), [w.cast(value) for w, value in zip(work, values[1:])]
 
 
 def extract_construction_seconds(scale_report: dict) -> float:
@@ -299,14 +340,7 @@ def main(argv=None) -> int:
 
     report = json.loads(Path(args.report).read_text())
     measured = extract_events_per_sec(report)
-    ring, ring_messages = extract_ring_monitoring(report)
-    lossy, lossy_messages, lossy_replacements = extract_lossy_crash(report)
-    sharded_crash, sharded_crash_messages, sharded_crash_mode = extract_sharded_crash(
-        report
-    )
-    escalation, escalation_messages, escalation_replacements = extract_escalation_crash(
-        report
-    )
+    jobs = [extract_jobs_per_sec(report, gate) for gate in JOBS_PER_SEC_GATES]
     construction = None
     quiescent = None
     sharded = None
@@ -334,11 +368,9 @@ def main(argv=None) -> int:
         refreshed = {
             "benchmark": GATED_BENCHMARK,
             "events_per_sec": measured,
-            "ring_monitoring_jobs_per_sec": ring,
-            "lossy_crash_jobs_per_sec": lossy,
-            "sharded_crash_jobs_per_sec": sharded_crash,
-            "escalation_crash_jobs_per_sec": escalation,
         }
+        for (_, stem, _, _), (jobs_per_sec, _) in zip(JOBS_PER_SEC_GATES, jobs):
+            refreshed[f"{stem}_jobs_per_sec"] = jobs_per_sec
         if construction is not None:
             refreshed["construction_seconds_1e4"] = construction
         if quiescent is not None:
@@ -356,10 +388,8 @@ def main(argv=None) -> int:
             refreshed = {**previous, **refreshed}
         baseline_path.write_text(json.dumps(refreshed, indent=2) + "\n")
         print(f"baseline updated: {measured:.0f} events/sec -> {baseline_path}")
-        print(f"baseline updated: {ring:.1f} ring-monitoring jobs/sec")
-        print(f"baseline updated: {lossy:.1f} lossy crash-recovery jobs/sec")
-        print(f"baseline updated: {sharded_crash:.1f} sharded crash-recovery jobs/sec")
-        print(f"baseline updated: {escalation:.1f} escalation crash-recovery jobs/sec")
+        for (_, _, label, _), (jobs_per_sec, _) in zip(JOBS_PER_SEC_GATES, jobs):
+            print(f"baseline updated: {jobs_per_sec:.1f} {label} jobs/sec")
         if construction is not None:
             print(f"baseline updated: {construction:.4f}s construction (1e4)")
         if quiescent is not None:
@@ -394,125 +424,35 @@ def main(argv=None) -> int:
         f"(baseline {baseline:.0f}, floor {floor:.0f}) -> {status}"
     )
 
-    ring_base = baseline_payload.get("ring_monitoring_jobs_per_sec")
-    if ring_base is None:
-        raise SystemExit(
-            "the baseline carries no ring_monitoring_jobs_per_sec; "
-            "refresh it with --update"
+    jobs_passed = []
+    for (name, stem, _, work), (jobs_per_sec, values) in zip(JOBS_PER_SEC_GATES, jobs):
+        base = baseline_payload.get(f"{stem}_jobs_per_sec")
+        if base is None:
+            raise SystemExit(
+                f"the baseline carries no {stem}_jobs_per_sec; refresh it with --update"
+            )
+        jobs_floor = float(base) * (1.0 - args.tolerance)
+        shown = [w.done(value) for w, value in zip(work, values)]
+        gate_passed = jobs_per_sec >= jobs_floor and all(shown)
+        jobs_passed.append(gate_passed)
+        artifact[f"{stem}_jobs_per_sec"] = jobs_per_sec
+        artifact.update({f"{stem}_{w.key}": value for w, value in zip(work, values)})
+        artifact.update(
+            {
+                f"baseline_{stem}_jobs_per_sec": float(base),
+                f"floor_{stem}_jobs_per_sec": jobs_floor,
+                f"{stem}_pass": gate_passed,
+            }
         )
-    ring_floor = float(ring_base) * (1.0 - args.tolerance)
-    ring_passed = ring >= ring_floor and ring_messages > 0
-    artifact.update(
-        {
-            "ring_monitoring_jobs_per_sec": ring,
-            "ring_monitoring_messages": ring_messages,
-            "baseline_ring_monitoring_jobs_per_sec": float(ring_base),
-            "floor_ring_monitoring_jobs_per_sec": ring_floor,
-            "ring_monitoring_pass": ring_passed,
-        }
-    )
-    rstatus = "ok" if ring_passed else "REGRESSION"
-    print(
-        f"{RING_BENCHMARK}: {ring:.1f} jobs/sec, {ring_messages} messages "
-        f"(baseline {float(ring_base):.1f}, floor {ring_floor:.1f}) -> {rstatus}"
-    )
-    if not ring_messages:
-        print(f"{RING_BENCHMARK}: the run sent no message -> FAIL")
-
-    lossy_base = baseline_payload.get("lossy_crash_jobs_per_sec")
-    if lossy_base is None:
-        raise SystemExit(
-            "the baseline carries no lossy_crash_jobs_per_sec; refresh it with --update"
+        summary = ", ".join(w.summary.format(value) for w, value in zip(work, values))
+        print(
+            f"{name}: {jobs_per_sec:.1f} jobs/sec, {summary} "
+            f"(baseline {float(base):.1f}, floor {jobs_floor:.1f}) "
+            f"-> {'ok' if gate_passed else 'REGRESSION'}"
         )
-    lossy_floor = float(lossy_base) * (1.0 - args.tolerance)
-    lossy_passed = lossy >= lossy_floor and lossy_messages > 0 and lossy_replacements > 0
-    artifact.update(
-        {
-            "lossy_crash_jobs_per_sec": lossy,
-            "lossy_crash_messages": lossy_messages,
-            "lossy_crash_replacements": lossy_replacements,
-            "baseline_lossy_crash_jobs_per_sec": float(lossy_base),
-            "floor_lossy_crash_jobs_per_sec": lossy_floor,
-            "lossy_crash_pass": lossy_passed,
-        }
-    )
-    lstatus = "ok" if lossy_passed else "REGRESSION"
-    print(
-        f"{LOSSY_BENCHMARK}: {lossy:.1f} jobs/sec, {lossy_messages} messages, "
-        f"{lossy_replacements} replacements "
-        f"(baseline {float(lossy_base):.1f}, floor {lossy_floor:.1f}) -> {lstatus}"
-    )
-    if not lossy_messages:
-        print(f"{LOSSY_BENCHMARK}: the run sent no message -> FAIL")
-    if not lossy_replacements:
-        print(f"{LOSSY_BENCHMARK}: the run replaced no crashed vehicle -> FAIL")
-
-    sharded_crash_base = baseline_payload.get("sharded_crash_jobs_per_sec")
-    if sharded_crash_base is None:
-        raise SystemExit(
-            "the baseline carries no sharded_crash_jobs_per_sec; refresh it with --update"
-        )
-    sharded_crash_floor = float(sharded_crash_base) * (1.0 - args.tolerance)
-    sharded_crash_passed = (
-        sharded_crash >= sharded_crash_floor
-        and sharded_crash_messages > 0
-        and sharded_crash_mode == "parallel-lockstep"
-    )
-    artifact.update(
-        {
-            "sharded_crash_jobs_per_sec": sharded_crash,
-            "sharded_crash_messages": sharded_crash_messages,
-            "sharded_crash_shard_mode": sharded_crash_mode,
-            "baseline_sharded_crash_jobs_per_sec": float(sharded_crash_base),
-            "floor_sharded_crash_jobs_per_sec": sharded_crash_floor,
-            "sharded_crash_pass": sharded_crash_passed,
-        }
-    )
-    scstatus = "ok" if sharded_crash_passed else "REGRESSION"
-    print(
-        f"{SHARDED_CRASH_BENCHMARK}: {sharded_crash:.1f} jobs/sec, "
-        f"{sharded_crash_messages} messages, mode {sharded_crash_mode} "
-        f"(baseline {float(sharded_crash_base):.1f}, "
-        f"floor {sharded_crash_floor:.1f}) -> {scstatus}"
-    )
-    if not sharded_crash_messages:
-        print(f"{SHARDED_CRASH_BENCHMARK}: the run sent no message -> FAIL")
-    if sharded_crash_mode != "parallel-lockstep":
-        print(f"{SHARDED_CRASH_BENCHMARK}: ran as {sharded_crash_mode!r} -> FAIL")
-
-    escalation_base = baseline_payload.get("escalation_crash_jobs_per_sec")
-    if escalation_base is None:
-        raise SystemExit(
-            "the baseline carries no escalation_crash_jobs_per_sec; refresh it with --update"
-        )
-    escalation_floor = float(escalation_base) * (1.0 - args.tolerance)
-    escalation_passed = (
-        escalation >= escalation_floor
-        and escalation_messages > 0
-        and escalation_replacements > 0
-    )
-    artifact.update(
-        {
-            "escalation_crash_jobs_per_sec": escalation,
-            "escalation_crash_messages": escalation_messages,
-            "escalation_crash_escalated_replacements": escalation_replacements,
-            "baseline_escalation_crash_jobs_per_sec": float(escalation_base),
-            "floor_escalation_crash_jobs_per_sec": escalation_floor,
-            "escalation_crash_pass": escalation_passed,
-        }
-    )
-    estatus = "ok" if escalation_passed else "REGRESSION"
-    print(
-        f"{ESCALATION_CRASH_BENCHMARK}: {escalation:.1f} jobs/sec, "
-        f"{escalation_messages} messages, "
-        f"{escalation_replacements} escalated replacements "
-        f"(baseline {float(escalation_base):.1f}, "
-        f"floor {escalation_floor:.1f}) -> {estatus}"
-    )
-    if not escalation_messages:
-        print(f"{ESCALATION_CRASH_BENCHMARK}: the run sent no message -> FAIL")
-    if not escalation_replacements:
-        print(f"{ESCALATION_CRASH_BENCHMARK}: the run made no escalated replacement -> FAIL")
+        for w, value, ok in zip(work, values, shown):
+            if not ok:
+                print(f"{name}: {w.failure.format(value)} -> FAIL")
 
     construction_passed = True
     if construction is not None:
@@ -670,10 +610,7 @@ def main(argv=None) -> int:
 
     overall = (
         passed
-        and ring_passed
-        and lossy_passed
-        and sharded_crash_passed
-        and escalation_passed
+        and all(jobs_passed)
         and construction_passed
         and quiescent_passed
         and sharded_passed

@@ -60,6 +60,7 @@ from repro.api import (
     RunConfig,
     RunResult,
     ScenarioSpec,
+    ServiceConfig,
     TransportSpec,
     UnknownSolverError,
     available_solvers,
@@ -68,6 +69,7 @@ from repro.api import (
     solver_descriptions,
 )
 from repro.api.solvers import GOSSIP_KNOBS, monitoring_settings
+from repro.core.demand import DemandMap
 from repro.core.offline import offline_bounds
 from repro.core.online import run_online
 from repro.io.serialize import demand_from_json, load_json, save_json
@@ -814,6 +816,19 @@ def _service_summary(result) -> Table:
     return table
 
 
+def _service_config(demand: DemandMap, failures: FailureSpec, **settings: Any) -> ServiceConfig:
+    """A service config over ``demand`` with ``failures`` in its failure fields."""
+    return ServiceConfig.from_demand(
+        demand,
+        churn=failures.churn_events(),
+        dead_vehicles=failures.crashed,
+        suppressed=failures.suppressed,
+        byzantine_watchers=failures.byzantine_watchers,
+        partitions=failures.partitions,
+        **settings,
+    )
+
+
 def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
     """``run --metrics-out``: the same online run, through the service harness.
 
@@ -821,7 +836,6 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
     printed numbers match a plain ``run`` exactly -- this path merely adds
     the windowed-metrics JSONL (and still composes with ``--profile``).
     """
-    from repro.api.service import ServiceConfig
     from repro.api.solvers import online_fleet_config
     from repro.service import run_service
 
@@ -838,18 +852,14 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    service_config = ServiceConfig.from_demand(
+    service_config = _service_config(
         jobs.demand_map(),
+        failures if broken else FailureSpec(),
         omega=config.omega,
         capacity=config.capacity,
         fleet=fleet_config,
         recovery_rounds=config.recovery_rounds,
         transport=config.effective_transport(),
-        churn=failures.churn_events() if broken else (),
-        dead_vehicles=failures.crashed if broken else (),
-        suppressed=failures.suppressed if broken else (),
-        byzantine_watchers=failures.byzantine_watchers if broken else (),
-        partitions=failures.partitions if broken else (),
         window_jobs=args.window,
     )
 
@@ -865,7 +875,6 @@ def _command_run_streaming(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.api.service import ServiceConfig
     from repro.service import load_checkpoint, run_service
     from repro.workloads.arrivals import streaming_arrivals
 
@@ -909,16 +918,14 @@ def _command_serve(args: argparse.Namespace) -> int:
             fleet["escalation"] = True
         if args.hand_back:
             fleet["hand_back"] = True
-        config = ServiceConfig.from_demand(
+        config = _service_config(
             demand,
+            failures,
             omega=args.omega,
             capacity=_parse_capacity(args.capacity),
             fleet=fleet,
             recovery_rounds=args.recovery_rounds,
             transport=_parse_transport(args),
-            dead_vehicles=failures.crashed,
-            suppressed=failures.suppressed,
-            byzantine_watchers=failures.byzantine_watchers,
             lookahead=args.lookahead,
             window_jobs=args.window,
             checkpoint_every=args.checkpoint_every,

@@ -23,7 +23,7 @@ computation.  This subpackage provides the substrate that protocol runs on:
   and vehicle churn schedules for the adversarial scenario families.
 """
 
-from repro.distsim.engine import Event, Simulator
+from repro.distsim.engine import Simulator
 from repro.distsim.events import EventQueue, EventStats, ScheduledEvent, SimClock
 from repro.distsim.network import Network
 from repro.distsim.process import Process
@@ -42,7 +42,6 @@ from repro.distsim.transport import (
 )
 
 __all__ = [
-    "Event",
     "Simulator",
     "EventQueue",
     "EventStats",

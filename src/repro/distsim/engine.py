@@ -22,10 +22,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 from repro.distsim.events import EventQueue, EventStats, ScheduledEvent, SimClock
 
-__all__ = ["Event", "Simulator"]
-
-#: Backwards-compatible alias: the scheduled-event type used to live here.
-Event = ScheduledEvent
+__all__ = ["Simulator"]
 
 
 class Simulator:

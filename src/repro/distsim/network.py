@@ -12,29 +12,26 @@ clock -- lives in a pluggable :class:`~repro.distsim.transport.Transport`:
 * each ``send`` first consults the failure plan (crashed endpoints,
   partitions, drop rules), then hands the message to the transport, which
   schedules the delivery event;
-* deliveries on the same directed link never overtake one another (a
-  :class:`~repro.distsim.transport.Transport` invariant: variable-delay
-  channels clamp per link, and on a fixed-delay channel ``now + delay``
-  never decreases, so it needs no clamp);
+* on a fixed-delay channel (reliable or lossy) every send is a
+  ``(sender, destinations, message)`` record, scheduled by
+  :meth:`~repro.distsim.transport.Transport.send_batch` at once or, inside
+  a :meth:`Network.deferred_sends` scope, with the rest of the scope;
+  ``now + delay`` never decreases, so links keep FIFO order unclamped;
+* any other channel schedules one message at a time through
+  :meth:`~repro.distsim.transport.Transport.send`, which clamps per link;
 * when no transport is given, the channel is the paper's: a
-  :class:`~repro.distsim.transport.ReliableTransport` with a fixed (or
-  callable) delay.
+  :class:`~repro.distsim.transport.ReliableTransport` with a fixed delay.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from contextlib import contextmanager
-from functools import partial
-from itertools import accumulate
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import FailurePlan
 from repro.distsim.process import Process
-from repro.distsim.transport import DelayFunction, ReliableTransport, Transport
+from repro.distsim.transport import Record, ReliableTransport, Transport
 
 __all__ = ["Network", "UnknownDestination"]
 
@@ -56,9 +53,8 @@ class Network:
         The discrete-event engine driving the run.  A fresh one is created
         when omitted.
     delay:
-        The reliable channel's delay, used only when no ``transport`` is
-        given: a fixed non-negative delay applied to every message, or a
-        callable ``(sender, destination, message) -> delay``.
+        The reliable channel's fixed non-negative delay, used only when no
+        ``transport`` is given.
     failure_plan:
         Optional failure injection (crashed processes, dropped messages).
     transport:
@@ -70,7 +66,7 @@ class Network:
         self,
         simulator: Optional[Simulator] = None,
         *,
-        delay: float | DelayFunction = 1.0,
+        delay: float = 1.0,
         failure_plan: Optional[FailurePlan] = None,
         transport: Optional[Transport] = None,
     ) -> None:
@@ -88,7 +84,7 @@ class Network:
         self.messages_dropped = 0
         #: Sends recorded inside a :meth:`deferred_sends` scope, as
         #: ``(sender, destinations, message)``; ``None`` outside one.
-        self._deferred: Optional[List[Tuple[Hashable, List[Hashable], Any]]] = None
+        self._deferred: Optional[List[Record]] = None
 
     # ------------------------------------------------------------------ #
     # registration
@@ -146,6 +142,9 @@ class Network:
         if self._deferred is not None:
             self._deferred.append((sender, [destination], message))
             return
+        if self.transport.deferred_latency() is not None:
+            self._schedule([(sender, [destination], message)])
+            return
 
         def _deliver(delivered: Any) -> None:
             self._deliver(((sender, (destination,), delivered),))
@@ -154,24 +153,20 @@ class Network:
             self.messages_dropped += 1
 
     def send_many(self, sender: Hashable, destinations: Iterable[Hashable], message: Any) -> None:
-        """Send one message to many destinations, batched when possible.
+        """Send one message to many destinations as one record.
 
         The common case of the protocol's traffic is a *broadcast*: the
-        same heartbeat, query, or notice to every peer of a cube.  When
-        the transport reports a shared batch delay (the reliable
-        fixed-delay channel), the whole broadcast is one transport call
-        and one calendar-queue entry that counts one event per recipient
-        (see :meth:`~repro.distsim.transport.Transport.send_batch`).
-        Inside a :meth:`deferred_sends` scope the broadcast is recorded
-        instead, and its survivors of the channel's loss draw (all of
-        them on the reliable channel) join the scope's next flushed
-        entry.  Otherwise -- corrupting, retransmit and per-edge-latency
-        transports, and lossy ones outside a scope, whose streams
-        must be consumed in per-message send order -- it falls back to
-        :meth:`send`, byte-identically.
+        same heartbeat, query, or notice to every peer of a cube.  On a
+        fixed-delay channel the broadcast's surviving destinations become
+        one ``(sender, survivors, message)`` record, scheduled at once by
+        :meth:`_schedule` (one queue entry that counts one event per
+        message) or, inside a :meth:`deferred_sends` scope, with the rest
+        of the scope.  On any other channel -- corrupting, retransmit and
+        per-edge-latency transports, whose draws and delays are per
+        message -- it is a loop of :meth:`send`, byte-identically.
 
-        On the batched and deferred paths ``destinations`` is read once,
-        into a list.  A broadcast nothing can drop -- no drop predicates,
+        On the record path ``destinations`` is read once, into a list.  A
+        broadcast nothing can drop -- no drop predicates,
         a live sender, no partition window active at ``plan.clock``, no
         crashed destination (one ``isdisjoint`` with the crashed set) --
         is accepted whole by set operations: one registration test per
@@ -188,15 +183,11 @@ class Network:
         prefix scheduled (or recorded) before it raises, as that loop
         does.  Delivery is :meth:`_deliver`.
         """
-        transport = self.transport
         deferred = self._deferred
-        delay = None
-        if deferred is None:
-            delay = transport.batch_latency(sender, destinations, message)
-            if delay is None:
-                for destination in destinations:
-                    self.send(sender, destination, message)
-                return
+        if deferred is None and self.transport.deferred_latency() is None:
+            for destination in destinations:
+                self.send(sender, destination, message)
+            return
         plan = self.failure_plan
         processes = self._processes
         crashed = plan.crashed
@@ -249,15 +240,19 @@ class Network:
                 if deferred is not None:
                     deferred.append((sender, survivors, message))
                 else:
-                    deliver = partial(self._deliver, ((sender, survivors, message),))
-                    transport.send_batch(sender, survivors, message, deliver, delay)
+                    self._schedule([(sender, survivors, message)])
 
-    def _deliver(self, records: Iterable[Tuple[Hashable, Sequence[Hashable], Any]]) -> None:
+    def _schedule(self, records: List[Record]) -> None:
+        """Hand fixed-delay records to the transport; count what it lost."""
+        self.messages_dropped += self.transport.send_batch(self._deliver, records)
+
+    def _deliver(self, records: Iterable[Record]) -> None:
         """Deliver one queue entry's ``(sender, targets, message)`` records.
 
-        The one delivery loop: a flushed :meth:`deferred_sends` entry, a
-        batched broadcast and a single :meth:`send` (a one-record,
-        one-target batch) all run here.  Records run in order, each
+        The one delivery loop: a fixed-delay entry (a flushed
+        :meth:`deferred_sends` scope or one send outside it) and a single
+        per-message :meth:`send` (a one-record, one-target batch) all run
+        here.  Records run in order, each
         record's targets in order.  A target crashed since the send is
         dropped; the crashed set is read once per record (crashes happen
         between queue entries, never inside a handler), and filtered only
@@ -304,7 +299,7 @@ class Network:
         targets: Sequence[Hashable],
         live: Sequence[Hashable],
         rest: int,
-        records: Iterator[Tuple[Hashable, Sequence[Hashable], Any]],
+        records: Iterator[Record],
     ) -> None:
         """Take back the accounting of the deliveries a raise left unreached.
 
@@ -335,30 +330,26 @@ class Network:
 
     @contextmanager
     def deferred_sends(self) -> Iterator[None]:
-        """Schedule this block's sends as few queue entries as possible.
+        """Schedule this block's sends as one queue entry.
 
-        Inside the scope, on a transport that opts in
+        Inside the scope, on a fixed-delay channel
         (:meth:`~repro.distsim.transport.Transport.deferred_latency`: the
-        reliable and the lossy fixed-delay channels), every :meth:`send`
-        and :meth:`send_many` still runs its failure-plan checks and
-        ``messages_sent`` accounting at once, but records its surviving
-        destinations instead of handing them to the transport.  The
-        records are flushed when the scope exits (also on an exception)
-        and before any other ``Simulator.schedule``/``schedule_at``/
-        ``schedule_batch`` push: a lossy channel first resolves all of
-        their loss draws in one
-        :attr:`~repro.distsim.transport.Transport.drops_many` call, in
-        record order; then all the survivors become *one* ``"message"``
-        entry at ``now + delay`` whose weight is their number and whose
-        action delivers the records in record order.  A heartbeat round
-        is thus one queue entry.
+        reliable and the lossy channels), every :meth:`send` and
+        :meth:`send_many` still runs its failure-plan checks and
+        ``messages_sent`` accounting at once, but keeps its record instead
+        of scheduling it.  The records are flushed -- one
+        :meth:`~repro.distsim.transport.Transport.send_batch` call, which
+        draws their losses in record order and makes the survivors *one*
+        weighted ``"message"`` entry -- when the scope exits (also on an
+        exception) and before any other ``Simulator.schedule``/
+        ``schedule_at``/``schedule_batch`` push.  A heartbeat round is
+        thus one queue entry.
 
-        Every push therefore lands in the queue in the order the
-        per-message path would have made it, the per-message entries the
-        flush replaces would have sat next to each other in one bucket
-        with nothing between them, and the loss draws consume the stream
-        in the same per-edge order: the run is byte-identical, only
-        cheaper.  Only an event budget
+        Every push therefore lands in the queue in the order one entry per
+        send would have made it, the entries the flush replaces would have
+        sat next to each other in one bucket with nothing between them,
+        and the loss draws consume the stream in the same per-edge order:
+        the run is byte-identical, only cheaper.  Only an event budget
         (``Simulator.run_window(max_events=)``) sees the difference: it
         never splits an entry, so it may now overrun by up to a flushed
         entry's weight.  Nothing recorded outlives the scope, so
@@ -386,44 +377,9 @@ class Network:
     def _flush_deferred(self) -> None:
         """Schedule every recorded send's survivors as one queue entry."""
         records = self._deferred
-        if not records:
-            return
-        self._deferred = []
-        transport = self.transport
-        drops_many = transport.drops_many
-        ends = list(accumulate([len(targets) for _, targets, _ in records]))
-        weight = ends[-1]
-        if drops_many is not None:
-            lost = np.flatnonzero(drops_many(records)).tolist()
-            if lost:
-                # Rebuild only the records a loss hit; one left without
-                # targets delivers nothing.
-                hit: Dict[int, List[int]] = {}
-                for position in lost:
-                    hit.setdefault(bisect_right(ends, position), []).append(position)
-                for index, positions in hit.items():
-                    sender, targets, message = records[index]
-                    start = ends[index] - len(targets)
-                    gone = {position - start for position in positions}
-                    records[index] = (
-                        sender,
-                        [target for offset, target in enumerate(targets) if offset not in gone],
-                        message,
-                    )
-                dropped = len(lost)
-                transport.messages_dropped += dropped
-                self.messages_dropped += dropped
-                weight -= dropped
-                if not weight:
-                    return
-        transport.messages_scheduled += weight
-        simulator = self.simulator
-        simulator.queue.push(
-            simulator.now + transport.deferred_latency(),
-            partial(self._deliver, records),
-            kind="message",
-            weight=weight,
-        )
+        if records:
+            self._deferred = []
+            self._schedule(records)
 
     # ------------------------------------------------------------------ #
     # execution helpers

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.distsim.engine import Event
+    from repro.distsim.events import ScheduledEvent
     from repro.distsim.network import Network
 
 __all__ = ["Process"]
@@ -88,7 +88,7 @@ class Process:
 
     def set_timer(
         self, delay: float, callback: Optional[Callable[[], None]] = None
-    ) -> "Event":
+    ) -> "ScheduledEvent":
         """Schedule a local timer ``delay`` time units from now.
 
         Fires ``callback`` (default: :meth:`on_timer`) on the network's

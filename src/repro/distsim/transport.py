@@ -9,12 +9,15 @@ lockstep harness.  This module makes the delivery model a first-class,
 swappable object:
 
 * :class:`Transport` -- the base class.  It owns delivery scheduling on the
-  simulation clock (FIFO clamping per directed link on variable-delay
-  channels, the delivery event itself) and exposes three hooks --
-  :meth:`~Transport.latency`, :meth:`~Transport.drops`,
-  :meth:`~Transport.mutate` -- that concrete transports override.
-* :class:`ReliableTransport` -- delay zero or fixed (or a callable, the
-  historical ``DelayFunction`` escape hatch).  The paper's error-free model.
+  simulation clock and exposes three hooks -- :meth:`~Transport.latency`,
+  :meth:`~Transport.drops`, :meth:`~Transport.mutate` -- that concrete
+  transports override.  A fixed-delay channel (one that reports a
+  :meth:`~Transport.deferred_latency`) schedules every message through
+  :meth:`~Transport.send_batch`; any other channel schedules one message at
+  a time through :meth:`~Transport.send`, with FIFO clamping per directed
+  link.
+* :class:`ReliableTransport` -- a zero or fixed delay.  The paper's
+  error-free model.
 * :class:`LatencyTransport` -- per-edge deterministic jitter: every directed
   link gets its own fixed latency derived from a keyed draw of
   ``(seed, sender, destination)``.  No RNG state is consumed, so delays are
@@ -54,7 +57,10 @@ cacheable and byte-identical across worker pools.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace as dataclass_replace
+from functools import partial
+from itertools import accumulate
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,14 +82,19 @@ __all__ = [
     "build_transport",
 ]
 
-DelayFunction = Callable[[Hashable, Hashable, Any], float]
 Deliver = Callable[[Any], None]
+#: ``(sender, destinations, message)``: one send on a fixed-delay channel.
+Record = Tuple[Hashable, Sequence[Hashable], Any]
 
 #: Seed salts so a transport's loss, corruption and jitter streams never
 #: collide with one another under the same seed.
 _LOSS_SALT = 0x10E55
 _CORRUPT_SALT = 0xBADB17
 _LATENCY_SALT = 0x1A7E
+
+#: The fewest loss draws :meth:`LossyTransport.drops_many` evaluates as
+#: one array expression; fewer are evaluated on Python ints.
+_ARRAY_DRAWS = 32
 
 
 class Transport:
@@ -186,10 +197,11 @@ class Transport:
     ) -> bool:
         """Schedule delivery of ``message``; returns ``False`` when dropped.
 
+        The path of a channel without a :meth:`deferred_latency`.
         ``deliver`` is invoked with the (possibly mutated) message at the
         scheduled delivery time.  FIFO clamping guarantees deliveries on the
         same directed link execute in send order even when later messages
-        draw shorter latencies.
+        draw longer waits or shorter latencies.
         """
         simulator = self.simulator
         if self.drops(sender, destination, message):
@@ -209,117 +221,106 @@ class Transport:
         return True
 
     # ------------------------------------------------------------------ #
-    # batched dispatch (the reliable fixed-delay fast path)
+    # the fixed-delay path
     # ------------------------------------------------------------------ #
 
-    def batch_latency(
-        self, sender: Hashable, destinations: Any, message: Any
-    ) -> Optional[float]:
-        """The shared delay of a batchable broadcast, or ``None``.
-
-        A transport may return a single non-negative delay when delivering
-        ``message`` from ``sender`` to every destination (i) cannot drop,
-        (ii) cannot mutate, and (iii) costs the same delay on every link,
-        a delay that is constant for the whole run -- the network then
-        routes the whole broadcast through one :meth:`send_batch` call
-        instead of one :meth:`send` per destination.  The default ``None``
-        keeps the per-message path; only :class:`ReliableTransport` (the
-        differential suites' common case) opts in.
-        """
-        return None
-
     def deferred_latency(self) -> Optional[float]:
-        """The fixed delay of a channel whose sends may be deferred.
+        """The delay of a fixed-delay channel, or ``None``.
 
-        A transport may return its delay when every message (i) costs that
+        A transport returns its delay when every message (i) costs that
         same delay, constant for the whole run, (ii) is never mutated, and
-        (iii) is lost or kept by :attr:`drops_many` alone.  Inside a
-        :meth:`~repro.distsim.network.Network.deferred_sends` scope the
-        network then records its sends and schedules all of a flush's
-        survivors as one queue entry.  The default ``None`` keeps the
-        per-message :meth:`send`; :class:`ReliableTransport` and
-        :class:`LossyTransport` opt in.
+        (iii) is lost or kept by :attr:`drops_many` alone.  The network
+        then hands every send to :meth:`send_batch` as a record, and
+        inside a :meth:`~repro.distsim.network.Network.deferred_sends`
+        scope batches a whole heartbeat round into one call.  The default
+        ``None`` keeps the per-message :meth:`send`;
+        :class:`ReliableTransport` and :class:`LossyTransport` opt in.
         """
         return None
 
     #: Bulk loss draws of a channel that opts into :meth:`deferred_latency`:
     #: ``drops_many(records)`` takes ``(sender, destinations, message)``
-    #: records and returns a boolean array holding :meth:`drops` of every
-    #: ``(sender, destination)`` in record order, with the same decisions
-    #: and stream consumption.  ``None`` on a channel that never loses a
-    #: message, whose flush then does no loss work at all.
-    drops_many: Optional[
-        Callable[[Sequence[Tuple[Hashable, Sequence[Hashable], Any]]], np.ndarray]
-    ] = None
+    #: records and returns, in increasing order, the positions among all
+    #: their ``(sender, destination)`` pairs (in record order) whose
+    #: :meth:`drops` is true, with the same decisions and stream
+    #: consumption.  ``None`` on a channel that never loses a message,
+    #: which then does no loss work at all.
+    drops_many: Optional[Callable[[Sequence[Record]], List[int]]] = None
 
-    def send_batch(
-        self,
-        sender: Hashable,
-        destinations: Sequence[Hashable],
-        message: Any,
-        deliver: Callable[[], None],
-        delay: float,
-    ) -> None:
-        """Schedule one message to many destinations as one queue entry.
+    def send_batch(self, deliver: Callable[[List[Record]], None], records: List[Record]) -> int:
+        """Schedule ``(sender, destinations, message)`` records as one entry.
 
-        Only valid after :meth:`batch_latency` returned ``delay`` for this
-        broadcast (no drops, no mutation, a delay constant for the whole
-        run).  ``deliver`` is the entry's action: called once at delivery
-        time, it delivers to every destination in destination order.
+        Only valid on a channel whose :meth:`deferred_latency` is not
+        ``None``; every message of such a channel passes here, one record
+        for a send outside a deferred-send scope, a whole scope's records
+        at its flush.  The loss draws are one :attr:`drops_many` call, in
+        record order; the lost destinations are taken out of ``records``
+        (in place), and the survivors become *one* ``"message"`` entry at
+        ``now + deferred_latency()`` whose weight is their number, so the
+        event counters see one event per message.  At delivery time the
+        entry calls ``deliver(records)`` once.  Returns the number of
+        messages lost; a record set that loses every message pushes
+        nothing.
 
-        The broadcast is a single ``"message"`` entry at ``now + delay``
-        whose weight is the number of destinations, so the event counters
-        see one event per message.  Running the recipients in one loop is
-        byte-identical to the per-message entries it replaces: those sat
-        next to each other in one bucket, nothing pushed later can land
-        between them, and message entries are never cancelled.  No link
-        needs FIFO clamping: the clock never runs backwards, so on a
-        constant-delay channel ``now + delay`` never decreases and no
-        earlier delivery on any link lands later than this one.
+        Running the recipients in one entry is byte-identical to
+        per-message entries: those would sit next to each other in one
+        bucket, nothing pushed later can land between them, and message
+        entries are never cancelled.  No link needs FIFO clamping: the
+        clock never runs backwards, so on a constant-delay channel
+        ``now + delay`` never decreases and no earlier delivery on any
+        link lands later than this one.
         """
-        simulator = self.simulator
-        count = len(destinations)
-        self.messages_scheduled += count
-        simulator.queue.push(simulator.now + delay, deliver, kind="message", weight=count)
+        lengths = [len(targets) for _, targets, _ in records]
+        weight = sum(lengths)
+        lost = self.drops_many(records) if self.drops_many is not None else ()
+        if lost:
+            # Rebuild only the records a loss hit; one left without
+            # targets delivers nothing.
+            ends = list(accumulate(lengths))
+            hit: Dict[int, List[int]] = {}
+            for position in lost:
+                hit.setdefault(bisect_right(ends, position), []).append(position)
+            for index, positions in hit.items():
+                sender, targets, message = records[index]
+                start = ends[index] - len(targets)
+                gone = {position - start for position in positions}
+                records[index] = (
+                    sender,
+                    [target for offset, target in enumerate(targets) if offset not in gone],
+                    message,
+                )
+            self.messages_dropped += len(lost)
+            weight -= len(lost)
+        if weight:
+            self.messages_scheduled += weight
+            simulator = self.simulator
+            simulator.queue.push(
+                simulator.now + self.deferred_latency(),
+                partial(deliver, records),
+                kind="message",
+                weight=weight,
+            )
+        return len(lost)
 
 
 class ReliableTransport(Transport):
-    """Error-free delivery with a zero/fixed delay (the paper's model).
-
-    ``delay`` may also be a callable ``(sender, destination, message) ->
-    delay`` -- the historical ``DelayFunction`` form the network layer has
-    always accepted.
-    """
+    """Error-free delivery with a zero or fixed delay (the paper's model)."""
 
     kind = "reliable"
 
-    def __init__(self, delay: float | DelayFunction = 0.0) -> None:
+    def __init__(self, delay: float = 0.0) -> None:
         super().__init__()
-        if not callable(delay):
-            delay = float(delay)  # ValueError on junk, before any comparison
-            if delay < 0:
-                raise ValueError(f"delay must be non-negative, got {delay}")
+        delay = float(delay)  # ValueError on junk, before any comparison
+        if delay < 0:
+            raise ValueError(f"delay must be non-negative, got {delay}")
         self.delay = delay
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
-        if callable(self.delay):
-            return float(self.delay(sender, destination, message))
-        return float(self.delay)
-
-    def batch_latency(
-        self, sender: Hashable, destinations: Any, message: Any
-    ) -> Optional[float]:
-        return self.deferred_latency()
+        return self.delay
 
     def deferred_latency(self) -> Optional[float]:
-        # The fixed-delay reliable channel satisfies both contracts: it
-        # never drops (so it has no ``drops_many``), never mutates, and has
-        # one constant delay.  The ``type`` check keeps subclasses that
-        # override any hook off the fast paths unless they opt in
-        # themselves; a callable delay may vary per link.
-        if type(self) is ReliableTransport and not callable(self.delay):
-            return self.delay
-        return None
+        # Never drops (so no ``drops_many``), never mutates, one delay.
+        return self.delay
 
 
 def _encode_edge_key(value: Any) -> Any:
@@ -505,16 +506,26 @@ class LossyTransport(_SeededTransport):
     def drops(self, sender: Hashable, destination: Hashable, message: Any) -> bool:
         return unit(self._draw_state(sender, destination)) < self.loss
 
-    def drops_many(
-        self, records: Sequence[Tuple[Hashable, Sequence[Hashable], Any]]
-    ) -> np.ndarray:
-        """:meth:`drops` of every ``(sender, destination)`` of the
-        ``(sender, destinations, message)`` records, in order.
+    def drops_many(self, records: Sequence[Record]) -> List[int]:
+        """The positions whose :meth:`drops` is true among every
+        ``(sender, destination)`` of the ``(sender, destinations,
+        message)`` records, in order.
 
-        One Python pass reads and advances each edge's counter and collects
-        the identity keys; the draws are then one mix over whole arrays --
-        the same function :meth:`drops` evaluates on Python ints.
+        Below :data:`_ARRAY_DRAWS` draws (a send outside a heartbeat round)
+        this is :meth:`drops` per draw, on Python ints, where numpy's
+        per-call overhead would cost more than the draws.  Otherwise one
+        Python pass reads and advances each edge's counter and collects the
+        identity keys, and the draws are one mix over whole arrays -- the
+        same function :meth:`drops` evaluates.
         """
+        if sum([len(targets) for _, targets, _ in records]) < _ARRAY_DRAWS:
+            drops = self.drops
+            draws = (
+                drops(sender, target, message)
+                for sender, targets, message in records
+                for target in targets
+            )
+            return [position for position, dropped in enumerate(draws) if dropped]
         counts = self._edge_counts
         count_of = counts.get
         keys = self._keys
@@ -538,12 +549,11 @@ class LossyTransport(_SeededTransport):
             np.fromiter(map(keys.__getitem__, destinations), np.uint64, len(destinations)),
             np.array(counters, dtype=np.uint64),
         )
-        return unit(state) < self.loss
+        return np.flatnonzero(unit(state) < self.loss).tolist()
 
     def deferred_latency(self) -> Optional[float]:
-        # Fixed delay, no mutation, loss from ``drops`` alone.  The ``type``
-        # check keeps subclasses that override a hook off the deferred path.
-        return self.delay if type(self) is LossyTransport else None
+        # Fixed delay, no mutation, loss from ``drops`` alone.
+        return self.delay
 
 
 class CorruptingTransport(_SeededTransport):

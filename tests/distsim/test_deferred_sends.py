@@ -1,11 +1,13 @@
 """Deferred sends: ``Network.deferred_sends`` on a fixed-delay channel.
 
-Inside the scope, the sends of a reliable or lossy fixed-delay transport
-are recorded; when the scope flushes, a lossy channel resolves them in
-one ``drops_many`` call, and all the survivors become one weighted queue
-entry.  The contract is byte-identity with the per-message path: the same
-deliveries in the same order, the same counters, and the same stream state
-(the per-edge counters).
+Every send of a reliable or lossy fixed-delay transport is a record that
+``Transport.send_batch`` schedules.  Inside the scope the records are kept;
+when the scope flushes, a lossy channel resolves them in one
+``drops_many`` call, and all the survivors become one weighted queue
+entry.  The contract is byte-identity with the per-message path (the same
+channel with ``deferred_latency`` forced to ``None``): the same deliveries
+in the same order, the same counters, and the same stream state (the
+per-edge counters).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.distsim.transport import (
     LossyTransport,
     ReliableTransport,
     RetransmitTransport,
+    Transport,
     TransportSpec,
 )
 from repro.service import resume_service, run_service
@@ -123,7 +126,9 @@ class TestDrawsMatchTheScalarStream:
             for sender, targets, message in records
             for target in targets
         ]
-        assert bulk.drops_many(records).tolist() == expected
+        assert bulk.drops_many(records) == [
+            position for position, dropped in enumerate(expected) if dropped
+        ]
         assert bulk._edge_counts == scalar._edge_counts
 
 
@@ -210,6 +215,8 @@ class TestDeferredEqualsPerMessage:
         assert net.run_until_quiescent() == len(log) == 9
 
     def test_failure_plan_is_not_asked_per_destination(self, monkeypatch):
+        # A broadcast nothing in the plan can drop is one record, inside the
+        # scope or not; only a drop rule makes it ask per destination.
         calls = []
         original = FailurePlan.should_drop
 
@@ -221,8 +228,10 @@ class TestDeferredEqualsPerMessage:
         net, _, _ = _network(LossyTransport(loss=0.2, delay=0.1, seed=1))
         with net.deferred_sends():
             net.send_many((0, 0), IDS[1:], "a")
+        net.send_many((0, 0), IDS[1:], "a")
         assert calls == []
-        net.send_many((0, 0), IDS[1:], "a")  # outside: the per-message path
+        net.failure_plan.add_drop_rule(lambda sender, destination, message: False)
+        net.send_many((0, 0), IDS[1:], "a")
         assert calls == IDS[1:]
 
 
@@ -320,8 +329,14 @@ class TestScopeLifecycle:
 
     @pytest.mark.parametrize(
         "transport",
-        [ReliableTransport(0.1), ReliableTransport(0.0), LossyTransport(loss=0.3)],
-        ids=["reliable", "reliable-zero-delay", "lossy"],
+        [
+            ReliableTransport(0.1),
+            ReliableTransport(0.0),
+            LossyTransport(loss=0.3),
+            type("SubclassedReliable", (ReliableTransport,), {})(0.1),
+            type("SubclassedLossy", (LossyTransport,), {})(loss=0.3),
+        ],
+        ids=["reliable", "reliable-zero-delay", "lossy", "reliable-subclass", "lossy-subclass"],
     )
     def test_fixed_delay_transports_open_the_scope(self, transport):
         net, _, _ = _network(transport)
@@ -333,19 +348,10 @@ class TestScopeLifecycle:
     @pytest.mark.parametrize(
         "transport",
         [
-            ReliableTransport(lambda s, d, m: 0.1),
-            type("SubclassedReliable", (ReliableTransport,), {})(0.1),
             CorruptingTransport(rate=0.5, delay=0.1),
             RetransmitTransport(inner={"kind": "lossy", "params": {"loss": 0.3}}),
-            type("Subclassed", (LossyTransport,), {})(loss=0.3),
         ],
-        ids=[
-            "reliable-callable",
-            "reliable-subclass",
-            "corrupting",
-            "retransmit",
-            "lossy-subclass",
-        ],
+        ids=["corrupting", "retransmit"],
     )
     def test_other_transports_keep_the_per_message_path(self, transport):
         net, _, _ = _network(transport)
@@ -354,16 +360,20 @@ class TestScopeLifecycle:
             assert net.simulator.before_push is None
 
 
+def _no_delay(self):
+    return None
+
+
 def _channel(kind, delay, *, per_message):
     """A fixed-delay channel, or its per-message twin.
 
-    The twin is an unmodified subclass: it draws, delays and delivers
-    exactly as the channel does, but the exact-type checks of
-    ``batch_latency``/``deferred_latency`` keep it on per-message ``send``.
+    The twin is a subclass that draws, delays and delivers exactly as the
+    channel does, but reports no ``deferred_latency``, which keeps it on
+    per-message ``Transport.send``.
     """
     cls = ReliableTransport if kind == "reliable" else LossyTransport
     if per_message:
-        cls = type("PerMessage" + cls.__name__, (cls,), {})
+        cls = type("PerMessage" + cls.__name__, (cls,), {"deferred_latency": _no_delay})
     if kind == "reliable":
         return cls(delay)
     return cls(loss=0.3, delay=delay, seed=7)
@@ -742,13 +752,26 @@ class TestRunsAreUnchanged:
         flushed = _count_flushed_records(monkeypatch)
         deferred = _online_run_with_crashes(monitoring, RELIABLE)
         assert flushed and max(flushed) > 1  # whole rounds became one entry
-        # Off the deferred path, and off the batched one too: every
-        # message is its own ``Transport.send``.
+        # Off the fixed-delay path: every message is its own
+        # ``Transport.send``.
         monkeypatch.setattr(ReliableTransport, "deferred_latency", lambda self: None)
         per_message = _online_run_with_crashes(monitoring, RELIABLE)
         assert deferred.replacements > 0
         for name in _RUN_FIELDS:
             assert getattr(deferred, name) == getattr(per_message, name), name
+
+    @pytest.mark.parametrize("monitoring", ["ring", "gossip"])
+    @pytest.mark.parametrize("transport", [RELIABLE, LOSSY_EDGE], ids=["reliable", "lossy"])
+    def test_fixed_delay_runs_never_send_per_message(self, transport, monitoring, monkeypatch):
+        # Heartbeat rounds, handler replies and searches alike: every
+        # message of a fixed-delay channel is a record for ``send_batch``.
+        def per_message(self, *args):
+            raise AssertionError("a fixed-delay message took Transport.send")
+
+        monkeypatch.setattr(Transport, "send", per_message)
+        result = _online_run_with_crashes(monitoring, transport)
+        assert result.messages > 0
+        assert result.replacements > 0
 
     def test_checkpoint_mid_run_resumes_to_the_same_hash(self, tmp_path, monkeypatch):
         config, jobs = _service_config(LOSSY_EDGE)

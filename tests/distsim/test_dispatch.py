@@ -2,7 +2,8 @@
 
 The network calls ``process.on_message(sender, message)`` itself, looked up
 on the instance at delivery time, on every path: a flushed deferred-send
-entry, a batched broadcast, and a single per-message ``Network.send``.  A
+entry, a fixed-delay send outside the scope, and a single per-message
+``Network.send`` on a variable-delay channel.  A
 method patched onto the class after registration (how a profiler counts
 handler calls by message type) therefore sees every delivery, and a
 process with ``log_messages`` set still records each one.
@@ -62,7 +63,7 @@ def _traffic(net, path):
 PATHS = {
     "flushed": lambda: ReliableTransport(0.1),
     "flushed-lossless-lossy": lambda: LossyTransport(loss=0.0, delay=0.1, seed=1),
-    "batched": lambda: ReliableTransport(0.1),
+    "unscoped": lambda: ReliableTransport(0.1),
     "per-message": lambda: LatencyTransport(delay=0.1, jitter=0.05, seed=3),
 }
 

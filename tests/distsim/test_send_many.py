@@ -1,10 +1,10 @@
-"""The batched dispatch fast path: Network.send_many / Transport.send_batch.
+"""Broadcasts: Network.send_many and the fixed-delay path Transport.send_batch.
 
 The contract is byte-identity: a broadcast through ``send_many`` must be
 indistinguishable -- delivery order, counters, dropped messages, FIFO
 clamping -- from the per-destination ``send`` loop it replaces, on every
-transport (fast path on the reliable fixed-delay channel, fallback
-everywhere else).
+transport (one record on a fixed-delay channel, a ``send`` loop everywhere
+else).
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class TestReliableFastPath:
         assert [m for _, _, m in trace["p1"]] == ["slow", "fast"]
         assert [m for _, _, m in trace["p2"]] == ["fast"]
 
-    def test_callable_delay_uses_fallback(self):
-        transport = ReliableTransport(lambda s, d, m: 0.5)
-        assert transport.batch_latency("a", ["b"], "m") is None
-
     def test_send_clamps_late_links(self):
         # The FIFO clamp lives in ``Transport.send``, for variable-delay
         # channels: a link whose previous delivery lands *later* than a
@@ -102,24 +98,34 @@ class TestReliableFastPath:
     def test_send_batch_is_one_entry_without_link_state(self):
         # ``send_batch`` runs only on constant-delay channels, where
         # ``now + delay`` never decreases: no link needs a clamp, so the
-        # broadcast is one weighted entry and no per-link state is kept.
+        # records are one weighted entry and no per-link state is kept.
         sim = Simulator()
         transport = ReliableTransport(0.2).bind(sim)
-        log = []
-        transport.send("a", "b", "first", lambda m: log.append(("b", m)))
-        transport.send_batch(
-            "a",
-            ["b", "c"],
-            "second",
-            lambda: log.extend([("b", "second"), ("c", "second")]),
-            0.2,
-        )
+        delivered = []
+        first = [("a", ["b"], "first")]
+        second = [("a", ["b", "c"], "second"), ("d", ["b"], "third")]
+        assert transport.send_batch(delivered.append, first) == 0
+        assert transport.send_batch(delivered.append, second) == 0
         assert [len(bucket) for bucket in sim.queue._buckets.values()] == [2]
-        assert sim.queue._buckets[0.2][1].weight == 2
-        assert transport._last_delivery == {("a", "b"): 0.2}
-        assert sim.run() == 3
-        assert log == [("b", "first"), ("b", "second"), ("c", "second")]
-        assert transport.messages_scheduled == 3
+        assert [entry.weight for entry in sim.queue._buckets[0.2]] == [1, 3]
+        assert transport._last_delivery == {}
+        assert sim.run() == 4
+        assert delivered == [first, second]
+        assert transport.messages_scheduled == 4
+
+    def test_send_batch_takes_lost_destinations_out(self):
+        # Seed 3 loses the first draw of edge ("a", "b") and keeps the next
+        # two; the record keeps its other destinations, in order.
+        sim = Simulator()
+        transport = LossyTransport(loss=0.5, delay=0.2, seed=3).bind(sim)
+        records = [("a", ["b"], "m"), ("a", ["b", "b"], "n")]
+        scalar = LossyTransport(loss=0.5, seed=3)
+        assert [scalar.drops("a", "b", None) for _ in range(3)] == [True, False, False]
+        assert transport.send_batch(lambda records: None, records) == 1
+        assert records == [("a", [], "m"), ("a", ["b", "b"], "n")]
+        (entry,) = sim.queue._buckets[0.2]
+        assert entry.weight == transport.messages_scheduled == 2
+        assert transport.messages_dropped == 1
 
     def test_crashed_destination_dropped(self):
         plan = FailurePlan()
@@ -428,7 +434,7 @@ class TestUnknownDestination:
         assert dict(trace)["p1"] == [(0.25, "p0", "m")]
 
 
-class TestFallbackPaths:
+class TestLossyBroadcasts:
     def test_lossy_stream_consumed_in_send_order(self):
         # The seeded loss stream must be drawn per message in destination
         # order, exactly as sequential sends draw it.
@@ -441,8 +447,14 @@ class TestFallbackPaths:
             sequential.send("p0", t, "m")
         assert _trace(batched, procs_a) == _trace(sequential, procs_b)
 
-    def test_lossy_batch_latency_is_none(self):
-        assert LossyTransport(0.1).batch_latency("a", ["b"], "m") is None
+    def test_lossy_broadcast_outside_a_scope_is_one_entry(self):
+        # A lossy channel has a fixed delay too: a broadcast outside a
+        # deferred-send scope is one record, drawn and pushed at once.
+        net, procs = _network(LossyTransport(loss=0.5, delay=0.25, seed=7))
+        net.send_many("p0", ["p1", "p2", "p3", "p4"], "m")
+        (entry,) = net.simulator.queue._buckets[0.25]
+        assert entry.weight == net.transport.messages_scheduled
+        assert entry.weight + net.transport.messages_dropped == 4
 
 
 class TestQueueBatchPush:

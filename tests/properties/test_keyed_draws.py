@@ -13,6 +13,7 @@ fixed, so each statistical bound is a deterministic check with a wide
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,9 @@ from repro.distsim.keyed import (
     stream_root,
     unit,
 )
+import repro.distsim.transport as transport_module
 from repro.distsim.transport import (
+    _ARRAY_DRAWS,
     _CORRUPT_SALT,
     _LOSS_SALT,
     CorruptingTransport,
@@ -92,7 +95,7 @@ class TestSpellingsAgree:
         records=st.lists(
             st.tuples(
                 st.sampled_from(["a", "b", (0, 1), (2, 2)]),
-                st.lists(st.sampled_from(["a", "b", "c", (0, 1), (2, 2)]), max_size=6),
+                st.lists(st.sampled_from(["a", "b", "c", (0, 1), (2, 2)]), max_size=9),
             ),
             max_size=12,
         ),
@@ -100,18 +103,43 @@ class TestSpellingsAgree:
         loss=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     )
     def test_drops_many_equals_drops(self, records, split, loss):
+        # Up to 108 draws per call: record sets on both sides of the
+        # array cutoff.
         bulk = LossyTransport(loss=loss, seed=2**70 + 3)
         scalar = LossyTransport(loss=loss, seed=2**70 + 3)
         flat = []
         # Two calls: the stream continues across flushes.
         for part in (records[:split], records[split:]):
             lost = bulk.drops_many([(sender, targets, None) for sender, targets in part])
-            flat.extend(lost.tolist())
+            draws = sum(len(targets) for _, targets in part)
+            flat.extend(position in lost for position in range(draws))
         expected = [
             scalar.drops(sender, target, None) for sender, targets in records for target in targets
         ]
         assert flat == expected
         assert bulk._edge_counts == scalar._edge_counts
+
+    @pytest.mark.parametrize("draws", [1, _ARRAY_DRAWS - 1, _ARRAY_DRAWS, 3 * _ARRAY_DRAWS])
+    def test_array_cutoff_picks_the_spelling_not_the_draws(self, draws, monkeypatch):
+        array_calls = []
+        original = transport_module.mix
+
+        def spying(state, *words):
+            array_calls.extend(isinstance(word, np.ndarray) for word in words[:1])
+            return original(state, *words)
+
+        monkeypatch.setattr(transport_module, "mix", spying)
+        targets = ["b", "c", (0, 1)] * draws
+        records = [("a", targets[:draws], None)]
+        bulk = LossyTransport(loss=0.5, seed=11)
+        lost = bulk.drops_many(records)
+        assert any(array_calls) == (draws >= _ARRAY_DRAWS)
+        scalar = LossyTransport(loss=0.5, seed=11)
+        assert lost == [
+            position
+            for position, target in enumerate(targets[:draws])
+            if scalar.drops("a", target, None)
+        ]
 
     def test_latency_jitter_is_the_edge_draw_at_counter_zero(self):
         transport = LatencyTransport(delay=0.5, jitter=2.0, seed=9)
@@ -127,14 +155,15 @@ class TestLossRate:
             transport = LossyTransport(loss=loss, seed=3)
             records = [(sender, senders[:20], None) for sender in senders] * 10
             lost = transport.drops_many(records)
-            n = lost.size
+            n = len(records) * 20
             sigma = np.sqrt(n * loss * (1 - loss))
-            assert abs(int(lost.sum()) - n * loss) < 5 * sigma, loss
+            assert abs(len(lost) - n * loss) < 5 * sigma, loss
 
-    def test_extreme_rates_are_exact(self):
-        records = [("a", ["b", "c"] * 50, None)]
-        assert not LossyTransport(loss=0.0).drops_many(records).any()
-        assert LossyTransport(loss=1.0).drops_many(records).all()
+    @pytest.mark.parametrize("draws", [2, 100])
+    def test_extreme_rates_are_exact(self, draws):
+        records = [("a", ["b", "c"] * (draws // 2), None)]
+        assert LossyTransport(loss=0.0).drops_many(records) == []
+        assert LossyTransport(loss=1.0).drops_many(records) == list(range(draws))
 
     def test_draws_are_uniform(self):
         draws = _edge_draws(stream_root(0, _LOSS_SALT), (0, 0), (0, 1), range(N))
