@@ -881,12 +881,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.jobs is None and args.duration is None:
         print("error: serve needs --jobs N, --duration T, or both", file=sys.stderr)
         return 2
-    if args.checkpoint_every is not None and args.checkpoint is None:
-        print("error: --checkpoint-every needs --checkpoint PATH", file=sys.stderr)
-        return 2
-    if args.keep_checkpoints is not None and args.checkpoint is None:
-        print("error: --keep-checkpoints needs --checkpoint PATH", file=sys.stderr)
-        return 2
+    for flag, value in (
+        ("--checkpoint-every", args.checkpoint_every),
+        ("--keep-checkpoints", args.keep_checkpoints),
+        ("--stop-after-checkpoints", args.stop_after_checkpoints),
+    ):
+        if value is not None and args.checkpoint is None:
+            print(f"error: {flag} needs --checkpoint PATH", file=sys.stderr)
+            return 2
     outputs = dict(
         duration=args.duration,
         metrics_path=args.metrics_out,

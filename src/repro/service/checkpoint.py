@@ -22,6 +22,14 @@ keeps the format small and exact:
   which the differential suite asserts end-to-end (resume-at-T equals
   uninterrupted).
 
+The format is declared once, in the tables under "the format" below:
+``_VEHICLE_FIELDS`` for the sparse per-vehicle entries (plus the
+``transfer`` and ``residency`` branches of :func:`_vehicle_entry`), then
+one name tuple per flat-array, fleet-round, failure-plan, network,
+event-stats and transport section.  Capture and restore both iterate
+them, so a field added to a table is written and read back alike.  The
+metrics recorder's part is :data:`repro.service.metrics._STATE_FIELDS`.
+
 JSON keeps every float exact (``repr`` round-trip), so "byte-identical"
 means exactly that, not "close".  Snapshots are written compact with
 sorted keys (:func:`repro.io.atomic.compact_json`); the reader ignores
@@ -33,6 +41,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from array import array
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,6 +50,7 @@ from repro.core.demand import Job
 from repro.distsim.failures import ChurnSpec
 from repro.io.atomic import atomic_write_json, atomic_write_text, compact_json
 from repro.io.serialize import load_json
+from repro.service.metrics import LatencyDigest
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.monitoring import HEARD_AT_START
 from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
@@ -50,6 +61,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "capture_checkpoint",
     "restore_checkpoint",
+    "restore_event_stats",
     "save_checkpoint",
     "save_rotated_checkpoint",
     "rotated_checkpoint_path",
@@ -65,6 +77,18 @@ CHECKPOINT_VERSION = 1
 _WORKING_BY_CODE = {0: WorkingState.IDLE, 1: WorkingState.ACTIVE, 2: WorkingState.DONE}
 
 
+def _read(owner, names) -> Dict[str, Any]:
+    """The named attributes ``owner`` has, keyed by name."""
+    return {name: getattr(owner, name) for name in names if hasattr(owner, name)}
+
+
+def _write(owner, payload: Dict[str, Any], names) -> None:
+    """Set each named attribute ``owner`` has back from ``payload``."""
+    for name in names:
+        if hasattr(owner, name):
+            setattr(owner, name, payload[name])
+
+
 def _tag_to_json(tag: Tuple[Any, int]) -> List[Any]:
     return [list(tag[0]), int(tag[1])]
 
@@ -73,82 +97,173 @@ def _tag_from_json(raw: Any) -> Tuple[Any, int]:
     return (tuple(raw[0]), int(raw[1]))
 
 
+def _points_to_json(points) -> List[Any]:
+    return [list(p) for p in points]
+
+
+def _points_from_json(raw) -> List[Any]:
+    return [tuple(p) for p in raw]
+
+
+def _rounds_to_json(items) -> List[Any]:
+    """``(point, round)`` items as ``[[point, round], ...]``."""
+    return [[list(point), round_id] for point, round_id in items]
+
+
+def _rounds_from_json(raw) -> Dict[Any, int]:
+    return {tuple(point): round_id for point, round_id in raw}
+
+
+def _initiated_to_json(initiated) -> List[Any]:
+    return [
+        [_tag_to_json(tag), [list(info["destination"]), list(info["pair_key"])]]
+        for tag, info in initiated.items()
+    ]
+
+
+def _initiated_from_json(raw) -> Dict[Any, Dict[str, Any]]:
+    return {
+        _tag_from_json(tag): {"destination": tuple(destination), "pair_key": tuple(pair)}
+        for tag, (destination, pair) in raw
+    }
+
+
+def _escalations_to_json(escalations) -> List[Any]:
+    return [
+        [
+            _tag_to_json(tag),
+            {
+                "rings": [_points_to_json(ring) for ring in esc["rings"]],
+                "level": esc["level"],
+                "pending": esc["pending"],
+                "candidates": [
+                    [bool(spare), list(identity), list(pos) if pos else None]
+                    for spare, identity, pos in esc["candidates"]
+                ],
+                "rounds": esc["rounds"],
+            },
+        ]
+        for tag, esc in escalations.items()
+    ]
+
+
+def _escalations_from_json(raw) -> Dict[Any, Dict[str, Any]]:
+    return {
+        _tag_from_json(tag): {
+            "rings": [_points_from_json(ring) for ring in esc["rings"]],
+            "level": esc["level"],
+            "pending": esc["pending"],
+            "candidates": [
+                (spare, tuple(identity), tuple(pos) if pos else None)
+                for spare, identity, pos in esc["candidates"]
+            ],
+            "rounds": esc["rounds"],
+        }
+        for tag, esc in raw
+    }
+
+
+def _reports_to_json(reports) -> List[Any]:
+    return [
+        [list(pair), _rounds_to_json(sorted(reporters.items()))]
+        for pair, reporters in sorted(reports.items())
+    ]
+
+
+def _reports_from_json(raw) -> Dict[Any, Dict[Any, int]]:
+    return {tuple(pair): _rounds_from_json(reporters) for pair, reporters in raw}
+
+
+def _suspicions_to_json(suspicions) -> List[Any]:
+    return [
+        [
+            list(pair),
+            {"granted": _points_to_json(sorted(pending["granted"])), "round": pending["round"]},
+        ]
+        for pair, pending in sorted(suspicions.items())
+    ]
+
+
+def _suspicions_from_json(raw) -> Dict[Any, Dict[str, Any]]:
+    return {
+        tuple(pair): {
+            "granted": set(_points_from_json(pending["granted"])),
+            "round": pending["round"],
+        }
+        for pair, pending in raw
+    }
+
+
+# --------------------------------------------------------------------- #
+# the format: every snapshot section, declared once
+# --------------------------------------------------------------------- #
+
+#: A vehicle's sparse protocol fields (Algorithm 2's ``num``/``par``/
+#: ``child``/``init``, monitoring, escalation and gossip bookkeeping):
+#: ``(snapshot key, attribute, encode, decode)``.  The constructor leaves
+#: every one falsy, so an entry carries a field only while it is truthy and
+#: restore writes back just the keys present.  ``transfer`` and
+#: ``residency`` are the two entry keys outside the table.
+_VEHICLE_FIELDS = (
+    ("jobs_served", "jobs_served", int, int),
+    ("engaged_tag", "_engaged_tag", _tag_to_json, _tag_from_json),
+    ("last_tag", "last_tag", _tag_to_json, _tag_from_json),
+    ("parent", "parent", list, tuple),
+    ("child", "child", list, tuple),
+    ("deficit", "deficit", int, int),
+    ("initiated", "initiated", _initiated_to_json, _initiated_from_json),
+    ("last_heard", "last_heard", lambda heard: _rounds_to_json(heard.items()), _rounds_from_json),
+    ("engaged_tag_seen", "_engaged_tag_seen", _tag_to_json, _tag_from_json),
+    ("engaged_rounds", "_engaged_rounds", int, int),
+    ("adopted_pairs", "adopted_pairs", _points_to_json, _points_from_json),
+    ("escalations", "escalations", _escalations_to_json, _escalations_from_json),
+    ("gossip_counter", "_gossip_counter", int, int),
+    ("gossip_reports", "gossip_reports", _reports_to_json, _reports_from_json),
+    ("pending_suspicions", "pending_suspicions", _suspicions_to_json, _suspicions_from_json),
+)
+_VEHICLE_VALUES = attrgetter(*(attribute for _, attribute, _, _ in _VEHICLE_FIELDS))
+_VEHICLE_DECODE = {key: (attribute, decode) for key, attribute, _, decode in _VEHICLE_FIELDS}
+
+#: The registry's numeric arrays: ``(snapshot key, array typecode)``.
+_FLAT_ARRAYS = (("travel", "d"), ("service", "d"), ("state", "b"), ("broken", "b"), ("watch", "q"))
+#: The fleet's round counters: ``(snapshot key, attribute)``.
+_FLEET_ROUNDS = (
+    ("computation_round", "_computation_round"),
+    ("heartbeat_round", "_heartbeat_round"),
+)
+#: The failure plan's mutable point sets (sorted lists in the snapshot)
+#: and its counters.
+_PLAN_SETS = ("crashed", "initiation_suppressed", "byzantine_watchers")
+_PLAN_COUNTERS = ("dropped_count", "partition_dropped_count", "clock")
+_NETWORK_COUNTERS = ("messages_sent", "messages_delivered", "messages_dropped")
+#: Event-queue statistics: captured here, written back by the harness once
+#: the resumed driver has re-pushed its arrivals (:func:`restore_event_stats`).
+_EVENT_STATS = ("scheduled", "executed", "cancelled_skipped")
+#: Transport counters; the last two exist on the retransmitting wrapper only.
+_TRANSPORT_COUNTERS = (
+    "messages_scheduled",
+    "messages_dropped",
+    "messages_corrupted",
+    "retransmissions",
+    "attempts_lost",
+)
+
+
 # --------------------------------------------------------------------- #
 # fleet state
 # --------------------------------------------------------------------- #
 
 
-def _vehicle_entry(fleet: Fleet, index: int, vehicle) -> Dict[str, Any]:
-    """The sparse protocol-state record of one vehicle (empty = untouched)."""
-    entry: Dict[str, Any] = {}
-    if vehicle.jobs_served:
-        entry["jobs_served"] = vehicle.jobs_served
-    if vehicle.engaged_tag is not None:
-        entry["engaged_tag"] = _tag_to_json(vehicle.engaged_tag)
-    if vehicle.last_tag is not None:
-        entry["last_tag"] = _tag_to_json(vehicle.last_tag)
-    if vehicle.parent is not None:
-        entry["parent"] = list(vehicle.parent)
-    if vehicle.child is not None:
-        entry["child"] = list(vehicle.child)
-    if vehicle.deficit:
-        entry["deficit"] = vehicle.deficit
-    if vehicle.initiated:
-        entry["initiated"] = [
-            [_tag_to_json(tag), [list(info["destination"]), list(info["pair_key"])]]
-            for tag, info in vehicle.initiated.items()
-        ]
-    if vehicle.last_heard:
-        entry["last_heard"] = [
-            [list(pair), round_id] for pair, round_id in vehicle.last_heard.items()
-        ]
-    if vehicle._engaged_tag_seen is not None:
-        entry["engaged_tag_seen"] = _tag_to_json(vehicle._engaged_tag_seen)
-    if vehicle._engaged_rounds:
-        entry["engaged_rounds"] = vehicle._engaged_rounds
-    if vehicle.adopted_pairs:
-        entry["adopted_pairs"] = [list(p) for p in vehicle.adopted_pairs]
-    if vehicle.escalations:
-        entry["escalations"] = [
-            [
-                _tag_to_json(tag),
-                {
-                    "rings": [[list(m) for m in ring] for ring in esc["rings"]],
-                    "level": esc["level"],
-                    "pending": esc["pending"],
-                    "candidates": [
-                        [bool(spare), list(identity), list(pos) if pos else None]
-                        for spare, identity, pos in esc["candidates"]
-                    ],
-                    "rounds": esc["rounds"],
-                },
-            ]
-            for tag, esc in vehicle.escalations.items()
-        ]
+def _vehicle_entry(vehicle, original_pair) -> Dict[str, Any]:
+    """The sparse protocol-state record of one vehicle (empty = untouched);
+    ``original_pair`` is the pair it was built for."""
+    entry: Dict[str, Any] = {
+        key: encode(value)
+        for (key, _, encode, _), value in zip(_VEHICLE_FIELDS, _VEHICLE_VALUES(vehicle))
+        if value
+    }
     if vehicle.status.transfer != TransferState.WAITING:
         entry["transfer"] = vehicle.status.transfer.value
-    if vehicle._gossip_counter:
-        entry["gossip_counter"] = vehicle._gossip_counter
-    if vehicle.gossip_reports:
-        entry["gossip_reports"] = [
-            [
-                list(pair),
-                [[list(reporter), round_id] for reporter, round_id in sorted(reporters.items())],
-            ]
-            for pair, reporters in sorted(vehicle.gossip_reports.items())
-        ]
-    if vehicle.pending_suspicions:
-        entry["pending_suspicions"] = [
-            [
-                list(pair),
-                {
-                    "granted": [list(g) for g in sorted(pending["granted"])],
-                    "round": pending["round"],
-                },
-            ]
-            for pair, pending in sorted(vehicle.pending_suspicions.items())
-        ]
-    original_pair = fleet.flat.pair_keys[fleet.flat.vehicle_pair[index]]
     if vehicle.pair_key != original_pair:
         # Takeovers may have rehomed the vehicle; its communication graph
         # was computed from the position it held *at rehoming time* and
@@ -156,8 +271,8 @@ def _vehicle_entry(fleet: Fleet, index: int, vehicle) -> Dict[str, Any]:
         # residency is serialized verbatim.
         entry["residency"] = {
             "cube_index": list(vehicle.cube_index),
-            "neighbors": [list(n) for n in vehicle.neighbors],
-            "cube_peers": [list(p) for p in vehicle.cube_peers],
+            "neighbors": _points_to_json(vehicle.neighbors),
+            "cube_peers": _points_to_json(vehicle.cube_peers),
         }
     return entry
 
@@ -166,12 +281,13 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
     flat = fleet.flat
     vehicles: Dict[str, Any] = {}
     pair_live: List[int] = []
+    original_pairs = [flat.pair_keys[pair_id] for pair_id in flat.vehicle_pair.tolist()]
     for index, identity in enumerate(flat.identities):
         vehicle = fleet.vehicles[identity]
         pair_live.append(
             flat.pair_id_of[vehicle.pair_key] if vehicle.pair_key is not None else -1
         )
-        entry = _vehicle_entry(fleet, index, vehicle)
+        entry = _vehicle_entry(vehicle, original_pairs[index])
         if entry:
             vehicles[str(index)] = entry
     # Tuples encode exactly like lists, so points and pairs go out as they
@@ -179,11 +295,8 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
     # and only feeds the garbage collector.  The two shallow copies keep
     # the snapshot apart from lists the fleet mutates in place.
     return {
-        "travel": flat.travel.tolist(),
-        "service": flat.service.tolist(),
-        "state": flat.state.tolist(),
-        "broken": flat.broken.tolist(),
-        "watch": flat.watch.tolist(),
+        **{key: getattr(flat, key).tolist() for key, _ in _FLAT_ARRAYS},
+        **{key: getattr(fleet, attribute) for key, attribute in _FLEET_ROUNDS},
         "positions": list(flat.positions),
         "pair_live": pair_live,
         "registry": sorted(fleet.registry.items()),
@@ -191,14 +304,10 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
             (index, list(members)) for index, members in sorted(fleet._cube_members.items())
         ],
         "stats": dataclasses.asdict(fleet.stats),
-        "computation_round": fleet._computation_round,
-        "heartbeat_round": fleet._heartbeat_round,
         # The round never-heard pairs count as heard at; kept in the format
         # so a checkpoint written by a build with another rule is refused.
         "monitoring_baseline": HEARD_AT_START,
-        "crash_rounds": [
-            [list(pair), round_id] for pair, round_id in sorted(fleet._crash_rounds.items())
-        ],
+        "crash_rounds": _rounds_to_json(sorted(fleet._crash_rounds.items())),
         "detection_digest": fleet.detection_digest.to_json(),
         "vehicles": vehicles,
     }
@@ -207,11 +316,12 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
 def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
     """Overlay a captured fleet state onto a freshly constructed fleet.
 
-    Raises ``ValueError`` -- before touching the fleet -- when the state
-    counts never-heard pairs from a round other than ``HEARD_AT_START``.
+    Only what the capture records is written: every other per-vehicle
+    field keeps the falsy value the constructor gave it, which is why the
+    target must be freshly provisioned.  Raises ``ValueError`` -- before
+    touching the fleet -- when the state counts never-heard pairs from a
+    round other than ``HEARD_AT_START``.
     """
-    from array import array
-
     if payload["monitoring_baseline"] != HEARD_AT_START:
         raise ValueError(
             f"checkpoint monitoring_baseline {payload['monitoring_baseline']!r} is "
@@ -220,118 +330,40 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
         )
 
     flat = fleet.flat
-    flat.travel[:] = array("d", payload["travel"])
-    flat.service[:] = array("d", payload["service"])
-    flat.state[:] = array("b", payload["state"])
-    flat.broken[:] = array("b", payload["broken"])
-    flat.watch[:] = array("q", payload["watch"])
-    flat.positions[:] = [tuple(p) for p in payload["positions"]]
-
-    pair_live = payload["pair_live"]
-    for index, identity in enumerate(flat.identities):
-        vehicle = fleet.vehicles[identity]
-        # Direct field writes: the status dataclass validates *transitions*,
-        # not states, and the registry arrays were already restored above
-        # (the observer that mirrors them must not fire twice).
-        vehicle.status.working = _WORKING_BY_CODE[flat.state[index]]
-        vehicle.status.transfer = TransferState.WAITING
-        vehicle.broken = bool(flat.broken[index])
-        vehicle.pair_key = (
-            flat.pair_keys[pair_live[index]] if pair_live[index] >= 0 else None
-        )
-        vehicle._monitored_pair = (
-            flat.pair_keys[flat.watch[index]] if flat.watch[index] >= 0 else None
-        )
-        vehicle.jobs_served = 0
-        vehicle.engaged_tag = None
-        vehicle.last_tag = None
-        vehicle.parent = None
-        vehicle.child = None
-        vehicle.deficit = 0
-        vehicle.initiated = {}
-        vehicle.last_heard = {}
-        vehicle._engaged_tag_seen = None
-        vehicle._engaged_rounds = 0
-        vehicle.adopted_pairs = []
-        vehicle.escalations = {}
-        vehicle._gossip_counter = 0
-        vehicle.gossip_reports = {}
-        vehicle.pending_suspicions = {}
+    for key, typecode in _FLAT_ARRAYS:
+        getattr(flat, key)[:] = array(typecode, payload[key])
+    flat.positions[:] = _points_from_json(payload["positions"])
 
     for index_str, entry in payload["vehicles"].items():
         vehicle = fleet.vehicles[flat.identities[int(index_str)]]
-        vehicle.jobs_served = entry.get("jobs_served", 0)
-        if "engaged_tag" in entry:
-            vehicle.engaged_tag = _tag_from_json(entry["engaged_tag"])
-        if "last_tag" in entry:
-            vehicle.last_tag = _tag_from_json(entry["last_tag"])
-        if "parent" in entry:
-            vehicle.parent = tuple(entry["parent"])
-        if "child" in entry:
-            vehicle.child = tuple(entry["child"])
-        vehicle.deficit = entry.get("deficit", 0)
-        if "initiated" in entry:
-            vehicle.initiated = {
-                _tag_from_json(tag): {
-                    "destination": tuple(info[0]),
-                    "pair_key": tuple(info[1]),
-                }
-                for tag, info in entry["initiated"]
-            }
-        if "last_heard" in entry:
-            vehicle.last_heard = {
-                tuple(pair): round_id for pair, round_id in entry["last_heard"]
-            }
-        if "engaged_tag_seen" in entry:
-            vehicle._engaged_tag_seen = _tag_from_json(entry["engaged_tag_seen"])
-        vehicle._engaged_rounds = entry.get("engaged_rounds", 0)
-        if "adopted_pairs" in entry:
-            vehicle.adopted_pairs = [tuple(p) for p in entry["adopted_pairs"]]
-        if "escalations" in entry:
-            vehicle.escalations = {
-                _tag_from_json(tag): {
-                    "rings": [[tuple(m) for m in ring] for ring in esc["rings"]],
-                    "level": esc["level"],
-                    "pending": esc["pending"],
-                    "candidates": [
-                        (spare, tuple(identity), tuple(pos) if pos else None)
-                        for spare, identity, pos in esc["candidates"]
-                    ],
-                    "rounds": esc["rounds"],
-                }
-                for tag, esc in entry["escalations"]
-            }
+        for key, raw in entry.items():
+            if key in _VEHICLE_DECODE:
+                attribute, decode = _VEHICLE_DECODE[key]
+                setattr(vehicle, attribute, decode(raw))
         if "transfer" in entry:
             vehicle.status.transfer = TransferState(entry["transfer"])
-        vehicle._gossip_counter = entry.get("gossip_counter", 0)
-        if "gossip_reports" in entry:
-            vehicle.gossip_reports = {
-                tuple(pair): {
-                    tuple(reporter): round_id for reporter, round_id in reporters
-                }
-                for pair, reporters in entry["gossip_reports"]
-            }
-        if "pending_suspicions" in entry:
-            vehicle.pending_suspicions = {
-                tuple(pair): {
-                    "granted": {tuple(g) for g in pending["granted"]},
-                    "round": pending["round"],
-                }
-                for pair, pending in entry["pending_suspicions"]
-            }
         if "residency" in entry:
             residency = entry["residency"]
             vehicle.cube_index = tuple(residency["cube_index"])
             vehicle.coloring = fleet.colorings[vehicle.cube_index]
-            vehicle.neighbors = [tuple(n) for n in residency["neighbors"]]
-            vehicle.cube_peers = [tuple(p) for p in residency["cube_peers"]]
+            vehicle.neighbors = _points_from_json(residency["neighbors"])
+            vehicle.cube_peers = _points_from_json(residency["cube_peers"])
 
-    # The engaged set and the watch-heard mirror are not serialized (the
-    # snapshot format predates them); both are pure functions of the
-    # restored per-vehicle state, so rebuild them deterministically.
+    # The array-derived fields are written directly: the status dataclass
+    # validates *transitions*, not states, and the registry arrays are
+    # already restored (the observer that mirrors them must not fire
+    # twice).  The engaged set and the watch-heard mirror are not
+    # serialized (the format predates them); both are pure functions of the
+    # restored per-vehicle state, so they are rebuilt here.
+    pair_live = payload["pair_live"]
     flat.engaged.clear()
     for index, identity in enumerate(flat.identities):
         vehicle = fleet.vehicles[identity]
+        vehicle.status.working = _WORKING_BY_CODE[flat.state[index]]
+        vehicle.broken = bool(flat.broken[index])
+        vehicle.pair_key = flat.pair_keys[pair_live[index]] if pair_live[index] >= 0 else None
+        monitored = flat.pair_keys[flat.watch[index]] if flat.watch[index] >= 0 else None
+        vehicle._monitored_pair = monitored
         if (
             vehicle._engaged_tag is not None
             or vehicle.escalations
@@ -339,7 +371,6 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
             or vehicle._engaged_tag_seen is not None
         ):
             flat.engaged.add(index)
-        monitored = vehicle._monitored_pair
         flat.watch_heard[index] = (
             WATCH_NONE
             if monitored is None
@@ -352,19 +383,15 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
     )
     fleet._cube_members.clear()
     fleet._cube_members.update(
-        (tuple(index), [tuple(m) for m in members])
+        (tuple(index), _points_from_json(members))
         for index, members in payload["cube_members"]
     )
     for name, value in payload["stats"].items():
         setattr(fleet.stats, name, value)
-    fleet._computation_round = payload["computation_round"]
-    fleet._heartbeat_round = payload["heartbeat_round"]
-    fleet._crash_rounds = {
-        tuple(pair): round_id for pair, round_id in payload.get("crash_rounds", ())
-    }
+    for key, attribute in _FLEET_ROUNDS:
+        setattr(fleet, attribute, payload[key])
+    fleet._crash_rounds = _rounds_from_json(payload.get("crash_rounds", ()))
     if "detection_digest" in payload:
-        from repro.service.metrics import LatencyDigest
-
         fleet.detection_digest = LatencyDigest.from_json(payload["detection_digest"])
 
 
@@ -386,15 +413,7 @@ def fleet_digest(fleet: Fleet) -> str:
 def _transport_state(transport) -> Optional[Dict[str, Any]]:
     if transport is None:
         return None
-    payload: Dict[str, Any] = {
-        "kind": transport.kind,
-        "messages_scheduled": transport.messages_scheduled,
-        "messages_dropped": transport.messages_dropped,
-        "messages_corrupted": transport.messages_corrupted,
-    }
-    for name in ("retransmissions", "attempts_lost"):
-        if hasattr(transport, name):
-            payload[name] = getattr(transport, name)
+    payload: Dict[str, Any] = {"kind": transport.kind, **_read(transport, _TRANSPORT_COUNTERS)}
     streams = transport.stream_state()
     if streams is not None:
         payload["streams"] = streams
@@ -423,12 +442,7 @@ def restore_transport_state(transport, payload: Optional[Dict[str, Any]]) -> Non
             "global stream, which this build cannot resume (checkpoint version "
             f"{CHECKPOINT_VERSION}); rerun it from the start"
         )
-    transport.messages_scheduled = payload["messages_scheduled"]
-    transport.messages_dropped = payload["messages_dropped"]
-    transport.messages_corrupted = payload["messages_corrupted"]
-    for name in ("retransmissions", "attempts_lost"):
-        if name in payload and hasattr(transport, name):
-            setattr(transport, name, payload[name])
+    _write(transport, payload, _TRANSPORT_COUNTERS)
     if "streams" in payload:
         transport.restore_stream_state(payload["streams"])
     inner = getattr(transport, "inner", None)
@@ -446,7 +460,6 @@ def capture_checkpoint(config, driver, *, recorder=None) -> Dict[str, Any]:
     fleet = driver.fleet
     simulator = fleet.simulator
     plan = fleet.failure_plan
-    stats = simulator.queue.stats
     payload: Dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
         "version": CHECKPOINT_VERSION,
@@ -467,28 +480,12 @@ def capture_checkpoint(config, driver, *, recorder=None) -> Dict[str, Any]:
                 driver.churn_applied, key=lambda c: (c.time, c.vertex, c.action)
             )
         ],
-        "event_stats": {
-            "scheduled": stats.scheduled,
-            "executed": stats.executed,
-            "cancelled_skipped": stats.cancelled_skipped,
-        },
-        "network": {
-            "messages_sent": fleet.network.messages_sent,
-            "messages_delivered": fleet.network.messages_delivered,
-            "messages_dropped": fleet.network.messages_dropped,
-        },
+        "event_stats": _read(simulator.queue.stats, _EVENT_STATS),
+        "network": _read(fleet.network, _NETWORK_COUNTERS),
         "transport": _transport_state(fleet.network.transport),
         "failure_plan": {
-            "crashed": sorted([list(p) for p in plan.crashed]),
-            "initiation_suppressed": sorted(
-                [list(p) for p in plan.initiation_suppressed]
-            ),
-            "dropped_count": plan.dropped_count,
-            "partition_dropped_count": plan.partition_dropped_count,
-            "clock": plan.clock,
-            "byzantine_watchers": sorted(
-                [list(p) for p in plan.byzantine_watchers]
-            ),
+            **{name: sorted(_points_to_json(getattr(plan, name))) for name in _PLAN_SETS},
+            **_read(plan, _PLAN_COUNTERS),
         },
         "fleet": _fleet_state(fleet),
     }
@@ -503,28 +500,26 @@ def restore_checkpoint(fleet: Fleet, snapshot: Dict[str, Any]) -> None:
     The inverse of :func:`capture_checkpoint` for everything the fleet
     owns: the clock, the fleet and transport state, the network counters
     and the failure plan's mutable sets and counters.  Driver state
-    (pending arrivals, applied churn, event statistics) and metrics state
-    stay with the caller.  The ``"rng"`` entry of older snapshots is
+    (pending arrivals, applied churn, and the event statistics, which
+    :func:`restore_event_stats` writes once the driver has re-pushed its
+    arrivals) and metrics state stay with the caller.  The ``"rng"`` entry of older snapshots is
     ignored: no channel a snapshot can be resumed on draws from a run RNG
     (a jitter-era snapshot is refused by its transport kind).
     """
     fleet.simulator.clock.advance(snapshot["clock"])
     restore_fleet_state(fleet, snapshot["fleet"])
     restore_transport_state(fleet.network.transport, snapshot["transport"])
-    network = snapshot["network"]
-    fleet.network.messages_sent = network["messages_sent"]
-    fleet.network.messages_delivered = network["messages_delivered"]
-    fleet.network.messages_dropped = network["messages_dropped"]
+    _write(fleet.network, snapshot["network"], _NETWORK_COUNTERS)
     plan = fleet.failure_plan
     plan_state = snapshot["failure_plan"]
-    plan.crashed = {tuple(p) for p in plan_state["crashed"]}
-    plan.initiation_suppressed = {tuple(p) for p in plan_state["initiation_suppressed"]}
-    plan.dropped_count = plan_state["dropped_count"]
-    plan.partition_dropped_count = plan_state["partition_dropped_count"]
-    plan.clock = plan_state["clock"]
-    plan.byzantine_watchers = {
-        tuple(p) for p in plan_state.get("byzantine_watchers", ())
-    }
+    for name in _PLAN_SETS:
+        setattr(plan, name, set(_points_from_json(plan_state.get(name, ()))))
+    _write(plan, plan_state, _PLAN_COUNTERS)
+
+
+def restore_event_stats(stats, snapshot: Dict[str, Any]) -> None:
+    """Overwrite the event-queue statistics with the snapshot's."""
+    _write(stats, snapshot["event_stats"], _EVENT_STATS)
 
 
 def save_checkpoint(payload: Dict[str, Any], path) -> None:

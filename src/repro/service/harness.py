@@ -53,6 +53,7 @@ from repro.service.checkpoint import (
     save_rotated_checkpoint,
     pending_jobs_from_json,
     restore_checkpoint,
+    restore_event_stats,
     save_checkpoint,
 )
 from repro.service.metrics import MetricsRecorder
@@ -113,7 +114,9 @@ def run_service(
         append-only milestone log.
     checkpoint_path:
         Where checkpoints go (atomically replaced each time); requires
-        ``config.checkpoint_every``.
+        ``config.checkpoint_every``.  ``keep_checkpoints`` and
+        ``stop_after_checkpoints`` (each at least 1) need it: ``ValueError``
+        otherwise.
     keep_checkpoints:
         Rotate instead of replace: keep the last K snapshots as numbered
         siblings of ``checkpoint_path`` (``snap.w00000004.json`` for the
@@ -129,8 +132,14 @@ def run_service(
         :func:`resume_service`).  Must have been taken under an identical
         config.
     """
-    if keep_checkpoints is not None and keep_checkpoints < 1:
-        raise ValueError(f"keep_checkpoints must be at least 1, got {keep_checkpoints}")
+    for name, value in (
+        ("keep_checkpoints", keep_checkpoints),
+        ("stop_after_checkpoints", stop_after_checkpoints),
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+        if value is not None and checkpoint_path is None:
+            raise ValueError(f"{name} needs checkpoint_path")
     resumed = snapshot is not None
     # Hashing serializes every demand entry, so it is done once per run.
     config_hash = config.config_hash()
@@ -241,11 +250,7 @@ def run_service(
         # and pending arrivals; overwriting here (before the look-ahead
         # refills) makes every subsequent count accrue exactly as in the
         # uninterrupted run.
-        stats = fleet.simulator.queue.stats
-        captured = snapshot["event_stats"]
-        stats.scheduled = captured["scheduled"]
-        stats.executed = captured["executed"]
-        stats.cancelled_skipped = captured["cancelled_skipped"]
+        restore_event_stats(fleet.simulator.queue.stats, snapshot)
 
     driver = StreamDriver(
         fleet,

@@ -282,24 +282,30 @@ class MetricsRecorder:
 
     def state_to_json(self) -> Dict[str, Any]:
         return {
-            "window_index": self.window_index,
-            "jobs_arrived": self.jobs_arrived,
-            "jobs_served": self.jobs_served,
-            "window_arrivals": self._window_arrivals,
-            "window_served": self._window_served,
-            "window_start_time": self._window_start_time,
-            "baseline": self._baseline,
-            "window_digest": self._window_digest.to_json(),
-            "run_digest": self.run_digest.to_json(),
+            key: encode(getattr(self, attribute))
+            for key, attribute, encode, _ in _STATE_FIELDS
         }
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
-        self.window_index = payload["window_index"]
-        self.jobs_arrived = payload["jobs_arrived"]
-        self.jobs_served = payload["jobs_served"]
-        self._window_arrivals = payload["window_arrivals"]
-        self._window_served = payload["window_served"]
-        self._window_start_time = payload["window_start_time"]
-        self._baseline = dict(payload["baseline"])
-        self._window_digest = LatencyDigest.from_json(payload["window_digest"])
-        self.run_digest = LatencyDigest.from_json(payload["run_digest"])
+        for key, attribute, _, decode in _STATE_FIELDS:
+            setattr(self, attribute, decode(payload[key]))
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+#: The recorder state a checkpoint carries: ``(snapshot key, attribute,
+#: encode, decode)``, read by :meth:`MetricsRecorder.state_to_json` and
+#: written back by :meth:`MetricsRecorder.restore_state`.
+_STATE_FIELDS = (
+    ("window_index", "window_index", _as_is, _as_is),
+    ("jobs_arrived", "jobs_arrived", _as_is, _as_is),
+    ("jobs_served", "jobs_served", _as_is, _as_is),
+    ("window_arrivals", "_window_arrivals", _as_is, _as_is),
+    ("window_served", "_window_served", _as_is, _as_is),
+    ("window_start_time", "_window_start_time", _as_is, _as_is),
+    ("baseline", "_baseline", _as_is, dict),
+    ("window_digest", "_window_digest", LatencyDigest.to_json, LatencyDigest.from_json),
+    ("run_digest", "run_digest", LatencyDigest.to_json, LatencyDigest.from_json),
+)

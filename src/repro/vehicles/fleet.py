@@ -69,8 +69,8 @@ class FleetConfig:
     #: uses an arbitrary constant; 3 guarantees that the watcher of a pair
     #: always hears its heartbeats directly.
     neighbor_radius: int = 3
-    #: Mean message delay (simulation time units); actual delays may be
-    #: randomized by the network when an RNG is supplied.
+    #: Message delay (simulation time units) of the reliable channel the
+    #: network builds when no transport is given.
     message_delay: float = 0.01
     #: Remaining energy below which an active vehicle declares itself done.
     done_threshold: float = 2.0

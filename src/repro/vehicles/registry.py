@@ -260,11 +260,11 @@ def coloring_for_box(box: Box, *, verts: Optional[Sequence[Point]] = None) -> Co
 class FleetRegistry:
     """Dense vehicle indices backing the fleet's contiguous state arrays.
 
-    Construction happens in two phases: the fleet appends one cube at a
-    time (:meth:`add_cube`, in cube-sorted order) and then
-    :meth:`finalize` freezes the static topology into numpy arrays.  The
-    live per-vehicle scalars (energy ledgers, working state, position,
-    watch target) are typed arrays written through by the
+    Construction happens in two phases: the fleet appends its cubes in
+    cube-sorted order (:meth:`add_cubes`) and then :meth:`finalize`
+    freezes the static topology into numpy arrays.  The live per-vehicle
+    scalars (energy ledgers, working state, position, watch target) are
+    typed arrays written through by the
     :class:`~repro.vehicles.vehicle.VehicleProcess` property layer.
     """
 
@@ -329,34 +329,21 @@ class FleetRegistry:
     # construction
     # ------------------------------------------------------------------ #
 
-    def add_cube(
-        self,
-        index: Tuple[int, ...],
-        template: PairingTemplate,
-        verts: List[Point],
-        coords: np.ndarray,
-    ) -> Tuple[int, List[Point]]:
-        """Register one cube's vertices and pairs; returns (base index, pair keys).
-
-        ``verts`` must be the cube's absolute vertex tuples in
-        lexicographic order (the template's ``rel`` order translated), and
-        ``coords`` the same vertices as a ``(k, dim)`` array view.
-        """
-        return self.add_cubes([(index, template, verts, coords)])[0]
-
     def add_cubes(
         self,
         entries: List[Tuple[Tuple[int, ...], PairingTemplate, List[Point], np.ndarray]],
     ) -> List[Tuple[int, List[Point]]]:
         """Register many cubes at once; returns one (base, pair keys) per entry.
 
-        Equivalent to calling :meth:`add_cube` per entry in order, but the
-        vertex/pair dict inserts, identity extends, and live-state array
-        fills happen as one bulk operation each instead of one per cube --
-        the per-cube overhead dominates construction when cubes are small
-        (a singleton-cube fleet is nothing *but* overhead).  Insertion
-        order within every dict and array is exactly the per-cube order,
-        so the registry contents are byte-identical.
+        Each entry is ``(index, template, verts, coords)``: ``verts`` must
+        be the cube's absolute vertex tuples in lexicographic order (the
+        template's ``rel`` order translated), and ``coords`` the same
+        vertices as a ``(k, dim)`` array view.  The vertex/pair dict
+        inserts, identity extends, and live-state array fills happen as one
+        bulk operation each instead of one per cube -- the per-cube
+        overhead dominates construction when cubes are small (a
+        singleton-cube fleet is nothing *but* overhead).  Insertion order
+        within every dict and array is still the per-cube order.
         """
         results: List[Tuple[int, List[Point]]] = []
         base = len(self.identities)

@@ -175,6 +175,29 @@ class TestRotatingCheckpoints:
                 keep_checkpoints=0,
             )
 
+    @pytest.mark.parametrize("option", ["keep_checkpoints", "stop_after_checkpoints"])
+    def test_checkpoint_options_need_a_checkpoint_path(self, option):
+        config = ServiceConfig.from_demand(
+            QUIET_DEMAND, window_jobs=4, checkpoint_every=1
+        )
+        jobs = alternating_arrivals(QUIET_DEMAND)
+        with pytest.raises(ValueError, match=f"{option} needs checkpoint_path"):
+            run_service(config, list(jobs.jobs), **{option: 1})
+
+    def test_rejects_degenerate_stop_after(self, tmp_path):
+        config = ServiceConfig.from_demand(
+            QUIET_DEMAND, window_jobs=4, checkpoint_every=1
+        )
+        jobs = alternating_arrivals(QUIET_DEMAND)
+        with pytest.raises(ValueError, match="stop_after_checkpoints must be at least 1"):
+            run_service(
+                config,
+                list(jobs.jobs),
+                checkpoint_path=str(tmp_path / "snap.json"),
+                stop_after_checkpoints=0,
+            )
+        assert not (tmp_path / "snap.json").exists()
+
 
 class TestSnapshotFormat:
     def _write_snapshot(self, tmp_path):

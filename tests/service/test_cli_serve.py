@@ -140,6 +140,14 @@ class TestServe:
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_stop_after_checkpoints_needs_a_checkpoint_path(self, demand_path, capsys):
+        code = main(
+            ["serve", "--demand-json", demand_path, "--jobs", "4",
+             "--stop-after-checkpoints", "1"]
+        )
+        assert code == 2
+        assert "--stop-after-checkpoints needs --checkpoint" in capsys.readouterr().err
+
 
 class TestMissThresholdValidation:
     @pytest.mark.parametrize("miss", [1, 0, -1])

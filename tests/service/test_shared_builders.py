@@ -11,6 +11,7 @@ common, and a checkpoint restored onto a fresh fleet is that fleet again.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -24,10 +25,12 @@ from repro.core.online import OnlineResult, monitoring_mode, resolve_omega, run_
 from repro.core.stream import StreamDriver
 from repro.distsim.failures import ChurnSpec
 from repro.distsim.transport import TransportSpec
+from repro.io.atomic import compact_json
 from repro.service import run_service
 from repro.service.checkpoint import capture_checkpoint, fleet_digest, restore_checkpoint
 from repro.service.harness import _provision
 from repro.vehicles.fleet import FleetConfig
+from repro.vehicles.state import TransferState
 from repro.workloads.arrivals import alternating_arrivals
 
 #: Every field the two result types have in common.
@@ -244,3 +247,87 @@ def test_restore_checkpoint_rebuilds_the_captured_fleet(name):
     assert fresh.simulator.now == source.simulator.now
     assert _plan_state(fresh.failure_plan) == _plan_state(source.failure_plan)
     assert _network_state(fresh) == _network_state(source)
+
+
+#: One vehicle's protocol state with every sparse entry key set: the
+#: Algorithm 2 local data, monitoring, escalation (a candidate without a
+#: position included) and gossip bookkeeping, by attribute (each entry
+#: key is its attribute without the leading underscore) ...
+TAG = ((0, 3), 7)
+PROTOCOL_FIELDS = {
+    "jobs_served": 3,
+    "_engaged_tag": TAG,
+    "last_tag": ((3, 0), 2),
+    "parent": (0, 3),
+    "child": (3, 6),
+    "deficit": 2,
+    "initiated": {TAG: {"destination": (6, 6), "pair_key": (0, 0)}},
+    "last_heard": {(0, 0): 4, (3, 6): 5},
+    "_engaged_tag_seen": TAG,
+    "_engaged_rounds": 3,
+    "adopted_pairs": [(6, 6), (6, 3)],
+    "escalations": {
+        TAG: {
+            "rings": [[(6, 6), (6, 3)], [(0, 6)]],
+            "level": 1,
+            "pending": 2,
+            "candidates": [(True, (6, 6), (6, 5)), (False, (6, 3), None)],
+            "rounds": 1,
+        }
+    },
+    "_gossip_counter": 9,
+    "gossip_reports": {(0, 0): {(0, 3): 3, (3, 0): 4}, (6, 0): {(3, 0): 2}},
+    "pending_suspicions": {(0, 0): {"granted": {(0, 3), (3, 0)}, "round": 4}},
+}
+#: ... plus a residency rehomed into another cube (with a non-waiting
+#: transfer state, the two entry keys outside the field table).
+RESIDENCY = {"cube_index": (0, 0), "neighbors": [(0, 3)], "cube_peers": [(3, 0), (6, 0)]}
+
+#: sha256 of that vehicle's compact snapshot entry; pins the
+#: per-vehicle format byte for byte.
+ENTRY_SHA256 = "1fa12a2fcf572b9942b7e5bd9a3a610f53671f66a659bac4274b92d545338195"
+
+
+def _same_typed(left, right):
+    """Equal values whose containers and scalars also have equal types."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            _same_typed(left[key], right[key]) for key in left
+        )
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(map(_same_typed, left, right))
+    return left == right
+
+
+def test_every_vehicle_entry_key_round_trips():
+    config = ServiceConfig.from_demand(
+        SPREAD, omega=1.0, capacity=24.0, fleet=FleetConfig(monitoring=True, escalation=True)
+    )
+    source, source_config, *_ = _provision(config, apply_dead=False)
+    index = 4
+    vehicle = source.vehicles[source.flat.identities[index]]
+    for name, value in {**PROTOCOL_FIELDS, **RESIDENCY}.items():
+        setattr(vehicle, name, value)
+    vehicle.coloring = source.colorings[vehicle.cube_index]
+    vehicle.pair_key = (0, 0)
+    vehicle.status.transfer = TransferState.SEARCHING
+    driver = StreamDriver(source, source_config, source.failure_plan, [])
+    snapshot = json.loads(json.dumps(capture_checkpoint(config, driver)))
+
+    entry = snapshot["fleet"]["vehicles"][str(index)]
+    assert sorted(entry) == sorted(
+        [name.lstrip("_") for name in PROTOCOL_FIELDS] + ["residency", "transfer"]
+    )
+    digest = hashlib.sha256(compact_json(entry).encode("utf-8")).hexdigest()
+    assert digest == ENTRY_SHA256
+
+    fresh, *_ = _provision(config, apply_dead=False)
+    restore_checkpoint(fresh, snapshot)
+    assert fleet_digest(fresh) == fleet_digest(source)
+    restored = fresh.vehicles[fresh.flat.identities[index]]
+    for name in [*PROTOCOL_FIELDS, *RESIDENCY, "coloring", "pair_key", "status"]:
+        assert _same_typed(getattr(restored, name), getattr(vehicle, name)), name
+    assert restored.status.transfer is TransferState.SEARCHING
+    assert index in fresh.flat.engaged
