@@ -308,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a checkpoint every W metrics windows (needs --checkpoint)",
     )
     serve.add_argument(
-        "--checkpoint", help="checkpoint path (atomically replaced each write)"
+        "--checkpoint",
+        help="checkpoint path (atomically replaced each write; a fresh run "
+        "needs --checkpoint-every)",
     )
     serve.add_argument(
         "--keep-checkpoints",
@@ -909,6 +911,9 @@ def _command_serve(args: argparse.Namespace) -> int:
                 "error: serve needs --scenario, --demand-json, or --resume",
                 file=sys.stderr,
             )
+            return 2
+        if args.checkpoint is not None and args.checkpoint_every is None:
+            print("error: --checkpoint needs --checkpoint-every W", file=sys.stderr)
             return 2
         demand = _scenario_spec(args).demand()
         failures = _parse_failures(args) or FailureSpec()

@@ -38,8 +38,10 @@ swappable object:
   order, so the decisions depend only on each edge's own message order --
   the property that lets a sharded run reproduce the single-process draws
   (the counter-based model of Salmon et al., "Parallel random numbers: as
-  easy as 1, 2, 3", SC 2011).  A heartbeat round's draws are one array
-  expression (:meth:`LossyTransport.drops_many`).
+  easy as 1, 2, 3", SC 2011).  The state is a per-edge slot table
+  (:class:`_EdgeSlots`): each edge's premixed chain state and message
+  counter, so a draw is one finaliser round and a heartbeat round's
+  counters advance as arrays (:meth:`LossyTransport.drops_many`).
 * :class:`CorruptingTransport` -- seeded Byzantine corruption of the Phase
   I/II protocol messages (query/reply/move): reply flags flip, destination
   and pair coordinates drift, computation tags are scrambled into phantom
@@ -57,6 +59,7 @@ cacheable and byte-identical across worker pools.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace as dataclass_replace
 from functools import partial
@@ -66,7 +69,7 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.distsim.engine import Simulator
-from repro.distsim.keyed import IdentityKeys, mix, stream_root, unit
+from repro.distsim.keyed import IdentityKeys, fmix64, mix, stream_root, unit
 
 __all__ = [
     "Transport",
@@ -95,6 +98,11 @@ _LATENCY_SALT = 0x1A7E
 #: The fewest loss draws :meth:`LossyTransport.drops_many` evaluates as
 #: one array expression; fewer are evaluated on Python ints.
 _ARRAY_DRAWS = 32
+
+#: The fewest destinations of a broadcast whose slots
+#: :meth:`_EdgeSlots.draws` remembers; narrower sends (single replies,
+#: gossip digests to freshly drawn peers) are looked up each time.
+_MEMO_WIDTH = 3
 
 
 class Transport:
@@ -275,20 +283,18 @@ class Transport:
         lost = self.drops_many(records) if self.drops_many is not None else ()
         if lost:
             # Rebuild only the records a loss hit; one left without
-            # targets delivers nothing.
+            # targets delivers nothing.  Deleting the highest position
+            # first keeps the offsets of a record's earlier ones valid.
             ends = list(accumulate(lengths))
-            hit: Dict[int, List[int]] = {}
-            for position in lost:
-                hit.setdefault(bisect_right(ends, position), []).append(position)
-            for index, positions in hit.items():
-                sender, targets, message = records[index]
-                start = ends[index] - len(targets)
-                gone = {position - start for position in positions}
-                records[index] = (
-                    sender,
-                    [target for offset, target in enumerate(targets) if offset not in gone],
-                    message,
-                )
+            kept: Dict[int, List[Hashable]] = {}
+            for position in reversed(lost):
+                index = bisect_right(ends, position)
+                if index not in kept:
+                    kept[index] = list(records[index][1])
+                del kept[index][position - ends[index] + lengths[index]]
+            for index, targets in kept.items():
+                sender, _, message = records[index]
+                records[index] = (sender, targets, message)
             self.messages_dropped += len(lost)
             weight -= len(lost)
         if weight:
@@ -411,14 +417,123 @@ class DistanceLatencyTransport(Transport):
         return self.delay + self.per_step * distance
 
 
+class _SenderSlots(dict):
+    """``destination -> slot`` for one sender's edges; a destination seen
+    for the first time takes the table's next slot."""
+
+    __slots__ = ("table", "sender", "broadcasts")
+
+    def __init__(self, table: "_EdgeSlots", sender: Hashable) -> None:
+        super().__init__()
+        self.table = table
+        self.sender = sender
+        #: ``width -> (targets, slots)`` of the sender's last broadcast to
+        #: ``width`` destinations: a heartbeat round repeats it, and the
+        #: repeat costs one list comparison instead of a lookup per target.
+        self.broadcasts: Dict[int, Tuple[List[Hashable], array]] = {}
+
+    def __missing__(self, destination: Hashable) -> int:
+        table = self.table
+        slot = self[destination] = len(table.counts)
+        keys = table.keys
+        table.states.append(mix(table.root, keys[self.sender], keys[destination]))
+        table.counts.append(0)
+        return slot
+
+
+class _EdgeSlots(dict):
+    """The per-edge slot table of a seeded stream: ``sender ->``
+    :class:`_SenderSlots`.
+
+    Each directed edge gets a dense slot on first use.  The slot holds two
+    ``uint64`` columns: the edge's premixed chain state ``mix(root,
+    key(sender), key(destination))`` and its message counter.  The edge's
+    ``n``-th draw is ``fmix64(state ^ n)`` -- bit for bit the keyed
+    ``mix(root, key(sender), key(destination), n)`` -- so a draw costs one
+    finaliser round instead of three, and a heartbeat round's counters
+    advance as arrays (:meth:`draws`).
+    """
+
+    def __init__(self, root: int, keys: IdentityKeys) -> None:
+        super().__init__()
+        self.root = root
+        self.keys = keys
+        self.states = array("Q")
+        self.counts = array("Q")
+
+    def __missing__(self, sender: Hashable) -> _SenderSlots:
+        row = self[sender] = _SenderSlots(self, sender)
+        return row
+
+    def draw(self, sender: Hashable, destination: Hashable) -> int:
+        """The edge's next draw word; advances its counter."""
+        slot = self[sender][destination]
+        counter = self.counts[slot]
+        self.counts[slot] = counter + 1
+        return fmix64(self.states[slot] ^ counter)
+
+    def draws(self, records: Sequence[Record]) -> np.ndarray:
+        """The next draw word of every ``(sender, destination)`` of the
+        records, in record order, as one array evaluation.
+
+        An edge that repeats among the records takes its counters in
+        record order: its ``k``-th occurrence draws at the counter it had
+        before this call plus ``k``.
+        """
+        slots = array("q")
+        extend = slots.extend
+        for sender, targets, _ in records:
+            row = self[sender]
+            width = len(targets)
+            if width < _MEMO_WIDTH:
+                extend(map(row.__getitem__, targets))
+                continue
+            last = row.broadcasts.get(width)
+            if last is None or last[0] != targets:
+                last = row.broadcasts[width] = (
+                    list(targets),
+                    array("q", map(row.__getitem__, targets)),
+                )
+            extend(last[1])
+        index = np.frombuffer(slots, dtype=np.int64)
+        counts = np.frombuffer(self.counts, dtype=np.uint64)
+        counters = counts[index]
+        occurrences = np.bincount(index, minlength=len(counts))
+        counts += occurrences.astype(np.uint64)
+        # An edge drawn more than once takes consecutive counters in record
+        # order: a stable sort of just those draws ranks them.
+        repeated = np.flatnonzero(occurrences[index] > 1)
+        if len(repeated):
+            at = repeated[np.argsort(index[repeated], kind="stable")]
+            starts = np.flatnonzero(np.diff(index[at], prepend=-1))
+            ranks = np.arange(len(at)) - np.repeat(starts, np.diff(starts, append=len(at)))
+            counters[at] += ranks.astype(np.uint64)
+        return fmix64(np.frombuffer(self.states, dtype=np.uint64)[index] ^ counters)
+
+    def export(self) -> List[List[Any]]:
+        """``[[edge, count], ...]`` of every drawn edge, sorted by ``repr``
+        (edges of equal ``repr`` in slot order)."""
+        counts = self.counts.tolist()
+        edges = sorted(
+            (
+                ((sender, destination), slot)
+                for sender, row in self.items()
+                for destination, slot in row.items()
+            ),
+            key=lambda item: (repr(item[0]), item[1]),
+        )
+        return [[_encode_edge_key(edge), counts[slot]] for edge, slot in edges]
+
+
 class _SeededTransport(Transport):
     """A fixed-delay channel with one seeded, edge-keyed random stream.
 
     The shared half of :class:`LossyTransport` and
     :class:`CorruptingTransport`.  A message's draws are the keyed mix
     (:mod:`repro.distsim.keyed`) of ``(seed, purpose salt, sender,
-    destination, per-edge message counter)``.  The per-edge counters are
-    the only state: draws depend only on per-edge send order, never on
+    destination, per-edge message counter)``.  The per-edge slot table
+    (:class:`_EdgeSlots`: each edge's premixed state and message counter)
+    is the only state: draws depend only on per-edge send order, never on
     cross-edge interleaving, so per-shard sub-fleets reproduce the
     single-process run bit for bit.
 
@@ -447,37 +562,27 @@ class _SeededTransport(Transport):
         self._reset_streams()
 
     def _reset_streams(self) -> None:
-        self._edge_counts: Dict[Tuple[Hashable, Hashable], int] = {}
+        self._slots = _EdgeSlots(self._root, self._keys)
 
     def _draw_state(self, sender: Hashable, destination: Hashable) -> int:
         """The keyed state this message's draws come from; advances the
         edge's counter."""
-        edge = (sender, destination)
-        counter = self._edge_counts.get(edge, 0)
-        self._edge_counts[edge] = counter + 1
-        keys = self._keys
-        return mix(self._root, keys[sender], keys[destination], counter)
+        return self._slots.draw(sender, destination)
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return self.delay
 
     def stream_state(self) -> Optional[Dict[str, Any]]:
-        return {
-            "edge_counts": [
-                [_encode_edge_key(edge), count]
-                for edge, count in sorted(
-                    self._edge_counts.items(), key=lambda item: repr(item[0])
-                )
-            ]
-        }
+        return {"edge_counts": self._slots.export()}
 
     def restore_stream_state(self, state: Optional[Dict[str, Any]]) -> None:
         if not state:
             return
-        self._edge_counts = {
-            _decode_edge_key(edge): int(count)
-            for edge, count in state.get("edge_counts", [])
-        }
+        self._reset_streams()
+        slots = self._slots
+        for edge, count in state.get("edge_counts", []):
+            sender, destination = _decode_edge_key(edge)
+            slots.counts[slots[sender][destination]] = int(count)
 
 
 class LossyTransport(_SeededTransport):
@@ -513,10 +618,9 @@ class LossyTransport(_SeededTransport):
 
         Below :data:`_ARRAY_DRAWS` draws (a send outside a heartbeat round)
         this is :meth:`drops` per draw, on Python ints, where numpy's
-        per-call overhead would cost more than the draws.  Otherwise one
-        Python pass reads and advances each edge's counter and collects the
-        identity keys, and the draws are one mix over whole arrays -- the
-        same function :meth:`drops` evaluates.
+        per-call overhead would cost more than the draws.  Otherwise the
+        draws are one array evaluation over the edges' slots
+        (:meth:`_EdgeSlots.draws`) -- the same words :meth:`drops` reads.
         """
         if sum([len(targets) for _, targets, _ in records]) < _ARRAY_DRAWS:
             drops = self.drops
@@ -526,30 +630,7 @@ class LossyTransport(_SeededTransport):
                 for target in targets
             )
             return [position for position, dropped in enumerate(draws) if dropped]
-        counts = self._edge_counts
-        count_of = counts.get
-        keys = self._keys
-        sender_keys: List[int] = []
-        lengths: List[int] = []
-        destinations: List[Hashable] = []
-        counters: List[int] = []
-        append = counters.append
-        for sender, targets, _ in records:
-            sender_keys.append(keys[sender])
-            lengths.append(len(targets))
-            destinations.extend(targets)
-            for target in targets:
-                edge = (sender, target)
-                counter = count_of(edge, 0)
-                counts[edge] = counter + 1
-                append(counter)
-        state = mix(
-            self._root,
-            np.repeat(np.array(sender_keys, dtype=np.uint64), lengths),
-            np.fromiter(map(keys.__getitem__, destinations), np.uint64, len(destinations)),
-            np.array(counters, dtype=np.uint64),
-        )
-        return np.flatnonzero(unit(state) < self.loss).tolist()
+        return np.flatnonzero(unit(self._slots.draws(records)) < self.loss).tolist()
 
     def deferred_latency(self) -> Optional[float]:
         # Fixed delay, no mutation, loss from ``drops`` alone.

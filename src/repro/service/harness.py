@@ -114,9 +114,10 @@ def run_service(
         append-only milestone log.
     checkpoint_path:
         Where checkpoints go (atomically replaced each time); requires
-        ``config.checkpoint_every``.  ``keep_checkpoints`` and
-        ``stop_after_checkpoints`` (each at least 1) need it: ``ValueError``
-        otherwise.
+        ``config.checkpoint_every`` (``ValueError`` without it, rather
+        than a run that silently writes nothing).  ``keep_checkpoints``
+        and ``stop_after_checkpoints`` (each at least 1) need it:
+        ``ValueError`` otherwise.
     keep_checkpoints:
         Rotate instead of replace: keep the last K snapshots as numbered
         siblings of ``checkpoint_path`` (``snap.w00000004.json`` for the
@@ -140,6 +141,8 @@ def run_service(
             raise ValueError(f"{name} must be at least 1, got {value}")
         if value is not None and checkpoint_path is None:
             raise ValueError(f"{name} needs checkpoint_path")
+    if checkpoint_path is not None and config.checkpoint_every is None:
+        raise ValueError("checkpoint_path needs config.checkpoint_every")
     resumed = snapshot is not None
     # Hashing serializes every demand entry, so it is done once per run.
     config_hash = config.config_hash()
@@ -200,9 +203,9 @@ def run_service(
                 jobs=closed["jobs"],
                 served=closed["served"],
             )
+            # A checkpoint path comes with a cadence (checked above).
             if (
                 checkpoint_path is not None
-                and config.checkpoint_every is not None
                 and recorder.window_index % config.checkpoint_every == 0
             ):
                 progress["checkpoint_due"] = True

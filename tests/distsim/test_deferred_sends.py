@@ -89,7 +89,7 @@ def _state(net, log):
         "transport": (transport.messages_scheduled, transport.messages_dropped),
         "plan": (plan.dropped_count, plan.partition_dropped_count),
         "events": (net.simulator.events_processed, net.simulator.stats.scheduled),
-        "edge_counts": dict(transport._edge_counts),
+        "streams": transport.stream_state(),
     }
 
 
@@ -129,7 +129,7 @@ class TestDrawsMatchTheScalarStream:
         assert bulk.drops_many(records) == [
             position for position, dropped in enumerate(expected) if dropped
         ]
-        assert bulk._edge_counts == scalar._edge_counts
+        assert bulk.stream_state() == scalar.stream_state()
 
 
 class TestDeferredEqualsPerMessage:
@@ -450,7 +450,7 @@ def _state_of(net, log):
         "events": (net.simulator.stats.executed, net.simulator.stats.scheduled),
     }
     if isinstance(net.transport, LossyTransport):
-        state["edge_counts"] = dict(net.transport._edge_counts)
+        state["streams"] = net.transport.stream_state()
     return state
 
 
@@ -668,16 +668,17 @@ _RUN_FIELDS = (
 
 
 def _count_vector_draws(monkeypatch):
-    """Record how many loss draws each array evaluation of the mix makes."""
+    """Record how many loss draws each array evaluation of the slot table
+    makes."""
     calls = []
-    original = transport_module.mix
+    original = transport_module._EdgeSlots.draws
 
-    def counting(state, *words):
-        if isinstance(words[0], np.ndarray):
-            calls.append(len(words[0]))
-        return original(state, *words)
+    def counting(self, records):
+        words = original(self, records)
+        calls.append(len(words))
+        return words
 
-    monkeypatch.setattr(transport_module, "mix", counting)
+    monkeypatch.setattr(transport_module._EdgeSlots, "draws", counting)
     return calls
 
 

@@ -12,6 +12,10 @@ fixed, so each statistical bound is a deterministic check with a wide
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +41,7 @@ from repro.distsim.transport import (
     LossyTransport,
 )
 from repro.vehicles.gossip import peer_draws, select_peers
+from repro.vehicles.messages import MoveMessage, QueryMessage, ReplyMessage
 
 N = 20_000
 #: Five standard errors of a correlation coefficient over ``N`` pairs.
@@ -46,6 +51,17 @@ CORRELATION_BOUND = 5 / np.sqrt(N)
 def _edge_draws(root, sender, destination, counters):
     keys = IdentityKeys()
     return unit(mix(root, keys[sender], keys[destination], np.asarray(counters, np.uint64)))
+
+
+#: Up to 108 draws of repeated edges between lattice and non-lattice
+#: identities.
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", (0, 1), (2, 2)]),
+        st.lists(st.sampled_from(["a", "b", "c", (0, 1), (2, 2)]), max_size=9),
+    ),
+    max_size=12,
+)
 
 
 def _correlation(a, b):
@@ -91,17 +107,27 @@ class TestSpellingsAgree:
         assert mix(stream_root(0, 0), 1, 2, 3) == 0x01BECD8257D754CC
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        records=st.lists(
-            st.tuples(
-                st.sampled_from(["a", "b", (0, 1), (2, 2)]),
-                st.lists(st.sampled_from(["a", "b", "c", (0, 1), (2, 2)]), max_size=9),
-            ),
-            max_size=12,
-        ),
-        split=st.integers(0, 12),
-        loss=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-    )
+    @given(records=_RECORDS, split=st.integers(0, 12))
+    def test_slot_draws_are_the_keyed_mix(self, records, split):
+        # The reference loop: an edge's n-th draw is the full keyed mix of
+        # the edge and n, whatever the slot table premixes.
+        transport = LossyTransport(seed=2**70 + 3)
+        keys = IdentityKeys()
+        counters = {}
+        expected = []
+        for sender, targets in records:
+            for target in targets:
+                counter = counters.get((sender, target), 0)
+                counters[(sender, target)] = counter + 1
+                expected.append(mix(transport._root, keys[sender], keys[target], counter))
+        words = []
+        for part in (records[:split], records[split:]):
+            part_records = [(sender, targets, None) for sender, targets in part]
+            words.extend(transport._slots.draws(part_records).tolist())
+        assert words == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=_RECORDS, split=st.integers(0, 12), loss=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
     def test_drops_many_equals_drops(self, records, split, loss):
         # Up to 108 draws per call: record sets on both sides of the
         # array cutoff.
@@ -117,23 +143,24 @@ class TestSpellingsAgree:
             scalar.drops(sender, target, None) for sender, targets in records for target in targets
         ]
         assert flat == expected
-        assert bulk._edge_counts == scalar._edge_counts
+        assert bulk.stream_state() == scalar.stream_state()
 
     @pytest.mark.parametrize("draws", [1, _ARRAY_DRAWS - 1, _ARRAY_DRAWS, 3 * _ARRAY_DRAWS])
     def test_array_cutoff_picks_the_spelling_not_the_draws(self, draws, monkeypatch):
         array_calls = []
-        original = transport_module.mix
+        original = transport_module._EdgeSlots.draws
 
-        def spying(state, *words):
-            array_calls.extend(isinstance(word, np.ndarray) for word in words[:1])
-            return original(state, *words)
+        def spying(self, records):
+            words = original(self, records)
+            array_calls.append(len(words))
+            return words
 
-        monkeypatch.setattr(transport_module, "mix", spying)
+        monkeypatch.setattr(transport_module._EdgeSlots, "draws", spying)
         targets = ["b", "c", (0, 1)] * draws
         records = [("a", targets[:draws], None)]
         bulk = LossyTransport(loss=0.5, seed=11)
         lost = bulk.drops_many(records)
-        assert any(array_calls) == (draws >= _ARRAY_DRAWS)
+        assert array_calls == ([draws] if draws >= _ARRAY_DRAWS else [])
         scalar = LossyTransport(loss=0.5, seed=11)
         assert lost == [
             position
@@ -209,6 +236,125 @@ class TestIndependence:
         draws = peer_draws(keys, [7] * len(keys), 2)
         assert abs(_correlation(draws[:, 0], draws[:, 1])) < 5 / np.sqrt(len(keys))
         assert abs(_correlation(draws[:-1, 0], draws[1:, 0])) < 5 / np.sqrt(len(keys))
+
+
+#: A heartbeat-shaped neighbourhood: every point of a 3x3 block.
+_BLOCK = [(x, y) for x in range(3) for y in range(3)]
+
+
+def _loss_calls():
+    """A fixed sequence of ``drops_many`` calls (``None`` is one scalar
+    ``drops``) on both sides of the array cutoff.  The fourth and sixth
+    calls repeat edges inside one array-sized flush (a heartbeat, then a
+    digest and a suspicion to the same peer), and the fourth mixes in
+    non-lattice identities."""
+    peers = {point: [p for p in _BLOCK if p != point] for point in _BLOCK}
+    heartbeat = [(point, peers[point], None) for point in _BLOCK]
+    return [
+        [("a", ["b", "c"], None), ((0, 0), [(0, 1)], None)],
+        heartbeat,
+        None,
+        heartbeat[:4]
+        + [((0, 0), [(0, 1), (2, 2)], None), ((0, 0), [(0, 1)], None)]
+        + [("a", ["b", (1, 1), "c"], None)],
+        [((1, 1), [(0, 0)], None)],
+        heartbeat + [((2, 2), [(0, 0), (0, 0)], None)],
+    ]
+
+
+def _run_loss_calls(transport, calls):
+    decisions = []
+    for call in calls:
+        if call is None:
+            decisions.append(transport.drops((0, 0), (0, 1), None))
+        else:
+            decisions.append(transport.drops_many(call))
+    return decisions
+
+
+def _corruption_sends():
+    """A fixed send sequence for :class:`CorruptingTransport`: protocol
+    messages advance their edge's counter, a heartbeat does not."""
+    tag = ((0, 0), 1)
+    sends = []
+    for step in range(40):
+        sender, destination = _BLOCK[step % 9], _BLOCK[(step * 4 + 1) % 9]
+        message = (
+            QueryMessage(tag, sender, (1, 1), (2, 2)),
+            ReplyMessage(tag, sender, step % 2 == 0),
+            MoveMessage(tag, sender, (0, 2), (2, 0)),
+            "heartbeat",
+        )[step % 4]
+        sends.append((sender, destination, message))
+    return sends
+
+
+def _run_corruption_sends(transport, sends):
+    decisions = []
+    for sender, destination, message in sends:
+        delivered = transport.mutate(sender, destination, message)
+        decisions.append(
+            [
+                transport.drops(sender, destination, message),
+                type(delivered).__name__,
+                list(astuple(delivered)) if delivered is not message else None,
+            ]
+        )
+    return decisions
+
+
+def _resumed(transport, build):
+    fresh = build()
+    fresh.restore_stream_state(json.loads(json.dumps(transport.stream_state())))
+    return fresh
+
+
+class TestStreamsAcrossARestore:
+    """A JSON round trip of ``stream_state()`` continues every edge stream,
+    on the scalar and the array spelling alike.  The digest pins the
+    decisions and the final state: any change to how draws are computed
+    or counters advance moves it."""
+
+    LOSS_DIGEST = "3a8cf1db980d2e33c1ee3e53ad1a3a940bf8a4400d0ec336b8ea0aeb8e8c5d13"
+    CORRUPTION_DIGEST = "f7af437949029a54f081f18a13bb3406df16b6126788c8b816af034af85d5ca6"
+
+    @staticmethod
+    def _digest(decisions, transport):
+        blob = json.dumps([decisions, transport.stream_state()], sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_loss_draws(self):
+        calls = _loss_calls()
+        assert any(c is not None and sum(len(t) for _, t, _ in c) >= _ARRAY_DRAWS for c in calls)
+
+        def build():
+            return LossyTransport(loss=0.3, seed=5)
+
+        whole = build()
+        expected = _run_loss_calls(whole, calls)
+        for cut in range(1, len(calls)):
+            before = build()
+            head = _run_loss_calls(before, calls[:cut])
+            after = _resumed(before, build)
+            assert head + _run_loss_calls(after, calls[cut:]) == expected, cut
+            assert after.stream_state() == whole.stream_state()
+        assert self._digest(expected, whole) == self.LOSS_DIGEST
+
+    def test_corruption_draws(self):
+        sends = _corruption_sends()
+
+        def build():
+            return CorruptingTransport(rate=0.5, seed=6)
+
+        whole = build()
+        expected = _run_corruption_sends(whole, sends)
+        assert any(corrupted for _, _, corrupted in expected)
+        before = build()
+        head = _run_corruption_sends(before, sends[:17])
+        after = _resumed(before, build)
+        assert head + _run_corruption_sends(after, sends[17:]) == expected
+        assert after.stream_state() == whole.stream_state()
+        assert self._digest(expected, whole) == self.CORRUPTION_DIGEST
 
 
 class TestSelectPeers:

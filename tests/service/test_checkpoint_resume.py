@@ -184,6 +184,19 @@ class TestRotatingCheckpoints:
         with pytest.raises(ValueError, match=f"{option} needs checkpoint_path"):
             run_service(config, list(jobs.jobs), **{option: 1})
 
+    def test_checkpoint_path_needs_a_cadence(self, tmp_path):
+        # Without a cadence no checkpoint would ever be written.
+        config = ServiceConfig.from_demand(QUIET_DEMAND, window_jobs=4)
+        jobs = alternating_arrivals(QUIET_DEMAND)
+        with pytest.raises(ValueError, match="checkpoint_path needs config.checkpoint_every"):
+            run_service(
+                config,
+                list(jobs.jobs),
+                checkpoint_path=str(tmp_path / "snap.json"),
+                stop_after_checkpoints=1,
+            )
+        assert not (tmp_path / "snap.json").exists()
+
     def test_rejects_degenerate_stop_after(self, tmp_path):
         config = ServiceConfig.from_demand(
             QUIET_DEMAND, window_jobs=4, checkpoint_every=1

@@ -140,6 +140,16 @@ class TestServe:
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_needs_a_cadence(self, tmp_path, demand_path, capsys):
+        snap = tmp_path / "snap.json"
+        code = main(
+            ["serve", "--demand-json", demand_path, "--jobs", "8", "--window", "4",
+             "--checkpoint", str(snap)]
+        )
+        assert code == 2
+        assert "--checkpoint needs --checkpoint-every W" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_stop_after_checkpoints_needs_a_checkpoint_path(self, demand_path, capsys):
         code = main(
             ["serve", "--demand-json", demand_path, "--jobs", "4",
