@@ -14,12 +14,13 @@ things worth gating:
   quantiles (p50/p99).  They must clear ``2 * log2(n) * miss_threshold``
   over the whole fleet's ``n`` -- twice the fleet-wide epidemic-spread
   round count, so it holds a fortiori for cube-scoped spread.  Measured
-  p99: 4 rounds (10 while digests went to fleet-wide peers), just past
-  the 3-round miss threshold;
-* **modest round overhead** -- digest traffic rides the existing
-  heartbeat loop, so a gossip round should cost a small constant factor
-  over the identical ring-monitored round (measured failure-free on the
-  same lossy channel; the factor is the digest + beacon traffic).
+  p99: 5 rounds (4 with the earlier blake2b draws, 10 while digests went
+  to fleet-wide peers), just past the 3-round miss threshold;
+* **modest round overhead** -- digests are sent in the heartbeat round,
+  one message per vehicle next to the heartbeats, so a gossip round
+  should cost a small constant factor over the identical ring-monitored
+  round (measured failure-free on the same lossy channel; the factor is
+  the digest + beacon traffic).
 
 Results go to ``BENCH_gossip.json`` (folded into ``BENCH_summary.json``)
 and are gated by ``check_events_per_sec.py --gossip-report``: the p99

@@ -21,8 +21,13 @@ benchmark is their regression gate.  For each scale it measures
   reported; nothing is inferred from them.
 * **parallel lockstep** (``10^5-failure`` tier): the same demand with a
   sparse crash sweep and an *edge-keyed* lossy transport, still
-  shard-local.  ``--quick`` runs the sharded side only; the full mode
-  adds the single-process reference and the wall-clock speedup.
+  shard-local.  Its ``FleetConfig()`` has monitoring off, so the run
+  sends no message: nothing crosses the lossy channel, and the crashes
+  only leave their arrivals unserved.  The tier gates arrival dispatch
+  and the shard plumbing (partition, payload pickle, worker pool,
+  merge), not the message path.  ``--quick`` runs the sharded side only;
+  the full mode adds the single-process reference and the wall-clock
+  speedup.
 
 Throughput runs skipped by ``--quick`` are recorded as ``null`` so report
 consumers can tell "not measured" from "missing key".
@@ -160,12 +165,15 @@ def _crash_plan(demand, every: int = 997) -> FailurePlan:
 
 
 def measure_failure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
-    """Events/sec of a failure+lossy run through the parallel lockstep engine.
+    """Events/sec of a crash-sweep run on a lossy channel through the
+    parallel lockstep engine.
 
-    The config (sparse crash sweep, edge-keyed lossy transport, no
-    escalation) keeps every shard's protocol traffic cube-local, so
-    ``shards=N`` takes the ``parallel-lockstep`` multi-process path while
-    ``shards=1`` runs the single-process reference.
+    Monitoring is off (``FleetConfig()``), so the run sends no message:
+    it measures arrival dispatch and the shard plumbing, not the message
+    path.  The config (sparse crash sweep, edge-keyed lossy transport, no
+    escalation) is shard-local, so ``shards=N`` takes the
+    ``parallel-lockstep`` multi-process path while ``shards=1`` runs the
+    single-process reference.
     """
     jobs = random_arrivals(demand, np.random.default_rng(seed))
     transport = TransportSpec(

@@ -903,6 +903,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.resume:
         payload = load_checkpoint(args.resume)
         config = ServiceConfig.from_json(payload["config"])
+        if args.checkpoint_every is not None:
+            print(
+                "error: --checkpoint-every does not apply to --resume: the "
+                "snapshot's cadence wins (a checkpoint every "
+                f"{config.checkpoint_every} windows)",
+                file=sys.stderr,
+            )
+            return 2
         jobs = streaming_arrivals(config.demand(), jobs=args.jobs)
         result = run_service(config, jobs, snapshot=payload, **outputs)
     else:

@@ -334,20 +334,31 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
         getattr(flat, key)[:] = array(typecode, payload[key])
     flat.positions[:] = _points_from_json(payload["positions"])
 
-    for index_str, entry in payload["vehicles"].items():
-        vehicle = fleet.vehicles[flat.identities[int(index_str)]]
-        for key, raw in entry.items():
-            if key in _VEHICLE_DECODE:
-                attribute, decode = _VEHICLE_DECODE[key]
-                setattr(vehicle, attribute, decode(raw))
-        if "transfer" in entry:
-            vehicle.status.transfer = TransferState(entry["transfer"])
+    # Residency first: the gossip blocks a detector field allocates read
+    # every vehicle's cube and every cube's members.
+    fleet._cube_members.clear()
+    fleet._cube_members.update(
+        (tuple(index), _points_from_json(members))
+        for index, members in payload["cube_members"]
+    )
+    entries = [
+        (fleet.vehicles[flat.identities[int(index_str)]], entry)
+        for index_str, entry in payload["vehicles"].items()
+    ]
+    for vehicle, entry in entries:
         if "residency" in entry:
             residency = entry["residency"]
             vehicle.cube_index = tuple(residency["cube_index"])
             vehicle.coloring = fleet.colorings[vehicle.cube_index]
             vehicle.neighbors = _points_from_json(residency["neighbors"])
             vehicle.cube_peers = _points_from_json(residency["cube_peers"])
+    for vehicle, entry in entries:
+        for key, raw in entry.items():
+            if key in _VEHICLE_DECODE:
+                attribute, decode = _VEHICLE_DECODE[key]
+                setattr(vehicle, attribute, decode(raw))
+        if "transfer" in entry:
+            vehicle.status.transfer = TransferState(entry["transfer"])
 
     # The array-derived fields are written directly: the status dataclass
     # validates *transitions*, not states, and the registry arrays are
@@ -380,11 +391,6 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
     fleet.registry.clear()
     fleet.registry.update(
         (tuple(pair), tuple(identity)) for pair, identity in payload["registry"]
-    )
-    fleet._cube_members.clear()
-    fleet._cube_members.update(
-        (tuple(index), _points_from_json(members))
-        for index, members in payload["cube_members"]
     )
     for name, value in payload["stats"].items():
         setattr(fleet.stats, name, value)

@@ -7,9 +7,9 @@ Two artifacts, both cheap enough to refresh every metrics window:
   so an external poller never observes a torn read: it always sees either
   the previous complete state or the new complete state (``python -m
   json.tool`` pretty-prints it).  Contents: run
-  progress, a fleet summary, the active pair registry (bounded by fleet
-  size, never by stream length), and the last ``keep_windows`` metrics
-  windows.
+  progress, a fleet summary with the count of registered pairs (a count,
+  not the registry itself: the document stays small at any fleet size),
+  and the last ``keep_windows`` metrics windows.
 * **Event log** -- an append-only JSONL file of harness milestones
   (windows closed, checkpoints written, run finished).  Appends are not
   atomic and need not be: a half-written final line is detectable (no
@@ -27,7 +27,7 @@ from repro.io.atomic import atomic_write_json
 __all__ = ["LiveStateStore", "build_state", "STATE_SCHEMA", "STATE_VERSION"]
 
 STATE_SCHEMA = "repro.service/state"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 def build_state(
@@ -62,8 +62,8 @@ def build_state(
             "escalations": fleet.stats.escalations_started,
             "adoptions": fleet.stats.adoptions,
             "hand_backs": fleet.stats.hand_backs,
+            "registered_pairs": len(fleet.registry),
         },
-        "active_pairs": sorted(fleet.registry.items()),
         "windows": list(recorder.recent),
         "checkpoints_written": checkpoints_written,
     }

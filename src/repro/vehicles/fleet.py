@@ -29,13 +29,12 @@ from repro.core.demand import DemandMap
 from repro.core.plan import plan_window
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import FailurePlan
-from repro.distsim.keyed import coordinate_keys
 from repro.distsim.network import Network
 from repro.distsim.transport import Transport
 from repro.grid.coloring import Coloring
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Box, Point, manhattan
-from repro.vehicles.gossip import peer_draws
+from repro.vehicles.gossip import GossipBlocks
 from repro.vehicles.messages import ExistingMessage
 from repro.vehicles.monitoring import (
     HEARD_AT_START,
@@ -269,9 +268,10 @@ class Fleet:
         #: Dense-index -> vehicle list backing the registry-native round
         #: path (built on first use).
         self._by_index_cache: Optional[List[VehicleProcess]] = None
-        #: Dense-index -> identity key of the gossip peer draws, computed
-        #: from the home coordinates (built on first use).
-        self._identity_keys: Optional[np.ndarray] = None
+        #: The gossip detector's per-cube blocks, allocated by the first
+        #: gossip round or detector write (:meth:`gossip_blocks`); ``None``
+        #: in a fleet that never gossips.
+        self.detector: Optional[GossipBlocks] = None
 
         self._build_vehicles()
 
@@ -502,6 +502,12 @@ class Fleet:
         """
         return self._cube_members.get(index, [])
 
+    def gossip_blocks(self) -> GossipBlocks:
+        """The gossip detector's blocks, allocated on first use."""
+        if self.detector is None:
+            self.detector = GossipBlocks(self)
+        return self.detector
+
     def record_escalation_started(self, tag) -> None:
         self.stats.escalations_started += 1
 
@@ -605,9 +611,7 @@ class Fleet:
         intra-cube query crossing a boundary) and miss idle peers standing
         right next to it."""
         new_index = self._pair_cube[pair_key]
-        old_members = self._cube_members.get(vehicle.cube_index)
-        if old_members is not None and vehicle.identity in old_members:
-            old_members.remove(vehicle.identity)
+        self._remove_member(vehicle.cube_index, vehicle.identity)
         self._insert_member(new_index, vehicle.identity)
         vehicle.cube_index = new_index
         coloring = self.colorings[new_index]
@@ -620,6 +624,8 @@ class Fleet:
             and manhattan(vertex, vehicle.position) <= self.config.neighbor_radius
         ]
         vehicle.cube_peers = [v for v in vertices if v != vehicle.identity]
+        if self.detector is not None:
+            self.detector.rehome(vehicle)
 
     def on_adoption(self, identity: Point, pair_key: Point) -> None:
         """An active vehicle adopted a far pair: it now *also* resides in
@@ -649,15 +655,24 @@ class Fleet:
             return
         if any(self._pair_cube.get(p) == index for p in vehicle.adopted_pairs):
             return
-        members = self._cube_members.get(index)
-        if members is not None and identity in members:
-            members.remove(identity)
+        self._remove_member(index, identity)
 
     def _insert_member(self, index: Tuple[int, ...], identity: Point) -> None:
         members = self._cube_members.setdefault(index, [])
         position = bisect.bisect_left(members, identity)
         if position >= len(members) or members[position] != identity:
             members.insert(position, identity)
+            self._members_changed()
+
+    def _remove_member(self, index: Tuple[int, ...], identity: Point) -> None:
+        members = self._cube_members.get(index)
+        if members is not None and identity in members:
+            members.remove(identity)
+            self._members_changed()
+
+    def _members_changed(self) -> None:
+        if self.detector is not None:
+            self.detector.residency_changed()
 
     # ------------------------------------------------------------------ #
     # job routing
@@ -821,18 +836,11 @@ class Fleet:
             # included: silence reporting and digest relaying need no pair
             # of their own, and a cube whose crash left few active members
             # still musters enough independent reporters and co-signers.
-            # Every ticking vehicle's peer draws are one array call.
-            ticking = np.nonzero(flat.broken_view() == 0)[0]
-            if self._identity_keys is None:
-                self._identity_keys = coordinate_keys(flat.homes)
-            vehicles = [by_index[index] for index in ticking.tolist()]
-            draws = peer_draws(
-                self._identity_keys[ticking],
-                [vehicle._gossip_counter for vehicle in vehicles],
-                self.config.gossip_fanout,
+            # The round is block reads of the detector state of every
+            # ticking vehicle; each vehicle only makes its sends.
+            self.gossip_blocks().run_round(
+                round_id, miss, np.nonzero(flat.broken_view() == 0)[0]
             )
-            for vehicle, row in zip(vehicles, draws.tolist()):
-                vehicle.gossip_tick(round_id, miss, row)
         else:
             self._plain_heartbeats(senders, round_id, miss, by_index)
 

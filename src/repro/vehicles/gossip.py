@@ -1,19 +1,22 @@
-"""Deterministic peer selection and digest helpers for gossip monitoring.
+"""Gossip monitoring: deterministic peer draws and the detector's blocks.
 
 The gossip failure detector (``FleetConfig.monitoring = "gossip"``)
 replaces the single-watcher timer of the Section 3.2.5 monitoring ring
 with three layers, following the tunable-fanout gossiping family of
 De Florio & Blondia and pod-style quorum attestation:
 
-1. **Epidemic freshness.** Every round each vehicle piggybacks a digest
-   of its most recently heard ``(pair_key, round)`` entries to ``fanout``
-   peers drawn from its own cube, so liveness information spreads through
-   a cube of ``k`` vehicles in O(log k) rounds and survives the
-   lossy/corrupting transports (which only mutate protocol messages,
-   never digests).  Digests never leave the cube: every reporter, watcher
-   and attester of a pair lives in the pair's cube (Section 3.2.5), and
-   quorum intersection is per cube, so fleet-wide relaying would add no
-   detection power -- only O(fleet) state per vehicle.
+1. **Epidemic freshness.** Every round each vehicle sends a separate
+   :class:`~repro.vehicles.messages.GossipDigest` of its most recently
+   heard ``(pair_key, round)`` entries to ``fanout`` peers drawn from its
+   own cube, next to (not inside) the heartbeat an active vehicle
+   broadcasts, so liveness information spreads through a cube of ``k``
+   vehicles in O(log k) rounds and survives the lossy/corrupting
+   transports (which only mutate protocol messages, never digests).
+   Carrying the digest inside an active sender's heartbeat is the open
+   plan of ROADMAP item 8.  Digests never leave the cube: every reporter,
+   watcher and attester of a pair lives in the pair's cube (Section
+   3.2.5), and quorum intersection is per cube, so fleet-wide relaying
+   would add no detection power -- only O(fleet) state per vehicle.
 2. **Multi-reporter suspicion.** A pair is suspected only once
    ``suspicion_threshold`` *distinct* vehicles have reported it silent --
    reports travel inside the digests, deduplicated by reporter identity.
@@ -27,29 +30,63 @@ count, so it never consults a shared RNG: each draw is the counter-based
 keyed mix (:mod:`repro.distsim.keyed`) of ``(identity, per-vehicle
 counter, slot)``, a pure function of state that checkpoints and restores
 exactly.  :func:`peer_draws` computes a whole round's draws -- every
-ticking vehicle, every slot -- as one array expression.  The candidates
-are the cube's shared sorted member list
-(:meth:`~repro.vehicles.fleet.Fleet.cube_members`), and shards own whole
-cubes, so gossip runs shard like ring runs.
+ticking vehicle, every slot -- as one array expression, and
+:func:`peer_indices` maps them onto the cube's shared sorted member list
+(:meth:`~repro.vehicles.fleet.Fleet.cube_members`) as one more.  Shards
+own whole cubes, so gossip runs shard like ring runs.
 
-The per-vehicle helpers run once per vehicle per round, so neither pays
-more than O(cube) in Python: :func:`select_peers` maps each draw onto the
-shared sorted candidate list by index arithmetic (O(fanout²) per call, no
-pool copy), and :func:`freshest_entries` finds its round cut-off with a C
-sort of the round values and ranks only the entries at or above it.
+**The blocks.**  All detector state is cube-scoped, so it lives in
+:class:`GossipBlocks`, one array row per vehicle (its dense index) and,
+within a row, one column per pair of the vehicle's cube:
+
+* ``heard`` -- int32, rows x pair columns: the last round the pair was
+  heard from, ``-1`` where never heard, plus ``first``, the sequence in
+  which each cell was first heard (the insertion order a checkpoint
+  writes ``last_heard`` in);
+* ``reports`` -- int32, rows x pair columns x reporter slots: the round
+  of each silence report, ``-1`` where none;
+* ``flags`` -- int8, rows x pair columns: 1 where the cell may hold
+  reports or an open suspicion, so a heartbeat for a quiet pair writes
+  one cell and reads nothing else;
+* the pending suspicions, by row and pair.
+
+A cube's columns start as its own pairs in key order and its reporter
+slots as its members in identity order; a pair or reporter from another
+cube (a rehomed vehicle carries its old cube's entries along) appends a
+column or slot.  A round (:meth:`GossipBlocks.run_round`) reads the
+blocks of every ticking vehicle at once: the staleness rule over
+``heard`` gives every silent pair, a stable per-row sort gives the
+canonical freshest entries, and the reports block, read in pair-major,
+reporter-minor order, gives each digest's sorted silence reports.  The
+blocks are allocated at a fleet's first gossip round (or first detector
+write); a fleet that never gossips builds none.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Dict, Hashable, List, Sequence, Tuple
+from bisect import bisect_left
+from operator import attrgetter
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.distsim.keyed import mix, stream_root, unit
+from repro.distsim.keyed import coordinate_keys, mix, stream_root, unit
 from repro.grid.lattice import Point
+from repro.vehicles.messages import ExistingMessage, GossipDigest
+from repro.vehicles.monitoring import HEARD_AT_START, is_stale
+from repro.vehicles.registry import STATE_ACTIVE, WATCH_NEVER
 
-__all__ = ["GOSSIP_ENTRY_CAP", "peer_draws", "select_peers", "freshest_entries"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.vehicles.fleet import Fleet
+    from repro.vehicles.vehicle import VehicleProcess
+
+__all__ = [
+    "GOSSIP_ENTRY_CAP",
+    "GossipBlocks",
+    "peer_draws",
+    "peer_indices",
+    "select_peers",
+]
 
 #: The chain state of every peer draw.  Fixed forever: changing it would
 #: silently re-route every gossip run.
@@ -59,6 +96,13 @@ _PEER_ROOT = stream_root(0, 0x60551B)
 #: Caps digest size at O(1) per message regardless of fleet size; the
 #: freshest entries are the ones worth spreading.
 GOSSIP_ENTRY_CAP = 8
+
+#: Gossip counters a row's peer picks are drawn ahead for (they are a pure
+#: function of the counter, given the cube's members).
+_PEER_WINDOW = 16
+
+#: Sorts after every real index in the taken-position table.
+_NOT_TAKEN = np.iinfo(np.int64).max
 
 
 def peer_draws(keys: np.ndarray, counters: Sequence[int], fanout: int) -> np.ndarray:
@@ -78,55 +122,559 @@ def peer_draws(keys: np.ndarray, counters: Sequence[int], fanout: int) -> np.nda
     return unit(state)
 
 
+def peer_indices(draws: np.ndarray, low, member, size) -> np.ndarray:
+    """Map each row of ``draws`` onto indices into a sorted candidate list.
+
+    Row ``v`` picks from ``size[v]`` candidates, among which the sender
+    sits at index ``low[v]`` when ``member[v]`` (it is never picked).
+    Slot ``s`` turns its draw ``u`` into an index ``floor(u * r)`` into
+    the ``r`` candidates not yet taken, and the index-th untaken candidate
+    is found by stepping past every taken index at or below it, in
+    ascending order -- the same picks a copied pool with ``pop(index)``
+    would yield.  Returns ``(n, fanout)`` candidate indices, ``-1`` for
+    slots past the ``size - member`` candidates there are.
+    """
+    draws = np.asarray(draws, dtype=np.float64)
+    rows, fanout = draws.shape
+    member = np.asarray(member, dtype=bool)
+    remaining = np.asarray(size, dtype=np.int64) - member
+    taken = np.full((rows, fanout + 1), _NOT_TAKEN, dtype=np.int64)
+    taken[:, 0] = np.where(member, low, _NOT_TAKEN)
+    chosen = np.full((rows, fanout), -1, dtype=np.int64)
+    for slot in range(fanout):
+        valid = slot < remaining
+        index = (draws[:, slot] * (remaining - slot)).astype(np.int64)
+        for rank in range(slot + 1):
+            index += taken[:, rank] <= index
+        chosen[:, slot] = np.where(valid, index, -1)
+        taken[:, slot + 1] = np.where(valid, index, _NOT_TAKEN)
+        taken.sort(axis=1)
+    return chosen
+
+
 def select_peers(
     identity: Hashable,
     draws: Sequence[float],
     candidates: Sequence[Hashable],
 ) -> List[Hashable]:
-    """Pick up to ``len(draws)`` gossip peers without replacement.
-
-    ``candidates`` must be in a canonical (sorted) order shared by every
-    worker; the sender itself is excluded.  Slot ``s`` turns its draw
-    ``u`` into an index ``floor(u * r)`` into the ``r`` candidates not yet
-    taken (the sender counts as taken), and the index-th untaken candidate
-    is found by walking the sorted taken indices -- the same peers a
-    copied pool with ``pop(index)`` would yield, without copying the
-    candidate list: O(log n) to locate the sender plus O(fanout²) per
-    call.
-    """
+    """One vehicle's :func:`peer_indices`: up to ``len(draws)`` gossip peers
+    from the sorted ``candidates``, the sender excluded."""
     low = bisect_left(candidates, identity)
-    high = bisect_right(candidates, identity, low)
-    taken = list(range(low, high))
-    remaining = len(candidates) - len(taken)
-    chosen: List[Hashable] = []
-    for slot, draw in enumerate(draws[:remaining]):
-        index = int(draw * (remaining - slot))
-        for position in taken:
-            if position > index:
-                break
-            index += 1
-        insort(taken, index)
-        chosen.append(candidates[index])
-    return chosen
-
-
-def freshest_entries(
-    last_heard: Dict[Point, int], cap: int = GOSSIP_ENTRY_CAP
-) -> Tuple[Tuple[Point, int], ...]:
-    """The ``cap`` freshest ``(pair_key, round)`` entries, canonically ordered.
-
-    Most recent round first, ties broken by pair key so the digest is a
-    pure function of the ``last_heard`` mapping (byte-identical across
-    dict insertion orders).  When the map holds more than ``cap`` entries,
-    the cap-th largest round is read off a C sort of the round values and
-    only the entries at or above it are ranked in Python.
-    """
-    cut = sorted(last_heard.values())[-cap] if len(last_heard) > cap > 0 else None
-    ranked = sorted(
-        [
-            (-heard, pair_key)
-            for pair_key, heard in last_heard.items()
-            if cut is None or heard >= cut
-        ]
+    member = low < len(candidates) and candidates[low] == identity
+    chosen = peer_indices(
+        np.asarray(draws, dtype=np.float64).reshape(1, -1), [low], [member], [len(candidates)]
     )
-    return tuple([(pair_key, -heard) for heard, pair_key in ranked[:cap]])
+    return [candidates[index] for index in chosen[0].tolist() if index >= 0]
+
+
+def _row_bounds(rows: np.ndarray, count: int) -> List[int]:
+    """Where each of ``count`` rows starts in the sorted row ids ``rows``
+    (plus the end): row ``i`` owns ``[bounds[i], bounds[i + 1])``."""
+    return np.searchsorted(rows, np.arange(count + 1)).tolist()
+
+
+class GossipBlocks:
+    """The gossip detector state of a fleet, one block of rows per cube.
+
+    Row ``i`` belongs to the vehicle at dense index ``i`` and is read
+    through the columns and reporter slots of the cube that vehicle lives
+    in (see the module docstring for the layout).  Each vehicle caches
+    the three views the heartbeat fast path reads (in
+    :meth:`~repro.vehicles.vehicle.VehicleProcess.on_message` and
+    :meth:`note_heard`): its cube's pair -> column map and memoryviews of
+    its ``heard`` and ``flags`` rows, rebound whenever an array grows.
+    """
+
+    def __init__(self, fleet: "Fleet") -> None:
+        self.fleet = fleet
+        self._vehicles = fleet._vehicles_by_index()
+        self._indices = sorted(fleet.colorings)
+        self._cube_ids = {index: cube for cube, index in enumerate(self._indices)}
+        #: Per cube: the pair of each column and the column of each pair;
+        #: the first ``_own[cube]`` columns are the cube's own pairs.
+        self._pairs = [
+            sorted(pair.black for pair in fleet.colorings[index].pairs)
+            for index in self._indices
+        ]
+        self._own = np.array([len(pairs) for pairs in self._pairs], dtype=np.intp)
+        self._cols = [{pair: col for col, pair in enumerate(pairs)} for pairs in self._pairs]
+        #: Per cube: the reporter of each slot and the slot of each reporter.
+        self._reporters = [list(fleet.cube_members(index)) for index in self._indices]
+        self._slots = [
+            {reporter: slot for slot, reporter in enumerate(reporters)}
+            for reporters in self._reporters
+        ]
+        count = len(self._vehicles)
+        width = max(map(len, self._pairs))
+        depth = max(map(len, self._reporters))
+        self.heard = np.full((count, width), -1, dtype=np.int32)
+        self.first = np.zeros((count, width), dtype=np.int64)
+        self.reports = np.full((count, width, depth), -1, dtype=np.int32)
+        self.flags = np.zeros((count, width), dtype=np.int8)
+        #: Each row's draw counter, keying its deterministic peer picks.
+        self.counter = np.zeros(count, dtype=np.int64)
+        #: Open quorum collections: row -> ``{pair_key: {"granted": set of
+        #: co-signers, "round": last SuspectMessage round}}``.
+        self.suspicions: Dict[int, Dict[Point, Dict[str, Any]]] = {}
+        self._seq = 0
+        self.cube_of = np.array(
+            [self._cube_ids[vehicle.cube_index] for vehicle in self._vehicles], dtype=np.intp
+        )
+        self.self_slot = np.zeros(count, dtype=np.intp)
+        self._keys = coordinate_keys(fleet.flat.homes)
+        #: Peer-selection layout, rebuilt after any residency change, and
+        #: the picks drawn ahead on it: each row's first counter and its
+        #: member-table indices for ``_PEER_WINDOW`` counters from there.
+        self._layout: Optional[Tuple[Any, ...]] = None
+        self._window: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._reindex()
+        for row, vehicle in enumerate(self._vehicles):
+            self.self_slot[row] = self._slot(self.cube_of[row], vehicle.identity)
+
+    # ------------------------------------------------------------------ #
+    # layout
+    # ------------------------------------------------------------------ #
+
+    def _reindex(self) -> None:
+        """Rebuild the sort permutations, key tables and vehicle views
+        after the blocks were allocated or grew."""
+        width = self.heard.shape[1]
+        depth = self.reports.shape[2]
+        cubes = len(self._indices)
+        self._colperm = np.empty((cubes, width), dtype=np.intp)
+        self._slotperm = np.empty((cubes, depth), dtype=np.intp)
+        #: Key of the ``k``-th column / slot in sorted order, at
+        #: ``cube * width + k`` / ``cube * depth + k``.
+        self._pair_table = np.full(cubes * width, None, dtype=object)
+        self._reporter_table = np.full(cubes * depth, None, dtype=object)
+        #: Whether every cube's columns and slots are already in key order
+        #: (nothing appended out of order), so the perms are identities.
+        self._canonical = True
+        for cube in range(cubes):
+            for keys, perm, table, size in (
+                (self._pairs[cube], self._colperm, self._pair_table, width),
+                (self._reporters[cube], self._slotperm, self._reporter_table, depth),
+            ):
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                perm[cube] = order + list(range(len(keys), size))
+                for k, i in enumerate(order):
+                    table[cube * size + k] = keys[i]
+                self._canonical = self._canonical and order == sorted(order)
+        self._report_rows = [
+            memoryview(cells) for cells in self.reports.reshape(len(self._vehicles), -1)
+        ]
+        for row in range(len(self._vehicles)):
+            self._bind(row)
+
+    def _bind(self, row: int) -> None:
+        vehicle = self._vehicles[row]
+        vehicle._gossip_cols = self._cols[self.cube_of[row]]
+        vehicle._heard_row = memoryview(self.heard[row])
+        vehicle._gossip_flags = memoryview(self.flags[row])
+
+    def _col(self, cube: int, pair_key: Point) -> int:
+        """The column of ``pair_key`` in ``cube``, appended when new."""
+        col = self._cols[cube].get(pair_key)
+        if col is None:
+            col = len(self._pairs[cube])
+            self._pairs[cube].append(pair_key)
+            self._cols[cube][pair_key] = col
+            if col == self.heard.shape[1]:
+                self.heard = np.pad(self.heard, ((0, 0), (0, 1)), constant_values=-1)
+                self.first = np.pad(self.first, ((0, 0), (0, 1)))
+                self.reports = np.pad(
+                    self.reports, ((0, 0), (0, 1), (0, 0)), constant_values=-1
+                )
+                self.flags = np.pad(self.flags, ((0, 0), (0, 1)))
+            self._reindex()
+        return col
+
+    def _slot(self, cube: int, reporter: Point) -> int:
+        """The reporter slot of ``reporter`` in ``cube``, appended when new."""
+        slot = self._slots[cube].get(reporter)
+        if slot is None:
+            slot = len(self._reporters[cube])
+            self._reporters[cube].append(reporter)
+            self._slots[cube][reporter] = slot
+            if slot == self.reports.shape[2]:
+                self.reports = np.pad(
+                    self.reports, ((0, 0), (0, 0), (0, 1)), constant_values=-1
+                )
+            self._reindex()
+        return slot
+
+    def residency_changed(self) -> None:
+        """A cube's member list changed: re-derive the peer layout."""
+        self._layout = None
+        self._window = None
+
+    def rehome(self, vehicle: "VehicleProcess") -> None:
+        """Move ``vehicle``'s row to the cube it now lives in, carrying its
+        entries over (its old cube's pairs become columns of the new)."""
+        row = vehicle._index
+        heard = self.heard_of(vehicle)
+        reports = self.reports_of(vehicle)
+        suspicions = self.suspicions.pop(row, {})
+        self.heard[row] = -1
+        self.first[row] = 0
+        self.reports[row] = -1
+        self.flags[row] = 0
+        cube = self._cube_ids[vehicle.cube_index]
+        self.cube_of[row] = cube
+        self.self_slot[row] = self._slot(cube, vehicle.identity)
+        self._bind(row)
+        self.residency_changed()
+        self.set_heard_of(vehicle, heard)
+        self.set_reports_of(vehicle, reports)
+        self.set_suspicions_of(vehicle, suspicions)
+
+    def _peer_picks(self, rows: np.ndarray, counters: np.ndarray) -> np.ndarray:
+        """The ``(len(rows), fanout)`` member-table indices of the peers
+        each row draws at its counter, ``-1`` past its cube's members."""
+        if self._window is not None:
+            base, picks = self._window
+            ahead = counters - base[rows]
+            if ahead.min(initial=0) >= 0 and ahead.max(initial=0) < _PEER_WINDOW:
+                return picks[rows, ahead]
+        low, member, size, start, _ = self._peer_layout()
+        base = self.counter.copy()
+        fanout = self.fleet.config.gossip_fanout
+        draws = peer_draws(
+            np.repeat(self._keys, _PEER_WINDOW),
+            (base[:, None] + np.arange(_PEER_WINDOW)).reshape(-1),
+            fanout,
+        )
+        chosen = peer_indices(
+            draws,
+            np.repeat(low, _PEER_WINDOW),
+            np.repeat(member, _PEER_WINDOW),
+            np.repeat(size, _PEER_WINDOW),
+        )
+        picks = np.where(chosen >= 0, chosen + np.repeat(start, _PEER_WINDOW)[:, None], -1)
+        self._window = (base, picks.reshape(len(base), _PEER_WINDOW, fanout))
+        return self._window[1][rows, counters - base[rows]]
+
+    def _peer_layout(self) -> Tuple[Any, ...]:
+        """Per row: the sender's index among its cube's sorted members (or
+        its insertion point), whether it is one, the member count, and
+        where its cube's members start in the concatenated member table
+        (also returned)."""
+        if self._layout is None:
+            members = [self.fleet.cube_members(index) for index in self._indices]
+            starts = np.cumsum([0] + [len(cube) for cube in members])
+            low, member, size = [], [], []
+            for row, vehicle in enumerate(self._vehicles):
+                candidates = members[self.cube_of[row]]
+                position = bisect_left(candidates, vehicle.identity)
+                low.append(position)
+                member.append(
+                    position < len(candidates) and candidates[position] == vehicle.identity
+                )
+                size.append(len(candidates))
+            table = np.empty(int(starts[-1]), dtype=object)
+            table[:] = [identity for cube in members for identity in cube]
+            self._layout = (
+                np.array(low),
+                np.array(member),
+                np.array(size),
+                starts[self.cube_of],
+                table,
+            )
+        return self._layout
+
+    # ------------------------------------------------------------------ #
+    # one vehicle's state (handlers, checkpoints)
+    # ------------------------------------------------------------------ #
+
+    def store(self, vehicle: "VehicleProcess", pair_key: Point, heard: int) -> None:
+        """Set ``pair_key`` as last heard at ``heard`` (a round, >= 0)."""
+        row = vehicle._index
+        col = self._col(self.cube_of[row], pair_key)
+        if self.heard[row, col] < 0:
+            self._seq += 1
+            self.first[row, col] = self._seq
+        self.heard[row, col] = heard
+
+    def note_heard(self, vehicle: "VehicleProcess", pair_key: Point, heard: int) -> None:
+        """One ``(pair_key, heard)`` freshness entry: a fresher round is
+        stored, retiring the silence reports it supersedes and any open
+        suspicion -- a pair that spoke is not dead.  The common cases run
+        on the vehicle's views alone: a round no fresher costs one read,
+        and a fresher one for a pair already heard, with no report or
+        suspicion open on it, one write."""
+        col = vehicle._gossip_cols.get(pair_key)
+        if col is not None:
+            heard_row = vehicle._heard_row
+            previous = heard_row[col]
+            if heard <= previous:
+                return
+            if previous >= 0 and not vehicle._gossip_flags[col]:
+                heard_row[col] = heard
+                if pair_key == vehicle._monitored_pair:
+                    vehicle._registry.watch_heard[vehicle._index] = heard
+                return
+        row = vehicle._index
+        vehicle._set_heard(pair_key, heard)
+        col = self._cols[self.cube_of[row]][pair_key]
+        if self.flags[row, col]:
+            cell = self.reports[row, col]
+            cell[cell <= heard] = -1
+            pending = self.suspicions.get(row)
+            if pending is not None:
+                pending.pop(pair_key, None)
+                if not pending:
+                    del self.suspicions[row]
+            self.flags[row, col] = (cell >= 0).any()
+
+    def heard_round(self, vehicle: "VehicleProcess", pair_key: Point) -> int:
+        """The round ``pair_key`` was last heard at, ``HEARD_AT_START`` if
+        never."""
+        row = vehicle._index
+        col = self._cols[self.cube_of[row]].get(pair_key)
+        heard = -1 if col is None else int(self.heard[row, col])
+        return HEARD_AT_START if heard < 0 else heard
+
+    def merge_digest(self, vehicle: "VehicleProcess", heard, silent) -> None:
+        """Max-merge a digest's ``heard`` entries, then union its ``silent``
+        reports, skipping the receiver's own pair and reports older than
+        what it heard since."""
+        cols = vehicle._gossip_cols
+        heard_row = vehicle._heard_row
+        for pair_key, round_id in heard:
+            col = cols.get(pair_key)
+            if col is None or round_id > heard_row[col]:
+                self.note_heard(vehicle, pair_key, round_id)
+                heard_row = vehicle._heard_row  # (a new pair may grow the blocks)
+        if not silent:
+            return
+        row = vehicle._index
+        cube = self.cube_of[row]
+        own = vehicle.pair_key
+        slots = self._slots[cube]
+        for pair_key, reporter, reported in silent:
+            if pair_key == own:
+                continue  # this vehicle *is* the pair: obviously alive
+            col = cols.get(pair_key)
+            last = heard_row[col] if col is not None else -1
+            if reported <= (last if last >= 0 else HEARD_AT_START):
+                continue  # superseded: the pair has spoken since
+            slot = slots.get(reporter)
+            if col is None or slot is None:
+                col = self._col(cube, pair_key)
+                slot = self._slot(cube, reporter)
+                heard_row = vehicle._heard_row
+            cells = self._report_rows[row]
+            cell = col * self.reports.shape[2] + slot
+            if reported > cells[cell]:
+                cells[cell] = reported
+                self.flags[row, col] = 1
+
+    def reporters(self, vehicle: "VehicleProcess", pair_key: Point) -> List[Point]:
+        """The distinct vehicles that reported ``pair_key`` silent."""
+        row = vehicle._index
+        cube = self.cube_of[row]
+        col = self._cols[cube].get(pair_key)
+        if col is None:
+            return []
+        reporters = self._reporters[cube]
+        return [reporters[slot] for slot in np.flatnonzero(self.reports[row, col] >= 0).tolist()]
+
+    def suspicion(self, vehicle: "VehicleProcess", pair_key: Point) -> Optional[Dict[str, Any]]:
+        """The open quorum collection for ``pair_key``, if any."""
+        return self.suspicions.get(vehicle._index, {}).get(pair_key)
+
+    def open_suspicion(self, vehicle: "VehicleProcess", pair_key: Point) -> Dict[str, Any]:
+        """The collection for ``pair_key``, opened with no co-signer if new."""
+        row = vehicle._index
+        col = self._col(self.cube_of[row], pair_key)  # (may grow the arrays)
+        self.flags[row, col] = 1
+        pending = self.suspicions.setdefault(row, {})
+        return pending.setdefault(pair_key, {"granted": set()})
+
+    def close_suspicion(self, vehicle: "VehicleProcess", pair_key: Point, *, reports: bool) -> None:
+        """Drop the collection for ``pair_key`` and, with ``reports``, every
+        silence report of it."""
+        row = vehicle._index
+        pending = self.suspicions.get(row)
+        if pending is not None:
+            pending.pop(pair_key, None)
+            if not pending:
+                del self.suspicions[row]
+        if reports:
+            col = self._cols[self.cube_of[row]].get(pair_key)
+            if col is not None:
+                self.reports[row, col] = -1
+
+    def heard_of(self, vehicle: "VehicleProcess") -> Dict[Point, int]:
+        """``last_heard`` as a dict, in first-heard order."""
+        row = vehicle._index
+        first = self.first[row]
+        cols = np.flatnonzero(first)
+        cols = cols[np.argsort(first[cols])]
+        pairs = self._pairs[self.cube_of[row]]
+        return dict(
+            zip([pairs[col] for col in cols.tolist()], self.heard[row, cols].tolist())
+        )
+
+    def set_heard_of(self, vehicle: "VehicleProcess", heard: Dict[Point, int]) -> None:
+        row = vehicle._index
+        self.heard[row] = -1
+        self.first[row] = 0
+        for pair_key, round_id in heard.items():
+            self.store(vehicle, pair_key, round_id)
+
+    def reports_of(self, vehicle: "VehicleProcess") -> Dict[Point, Dict[Point, int]]:
+        """Silence reports by pair: ``{pair_key: {reporter: report_round}}``."""
+        row = vehicle._index
+        cube = self.cube_of[row]
+        pairs, reporters = self._pairs[cube], self._reporters[cube]
+        block = self.reports[row]
+        cols, slots = np.nonzero(block >= 0)
+        out: Dict[Point, Dict[Point, int]] = {}
+        for col, slot, reported in zip(cols.tolist(), slots.tolist(), block[cols, slots].tolist()):
+            out.setdefault(pairs[col], {})[reporters[slot]] = reported
+        return out
+
+    def set_reports_of(self, vehicle: "VehicleProcess", reports) -> None:
+        row = vehicle._index
+        cube = self.cube_of[row]
+        self.reports[row] = -1
+        for pair_key, reporters in reports.items():
+            for reporter, reported in reporters.items():
+                col = self._col(cube, pair_key)
+                slot = self._slot(cube, reporter)  # (may grow the arrays)
+                self.reports[row, col, slot] = reported
+        self._reflag(row)
+
+    def suspicions_of(self, vehicle: "VehicleProcess") -> Dict[Point, Dict[str, Any]]:
+        return dict(self.suspicions.get(vehicle._index, {}))
+
+    def set_suspicions_of(self, vehicle: "VehicleProcess", suspicions) -> None:
+        row = vehicle._index
+        self.suspicions.pop(row, None)
+        for pair_key, pending in suspicions.items():
+            self._col(self.cube_of[row], pair_key)
+            self.suspicions.setdefault(row, {})[pair_key] = pending
+        self._reflag(row)
+
+    def _reflag(self, row: int) -> None:
+        flags = (self.reports[row] >= 0).any(axis=1).astype(np.int8)
+        cols = self._cols[self.cube_of[row]]
+        for pair_key in self.suspicions.get(row, ()):
+            flags[cols[pair_key]] = 1
+        self.flags[row] = flags
+
+    # ------------------------------------------------------------------ #
+    # the round
+    # ------------------------------------------------------------------ #
+
+    def run_round(self, round_id: int, miss: int, rows: np.ndarray) -> None:
+        """One gossip round of the vehicles at dense indices ``rows``
+        (ascending): every decision as block reads, then each vehicle's
+        sends in row order.
+
+        A vehicle's tick reads and writes only its own row and its sends
+        are delivered after the round, so computing all rows first and
+        sending afterwards is the per-vehicle loop's exact outcome.
+        """
+        fleet = self.fleet
+        flat = fleet.flat
+        count = len(rows)
+        vehicles = [self._vehicles[row] for row in rows.tolist()]
+        cube = self.cube_of[rows]
+        width = self.heard.shape[1]
+        depth = self.reports.shape[2]
+        pairs = self._pair_table
+
+        # Peers: each row's draws at its counter mapped onto its cube's
+        # sorted members.
+        picks = self._peer_picks(rows, self.counter[rows])
+        self.counter[rows] += 1
+        picked = picks >= 0
+        peer_ids = self._peer_layout()[4][picks[picked]].tolist()
+        bounds = [0, *np.cumsum(picked.sum(axis=1)).tolist()]
+        peers = [peer_ids[a:b] for a, b in zip(bounds, bounds[1:])]
+
+        # Silence reports: every stale pair of the cube but the vehicle's
+        # own -- every one, from a Byzantine watcher.
+        byzantine = np.zeros(len(self._vehicles), dtype=bool)
+        for identity in fleet.failure_plan.byzantine_watchers:
+            liar = fleet.vehicles.get(identity)
+            if liar is not None:
+                byzantine[liar._index] = True
+        byzantine = byzantine[rows]
+        cols = self._cols
+        own = [
+            cols[c].get(pair_key, -1)
+            for c, pair_key in zip(cube.tolist(), map(attrgetter("pair_key"), vehicles))
+        ]
+        heard = self.heard[rows]
+        columns = np.arange(width)
+        silent = (
+            (is_stale(round_id, np.where(heard < 0, HEARD_AT_START, heard), miss) | byzantine[:, None])
+            & (columns < self._own[cube][:, None])
+            & (columns != np.array(own)[:, None])
+        )
+        at, col = np.nonzero(silent)
+        self.reports[rows[at], col, self.self_slot[rows[at]]] = round_id
+        self.flags[rows[at], col] = 1
+
+        # Each digest's silence reports, pair-major and reporter-minor, and
+        # its freshest entries: round descending, then pair key (the
+        # columns in key order, stably sorted), capped.
+        reports = self.reports[rows]
+        ordered = heard
+        if not self._canonical:
+            reports = reports[
+                np.arange(count)[:, None, None],
+                self._colperm[cube][:, :, None],
+                self._slotperm[cube][:, None, :],
+            ]
+            ordered = np.take_along_axis(heard, self._colperm[cube], axis=1)
+        digest_silent = [()] * count
+        reported = np.flatnonzero(self.flags[rows].any(axis=1))
+        if len(reported):
+            block = reports[reported]
+            at, col, slot = np.nonzero(block >= 0)
+            entries = list(
+                zip(
+                    pairs[cube[reported][at] * width + col].tolist(),
+                    self._reporter_table[cube[reported][at] * depth + slot].tolist(),
+                    block[at, col, slot].tolist(),
+                )
+            )
+            bounds = _row_bounds(at, len(reported))
+            for i, a, b in zip(reported.tolist(), bounds, bounds[1:]):
+                digest_silent[i] = tuple(entries[a:b])
+        rank = np.argsort(-ordered, axis=1, kind="stable")[:, :GOSSIP_ENTRY_CAP]
+        top = np.take_along_axis(ordered, rank, axis=1)
+        at, k = np.nonzero(top >= 0)
+        entries = list(zip(pairs[cube[at] * width + rank[at, k]].tolist(), top[at, k].tolist()))
+        bounds = _row_bounds(at, count)
+        digest_heard = [tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+        # Suspicion candidates: live active watchers whose watched pair is
+        # stale by the registry's watch mirror, and Byzantine ones.
+        watched = flat.watch_heard_view()[rows]
+        active = flat.state_view()[rows] == STATE_ACTIVE
+        check = active & (
+            byzantine
+            | is_stale(round_id, np.where(watched == WATCH_NEVER, HEARD_AT_START, watched), miss)
+        )
+
+        # The sends, in row order: an active vehicle's heartbeat to its
+        # cube, its digest to its drawn peers (none when it is alone in its
+        # cube), and the watcher's suspicion check.
+        send_many = fleet.network.send_many
+        for vehicle, heartbeat, to, entries, silence, suspect in zip(
+            vehicles, active.tolist(), peers, digest_heard, digest_silent, check.tolist()
+        ):
+            identity = vehicle.identity
+            if heartbeat:
+                send_many(
+                    identity, vehicle._cube_peers, ExistingMessage(identity, vehicle.pair_key, round_id)
+                )
+            if to:
+                vehicle.send_many(to, GossipDigest(identity, round_id, entries, silence))
+            if suspect:
+                vehicle._gossip_check_suspicion(round_id, miss)

@@ -198,8 +198,10 @@ class EscalateReply:
 
 
 class GossipDigest(_FrozenSlots):
-    """Epidemic digest piggybacked to ``fanout`` deterministic peers of the
-    sender's own cube per round.
+    """Epidemic digest sent to ``fanout`` deterministic peers of the
+    sender's own cube per round, as a message of its own next to the
+    heartbeat an active sender broadcasts (carrying it inside that
+    heartbeat is the open plan of ROADMAP item 8).
 
     ``heard`` carries the sender's freshest ``(pair_key, round)`` entries
     (capped, most recent first) so liveness information spreads through a

@@ -27,7 +27,7 @@ adaptive timeout changes that function alone.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.grid.coloring import Coloring
 from repro.grid.lattice import Point
@@ -39,7 +39,6 @@ __all__ = [
     "watch_ring_inverse",
     "is_stale",
     "is_silent",
-    "silent_pairs",
     "enough_reporters",
     "grant_attestation",
     "quorum_reached",
@@ -116,26 +115,6 @@ def is_silent(
     return is_stale(round_id, last_heard.get(pair_key, HEARD_AT_START), miss)
 
 
-def silent_pairs(
-    pair_keys: Iterable[Point],
-    own: Optional[Point],
-    last_heard: Mapping[Point, int],
-    round_id: int,
-    miss: int,
-    byzantine: bool,
-) -> List[Point]:
-    """The pairs a gossip vehicle reports silent, in ``pair_keys`` order:
-    every one but its ``own`` that is stale -- or every one, from a
-    Byzantine watcher (the false-suspicion injection the quorum masks)."""
-    last_of = last_heard.get
-    return [
-        pair_key
-        for pair_key in pair_keys
-        if pair_key != own
-        and (byzantine or is_stale(round_id, last_of(pair_key, HEARD_AT_START), miss))
-    ]
-
-
 def enough_reporters(reporters: Collection[Point], watcher: Point, threshold: int) -> bool:
     """Whether a pair's distinct silence ``reporters``, counting the
     ``watcher`` itself, reach the suspicion ``threshold``."""
@@ -143,19 +122,18 @@ def enough_reporters(reporters: Collection[Point], watcher: Point, threshold: in
 
 
 def grant_attestation(
-    last_heard: Mapping[Point, int],
-    pair_key: Point,
+    last: int,
     round_id: int,
     miss: int,
     *,
     own_pair: bool,
     byzantine: bool,
 ) -> bool:
-    """Whether an attester co-signs a suspicion of ``pair_key`` raised at
-    ``round_id``: only when its own view is silent and the pair is not its
-    own.  A Byzantine attester inverts the answer -- forging grants for
-    healthy pairs, withholding them for dead ones."""
-    grant = not own_pair and is_silent(last_heard, pair_key, round_id, miss)
+    """Whether an attester co-signs a suspicion raised at ``round_id`` of a
+    pair it last heard at round ``last``: only when that is stale and the
+    pair is not its own.  A Byzantine attester inverts the answer --
+    forging grants for healthy pairs, withholding them for dead ones."""
+    grant = not own_pair and is_stale(round_id, last, miss)
     return not grant if byzantine else grant
 
 

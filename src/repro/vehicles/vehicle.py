@@ -21,8 +21,10 @@ receive jobs.  The process implements, faithfully to Algorithm 2:
   The gossip detector replaces the single watcher with silence reports
   and quorum-attested takeovers.  The process only does the message I/O
   and state writes: every detection decision -- the one staleness rule
-  and the gossip report/suspect/attest/quorum rules -- is a plain
-  function in :mod:`repro.vehicles.monitoring`.
+  and the gossip suspect/attest/quorum rules -- is a plain function in
+  :mod:`repro.vehicles.monitoring`, and the gossip round applies the
+  staleness rule to the detector state of a whole fleet at once
+  (:class:`~repro.vehicles.gossip.GossipBlocks`).
 * **Cross-cube escalation (extension).**  The thesis keeps every search
   inside one cube, which leaves ``omega_c < 1`` workloads -- singleton
   cubes with no idle vehicles at all -- without any replacement path.
@@ -46,12 +48,11 @@ the per-vehicle maxima the experiments report.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Hashable, List, Optional, TYPE_CHECKING
 
 from repro.distsim.process import Process
 from repro.grid.coloring import Coloring
 from repro.grid.lattice import Point, manhattan
-from repro.vehicles.gossip import freshest_entries, select_peers
 from repro.vehicles.messages import (
     ActivationNotice,
     AttestMessage,
@@ -66,13 +67,11 @@ from repro.vehicles.messages import (
     SuspectMessage,
 )
 from repro.vehicles.monitoring import (
-    HEARD_AT_START,
     enough_reporters,
     grant_attestation,
     is_silent,
     is_stale,
     quorum_reached,
-    silent_pairs,
     watched_pair_key,
 )
 from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
@@ -173,9 +172,13 @@ class VehicleProcess(Process):
         #: The black vertex of the pair this vehicle is responsible for
         #: (``None`` while idle).
         self.pair_key = pair_key
-        # Monitoring bookkeeping: last heartbeat round heard per pair.
-        # (Created first: the ``monitored_pair`` setter below reads it.)
-        self.last_heard: Dict[Point, int] = {}
+        #: Whether the fleet monitors by gossip (fixed for the fleet's life).
+        self._gossip = fleet.config.monitoring == "gossip"
+        # Monitoring bookkeeping: last heartbeat round heard per pair, here
+        # in ring mode and in the fleet's gossip blocks in gossip mode (see
+        # ``last_heard``).  Created first: the ``monitored_pair`` setter
+        # below reads it.
+        self._heard: Optional[Dict[Point, int]] = None if self._gossip else {}
         #: The pair this vehicle watches for heartbeats (monitoring scheme);
         #: the registry's watch slots start out as "watching nothing".
         self._monitored_pair = None
@@ -213,20 +216,10 @@ class VehicleProcess(Process):
         #: counter and volunteer list of the star-shaped escalated round.
         self.escalations: Dict[ComputationTag, Dict[str, Any]] = {}
 
-        # Gossip failure detection (``monitoring == "gossip"`` only; see
-        # :mod:`repro.vehicles.gossip`).
-        #: Whether the fleet monitors by gossip (fixed for the fleet's life).
-        self._gossip = fleet.config.monitoring == "gossip"
-        #: Per-vehicle draw counter keying deterministic peer selection.
-        self._gossip_counter = 0
-        #: Silence reports by pair: ``{pair_key: {reporter: report_round}}``.
-        #: Deduplicated by reporter identity, so a report replicating
-        #: through many digests still counts once toward suspicion.
-        self.gossip_reports: Dict[Point, Dict[Point, int]] = {}
-        #: Open quorum collections by suspected pair:
-        #: ``{pair_key: {"granted": set of co-signers, "round": last
-        #: SuspectMessage round}}``.
-        self.pending_suspicions: Dict[Point, Dict[str, Any]] = {}
+        # Gossip mode: the detector state lives in the fleet's gossip
+        # blocks, which also bind ``_gossip_cols``, ``_heard_row`` and
+        # ``_gossip_flags`` here (see
+        # :class:`~repro.vehicles.gossip.GossipBlocks`).
 
     # ------------------------------------------------------------------ #
     # flat-array state (the object API is a view over the registry)
@@ -263,6 +256,63 @@ class VehicleProcess(Process):
     @position.setter
     def position(self, value: Point) -> None:
         self._registry.positions[self._index] = value
+
+    @property
+    def last_heard(self) -> Dict[Point, int]:
+        """Last heartbeat round heard per pair.
+
+        The vehicle's own dict in ring mode.  In gossip mode the rounds
+        live in the vehicle's row of the fleet's gossip blocks: reading
+        returns them as a fresh dict in first-heard order, and assigning
+        rewrites the row.
+        """
+        if not self._gossip:
+            return self._heard
+        blocks = self.fleet.detector
+        return {} if blocks is None else blocks.heard_of(self)
+
+    @last_heard.setter
+    def last_heard(self, value: Dict[Point, int]) -> None:
+        if self._gossip:
+            self.fleet.gossip_blocks().set_heard_of(self, value)
+        else:
+            self._heard = value
+
+    @property
+    def gossip_reports(self) -> Dict[Point, Dict[Point, int]]:
+        """Silence reports by pair, ``{pair_key: {reporter: report_round}}``,
+        read out of (and assigned into) the fleet's gossip blocks.
+        Deduplicated by reporter identity, so a report replicating through
+        many digests still counts once toward suspicion."""
+        blocks = self.fleet.detector
+        return {} if blocks is None else blocks.reports_of(self)
+
+    @gossip_reports.setter
+    def gossip_reports(self, value: Dict[Point, Dict[Point, int]]) -> None:
+        self.fleet.gossip_blocks().set_reports_of(self, value)
+
+    @property
+    def pending_suspicions(self) -> Dict[Point, Dict[str, Any]]:
+        """Open quorum collections by suspected pair, ``{pair_key:
+        {"granted": set of co-signers, "round": last SuspectMessage
+        round}}``, read out of (and assigned into) the gossip blocks."""
+        blocks = self.fleet.detector
+        return {} if blocks is None else blocks.suspicions_of(self)
+
+    @pending_suspicions.setter
+    def pending_suspicions(self, value: Dict[Point, Dict[str, Any]]) -> None:
+        self.fleet.gossip_blocks().set_suspicions_of(self, value)
+
+    @property
+    def _gossip_counter(self) -> int:
+        """Gossip mode: the draw counter keying deterministic peer
+        selection, kept in the gossip blocks."""
+        blocks = self.fleet.detector
+        return 0 if blocks is None else int(blocks.counter[self._index])
+
+    @_gossip_counter.setter
+    def _gossip_counter(self, value: int) -> None:
+        self.fleet.gossip_blocks().counter[self._index] = value
 
     @property
     def monitored_pair(self) -> Optional[Point]:
@@ -462,11 +512,30 @@ class VehicleProcess(Process):
             # The heartbeat: nearly all of a monitored run's traffic, so it
             # is handled here, in the one call every delivery makes.
             if self._gossip:
-                # Gossip mode routes freshness through the helper that also
-                # retires silence reports and pending suspicions.
-                self._gossip_note_heard(((message.pair_key, message.round_id),))
-            elif message.round_id > self.last_heard.get(message.pair_key, -1):
-                self._set_heard(message.pair_key, message.round_id)
+                # The one-entry fast path: a fresher round of a pair already
+                # heard, with no report or suspicion open on it, writes its
+                # cell of the gossip blocks; anything else takes the blocks'
+                # full merge.
+                pair_key = message.pair_key
+                round_id = message.round_id
+                row = self._heard_row
+                col = self._gossip_cols.get(pair_key)
+                if col is not None and 0 <= row[col] < round_id and not self._gossip_flags[col]:
+                    row[col] = round_id
+                    if pair_key == self._monitored_pair:
+                        self._registry.watch_heard[self._index] = round_id
+                else:
+                    self.fleet.detector.note_heard(self, pair_key, round_id)
+            else:
+                # Ring mode: ``_set_heard``'s dict write, inlined.
+                heard = self._heard
+                if message.round_id > heard.get(message.pair_key, -1):
+                    heard[message.pair_key] = message.round_id
+                    if message.pair_key == self._monitored_pair:
+                        self._registry.watch_heard[self._index] = message.round_id
+        elif type(message) is GossipDigest:
+            if not self.broken:
+                self.fleet.detector.merge_digest(self, message.heard, message.silent)
         elif isinstance(message, QueryMessage):
             self._on_query(sender, message)
         elif isinstance(message, ReplyMessage):
@@ -479,8 +548,6 @@ class VehicleProcess(Process):
             self._on_escalate_query(sender, message)
         elif isinstance(message, EscalateReply):
             self._on_escalate_reply(sender, message)
-        elif isinstance(message, GossipDigest):
-            self._on_gossip_digest(message)
         elif isinstance(message, SuspectMessage):
             self._on_suspect(message)
         elif isinstance(message, AttestMessage):
@@ -854,7 +921,10 @@ class VehicleProcess(Process):
     def _set_heard(self, pair_key: Point, heard: int) -> None:
         """Record ``pair_key`` as last heard at round ``heard``, mirrored
         into the registry's watch-heard array when it is the watch target."""
-        self.last_heard[pair_key] = heard
+        if self._gossip:
+            self.fleet.gossip_blocks().store(self, pair_key, heard)
+        else:
+            self._heard[pair_key] = heard
         if pair_key == self._monitored_pair:
             self._registry.watch_heard[self._index] = heard
 
@@ -882,80 +952,7 @@ class VehicleProcess(Process):
     # Gossip failure detection (monitoring == "gossip")
     # ------------------------------------------------------------------ #
 
-    def gossip_tick(self, round_id: int, miss_threshold: int, draws: Sequence[float]) -> None:
-        """One gossip round: heartbeat, report silence, spread digests,
-        and (for the ring watcher) escalate accumulated suspicion.
-
-        Runs for every live vehicle -- idle ones report and relay too --
-        so the detector keeps enough independent observers even in cubes
-        thinned out by crashes.  ``draws`` are this vehicle's peer draws
-        for the round (its row of :func:`~repro.vehicles.gossip.peer_draws`
-        at its current gossip counter).
-        """
-        if self.broken:
-            return
-        active = self.status.working == WorkingState.ACTIVE
-        byzantine = self.fleet.failure_plan.is_byzantine_watcher(self.identity)
-        if active:
-            assert self.pair_key is not None
-            self.send_many(self.cube_peers, ExistingMessage(self.identity, self.pair_key, round_id))
-        pair_keys = (pair.black for pair in self.coloring.pairs)
-        reporters_of = self.gossip_reports.setdefault
-        for pair_key in silent_pairs(
-            pair_keys, self.pair_key, self.last_heard, round_id, miss_threshold, byzantine
-        ):
-            reporters_of(pair_key, {})[self.identity] = round_id
-        self._gossip_send_digest(round_id, draws)
-        if active:
-            self._gossip_check_suspicion(round_id, miss_threshold, byzantine)
-
-    def _gossip_note_heard(self, entries: Iterable[Tuple[Point, int]]) -> None:
-        """Fresh liveness information, one ``(pair_key, heard)`` entry at a
-        time: update ``last_heard``, retire silence reports the freshness
-        supersedes and drop any open suspicion -- a pair that spoke is not
-        dead.  An entry no fresher than what was heard costs one lookup."""
-        previous_of = self.last_heard.get
-        reports = self.gossip_reports
-        drop_suspicion = self.pending_suspicions.pop
-        for pair_key, heard in entries:
-            if heard <= previous_of(pair_key, -1):
-                continue
-            self._set_heard(pair_key, heard)
-            reporters = reports.get(pair_key)
-            if reporters:
-                for reporter in [r for r, rnd in reporters.items() if rnd <= heard]:
-                    del reporters[reporter]
-                if not reporters:
-                    del reports[pair_key]
-            drop_suspicion(pair_key, None)
-
-    def _gossip_send_digest(self, round_id: int, draws: Sequence[float]) -> None:
-        """Piggyback freshness entries and silence reports to ``fanout``
-        peers drawn from this vehicle's own cube (``draws`` are keyed on
-        the per-vehicle counter, which advances here -- byte-identical at
-        any worker or shard count).  A vehicle alone in its cube sends
-        nothing."""
-        self._gossip_counter += 1
-        peers = select_peers(self.identity, draws, self.fleet.cube_members(self.cube_index))
-        if not peers:
-            return
-        # One sort of the flat reports: (pair_key, reporter) is unique, so
-        # this is the pair-major, reporter-minor order of the digest.
-        silent = sorted(
-            [
-                (pair_key, reporter, reported)
-                for pair_key, reporters in self.gossip_reports.items()
-                for reporter, reported in reporters.items()
-            ]
-        )
-        digest = GossipDigest(
-            self.identity, round_id, freshest_entries(self.last_heard), tuple(silent)
-        )
-        self.send_many(peers, digest)
-
-    def _gossip_check_suspicion(
-        self, round_id: int, miss_threshold: int, byzantine: bool
-    ) -> None:
+    def _gossip_check_suspicion(self, round_id: int, miss_threshold: int) -> None:
         """Ring watcher's escalation: once ``suspicion_threshold`` distinct
         reporters agree the watched pair is silent, open (or refresh) a
         quorum collection by broadcasting a ``SuspectMessage``."""
@@ -963,41 +960,26 @@ class VehicleProcess(Process):
         watched = self._monitored_pair
         if watched is None or watched == self.pair_key or self.engaged_tag is not None:
             return
-        if not byzantine and not (
-            is_silent(self.last_heard, watched, round_id, miss_threshold)
+        blocks = fleet.detector
+        if not fleet.failure_plan.is_byzantine_watcher(self.identity) and not (
+            is_stale(round_id, blocks.heard_round(self, watched), miss_threshold)
             and enough_reporters(
-                self.gossip_reports.get(watched, ()),
+                blocks.reporters(self, watched),
                 self.identity,
                 fleet.config.suspicion_threshold,
             )
         ):
             return
-        pending = self.pending_suspicions.get(watched)
+        pending = blocks.suspicion(self, watched)
         if pending is not None and not is_stale(round_id, pending["round"], miss_threshold):
             return  # collection in flight; give the co-signatures time
         # Granted signatures accumulate across re-sends: under a lossy
         # channel each retry only needs to recover the missing ones.
-        self.pending_suspicions.setdefault(watched, {"granted": set()})["round"] = round_id
+        blocks.open_suspicion(self, watched)["round"] = round_id
         fleet.record_suspicion(self.identity, watched)
         self.send_many(
             self.cube_peers, SuspectMessage(self.identity, watched, round_id)
         )
-
-    def _on_gossip_digest(self, message: GossipDigest) -> None:
-        if self.broken:
-            return
-        self._gossip_note_heard(message.heard)
-        own = self.pair_key
-        last_of = self.last_heard.get
-        reporters_of = self.gossip_reports.setdefault
-        for pair_key, reporter, reported in message.silent:
-            if pair_key == own:
-                continue  # this vehicle *is* the pair: obviously alive
-            if reported <= last_of(pair_key, HEARD_AT_START):
-                continue  # superseded: the pair has spoken since
-            reporters = reporters_of(pair_key, {})
-            if reported > reporters.get(reporter, -1):
-                reporters[reporter] = reported
 
     def _on_suspect(self, message: SuspectMessage) -> None:
         """Answer a co-signature request: grant only when this vehicle's
@@ -1008,8 +990,7 @@ class VehicleProcess(Process):
         fleet = self.fleet
         pair_key = message.pair_key
         grant = grant_attestation(
-            self.last_heard,
-            pair_key,
+            fleet.detector.heard_round(self, pair_key),
             message.round_id,
             fleet.config.heartbeat_miss_threshold,
             own_pair=pair_key == self.pair_key,
@@ -1026,24 +1007,25 @@ class VehicleProcess(Process):
         if self.broken or not message.granted:
             return
         pair_key = message.pair_key
-        pending = self.pending_suspicions.get(pair_key)
+        fleet = self.fleet
+        blocks = fleet.detector
+        pending = blocks.suspicion(self, pair_key)
         if pending is None:
             return  # resolved meanwhile (heartbeat arrived or takeover ran)
         pending["granted"].add(message.sender)
-        fleet = self.fleet
         if not quorum_reached(pending["granted"], fleet.config.quorum):
             return
         round_id = fleet.heartbeat_round
         if not (
             fleet.failure_plan.is_byzantine_watcher(self.identity)
-            or is_silent(self.last_heard, pair_key, round_id, fleet.config.heartbeat_miss_threshold)
+            or is_stale(round_id, blocks.heard_round(self, pair_key), fleet.config.heartbeat_miss_threshold)
         ):
-            del self.pending_suspicions[pair_key]  # it spoke while signatures flew
+            # It spoke while signatures flew.
+            blocks.close_suspicion(self, pair_key, reports=False)
             return
         if self.engaged_tag is not None:
             return  # busy with another computation; the case stays open
-        del self.pending_suspicions[pair_key]
-        self.gossip_reports.pop(pair_key, None)
+        blocks.close_suspicion(self, pair_key, reports=True)
         self._take_over(pair_key, round_id)
 
     def offer_hand_back(self, pair_key: Point, owner: Point) -> None:
@@ -1152,7 +1134,7 @@ class VehicleProcess(Process):
         for watched in [self._monitored_pair, *map(fleet.watched_pair, self.adopted_pairs)]:
             if watched is None or watched in answered:
                 continue  # nothing to watch, or a pair it answers for itself
-            if is_silent(self.last_heard, watched, round_id, miss_threshold):
+            if is_silent(self._heard, watched, round_id, miss_threshold):
                 self._take_over(watched, round_id)
                 return  # one diffusing computation at a time
 

@@ -380,8 +380,9 @@ class TestLiveStateStore:
         assert state["jobs"]["served"] == result.jobs_served
         assert state["checkpoints_written"] == result.checkpoints_written
         assert state["fleet"]["messages"] == result.messages
-        # active_pairs is bounded by the fleet, not the stream
-        assert len(state["active_pairs"]) <= result.jobs_total
+        # a count of registered pairs, bounded by the fleet, not the stream
+        assert "active_pairs" not in state
+        assert 0 < state["fleet"]["registered_pairs"] <= result.jobs_total
         events = [json.loads(line) for line in log_path.read_text().splitlines()]
         kinds = [entry["event"] for entry in events]
         assert kinds.count("window_closed") == result.windows

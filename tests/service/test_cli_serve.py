@@ -150,6 +150,25 @@ class TestServe:
         assert "--checkpoint needs --checkpoint-every W" in capsys.readouterr().err
         assert not snap.exists()
 
+    def test_resume_rejects_a_new_cadence(self, tmp_path, demand_path, capsys):
+        snap = tmp_path / "snap.json"
+        assert main(
+            ["serve", "--demand-json", demand_path, "--jobs", "12", "--window", "4",
+             "--checkpoint", str(snap), "--checkpoint-every", "1",
+             "--stop-after-checkpoints", "1"]
+        ) == 0
+        capsys.readouterr()
+        again = tmp_path / "again.json"
+        code = main(
+            ["serve", "--resume", str(snap), "--jobs", "12",
+             "--checkpoint", str(again), "--checkpoint-every", "2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint-every" in err and "the snapshot's cadence wins" in err
+        assert "every 1 windows" in err
+        assert not again.exists()
+
     def test_stop_after_checkpoints_needs_a_checkpoint_path(self, demand_path, capsys):
         code = main(
             ["serve", "--demand-json", demand_path, "--jobs", "4",

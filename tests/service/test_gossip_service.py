@@ -15,7 +15,7 @@ import pytest
 from repro.api.service import ServiceConfig
 from repro.core.demand import DemandMap
 from repro.distsim.transport import TransportSpec
-from repro.service import resume_service, run_service
+from repro.service import load_checkpoint, resume_service, run_service
 from repro.vehicles.fleet import FleetConfig
 from repro.workloads.arrivals import alternating_arrivals
 
@@ -101,6 +101,31 @@ class TestGossipResumeExactness:
         # The detector really ran across the cut.
         assert full.suspicions >= 1
         assert full.refused_attestations >= 1
+
+    def test_resume_at_a_cut_with_open_reports_and_suspicions(self, tmp_path):
+        # The detector state lives in per-cube blocks; a snapshot taken
+        # while reports and a quorum collection are open must rebuild them.
+        config = ServiceConfig.from_demand(
+            GRID,
+            transport=TransportSpec(kind="lossy", params=(("loss", 0.1), ("seed", 3))),
+            byzantine_watchers=((1, 1),),
+            **GOSSIP_KWARGS,
+        )
+        jobs = list(alternating_arrivals(GRID).jobs)
+        full = run_service(config, jobs)
+        for cut in range(1, full.windows + 1):
+            snapshot = tmp_path / f"snap{cut}.json"
+            run_service(config, jobs, checkpoint_path=str(snapshot), stop_after_checkpoints=cut)
+            entries = load_checkpoint(str(snapshot))["fleet"]["vehicles"].values()
+            if any("gossip_reports" in e for e in entries) and any(
+                "pending_suspicions" in e for e in entries
+            ):
+                break
+        else:
+            pytest.fail("no checkpoint cut had open reports and suspicions")
+        resumed = resume_service(str(snapshot), jobs)
+        assert resumed.fleet_digest == full.fleet_digest
+        assert resumed.result_hash() == full.result_hash()
 
     def test_gossip_result_carries_detector_fields(self, tmp_path):
         config = ServiceConfig.from_demand(GRID, **GOSSIP_KWARGS)

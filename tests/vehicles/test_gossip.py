@@ -2,7 +2,7 @@
 
 The epidemic detector (``FleetConfig(monitoring="gossip")``) replaces the
 Section 3.2.5 heartbeat ring's single-watcher initiation with a three-step
-accountable pipeline: digests piggyback recently-heard ``(pair, round)``
+accountable pipeline: digests carry recently-heard ``(pair, round)``
 entries to ``gossip_fanout`` deterministically-seeded peers; a watcher
 opens a suspicion only after ``suspicion_threshold`` independent silent
 reports; replacement starts only after ``quorum`` co-signatures.  The
@@ -27,13 +27,9 @@ from repro.distsim.failures import FailurePlan
 from repro.distsim.keyed import identity_key
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.vehicles.fleet import FleetConfig
-from repro.vehicles.gossip import (
-    GOSSIP_ENTRY_CAP,
-    freshest_entries,
-    peer_draws,
-    select_peers,
-)
+from repro.vehicles.gossip import GOSSIP_ENTRY_CAP, peer_draws, select_peers
 from repro.vehicles.messages import GossipDigest
+from repro.vehicles.monitoring import HEARD_AT_START, is_stale
 from repro.vehicles.vehicle import VehicleProcess
 from repro.workloads.arrivals import random_arrivals
 from repro.workloads.library import build_family_demand
@@ -139,22 +135,9 @@ class TestPeerSelection:
             assert (row == peer_draws([identity_key(identity)], [counter], 3)[0]).all()
 
 
-class TestFreshestEntries:
-    def test_orders_by_round_then_pair_and_caps(self):
-        heard = {(i, 0): i for i in range(GOSSIP_ENTRY_CAP + 4)}
-        entries = freshest_entries(heard)
-        assert len(entries) == GOSSIP_ENTRY_CAP
-        rounds = [round_id for _, round_id in entries]
-        assert rounds == sorted(rounds, reverse=True)
-
-    def test_ties_break_on_pair_key(self):
-        heard = {(1, 0): 5, (0, 1): 5, (0, 0): 5}
-        entries = freshest_entries(heard)
-        assert entries == (((0, 0), 5), ((0, 1), 5), ((1, 0), 5))
-
-
-# Reference definitions: the straightforward pool-copy and full-sort forms
-# the optimized helpers must reproduce exactly.
+# Reference definitions: the straightforward pool-copy peer pick, and the
+# per-vehicle dict helpers a gossip round ran on before the detector state
+# moved into per-cube blocks.  The block round must reproduce them exactly.
 
 
 def _reference_select_peers(identity, draws, candidates):
@@ -165,12 +148,223 @@ def _reference_select_peers(identity, draws, candidates):
     return chosen
 
 
-def _reference_freshest_entries(last_heard, cap=GOSSIP_ENTRY_CAP):
-    ranked = sorted(last_heard.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(ranked[:cap])
+def _dict_silent_pairs(pair_keys, own, last_heard, round_id, miss, byzantine):
+    last_of = last_heard.get
+    return [
+        pair_key
+        for pair_key in pair_keys
+        if pair_key != own
+        and (byzantine or is_stale(round_id, last_of(pair_key, HEARD_AT_START), miss))
+    ]
+
+
+def _dict_freshest_entries(last_heard, cap=GOSSIP_ENTRY_CAP):
+    cut = sorted(last_heard.values())[-cap] if len(last_heard) > cap > 0 else None
+    ranked = sorted(
+        [
+            (-heard, pair_key)
+            for pair_key, heard in last_heard.items()
+            if cut is None or heard >= cut
+        ]
+    )
+    return tuple([(pair_key, -heard) for heard, pair_key in ranked[:cap]])
+
+
+def _dict_digest_silent(gossip_reports):
+    return tuple(
+        sorted(
+            [
+                (pair_key, reporter, reported)
+                for pair_key, reporters in gossip_reports.items()
+                for reporter, reported in reporters.items()
+            ]
+        )
+    )
 
 
 _points = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+class TestBlockRoundMatchesDictReference:
+    """A gossip round read off the blocks equals the dict helpers.
+
+    Random heard and report states (never-heard cells, round ties, more
+    entries than the digest cap), Byzantine rows, broken vehicles and
+    vehicles rehomed into the other cube -- which carry their old cube's
+    pairs and reporters along as appended columns and slots -- all go
+    through one :meth:`~repro.vehicles.gossip.GossipBlocks.run_round`;
+    every ticking vehicle's silent pairs, freshest entries, digest reports
+    and peers must equal the reference computed from its dicts.
+    """
+
+    #: Two 5x5 cubes under omega=5: 13 pairs each, more than the cap.
+    DEMAND = DemandMap({(x, y): 1.0 for x in range(10) for y in range(5)})
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), round_id=st.integers(1, 7), miss=st.integers(2, 4))
+    def test_round(self, data, round_id, miss):
+        fleet, _, _, _ = provision_fleet(
+            self.DEMAND, omega=5.0, config=FleetConfig(monitoring="gossip")
+        )
+        vehicles = [fleet.vehicles[identity] for identity in fleet.flat.identities]
+        # A dozen rows with random state; every other row never heard.
+        for vehicle in data.draw(st.sets(st.sampled_from(vehicles), max_size=12)):
+            pairs = [pair.black for pair in vehicle.coloring.pairs]
+            members = fleet.cube_members(vehicle.cube_index)
+            heard = data.draw(
+                st.lists(
+                    st.tuples(st.sampled_from(pairs), st.integers(0, round_id)),
+                    unique_by=lambda entry: entry[0],
+                )
+            )
+            for pair_key, heard_round in heard:  # the order sets first-heard
+                vehicle._set_heard(pair_key, heard_round)
+            reports = data.draw(
+                st.dictionaries(
+                    st.sampled_from(pairs),
+                    st.dictionaries(
+                        st.sampled_from(members), st.integers(1, round_id), min_size=1
+                    ),
+                    max_size=4,
+                )
+            )
+            if reports:
+                vehicle.gossip_reports = reports
+            vehicle._gossip_counter = data.draw(st.integers(0, 50))
+            assert list(vehicle.last_heard.items()) == heard
+            assert vehicle.gossip_reports == reports
+        for vehicle in data.draw(st.sets(st.sampled_from(vehicles), max_size=6)):
+            fleet.failure_plan.mark_byzantine_watcher(vehicle.identity)
+        idle = [v for v in vehicles if v.pair_key is None]
+        for vehicle in data.draw(st.sets(st.sampled_from(idle), max_size=2)):
+            other = (1, 0) if vehicle.cube_index == (0, 0) else (0, 0)
+            before = (vehicle.last_heard, vehicle.gossip_reports)
+            fleet.rehome_vehicle(vehicle, fleet.colorings[other].pairs[0].black)
+            assert (vehicle.last_heard, vehicle.gossip_reports) == before
+            assert list(vehicle.last_heard) == list(before[0])
+        for vehicle in data.draw(st.sets(st.sampled_from(vehicles), max_size=6)):
+            fleet.crash_vehicle(vehicle.identity)
+
+        ticking = [v for v in vehicles if not v.broken]
+        expected = {}
+        for vehicle in ticking:
+            heard = vehicle.last_heard
+            reports = vehicle.gossip_reports
+            byzantine = fleet.failure_plan.is_byzantine_watcher(vehicle.identity)
+            pairs = [pair.black for pair in vehicle.coloring.pairs]
+            for pair_key in _dict_silent_pairs(
+                pairs, vehicle.pair_key, heard, round_id, miss, byzantine
+            ):
+                reports.setdefault(pair_key, {})[vehicle.identity] = round_id
+            draws = peer_draws(
+                [identity_key(vehicle.identity)],
+                [vehicle._gossip_counter],
+                fleet.config.gossip_fanout,
+            )[0].tolist()
+            peers = _reference_select_peers(
+                vehicle.identity, draws, fleet.cube_members(vehicle.cube_index)
+            )
+            expected[vehicle.identity] = (
+                peers,
+                _dict_freshest_entries(heard),
+                _dict_digest_silent(reports),
+                reports,
+            )
+
+        sent = _record_digests(ticking)
+        rows = np.array([v.index for v in ticking], dtype=np.intp)
+        fleet.gossip_blocks().run_round(round_id, miss, rows)
+        assert sent.keys() == expected.keys()
+        for vehicle in ticking:
+            peers, heard, silent, reports = expected[vehicle.identity]
+            assert sent[vehicle.identity] == (peers, heard, silent)
+            assert vehicle.gossip_reports == reports
+
+
+def _record_digests(vehicles):
+    """Record the digest each of ``vehicles`` sends, by identity, as
+    ``(peers, heard, silent)``."""
+    sent = {}
+    for vehicle in vehicles:
+        def record(destinations, message, identity=vehicle.identity):
+            if isinstance(message, GossipDigest):
+                sent[identity] = (list(destinations), message.heard, message.silent)
+
+        vehicle.send_many = record
+    return sent
+
+
+def _tick_once(fleet, vehicle, round_id, miss=3):
+    """Run one block round for ``vehicle`` alone; returns its digest as
+    ``(peers, heard, silent)``."""
+    sent = _record_digests([vehicle])
+    fleet.gossip_blocks().run_round(round_id, miss, np.array([vehicle.index]))
+    return sent[vehicle.identity]
+
+
+class TestBlockRound:
+    """The round's rules on hand-made states of one 5x5 cube (13 pairs)."""
+
+    DEMAND = DemandMap({(x, y): 1.0 for x in range(5) for y in range(5)})
+
+    def _fleet(self):
+        fleet, _, _, _ = provision_fleet(
+            self.DEMAND, omega=5.0, config=FleetConfig(monitoring="gossip")
+        )
+        pairs = sorted(pair.black for pair in fleet.colorings[(0, 0)].pairs)
+        return fleet, pairs
+
+    def test_silent_reports_skip_the_own_pair_and_fresh_ones(self):
+        fleet, pairs = self._fleet()
+        vehicle = next(v for v in fleet.vehicles.values() if v.pair_key is not None)
+        others = [p for p in pairs if p != vehicle.pair_key]
+        fresh, stale = others[0], others[1]
+        for pair_key, heard in ((vehicle.pair_key, 1), (fresh, 6), (stale, 2)):
+            vehicle._set_heard(pair_key, heard)
+        _tick_once(fleet, vehicle, 5)
+        # Never heard counts as heard at round 0: silent from round 3 on.
+        silent = {p for p in others if p != fresh}
+        assert vehicle.gossip_reports == {p: {vehicle.identity: 5} for p in silent}
+
+    def test_byzantine_reporter_reports_every_other_pair(self):
+        fleet, pairs = self._fleet()
+        vehicle = next(v for v in fleet.vehicles.values() if v.pair_key is not None)
+        for pair_key in pairs:
+            vehicle._set_heard(pair_key, 5)
+        fleet.failure_plan.mark_byzantine_watcher(vehicle.identity)
+        _tick_once(fleet, vehicle, 5)
+        assert set(vehicle.gossip_reports) == set(pairs) - {vehicle.pair_key}
+
+    def test_freshest_entries_order_by_round_then_pair_and_cap(self):
+        fleet, pairs = self._fleet()
+        vehicle = fleet.vehicles[pairs[0]]
+        rounds = [1, 9, 4, 9, 2, 7, 7, 7, 3, 8, 5, 9]
+        for pair_key, heard in zip(reversed(pairs), rounds):
+            vehicle._set_heard(pair_key, heard)
+        _, heard, _ = _tick_once(fleet, vehicle, 9)
+        assert len(heard) == GOSSIP_ENTRY_CAP
+        assert heard == _dict_freshest_entries(vehicle.last_heard)
+        assert [r for _, r in heard] == sorted(rounds, reverse=True)[:GOSSIP_ENTRY_CAP]
+        ties = [p for p, r in heard if r == 9]
+        assert ties == sorted(ties) and len(ties) == 3
+
+    def test_digest_reports_are_pair_major_reporter_minor(self):
+        fleet, pairs = self._fleet()
+        vehicle = fleet.vehicles[pairs[0]]
+        members = fleet.cube_members((0, 0))
+        reports = {
+            pairs[5]: {members[9]: 2, members[1]: 3},
+            pairs[2]: {members[4]: 1},
+        }
+        for pair_key in pairs:
+            vehicle._set_heard(pair_key, 1)
+        vehicle.gossip_reports = reports
+        _, _, silent = _tick_once(fleet, vehicle, 2)
+        assert silent == (
+            (pairs[2], members[4], 1),
+            (pairs[5], members[1], 3),
+            (pairs[5], members[9], 2),
+        )
 
 
 class TestHelpersMatchReferences:
@@ -192,24 +386,6 @@ class TestHelpersMatchReferences:
         assert select_peers(identity, draws, candidates) == (
             _reference_select_peers(identity, draws, candidates)
         )
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        entries=st.lists(
-            st.tuples(_points, st.integers(-1, 4)),
-            max_size=3 * GOSSIP_ENTRY_CAP,
-            unique_by=lambda entry: entry[0],
-        ),
-        cap=st.sampled_from([GOSSIP_ENTRY_CAP, 1, 3]),
-        data=st.data(),
-    )
-    def test_freshest_entries(self, entries, cap, data):
-        # Few distinct rounds: heavy ties at the cut-off, map sizes below,
-        # at and above the cap.
-        reference = _reference_freshest_entries(dict(entries), cap)
-        shuffled = dict(data.draw(st.permutations(entries)))
-        assert freshest_entries(shuffled, cap) == reference
-        assert freshest_entries(dict(entries), cap) == reference
 
 
 class TestDigestStreamPin:

@@ -23,7 +23,6 @@ from repro.vehicles.monitoring import (
     is_silent,
     is_stale,
     quorum_reached,
-    silent_pairs,
     watched_pair_key,
 )
 from repro.vehicles.registry import STATE_ACTIVE, WATCH_NEVER
@@ -126,18 +125,6 @@ class TestMissThresholdValidation:
 
 
 class TestGossipRules:
-    def test_silent_pairs_skip_the_own_pair_and_fresh_ones(self):
-        heard = {A: 1, B: 6, C: 2}
-        assert silent_pairs([A, B, C], A, heard, 5, 3, False) == [C]
-        assert silent_pairs([A, B, C], None, heard, 5, 3, False) == [A, C]
-        # Never heard: silent from round miss on.
-        assert silent_pairs([A, B], None, {}, 2, 3, False) == []
-        assert silent_pairs([A, B], None, {}, 3, 3, False) == [A, B]
-
-    def test_byzantine_reporter_reports_every_other_pair(self):
-        heard = {A: 5, B: 5, C: 5}
-        assert silent_pairs([A, B, C], B, heard, 5, 3, True) == [A, C]
-
     def test_enough_reporters_counts_the_watcher_once(self):
         assert enough_reporters({B: 4}, A, 2)
         assert not enough_reporters({B: 4}, A, 3)
@@ -146,15 +133,15 @@ class TestGossipRules:
         assert not enough_reporters((), A, 2)
 
     def test_grant_needs_a_silent_view_of_another_pair(self):
-        assert grant_attestation({A: 2}, A, 5, 3, own_pair=False, byzantine=False)
-        assert not grant_attestation({A: 2}, A, 4, 3, own_pair=False, byzantine=False)
-        assert grant_attestation({}, A, 3, 3, own_pair=False, byzantine=False)
-        assert not grant_attestation({A: 2}, A, 5, 3, own_pair=True, byzantine=False)
+        assert grant_attestation(2, 5, 3, own_pair=False, byzantine=False)
+        assert not grant_attestation(2, 4, 3, own_pair=False, byzantine=False)
+        assert grant_attestation(HEARD_AT_START, 3, 3, own_pair=False, byzantine=False)
+        assert not grant_attestation(2, 5, 3, own_pair=True, byzantine=False)
 
     def test_byzantine_attester_inverts_its_grant(self):
-        assert not grant_attestation({A: 2}, A, 5, 3, own_pair=False, byzantine=True)
-        assert grant_attestation({A: 2}, A, 4, 3, own_pair=False, byzantine=True)
-        assert grant_attestation({A: 2}, A, 5, 3, own_pair=True, byzantine=True)
+        assert not grant_attestation(2, 5, 3, own_pair=False, byzantine=True)
+        assert grant_attestation(2, 4, 3, own_pair=False, byzantine=True)
+        assert grant_attestation(2, 5, 3, own_pair=True, byzantine=True)
 
     def test_quorum_counts_distinct_signers(self):
         assert not quorum_reached([B, B], 2)
