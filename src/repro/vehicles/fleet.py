@@ -610,8 +610,14 @@ class Fleet:
         later Phase I floods would query its *old* cube's vehicles (an
         intra-cube query crossing a boundary) and miss idle peers standing
         right next to it."""
+        if self.detector is not None:
+            # The gossip blocks are laid out from residency at allocation,
+            # and gossip runs never rehome (gossip rejects escalation).
+            raise RuntimeError("a vehicle cannot change cube once the gossip blocks exist")
         new_index = self._pair_cube[pair_key]
-        self._remove_member(vehicle.cube_index, vehicle.identity)
+        old_members = self._cube_members.get(vehicle.cube_index)
+        if old_members is not None and vehicle.identity in old_members:
+            old_members.remove(vehicle.identity)
         self._insert_member(new_index, vehicle.identity)
         vehicle.cube_index = new_index
         coloring = self.colorings[new_index]
@@ -624,8 +630,6 @@ class Fleet:
             and manhattan(vertex, vehicle.position) <= self.config.neighbor_radius
         ]
         vehicle.cube_peers = [v for v in vertices if v != vehicle.identity]
-        if self.detector is not None:
-            self.detector.rehome(vehicle)
 
     def on_adoption(self, identity: Point, pair_key: Point) -> None:
         """An active vehicle adopted a far pair: it now *also* resides in
@@ -655,24 +659,15 @@ class Fleet:
             return
         if any(self._pair_cube.get(p) == index for p in vehicle.adopted_pairs):
             return
-        self._remove_member(index, identity)
+        members = self._cube_members.get(index)
+        if members is not None and identity in members:
+            members.remove(identity)
 
     def _insert_member(self, index: Tuple[int, ...], identity: Point) -> None:
         members = self._cube_members.setdefault(index, [])
         position = bisect.bisect_left(members, identity)
         if position >= len(members) or members[position] != identity:
             members.insert(position, identity)
-            self._members_changed()
-
-    def _remove_member(self, index: Tuple[int, ...], identity: Point) -> None:
-        members = self._cube_members.get(index)
-        if members is not None and identity in members:
-            members.remove(identity)
-            self._members_changed()
-
-    def _members_changed(self) -> None:
-        if self.detector is not None:
-            self.detector.residency_changed()
 
     # ------------------------------------------------------------------ #
     # job routing

@@ -50,10 +50,11 @@ within a row, one column per pair of the vehicle's cube:
   one cell and reads nothing else;
 * the pending suspicions, by row and pair.
 
-A cube's columns start as its own pairs in key order and its reporter
-slots as its members in identity order; a pair or reporter from another
-cube (a rehomed vehicle carries its old cube's entries along) appends a
-column or slot.  A round (:meth:`GossipBlocks.run_round`) reads the
+A cube's columns are its pairs in key order and its reporter slots its
+members in identity order, fixed when the blocks are allocated: gossip
+does not compose with escalation, so no vehicle changes cube during a
+gossip run (:meth:`~repro.vehicles.fleet.Fleet.rehome_vehicle` refuses
+once the blocks exist).  A round (:meth:`GossipBlocks.run_round`) reads the
 blocks of every ticking vehicle at once: the staleness rule over
 ``heard`` gives every silent pair, a stable per-row sort gives the
 canonical freshest entries, and the reports block, read in pair-major,
@@ -64,9 +65,8 @@ write); a fleet that never gossips builds none.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import attrgetter
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -85,7 +85,6 @@ __all__ = [
     "GossipBlocks",
     "peer_draws",
     "peer_indices",
-    "select_peers",
 ]
 
 #: The chain state of every peer draw.  Fixed forever: changing it would
@@ -96,10 +95,6 @@ _PEER_ROOT = stream_root(0, 0x60551B)
 #: Caps digest size at O(1) per message regardless of fleet size; the
 #: freshest entries are the ones worth spreading.
 GOSSIP_ENTRY_CAP = 8
-
-#: Gossip counters a row's peer picks are drawn ahead for (they are a pure
-#: function of the counter, given the cube's members).
-_PEER_WINDOW = 16
 
 #: Sorts after every real index in the taken-position table.
 _NOT_TAKEN = np.iinfo(np.int64).max
@@ -152,21 +147,6 @@ def peer_indices(draws: np.ndarray, low, member, size) -> np.ndarray:
     return chosen
 
 
-def select_peers(
-    identity: Hashable,
-    draws: Sequence[float],
-    candidates: Sequence[Hashable],
-) -> List[Hashable]:
-    """One vehicle's :func:`peer_indices`: up to ``len(draws)`` gossip peers
-    from the sorted ``candidates``, the sender excluded."""
-    low = bisect_left(candidates, identity)
-    member = low < len(candidates) and candidates[low] == identity
-    chosen = peer_indices(
-        np.asarray(draws, dtype=np.float64).reshape(1, -1), [low], [member], [len(candidates)]
-    )
-    return [candidates[index] for index in chosen[0].tolist() if index >= 0]
-
-
 def _row_bounds(rows: np.ndarray, count: int) -> List[int]:
     """Where each of ``count`` rows starts in the sorted row ids ``rows``
     (plus the end): row ``i`` owns ``[bounds[i], bounds[i + 1])``."""
@@ -179,27 +159,25 @@ class GossipBlocks:
     Row ``i`` belongs to the vehicle at dense index ``i`` and is read
     through the columns and reporter slots of the cube that vehicle lives
     in (see the module docstring for the layout).  Each vehicle caches
-    the three views the heartbeat fast path reads (in
-    :meth:`~repro.vehicles.vehicle.VehicleProcess.on_message` and
-    :meth:`note_heard`): its cube's pair -> column map and memoryviews of
-    its ``heard`` and ``flags`` rows, rebound whenever an array grows.
+    the three views the heartbeat fast path (:meth:`note_heard`) reads:
+    its cube's pair -> column map and memoryviews of its ``heard`` and
+    ``flags`` rows.
     """
 
     def __init__(self, fleet: "Fleet") -> None:
         self.fleet = fleet
         self._vehicles = fleet._vehicles_by_index()
-        self._indices = sorted(fleet.colorings)
-        self._cube_ids = {index: cube for cube, index in enumerate(self._indices)}
-        #: Per cube: the pair of each column and the column of each pair;
-        #: the first ``_own[cube]`` columns are the cube's own pairs.
+        indices = sorted(fleet.colorings)
+        cube_ids = {index: cube for cube, index in enumerate(indices)}
+        #: Per cube: its pairs in key order (the columns) and the column of
+        #: each pair.
         self._pairs = [
-            sorted(pair.black for pair in fleet.colorings[index].pairs)
-            for index in self._indices
+            sorted(pair.black for pair in fleet.colorings[index].pairs) for index in indices
         ]
-        self._own = np.array([len(pairs) for pairs in self._pairs], dtype=np.intp)
         self._cols = [{pair: col for col, pair in enumerate(pairs)} for pairs in self._pairs]
-        #: Per cube: the reporter of each slot and the slot of each reporter.
-        self._reporters = [list(fleet.cube_members(index)) for index in self._indices]
+        #: Per cube: its members in identity order (the reporter slots, and
+        #: the peer candidates) and the slot of each member.
+        self._reporters = [list(fleet.cube_members(index)) for index in indices]
         self._slots = [
             {reporter: slot for slot, reporter in enumerate(reporters)}
             for reporters in self._reporters
@@ -217,179 +195,51 @@ class GossipBlocks:
         #: co-signers, "round": last SuspectMessage round}}``.
         self.suspicions: Dict[int, Dict[Point, Dict[str, Any]]] = {}
         self._seq = 0
+        #: Per cube: its pair and member counts.
+        self._pair_count = np.array([len(pairs) for pairs in self._pairs], dtype=np.intp)
+        self._member_count = np.array(
+            [len(reporters) for reporters in self._reporters], dtype=np.intp
+        )
+        #: Key of column / slot ``k`` of cube ``c`` at ``c * width + k`` /
+        #: ``c * depth + k``.
+        self._pair_table = np.full(len(indices) * width, None, dtype=object)
+        self._reporter_table = np.full(len(indices) * depth, None, dtype=object)
+        for cube, (pairs, reporters) in enumerate(zip(self._pairs, self._reporters)):
+            self._pair_table[cube * width : cube * width + len(pairs)] = pairs
+            self._reporter_table[cube * depth : cube * depth + len(reporters)] = reporters
         self.cube_of = np.array(
-            [self._cube_ids[vehicle.cube_index] for vehicle in self._vehicles], dtype=np.intp
+            [cube_ids[vehicle.cube_index] for vehicle in self._vehicles], dtype=np.intp
         )
-        self.self_slot = np.zeros(count, dtype=np.intp)
+        #: Each row's own reporter slot: its index among its cube's members.
+        self.self_slot = np.array(
+            [
+                self._slots[cube][vehicle.identity]
+                for cube, vehicle in zip(self.cube_of.tolist(), self._vehicles)
+            ],
+            dtype=np.intp,
+        )
         self._keys = coordinate_keys(fleet.flat.homes)
-        #: Peer-selection layout, rebuilt after any residency change, and
-        #: the picks drawn ahead on it: each row's first counter and its
-        #: member-table indices for ``_PEER_WINDOW`` counters from there.
-        self._layout: Optional[Tuple[Any, ...]] = None
-        self._window: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._reindex()
+        self._report_rows = [memoryview(cells) for cells in self.reports.reshape(count, -1)]
         for row, vehicle in enumerate(self._vehicles):
-            self.self_slot[row] = self._slot(self.cube_of[row], vehicle.identity)
-
-    # ------------------------------------------------------------------ #
-    # layout
-    # ------------------------------------------------------------------ #
-
-    def _reindex(self) -> None:
-        """Rebuild the sort permutations, key tables and vehicle views
-        after the blocks were allocated or grew."""
-        width = self.heard.shape[1]
-        depth = self.reports.shape[2]
-        cubes = len(self._indices)
-        self._colperm = np.empty((cubes, width), dtype=np.intp)
-        self._slotperm = np.empty((cubes, depth), dtype=np.intp)
-        #: Key of the ``k``-th column / slot in sorted order, at
-        #: ``cube * width + k`` / ``cube * depth + k``.
-        self._pair_table = np.full(cubes * width, None, dtype=object)
-        self._reporter_table = np.full(cubes * depth, None, dtype=object)
-        #: Whether every cube's columns and slots are already in key order
-        #: (nothing appended out of order), so the perms are identities.
-        self._canonical = True
-        for cube in range(cubes):
-            for keys, perm, table, size in (
-                (self._pairs[cube], self._colperm, self._pair_table, width),
-                (self._reporters[cube], self._slotperm, self._reporter_table, depth),
-            ):
-                order = sorted(range(len(keys)), key=keys.__getitem__)
-                perm[cube] = order + list(range(len(keys), size))
-                for k, i in enumerate(order):
-                    table[cube * size + k] = keys[i]
-                self._canonical = self._canonical and order == sorted(order)
-        self._report_rows = [
-            memoryview(cells) for cells in self.reports.reshape(len(self._vehicles), -1)
-        ]
-        for row in range(len(self._vehicles)):
-            self._bind(row)
-
-    def _bind(self, row: int) -> None:
-        vehicle = self._vehicles[row]
-        vehicle._gossip_cols = self._cols[self.cube_of[row]]
-        vehicle._heard_row = memoryview(self.heard[row])
-        vehicle._gossip_flags = memoryview(self.flags[row])
-
-    def _col(self, cube: int, pair_key: Point) -> int:
-        """The column of ``pair_key`` in ``cube``, appended when new."""
-        col = self._cols[cube].get(pair_key)
-        if col is None:
-            col = len(self._pairs[cube])
-            self._pairs[cube].append(pair_key)
-            self._cols[cube][pair_key] = col
-            if col == self.heard.shape[1]:
-                self.heard = np.pad(self.heard, ((0, 0), (0, 1)), constant_values=-1)
-                self.first = np.pad(self.first, ((0, 0), (0, 1)))
-                self.reports = np.pad(
-                    self.reports, ((0, 0), (0, 1), (0, 0)), constant_values=-1
-                )
-                self.flags = np.pad(self.flags, ((0, 0), (0, 1)))
-            self._reindex()
-        return col
-
-    def _slot(self, cube: int, reporter: Point) -> int:
-        """The reporter slot of ``reporter`` in ``cube``, appended when new."""
-        slot = self._slots[cube].get(reporter)
-        if slot is None:
-            slot = len(self._reporters[cube])
-            self._reporters[cube].append(reporter)
-            self._slots[cube][reporter] = slot
-            if slot == self.reports.shape[2]:
-                self.reports = np.pad(
-                    self.reports, ((0, 0), (0, 0), (0, 1)), constant_values=-1
-                )
-            self._reindex()
-        return slot
-
-    def residency_changed(self) -> None:
-        """A cube's member list changed: re-derive the peer layout."""
-        self._layout = None
-        self._window = None
-
-    def rehome(self, vehicle: "VehicleProcess") -> None:
-        """Move ``vehicle``'s row to the cube it now lives in, carrying its
-        entries over (its old cube's pairs become columns of the new)."""
-        row = vehicle._index
-        heard = self.heard_of(vehicle)
-        reports = self.reports_of(vehicle)
-        suspicions = self.suspicions.pop(row, {})
-        self.heard[row] = -1
-        self.first[row] = 0
-        self.reports[row] = -1
-        self.flags[row] = 0
-        cube = self._cube_ids[vehicle.cube_index]
-        self.cube_of[row] = cube
-        self.self_slot[row] = self._slot(cube, vehicle.identity)
-        self._bind(row)
-        self.residency_changed()
-        self.set_heard_of(vehicle, heard)
-        self.set_reports_of(vehicle, reports)
-        self.set_suspicions_of(vehicle, suspicions)
-
-    def _peer_picks(self, rows: np.ndarray, counters: np.ndarray) -> np.ndarray:
-        """The ``(len(rows), fanout)`` member-table indices of the peers
-        each row draws at its counter, ``-1`` past its cube's members."""
-        if self._window is not None:
-            base, picks = self._window
-            ahead = counters - base[rows]
-            if ahead.min(initial=0) >= 0 and ahead.max(initial=0) < _PEER_WINDOW:
-                return picks[rows, ahead]
-        low, member, size, start, _ = self._peer_layout()
-        base = self.counter.copy()
-        fanout = self.fleet.config.gossip_fanout
-        draws = peer_draws(
-            np.repeat(self._keys, _PEER_WINDOW),
-            (base[:, None] + np.arange(_PEER_WINDOW)).reshape(-1),
-            fanout,
-        )
-        chosen = peer_indices(
-            draws,
-            np.repeat(low, _PEER_WINDOW),
-            np.repeat(member, _PEER_WINDOW),
-            np.repeat(size, _PEER_WINDOW),
-        )
-        picks = np.where(chosen >= 0, chosen + np.repeat(start, _PEER_WINDOW)[:, None], -1)
-        self._window = (base, picks.reshape(len(base), _PEER_WINDOW, fanout))
-        return self._window[1][rows, counters - base[rows]]
-
-    def _peer_layout(self) -> Tuple[Any, ...]:
-        """Per row: the sender's index among its cube's sorted members (or
-        its insertion point), whether it is one, the member count, and
-        where its cube's members start in the concatenated member table
-        (also returned)."""
-        if self._layout is None:
-            members = [self.fleet.cube_members(index) for index in self._indices]
-            starts = np.cumsum([0] + [len(cube) for cube in members])
-            low, member, size = [], [], []
-            for row, vehicle in enumerate(self._vehicles):
-                candidates = members[self.cube_of[row]]
-                position = bisect_left(candidates, vehicle.identity)
-                low.append(position)
-                member.append(
-                    position < len(candidates) and candidates[position] == vehicle.identity
-                )
-                size.append(len(candidates))
-            table = np.empty(int(starts[-1]), dtype=object)
-            table[:] = [identity for cube in members for identity in cube]
-            self._layout = (
-                np.array(low),
-                np.array(member),
-                np.array(size),
-                starts[self.cube_of],
-                table,
-            )
-        return self._layout
+            vehicle._gossip_cols = self._cols[self.cube_of[row]]
+            vehicle._heard_row = memoryview(self.heard[row])
+            vehicle._gossip_flags = memoryview(self.flags[row])
 
     # ------------------------------------------------------------------ #
     # one vehicle's state (handlers, checkpoints)
     # ------------------------------------------------------------------ #
 
     def store(self, vehicle: "VehicleProcess", pair_key: Point, heard: int) -> None:
-        """Set ``pair_key`` as last heard at ``heard`` (a round, >= 0)."""
+        """Set ``pair_key`` as last heard at ``heard`` (a round, >= 0).
+
+        A pair of another cube has no column and is not tracked.  Only a
+        vehicle that changed cube before the blocks existed hears one: its
+        old cube's broadcasts still address it.
+        """
+        col = vehicle._gossip_cols.get(pair_key)
+        if col is None:
+            return
         row = vehicle._index
-        col = self._col(self.cube_of[row], pair_key)
         if self.heard[row, col] < 0:
             self._seq += 1
             self.first[row, col] = self._seq
@@ -403,19 +253,19 @@ class GossipBlocks:
         and a fresher one for a pair already heard, with no report or
         suspicion open on it, one write."""
         col = vehicle._gossip_cols.get(pair_key)
-        if col is not None:
-            heard_row = vehicle._heard_row
-            previous = heard_row[col]
-            if heard <= previous:
-                return
-            if previous >= 0 and not vehicle._gossip_flags[col]:
-                heard_row[col] = heard
-                if pair_key == vehicle._monitored_pair:
-                    vehicle._registry.watch_heard[vehicle._index] = heard
-                return
+        if col is None:
+            return  # a pair of another cube (see :meth:`store`)
+        heard_row = vehicle._heard_row
+        previous = heard_row[col]
+        if heard <= previous:
+            return
+        if previous >= 0 and not vehicle._gossip_flags[col]:
+            heard_row[col] = heard
+            if pair_key == vehicle._monitored_pair:
+                vehicle._registry.watch_heard[vehicle._index] = heard
+            return
         row = vehicle._index
         vehicle._set_heard(pair_key, heard)
-        col = self._cols[self.cube_of[row]][pair_key]
         if self.flags[row, col]:
             cell = self.reports[row, col]
             cell[cell <= heard] = -1
@@ -441,30 +291,23 @@ class GossipBlocks:
         cols = vehicle._gossip_cols
         heard_row = vehicle._heard_row
         for pair_key, round_id in heard:
-            col = cols.get(pair_key)
-            if col is None or round_id > heard_row[col]:
+            if round_id > heard_row[cols[pair_key]]:
                 self.note_heard(vehicle, pair_key, round_id)
-                heard_row = vehicle._heard_row  # (a new pair may grow the blocks)
         if not silent:
             return
         row = vehicle._index
-        cube = self.cube_of[row]
         own = vehicle.pair_key
-        slots = self._slots[cube]
+        slots = self._slots[self.cube_of[row]]
+        cells = self._report_rows[row]
+        depth = self.reports.shape[2]
         for pair_key, reporter, reported in silent:
             if pair_key == own:
                 continue  # this vehicle *is* the pair: obviously alive
-            col = cols.get(pair_key)
-            last = heard_row[col] if col is not None else -1
+            col = cols[pair_key]
+            last = heard_row[col]
             if reported <= (last if last >= 0 else HEARD_AT_START):
                 continue  # superseded: the pair has spoken since
-            slot = slots.get(reporter)
-            if col is None or slot is None:
-                col = self._col(cube, pair_key)
-                slot = self._slot(cube, reporter)
-                heard_row = vehicle._heard_row
-            cells = self._report_rows[row]
-            cell = col * self.reports.shape[2] + slot
+            cell = col * depth + slots[reporter]
             if reported > cells[cell]:
                 cells[cell] = reported
                 self.flags[row, col] = 1
@@ -486,8 +329,7 @@ class GossipBlocks:
     def open_suspicion(self, vehicle: "VehicleProcess", pair_key: Point) -> Dict[str, Any]:
         """The collection for ``pair_key``, opened with no co-signer if new."""
         row = vehicle._index
-        col = self._col(self.cube_of[row], pair_key)  # (may grow the arrays)
-        self.flags[row, col] = 1
+        self.flags[row, self._cols[self.cube_of[row]][pair_key]] = 1
         pending = self.suspicions.setdefault(row, {})
         return pending.setdefault(pair_key, {"granted": set()})
 
@@ -538,12 +380,11 @@ class GossipBlocks:
     def set_reports_of(self, vehicle: "VehicleProcess", reports) -> None:
         row = vehicle._index
         cube = self.cube_of[row]
+        cols, slots = self._cols[cube], self._slots[cube]
         self.reports[row] = -1
         for pair_key, reporters in reports.items():
             for reporter, reported in reporters.items():
-                col = self._col(cube, pair_key)
-                slot = self._slot(cube, reporter)  # (may grow the arrays)
-                self.reports[row, col, slot] = reported
+                self.reports[row, cols[pair_key], slots[reporter]] = reported
         self._reflag(row)
 
     def suspicions_of(self, vehicle: "VehicleProcess") -> Dict[Point, Dict[str, Any]]:
@@ -552,9 +393,8 @@ class GossipBlocks:
     def set_suspicions_of(self, vehicle: "VehicleProcess", suspicions) -> None:
         row = vehicle._index
         self.suspicions.pop(row, None)
-        for pair_key, pending in suspicions.items():
-            self._col(self.cube_of[row], pair_key)
-            self.suspicions.setdefault(row, {})[pair_key] = pending
+        if suspicions:
+            self.suspicions[row] = dict(suspicions)
         self._reflag(row)
 
     def _reflag(self, row: int) -> None:
@@ -587,12 +427,17 @@ class GossipBlocks:
         pairs = self._pair_table
 
         # Peers: each row's draws at its counter mapped onto its cube's
-        # sorted members.
-        picks = self._peer_picks(rows, self.counter[rows])
+        # sorted members (the vehicle among them at its own slot).
+        slots = peer_indices(
+            peer_draws(self._keys[rows], self.counter[rows], fleet.config.gossip_fanout),
+            self.self_slot[rows],
+            np.ones(count, dtype=bool),
+            self._member_count[cube],
+        )
         self.counter[rows] += 1
-        picked = picks >= 0
-        peer_ids = self._peer_layout()[4][picks[picked]].tolist()
-        bounds = [0, *np.cumsum(picked.sum(axis=1)).tolist()]
+        at, k = np.nonzero(slots >= 0)
+        peer_ids = self._reporter_table[cube[at] * depth + slots[at, k]].tolist()
+        bounds = _row_bounds(at, count)
         peers = [peer_ids[a:b] for a, b in zip(bounds, bounds[1:])]
 
         # Silence reports: every stale pair of the cube but the vehicle's
@@ -612,7 +457,7 @@ class GossipBlocks:
         columns = np.arange(width)
         silent = (
             (is_stale(round_id, np.where(heard < 0, HEARD_AT_START, heard), miss) | byzantine[:, None])
-            & (columns < self._own[cube][:, None])
+            & (columns < self._pair_count[cube][:, None])
             & (columns != np.array(own)[:, None])
         )
         at, col = np.nonzero(silent)
@@ -622,19 +467,10 @@ class GossipBlocks:
         # Each digest's silence reports, pair-major and reporter-minor, and
         # its freshest entries: round descending, then pair key (the
         # columns in key order, stably sorted), capped.
-        reports = self.reports[rows]
-        ordered = heard
-        if not self._canonical:
-            reports = reports[
-                np.arange(count)[:, None, None],
-                self._colperm[cube][:, :, None],
-                self._slotperm[cube][:, None, :],
-            ]
-            ordered = np.take_along_axis(heard, self._colperm[cube], axis=1)
         digest_silent = [()] * count
         reported = np.flatnonzero(self.flags[rows].any(axis=1))
         if len(reported):
-            block = reports[reported]
+            block = self.reports[rows[reported]]
             at, col, slot = np.nonzero(block >= 0)
             entries = list(
                 zip(
@@ -646,8 +482,8 @@ class GossipBlocks:
             bounds = _row_bounds(at, len(reported))
             for i, a, b in zip(reported.tolist(), bounds, bounds[1:]):
                 digest_silent[i] = tuple(entries[a:b])
-        rank = np.argsort(-ordered, axis=1, kind="stable")[:, :GOSSIP_ENTRY_CAP]
-        top = np.take_along_axis(ordered, rank, axis=1)
+        rank = np.argsort(-heard, axis=1, kind="stable")[:, :GOSSIP_ENTRY_CAP]
+        top = np.take_along_axis(heard, rank, axis=1)
         at, k = np.nonzero(top >= 0)
         entries = list(zip(pairs[cube[at] * width + rank[at, k]].tolist(), top[at, k].tolist()))
         bounds = _row_bounds(at, count)

@@ -283,36 +283,57 @@ class VehicleProcess(Process):
         """Silence reports by pair, ``{pair_key: {reporter: report_round}}``,
         read out of (and assigned into) the fleet's gossip blocks.
         Deduplicated by reporter identity, so a report replicating through
-        many digests still counts once toward suspicion."""
+        many digests still counts once toward suspicion.
+
+        In a fleet that does not gossip, this field, ``pending_suspicions``
+        and ``_gossip_counter`` are plain values no protocol step reads,
+        held only so that every checkpoint field round-trips; such a fleet
+        builds no blocks.
+        """
+        if not self._gossip:
+            return self.__dict__.get("_inert_reports", {})
         blocks = self.fleet.detector
         return {} if blocks is None else blocks.reports_of(self)
 
     @gossip_reports.setter
     def gossip_reports(self, value: Dict[Point, Dict[Point, int]]) -> None:
-        self.fleet.gossip_blocks().set_reports_of(self, value)
+        if self._gossip:
+            self.fleet.gossip_blocks().set_reports_of(self, value)
+        else:
+            self._inert_reports = value
 
     @property
     def pending_suspicions(self) -> Dict[Point, Dict[str, Any]]:
         """Open quorum collections by suspected pair, ``{pair_key:
         {"granted": set of co-signers, "round": last SuspectMessage
         round}}``, read out of (and assigned into) the gossip blocks."""
+        if not self._gossip:
+            return self.__dict__.get("_inert_suspicions", {})
         blocks = self.fleet.detector
         return {} if blocks is None else blocks.suspicions_of(self)
 
     @pending_suspicions.setter
     def pending_suspicions(self, value: Dict[Point, Dict[str, Any]]) -> None:
-        self.fleet.gossip_blocks().set_suspicions_of(self, value)
+        if self._gossip:
+            self.fleet.gossip_blocks().set_suspicions_of(self, value)
+        else:
+            self._inert_suspicions = value
 
     @property
     def _gossip_counter(self) -> int:
-        """Gossip mode: the draw counter keying deterministic peer
-        selection, kept in the gossip blocks."""
+        """The draw counter keying deterministic peer selection, kept in
+        the gossip blocks."""
+        if not self._gossip:
+            return self.__dict__.get("_inert_counter", 0)
         blocks = self.fleet.detector
         return 0 if blocks is None else int(blocks.counter[self._index])
 
     @_gossip_counter.setter
     def _gossip_counter(self, value: int) -> None:
-        self.fleet.gossip_blocks().counter[self._index] = value
+        if self._gossip:
+            self.fleet.gossip_blocks().counter[self._index] = value
+        else:
+            self._inert_counter = value
 
     @property
     def monitored_pair(self) -> Optional[Point]:
@@ -512,27 +533,11 @@ class VehicleProcess(Process):
             # The heartbeat: nearly all of a monitored run's traffic, so it
             # is handled here, in the one call every delivery makes.
             if self._gossip:
-                # The one-entry fast path: a fresher round of a pair already
-                # heard, with no report or suspicion open on it, writes its
-                # cell of the gossip blocks; anything else takes the blocks'
-                # full merge.
-                pair_key = message.pair_key
-                round_id = message.round_id
-                row = self._heard_row
-                col = self._gossip_cols.get(pair_key)
-                if col is not None and 0 <= row[col] < round_id and not self._gossip_flags[col]:
-                    row[col] = round_id
-                    if pair_key == self._monitored_pair:
-                        self._registry.watch_heard[self._index] = round_id
-                else:
-                    self.fleet.detector.note_heard(self, pair_key, round_id)
-            else:
-                # Ring mode: ``_set_heard``'s dict write, inlined.
-                heard = self._heard
-                if message.round_id > heard.get(message.pair_key, -1):
-                    heard[message.pair_key] = message.round_id
-                    if message.pair_key == self._monitored_pair:
-                        self._registry.watch_heard[self._index] = message.round_id
+                # Gossip mode: the blocks' one-entry freshness merge, which
+                # also retires silence reports and suspicions.
+                self.fleet.detector.note_heard(self, message.pair_key, message.round_id)
+            elif message.round_id > self._heard.get(message.pair_key, -1):
+                self._set_heard(message.pair_key, message.round_id)
         elif type(message) is GossipDigest:
             if not self.broken:
                 self.fleet.detector.merge_digest(self, message.heard, message.silent)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import astuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.distsim.transport import (
     LatencyTransport,
     LossyTransport,
 )
-from repro.vehicles.gossip import peer_draws, select_peers
+from repro.vehicles.gossip import peer_draws, peer_indices
 from repro.vehicles.messages import MoveMessage, QueryMessage, ReplyMessage
 
 N = 20_000
@@ -368,8 +369,11 @@ class TestSelectPeers:
         fanout=st.integers(0, 8),
     )
     def test_never_the_sender_and_never_a_repeat(self, candidates, identity, counter, fanout):
-        draws = peer_draws([identity_key(identity)], [counter], fanout)[0].tolist()
-        peers = select_peers(identity, draws, candidates)
+        draws = peer_draws([identity_key(identity)], [counter], fanout)
+        low = bisect_left(candidates, identity)
+        member = low < len(candidates) and candidates[low] == identity
+        chosen = peer_indices(draws, [low], [member], [len(candidates)])[0]
+        peers = [candidates[index] for index in chosen.tolist() if index >= 0]
         assert identity not in peers
         assert len(peers) == len(set(peers)) == min(fanout, len(set(candidates) - {identity}))
         assert set(peers) <= set(candidates)

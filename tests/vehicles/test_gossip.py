@@ -13,6 +13,7 @@ suspicions, but honest peers refuse to co-sign for pairs they still hear.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.distsim.failures import FailurePlan
 from repro.distsim.keyed import identity_key
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.vehicles.fleet import FleetConfig
-from repro.vehicles.gossip import GOSSIP_ENTRY_CAP, peer_draws, select_peers
+from repro.vehicles.gossip import GOSSIP_ENTRY_CAP, peer_draws, peer_indices
 from repro.vehicles.messages import GossipDigest
 from repro.vehicles.monitoring import HEARD_AT_START, is_stale
 from repro.vehicles.vehicle import VehicleProcess
@@ -85,11 +86,22 @@ def _live_watchers(fleet, *, excluding=()):
     )
 
 
+def _pick_peers(identity, draws, candidates):
+    """One row of :func:`peer_indices`: up to ``len(draws)`` peers from the
+    sorted ``candidates``, the sender excluded."""
+    low = bisect_left(candidates, identity)
+    member = low < len(candidates) and candidates[low] == identity
+    chosen = peer_indices(
+        np.asarray(draws, dtype=np.float64).reshape(1, -1), [low], [member], [len(candidates)]
+    )
+    return [candidates[index] for index in chosen[0].tolist() if index >= 0]
+
+
 def _peers(identity, counter, candidates, fanout):
     """The peers ``identity`` gossips to at ``counter``: its row of a
-    one-vehicle :func:`peer_draws` call, mapped by :func:`select_peers`."""
+    one-vehicle :func:`peer_draws` call, mapped by :func:`_pick_peers`."""
     draws = peer_draws([identity_key(identity)], [counter], fanout)[0].tolist()
-    return select_peers(identity, draws, candidates)
+    return _pick_peers(identity, draws, candidates)
 
 
 class TestPeerSelection:
@@ -189,9 +201,7 @@ class TestBlockRoundMatchesDictReference:
     """A gossip round read off the blocks equals the dict helpers.
 
     Random heard and report states (never-heard cells, round ties, more
-    entries than the digest cap), Byzantine rows, broken vehicles and
-    vehicles rehomed into the other cube -- which carry their old cube's
-    pairs and reporters along as appended columns and slots -- all go
+    entries than the digest cap), Byzantine rows and broken vehicles all go
     through one :meth:`~repro.vehicles.gossip.GossipBlocks.run_round`;
     every ticking vehicle's silent pairs, freshest entries, digest reports
     and peers must equal the reference computed from its dicts.
@@ -208,7 +218,8 @@ class TestBlockRoundMatchesDictReference:
         )
         vehicles = [fleet.vehicles[identity] for identity in fleet.flat.identities]
         # A dozen rows with random state; every other row never heard.
-        for vehicle in data.draw(st.sets(st.sampled_from(vehicles), max_size=12)):
+        stateful = data.draw(st.lists(st.sampled_from(vehicles), unique=True, max_size=12))
+        for vehicle in stateful:
             pairs = [pair.black for pair in vehicle.coloring.pairs]
             members = fleet.cube_members(vehicle.cube_index)
             heard = data.draw(
@@ -233,15 +244,13 @@ class TestBlockRoundMatchesDictReference:
             vehicle._gossip_counter = data.draw(st.integers(0, 50))
             assert list(vehicle.last_heard.items()) == heard
             assert vehicle.gossip_reports == reports
-        for vehicle in data.draw(st.sets(st.sampled_from(vehicles), max_size=6)):
+        # Liars among any rows, and among the rows with state (where a
+        # fresh pair tells a liar's report from an honest one).
+        liars = data.draw(st.lists(st.sampled_from(vehicles), max_size=6))
+        if stateful:
+            liars += data.draw(st.lists(st.sampled_from(stateful), max_size=3))
+        for vehicle in liars:
             fleet.failure_plan.mark_byzantine_watcher(vehicle.identity)
-        idle = [v for v in vehicles if v.pair_key is None]
-        for vehicle in data.draw(st.sets(st.sampled_from(idle), max_size=2)):
-            other = (1, 0) if vehicle.cube_index == (0, 0) else (0, 0)
-            before = (vehicle.last_heard, vehicle.gossip_reports)
-            fleet.rehome_vehicle(vehicle, fleet.colorings[other].pairs[0].black)
-            assert (vehicle.last_heard, vehicle.gossip_reports) == before
-            assert list(vehicle.last_heard) == list(before[0])
         for vehicle in data.draw(st.sets(st.sampled_from(vehicles), max_size=6)):
             fleet.crash_vehicle(vehicle.identity)
 
@@ -367,6 +376,18 @@ class TestBlockRound:
         )
 
 
+    def test_no_vehicle_changes_cube_once_the_blocks_exist(self):
+        # The blocks are laid out from residency at allocation; gossip
+        # rejects escalation, so a gossip run never rehomes.
+        fleet, _ = self._fleet()
+        fleet.run_heartbeat_round()
+        assert fleet.detector is not None
+        idle = next(v for v in fleet.vehicles.values() if v.pair_key is None)
+        with pytest.raises(RuntimeError, match="gossip blocks"):
+            fleet.rehome_vehicle(idle, fleet.colorings[(0, 0)].pairs[0].black)
+        assert idle.identity in fleet.cube_members((0, 0))
+
+
 class TestHelpersMatchReferences:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -383,7 +404,7 @@ class TestHelpersMatchReferences:
         draws = peer_draws([identity_key(identity)], [counter], fanout)[0].tolist()
         # The extremes of [0, 1) too: the first and the last candidate.
         draws = data.draw(st.permutations(draws + [0.0, 1.0 - 2.0**-53]))[:fanout]
-        assert select_peers(identity, draws, candidates) == (
+        assert _pick_peers(identity, draws, candidates) == (
             _reference_select_peers(identity, draws, candidates)
         )
 
