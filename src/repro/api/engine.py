@@ -4,8 +4,7 @@
 list of :class:`~repro.api.config.RunConfig` objects and
 
 * resolves each config's solver through the registry,
-* runs them serially or over a ``concurrent.futures`` pool (threads by
-  default; processes on request for CPU-bound sweeps),
+* runs them serially or, with ``workers > 1``, over a process pool,
 * caches results keyed on the config's content hash -- in memory always,
   and as one JSON file per run when a ``cache_dir`` is given, so repeated
   sweeps are free and artifacts can be archived/diffed,
@@ -23,8 +22,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
@@ -190,17 +188,14 @@ class ExperimentEngine:
         *,
         workers: int = 1,
         cache_dir: Optional[PathLike] = None,
-        use_processes: bool = False,
         progress: Optional[ProgressCallback] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.workers = workers
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.use_processes = use_processes
         self.progress = progress
         self.stats = EngineStats()
-        self._stats_lock = threading.Lock()
         #: Results of both job kinds; service keys carry a ``service-`` prefix.
         self._memory_cache: Dict[str, Any] = {}
         if self.cache_dir is not None:
@@ -296,7 +291,7 @@ class ExperimentEngine:
         """Fan ``(config, jobs)`` service runs out exactly like :meth:`run_many`.
 
         Duplicates are solved once, results preserve input order, and the
-        batch is byte-identical regardless of worker count or pool type --
+        batch is byte-identical regardless of worker count --
         the same determinism contract ``RunConfig`` sweeps have.
         """
         keyed = [
@@ -313,12 +308,6 @@ class ExperimentEngine:
             indent=2,
         )
 
-    def _execute(self, kind: _JobKind, item: Any) -> Any:
-        result = kind.execute(item)
-        with self._stats_lock:
-            self.stats.executed += 1
-        return result
-
     def _fan_out(
         self,
         keyed: Sequence[Tuple[str, Any]],
@@ -333,7 +322,9 @@ class ExperimentEngine:
         keys in one batch are solved once: pending indices are grouped by
         key, and every index of a group receives the single result (the
         within-batch face of the caching promise).  Pending jobs run in this
-        thread when ``inline`` is set (single runs) or ``workers == 1``.
+        process when ``inline`` is set (single runs) or ``workers == 1``, and
+        otherwise in a pool of ``workers`` processes, shipped as JSON (threads
+        would share the GIL and this process's ``hash()`` salt).
         """
         total = len(keyed)
         results: List[Any] = [None] * total
@@ -363,28 +354,16 @@ class ExperimentEngine:
         unique = [(key, keyed[indices[0]][1]) for key, indices in pending.items()]
         if inline or self.workers == 1:
             for key, item in unique:
-                deliver(key, self._execute(kind, item))
+                result = kind.execute(item)
+                self.stats.executed += 1
+                deliver(key, result)
         else:
-            with self._executor() as pool:
-                if self.use_processes:
-                    payloads = [kind.encode(item) for _, item in unique]
-                    for (key, _), text in zip(unique, pool.map(kind.pool_entry, payloads)):
-                        with self._stats_lock:
-                            self.stats.executed += 1
-                        deliver(key, kind.decode(json.loads(text)))
-                else:
-                    futures = [
-                        (key, pool.submit(self._execute, kind, item))
-                        for key, item in unique
-                    ]
-                    for key, future in futures:
-                        deliver(key, future.result())
+            payloads = [kind.encode(item) for _, item in unique]
+            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                for (key, _), text in zip(unique, pool.map(kind.pool_entry, payloads)):
+                    self.stats.executed += 1
+                    deliver(key, kind.decode(json.loads(text)))
         return results
-
-    def _executor(self) -> Executor:
-        if self.use_processes:
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers)
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -207,11 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-run progress lines to stderr",
     )
-    sweep.add_argument(
-        "--processes",
-        action="store_true",
-        help="use a process pool instead of threads",
-    )
     sweep.add_argument("--cache-dir", help="result cache directory (keyed on config hash)")
     sweep.add_argument("--out", help="write the deterministic results JSON to this path")
     _add_transport_arguments(sweep)
@@ -595,7 +590,6 @@ def _engine(args: argparse.Namespace, *, workers: int = 1) -> ExperimentEngine:
     return ExperimentEngine(
         workers=workers,
         cache_dir=getattr(args, "cache_dir", None),
-        use_processes=getattr(args, "processes", False),
         progress=progress if workers > 1 or getattr(args, "verbose", False) else None,
     )
 

@@ -263,7 +263,6 @@ def provision_fleet(
     failure_plan: Optional[FailurePlan] = None,
     dead_vehicles: Optional[Iterable[Sequence[int]]] = None,
     transport: Optional[Transport] = None,
-    escalation: Optional[bool] = None,
     window=None,
 ) -> Tuple[Fleet, FleetConfig, Optional[float], float]:
     """Build the fleet a driver runs against, exactly as :func:`run_online` does.
@@ -280,10 +279,7 @@ def provision_fleet(
     """
     provisioned, theorem_capacity = _resolve_capacity(demand, omega, capacity)
     base = config if config is not None else FleetConfig()
-    overrides: Dict[str, object] = {"capacity": provisioned}
-    if escalation is not None:
-        overrides["escalation"] = bool(escalation)
-    fleet_config = dataclasses.replace(base, **overrides)
+    fleet_config = dataclasses.replace(base, capacity=provisioned)
     fleet = Fleet(
         demand,
         omega,
@@ -518,7 +514,6 @@ def run_online(
     recovery_rounds: int = 0,
     churn: Optional[Iterable[ChurnSpec]] = None,
     transport: Union[Transport, TransportSpec, str, None] = None,
-    escalation: Optional[bool] = None,
     shards: int = 1,
     shard_workers: Optional[int] = None,
 ) -> OnlineResult:
@@ -559,11 +554,6 @@ def run_online(
         a :class:`~repro.distsim.transport.TransportSpec`, or a bare kind
         name such as ``"lossy"``.  Defaults to the paper's reliable channel
         with the fixed ``config.message_delay``.
-    escalation:
-        Whether an exhausted Phase I search may escalate through the cube
-        hierarchy (cross-cube replacement; see
-        :class:`~repro.vehicles.fleet.FleetConfig`).  ``None`` keeps the
-        ``config``'s setting.
     shards:
         Partition the run into this many cube-aligned shards (see
         :mod:`repro.distsim.sharding`).  The result is byte-identical to
@@ -590,12 +580,7 @@ def run_online(
     transport_kind = (
         transport_instance.kind if transport_instance is not None else "reliable"
     )
-    # The run-level escalation override is resolved up front: the result
-    # reports it, and a shard worker provisions straight from this config,
-    # so it must already carry the setting the reference fleet runs with.
     base = config if config is not None else FleetConfig()
-    if escalation is not None:
-        base = dataclasses.replace(base, escalation=bool(escalation))
     if len(jobs) == 0:
         nothing = {
             "jobs_served": 0,
@@ -634,7 +619,6 @@ def run_online(
             config,
             failure_plan,
             recovery_rounds,
-            escalation,
         )
         shard_mode = "parallel-lockstep" if eligible else "single-process"
         _LOG.info(

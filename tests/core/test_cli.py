@@ -121,7 +121,6 @@ class TestParser:
             "--capacity",
             "--workers",
             "--verbose",
-            "--processes",
             "--cache-dir",
             "--out",
         },

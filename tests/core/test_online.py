@@ -30,25 +30,13 @@ class TestEmptyAndTrivialRuns:
         assert result.escalation is False
         assert result.jobs_total == 0 and result.feasible
 
-    def test_empty_sequence_applies_the_escalation_override(self):
+    def test_empty_sequence_reports_the_configs_escalation(self):
         result = run_online(
             JobSequence.from_positions([]),
-            config=FleetConfig(monitoring=True),
-            escalation=True,
+            config=FleetConfig(monitoring=True, escalation=True),
         )
         assert result.monitoring_mode == "ring"
         assert result.escalation is True
-
-    def test_empty_sequence_rejects_what_a_real_run_rejects(self):
-        # Gossip does not compose with escalation: an empty run resolves
-        # the same config a non-empty run does, so it fails the same way.
-        for positions in ([], [(0, 0)]):
-            with pytest.raises(ValueError, match="escalation"):
-                run_online(
-                    JobSequence.from_positions(positions),
-                    config=FleetConfig(monitoring="gossip"),
-                    escalation=True,
-                )
 
     def test_single_job(self):
         result = run_online(JobSequence.from_positions([(0, 0)]))

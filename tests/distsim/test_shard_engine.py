@@ -219,18 +219,14 @@ class TestWorkerIsolation:
 
 
 class TestEligibility:
-    def _check(self, config, *, transport="lossy", escalation=False):
-        return parallel_lockstep_eligibility(transport, config, None, 0, escalation)
+    def _check(self, config, *, transport="lossy"):
+        return parallel_lockstep_eligibility(transport, config, None, 0)
 
-    def test_run_level_escalation_override_wins_over_the_config(self):
-        ok, reason = self._check(FleetConfig(escalation=True), escalation=False)
+    def test_config_escalation_is_ineligible(self):
+        ok, reason = self._check(FleetConfig(escalation=True))
+        assert not ok and reason.startswith("escalation")
+        ok, reason = self._check(FleetConfig(escalation=False))
         assert ok and reason == ""
-        ok, reason = self._check(FleetConfig(escalation=False), escalation=True)
-        assert not ok and reason.startswith("escalation")
-
-    def test_config_escalation_applies_without_an_override(self):
-        ok, reason = self._check(FleetConfig(escalation=True), escalation=None)
-        assert not ok and reason.startswith("escalation")
 
     def test_gossip_monitoring_is_eligible(self):
         # Digests go only to the sender's own cube, and shards own whole cubes.
@@ -246,5 +242,5 @@ class TestEligibility:
         assert not ok and reason.startswith("caller-owned transport instance")
 
     def test_missing_config_counts_as_the_default_fleet(self):
-        ok, reason = self._check(None, escalation=None)
+        ok, reason = self._check(None)
         assert ok and reason == ""

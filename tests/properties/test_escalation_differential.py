@@ -7,8 +7,8 @@ Three relations pin the cross-cube escalation layer, with no goldens:
   verified per scenario), a run with dead vehicles abandons jobs under the
   intra-cube protocol but reaches *full* job service with escalation on;
 * **worker-count determinism** -- escalated runs are byte-identical
-  across 1 thread, 4 threads, and 4 processes (the new messages, ring
-  state, and adoption bookkeeping must all be free of ambient state);
+  serially and over 4 worker processes (the new messages, ring state,
+  and adoption bookkeeping must all be free of ambient state);
 * **inertness** -- enabling escalation on a failure-free intra-cube run
   changes no physical outcome at all (escalation only ever fires when a
   cube search exhausts).
@@ -97,12 +97,8 @@ class TestEscalationWorkerDeterminism:
         engine = ExperimentEngine(workers=1)
         return engine.results_payload(engine.run_many(self._configs()))
 
-    def test_four_threads_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4)
-        assert engine.results_payload(engine.run_many(self._configs())) == serial_payload
-
     def test_four_processes_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4, use_processes=True)
+        engine = ExperimentEngine(workers=4)
         assert engine.results_payload(engine.run_many(self._configs())) == serial_payload
 
     def test_rerun_byte_identical(self, serial_payload):

@@ -7,8 +7,7 @@ dispatch) must change *nothing* the protocol can observe.  The goldens in
 escalation, lossy transport}, captured on the loop-based implementation
 immediately before the refactor; this suite asserts the current code
 reproduces every one of them bit for bit, and that the 10^3-vehicle
-scale-up preset stays byte-identical across worker pools (1 thread == 4
-threads == 4 processes).
+scale-up preset stays byte-identical serially and over 4 worker processes.
 
 Regenerate the goldens (only after a deliberate, understood behavior
 change) with ``PYTHONPATH=src python tests/properties/make_flat_core_goldens.py``.
@@ -135,7 +134,7 @@ class TestGoldenByteIdentity:
 
 
 class TestScaleUpWorkerDeterminism:
-    """1 thread == 4 threads == 4 processes on the 10^3-vehicle preset."""
+    """Serial == 4 worker processes on the 10^3-vehicle preset."""
 
     @staticmethod
     def _configs():
@@ -150,10 +149,6 @@ class TestScaleUpWorkerDeterminism:
         engine = ExperimentEngine(workers=1)
         return engine.results_payload(engine.run_many(self._configs()))
 
-    def test_four_threads_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4)
-        assert engine.results_payload(engine.run_many(self._configs())) == serial_payload
-
     def test_four_processes_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4, use_processes=True)
+        engine = ExperimentEngine(workers=4)
         assert engine.results_payload(engine.run_many(self._configs())) == serial_payload

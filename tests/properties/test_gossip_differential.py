@@ -7,8 +7,8 @@ Three relations pin the epidemic detector without any goldens:
   jobs, and drains the same per-vehicle energies as the classical ring
   (only the message count differs, by exactly the digest traffic);
 * **worker-count determinism** -- gossip failure-mode runs are
-  byte-identical across 1 thread, 4 threads, and 4 processes (peer
-  selection is keyed-hash, never a shared RNG);
+  byte-identical serially and over 4 worker processes (peer selection
+  is keyed-hash, never a shared RNG);
 * **shard determinism** -- digests stay inside the sender's cube and
   shards own whole cubes, so a sharded gossip run without recovery rounds
   runs in ``parallel-lockstep`` worker processes, byte-identical to the
@@ -112,12 +112,8 @@ class TestGossipWorkerDeterminism:
         engine = ExperimentEngine(workers=1)
         return engine.results_payload(engine.run_many(self._configs()))
 
-    def test_four_threads_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4)
-        assert engine.results_payload(engine.run_many(self._configs())) == serial_payload
-
     def test_four_processes_byte_identical(self, serial_payload):
-        engine = ExperimentEngine(workers=4, use_processes=True)
+        engine = ExperimentEngine(workers=4)
         assert engine.results_payload(engine.run_many(self._configs())) == serial_payload
 
     def test_rerun_byte_identical(self, serial_payload):

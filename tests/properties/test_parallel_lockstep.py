@@ -129,7 +129,6 @@ class TestParallelLockstepByteIdentity:
             dead_vehicles=dead,
             churn=churn,
             transport=transport,
-            escalation=False,
             shards=shards,
             shard_workers=workers,
         )
@@ -217,7 +216,6 @@ class TestEligibilityAndFallback:
             omega=3.0,
             config=FleetConfig(monitoring=True),
             transport=LOSSY,
-            escalation=False,
             shards=shards,
         )
         kwargs.update(overrides)
@@ -239,7 +237,6 @@ class TestEligibilityAndFallback:
             tiny_workload,
             4,
             config=FleetConfig(monitoring=True, escalation=True),
-            escalation=None,
         )
         assert result.shard_mode == "single-process"
         assert result.shard_mode_reason.startswith("escalation")
@@ -265,17 +262,17 @@ class TestEligibilityAndFallback:
 
     def test_eligibility_unit_reasons(self):
         config = FleetConfig(monitoring=True)
-        ok, reason = parallel_lockstep_eligibility("lossy", config, None, 0, False)
+        ok, reason = parallel_lockstep_eligibility("lossy", config, None, 0)
         assert ok and reason == ""
         plan = FailurePlan()
         plan.drop_predicates.append(lambda *a: False)
-        ok, reason = parallel_lockstep_eligibility("lossy", config, plan, 0, False)
+        ok, reason = parallel_lockstep_eligibility("lossy", config, plan, 0)
         assert not ok and "drop predicates" in reason
         ok, reason = parallel_lockstep_eligibility(
-            LossyTransport(), config, None, 0, False
+            LossyTransport(), config, None, 0
         )
         assert not ok and "caller-owned" in reason
-        ok, reason = parallel_lockstep_eligibility(None, config, None, 0, False)
+        ok, reason = parallel_lockstep_eligibility(None, config, None, 0)
         assert ok  # fixed-delay reliable default, rebuilt per worker
 
 

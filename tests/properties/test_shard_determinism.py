@@ -17,8 +17,8 @@ every mechanism:
   (reliable transport, no failures) is byte-identical across shard counts,
   including the float-sum-sensitive energy totals.  This exercises the
   multi-process worker/merge path.
-* **Engine fan-out** -- ``run_service_many`` is byte-identical across
-  1 thread / 4 threads / 4 processes and dedupes duplicate configs.
+* **Engine fan-out** -- ``run_service_many`` is byte-identical serially
+  and over 4 worker processes, and dedupes duplicate configs.
 
 ``config_hash`` and the ``shard_mode`` / ``shard_mode_reason`` extras are
 the only fields allowed to differ between a ``shards=4`` and a
@@ -215,17 +215,9 @@ class TestEngineServiceFanout:
         assert engine.stats.executed == 2
         assert results[0].result_hash() == results[2].result_hash()
 
-    def test_four_threads_byte_identical(self, serial):
-        _, base = serial
-        engine = ExperimentEngine(workers=4)
-        results = engine.run_service_many(self._items())
-        assert [r.canonical_json() for r in results] == [
-            r.canonical_json() for r in base
-        ]
-
     def test_four_processes_byte_identical(self, serial):
         _, base = serial
-        engine = ExperimentEngine(workers=4, use_processes=True)
+        engine = ExperimentEngine(workers=4)
         results = engine.run_service_many(self._items())
         assert [r.canonical_json() for r in results] == [
             r.canonical_json() for r in base
