@@ -264,7 +264,13 @@ class ServiceConfig:
 
     def config_hash(self) -> str:
         """Stable content hash of the config."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return self.hash_of(self.to_json())
+
+    @staticmethod
+    def hash_of(payload: Mapping[str, Any]) -> str:
+        """:meth:`config_hash` of a config already serialized by :meth:`to_json`."""
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 #: Result fields covered by :meth:`ServiceResult.result_hash` -- the

@@ -57,7 +57,7 @@ from repro.core.demand import DemandMap, JobSequence
 from repro.core.offline import online_upper_bound_factor
 from repro.core.omega import demand_cube_maxima, omega_c, omega_star_cubes
 from repro.core.plan import plan_window
-from repro.core.stream import StreamDriver
+from repro.core.stream import StreamDriver, frozen_heap
 from repro.distsim.failures import ChurnSpec, FailurePlan
 from repro.distsim.parallel_lockstep import (
     merge_parallel_lockstep_results,
@@ -657,22 +657,23 @@ def run_online(
             dead_vehicles=dead_vehicles,
             transport=transport_instance,
         )
-        served = StreamDriver(
-            fleet,
-            fleet_config,
-            fleet.failure_plan,
-            jobs,
-            recovery_rounds=recovery_rounds,
-            churn=churn_events,
-        ).run()
-        counters = _fleet_counters(fleet)
-        counters.update(
-            _detection_counters(fleet),
-            jobs_served=served,
-            total_travel=fleet.total_travel(),
-            total_service=fleet.total_service(),
-            vehicle_energies=fleet.vehicle_energies(),
-        )
+        with frozen_heap():
+            served = StreamDriver(
+                fleet,
+                fleet_config,
+                fleet.failure_plan,
+                jobs,
+                recovery_rounds=recovery_rounds,
+                churn=churn_events,
+            ).run()
+            counters = _fleet_counters(fleet)
+            counters.update(
+                _detection_counters(fleet),
+                jobs_served=served,
+                total_travel=fleet.total_travel(),
+                total_service=fleet.total_service(),
+                vehicle_energies=fleet.vehicle_energies(),
+            )
 
     return _online_result(
         len(jobs),

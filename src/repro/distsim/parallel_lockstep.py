@@ -155,7 +155,7 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     from repro.core.demand import DemandMap, Job
     from repro.core.online import _fleet_counters, provision_fleet
-    from repro.core.stream import StreamDriver
+    from repro.core.stream import StreamDriver, frozen_heap
     from repro.distsim.network import UnknownDestination
     from repro.distsim.transport import TransportSpec
     from repro.grid.lattice import Box
@@ -181,57 +181,58 @@ def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         transport=transport,
         window=window,
     )
-    # Positions pickled straight out of valid Job objects: the trusted
-    # constructor skips the per-job validation, which dominates the
-    # rebuild at 10^5 jobs; the driver pulls them lazily.
-    jobs = (
-        Job.trusted(time, tuple(position), energy)
-        for time, position, energy in payload["jobs"]
-    )
-    try:
-        served = StreamDriver(
-            fleet,
-            fleet_config,
-            fleet.failure_plan,
-            jobs,
-            churn=payload["churn"],
-            ticks=payload["foreign_times"],
-        ).run()
-    except UnknownDestination as error:
-        destination = error.destination
-        owner = owning_shard(
-            payload["shard_lut"], payload["window_lo"], payload["cube_side"], destination
+    with frozen_heap():
+        # Positions pickled straight out of valid Job objects: the trusted
+        # constructor skips the per-job validation, which dominates the
+        # rebuild at 10^5 jobs; the driver pulls them lazily.
+        jobs = (
+            Job.trusted(time, tuple(position), energy)
+            for time, position, energy in payload["jobs"]
         )
-        raise RuntimeError(
-            f"shard isolation violated: shard {payload['shard']} sent to "
-            f"{destination!r}, owned by shard {owner}; this configuration "
-            "should have run single-process"
-        ) from error
-
-    counters = _fleet_counters(fleet)
-    counters["jobs_served"] = served
-    # Replicated bookkeeping events (foreign-arrival ticks, churn specs
-    # owned by other shards) execute once per shard but once in the
-    # reference run; subtract them so merged events sum to the reference.
-    counters["events_processed"] -= len(payload["foreign_times"]) + (
-        len(payload["churn"]) - payload["churn_owned"]
-    )
-
-    # Per-cube state segments in the worker's creation (= lex) order: the
-    # merge re-sorts segments globally so merged travel/service sums
-    # replay the single-process float-addition order exactly.
-    flat = fleet.flat
-    segments = []
-    for index, cube_id in flat.cube_id_of.items():
-        lo, hi = flat.cube_slices[cube_id]
-        segments.append(
-            (
-                index,
-                flat.identities[lo:hi],
-                list(flat.travel[lo:hi]),
-                list(flat.service[lo:hi]),
+        try:
+            served = StreamDriver(
+                fleet,
+                fleet_config,
+                fleet.failure_plan,
+                jobs,
+                churn=payload["churn"],
+                ticks=payload["foreign_times"],
+            ).run()
+        except UnknownDestination as error:
+            destination = error.destination
+            owner = owning_shard(
+                payload["shard_lut"], payload["window_lo"], payload["cube_side"], destination
             )
+            raise RuntimeError(
+                f"shard isolation violated: shard {payload['shard']} sent to "
+                f"{destination!r}, owned by shard {owner}; this configuration "
+                "should have run single-process"
+            ) from error
+
+        counters = _fleet_counters(fleet)
+        counters["jobs_served"] = served
+        # Replicated bookkeeping events (foreign-arrival ticks, churn specs
+        # owned by other shards) execute once per shard but once in the
+        # reference run; subtract them so merged events sum to the reference.
+        counters["events_processed"] -= len(payload["foreign_times"]) + (
+            len(payload["churn"]) - payload["churn_owned"]
         )
+
+        # Per-cube state segments in the worker's creation (= lex) order: the
+        # merge re-sorts segments globally so merged travel/service sums
+        # replay the single-process float-addition order exactly.
+        flat = fleet.flat
+        segments = []
+        for index, cube_id in flat.cube_id_of.items():
+            lo, hi = flat.cube_slices[cube_id]
+            segments.append(
+                (
+                    index,
+                    flat.identities[lo:hi],
+                    list(flat.travel[lo:hi]),
+                    list(flat.service[lo:hi]),
+                )
+            )
     return {
         "shard": payload["shard"],
         "counters": counters,

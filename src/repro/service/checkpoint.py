@@ -27,8 +27,12 @@ The format is declared once, in the tables under "the format" below:
 ``transfer`` and ``residency`` branches of :func:`_vehicle_entry`), then
 one name tuple per flat-array, fleet-round, failure-plan, network,
 event-stats and transport section.  Capture and restore both iterate
-them, so a field added to a table is written and read back alike.  The
-metrics recorder's part is :data:`repro.service.metrics._STATE_FIELDS`.
+them, so a field added to a table is written and read back alike.
+Capture writes a vehicle's ``jobs_served`` from the registry's ``served``
+column and runs the table walk only for the vehicles :func:`_touched`
+finds with other state, which it reads without the per-vehicle
+properties.  The metrics recorder's part is
+:data:`repro.service.metrics._STATE_FIELDS`.
 
 JSON keeps every float exact (``repr`` round-trip), so "byte-identical"
 means exactly that, not "close".  Snapshots are written compact with
@@ -42,9 +46,12 @@ import dataclasses
 import hashlib
 import json
 from array import array
-from operator import attrgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, is_not
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.demand import Job
 from repro.distsim.failures import ChurnSpec
@@ -223,6 +230,26 @@ _VEHICLE_FIELDS = (
 )
 _VEHICLE_VALUES = attrgetter(*(attribute for _, attribute, _, _ in _VEHICLE_FIELDS))
 _VEHICLE_DECODE = {key: (attribute, decode) for key, attribute, _, decode in _VEHICLE_FIELDS}
+#: The plain attribute that holds a property-backed field outside the
+#: registry and the gossip blocks: ring-mode ``last_heard``, and the
+#: detector fields of a fleet that does not gossip.
+_VEHICLE_STORAGE = {
+    "last_heard": "_heard",
+    "_gossip_counter": "_inert_counter",
+    "gossip_reports": "_inert_reports",
+    "pending_suspicions": "_inert_suspicions",
+}
+#: Every ``_VEHICLE_FIELDS`` value but ``jobs_served`` (the registry's
+#: ``served`` column) and a gossiping fleet's detector fields (rows of its
+#: blocks), read without a property: a vehicle whose values here are all
+#: falsy has no table field to write but its served count.
+_VEHICLE_STORED_VALUES = attrgetter(
+    *(
+        _VEHICLE_STORAGE.get(attribute, attribute)
+        for _, attribute, _, _ in _VEHICLE_FIELDS
+        if attribute != "jobs_served"
+    )
+)
 
 #: The registry's numeric arrays: ``(snapshot key, array typecode)``.
 _FLAT_ARRAYS = (("travel", "d"), ("service", "d"), ("state", "b"), ("broken", "b"), ("watch", "q"))
@@ -277,19 +304,41 @@ def _vehicle_entry(vehicle, original_pair) -> Dict[str, Any]:
     return entry
 
 
+def _touched(fleet: Fleet, vehicles, pair_live: List[int]) -> Set[int]:
+    """The dense indices whose entry may hold more than ``jobs_served``.
+
+    A vehicle is in the set when a plain protocol field is truthy, its
+    transfer state is not ``WAITING``, it answers for a pair other than the
+    one it was built for, or its gossip block row holds any state -- a
+    superset of the vehicles :func:`_vehicle_entry` writes more for.
+    """
+    touched = set(compress(count(), map(any, map(_VEHICLE_STORED_VALUES, vehicles))))
+    transfers = map(attrgetter("status.transfer"), vehicles)
+    touched.update(compress(count(), map(is_not, transfers, repeat(TransferState.WAITING))))
+    rehomed = np.asarray(pair_live, dtype=np.int64) != fleet.flat.vehicle_pair
+    touched.update(np.flatnonzero(rehomed).tolist())
+    if fleet.detector is not None:
+        touched.update(fleet.detector.rows_in_use())
+    return touched
+
+
 def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
     flat = fleet.flat
-    vehicles: Dict[str, Any] = {}
-    pair_live: List[int] = []
-    original_pairs = [flat.pair_keys[pair_id] for pair_id in flat.vehicle_pair.tolist()]
-    for index, identity in enumerate(flat.identities):
-        vehicle = fleet.vehicles[identity]
-        pair_live.append(
-            flat.pair_id_of[vehicle.pair_key] if vehicle.pair_key is not None else -1
-        )
-        entry = _vehicle_entry(vehicle, original_pairs[index])
+    vehicles = fleet._vehicles_by_index()
+    pair_id_of = flat.pair_id_of
+    pair_live = [
+        -1 if pair_key is None else pair_id_of[pair_key]
+        for pair_key in map(attrgetter("pair_key"), vehicles)
+    ]
+    # Every entry starts as its served count, read off the registry column;
+    # only the touched vehicles run the table walk.
+    entries: Dict[str, Any] = {
+        str(index): {"jobs_served": served} for index, served in enumerate(flat.served) if served
+    }
+    for index in sorted(_touched(fleet, vehicles, pair_live)):
+        entry = _vehicle_entry(vehicles[index], flat.pair_keys[flat.vehicle_pair[index]])
         if entry:
-            vehicles[str(index)] = entry
+            entries[str(index)] = entry
     # Tuples encode exactly like lists, so points and pairs go out as they
     # are stored: copying ~10^5 of them into fresh lists changes no byte
     # and only feeds the garbage collector.  The two shallow copies keep
@@ -309,7 +358,7 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
         "monitoring_baseline": HEARD_AT_START,
         "crash_rounds": _rounds_to_json(sorted(fleet._crash_rounds.items())),
         "detection_digest": fleet.detection_digest.to_json(),
-        "vehicles": vehicles,
+        "vehicles": entries,
     }
 
 
@@ -461,15 +510,19 @@ def restore_transport_state(transport, payload: Optional[Dict[str, Any]]) -> Non
 # --------------------------------------------------------------------- #
 
 
-def capture_checkpoint(config, driver, *, recorder=None) -> Dict[str, Any]:
-    """Snapshot a service run at a clean boundary (see module docstring)."""
+def capture_checkpoint(config_json, driver, *, recorder=None) -> Dict[str, Any]:
+    """Snapshot a service run at a clean boundary (see module docstring).
+
+    ``config_json`` is the run's :meth:`~repro.api.service.ServiceConfig.to_json`,
+    built once per run: it holds every demand entry.
+    """
     fleet = driver.fleet
     simulator = fleet.simulator
     plan = fleet.failure_plan
     payload: Dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
         "version": CHECKPOINT_VERSION,
-        "config": config.to_json(),
+        "config": config_json,
         "clock": simulator.now,
         "jobs": {
             "consumed": driver.consumed,

@@ -43,7 +43,7 @@ from repro.core.online import (
     provision_fleet,
     resolve_omega,
 )
-from repro.core.stream import StreamDriver
+from repro.core.stream import StreamDriver, frozen_heap
 from repro.distsim.transport import build_transport
 from repro.service.checkpoint import (
     capture_checkpoint,
@@ -144,8 +144,10 @@ def run_service(
     if checkpoint_path is not None and config.checkpoint_every is None:
         raise ValueError("checkpoint_path needs config.checkpoint_every")
     resumed = snapshot is not None
-    # Hashing serializes every demand entry, so it is done once per run.
-    config_hash = config.config_hash()
+    # The config's JSON holds every demand entry, so it is built once per
+    # run, for the hash and for every checkpoint.
+    config_json = config.to_json()
+    config_hash = ServiceConfig.hash_of(config_json)
     if resumed:
         snapshot = load_checkpoint(snapshot)
         snap_hash = ServiceConfig.from_json(snapshot["config"]).config_hash()
@@ -214,7 +216,7 @@ def run_service(
             and not driver.finished
             and driver.at_clean_point()
         ):
-            payload = capture_checkpoint(config, driver, recorder=recorder)
+            payload = capture_checkpoint(config_json, driver, recorder=recorder)
             if keep_checkpoints is not None:
                 save_rotated_checkpoint(
                     payload,
@@ -255,81 +257,84 @@ def run_service(
         # uninterrupted run.
         restore_event_stats(fleet.simulator.queue.stats, snapshot)
 
-    driver = StreamDriver(
-        fleet,
-        fleet_config,
-        plan,
-        jobs,
-        recovery_rounds=config.recovery_rounds,
-        churn=config.churn,
-        lookahead=config.lookahead,
-        duration=duration,
-        on_arrival=recorder.job_arrived,
-        on_served=recorder.job_served,
-        control=control,
-        on_primed=on_primed if resumed else None,
-        start_consumed=start_consumed,
-        pending=pending,
-        churn_applied=churn_applied,
-    )
-    driver.served = served_before
+    # From here to the result, the provisioned (and restored) fleet sits in
+    # the collector's permanent generation (see ``frozen_heap``).
+    with frozen_heap():
+        driver = StreamDriver(
+            fleet,
+            fleet_config,
+            plan,
+            jobs,
+            recovery_rounds=config.recovery_rounds,
+            churn=config.churn,
+            lookahead=config.lookahead,
+            duration=duration,
+            on_arrival=recorder.job_arrived,
+            on_served=recorder.job_served,
+            control=control,
+            on_primed=on_primed if resumed else None,
+            start_consumed=start_consumed,
+            pending=pending,
+            churn_applied=churn_applied,
+        )
+        driver.served = served_before
 
-    interrupted = False
-    try:
-        if resumed:
+        interrupted = False
+        try:
+            if resumed:
+                store.log_event(
+                    "service_resumed",
+                    clock=fleet.simulator.now,
+                    jobs_dispatched=driver.dispatched,
+                )
+            try:
+                driver.run()
+            except _Interrupted:
+                interrupted = True
+            rollup = recorder.rollup()
+            if metrics_handle is not None and not interrupted:
+                emit({"type": "metrics_rollup", **rollup})
             store.log_event(
-                "service_resumed",
+                "service_interrupted" if interrupted else "service_finished",
                 clock=fleet.simulator.now,
                 jobs_dispatched=driver.dispatched,
+                jobs_served=driver.served,
             )
-        try:
-            driver.run()
-        except _Interrupted:
-            interrupted = True
-        rollup = recorder.rollup()
-        if metrics_handle is not None and not interrupted:
-            emit({"type": "metrics_rollup", **rollup})
-        store.log_event(
-            "service_interrupted" if interrupted else "service_finished",
-            clock=fleet.simulator.now,
-            jobs_dispatched=driver.dispatched,
-            jobs_served=driver.served,
-        )
-        if interrupted:
-            store.write_state(
-                build_state(
-                    fleet,
-                    driver,
-                    recorder,
-                    checkpoints_written=progress["checkpoints"],
-                    config_hash=config_hash,
+            if interrupted:
+                store.write_state(
+                    build_state(
+                        fleet,
+                        driver,
+                        recorder,
+                        checkpoints_written=progress["checkpoints"],
+                        config_hash=config_hash,
+                    )
                 )
-            )
-    finally:
-        if metrics_handle is not None:
-            metrics_handle.close()
+        finally:
+            if metrics_handle is not None:
+                metrics_handle.close()
 
-    return ServiceResult(
-        jobs_total=driver.dispatched,
-        jobs_served=driver.served,
-        feasible=driver.served == driver.dispatched,
-        total_travel=fleet.total_travel(),
-        total_service=fleet.total_service(),
-        omega=omega,
-        omega_star=omega_star,
-        capacity=provisioned,
-        theorem_capacity=theorem_capacity,
-        transport=fleet.transport_kind,
-        fleet_digest=fleet_digest(fleet),
-        windows=recorder.window_index,
-        checkpoints_written=progress["checkpoints"],
-        resumed=resumed,
-        interrupted=interrupted,
-        rollup=rollup,
-        monitoring_mode=monitoring_mode(fleet_config),
-        **_fleet_counters(fleet),
-        **_detection_counters(fleet),
-    )
+        return ServiceResult(
+            jobs_total=driver.dispatched,
+            jobs_served=driver.served,
+            feasible=driver.served == driver.dispatched,
+            total_travel=fleet.total_travel(),
+            total_service=fleet.total_service(),
+            omega=omega,
+            omega_star=omega_star,
+            capacity=provisioned,
+            theorem_capacity=theorem_capacity,
+            transport=fleet.transport_kind,
+            fleet_digest=fleet_digest(fleet),
+            windows=recorder.window_index,
+            checkpoints_written=progress["checkpoints"],
+            resumed=resumed,
+            interrupted=interrupted,
+            rollup=rollup,
+            monitoring_mode=monitoring_mode(fleet_config),
+            **_fleet_counters(fleet),
+            **_detection_counters(fleet),
+        )
 
 
 def resume_service(

@@ -741,7 +741,7 @@ class Fleet:
             vehicle = self.vehicles[identity] if identity is not None else None
         served = False
         if vehicle is not None and not vehicle.broken:
-            served = vehicle.serve_job(tuple(int(c) for c in position), energy)
+            served = vehicle.serve_job(position, energy)
         if not served:
             self.stats.jobs_unserved += 1
         if settle:
@@ -753,7 +753,7 @@ class Fleet:
         vehicle = self.responsible_vehicle(position)
         if vehicle is None or vehicle.broken:
             return False
-        served = vehicle.serve_job(tuple(int(c) for c in position), energy)
+        served = vehicle.serve_job(position, energy)
         if served:
             self.stats.jobs_unserved -= 1
         if settle:

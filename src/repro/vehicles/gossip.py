@@ -390,6 +390,18 @@ class GossipBlocks:
     def suspicions_of(self, vehicle: "VehicleProcess") -> Dict[Point, Dict[str, Any]]:
         return dict(self.suspicions.get(vehicle._index, {}))
 
+    def rows_in_use(self) -> List[int]:
+        """The rows holding any detector state: a heard round, a silence
+        report, a nonzero draw counter or an open suspicion."""
+        rows = len(self.counter)
+        used = (
+            self.first.any(axis=1)
+            | (self.reports.reshape(rows, -1) >= 0).any(axis=1)
+            | (self.counter != 0)
+        )
+        used[list(self.suspicions)] = True
+        return np.flatnonzero(used).tolist()
+
     def set_suspicions_of(self, vehicle: "VehicleProcess", suspicions) -> None:
         row = vehicle._index
         self.suspicions.pop(row, None)

@@ -21,13 +21,14 @@ write per vertex -- which dominated wall-clock once fleets approached
   vehicle a dense index in creation order (cube-sorted, vertices
   lexicographic -- exactly the historical order) and backs the hot
   per-vehicle quantities with contiguous arrays: home coordinates, pair
-  and cube ids, the live travel/service energy ledgers, the working
-  state, the current position, and the watch target.  The existing
-  id/object API (``fleet.vehicles[home]``, ``vehicle.travel_energy``)
-  stays intact as a thin view over these arrays, so the protocol code in
-  :mod:`repro.vehicles.vehicle` and :mod:`repro.vehicles.monitoring` runs
-  unmodified while fleet-level measurements (``max_energy_used``,
-  ``active_vehicle_count``, ...) become single vectorized reads.
+  and cube ids, the live travel/service energy ledgers and served
+  counts, the working state, the current position, and the watch
+  target.  The existing id/object API (``fleet.vehicles[home]``,
+  ``vehicle.travel_energy``) stays intact as a thin view over these
+  arrays, so the protocol code in :mod:`repro.vehicles.vehicle` and
+  :mod:`repro.vehicles.monitoring` runs unmodified while fleet-level
+  measurements (``max_energy_used``, ``active_vehicle_count``, ...)
+  become single vectorized reads.
 
 The live scalars are ``array('d')`` / ``array('b')`` typed arrays rather
 than numpy arrays on purpose: element reads return plain Python floats and
@@ -291,6 +292,8 @@ class FleetRegistry:
         # -- live state (typed arrays: plain-Python element reads) --
         self.travel = array("d")
         self.service = array("d")
+        #: jobs served per vehicle.
+        self.served = array("q")
         self.state = array("b")
         self.broken = array("b")
         #: watch target as a pair id (``-1`` = watching nothing).
@@ -380,12 +383,14 @@ class FleetRegistry:
         self.pair_keys.extend(all_pairs)
 
         # Bulk live-state allocation for the cubes' vehicles: zeroed energy
-        # ledgers, the templates' initial working states, empty watch slots.
+        # ledgers and served counts, the templates' initial working states,
+        # empty watch slots.
         # VehicleProcess then finds its slot pre-filled and skips the
         # per-vehicle append path entirely.
         zeros = bytes(8 * total)
         self.travel.frombytes(zeros)
         self.service.frombytes(zeros)
+        self.served.frombytes(zeros)
         self.state.frombytes(b"".join(state_chunks))
         self.broken.frombytes(bytes(total))
         # -1 in two's-complement int64 is all-ones bytes.

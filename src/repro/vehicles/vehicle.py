@@ -117,6 +117,13 @@ class VehicleProcess(Process):
     #: monitoring it would grow by one entry per heartbeat received.
     log_messages = False
 
+    #: The detector fields of a fleet that does not gossip, once assigned
+    #: (see :attr:`gossip_reports`); these class defaults let a checkpoint
+    #: read every vehicle's storage with one getter.
+    _inert_counter = 0
+    _inert_reports = None
+    _inert_suspicions = None
+
     def __init__(
         self,
         home: Point,
@@ -185,10 +192,6 @@ class VehicleProcess(Process):
         if monitored_pair is not None:
             self.monitored_pair = monitored_pair
 
-        # Energy ledger (lives in the registry's contiguous arrays; the
-        # attribute API below is a view).
-        self.jobs_served = 0
-
         # Phase I bookkeeping (Algorithm 2 local data: num / par / child / init).
         # (Assigned directly: the ``engaged_tag`` setter consults clock and
         # escalation attributes that do not exist yet.)
@@ -238,6 +241,15 @@ class VehicleProcess(Process):
     @travel_energy.setter
     def travel_energy(self, value: float) -> None:
         self._registry.travel[self._index] = value
+
+    @property
+    def jobs_served(self) -> int:
+        """Jobs served so far (registry-backed)."""
+        return self._registry.served[self._index]
+
+    @jobs_served.setter
+    def jobs_served(self, value: int) -> None:
+        self._registry.served[self._index] = value
 
     @property
     def service_energy(self) -> float:
@@ -458,8 +470,8 @@ class VehicleProcess(Process):
             return False
         travel[index] += walk
         service[index] += energy
+        registry.served[index] += 1
         self.position = position
-        self.jobs_served += 1
         if capacity is not None and (
             capacity - (travel[index] + service[index]) < self.done_threshold
         ):

@@ -237,7 +237,7 @@ def test_restore_checkpoint_rebuilds_the_captured_fleet(name):
     )
     driver.run()
     assert source.messages_sent() > 0
-    snapshot = json.loads(json.dumps(capture_checkpoint(config, driver)))
+    snapshot = json.loads(json.dumps(capture_checkpoint(config.to_json(), driver)))
 
     fresh, *_ = _provision(config, apply_dead=False)
     assert fleet_digest(fresh) != fleet_digest(source)
@@ -314,7 +314,7 @@ def test_every_vehicle_entry_key_round_trips():
     vehicle.pair_key = (0, 0)
     vehicle.status.transfer = TransferState.SEARCHING
     driver = StreamDriver(source, source_config, source.failure_plan, [])
-    snapshot = json.loads(json.dumps(capture_checkpoint(config, driver)))
+    snapshot = json.loads(json.dumps(capture_checkpoint(config.to_json(), driver)))
 
     entry = snapshot["fleet"]["vehicles"][str(index)]
     assert sorted(entry) == sorted(
