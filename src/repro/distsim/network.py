@@ -9,8 +9,10 @@ injection via :class:`~repro.distsim.failures.FailurePlan`); the *channel
 itself* -- delays, loss, corruption, FIFO scheduling on the simulation
 clock -- lives in a pluggable :class:`~repro.distsim.transport.Transport`:
 
-* each ``send`` first consults the failure plan (crashed endpoints,
-  partitions, drop rules), then hands the message to the transport, which
+* each ``send`` first passes one admission test -- nothing in the failure
+  plan (crashed endpoints, partitions, drop rules) can drop it and every
+  destination is registered -- or, failing it, consults the failure plan
+  per destination; then it hands the message to the transport, which
   schedules the delivery event;
 * on a fixed-delay channel (reliable or lossy) every send is a
   ``(sender, destinations, message)`` record, scheduled by
@@ -26,7 +28,7 @@ clock -- lives in a pluggable :class:`~repro.distsim.transport.Transport`:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import FailurePlan
@@ -74,11 +76,18 @@ class Network:
         if transport is None:
             transport = ReliableTransport(delay)
         self.transport = transport.bind(self.simulator)
+        #: Whether every send is a record for ``send_batch`` (the channel
+        #: has a :meth:`~repro.distsim.transport.Transport.deferred_latency`),
+        #: read once here: a transport's delay model is fixed for its run.
+        self._fixed_delay = self.transport.deferred_latency() is not None
         self.failure_plan = failure_plan if failure_plan is not None else FailurePlan()
         #: Registered processes by identity.  A shard worker registers only
         #: its own shard's vehicles, so a send that would cross shards
         #: raises :class:`UnknownDestination` -- no per-send check needed.
         self._processes: Dict[Hashable, Process] = {}
+        #: The keys of ``_processes`` as a set, for :meth:`_admits`'s
+        #: one-call registration test of a whole broadcast.
+        self._registered: Set[Hashable] = set()
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -95,15 +104,18 @@ class Network:
         if process.identity in self._processes:
             raise ValueError(f"duplicate process identity {process.identity!r}")
         self._processes[process.identity] = process
+        self._registered.add(process.identity)
         process.attach(self)
 
     def register_all(self, processes: Iterable[Process]) -> None:
         """Register many processes (one loop, no per-process call stack)."""
         registered = self._processes
+        identities = self._registered
         for process in processes:
             if process.identity in registered:
                 raise ValueError(f"duplicate process identity {process.identity!r}")
             registered[process.identity] = process
+            identities.add(process.identity)
             process.attach(self)
 
     def process(self, identity: Hashable) -> Process:
@@ -127,27 +139,58 @@ class Network:
     # messaging
     # ------------------------------------------------------------------ #
 
+    def _admits(self, sender: Hashable, targets: Sequence[Hashable]) -> bool:
+        """Whether ``sender``'s message to every one of ``targets`` is
+        accepted whole: the one admission test of :meth:`send` and
+        :meth:`send_many`.
+
+        True when nothing in the failure plan can drop it -- no drop
+        predicates, the sender and every target alive, no partition window
+        active at ``plan.clock`` -- and every target is registered.  The
+        crash and registration tests are one C-level set call each, and
+        the conditions short-circuit in order of cost.  A ``False`` sends
+        the message down the per-destination walk, which asks the plan
+        about each destination or raises :class:`UnknownDestination`.
+        """
+        plan = self.failure_plan
+        crashed = plan.crashed
+        return (
+            not plan.drop_predicates
+            and (not crashed or (sender not in crashed and crashed.isdisjoint(targets)))
+            and not (plan.partitions and plan.active_partitions())
+            and self._registered.issuperset(targets)
+        )
+
     def send(self, sender: Hashable, destination: Hashable, message: Any) -> None:
-        """Send a message; the transport schedules its delivery event."""
-        if destination not in self._processes:
-            raise UnknownDestination(destination)
-        self.messages_sent += 1
-        if self.failure_plan.should_drop(sender, destination, message):
-            self.messages_dropped += 1
-            return
-        if self.failure_plan.is_crashed(destination):
-            # Messages to crashed processes vanish; the sender is not told.
-            self.messages_dropped += 1
-            return
+        """Send a message; the transport schedules its delivery event.
+
+        A message :meth:`_admits` is counted and sent.  Any other raises
+        :class:`UnknownDestination` for an unregistered destination, and
+        otherwise asks the failure plan (``should_drop``, then
+        ``is_crashed``) whether to drop it.
+        """
+        targets = (destination,)
+        if self._admits(sender, targets):
+            self.messages_sent += 1
+        else:
+            if destination not in self._processes:
+                raise UnknownDestination(destination)
+            self.messages_sent += 1
+            plan = self.failure_plan
+            if plan.should_drop(sender, destination, message) or plan.is_crashed(destination):
+                # Dropped by the plan, or addressed to a crashed process
+                # (the sender is not told).
+                self.messages_dropped += 1
+                return
         if self._deferred is not None:
-            self._deferred.append((sender, [destination], message))
+            self._deferred.append((sender, targets, message))
             return
-        if self.transport.deferred_latency() is not None:
-            self._schedule([(sender, [destination], message)])
+        if self._fixed_delay:
+            self._schedule([(sender, targets, message)])
             return
 
         def _deliver(delivered: Any) -> None:
-            self._deliver(((sender, (destination,), delivered),))
+            self._deliver(((sender, targets, delivered),))
 
         if not self.transport.send(sender, destination, message, _deliver):
             self.messages_dropped += 1
@@ -165,54 +208,44 @@ class Network:
         per-edge-latency transports, whose draws and delays are per
         message -- it is a loop of :meth:`send`, byte-identically.
 
-        On the record path ``destinations`` is read once, into a list.  A
-        broadcast nothing can drop -- no drop predicates,
-        a live sender, no partition window active at ``plan.clock``, no
-        crashed destination (one ``isdisjoint`` with the crashed set) --
-        is accepted whole by set operations: one registration test per
-        destination in C, no Python loop.  Inside a shard worker that
-        includes a destination another shard owns: it was never
-        registered there, so it raises :class:`UnknownDestination` like
-        any other.  Any other broadcast walks its destinations, asking the
-        failure plan about each (``should_drop``, then ``is_crashed``)
-        only when the broadcast could be dropped, and otherwise dropping
-        just the crashed ones.  Either way the counters --
-        ``messages_sent``/``messages_dropped`` here, ``dropped_count`` and
-        ``partition_dropped_count`` on the plan -- are those of the
-        per-message loop, and an unknown destination leaves the accepted
-        prefix scheduled (or recorded) before it raises, as that loop
-        does.  Delivery is :meth:`_deliver`.
+        On the record path ``destinations`` is read exactly once: a tuple
+        is kept as it is (the record outlives this call, and a tuple
+        cannot change under it), anything else is read into a private
+        list (a caller may reuse its list).  A broadcast :meth:`_admits`
+        is accepted whole, with no Python loop.  Any other walks its
+        destinations: it asks the failure plan about each (``should_drop``,
+        then ``is_crashed``) when the broadcast could be dropped, and
+        otherwise drops just the crashed ones.  Inside a shard worker a
+        destination another shard owns was never registered there, so it
+        raises :class:`UnknownDestination` like any other.  Either way
+        the counters -- ``messages_sent``/``messages_dropped`` here,
+        ``dropped_count`` and ``partition_dropped_count`` on the plan --
+        are those of the per-message loop, and an unknown destination
+        leaves the accepted prefix scheduled (or recorded) before it
+        raises, as that loop does.  Delivery is :meth:`_deliver`.
         """
         deferred = self._deferred
-        if deferred is None and self.transport.deferred_latency() is None:
+        if deferred is None and not self._fixed_delay:
             for destination in destinations:
                 self.send(sender, destination, message)
             return
-        plan = self.failure_plan
-        processes = self._processes
-        crashed = plan.crashed
-        # A private copy: the record outlives this call, and the caller
-        # may reuse its list.
-        targets = list(destinations)
-        checked = (
-            bool(plan.drop_predicates)
-            or sender in crashed
-            or (
-                bool(plan.partitions)
-                and any(spec.active_at(plan.clock) for spec in plan.partitions)
-            )
-        )
-        survivors = []
+        targets = destinations if type(destinations) is tuple else list(destinations)
+        survivors: Sequence[Hashable] = ()
         sent = dropped = 0
         try:
-            if (
-                not checked
-                and (not crashed or crashed.isdisjoint(targets))
-                and all(map(processes.__contains__, targets))
-            ):
+            if self._admits(sender, targets):
                 survivors = targets
                 sent = len(targets)
             else:
+                plan = self.failure_plan
+                processes = self._processes
+                crashed = plan.crashed
+                checked = (
+                    bool(plan.drop_predicates)
+                    or sender in crashed
+                    or bool(plan.partitions and plan.active_partitions())
+                )
+                survivors = []
                 for destination in targets:
                     if destination not in processes:
                         raise UnknownDestination(destination)
@@ -221,9 +254,7 @@ class Network:
                         if plan.should_drop(sender, destination, message) or plan.is_crashed(
                             destination
                         ):
-                            # Dropped by the plan, or addressed to a crashed
-                            # process (the sender is not told) -- exactly
-                            # `send`'s two cases.
+                            # Exactly `send`'s two drop cases.
                             dropped += 1
                             continue
                     elif destination in crashed:
@@ -358,7 +389,7 @@ class Network:
         On any other transport, or when a scope is already open, this is a
         no-op.
         """
-        if self.transport.deferred_latency() is None or self._deferred is not None:
+        if not self._fixed_delay or self._deferred is not None:
             yield
             return
         simulator = self.simulator

@@ -339,19 +339,19 @@ def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
         entry = _vehicle_entry(vehicles[index], flat.pair_keys[flat.vehicle_pair[index]])
         if entry:
             entries[str(index)] = entry
-    # Tuples encode exactly like lists, so points and pairs go out as they
-    # are stored: copying ~10^5 of them into fresh lists changes no byte
-    # and only feeds the garbage collector.  The two shallow copies keep
-    # the snapshot apart from lists the fleet mutates in place.
+    # Tuples encode exactly like lists, so points, pairs and the cubes'
+    # member tuples go out as they are stored: copying ~10^5 of them into
+    # fresh lists changes no byte and only feeds the garbage collector.
+    # The shallow copy of ``positions`` keeps the snapshot apart from a
+    # list the fleet mutates in place; member tuples are only ever
+    # replaced, never mutated.
     return {
         **{key: getattr(flat, key).tolist() for key, _ in _FLAT_ARRAYS},
         **{key: getattr(fleet, attribute) for key, attribute in _FLEET_ROUNDS},
         "positions": list(flat.positions),
         "pair_live": pair_live,
         "registry": sorted(fleet.registry.items()),
-        "cube_members": [
-            (index, list(members)) for index, members in sorted(fleet._cube_members.items())
-        ],
+        "cube_members": sorted(fleet._cube_members.items()),
         "stats": dataclasses.asdict(fleet.stats),
         # The round never-heard pairs count as heard at; kept in the format
         # so a checkpoint written by a build with another rule is refused.
@@ -387,7 +387,7 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
     # every vehicle's cube and every cube's members.
     fleet._cube_members.clear()
     fleet._cube_members.update(
-        (tuple(index), _points_from_json(members))
+        (tuple(index), tuple(_points_from_json(members)))
         for index, members in payload["cube_members"]
     )
     entries = [

@@ -248,7 +248,7 @@ class Fleet:
         #: resident there.  Static after construction in intra-cube mode;
         #: escalated takeovers and adoptions keep it current as vehicles
         #: cross boundaries.
-        self._cube_members: Dict[Tuple[int, ...], List[Point]] = {}
+        self._cube_members: Dict[Tuple[int, ...], Tuple[Point, ...]] = {}
 
         self.stats = FleetStats()
         self._computation_round = 0
@@ -346,13 +346,13 @@ class Fleet:
         by_key: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
         for position, key in enumerate(keys):
             by_key.setdefault(key, []).append(position)
-        verts_of_cube: List[List[Point]] = [None] * len(indices)  # type: ignore[list-item]
+        verts_of_cube: List[Tuple[Point, ...]] = [None] * len(indices)  # type: ignore[list-item]
         coords_of_cube: List[np.ndarray] = [None] * len(indices)  # type: ignore[list-item]
         for key, positions in by_key.items():
             template = pairing_template(*key)
             k = template.size
             block = template.rel[None, :, :] + los[positions, None, :]
-            flat = list(map(tuple, block.reshape(-1, self.dim).tolist()))
+            flat = tuple(map(tuple, block.reshape(-1, self.dim).tolist()))
             coords = block.reshape(-1, self.dim)
             for j, position in enumerate(positions):
                 verts_of_cube[position] = flat[j * k : (j + 1) * k]
@@ -383,7 +383,7 @@ class Fleet:
                 lo_tuples[position], hi_tuples[position], verts=verts
             )
             self.colorings[index] = coloring
-            self._cube_members[index] = list(verts)
+            self._cube_members[index] = verts
             base, pair_keys = cube_bases[position]
             whites = [
                 verts[w] if w >= 0 else None for w in template.pair_white_list
@@ -489,18 +489,19 @@ class Fleet:
         else:
             self.stats.refused_attestations += 1
 
-    def cube_members(self, index: Tuple[int, ...]) -> List[Point]:
+    def cube_members(self, index: Tuple[int, ...]) -> Tuple[Point, ...]:
         """Sorted identities resident in cube ``index``: the gossip peer
         pool of every vehicle living there.
 
-        One shared list per cube, not a copy -- rehoming and adoption keep
-        it current in place, so callers must not mutate it.  Broken
-        vehicles stay in it (their radios still receive; handlers guard),
-        so peer selection is a pure function of residency: identical at
-        any worker or shard count (shards own whole cubes) and across
-        checkpoint restores.
+        One shared tuple per cube, not a copy.  Reassignment-only contract,
+        as for ``cube_peers``: rehoming, adoption and a released adoption
+        *replace* the cube's tuple, so a checkpoint can hold it uncopied.
+        Broken vehicles stay in it (their radios still receive; handlers
+        guard), so peer selection is a pure function of residency:
+        identical at any worker or shard count (shards own whole cubes)
+        and across checkpoint restores.
         """
-        return self._cube_members.get(index, [])
+        return self._cube_members.get(index, ())
 
     def gossip_blocks(self) -> GossipBlocks:
         """The gossip detector's blocks, allocated on first use."""
@@ -615,9 +616,7 @@ class Fleet:
             # and gossip runs never rehome (gossip rejects escalation).
             raise RuntimeError("a vehicle cannot change cube once the gossip blocks exist")
         new_index = self._pair_cube[pair_key]
-        old_members = self._cube_members.get(vehicle.cube_index)
-        if old_members is not None and vehicle.identity in old_members:
-            old_members.remove(vehicle.identity)
+        self._remove_member(vehicle.cube_index, vehicle.identity)
         self._insert_member(new_index, vehicle.identity)
         vehicle.cube_index = new_index
         coloring = self.colorings[new_index]
@@ -629,7 +628,7 @@ class Fleet:
             if vertex != vehicle.identity
             and manhattan(vertex, vehicle.position) <= self.config.neighbor_radius
         ]
-        vehicle.cube_peers = [v for v in vertices if v != vehicle.identity]
+        vehicle.cube_peers = tuple(v for v in vertices if v != vehicle.identity)
 
     def on_adoption(self, identity: Point, pair_key: Point) -> None:
         """An active vehicle adopted a far pair: it now *also* resides in
@@ -659,15 +658,20 @@ class Fleet:
             return
         if any(self._pair_cube.get(p) == index for p in vehicle.adopted_pairs):
             return
-        members = self._cube_members.get(index)
-        if members is not None and identity in members:
-            members.remove(identity)
+        self._remove_member(index, identity)
 
     def _insert_member(self, index: Tuple[int, ...], identity: Point) -> None:
-        members = self._cube_members.setdefault(index, [])
+        """Add ``identity`` to cube ``index``'s sorted members (a new tuple)."""
+        members = self._cube_members.get(index, ())
         position = bisect.bisect_left(members, identity)
         if position >= len(members) or members[position] != identity:
-            members.insert(position, identity)
+            self._cube_members[index] = members[:position] + (identity,) + members[position:]
+
+    def _remove_member(self, index: Tuple[int, ...], identity: Point) -> None:
+        """Take ``identity`` out of cube ``index``'s members (a new tuple)."""
+        members = self._cube_members.get(index)
+        if members is not None and identity in members:
+            self._cube_members[index] = tuple(m for m in members if m != identity)
 
     # ------------------------------------------------------------------ #
     # job routing
@@ -876,7 +880,7 @@ class Fleet:
             if flag:
                 vehicle.heartbeat(round_id, miss)
                 continue
-            peers = vehicle.cube_peers
+            peers = vehicle._cube_peers
             if peers:
                 identity = vehicle.identity
                 send_many(identity, peers, ExistingMessage(identity, vehicle.pair_key, round_id))

@@ -334,7 +334,7 @@ class FleetRegistry:
 
     def add_cubes(
         self,
-        entries: List[Tuple[Tuple[int, ...], PairingTemplate, List[Point], np.ndarray]],
+        entries: List[Tuple[Tuple[int, ...], PairingTemplate, Sequence[Point], np.ndarray]],
     ) -> List[Tuple[int, List[Point]]]:
         """Register many cubes at once; returns one (base, pair keys) per entry.
 

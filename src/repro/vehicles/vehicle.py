@@ -48,7 +48,7 @@ the per-vehicle maxima the experiments report.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.distsim.process import Process
 from repro.grid.coloring import Coloring
@@ -134,7 +134,7 @@ class VehicleProcess(Process):
         capacity: Optional[float],
         neighbors: List[Point],
         fleet: "Fleet",
-        cube_peers: List[Point],
+        cube_peers: Sequence[Point],
         index: int,
         pair_key: Optional[Point],
         monitored_pair: Optional[Point],
@@ -152,18 +152,19 @@ class VehicleProcess(Process):
         self.cube_index = cube_index
         self.coloring = coloring
         self.capacity = capacity
-        #: The constructor takes ownership of ``neighbors``/``cube_peers``
-        #: (the batch constructor builds a fresh list per vehicle; copying
-        #: them again was pure overhead at 10^4-vehicle scale).
+        #: The constructor takes ownership of ``neighbors`` (the batch
+        #: constructor builds a fresh list per vehicle; copying it again
+        #: was pure overhead at 10^4-vehicle scale).
         self.neighbors = neighbors if type(neighbors) is list else list(neighbors)
         #: All other vehicles of the same cube.  Heartbeats and activation
         #: notices are broadcast cube-wide (communication is free in the
         #: thesis's model and a cube has constant diameter in omega), while
         #: the Phase I diffusing computation only uses the constant-radius
         #: ``neighbors`` graph, as in Algorithm 2.
-        self.cube_peers = cube_peers if type(cube_peers) is list else list(cube_peers)
+        self.cube_peers = cube_peers
         # (The assignment above runs the ``cube_peers`` property setter,
-        # which mirrors the has-peers flag into the registry.)
+        # which stores a tuple and mirrors the has-peers flag into the
+        # registry.)
         self.fleet = fleet
         self.done_threshold = done_threshold
         #: Scenario 3: a broken ("dead") vehicle can no longer move, serve or
@@ -364,20 +365,22 @@ class VehicleProcess(Process):
         )
 
     @property
-    def cube_peers(self) -> List[Point]:
+    def cube_peers(self) -> Tuple[Point, ...]:
         """All other vehicles of the same cube (broadcast audience).
 
-        The setter mirrors a has-peers flag into the registry so the plain
-        heartbeat round can drop peerless senders without touching the
-        object.  Reassignment-only contract: every residency change
-        (construction, rehoming, checkpoint restore) *replaces* the list;
-        nothing mutates it in place.
+        Always a tuple: the setter converts any other sequence, so every
+        residency change (construction, rehoming, checkpoint restore)
+        *replaces* it and nothing can mutate it in place.  A broadcast to
+        it is therefore scheduled without a copy of the audience (see
+        :meth:`~repro.distsim.network.Network.send_many`).  The setter also
+        mirrors a has-peers flag into the registry so the plain heartbeat
+        round can drop peerless senders without touching the object.
         """
         return self._cube_peers
 
     @cube_peers.setter
-    def cube_peers(self, value: List[Point]) -> None:
-        self._cube_peers = value
+    def cube_peers(self, value: Sequence[Point]) -> None:
+        self._cube_peers = value if type(value) is tuple else tuple(value)
         self._registry.peers[self._index] = 1 if value else 0
 
     @property
@@ -548,8 +551,15 @@ class VehicleProcess(Process):
                 # Gossip mode: the blocks' one-entry freshness merge, which
                 # also retires silence reports and suspicions.
                 self.fleet.detector.note_heard(self, message.pair_key, message.round_id)
-            elif message.round_id > self._heard.get(message.pair_key, -1):
-                self._set_heard(message.pair_key, message.round_id)
+            else:
+                # Ring mode: ``_set_heard``, inline.
+                pair_key = message.pair_key
+                round_id = message.round_id
+                heard = self._heard
+                if round_id > heard.get(pair_key, -1):
+                    heard[pair_key] = round_id
+                    if pair_key == self._monitored_pair:
+                        self._registry.watch_heard[self._index] = round_id
         elif type(message) is GossipDigest:
             if not self.broken:
                 self.fleet.detector.merge_digest(self, message.heard, message.silent)
@@ -937,7 +947,9 @@ class VehicleProcess(Process):
 
     def _set_heard(self, pair_key: Point, heard: int) -> None:
         """Record ``pair_key`` as last heard at round ``heard``, mirrored
-        into the registry's watch-heard array when it is the watch target."""
+        into the registry's watch-heard array when it is the watch target.
+        (A ring-mode heartbeat runs the same steps inline in
+        :meth:`on_message`.)"""
         if self._gossip:
             self.fleet.gossip_blocks().store(self, pair_key, heard)
         else:

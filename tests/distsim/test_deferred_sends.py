@@ -12,6 +12,8 @@ per-edge counters).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ import repro.distsim.transport as transport_module
 from repro.api.service import ServiceConfig
 from repro.core.online import run_online
 from repro.distsim.engine import Simulator
-from repro.distsim.failures import ChurnSpec, FailurePlan
+from repro.distsim.failures import ChurnSpec, FailurePlan, PartitionSpec
 from repro.distsim.network import Network, UnknownDestination
 from repro.distsim.process import Process
 from repro.distsim.transport import (
@@ -590,6 +592,149 @@ class TestSendManyEqualsSendLoopProperty:
         # second (0, 1), (1, 2) and (1, 0) were never reached.
         assert state["network"] == (6, 2, 1)
         assert state["events"][0] == 3
+
+
+#: How a caller may hand ``send_many`` its destinations.
+_SHAPES = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda targets: (target for target in targets),
+}
+_ADMISSION_BROADCASTS = [
+    ((0, 0), [(0, 1), (1, 1), (2, 2)], "a"),
+    ((1, 0), [(0, 0), (1, 1), (2, 0), (2, 1)], "b"),
+    ((2, 2), [(0, 2), (1, 2)], "c"),
+]
+#: One failure-plan state per way a broadcast can fail ``Network._admits``
+#: (plus two that pass it), and the broadcasts each sends.
+_ADMISSION_CASES = {
+    "admitted": (lambda plan: None, _ADMISSION_BROADCASTS),
+    "crashed sender": (lambda plan: plan.crash((0, 0)), _ADMISSION_BROADCASTS),
+    "crashed destination": (lambda plan: plan.crash((1, 1)), _ADMISSION_BROADCASTS),
+    "crash elsewhere": (lambda plan: plan.crash((1, 2)), _ADMISSION_BROADCASTS[:2]),
+    "active partition": (
+        lambda plan: plan.add_partition(PartitionSpec(start=0.0, end=10.0, axis=0, boundary=0.5)),
+        _ADMISSION_BROADCASTS,
+    ),
+    "future partition": (
+        lambda plan: plan.add_partition(PartitionSpec(start=5.0, end=10.0, axis=0, boundary=0.5)),
+        _ADMISSION_BROADCASTS,
+    ),
+    "drop rule": (
+        lambda plan: plan.add_drop_rule(lambda s, d, m: d == (2, 0)),
+        _ADMISSION_BROADCASTS,
+    ),
+    # A destination this network never registered: in a shard worker,
+    # a vehicle another shard owns.
+    "unregistered destination": (
+        lambda plan: None,
+        _ADMISSION_BROADCASTS[:1] + [((1, 0), [(0, 1), (9, 9), (2, 0)], "x")],
+    ),
+}
+
+
+def _admission_run(transport, case, *, shape, inside):
+    """Send ``case``'s broadcasts: ``send_many`` with destinations of
+    ``shape``, or (``shape=None``) the per-message ``send`` loop."""
+    setup, broadcasts = _ADMISSION_CASES[case]
+    net, _, log = _network(transport)
+    plan = net.failure_plan
+    setup(plan)
+    with net.deferred_sends() if inside else nullcontext():
+        for sender, targets, message in broadcasts:
+            try:
+                if shape is None:
+                    for target in targets:
+                        net.send(sender, target, message)
+                else:
+                    net.send_many(sender, _SHAPES[shape](targets), message)
+            except UnknownDestination as error:
+                log.append(("unknown", message, error.destination))
+    net.run_until_quiescent()
+    state = _state_of(net, log)
+    state["plan"] = (plan.dropped_count, plan.partition_dropped_count)
+    return state
+
+
+class TestSendManyAdmission:
+    """``send_many``'s one admission test, and the walk for what fails it."""
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["batched", "deferred"])
+    @pytest.mark.parametrize("kind", ["reliable", "lossy"])
+    @pytest.mark.parametrize("case", sorted(_ADMISSION_CASES))
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_every_shape_equals_the_send_loop(self, shape, case, kind, inside):
+        broadcast = _admission_run(_channel(kind, 0.1, per_message=False), case, shape=shape, inside=inside)
+        loop = _admission_run(_channel(kind, 0.1, per_message=False), case, shape=None, inside=inside)
+        assert broadcast == loop
+        assert broadcast["network"][0] > 0
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize(
+        "case, network, plan",
+        [
+            ("admitted", (9, 9, 0), (0, 0)),
+            # The crashed sender's three sends are plan drops; the send to
+            # it is a crashed-destination drop.
+            ("crashed sender", (9, 5, 4), (3, 0)),
+            ("crashed destination", (9, 7, 2), (0, 0)),
+            ("crash elsewhere", (7, 7, 0), (0, 0)),
+            ("active partition", (9, 5, 4), (4, 4)),
+            ("future partition", (9, 9, 0), (0, 0)),
+            ("drop rule", (9, 8, 1), (1, 0)),
+            ("unregistered destination", (4, 4, 0), (0, 0)),
+        ],
+    )
+    def test_counters_of_every_case(self, shape, case, network, plan):
+        # Pinned by hand, not against the ``send`` loop, which shares the
+        # admission test.
+        state = _admission_run(ReliableTransport(0.1), case, shape=shape, inside=False)
+        assert state["network"] == network
+        assert state["plan"] == plan
+
+    def test_a_generator_reaches_the_walk_intact(self):
+        # The admission test must not read a one-shot iterator: a
+        # broadcast that fails it walks every destination it was given.
+        net, _, log = _network(ReliableTransport(0.1))
+        net.failure_plan.crash((1, 1))
+        net.send_many((0, 0), (t for t in [(0, 1), (1, 1), (2, 2)]), "m")
+        net.run_until_quiescent()
+        assert (net.messages_sent, net.messages_delivered, net.messages_dropped) == (3, 2, 1)
+        assert [entry[2] for entry in log] == [(0, 1), (2, 2)]
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["batched", "deferred"])
+    def test_a_reused_caller_list_leaves_the_record_alone(self, inside):
+        net, _, log = _network(ReliableTransport(0.1))
+        targets = [(0, 1), (0, 2)]
+        with net.deferred_sends() if inside else nullcontext():
+            net.send_many((0, 0), targets, "a")
+            targets[:] = [(2, 2)]
+            net.send_many((1, 1), targets, "b")
+            targets.append((2, 1))
+        net.run_until_quiescent()
+        assert [entry[1:] for entry in log] == [
+            ((0, 0), (0, 1), "a"),
+            ((0, 0), (0, 2), "a"),
+            ((1, 1), (2, 2), "b"),
+        ]
+
+    def test_a_tuple_audience_is_scheduled_uncopied(self):
+        net, _, _ = _network(ReliableTransport(0.1))
+        peers = ((0, 1), (0, 2))
+        with net.deferred_sends():
+            net.send_many((0, 0), peers, "a")
+            ((_, recorded, _),) = net._deferred
+            assert recorded is peers
+        net.send_many((1, 1), peers, "b")
+        (_, second) = net.simulator.queue._buckets[0.1]
+        ((_, scheduled, _),) = second.action.args[0]
+        assert scheduled is peers
+        # A list is copied: the record outlives the caller's list.
+        listed = list(peers)
+        with net.deferred_sends():
+            net.send_many((0, 0), listed, "c")
+            ((_, recorded, _),) = net._deferred
+            assert recorded == listed and recorded is not listed
 
 
 def _rounds(transport, *, budget=None, rounds=4):

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.service import ServiceConfig
 from repro.core.demand import DemandMap, JobSequence
 from repro.core.online import provision_fleet, run_online
 from repro.core.stream import StreamDriver
+from repro.distsim.failures import ChurnSpec
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.grid.coloring import Coloring
 from repro.grid.lattice import Box
+from repro.service import resume_service, run_service
 from repro.vehicles.fleet import Fleet, FleetConfig
 from repro.vehicles.monitoring import (
     HEARD_AT_START,
@@ -293,3 +296,131 @@ class TestRingDetectorPin:
             "93aa201fb13e9dca94da0074175d79496a92e472e51a271f17235fec763be561"
         )
         assert state == "963c70e1e30fcdba30b34db95a6d22a7e25f5e665c67a5e4e4385554e21e9abb"
+
+
+def _assert_watch_mirror(fleet):
+    """Every watching vehicle's watch-heard mirror equals its ring
+    ``_heard`` entry, and every broadcast audience is a tuple."""
+    watch_heard = fleet.flat.watch_heard
+    for vehicle in fleet.vehicles.values():
+        assert type(vehicle.cube_peers) is tuple
+        watched = vehicle.monitored_pair
+        if watched is not None:
+            assert watch_heard[vehicle.index] == vehicle._heard.get(watched, WATCH_NEVER)
+    assert all(type(members) is tuple for members in fleet._cube_members.values())
+
+
+class TestWatchHeardMirror:
+    """The ring branch of ``VehicleProcess.on_message`` updates
+    ``_heard`` and the registry's watch-heard mirror inline; the mirror
+    must read what ``_set_heard`` would have left, before and after every
+    heartbeat round, through takeovers, adoptions, hand-backs, rehomings
+    and a checkpoint restore."""
+
+    @staticmethod
+    def _checked_rounds(monkeypatch):
+        fleets = []
+        original = Fleet.run_heartbeat_round
+
+        def checking(fleet, **kwargs):
+            _assert_watch_mirror(fleet)
+            original(fleet, **kwargs)
+            _assert_watch_mirror(fleet)
+            fleets.append(fleet)
+
+        monkeypatch.setattr(Fleet, "run_heartbeat_round", checking)
+        return fleets
+
+    @staticmethod
+    def _rehomings(monkeypatch):
+        rehomed = []
+        original = Fleet.rehome_vehicle
+
+        def recording(fleet, vehicle, pair_key):
+            original(fleet, vehicle, pair_key)
+            assert type(vehicle.cube_peers) is tuple
+            rehomed.append(vehicle.identity)
+
+        monkeypatch.setattr(Fleet, "rehome_vehicle", recording)
+        return rehomed
+
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            TransportSpec("reliable", {"delay": 0.02}),
+            TransportSpec("lossy", {"loss": 0.05, "delay": 0.02, "seed": 3}),
+        ],
+        ids=["reliable", "lossy"],
+    )
+    def test_ring_run_with_takeovers(self, transport, monkeypatch):
+        # perfbench's crash pattern at side 9: six of the first cube's nine
+        # vehicles, two of the middle cube's and two of the last cube's die.
+        def cube(cx, cy):
+            return [(x, y) for x in range(3 * cx, 3 * cx + 3) for y in range(3 * cy, 3 * cy + 3)]
+
+        fleets = self._checked_rounds(monkeypatch)
+        demand = build_family_demand("scale-up", {"side": 9, "per_point": 1.0})
+        result = run_online(
+            random_arrivals(demand, np.random.default_rng(0)),
+            omega=3.0,
+            capacity="theorem",
+            config=FleetConfig(monitoring="ring"),
+            dead_vehicles=cube(0, 0)[:6] + cube(1, 1)[:2] + cube(2, 2)[:2],
+            recovery_rounds=2,
+            transport=build_transport(transport),
+        )
+        assert result.replacements > 0
+        assert len(fleets) == result.heartbeat_rounds
+
+    def test_hand_back_churn_run(self, monkeypatch):
+        fleets = self._checked_rounds(monkeypatch)
+        demand = DemandMap({(3 * x, 3 * y): 2.0 for x in range(3) for y in range(3)})
+        jobs = JobSequence.from_positions(sorted(demand.support()) * 2)
+        fleet, fleet_config, _, _ = provision_fleet(
+            demand,
+            omega=1.0,
+            capacity=24.0,
+            config=FleetConfig(monitoring="ring", escalation=True, hand_back=True),
+            dead_vehicles=[(0, 0)],
+        )
+        _assert_watch_mirror(fleet)
+        StreamDriver(
+            fleet,
+            fleet_config,
+            fleet.failure_plan,
+            jobs,
+            recovery_rounds=6,
+            churn=(ChurnSpec(time=12.5, vertex=(0, 0), action="join"),),
+        ).run()
+        assert fleet.stats.adoptions == 1 and fleet.stats.hand_backs == 1
+        assert fleets and all(checked is fleet for checked in fleets)
+
+    def test_rehoming_run_and_checkpoint_restore(self, tmp_path, monkeypatch):
+        # Idle vehicles of the second cube migrate into the first (an
+        # escalated takeover rehomes them) before the fourth checkpoint.
+        rehomed = self._rehomings(monkeypatch)
+        fleets = self._checked_rounds(monkeypatch)
+        demand = DemandMap({(0, 0): 4.0, (4, 0): 1.0})
+        jobs = list(JobSequence.from_positions([(0, 0)] * 4 + [(4, 0)] * 4).jobs)
+        config = ServiceConfig.from_demand(
+            demand,
+            omega=2.0,
+            capacity=5.0,
+            fleet=FleetConfig(monitoring="ring", escalation=True),
+            dead_vehicles=((0, 1), (1, 0), (1, 1)),
+            recovery_rounds=6,
+            window_jobs=1,
+            checkpoint_every=1,
+        )
+        full = run_service(config, jobs)
+        assert len(rehomed) == 2
+        snapshot = tmp_path / "snap.json"
+        run_service(config, jobs, checkpoint_path=str(snapshot), stop_after_checkpoints=4)
+        assert len(rehomed) == 4  # both rehomings precede the snapshot
+        resumed_from = len(fleets)
+        resumed = resume_service(str(snapshot), jobs)
+        restored = fleets[resumed_from]
+        assert {restored.vehicles[identity].cube_index for identity in rehomed[2:]} == {
+            restored.cube_grid.cube_index((0, 0))
+        }
+        assert resumed.fleet_digest == full.fleet_digest

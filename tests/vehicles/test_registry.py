@@ -138,7 +138,7 @@ class TestFleetRegistry:
         # cube slices cover the construction-time membership
         for cube_index, cube_id in flat.cube_id_of.items():
             start, stop = flat.cube_slices[cube_id]
-            assert flat.identities[start:stop] == fleet._cube_members[cube_index]
+            assert tuple(flat.identities[start:stop]) == fleet._cube_members[cube_index]
 
     def test_position_lookup_matches_pair_key_of(self):
         fleet = _fleet([(0, 0), (5, 5), (2, 7)])
