@@ -60,8 +60,8 @@ from repro.io.serialize import load_json
 from repro.service.metrics import LatencyDigest
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.monitoring import HEARD_AT_START
-from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.vehicles.state import TransferState, WorkingState
+from repro.vehicles.vehicle import VehicleProcess
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -230,24 +230,14 @@ _VEHICLE_FIELDS = (
 )
 _VEHICLE_VALUES = attrgetter(*(attribute for _, attribute, _, _ in _VEHICLE_FIELDS))
 _VEHICLE_DECODE = {key: (attribute, decode) for key, attribute, _, decode in _VEHICLE_FIELDS}
-#: The plain attribute that holds a property-backed field outside the
-#: registry and the gossip blocks: ring-mode ``last_heard``, and the
-#: detector fields of a fleet that does not gossip.
-_VEHICLE_STORAGE = {
-    "last_heard": "_heard",
-    "_gossip_counter": "_inert_counter",
-    "gossip_reports": "_inert_reports",
-    "pending_suspicions": "_inert_suspicions",
-}
-#: Every ``_VEHICLE_FIELDS`` value but ``jobs_served`` (the registry's
-#: ``served`` column) and a gossiping fleet's detector fields (rows of its
-#: blocks), read without a property: a vehicle whose values here are all
-#: falsy has no table field to write but its served count.
+#: The ``_VEHICLE_FIELDS`` values held in plain attributes, not in the
+#: registry or the detector blocks: a vehicle whose values here are all
+#: falsy, and whose detector row is empty, writes only its served count.
 _VEHICLE_STORED_VALUES = attrgetter(
     *(
-        _VEHICLE_STORAGE.get(attribute, attribute)
+        attribute
         for _, attribute, _, _ in _VEHICLE_FIELDS
-        if attribute != "jobs_served"
+        if not isinstance(getattr(VehicleProcess, attribute, None), property)
     )
 )
 
@@ -309,7 +299,7 @@ def _touched(fleet: Fleet, vehicles, pair_live: List[int]) -> Set[int]:
 
     A vehicle is in the set when a plain protocol field is truthy, its
     transfer state is not ``WAITING``, it answers for a pair other than the
-    one it was built for, or its gossip block row holds any state -- a
+    one it was built for, or its detector block row holds any state -- a
     superset of the vehicles :func:`_vehicle_entry` writes more for.
     """
     touched = set(compress(count(), map(any, map(_VEHICLE_STORED_VALUES, vehicles))))
@@ -383,7 +373,7 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
         getattr(flat, key)[:] = array(typecode, payload[key])
     flat.positions[:] = _points_from_json(payload["positions"])
 
-    # Residency first: the gossip blocks a detector field allocates read
+    # Residency first: the detector blocks a detector field allocates read
     # every vehicle's cube and every cube's members.
     fleet._cube_members.clear()
     fleet._cube_members.update(
@@ -412,9 +402,9 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
     # The array-derived fields are written directly: the status dataclass
     # validates *transitions*, not states, and the registry arrays are
     # already restored (the observer that mirrors them must not fire
-    # twice).  The engaged set and the watch-heard mirror are not
-    # serialized (the format predates them); both are pure functions of the
-    # restored per-vehicle state, so they are rebuilt here.
+    # twice); the watch goes through its setter, for the detector blocks.
+    # The engaged set is not serialized (the format predates it); it is a
+    # pure function of the restored per-vehicle state, rebuilt here.
     pair_live = payload["pair_live"]
     flat.engaged.clear()
     for index, identity in enumerate(flat.identities):
@@ -422,8 +412,9 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
         vehicle.status.working = _WORKING_BY_CODE[flat.state[index]]
         vehicle.broken = bool(flat.broken[index])
         vehicle.pair_key = flat.pair_keys[pair_live[index]] if pair_live[index] >= 0 else None
-        monitored = flat.pair_keys[flat.watch[index]] if flat.watch[index] >= 0 else None
-        vehicle._monitored_pair = monitored
+        vehicle.monitored_pair = (
+            flat.pair_keys[flat.watch[index]] if flat.watch[index] >= 0 else None
+        )
         if (
             vehicle._engaged_tag is not None
             or vehicle.escalations
@@ -431,11 +422,6 @@ def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
             or vehicle._engaged_tag_seen is not None
         ):
             flat.engaged.add(index)
-        flat.watch_heard[index] = (
-            WATCH_NONE
-            if monitored is None
-            else vehicle.last_heard.get(monitored, WATCH_NEVER)
-        )
 
     fleet.registry.clear()
     fleet.registry.update(

@@ -34,18 +34,12 @@ from repro.distsim.transport import Transport
 from repro.grid.coloring import Coloring
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Box, Point, manhattan
-from repro.vehicles.gossip import GossipBlocks
+from repro.vehicles.gossip import DetectorBlocks
 from repro.vehicles.messages import ExistingMessage
-from repro.vehicles.monitoring import (
-    HEARD_AT_START,
-    hierarchical_watch_ring,
-    is_stale,
-    watch_ring_inverse,
-)
+from repro.vehicles.monitoring import hierarchical_watch_ring, watch_ring_inverse
 from repro.vehicles.registry import (
     FleetRegistry,
     STATE_ACTIVE,
-    WATCH_NEVER,
     adjacency_template,
     coloring_for_cube,
     pairing_template,
@@ -268,10 +262,10 @@ class Fleet:
         #: Dense-index -> vehicle list backing the registry-native round
         #: path (built on first use).
         self._by_index_cache: Optional[List[VehicleProcess]] = None
-        #: The gossip detector's per-cube blocks, allocated by the first
-        #: gossip round or detector write (:meth:`gossip_blocks`); ``None``
-        #: in a fleet that never gossips.
-        self.detector: Optional[GossipBlocks] = None
+        #: The failure detector's per-cube blocks (ring and gossip alike),
+        #: allocated by the first heartbeat round or detector write
+        #: (:meth:`detector_blocks`); ``None`` until then.
+        self.detector: Optional[DetectorBlocks] = None
 
         self._build_vehicles()
 
@@ -503,10 +497,10 @@ class Fleet:
         """
         return self._cube_members.get(index, ())
 
-    def gossip_blocks(self) -> GossipBlocks:
-        """The gossip detector's blocks, allocated on first use."""
+    def detector_blocks(self) -> DetectorBlocks:
+        """The failure detector's blocks, allocated on first use."""
         if self.detector is None:
-            self.detector = GossipBlocks(self)
+            self.detector = DetectorBlocks(self)
         return self.detector
 
     def record_escalation_started(self, tag) -> None:
@@ -611,10 +605,6 @@ class Fleet:
         later Phase I floods would query its *old* cube's vehicles (an
         intra-cube query crossing a boundary) and miss idle peers standing
         right next to it."""
-        if self.detector is not None:
-            # The gossip blocks are laid out from residency at allocation,
-            # and gossip runs never rehome (gossip rejects escalation).
-            raise RuntimeError("a vehicle cannot change cube once the gossip blocks exist")
         new_index = self._pair_cube[pair_key]
         self._remove_member(vehicle.cube_index, vehicle.identity)
         self._insert_member(new_index, vehicle.identity)
@@ -629,6 +619,8 @@ class Fleet:
             and manhattan(vertex, vehicle.position) <= self.config.neighbor_radius
         ]
         vehicle.cube_peers = tuple(v for v in vertices if v != vehicle.identity)
+        if self.detector is not None:
+            self.detector.rehome(vehicle)
 
     def on_adoption(self, identity: Point, pair_key: Point) -> None:
         """An active vehicle adopted a far pair: it now *also* resides in
@@ -824,6 +816,7 @@ class Fleet:
         senders = np.nonzero(
             (flat.state_view() == STATE_ACTIVE) & (flat.broken_view() == 0)
         )[0]
+        blocks = self.detector_blocks()  # before any heartbeat is delivered
         if self.config.escalation:
             # Escalation-mode heartbeats carry adopted pairs and ring watch
             # duties; their per-vehicle state does not vectorize, so every
@@ -837,9 +830,7 @@ class Fleet:
             # still musters enough independent reporters and co-signers.
             # The round is block reads of the detector state of every
             # ticking vehicle; each vehicle only makes its sends.
-            self.gossip_blocks().run_round(
-                round_id, miss, np.nonzero(flat.broken_view() == 0)[0]
-            )
+            blocks.run_round(round_id, miss, np.nonzero(flat.broken_view() == 0)[0])
         else:
             self._plain_heartbeats(senders, round_id, miss, by_index)
 
@@ -852,20 +843,18 @@ class Fleet:
     ) -> None:
         """Cube-local heartbeats with the miss check precomputed in bulk.
 
-        The watched-pair expiry test is a vectorized read of the registry's
-        watch-heard mirror; only vehicles whose watch *may* fire (or whose
-        mirror says so conservatively -- e.g. a vehicle watching its own
-        pair) take the full per-object ``heartbeat`` path, which re-checks
-        everything against authoritative state.  The rest emit exactly the
+        The watched-pair expiry test is one gather of the senders' watched
+        cells in the detector blocks
+        (:meth:`~repro.vehicles.gossip.DetectorBlocks.watch_stale`); only
+        vehicles whose watch fires take the full per-object ``heartbeat``
+        path.  The rest emit exactly the
         broadcast the full path would have sent -- same message, same
         sequence position -- and nothing else, handed straight to
         :meth:`~repro.distsim.network.Network.send_many` (one network
         call per broadcast).
         """
         flat = self.flat
-        heard = flat.watch_heard_view()[senders]
-        last = np.where(heard == WATCH_NEVER, HEARD_AT_START, heard)
-        flagged = is_stale(round_id, last, miss)
+        flagged = self.detector_blocks().watch_stale(senders, round_id, miss)
         # An unflagged sender with no cube peers does nothing at all in the
         # loop below; dropping those up front makes a fully quiescent round
         # (singleton cubes, nothing watched) two vectorized reads instead

@@ -1,4 +1,4 @@
-"""Gossip monitoring: deterministic peer draws and the detector's blocks.
+"""Gossip monitoring's deterministic peer draws, and the detector blocks.
 
 The gossip failure detector (``FleetConfig.monitoring = "gossip"``)
 replaces the single-watcher timer of the Section 3.2.5 monitoring ring
@@ -35,9 +35,9 @@ ticking vehicle, every slot -- as one array expression, and
 (:meth:`~repro.vehicles.fleet.Fleet.cube_members`) as one more.  Shards
 own whole cubes, so gossip runs shard like ring runs.
 
-**The blocks.**  All detector state is cube-scoped, so it lives in
-:class:`GossipBlocks`, one array row per vehicle (its dense index) and,
-within a row, one column per pair of the vehicle's cube:
+**The blocks.**  Both detectors' state lives in :class:`DetectorBlocks`,
+one array row per vehicle (its dense index) and, within a row, one column
+per pair of the vehicle's cube:
 
 * ``heard`` -- int32, rows x pair columns: the last round the pair was
   heard from, ``-1`` where never heard, plus ``first``, the sequence in
@@ -46,21 +46,26 @@ within a row, one column per pair of the vehicle's cube:
 * ``reports`` -- int32, rows x pair columns x reporter slots: the round
   of each silence report, ``-1`` where none;
 * ``flags`` -- int8, rows x pair columns: 1 where the cell may hold
-  reports or an open suspicion, so a heartbeat for a quiet pair writes
-  one cell and reads nothing else;
+  reports or an open suspicion (and each vehicle's ``_flagged``: whether
+  its row may), so a heartbeat for a quiet row writes one cell;
+* ``watch_col`` -- each row's watched column (``-1``: none), so a
+  round's watch test is one gather, ``heard[rows, watch_col[rows]]``;
 * the pending suspicions, by row and pair.
 
-A cube's columns are its pairs in key order and its reporter slots its
-members in identity order, fixed when the blocks are allocated: gossip
-does not compose with escalation, so no vehicle changes cube during a
-gossip run (:meth:`~repro.vehicles.fleet.Fleet.rehome_vehicle` refuses
-once the blocks exist).  A round (:meth:`GossipBlocks.run_round`) reads the
+A cube's columns start as its pairs in key order and its reporter slots
+as its members in identity order.  A ring fleet under escalation also
+hears pairs of other cubes: a write for a pair the row's cube lacks
+appends a column to that cube (widening the arrays when it outgrows
+them), and :meth:`~repro.vehicles.fleet.Fleet.rehome_vehicle` lays a
+migrant's row out again under its new cube, first-heard order kept.
+Gossip rejects escalation, so its columns stay in key order.  A gossip
+round (:meth:`DetectorBlocks.run_round`) reads the
 blocks of every ticking vehicle at once: the staleness rule over
 ``heard`` gives every silent pair, a stable per-row sort gives the
 canonical freshest entries, and the reports block, read in pair-major,
 reporter-minor order, gives each digest's sorted silence reports.  The
-blocks are allocated at a fleet's first gossip round (or first detector
-write); a fleet that never gossips builds none.
+blocks are allocated at a fleet's first heartbeat round or detector
+write.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from repro.distsim.keyed import coordinate_keys, mix, stream_root, unit
 from repro.grid.lattice import Point
 from repro.vehicles.messages import ExistingMessage, GossipDigest
 from repro.vehicles.monitoring import HEARD_AT_START, is_stale
-from repro.vehicles.registry import STATE_ACTIVE, WATCH_NEVER
+from repro.vehicles.registry import STATE_ACTIVE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vehicles.fleet import Fleet
@@ -82,7 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "GOSSIP_ENTRY_CAP",
-    "GossipBlocks",
+    "DetectorBlocks",
     "peer_draws",
     "peer_indices",
 ]
@@ -153,30 +158,32 @@ def _row_bounds(rows: np.ndarray, count: int) -> List[int]:
     return np.searchsorted(rows, np.arange(count + 1)).tolist()
 
 
-class GossipBlocks:
-    """The gossip detector state of a fleet, one block of rows per cube.
+class DetectorBlocks:
+    """The failure detector state of a fleet, one block of rows per cube.
 
     Row ``i`` belongs to the vehicle at dense index ``i`` and is read
     through the columns and reporter slots of the cube that vehicle lives
     in (see the module docstring for the layout).  Each vehicle caches
-    the three views the heartbeat fast path (:meth:`note_heard`) reads:
-    its cube's pair -> column map and memoryviews of its ``heard`` and
-    ``flags`` rows.
+    what a heartbeat's fast path reads: its cube's pair -> column map, a
+    memoryview of its ``heard`` row, and whether its ``flags`` row may be
+    set (a plain attribute: a memoryview read per delivery costs more).
     """
 
     def __init__(self, fleet: "Fleet") -> None:
         self.fleet = fleet
         self._vehicles = fleet._vehicles_by_index()
         indices = sorted(fleet.colorings)
-        cube_ids = {index: cube for cube, index in enumerate(indices)}
-        #: Per cube: its pairs in key order (the columns) and the column of
-        #: each pair.
+        #: Cube multi-index -> cube id (the position among sorted cubes).
+        self._cube_ids = {index: cube for cube, index in enumerate(indices)}
+        #: Per cube: its pairs (the columns; in key order, then any other
+        #: cube's pair a write appended) and the column of each pair.
         self._pairs = [
             sorted(pair.black for pair in fleet.colorings[index].pairs) for index in indices
         ]
         self._cols = [{pair: col for col, pair in enumerate(pairs)} for pairs in self._pairs]
         #: Per cube: its members in identity order (the reporter slots, and
-        #: the peer candidates) and the slot of each member.
+        #: the peer candidates), then any other reporter a write appended,
+        #: and the slot of each.
         self._reporters = [list(fleet.cube_members(index)) for index in indices]
         self._slots = [
             {reporter: slot for slot, reporter in enumerate(reporters)}
@@ -200,46 +207,119 @@ class GossipBlocks:
         self._member_count = np.array(
             [len(reporters) for reporters in self._reporters], dtype=np.intp
         )
-        #: Key of column / slot ``k`` of cube ``c`` at ``c * width + k`` /
-        #: ``c * depth + k``.
-        self._pair_table = np.full(len(indices) * width, None, dtype=object)
-        self._reporter_table = np.full(len(indices) * depth, None, dtype=object)
-        for cube, (pairs, reporters) in enumerate(zip(self._pairs, self._reporters)):
-            self._pair_table[cube * width : cube * width + len(pairs)] = pairs
-            self._reporter_table[cube * depth : cube * depth + len(reporters)] = reporters
         self.cube_of = np.array(
-            [cube_ids[vehicle.cube_index] for vehicle in self._vehicles], dtype=np.intp
+            [self._cube_ids[vehicle.cube_index] for vehicle in self._vehicles], dtype=np.intp
         )
-        #: Each row's own reporter slot: its index among its cube's members.
+        #: Each row's own reporter slot: its index among its cube's members
+        #: (-1 for a residency set outside them, as a ring restore may).
         self.self_slot = np.array(
             [
-                self._slots[cube][vehicle.identity]
+                self._slots[cube].get(vehicle.identity, -1)
                 for cube, vehicle in zip(self.cube_of.tolist(), self._vehicles)
             ],
             dtype=np.intp,
         )
         self._keys = coordinate_keys(fleet.flat.homes)
+        self._bind()
+        #: Each row's watched-pair column, ``-1`` where it watches nothing;
+        #: the ``monitored_pair`` setter keeps it (:meth:`watch`).
+        self.watch_col = np.full(count, -1, dtype=np.intp)
+        for vehicle in self._vehicles:
+            self.watch(vehicle, vehicle._monitored_pair)
+
+    # ------------------------------------------------------------------ #
+    # layout
+    # ------------------------------------------------------------------ #
+
+    def _bind(self) -> None:
+        """Build the key tables and every vehicle's views of its row."""
+        count, width, depth = self.reports.shape
+        #: Key of column / slot ``k`` of cube ``c`` at ``c * width + k`` /
+        #: ``c * depth + k``.
+        self._pair_table = np.full(len(self._pairs) * width, None, dtype=object)
+        self._reporter_table = np.full(len(self._reporters) * depth, None, dtype=object)
+        for cube, (pairs, reporters) in enumerate(zip(self._pairs, self._reporters)):
+            self._pair_table[cube * width : cube * width + len(pairs)] = pairs
+            self._reporter_table[cube * depth : cube * depth + len(reporters)] = reporters
         self._report_rows = [memoryview(cells) for cells in self.reports.reshape(count, -1)]
-        for row, vehicle in enumerate(self._vehicles):
-            vehicle._gossip_cols = self._cols[self.cube_of[row]]
-            vehicle._heard_row = memoryview(self.heard[row])
-            vehicle._gossip_flags = memoryview(self.flags[row])
+        self._flag_rows = [memoryview(flags) for flags in self.flags]
+        for vehicle, cube, flagged in zip(
+            self._vehicles, self.cube_of.tolist(), self.flags.any(axis=1).tolist()
+        ):
+            vehicle._heard_cols = self._cols[cube]
+            vehicle._heard_row = memoryview(self.heard[vehicle._index])
+            vehicle._flagged = flagged
+
+    def _resize(self, width: int, depth: int) -> None:
+        """Widen the arrays to ``width`` pair columns and ``depth`` reporter
+        slots, every cell kept."""
+        _, old_width, old_depth = self.reports.shape
+        pad = ((0, 0), (0, width - old_width))
+        self.heard = np.pad(self.heard, pad, constant_values=-1)
+        self.first = np.pad(self.first, pad)
+        self.flags = np.pad(self.flags, pad)
+        self.reports = np.pad(self.reports, (*pad, (0, depth - old_depth)), constant_values=-1)
+        self._bind()
+
+    def _column(self, cube: int, pair_key: Point) -> int:
+        """The column of ``pair_key`` in ``cube``, appended if it has none."""
+        cols = self._cols[cube]
+        col = cols.get(pair_key)
+        if col is None:
+            pairs = self._pairs[cube]
+            col = cols[pair_key] = len(pairs)
+            pairs.append(pair_key)
+            self._pair_count[cube] += 1
+            width = self.heard.shape[1]
+            if col < width:
+                self._pair_table[cube * width + col] = pair_key
+            else:
+                self._resize(2 * width, self.reports.shape[2])
+        return col
+
+    def _slot(self, cube: int, reporter: Point) -> int:
+        """The slot of ``reporter`` in ``cube``, appended if it has none."""
+        slots = self._slots[cube]
+        slot = slots.get(reporter)
+        if slot is None:
+            reporters = self._reporters[cube]
+            slot = slots[reporter] = len(reporters)
+            reporters.append(reporter)
+            self._member_count[cube] += 1
+            depth = self.reports.shape[2]
+            if slot < depth:
+                self._reporter_table[cube * depth + slot] = reporter
+            else:
+                self._resize(self.heard.shape[1], 2 * depth)
+        return slot
+
+    def rehome(self, vehicle: "VehicleProcess") -> None:
+        """Lay ``vehicle``'s row out again under the cube it now lives in:
+        its heard rounds (in first-heard order), silence reports,
+        suspicions and watch move to that cube's columns."""
+        heard, reports = self.heard_of(vehicle), self.reports_of(vehicle)
+        row = vehicle._index
+        cube = self._cube_ids[vehicle.cube_index]
+        self.cube_of[row] = cube
+        self.self_slot[row] = self._slots[cube].get(vehicle.identity, -1)
+        vehicle._heard_cols = self._cols[cube]
+        self.set_heard_of(vehicle, heard)
+        self.set_reports_of(vehicle, reports)
+        self.watch(vehicle, vehicle._monitored_pair)
 
     # ------------------------------------------------------------------ #
     # one vehicle's state (handlers, checkpoints)
     # ------------------------------------------------------------------ #
 
-    def store(self, vehicle: "VehicleProcess", pair_key: Point, heard: int) -> None:
-        """Set ``pair_key`` as last heard at ``heard`` (a round, >= 0).
-
-        A pair of another cube has no column and is not tracked.  Only a
-        vehicle that changed cube before the blocks existed hears one: its
-        old cube's broadcasts still address it.
-        """
-        col = vehicle._gossip_cols.get(pair_key)
-        if col is None:
-            return
+    def watch(self, vehicle: "VehicleProcess", pair_key: Optional[Point]) -> None:
+        """Point the row's watch column at ``pair_key`` (``None``: nothing)."""
         row = vehicle._index
+        self.watch_col[row] = -1 if pair_key is None else self._column(self.cube_of[row], pair_key)
+
+    def store(self, vehicle: "VehicleProcess", pair_key: Point, heard: int) -> None:
+        """Set ``pair_key`` as last heard at ``heard`` (a round, >= 0)."""
+        row = vehicle._index
+        col = self._column(self.cube_of[row], pair_key)
         if self.heard[row, col] < 0:
             self._seq += 1
             self.first[row, col] = self._seq
@@ -251,21 +331,20 @@ class GossipBlocks:
         suspicion -- a pair that spoke is not dead.  The common cases run
         on the vehicle's views alone: a round no fresher costs one read,
         and a fresher one for a pair already heard, with no report or
-        suspicion open on it, one write."""
-        col = vehicle._gossip_cols.get(pair_key)
+        suspicion open on it, one write.  (A heartbeat runs those cases
+        inline in ``VehicleProcess.on_message``.)"""
+        row = vehicle._index
+        col = vehicle._heard_cols.get(pair_key)
         if col is None:
-            return  # a pair of another cube (see :meth:`store`)
+            col = self._column(self.cube_of[row], pair_key)
         heard_row = vehicle._heard_row
         previous = heard_row[col]
         if heard <= previous:
             return
-        if previous >= 0 and not vehicle._gossip_flags[col]:
+        if previous >= 0 and not self._flag_rows[row][col]:
             heard_row[col] = heard
-            if pair_key == vehicle._monitored_pair:
-                vehicle._registry.watch_heard[vehicle._index] = heard
             return
-        row = vehicle._index
-        vehicle._set_heard(pair_key, heard)
+        self.store(vehicle, pair_key, heard)
         if self.flags[row, col]:
             cell = self.reports[row, col]
             cell[cell <= heard] = -1
@@ -275,20 +354,31 @@ class GossipBlocks:
                 if not pending:
                     del self.suspicions[row]
             self.flags[row, col] = (cell >= 0).any()
+            vehicle._flagged = bool(self.flags[row].any())
+
+    def heard_at(self, vehicle: "VehicleProcess", pair_key: Point) -> int:
+        """The round ``pair_key`` was last heard at, ``-1`` if never."""
+        col = vehicle._heard_cols.get(pair_key)
+        return -1 if col is None else vehicle._heard_row[col]
 
     def heard_round(self, vehicle: "VehicleProcess", pair_key: Point) -> int:
         """The round ``pair_key`` was last heard at, ``HEARD_AT_START`` if
         never."""
-        row = vehicle._index
-        col = self._cols[self.cube_of[row]].get(pair_key)
-        heard = -1 if col is None else int(self.heard[row, col])
+        heard = self.heard_at(vehicle, pair_key)
         return HEARD_AT_START if heard < 0 else heard
+
+    def watch_stale(self, rows: np.ndarray, round_id: int, miss: int) -> np.ndarray:
+        """Per row of ``rows``, whether its watched pair is stale at
+        ``round_id``: one gather of the watched cells."""
+        cols = self.watch_col[rows]
+        last = self.heard.ravel().take(rows * self.heard.shape[1] + cols)
+        return (cols >= 0) & is_stale(round_id, np.where(last < 0, HEARD_AT_START, last), miss)
 
     def merge_digest(self, vehicle: "VehicleProcess", heard, silent) -> None:
         """Max-merge a digest's ``heard`` entries, then union its ``silent``
         reports, skipping the receiver's own pair and reports older than
         what it heard since."""
-        cols = vehicle._gossip_cols
+        cols = vehicle._heard_cols
         heard_row = vehicle._heard_row
         for pair_key, round_id in heard:
             if round_id > heard_row[cols[pair_key]]:
@@ -311,6 +401,7 @@ class GossipBlocks:
             if reported > cells[cell]:
                 cells[cell] = reported
                 self.flags[row, col] = 1
+                vehicle._flagged = True
 
     def reporters(self, vehicle: "VehicleProcess", pair_key: Point) -> List[Point]:
         """The distinct vehicles that reported ``pair_key`` silent."""
@@ -329,7 +420,8 @@ class GossipBlocks:
     def open_suspicion(self, vehicle: "VehicleProcess", pair_key: Point) -> Dict[str, Any]:
         """The collection for ``pair_key``, opened with no co-signer if new."""
         row = vehicle._index
-        self.flags[row, self._cols[self.cube_of[row]][pair_key]] = 1
+        self.flags[row, self._column(self.cube_of[row], pair_key)] = 1
+        vehicle._flagged = True
         pending = self.suspicions.setdefault(row, {})
         return pending.setdefault(pair_key, {"granted": set()})
 
@@ -380,15 +472,24 @@ class GossipBlocks:
     def set_reports_of(self, vehicle: "VehicleProcess", reports) -> None:
         row = vehicle._index
         cube = self.cube_of[row]
-        cols, slots = self._cols[cube], self._slots[cube]
+        cells = [
+            (self._column(cube, pair_key), self._slot(cube, reporter), reported)
+            for pair_key, reporters in reports.items()
+            for reporter, reported in reporters.items()
+        ]
         self.reports[row] = -1
-        for pair_key, reporters in reports.items():
-            for reporter, reported in reporters.items():
-                self.reports[row, cols[pair_key], slots[reporter]] = reported
+        for col, slot, reported in cells:
+            self.reports[row, col, slot] = reported
         self._reflag(row)
 
     def suspicions_of(self, vehicle: "VehicleProcess") -> Dict[Point, Dict[str, Any]]:
         return dict(self.suspicions.get(vehicle._index, {}))
+
+    def counter_of(self, vehicle: "VehicleProcess") -> int:
+        return int(self.counter[vehicle._index])
+
+    def set_counter_of(self, vehicle: "VehicleProcess", counter: int) -> None:
+        self.counter[vehicle._index] = counter
 
     def rows_in_use(self) -> List[int]:
         """The rows holding any detector state: a heard round, a silence
@@ -410,11 +511,12 @@ class GossipBlocks:
         self._reflag(row)
 
     def _reflag(self, row: int) -> None:
+        cube = self.cube_of[row]
+        suspected = [self._column(cube, pair_key) for pair_key in self.suspicions.get(row, ())]
         flags = (self.reports[row] >= 0).any(axis=1).astype(np.int8)
-        cols = self._cols[self.cube_of[row]]
-        for pair_key in self.suspicions.get(row, ()):
-            flags[cols[pair_key]] = 1
+        flags[suspected] = 1
         self.flags[row] = flags
+        self._vehicles[row]._flagged = bool(flags.any())
 
     # ------------------------------------------------------------------ #
     # the round
@@ -494,6 +596,7 @@ class GossipBlocks:
             bounds = _row_bounds(at, len(reported))
             for i, a, b in zip(reported.tolist(), bounds, bounds[1:]):
                 digest_silent[i] = tuple(entries[a:b])
+                vehicles[i]._flagged = True
         rank = np.argsort(-heard, axis=1, kind="stable")[:, :GOSSIP_ENTRY_CAP]
         top = np.take_along_axis(heard, rank, axis=1)
         at, k = np.nonzero(top >= 0)
@@ -502,13 +605,9 @@ class GossipBlocks:
         digest_heard = [tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
 
         # Suspicion candidates: live active watchers whose watched pair is
-        # stale by the registry's watch mirror, and Byzantine ones.
-        watched = flat.watch_heard_view()[rows]
+        # stale, and Byzantine ones.
         active = flat.state_view()[rows] == STATE_ACTIVE
-        check = active & (
-            byzantine
-            | is_stale(round_id, np.where(watched == WATCH_NEVER, HEARD_AT_START, watched), miss)
-        )
+        check = active & (byzantine | self.watch_stale(rows, round_id, miss))
 
         # The sends, in row order: an active vehicle's heartbeat to its
         # cube, its digest to its drawn peers (none when it is alone in its

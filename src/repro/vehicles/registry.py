@@ -55,8 +55,6 @@ __all__ = [
     "coloring_for_cube",
     "coloring_for_box",
     "FleetRegistry",
-    "WATCH_NONE",
-    "WATCH_NEVER",
 ]
 
 #: ``array('b')`` codes of the working states (see ``WorkingState``).
@@ -70,18 +68,6 @@ _STATE_CODES = {"idle": STATE_IDLE, "active": STATE_ACTIVE, "done": STATE_DONE}
 #: built for; 8 MB of int64.  Sparse demands over larger bounding windows
 #: use the dict fallback.
 _DENSE_WINDOW_CAP = 1_000_000
-
-#: ``watch_heard`` sentinel: the vehicle watches nothing, so the miss
-#: threshold can never fire.  Any real round id is far below ``2**62``.
-WATCH_NONE = 2**62
-#: ``watch_heard`` sentinel: the vehicle watches a pair but has never heard
-#: from it -- the expiry check substitutes the fleet's monitoring baseline.
-#: Stored ``last_heard`` round ids are always ``>= -1`` (every write site
-#: clamps against a prior value or a round id), so a large negative
-#: sentinel cannot collide with real data.
-WATCH_NEVER = -(2**62)
-
-_WATCH_NONE_BYTES = array("q", [WATCH_NONE]).tobytes()
 
 
 class PairingTemplate:
@@ -296,13 +282,9 @@ class FleetRegistry:
         self.served = array("q")
         self.state = array("b")
         self.broken = array("b")
-        #: watch target as a pair id (``-1`` = watching nothing).
+        #: watch target as a pair id (``-1`` = watching nothing); the round
+        #: it was last heard at lives in the fleet's detector blocks.
         self.watch = array("q")
-        #: last round the watched pair was heard from -- a mirror of each
-        #: vehicle's ``last_heard[monitored_pair]`` entry (``WATCH_NONE`` /
-        #: ``WATCH_NEVER`` sentinels), so the heartbeat round can compute
-        #: miss-threshold expiries as one vectorized read.
-        self.watch_heard = array("q")
         #: 1 where the vehicle has cube peers to broadcast to, 0 where it
         #: is alone in its cube.  Mirrors ``vehicle.cube_peers`` (written
         #: by its setter on every reassignment); lets the plain heartbeat
@@ -395,7 +377,6 @@ class FleetRegistry:
         self.broken.frombytes(bytes(total))
         # -1 in two's-complement int64 is all-ones bytes.
         self.watch.frombytes(b"\xff" * (8 * total))
-        self.watch_heard.frombytes(_WATCH_NONE_BYTES * total)
         self.peers.frombytes(bytes(total))
         self.positions.extend(all_verts)
         return results
@@ -502,10 +483,6 @@ class FleetRegistry:
     def broken_view(self) -> np.ndarray:
         """Zero-copy numpy view of the per-vehicle broken flags."""
         return np.frombuffer(self.broken, dtype=np.int8)
-
-    def watch_heard_view(self) -> np.ndarray:
-        """Zero-copy numpy view of the watched-pair last-heard rounds."""
-        return np.frombuffer(self.watch_heard, dtype=np.int64)
 
     def peers_view(self) -> np.ndarray:
         """Zero-copy numpy view of the has-cube-peers flags."""

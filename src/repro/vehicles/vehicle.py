@@ -22,9 +22,9 @@ receive jobs.  The process implements, faithfully to Algorithm 2:
   and quorum-attested takeovers.  The process only does the message I/O
   and state writes: every detection decision -- the one staleness rule
   and the gossip suspect/attest/quorum rules -- is a plain function in
-  :mod:`repro.vehicles.monitoring`, and the gossip round applies the
-  staleness rule to the detector state of a whole fleet at once
-  (:class:`~repro.vehicles.gossip.GossipBlocks`).
+  :mod:`repro.vehicles.monitoring`, and a heartbeat round applies the
+  staleness rule to the fleet's detector blocks at once
+  (:class:`~repro.vehicles.gossip.DetectorBlocks`).
 * **Cross-cube escalation (extension).**  The thesis keeps every search
   inside one cube, which leaves ``omega_c < 1`` workloads -- singleton
   cubes with no idle vehicles at all -- without any replacement path.
@@ -53,6 +53,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, TYPE_CH
 from repro.distsim.process import Process
 from repro.grid.coloring import Coloring
 from repro.grid.lattice import Point, manhattan
+from repro.vehicles.gossip import DetectorBlocks
 from repro.vehicles.messages import (
     ActivationNotice,
     AttestMessage,
@@ -69,12 +70,10 @@ from repro.vehicles.messages import (
 from repro.vehicles.monitoring import (
     enough_reporters,
     grant_attestation,
-    is_silent,
     is_stale,
     quorum_reached,
     watched_pair_key,
 )
-from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.vehicles.state import TransferState, VehicleStatus, WorkingState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,13 +84,28 @@ __all__ = ["VehicleProcess"]
 ENERGY_EPS = 1e-9
 
 
+def _detector_field(read, write, empty, doc: str) -> property:
+    """A vehicle field held in its row of the fleet's detector blocks
+    (``empty()`` while the fleet has none; assigning allocates them)."""
+
+    def get(vehicle: "VehicleProcess"):
+        blocks = vehicle.fleet.detector
+        return empty() if blocks is None else read(blocks, vehicle)
+
+    def put(vehicle: "VehicleProcess", value) -> None:
+        write(vehicle.fleet.detector_blocks(), vehicle, value)
+
+    return property(get, put, doc=doc)
+
+
 class VehicleProcess(Process):
     """A single vehicle of the online protocol.
 
     Parameters
     ----------
     home:
-        The vehicle's home vertex; doubles as its identity.
+        The vehicle's home vertex: its identity (no separate attribute, to
+        stay within CPython's shared-key limit of instance attributes).
     cube_index:
         Multi-index of the cube the vehicle belongs to.
     coloring:
@@ -117,13 +131,6 @@ class VehicleProcess(Process):
     #: monitoring it would grow by one entry per heartbeat received.
     log_messages = False
 
-    #: The detector fields of a fleet that does not gossip, once assigned
-    #: (see :attr:`gossip_reports`); these class defaults let a checkpoint
-    #: read every vehicle's storage with one getter.
-    _inert_counter = 0
-    _inert_reports = None
-    _inert_suspicions = None
-
     def __init__(
         self,
         home: Point,
@@ -141,7 +148,6 @@ class VehicleProcess(Process):
         done_threshold: float = 2.0,
     ) -> None:
         super().__init__(home)
-        self.home: Point = home
         #: Dense index into the fleet's flat state arrays (see
         #: :class:`~repro.vehicles.registry.FleetRegistry`), whose slots
         #: ``add_cubes`` pre-filled; current position starts at home.
@@ -180,13 +186,6 @@ class VehicleProcess(Process):
         #: The black vertex of the pair this vehicle is responsible for
         #: (``None`` while idle).
         self.pair_key = pair_key
-        #: Whether the fleet monitors by gossip (fixed for the fleet's life).
-        self._gossip = fleet.config.monitoring == "gossip"
-        # Monitoring bookkeeping: last heartbeat round heard per pair, here
-        # in ring mode and in the fleet's gossip blocks in gossip mode (see
-        # ``last_heard``).  Created first: the ``monitored_pair`` setter
-        # below reads it.
-        self._heard: Optional[Dict[Point, int]] = None if self._gossip else {}
         #: The pair this vehicle watches for heartbeats (monitoring scheme);
         #: the registry's watch slots start out as "watching nothing".
         self._monitored_pair = None
@@ -220,10 +219,11 @@ class VehicleProcess(Process):
         #: counter and volunteer list of the star-shaped escalated round.
         self.escalations: Dict[ComputationTag, Dict[str, Any]] = {}
 
-        # Gossip mode: the detector state lives in the fleet's gossip
-        # blocks, which also bind ``_gossip_cols``, ``_heard_row`` and
-        # ``_gossip_flags`` here (see
-        # :class:`~repro.vehicles.gossip.GossipBlocks`).
+        # Views of the vehicle's row of the detector blocks, bound by them;
+        # declared here because a later-added attribute slows every load.
+        self._heard_cols: Optional[Dict[Point, int]] = None
+        self._heard_row: Optional[memoryview] = None
+        self._flagged = False
 
     # ------------------------------------------------------------------ #
     # flat-array state (the object API is a view over the registry)
@@ -270,87 +270,39 @@ class VehicleProcess(Process):
     def position(self, value: Point) -> None:
         self._registry.positions[self._index] = value
 
-    @property
-    def last_heard(self) -> Dict[Point, int]:
-        """Last heartbeat round heard per pair.
-
-        The vehicle's own dict in ring mode.  In gossip mode the rounds
-        live in the vehicle's row of the fleet's gossip blocks: reading
-        returns them as a fresh dict in first-heard order, and assigning
-        rewrites the row.
-        """
-        if not self._gossip:
-            return self._heard
-        blocks = self.fleet.detector
-        return {} if blocks is None else blocks.heard_of(self)
-
-    @last_heard.setter
-    def last_heard(self, value: Dict[Point, int]) -> None:
-        if self._gossip:
-            self.fleet.gossip_blocks().set_heard_of(self, value)
-        else:
-            self._heard = value
-
-    @property
-    def gossip_reports(self) -> Dict[Point, Dict[Point, int]]:
+    last_heard = _detector_field(
+        DetectorBlocks.heard_of,
+        DetectorBlocks.set_heard_of,
+        dict,
+        "Last heartbeat round heard per pair, in first-heard order.",
+    )
+    gossip_reports = _detector_field(
+        DetectorBlocks.reports_of,
+        DetectorBlocks.set_reports_of,
+        dict,
         """Silence reports by pair, ``{pair_key: {reporter: report_round}}``,
-        read out of (and assigned into) the fleet's gossip blocks.
-        Deduplicated by reporter identity, so a report replicating through
-        many digests still counts once toward suspicion.
-
-        In a fleet that does not gossip, this field, ``pending_suspicions``
-        and ``_gossip_counter`` are plain values no protocol step reads,
-        held only so that every checkpoint field round-trips; such a fleet
-        builds no blocks.
-        """
-        if not self._gossip:
-            return self.__dict__.get("_inert_reports", {})
-        blocks = self.fleet.detector
-        return {} if blocks is None else blocks.reports_of(self)
-
-    @gossip_reports.setter
-    def gossip_reports(self, value: Dict[Point, Dict[Point, int]]) -> None:
-        if self._gossip:
-            self.fleet.gossip_blocks().set_reports_of(self, value)
-        else:
-            self._inert_reports = value
-
-    @property
-    def pending_suspicions(self) -> Dict[Point, Dict[str, Any]]:
+        deduplicated by reporter identity (gossip only, as are the next
+        two fields).""",
+    )
+    pending_suspicions = _detector_field(
+        DetectorBlocks.suspicions_of,
+        DetectorBlocks.set_suspicions_of,
+        dict,
         """Open quorum collections by suspected pair, ``{pair_key:
         {"granted": set of co-signers, "round": last SuspectMessage
-        round}}``, read out of (and assigned into) the gossip blocks."""
-        if not self._gossip:
-            return self.__dict__.get("_inert_suspicions", {})
-        blocks = self.fleet.detector
-        return {} if blocks is None else blocks.suspicions_of(self)
-
-    @pending_suspicions.setter
-    def pending_suspicions(self, value: Dict[Point, Dict[str, Any]]) -> None:
-        if self._gossip:
-            self.fleet.gossip_blocks().set_suspicions_of(self, value)
-        else:
-            self._inert_suspicions = value
-
-    @property
-    def _gossip_counter(self) -> int:
-        """The draw counter keying deterministic peer selection, kept in
-        the gossip blocks."""
-        if not self._gossip:
-            return self.__dict__.get("_inert_counter", 0)
-        blocks = self.fleet.detector
-        return 0 if blocks is None else int(blocks.counter[self._index])
-
-    @_gossip_counter.setter
-    def _gossip_counter(self, value: int) -> None:
-        if self._gossip:
-            self.fleet.gossip_blocks().counter[self._index] = value
-        else:
-            self._inert_counter = value
+        round}}``.""",
+    )
+    _gossip_counter = _detector_field(
+        DetectorBlocks.counter_of,
+        DetectorBlocks.set_counter_of,
+        int,
+        "The draw counter keying deterministic peer selection.",
+    )
 
     @property
     def monitored_pair(self) -> Optional[Point]:
-        """The pair this vehicle watches for heartbeats (registry-backed)."""
+        """The pair this vehicle watches for heartbeats (registry-backed,
+        and the watch column of the detector blocks once they exist)."""
         return self._monitored_pair
 
     @monitored_pair.setter
@@ -360,9 +312,9 @@ class VehicleProcess(Process):
         registry.watch[self._index] = (
             -1 if value is None else registry.pair_id_of.get(value, -1)
         )
-        registry.watch_heard[self._index] = (
-            WATCH_NONE if value is None else self.last_heard.get(value, WATCH_NEVER)
-        )
+        blocks = self.fleet.detector
+        if blocks is not None:
+            blocks.watch(self, value)
 
     @property
     def cube_peers(self) -> Tuple[Point, ...]:
@@ -545,21 +497,25 @@ class VehicleProcess(Process):
 
     def on_message(self, sender: Hashable, message: Any) -> None:
         if type(message) is ExistingMessage:
-            # The heartbeat: nearly all of a monitored run's traffic, so it
-            # is handled here, in the one call every delivery makes.
-            if self._gossip:
-                # Gossip mode: the blocks' one-entry freshness merge, which
-                # also retires silence reports and suspicions.
-                self.fleet.detector.note_heard(self, message.pair_key, message.round_id)
-            else:
-                # Ring mode: ``_set_heard``, inline.
-                pair_key = message.pair_key
-                round_id = message.round_id
-                heard = self._heard
-                if round_id > heard.get(pair_key, -1):
-                    heard[pair_key] = round_id
-                    if pair_key == self._monitored_pair:
-                        self._registry.watch_heard[self._index] = round_id
+            # The heartbeat: nearly all of a monitored run's traffic, so the
+            # common cases of the blocks' freshness merge run here, in the
+            # one call every delivery makes, on the vehicle's row view: a
+            # round no fresher costs one read, and a fresher one for a pair
+            # already heard, at a vehicle with no silence report or
+            # suspicion open, one write.  Everything else takes
+            # ``note_heard``.
+            pair_key = message.pair_key
+            round_id = message.round_id
+            col = self._heard_cols.get(pair_key)
+            if col is not None:
+                heard_row = self._heard_row
+                previous = heard_row[col]
+                if round_id <= previous:
+                    return
+                if previous >= 0 and not self._flagged:
+                    heard_row[col] = round_id
+                    return
+            self.fleet.detector.note_heard(self, pair_key, round_id)
         elif type(message) is GossipDigest:
             if not self.broken:
                 self.fleet.detector.merge_digest(self, message.heard, message.silent)
@@ -914,9 +870,11 @@ class VehicleProcess(Process):
         the next, a replacement storm.  Counting the target as heard at the
         acquisition round gives its heartbeats time to arrive.
         """
-        current = self.fleet.heartbeat_round
-        if watched is not None and self.last_heard.get(watched, -1) < current:
-            self._set_heard(watched, current)
+        fleet = self.fleet
+        current = fleet.heartbeat_round
+        blocks = fleet.detector_blocks()
+        if watched is not None and blocks.heard_at(self, watched) < current:
+            blocks.store(self, watched, current)
 
     def _announce_activation(self, pair_key: Point) -> None:
         """Broadcast that this vehicle now answers for ``pair_key``.
@@ -945,37 +903,26 @@ class VehicleProcess(Process):
     # Monitoring handlers (Section 3.2.5)
     # ------------------------------------------------------------------ #
 
-    def _set_heard(self, pair_key: Point, heard: int) -> None:
-        """Record ``pair_key`` as last heard at round ``heard``, mirrored
-        into the registry's watch-heard array when it is the watch target.
-        (A ring-mode heartbeat runs the same steps inline in
-        :meth:`on_message`.)"""
-        if self._gossip:
-            self.fleet.gossip_blocks().store(self, pair_key, heard)
-        else:
-            self._heard[pair_key] = heard
-        if pair_key == self._monitored_pair:
-            self._registry.watch_heard[self._index] = heard
-
     def _take_over(self, pair_key: Point, round_id: int) -> None:
         """Start a replacement search on behalf of the silent ``pair_key``,
         debounced: the pair counts as heard at ``round_id`` from here on."""
         self.fleet.record_watch_initiation(self.identity, pair_key)
-        self._set_heard(pair_key, round_id)
+        self.fleet.detector_blocks().store(self, pair_key, round_id)
         self.start_replacement_search(destination=pair_key, pair_key=pair_key)
 
     def _on_activation_notice(self, message: ActivationNotice) -> None:
         # A fresh activation counts as having just heard from that pair.
-        self._set_heard(message.pair_key, self.fleet.heartbeat_round)
+        fleet = self.fleet
+        fleet.detector_blocks().store(self, message.pair_key, fleet.heartbeat_round)
         if (
-            self.fleet.config.hand_back
+            fleet.config.hand_back
             and message.pair_key in self.adopted_pairs
             and message.sender != self.identity
         ):
             # Someone else (the revived owner, or a later replacement) now
             # answers for a pair this vehicle adopted: shed the load.
             self.adopted_pairs.remove(message.pair_key)
-            self.fleet.on_adoption_released(self.identity, message.pair_key)
+            fleet.on_adoption_released(self.identity, message.pair_key)
 
     # ------------------------------------------------------------------ #
     # Gossip failure detection (monitoring == "gossip")
@@ -1160,10 +1107,11 @@ class VehicleProcess(Process):
             )
         if self.engaged_tag is not None or self.escalations:
             return  # busy with another computation; re-check next round
+        blocks = fleet.detector_blocks()
         for watched in [self._monitored_pair, *map(fleet.watched_pair, self.adopted_pairs)]:
             if watched is None or watched in answered:
                 continue  # nothing to watch, or a pair it answers for itself
-            if is_silent(self._heard, watched, round_id, miss_threshold):
+            if is_stale(round_id, blocks.heard_round(self, watched), miss_threshold):
                 self._take_over(watched, round_id)
                 return  # one diffusing computation at a time
 
@@ -1198,7 +1146,7 @@ class VehicleProcess(Process):
     def snapshot(self) -> Dict[str, object]:
         """A small dictionary of the vehicle's externally relevant state."""
         return {
-            "home": self.home,
+            "home": self.identity,
             "position": self.position,
             "state": str(self.status),
             "pair": self.pair_key,

@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentEngine, RunConfig, ScenarioSpec
-from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.workloads.library import family_config
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "flat_core_goldens.json"
@@ -57,13 +56,14 @@ def _digest(result) -> str:
 
 
 def _assert_active_set_invariants(fleet) -> None:
-    """The incremental engaged set / watch mirror equal ground truth.
+    """The incremental engaged set / watch columns equal ground truth.
 
-    The registry's ``engaged`` set and ``watch_heard`` array are maintained
-    incrementally at every protocol transition; after a full run they must
-    equal what a from-scratch recomputation off the vehicle objects gives
-    -- any drift means the quiescent fast path skipped (or re-visited) a
-    vehicle the per-object protocol would have handled differently.
+    The registry's ``engaged`` set and the detector blocks' ``watch_col``
+    array are maintained incrementally at every protocol transition; after
+    a full run they must equal what a from-scratch recomputation off the
+    vehicle objects gives -- any drift means the quiescent fast path
+    skipped (or re-visited) a vehicle the per-object protocol would have
+    handled differently.
     """
     flat = fleet.flat
     expected = {
@@ -77,13 +77,16 @@ def _assert_active_set_invariants(fleet) -> None:
         )
     }
     assert flat.engaged == expected, "incremental engaged set drifted"
+    blocks = fleet.detector
+    if blocks is None:
+        return
     for vehicle in fleet.vehicles.values():
         monitored = vehicle._monitored_pair
-        heard = flat.watch_heard[vehicle._index]
+        col = blocks.watch_col[vehicle._index]
         if monitored is None:
-            assert heard == WATCH_NONE
+            assert col == -1
         else:
-            assert heard == vehicle.last_heard.get(monitored, WATCH_NEVER)
+            assert blocks._pairs[blocks.cube_of[vehicle._index]][col] == monitored
 
 
 @pytest.fixture(scope="module")

@@ -179,8 +179,8 @@ def test_each_table_field_alone_is_written(name, monitoring):
     index = 4
     vehicle = fleet.vehicles[fleet.flat.identities[index]]
     value = PROTOCOL_FIELDS[name]
-    if monitoring == "gossip" and name in ("last_heard", "gossip_reports", "pending_suspicions"):
-        # The blocks hold only the pairs and reporters of the row's cube.
+    if name in ("last_heard", "gossip_reports", "pending_suspicions"):
+        # Rows of the detector blocks, in either mode: cube-local values.
         own = vehicle.pair_key
         value = {
             "last_heard": {own: 4},
@@ -216,7 +216,7 @@ def test_untouched_vehicles_write_their_served_count_only():
     served = [
         vehicle
         for vehicle in fleet.vehicles.values()
-        if vehicle.serve_job(vehicle.home, 1.0)
+        if vehicle.serve_job(vehicle.identity, 1.0)
     ]
     assert served
     entries = assert_entries_match(fleet)["vehicles"]
@@ -239,11 +239,11 @@ class TestServedColumn:
 
     def test_serving_a_job_counts_in_the_column(self):
         fleet = _fresh_fleet(False)
-        vehicle = next(v for v in fleet.vehicles.values() if v.serve_job(v.home, 1.0))
+        vehicle = next(v for v in fleet.vehicles.values() if v.serve_job(v.identity, 1.0))
         assert fleet.flat.served[vehicle.index] == vehicle.jobs_served == 1
-        assert vehicle.serve_job(list(vehicle.home), 1.0)
+        assert vehicle.serve_job(list(vehicle.identity), 1.0)
         assert vehicle.jobs_served == 2
-        assert vehicle.position == vehicle.home
+        assert vehicle.position == vehicle.identity
         assert type(vehicle.position[0]) is int
 
     def test_the_column_is_allocated_beside_the_ledgers(self):

@@ -55,8 +55,8 @@ class TestConstruction:
 
         for vehicle in fleet.vehicles.values():
             for neighbor in vehicle.neighbors:
-                assert manhattan(vehicle.home, neighbor) <= fleet.config.neighbor_radius
-                assert vehicle.home in fleet.vehicles[neighbor].neighbors
+                assert manhattan(vehicle.identity, neighbor) <= fleet.config.neighbor_radius
+                assert vehicle.identity in fleet.vehicles[neighbor].neighbors
 
     def test_fractional_omega_rounds_cube_side_up(self):
         fleet = point_fleet(omega=2.4)

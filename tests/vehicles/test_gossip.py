@@ -27,9 +27,9 @@ from repro.core.stream import StreamDriver
 from repro.distsim.failures import FailurePlan
 from repro.distsim.keyed import identity_key
 from repro.distsim.transport import TransportSpec, build_transport
-from repro.vehicles.fleet import FleetConfig
+from repro.vehicles.fleet import Fleet, FleetConfig
 from repro.vehicles.gossip import GOSSIP_ENTRY_CAP, peer_draws, peer_indices
-from repro.vehicles.messages import GossipDigest
+from repro.vehicles.messages import ExistingMessage, GossipDigest
 from repro.vehicles.monitoring import HEARD_AT_START, is_stale
 from repro.vehicles.vehicle import VehicleProcess
 from repro.workloads.arrivals import random_arrivals
@@ -202,7 +202,7 @@ class TestBlockRoundMatchesDictReference:
 
     Random heard and report states (never-heard cells, round ties, more
     entries than the digest cap), Byzantine rows and broken vehicles all go
-    through one :meth:`~repro.vehicles.gossip.GossipBlocks.run_round`;
+    through one :meth:`~repro.vehicles.gossip.DetectorBlocks.run_round`;
     every ticking vehicle's silent pairs, freshest entries, digest reports
     and peers must equal the reference computed from its dicts.
     """
@@ -229,7 +229,7 @@ class TestBlockRoundMatchesDictReference:
                 )
             )
             for pair_key, heard_round in heard:  # the order sets first-heard
-                vehicle._set_heard(pair_key, heard_round)
+                fleet.detector_blocks().store(vehicle, pair_key, heard_round)
             reports = data.draw(
                 st.dictionaries(
                     st.sampled_from(pairs),
@@ -282,7 +282,7 @@ class TestBlockRoundMatchesDictReference:
 
         sent = _record_digests(ticking)
         rows = np.array([v.index for v in ticking], dtype=np.intp)
-        fleet.gossip_blocks().run_round(round_id, miss, rows)
+        fleet.detector_blocks().run_round(round_id, miss, rows)
         assert sent.keys() == expected.keys()
         for vehicle in ticking:
             peers, heard, silent, reports = expected[vehicle.identity]
@@ -307,7 +307,7 @@ def _tick_once(fleet, vehicle, round_id, miss=3):
     """Run one block round for ``vehicle`` alone; returns its digest as
     ``(peers, heard, silent)``."""
     sent = _record_digests([vehicle])
-    fleet.gossip_blocks().run_round(round_id, miss, np.array([vehicle.index]))
+    fleet.detector_blocks().run_round(round_id, miss, np.array([vehicle.index]))
     return sent[vehicle.identity]
 
 
@@ -329,7 +329,7 @@ class TestBlockRound:
         others = [p for p in pairs if p != vehicle.pair_key]
         fresh, stale = others[0], others[1]
         for pair_key, heard in ((vehicle.pair_key, 1), (fresh, 6), (stale, 2)):
-            vehicle._set_heard(pair_key, heard)
+            fleet.detector_blocks().store(vehicle, pair_key, heard)
         _tick_once(fleet, vehicle, 5)
         # Never heard counts as heard at round 0: silent from round 3 on.
         silent = {p for p in others if p != fresh}
@@ -339,7 +339,7 @@ class TestBlockRound:
         fleet, pairs = self._fleet()
         vehicle = next(v for v in fleet.vehicles.values() if v.pair_key is not None)
         for pair_key in pairs:
-            vehicle._set_heard(pair_key, 5)
+            fleet.detector_blocks().store(vehicle, pair_key, 5)
         fleet.failure_plan.mark_byzantine_watcher(vehicle.identity)
         _tick_once(fleet, vehicle, 5)
         assert set(vehicle.gossip_reports) == set(pairs) - {vehicle.pair_key}
@@ -349,7 +349,7 @@ class TestBlockRound:
         vehicle = fleet.vehicles[pairs[0]]
         rounds = [1, 9, 4, 9, 2, 7, 7, 7, 3, 8, 5, 9]
         for pair_key, heard in zip(reversed(pairs), rounds):
-            vehicle._set_heard(pair_key, heard)
+            fleet.detector_blocks().store(vehicle, pair_key, heard)
         _, heard, _ = _tick_once(fleet, vehicle, 9)
         assert len(heard) == GOSSIP_ENTRY_CAP
         assert heard == _dict_freshest_entries(vehicle.last_heard)
@@ -366,7 +366,7 @@ class TestBlockRound:
             pairs[2]: {members[4]: 1},
         }
         for pair_key in pairs:
-            vehicle._set_heard(pair_key, 1)
+            fleet.detector_blocks().store(vehicle, pair_key, 1)
         vehicle.gossip_reports = reports
         _, _, silent = _tick_once(fleet, vehicle, 2)
         assert silent == (
@@ -376,16 +376,55 @@ class TestBlockRound:
         )
 
 
-    def test_no_vehicle_changes_cube_once_the_blocks_exist(self):
-        # The blocks are laid out from residency at allocation; gossip
-        # rejects escalation, so a gossip run never rehomes.
-        fleet, _ = self._fleet()
-        fleet.run_heartbeat_round()
-        assert fleet.detector is not None
-        idle = next(v for v in fleet.vehicles.values() if v.pair_key is None)
-        with pytest.raises(RuntimeError, match="gossip blocks"):
-            fleet.rehome_vehicle(idle, fleet.colorings[(0, 0)].pairs[0].black)
-        assert idle.identity in fleet.cube_members((0, 0))
+class TestBlockGrowth:
+    """A ring fleet under escalation hears pairs of other cubes: a write
+    for a pair its row's cube has no column for appends one (widening the
+    arrays), and a rehomed row is laid out again under its new cube."""
+
+    #: Nine singleton cubes on the fleet-wide watch ring.
+    SPREAD = DemandMap({(3 * x, 3 * y): 2.0 for x in range(3) for y in range(3)})
+
+    def test_foreign_pairs_append_columns_and_keep_first_heard_order(self):
+        fleet = Fleet(self.SPREAD, 1.0, FleetConfig(monitoring="ring", escalation=True))
+        vehicle, other = fleet.vehicles[(0, 0)], fleet.vehicles[(6, 6)]
+        blocks = fleet.detector_blocks()
+        # Each cube's one pair plus its foreign watch target.
+        assert blocks.heard.shape[1] == 2
+        assert blocks.watch_col[vehicle.index] == 1
+        blocks.store(other, other.monitored_pair, 4)
+        entries = [((6, 6), 3), ((0, 0), 1), ((3, 0), 2), ((0, 6), 5), ((6, 3), 0)]
+        for pair_key, round_id in entries:
+            blocks.store(vehicle, pair_key, round_id)
+        assert blocks.heard.shape[1] >= 5
+        assert list(vehicle.last_heard.items()) == entries
+        # The widening kept every other row's cells and rebound its views:
+        # a heartbeat after it lands in the new arrays.
+        assert other.last_heard == {other.monitored_pair: 4}
+        other.on_message((3, 3), ExistingMessage((3, 3), (3, 3), 6))
+        assert list(other.last_heard.items()) == [(other.monitored_pair, 4), ((3, 3), 6)]
+        flagged = blocks.watch_stale(np.array([vehicle.index, other.index]), 6, 3)
+        assert flagged.tolist() == [True, False]  # never heard, heard at 4
+
+    def test_a_rehomed_row_moves_to_its_new_cube_in_first_heard_order(self):
+        demand = DemandMap({(0, 0): 4.0, (4, 0): 1.0})
+        fleet = Fleet(demand, 2.0, FleetConfig(monitoring="ring", escalation=True))
+        blocks = fleet.detector_blocks()
+        target = fleet.cube_grid.cube_index((0, 0))
+        idle = next(
+            v for v in fleet.vehicles.values() if v.pair_key is None and v.cube_index != target
+        )
+        own = next(p.black for p in fleet.colorings[idle.cube_index].pairs)
+        far = sorted(p.black for p in fleet.colorings[target].pairs)
+        entries = [(far[1], 2), (own, 3), (far[0], 1)]
+        for pair_key, round_id in entries:
+            blocks.store(idle, pair_key, round_id)
+        idle.pair_key = far[0]
+        fleet.rehome_vehicle(idle, far[0])
+        assert blocks.cube_of[idle.index] == sorted(fleet.colorings).index(target)
+        assert idle._heard_cols is blocks._cols[blocks.cube_of[idle.index]]
+        assert list(idle.last_heard.items()) == entries
+        idle.on_message(far[1], ExistingMessage(far[1], far[1], 4))
+        assert idle.last_heard == {far[1]: 4, own: 3, far[0]: 1}
 
 
 class TestHelpersMatchReferences:

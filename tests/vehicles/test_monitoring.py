@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from repro.distsim.failures import ChurnSpec
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.grid.coloring import Coloring
 from repro.grid.lattice import Box
-from repro.service import resume_service, run_service
+from repro.service import checkpoint, resume_service, run_service
 from repro.vehicles.fleet import Fleet, FleetConfig
+from repro.vehicles.messages import ActivationNotice, ExistingMessage
 from repro.vehicles.monitoring import (
     HEARD_AT_START,
     enough_reporters,
@@ -28,7 +30,8 @@ from repro.vehicles.monitoring import (
     quorum_reached,
     watched_pair_key,
 )
-from repro.vehicles.registry import STATE_ACTIVE, WATCH_NEVER
+from repro.vehicles.registry import STATE_ACTIVE
+from repro.vehicles.vehicle import VehicleProcess
 from repro.workloads.arrivals import random_arrivals
 from repro.workloads.library import build_family_demand
 
@@ -154,9 +157,9 @@ class TestGossipRules:
 
 
 class TestVectorizedStaleFlag:
-    """``Fleet._plain_heartbeats`` flags watchers with one array read of
-    the watch-heard mirror; it must flag exactly the vehicles the scalar
-    rule calls silent."""
+    """``Fleet._plain_heartbeats`` flags watchers with one gather of the
+    watched cells of the detector blocks; it must flag exactly the
+    vehicles the scalar rule calls silent."""
 
     @settings(max_examples=40, deadline=None)
     @given(miss=st.integers(1, 6), lag=st.integers(-1, 3), data=st.data())
@@ -166,11 +169,11 @@ class TestVectorizedStaleFlag:
         round_id = max(1, miss + lag)
         demand = DemandMap({(x, y): 1.0 for x in range(6) for y in range(6)})
         fleet = Fleet(demand, 3.0, FleetConfig(monitoring="ring"))
-        # Per watcher: never heard (WATCH_NEVER in the mirror), heard at a
-        # round around the threshold, or watching nothing (WATCH_NONE).
+        # Per watcher: never heard, heard at a round around the threshold,
+        # or watching nothing.
         heard = st.one_of(
             st.none(),
-            st.just(WATCH_NEVER),
+            st.just("never"),
             st.integers(max(0, round_id - miss - 1), round_id),
         )
         for vehicle in fleet.vehicles.values():
@@ -179,11 +182,13 @@ class TestVectorizedStaleFlag:
             value = data.draw(heard)
             if value is None:
                 vehicle.monitored_pair = None
-            elif value == WATCH_NEVER:
-                vehicle.last_heard.pop(vehicle.monitored_pair, None)
+                continue
+            last_heard = vehicle.last_heard
+            if value == "never":
+                last_heard.pop(vehicle.monitored_pair, None)
             else:
-                vehicle.last_heard[vehicle.monitored_pair] = value
-            vehicle.monitored_pair = vehicle.monitored_pair  # refresh the mirror
+                last_heard[vehicle.monitored_pair] = value
+            vehicle.last_heard = last_heard
 
         flagged = []
         for vehicle in fleet.vehicles.values():
@@ -200,11 +205,18 @@ class TestVectorizedStaleFlag:
         assert flagged == expected
 
 
+#: The sentinels of the registry's former watch-heard column, which the
+#: pinned state hashes cover: watching nothing, and watching a pair never
+#: heard from.
+_WATCH_NONE = 2**62
+_WATCH_NEVER = -(2**62)
+
+
 class TestRingDetectorPin:
     """Every ring watch initiation a run makes, and the freshness state it
     ends in, hashed and pinned: a change to the ring heartbeat that moves
     a takeover by one round, or leaves a different ``last_heard`` or
-    watch-heard mirror behind, fails here even when the run's end results
+    watched-pair round behind, fails here even when the run's end results
     hold."""
 
     @staticmethod
@@ -235,7 +247,10 @@ class TestRingDetectorPin:
         state = hashlib.sha256()
         for identity in sorted(fleet.vehicles):
             vehicle = fleet.vehicles[identity]
-            heard = fleet.flat.watch_heard[vehicle.index]
+            watched = vehicle.monitored_pair
+            heard = (
+                _WATCH_NONE if watched is None else vehicle.last_heard.get(watched, _WATCH_NEVER)
+            )
             state.update(repr((identity, sorted(vehicle.last_heard.items()), heard)).encode())
         return fleet, initiations, state.hexdigest()
 
@@ -298,38 +313,111 @@ class TestRingDetectorPin:
         assert state == "963c70e1e30fcdba30b34db95a6d22a7e25f5e665c67a5e4e4385554e21e9abb"
 
 
-def _assert_watch_mirror(fleet):
-    """Every watching vehicle's watch-heard mirror equals its ring
-    ``_heard`` entry, and every broadcast audience is a tuple."""
-    watch_heard = fleet.flat.watch_heard
-    for vehicle in fleet.vehicles.values():
+class _DictDetector:
+    """The ring detector's last-heard state as one dict per vehicle,
+    written by copies of the dict handlers the detector blocks replaced: a
+    heartbeat keeps the fresher round, and an activation notice, a
+    takeover and a grace overwrite the entry."""
+
+    def __init__(self):
+        self.heard = {}
+
+    def of(self, vehicle):
+        return self.heard.setdefault(vehicle, {})
+
+    def existing(self, vehicle, message):
+        heard = self.of(vehicle)
+        if message.round_id > heard.get(message.pair_key, -1):
+            heard[message.pair_key] = message.round_id
+
+    def grace(self, vehicle, watched, current):
+        if watched is not None and self.of(vehicle).get(watched, -1) < current:
+            self.of(vehicle)[watched] = current
+
+    def seed(self, fleet, payload):
+        """Start a restored fleet's dicts from its snapshot entries."""
+        for index, entry in payload["vehicles"].items():
+            vehicle = fleet.vehicles[fleet.flat.identities[int(index)]]
+            self.heard[vehicle] = {
+                tuple(pair): round_id for pair, round_id in entry.get("last_heard", ())
+            }
+
+
+def _replay_dict_detector(monkeypatch):
+    """Run the dict reference next to every fleet built from here on, and
+    check the two against each other before and after every heartbeat
+    round; returns the reference and the list of checked fleets."""
+    reference = _DictDetector()
+    fleets = []
+    on_message = VehicleProcess.on_message
+    take_over = VehicleProcess._take_over
+    grace = VehicleProcess._grace_new_watch
+    run_round = Fleet.run_heartbeat_round
+    restore = checkpoint.restore_fleet_state
+
+    def delivering(vehicle, sender, message):
+        if type(message) is ExistingMessage:
+            reference.existing(vehicle, message)
+        elif type(message) is ActivationNotice:
+            reference.of(vehicle)[message.pair_key] = vehicle.fleet.heartbeat_round
+        on_message(vehicle, sender, message)
+
+    def taking_over(vehicle, pair_key, round_id):
+        reference.of(vehicle)[pair_key] = round_id
+        take_over(vehicle, pair_key, round_id)
+
+    def gracing(vehicle, watched):
+        reference.grace(vehicle, watched, vehicle.fleet.heartbeat_round)
+        grace(vehicle, watched)
+
+    def checking(fleet, **kwargs):
+        _assert_matches_reference(fleet, reference)
+        run_round(fleet, **kwargs)
+        _assert_matches_reference(fleet, reference)
+        fleets.append(fleet)
+
+    def restoring(fleet, payload):
+        restore(fleet, payload)
+        reference.seed(fleet, payload)
+
+    monkeypatch.setattr(VehicleProcess, "on_message", delivering)
+    monkeypatch.setattr(VehicleProcess, "_take_over", taking_over)
+    monkeypatch.setattr(VehicleProcess, "_grace_new_watch", gracing)
+    monkeypatch.setattr(Fleet, "run_heartbeat_round", checking)
+    monkeypatch.setattr(checkpoint, "restore_fleet_state", restoring)
+    return reference, fleets
+
+
+def _assert_matches_reference(fleet, reference):
+    """Every vehicle's ``last_heard`` equals its reference dict, order
+    included; the blocks' vectorized watch flag equals ``is_silent`` on the
+    reference over the next rounds; and every broadcast audience is a
+    tuple."""
+    vehicles = fleet._vehicles_by_index()
+    for vehicle in vehicles:
         assert type(vehicle.cube_peers) is tuple
-        watched = vehicle.monitored_pair
-        if watched is not None:
-            assert watch_heard[vehicle.index] == vehicle._heard.get(watched, WATCH_NEVER)
+        assert list(vehicle.last_heard.items()) == list(reference.of(vehicle).items())
     assert all(type(members) is tuple for members in fleet._cube_members.values())
+    blocks = fleet.detector
+    if blocks is None:
+        return
+    rows = np.arange(len(vehicles))
+    miss = fleet.config.heartbeat_miss_threshold
+    for round_id in range(fleet.heartbeat_round + 1, fleet.heartbeat_round + miss + 2):
+        expected = [
+            vehicle.monitored_pair is not None
+            and is_silent(reference.of(vehicle), vehicle.monitored_pair, round_id, miss)
+            for vehicle in vehicles
+        ]
+        assert blocks.watch_stale(rows, round_id, miss).tolist() == expected
 
 
-class TestWatchHeardMirror:
-    """The ring branch of ``VehicleProcess.on_message`` updates
-    ``_heard`` and the registry's watch-heard mirror inline; the mirror
-    must read what ``_set_heard`` would have left, before and after every
-    heartbeat round, through takeovers, adoptions, hand-backs, rehomings
-    and a checkpoint restore."""
-
-    @staticmethod
-    def _checked_rounds(monkeypatch):
-        fleets = []
-        original = Fleet.run_heartbeat_round
-
-        def checking(fleet, **kwargs):
-            _assert_watch_mirror(fleet)
-            original(fleet, **kwargs)
-            _assert_watch_mirror(fleet)
-            fleets.append(fleet)
-
-        monkeypatch.setattr(Fleet, "run_heartbeat_round", checking)
-        return fleets
+class TestDetectorBlocksMatchTheDictReference:
+    """The detector blocks hold what the per-vehicle dicts they replaced
+    held: before and after every heartbeat round, through takeovers,
+    adoptions, hand-backs, rehomings and a checkpoint restore, each
+    vehicle's ``last_heard`` (order included) and the vectorized watch
+    flag equal a replay of the dict handlers."""
 
     @staticmethod
     def _rehomings(monkeypatch):
@@ -358,7 +446,7 @@ class TestWatchHeardMirror:
         def cube(cx, cy):
             return [(x, y) for x in range(3 * cx, 3 * cx + 3) for y in range(3 * cy, 3 * cy + 3)]
 
-        fleets = self._checked_rounds(monkeypatch)
+        _, fleets = _replay_dict_detector(monkeypatch)
         demand = build_family_demand("scale-up", {"side": 9, "per_point": 1.0})
         result = run_online(
             random_arrivals(demand, np.random.default_rng(0)),
@@ -373,7 +461,7 @@ class TestWatchHeardMirror:
         assert len(fleets) == result.heartbeat_rounds
 
     def test_hand_back_churn_run(self, monkeypatch):
-        fleets = self._checked_rounds(monkeypatch)
+        _, fleets = _replay_dict_detector(monkeypatch)
         demand = DemandMap({(3 * x, 3 * y): 2.0 for x in range(3) for y in range(3)})
         jobs = JobSequence.from_positions(sorted(demand.support()) * 2)
         fleet, fleet_config, _, _ = provision_fleet(
@@ -383,7 +471,6 @@ class TestWatchHeardMirror:
             config=FleetConfig(monitoring="ring", escalation=True, hand_back=True),
             dead_vehicles=[(0, 0)],
         )
-        _assert_watch_mirror(fleet)
         StreamDriver(
             fleet,
             fleet_config,
@@ -395,11 +482,36 @@ class TestWatchHeardMirror:
         assert fleet.stats.adoptions == 1 and fleet.stats.hand_backs == 1
         assert fleets and all(checked is fleet for checked in fleets)
 
+    def test_lossy_escalation_run_with_adoptions(self, monkeypatch):
+        # TestRingDetectorPin's escalation run: an adopter hears and
+        # watches pairs of other cubes.
+        _, fleets = _replay_dict_detector(monkeypatch)
+        demand = DemandMap({(3 * x, 3 * y): 2.0 for x in range(4) for y in range(4)})
+        fleet, fleet_config, _, _ = provision_fleet(
+            demand,
+            omega=1.0,
+            capacity=24.0,
+            config=FleetConfig(monitoring="ring", escalation=True),
+            dead_vehicles=[(0, 0), (0, 3), (6, 6)],
+            transport=build_transport(
+                TransportSpec("lossy", {"loss": 0.1, "delay": 0.02, "seed": 11})
+            ),
+        )
+        jobs = JobSequence.from_positions(sorted(demand.support()) * 2)
+        StreamDriver(fleet, fleet_config, fleet.failure_plan, jobs, recovery_rounds=6).run()
+        assert fleet.stats.adoptions == 3
+        assert any(
+            fleet._pair_cube[pair_key] != vehicle.cube_index
+            for vehicle in fleet.vehicles.values()
+            for pair_key in vehicle.last_heard
+        )
+        assert fleets and all(checked is fleet for checked in fleets)
+
     def test_rehoming_run_and_checkpoint_restore(self, tmp_path, monkeypatch):
         # Idle vehicles of the second cube migrate into the first (an
         # escalated takeover rehomes them) before the fourth checkpoint.
         rehomed = self._rehomings(monkeypatch)
-        fleets = self._checked_rounds(monkeypatch)
+        _, fleets = _replay_dict_detector(monkeypatch)
         demand = DemandMap({(0, 0): 4.0, (4, 0): 1.0})
         jobs = list(JobSequence.from_positions([(0, 0)] * 4 + [(4, 0)] * 4).jobs)
         config = ServiceConfig.from_demand(
@@ -417,6 +529,8 @@ class TestWatchHeardMirror:
         snapshot = tmp_path / "snap.json"
         run_service(config, jobs, checkpoint_path=str(snapshot), stop_after_checkpoints=4)
         assert len(rehomed) == 4  # both rehomings precede the snapshot
+        saved = json.loads(snapshot.read_text())["fleet"]["vehicles"]
+        assert any(len(entry.get("last_heard", ())) > 1 for entry in saved.values())
         resumed_from = len(fleets)
         resumed = resume_service(str(snapshot), jobs)
         restored = fleets[resumed_from]
@@ -424,3 +538,37 @@ class TestWatchHeardMirror:
             restored.cube_grid.cube_index((0, 0))
         }
         assert resumed.fleet_digest == full.fleet_digest
+
+
+class TestBlocksStayLazy:
+    """The detector blocks are allocated by the first heartbeat round or
+    detector write, never by construction, a message-free run or a
+    checkpoint of one."""
+
+    def test_a_message_free_service_run_allocates_no_blocks(self):
+        demand = build_family_demand("scale-up", {"side": 12, "per_point": 2.0})
+        config = ServiceConfig.from_demand(
+            demand, omega=None, capacity=None, window_jobs=100, checkpoint_every=2
+        )
+        fleets = []
+        original = checkpoint._fleet_state
+
+        def capturing(fleet):
+            fleets.append(fleet)
+            return original(fleet)
+
+        jobs = list(random_arrivals(demand, np.random.default_rng(0)))[:400]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checkpoint, "_fleet_state", capturing)
+            result = run_service(config, jobs)
+        assert result.messages == 0 and fleets
+        assert all(fleet.detector is None for fleet in fleets)
+
+    def test_the_first_heartbeat_round_allocates_them(self):
+        demand = DemandMap({(x, y): 1.0 for x in range(6) for y in range(6)})
+        fleet = Fleet(demand, 3.0, FleetConfig(monitoring="ring"))
+        assert fleet.detector is None
+        assert all(vehicle.last_heard == {} for vehicle in fleet.vehicles.values())
+        fleet.run_heartbeat_round()
+        assert fleet.detector is not None
+        assert fleet.messages_sent() > 0

@@ -55,7 +55,7 @@ class TestEnergyLedger:
         idle = next(
             v for v in fleet.vehicles.values() if v.status.working == WorkingState.IDLE
         )
-        assert not idle.serve_job(idle.home)
+        assert not idle.serve_job(idle.identity)
         assert idle.energy_used == 0.0
 
     def test_snapshot_contents(self):
